@@ -302,7 +302,7 @@ def criterion_tail_oracle() -> tuple[bool, str]:
                     continue
                 search = _StemSearch([phi], "", "", 0, m2, delta)
                 space = 2 ** (2 ** m2)
-                violating = sum(0 if search.admits(e) else 1 for e in range(space))
+                violating = sum(search.first_failing(e) >= 0 for e in range(space))
                 bound = min(Fraction(1), Fraction(1, 2 ** m2) / (delta * delta))
                 if Fraction(violating, space) > bound:
                     return False, (

@@ -16,12 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterable
 
 from .errors import ForcingLabError
-
-# The universal exact scalar.  Wire format is the string "p/q".
-Rational = Fraction
 
 
 class ResolutionTooCoarse(ForcingLabError):
@@ -29,7 +27,7 @@ class ResolutionTooCoarse(ForcingLabError):
 
 
 def check_bits(s: str) -> str:
-    if not isinstance(s, str) or any(c not in "01" for c in s):
+    if not isinstance(s, str) or s.strip("01"):
         raise ValueError(f"not a binary string: {s!r}")
     return s
 
@@ -37,33 +35,20 @@ def check_bits(s: str) -> str:
 def _canonical(gens: Iterable[str]) -> frozenset[str]:
     """Reduce arbitrary generators to the canonical antichain.
 
-    Builds a binary trie of the generators and reads off the maximal fully
-    covered nodes, which performs prefix absorption and sibling merging in
-    one pass (including merges that only appear after absorption).
+    In sorted order every prefix precedes its extensions, and s0 (or what
+    it merged into) is the top of the stack when s1 arrives, so one pass
+    with a stack absorbs prefixes and merges siblings, including merges
+    that cascade upward.
     """
-    mark = object()
-    root: dict = {}
-    for g in gens:
-        check_bits(g)
-        node = root
-        for c in g:
-            node = node.setdefault(c, {})
-        node[mark] = True
-
-    def collect(node: dict, prefix: str) -> tuple[bool, list[str]]:
-        if mark in node:
-            return True, [prefix]
-        c0, c1 = node.get("0"), node.get("1")
-        f0, g0 = collect(c0, prefix + "0") if c0 is not None else (False, [])
-        f1, g1 = collect(c1, prefix + "1") if c1 is not None else (False, [])
-        if f0 and f1:
-            return True, [prefix]
-        return False, g0 + g1
-
-    if not root:
-        return frozenset()
-    full, out = collect(root, "")
-    return frozenset([""]) if full else frozenset(out)
+    out: list[str] = []
+    for g in sorted({check_bits(g) for g in gens}):
+        if out and g.startswith(out[-1]):
+            continue
+        while g.endswith("1") and out and out[-1] == g[:-1] + "0":
+            out.pop()
+            g = g[:-1]
+        out.append(g)
+    return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -82,15 +67,13 @@ class ClopenSet:
         if not isinstance(gens, frozenset):
             object.__setattr__(self, "generators", frozenset(gens))
             gens = self.generators
-        for s in gens:
-            check_bits(s)
-            for i in range(len(s)):
-                if s[:i] in gens:
-                    raise ValueError(f"generator {s!r} is absorbed by {s[:i]!r}")
-            if s:
-                sibling = s[:-1] + ("1" if s[-1] == "0" else "0")
-                if sibling in gens:
-                    raise ValueError(f"sibling pair {s!r}/{sibling!r} must merge")
+        ordered = sorted(check_bits(s) for s in gens)
+        # in sorted order any absorbed generator or sibling pair is adjacent
+        for a, b in zip(ordered, ordered[1:]):
+            if b.startswith(a):
+                raise ValueError(f"generator {b!r} is absorbed by {a!r}")
+            if len(a) == len(b) and a[:-1] == b[:-1]:
+                raise ValueError(f"sibling pair {a!r}/{b!r} must merge")
 
     @classmethod
     def from_strings(cls, gens: Iterable[str]) -> "ClopenSet":
@@ -121,29 +104,19 @@ class ClopenSet:
     def complement(self) -> "ClopenSet":
         if self.is_empty():
             return FULL
-        mark = object()
-        root: dict = {}
-        for g in self.generators:
-            node = root
-            for c in g:
-                node = node.setdefault(c, {})
-            node[mark] = True
-        out: list[str] = []
-
-        def walk(node: dict, prefix: str) -> None:
-            if mark in node:
-                return
-            for b in "01":
-                child = node.get(b)
-                if child is None:
-                    out.append(prefix + b)
-                else:
-                    walk(child, prefix + b)
-
-        walk(root, "")
-        # the walk of a canonical trie cannot emit sibling pairs or nested
-        # prefixes, so the result is already canonical
-        return ClopenSet(frozenset(out))
+        gens = self.generators
+        # proper prefixes, longest first: once one is known, so are the rest
+        inner: set[str] = set()
+        for g in gens:
+            for i in range(len(g) - 1, -1, -1):
+                if g[:i] in inner:
+                    break
+                inner.add(g[:i])
+        # the missing children of the proper prefixes; they form an
+        # antichain without sibling pairs, so the result is already canonical
+        return ClopenSet(frozenset(
+            p + b for p in inner for b in "01"
+            if p + b not in inner and p + b not in gens))
 
     def difference(self, other: "ClopenSet") -> "ClopenSet":
         return self.intersect(other.complement())
@@ -183,6 +156,14 @@ def _extensions(s: str, length: int) -> list[str]:
     return [s + format(i, f"0{k}b") for i in range(2 ** k)]
 
 
+def _flatten(rects: Iterable[tuple[str, str]], r1: int, r2: int) -> frozenset[tuple[str, str]]:
+    """Every rectangle at resolution (r1, r2) inside one of the given ones."""
+    flat: set[tuple[str, str]] = set()
+    for s, t in rects:
+        flat.update(product(_extensions(s, r1), _extensions(t, r2)))
+    return frozenset(flat)
+
+
 @dataclass(frozen=True, eq=False)
 class ClopenPlaneSet:
     """Finite union of rectangles on the product space, resolution-flat.
@@ -217,12 +198,7 @@ class ClopenPlaneSet:
         pairs = [(check_bits(s), check_bits(t)) for s, t in rects]
         r1 = max([len(s) for s, _ in pairs] + [min_resolution[0]], default=min_resolution[0])
         r2 = max([len(t) for _, t in pairs] + [min_resolution[1]], default=min_resolution[1])
-        flat = set()
-        for s, t in pairs:
-            for a in _extensions(s, r1):
-                for b in _extensions(t, r2):
-                    flat.add((a, b))
-        return cls((r1, r2), frozenset(flat))
+        return cls((r1, r2), _flatten(pairs, r1, r2))
 
     @classmethod
     def empty(cls, resolution: tuple[int, int] = (0, 0)) -> "ClopenPlaneSet":
@@ -230,9 +206,7 @@ class ClopenPlaneSet:
 
     @classmethod
     def full(cls, resolution: tuple[int, int] = (0, 0)) -> "ClopenPlaneSet":
-        r1, r2 = resolution
-        return cls(resolution, frozenset(
-            (a, b) for a in _extensions("", r1) for b in _extensions("", r2)))
+        return cls(resolution, _flatten([("", "")], *resolution))
 
     def at_resolution(self, r1: int, r2: int) -> "ClopenPlaneSet":
         if (r1, r2) == self.resolution:
@@ -240,12 +214,7 @@ class ClopenPlaneSet:
         if r1 < self.resolution[0] or r2 < self.resolution[1]:
             raise ResolutionTooCoarse(
                 f"cannot coarsen resolution {self.resolution} to {(r1, r2)}")
-        flat = set()
-        for s, t in self.rects:
-            for a in _extensions(s, r1):
-                for b in _extensions(t, r2):
-                    flat.add((a, b))
-        return ClopenPlaneSet((r1, r2), frozenset(flat))
+        return ClopenPlaneSet((r1, r2), _flatten(self.rects, r1, r2))
 
     def _common(self, other: "ClopenPlaneSet") -> tuple["ClopenPlaneSet", "ClopenPlaneSet"]:
         r1 = max(self.resolution[0], other.resolution[0])
@@ -269,9 +238,8 @@ class ClopenPlaneSet:
         return ClopenPlaneSet(a.resolution, a.rects - b.rects)
 
     def complement(self) -> "ClopenPlaneSet":
-        r1, r2 = self.resolution
-        everything = {(a, b) for a in _extensions("", r1) for b in _extensions("", r2)}
-        return ClopenPlaneSet(self.resolution, frozenset(everything - self.rects))
+        everything = _flatten([("", "")], *self.resolution)
+        return ClopenPlaneSet(self.resolution, everything - self.rects)
 
     def contains_rect(self, s: str, t: str) -> bool:
         """Whether the whole rectangle [s] x [t] lies inside this set."""
@@ -318,30 +286,3 @@ class ClopenPlaneSet:
 
     __hash__ = None  # type: ignore[assignment]
 
-
-def measure(a: ClopenSet) -> Fraction:
-    return a.measure()
-
-
-def measure2(h: ClopenPlaneSet) -> Fraction:
-    return h.measure()
-
-
-def union(a, b):
-    return a.union(b)
-
-
-def intersect(a, b):
-    return a.intersect(b)
-
-
-def complement(a):
-    return a.complement()
-
-
-def difference(a, b):
-    return a.difference(b)
-
-
-def plane_section_x(h: ClopenPlaneSet, s: str) -> ClopenSet:
-    return h.section_x(s)

@@ -100,9 +100,6 @@ class WeightFunction:
     def total(self) -> Fraction:
         return sum(self.table.values(), Fraction(0))
 
-    def eval(self, s: str, t: str) -> Fraction:
-        return eval_phi(self, s, t)
-
 
 def eval_phi(phi: WeightFunction, s: str, t: str) -> Fraction:
     """Evaluate the weight at any pair: table entries compatible with (s, t)
@@ -161,18 +158,14 @@ def _stem_depth(h: Mapping[str, str]) -> int:
 
 
 def score(h: Mapping[str, str], phi: WeightFunction) -> Fraction:
-    """Exact score of a stem map against a weight.  Above the weight's
-    x-resolution the top strings are grouped by (row prefix, value) so the
-    cost stays proportional to the stem size with only a handful of exact
-    multiplications."""
+    """Exact score of a stem map against a weight.  The top strings are
+    grouped by (row prefix, value), the row being the top cut to the
+    weight's x-resolution, so the cost stays proportional to the stem size
+    with only a handful of exact multiplications."""
     m = _stem_depth(h)
-    tops = [s for s in h if len(s) == m]
     m1, _ = phi.resolution
-    if m <= m1:
-        return sum(
-            (2 ** len(h[s]) * eval_phi(phi, s, h[s]) for s in tops), Fraction(0))
-    groups = Counter((s[:m1], h[s]) for s in tops)
-    scale = Fraction(1, 2 ** (m - m1))
+    groups = Counter((s[:m1], h[s]) for s in h if len(s) == m)
+    scale = Fraction(1, 2 ** max(0, m - m1))
     acc = Fraction(0)
     for (row, value), count in groups.items():
         acc += count * 2 ** len(value) * eval_phi(phi, row, value) * scale
@@ -248,12 +241,6 @@ class ExtendStats:
     retries: dict = field(default_factory=dict)
     exhaustive_stems: list = field(default_factory=list)
 
-    @property
-    def mean_retries(self) -> float:
-        if not self.retries:
-            return 0.0
-        return sum(self.retries.values()) / len(self.retries)
-
 
 def _sub_seed(seed: int, tag: str) -> int:
     digest = hashlib.sha256(f"{seed}|{tag}".encode()).digest()
@@ -273,60 +260,36 @@ class _StemSearch:
     acceptance test per weight is exact:
 
         sum over new tops t of phi(t, h(s) + bit(t))  >  phi(s, h(s))/2 - delta.
+
+    The first k = min(max(m1 - m, 0), m2 - m) suffix bits pick a row at the
+    weight's x-resolution m1 (one top per row when m2 < m1).  The tops of a
+    row share their weights up to the uniform halving below m1, so a row
+    contributes through the number of ones in its block of bits.
     """
 
     def __init__(self, phi_list, s: str, value: str, m: int, m2: int, delta: Fraction):
-        self.suffix_len = m2 - m
-        self.count = 2 ** self.suffix_len
-        self.delta = delta
+        self.count = 2 ** (m2 - m)
         self.checks = []
         for phi in phi_list:
             target = eval_phi(phi, s, value) / 2 - delta
             m1 = phi.resolution[0]
-            if m2 >= m1:
-                rows = 2 ** max(0, m1 - m)
-                block = self.count // rows
-                scale = Fraction(1, 2 ** (m2 - m1))
-                pairs = []
-                for r in range(rows):
-                    row = (s + format(r, f"0{m1 - m}b")) if m1 > m else s[:m1]
-                    pairs.append((eval_phi(phi, row, value + "0") * scale,
-                                  eval_phi(phi, row, value + "1") * scale))
-                self.checks.append(("blocks", target, block, pairs))
-            else:
-                per_t = []
-                for i in range(self.count):
-                    t = s + format(i, f"0{self.suffix_len}b")
-                    per_t.append((eval_phi(phi, t, value + "0"),
-                                  eval_phi(phi, t, value + "1")))
-                self.checks.append(("direct", target, None, per_t))
+            k = min(max(m1 - m, 0), m2 - m)
+            scale = Fraction(1, 2 ** max(0, m2 - m1))
+            pairs = []
+            for r in range(2 ** k):
+                row = s + format(r, f"0{k}b") if k else s[:m1]
+                pairs.append((eval_phi(phi, row, value + "0") * scale,
+                              eval_phi(phi, row, value + "1") * scale))
+            self.checks.append((target, self.count >> k, pairs))
 
-    def admits(self, e: int) -> bool:
-        for kind, target, block, data in self.checks:
+    def first_failing(self, e: int) -> int:
+        """Index of the first weight whose check e fails, or -1 if e passes."""
+        for idx, (target, block, pairs) in enumerate(self.checks):
+            mask = (1 << block) - 1
             acc = Fraction(0)
-            if kind == "blocks":
-                mask = (1 << block) - 1
-                for r, (v0, v1) in enumerate(data):
-                    ones = ((e >> (r * block)) & mask).bit_count()
-                    acc += (block - ones) * v0 + ones * v1
-            else:
-                for i, (v0, v1) in enumerate(data):
-                    acc += v1 if (e >> i) & 1 else v0
-            if acc <= target:
-                return False
-        return True
-
-    def failing_weight(self, e: int) -> int:
-        for idx, (kind, target, block, data) in enumerate(self.checks):
-            acc = Fraction(0)
-            if kind == "blocks":
-                mask = (1 << block) - 1
-                for r, (v0, v1) in enumerate(data):
-                    ones = ((e >> (r * block)) & mask).bit_count()
-                    acc += (block - ones) * v0 + ones * v1
-            else:
-                for i, (v0, v1) in enumerate(data):
-                    acc += v1 if (e >> i) & 1 else v0
+            for r, (v0, v1) in enumerate(pairs):
+                ones = ((e >> (r * block)) & mask).bit_count()
+                acc += (block - ones) * v0 + ones * v1
             if acc <= target:
                 return idx
         return -1
@@ -389,21 +352,21 @@ def extend_detailed(
         last_fail = 0
         for attempt in range(retry_cap):
             e = rng.getrandbits(search.count)
-            if search.admits(e):
+            last_fail = search.first_failing(e)
+            if last_fail < 0:
                 found = e
                 stats.retries[s] = attempt
                 break
-            last_fail = search.failing_weight(e)
         if found is None:
             space = 2 ** search.count if search.count < 64 else None
             if space is not None and space <= exhaustive_cap:
                 stats.exhaustive_stems.append(s)
                 for e in range(space):
-                    if search.admits(e):
+                    last_fail = search.first_failing(e)
+                    if last_fail < 0:
                         found = e
                         stats.retries[s] = retry_cap
                         break
-                    last_fail = search.failing_weight(e)
         if found is None:
             raise SearchExhausted(s, last_fail, retry_cap)
         chosen[s] = found

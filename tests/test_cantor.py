@@ -36,6 +36,8 @@ def test_check_bits_rejects_junk():
         check_bits("012")
     with pytest.raises(ValueError):
         check_bits("ab")
+    with pytest.raises(ValueError):
+        ClopenSet.from_strings(["0", 1])  # checked before the sort compares it
 
 
 def test_canonical_merges_siblings():
@@ -84,6 +86,14 @@ def test_contains_cylinder():
 
 def test_canonicalize_helper():
     assert canonicalize(["11", "10"]).generators == frozenset({"1"})
+
+
+def test_long_generators_stay_iterative():
+    a = canonicalize(["0" * 5000, "1"])
+    assert a.measure() == Fraction(1, 2) + Fraction(1, 2 ** 5000)
+    b = a.complement()
+    assert b.generators == frozenset("0" * k + "1" for k in range(1, 5000))
+    assert b.complement() == a
 
 
 @settings(max_examples=80, derandomize=True)

@@ -4,9 +4,13 @@ The bundled selftest command is exercised by the acceptance tests, not
 here; these cases pin envelope shape, exit codes, and determinism.
 """
 
+import hashlib
 import io
 import json
 from fractions import Fraction as Rational
+from importlib import resources
+
+import jsonschema
 
 from forcing_lab import cli
 from forcing_lab.diagram import NODES
@@ -31,6 +35,11 @@ def labels(**over):
     base = {n: "aleph1" for n in NODES}
     base.update(over)
     return base
+
+
+def report_digest(env):
+    # pins the report bytes, so refactors must keep them identical
+    return hashlib.sha256(json.dumps(env["report"], sort_keys=True).encode()).hexdigest()
 
 
 def run(tmp_path, argv, scenario=None, raw=None):
@@ -100,6 +109,18 @@ def test_refine_reports_set_and_cutoff(tmp_path):
                              "measure": "1/1", "cutoff": 3}
 
 
+def test_refine_long_generator_set(tmp_path):
+    scenario = {"name": HALVES_NAME, "function": [2, 2],
+                "condition_set": ["0" * 5000, "1"]}
+    code, env = run(tmp_path, ["refine"], scenario)
+    assert code == 0
+    assert env["ok"] is True
+    assert env["report"]["refined"] == ["0" * 5000, "1"]
+    schema = json.loads(resources.files("forcing_lab.schemas")
+                        .joinpath("report.schema.json").read_text())
+    jsonschema.validate(env, schema)
+
+
 def test_refine_slalom_violation_exits_one(tmp_path):
     scenario = {"name": HALVES_NAME, "function": [0, 0],
                 "condition_set": [""]}
@@ -142,6 +163,8 @@ def test_extend_is_deterministic_for_a_seed(tmp_path):
     assert stats["depth"] == 8
     assert stats["exhaustive_stems"] == []
     assert env1["report"]["condition"]["m"] == 8
+    assert report_digest(env1) == (
+        "3718dce682dfe3bb6f6110be098eeaa762b40995adada077fa7d8dfed0737969")
 
 
 def test_extend_without_seed_exits_two(tmp_path):
@@ -167,6 +190,8 @@ def test_generic_run_trace_shape(tmp_path):
             assert Rational(cert["scoreF"]) >= Rational(3, 4)
     last = trace[-1]["certificates"][0]
     assert last["inside"] == last["scoreF"]  # stem resolves the cover fully
+    assert report_digest(env) == (
+        "6cce07127deae2bfae65a5172560d554557f63b8e2d705d3a50c04b962214431")
 
 
 def test_rapid_combined_report(tmp_path):
