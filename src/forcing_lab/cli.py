@@ -9,7 +9,8 @@ The report body echoes the scenario under "inputs", records the seed for
 seeded commands, and is deterministic for a fixed scenario and seed; only
 meta varies.  Exit codes: 0 when the run's checks all pass, 1 for domain errors
 or failed checks, 2 for unusable input (bad JSON, schema violations,
-missing sections, missing --seed).
+missing sections, missing --seed), 3 for any other failure, reported as
+an "InternalError" envelope.
 
 Set FORCING_LAB_LOG=debug (or info, warning, ...) for stderr logging.
 """
@@ -346,6 +347,12 @@ def main(argv=None) -> int:
         envelope["ok"] = False
         envelope["error"] = {"type": type(exc).__name__, "message": str(exc)}
         code = 2
+    except Exception as exc:  # last resort: still one schema-checked envelope
+        log.debug("%s failed unexpectedly", args.command, exc_info=True)
+        envelope["ok"] = False
+        envelope["error"] = {
+            "type": "InternalError", "message": f"{type(exc).__name__}: {exc}"}
+        code = 3
     jsonschema.validate(envelope, _load_schema("report.schema.json"))
     text = json.dumps(envelope, indent=2, sort_keys=True) + "\n"
     if args.out == "-":

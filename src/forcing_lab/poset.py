@@ -19,12 +19,11 @@ lucky the sampling was (Las Vegas, never Monte Carlo).
 from __future__ import annotations
 
 import hashlib
-import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .cantor import ClopenPlaneSet, check_bits, _extensions
 from .errors import ForcingLabError
@@ -151,18 +150,12 @@ def trivial_condition() -> Condition:
     return Condition(0, {"": ""}, ())
 
 
-def _stem_depth(h: Mapping[str, str]) -> int:
-    if not h:
-        raise ValueError("empty stem map")
-    return max(len(s) for s in h)
-
-
 def score(h: Mapping[str, str], phi: WeightFunction) -> Fraction:
     """Exact score of a stem map against a weight.  The top strings are
     grouped by (row prefix, value), the row being the top cut to the
     weight's x-resolution, so the cost stays proportional to the stem size
     with only a handful of exact multiplications."""
-    m = _stem_depth(h)
+    m = max(map(len, h))
     m1, _ = phi.resolution
     groups = Counter((s[:m1], h[s]) for s in h if len(s) == m)
     scale = Fraction(1, 2 ** max(0, m - m1))
@@ -310,96 +303,75 @@ def extend_detailed(
     depth m' with 2^(-m') / delta^2 < 1/(2n) drive an independent seeded
     search per top stem; each candidate is checked exactly, falling back to
     exhaustive enumeration when the space is small enough.  max_new_levels
-    caps the depth growth for multi-step runs, where the pinned depth
-    formula compounds past any materializable size.
+    (at least 1) caps the depth growth for multi-step runs, where the pinned
+    depth formula compounds past any materializable size.
     """
+    if max_new_levels is not None and max_new_levels < 1:
+        raise ValueError(f"max_new_levels must be at least 1, got {max_new_levels}")
     rep = validate(p)
     if not rep.ok:
         raise ValueError(f"cannot extend invalid condition: {rep.first.detail}")
     m = p.m
     tops = p.tops()
-    if not p.u:
-        h2 = dict(p.h)
-        for s in tops:
-            for b in "01":
-                h2[s + b] = p.h[s] + "0"
-        q = Condition(m + 1, h2, p.u)
-        return q, ExtendStats(m + 1, m + 1)
-
-    n = len(p.u)
-    slack = min(score(p.h, tw.phi) - tw.eps for tw in p.u)
-    sigma = sum(2 ** (1 + len(p.h[s])) for s in tops)
-    delta = slack / (2 * sigma)
-    threshold = delta * delta / (2 * n)
     m2 = m + 1
-    while Fraction(1, 2 ** m2) >= threshold:
-        m2 += 1
-    stats = ExtendStats(pinned_m_prime=m2, m_prime=m2)
-    if max_new_levels is not None:
-        m2 = min(m2, m + max_new_levels)
+    stats = ExtendStats(m2, m2)
+    chosen = dict.fromkeys(tops, 0)
+    if p.u:
+        n = len(p.u)
+        slack = min(score(p.h, tw.phi) - tw.eps for tw in p.u)
+        sigma = sum(2 ** (1 + len(p.h[s])) for s in tops)
+        delta = slack / (2 * sigma)
+        threshold = delta * delta / (2 * n)
+        while Fraction(1, 2 ** m2) >= threshold:
+            m2 += 1
+        stats.pinned_m_prime = m2
+        if max_new_levels is not None:
+            m2 = min(m2, m + max_new_levels)
         stats.m_prime = m2
-    if m2 - m > _HARD_LEVEL_LIMIT:
-        raise ValueError(
-            f"extension would need depth {m2} from {m}; pass max_new_levels "
-            f"to bound the growth")
+        if m2 - m > _HARD_LEVEL_LIMIT:
+            raise ValueError(
+                f"extension would need depth {m2} from {m}; pass max_new_levels "
+                f"to bound the growth")
 
-    phi_list = [tw.phi for tw in p.u]
-    chosen: dict[str, int] = {}
-    for s in tops:
-        search = _StemSearch(phi_list, s, p.h[s], m, m2, delta)
-        rng = random.Random(_sub_seed(seed, s))
-        found = None
-        last_fail = 0
-        for attempt in range(retry_cap):
-            e = rng.getrandbits(search.count)
-            last_fail = search.first_failing(e)
-            if last_fail < 0:
-                found = e
-                stats.retries[s] = attempt
-                break
-        if found is None:
-            space = 2 ** search.count if search.count < 64 else None
-            if space is not None and space <= exhaustive_cap:
-                stats.exhaustive_stems.append(s)
-                for e in range(space):
-                    last_fail = search.first_failing(e)
-                    if last_fail < 0:
-                        found = e
-                        stats.retries[s] = retry_cap
-                        break
-        if found is None:
-            raise SearchExhausted(s, last_fail, retry_cap)
-        chosen[s] = found
+        phi_list = [tw.phi for tw in p.u]
+        for s in tops:
+            search = _StemSearch(phi_list, s, p.h[s], m, m2, delta)
+            rng = random.Random(_sub_seed(seed, s))
+            found = None
+            last_fail = 0
+            for attempt in range(retry_cap):
+                e = rng.getrandbits(search.count)
+                last_fail = search.first_failing(e)
+                if last_fail < 0:
+                    found = e
+                    stats.retries[s] = attempt
+                    break
+            if found is None:
+                space = 2 ** search.count if search.count < 64 else None
+                if space is not None and space <= exhaustive_cap:
+                    stats.exhaustive_stems.append(s)
+                    for e in range(space):
+                        last_fail = search.first_failing(e)
+                        if last_fail < 0:
+                            found = e
+                            stats.retries[s] = retry_cap
+                            break
+            if found is None:
+                raise SearchExhausted(s, last_fail, retry_cap)
+            chosen[s] = found
 
     h2 = dict(p.h)
-    suffix_len = m2 - m
-    for s in tops:
+    for s, e in chosen.items():
         base = p.h[s]
-        for j in range(1, suffix_len):
-            for i in range(2 ** j):
-                h2[s + format(i, f"0{j}b")] = base
-        e = chosen[s]
-        for i in range(2 ** suffix_len):
-            h2[s + format(i, f"0{suffix_len}b")] = base + ("1" if (e >> i) & 1 else "0")
+        for depth in range(m + 1, m2):
+            h2.update(dict.fromkeys(_extensions(s, depth), base))
+        for i, t in enumerate(_extensions(s, m2)):
+            h2[t] = base + ("1" if (e >> i) & 1 else "0")
     q = Condition(m2, h2, p.u)
     after = validate(q)
     if not after.ok:  # unreachable when every stem passed its exact check
         raise RuntimeError(f"extension produced invalid condition: {after.first}")
     return q, stats
-
-
-def extend(
-    p: Condition,
-    seed: int,
-    *,
-    retry_cap: int = 64,
-    exhaustive_cap: int = 2 ** 20,
-    max_new_levels: int | None = None,
-) -> Condition:
-    q, _ = extend_detailed(
-        p, seed, retry_cap=retry_cap, exhaustive_cap=exhaustive_cap,
-        max_new_levels=max_new_levels)
-    return q
 
 
 def attach_weight(p: Condition, eps: Fraction, phi: WeightFunction) -> Condition:
@@ -427,23 +399,19 @@ def avoid_null(p: Condition, g: ClopenPlaneSet, eps: Fraction) -> Condition:
 @dataclass(frozen=True)
 class Certificate:
     """Two independent exact readings of how much of the stem sits inside a
-    plane set: the measure of the fully-inside x-cylinders, and the score of
-    the stem against the set's weight.  They agree once the stem is deep
-    enough to resolve the set on both axes."""
+    plane set.  inside is the measure of the tops s whose rectangle
+    [s] x [h(s)] lies in the set: their count over 2^m, since distinct tops
+    of length m have disjoint cylinders.  score_f is score(h, phi) for the
+    set's weight phi = phi_from_clopen(f), and 0 for the empty set.  They
+    agree once the stem is deep enough to resolve the set on both axes."""
 
     inside: Fraction
     score_f: Fraction
 
 
 def certificate(p: Condition, f: ClopenPlaneSet) -> Certificate:
-    from .cantor import ClopenSet
-
-    tops = p.tops()
-    inside_gens = [s for s in tops if f.contains_rect(s, p.h[s])]
-    inside = ClopenSet.from_strings(inside_gens).measure()
-    score_f = sum(
-        (2 ** len(p.h[s]) * f.rect_overlap_measure(s, p.h[s]) for s in tops),
-        Fraction(0))
+    inside = Fraction(sum(f.contains_rect(s, p.h[s]) for s in p.tops()), 2 ** p.m)
+    score_f = score(p.h, phi_from_clopen(f)) if f.rects else Fraction(0)
     return Certificate(inside, score_f)
 
 
@@ -501,23 +469,19 @@ def generic_run(
         trace.append(TraceEntry(step, action, p.m, certs))
 
     for step in range(steps):
-        for i, c in enumerate(covers):
-            if c.at_step == step:
-                try:
-                    p = avoid_null(p, c.cover, c.eps)
-                except ForcingLabError as exc:
-                    exc.step = step  # type: ignore[attr-defined]
-                    raise
-                attached.append((i, c.cover.complement()))
-                snapshot(step, "attach")
         try:
-            p = extend(
+            for i, c in enumerate(covers):
+                if c.at_step == step:
+                    p = avoid_null(p, c.cover, c.eps)
+                    attached.append((i, c.cover.complement()))
+                    snapshot(step, "attach")
+            p, _ = extend_detailed(
                 p, _sub_seed(seed, f"step{step}"), retry_cap=retry_cap,
                 exhaustive_cap=exhaustive_cap, max_new_levels=max_new_levels)
+            snapshot(step, "extend")
         except ForcingLabError as exc:
             exc.step = step  # type: ignore[attr-defined]
             raise
-        snapshot(step, "extend")
     return p, trace
 
 
@@ -538,13 +502,8 @@ def sigma_centered_index(p: Condition) -> CenteredIndex:
     stem = tuple(sorted(p.h.items()))
     if not p.u:
         return CenteredIndex(0, 1, stem, ())
-    q = None
-    for tw in p.u:
-        candidates = (tw.phi.total(), score(p.h, tw.phi) - tw.eps)
-        for c in candidates:
-            if q is None or c < q:
-                q = c
-    if q is None or q <= 0:
+    q = min(c for tw in p.u for c in (tw.phi.total(), score(p.h, tw.phi) - tw.eps))
+    if q <= 0:
         raise ValueError("condition must be valid with positive-mass weights")
     k = -(-q.denominator // q.numerator)  # ceil(1/q)
     return CenteredIndex(len(p.u), k, stem, tuple(tw.eps for tw in p.u))

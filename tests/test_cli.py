@@ -11,6 +11,7 @@ from fractions import Fraction as Rational
 from importlib import resources
 
 import jsonschema
+import pytest
 
 from forcing_lab import cli
 from forcing_lab.diagram import NODES
@@ -29,6 +30,16 @@ SIMPLE_CONDITION = {
     "u": [{"eps": "1/2",
            "phi": {"resolution": [0, 0], "table": [["", "", "1/1"]]}}],
 }
+
+
+ONE_COVER_RUN = {
+    "steps": 2,
+    "covers": [{"cover": {"resolution": [1, 2], "rects": [["0", "00"]]},
+                "eps": "1/4"}],
+}
+
+REPORT_SCHEMA = json.loads(resources.files("forcing_lab.schemas")
+                           .joinpath("report.schema.json").read_text())
 
 
 def labels(**over):
@@ -116,9 +127,7 @@ def test_refine_long_generator_set(tmp_path):
     assert code == 0
     assert env["ok"] is True
     assert env["report"]["refined"] == ["0" * 5000, "1"]
-    schema = json.loads(resources.files("forcing_lab.schemas")
-                        .joinpath("report.schema.json").read_text())
-    jsonschema.validate(env, schema)
+    jsonschema.validate(env, REPORT_SCHEMA)
 
 
 def test_refine_slalom_violation_exits_one(tmp_path):
@@ -174,12 +183,7 @@ def test_extend_without_seed_exits_two(tmp_path):
 
 
 def test_generic_run_trace_shape(tmp_path):
-    scenario = {
-        "steps": 2,
-        "covers": [{"cover": {"resolution": [1, 2], "rects": [["0", "00"]]},
-                    "eps": "1/4"}],
-    }
-    code, env = run(tmp_path, ["generic-run", "--seed", "2026"], scenario)
+    code, env = run(tmp_path, ["generic-run", "--seed", "2026"], ONE_COVER_RUN)
     assert code == 0
     assert env["report"]["depth"] == 6  # three levels per step, two extends
     trace = env["report"]["trace"]
@@ -192,6 +196,32 @@ def test_generic_run_trace_shape(tmp_path):
     assert last["inside"] == last["scoreF"]  # stem resolves the cover fully
     assert report_digest(env) == (
         "6cce07127deae2bfae65a5172560d554557f63b8e2d705d3a50c04b962214431")
+
+
+@pytest.mark.parametrize("levels", ["0", "-1"])
+@pytest.mark.parametrize("command, scenario", [
+    ("extend", {"condition": SIMPLE_CONDITION}),
+    ("generic-run", ONE_COVER_RUN),
+], ids=["extend", "generic-run"])
+def test_level_cap_below_one_exits_two(tmp_path, command, scenario, levels):
+    code, env = run(
+        tmp_path, [command, "--seed", "7", "--max-new-levels", levels], scenario)
+    assert code == 2
+    assert env["error"]["type"] == "ValueError"
+    assert "max_new_levels" in env["error"]["message"]
+    jsonschema.validate(env, REPORT_SCHEMA)
+
+
+def test_unexpected_failure_exits_three(tmp_path, monkeypatch):
+    def broken(args, scenario):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli.HANDLERS, "diagram", broken)
+    code, env = run(tmp_path, ["diagram"], {"assignment": labels()})
+    assert code == 3
+    assert env["ok"] is False
+    assert env["error"] == {"type": "InternalError", "message": "RuntimeError: boom"}
+    jsonschema.validate(env, REPORT_SCHEMA)
 
 
 def test_rapid_combined_report(tmp_path):

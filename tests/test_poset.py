@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from forcing_lab import (
+    Certificate,
     ClopenPlaneSet,
+    ClopenSet,
     Condition,
     NullSet,
     ScheduledCover,
@@ -18,7 +20,6 @@ from forcing_lab import (
     avoid_null,
     certificate,
     eval_phi,
-    extend,
     extend_detailed,
     generic_run,
     merge_same_stem,
@@ -126,16 +127,34 @@ def test_attach_weight_guards():
 
 # -------------------------------------------------------------- extension
 
-def test_extend_without_weights_grows_one_level():
-    q, stats = extend_detailed(trivial_condition(), seed=1)
-    assert q.m == 1 and stats.m_prime == 1
-    assert q.h == {"": "", "0": "0", "1": "0"}
+DEPTH2_STEM = {"": "", "0": "1", "1": "", "00": "1", "01": "10", "10": "0", "11": ""}
+
+
+@pytest.mark.parametrize("p, levels, grown", [
+    (trivial_condition(), None, {"0": "0", "1": "0"}),
+    (Condition(2, DEPTH2_STEM, ()), 3, {
+        "000": "10", "001": "10", "010": "100", "011": "100",
+        "100": "00", "101": "00", "110": "0", "111": "0"}),
+], ids=["trivial", "depth2-capped"])
+def test_extend_without_weights_grows_one_level(p, levels, grown):
+    q, stats = extend_detailed(p, seed=1, max_new_levels=levels)
+    assert q.m == p.m + 1
+    assert stats.pinned_m_prime == stats.m_prime == p.m + 1
+    assert q.h == {**p.h, **grown}  # every new top appends bit 0
+    assert stats.retries == {} and stats.exhaustive_stems == []
+
+
+@pytest.mark.parametrize("levels", [0, -1])
+def test_extend_refuses_level_cap_below_one(levels):
+    for p in (trivial_condition(), simple_condition()):
+        with pytest.raises(ValueError, match="max_new_levels"):
+            extend_detailed(p, seed=1, max_new_levels=levels)
 
 
 def test_extend_structure_and_determinism():
     p = simple_condition()
-    q1 = extend(p, seed=5)
-    q2 = extend(p, seed=5)
+    q1, _ = extend_detailed(p, seed=5)
+    q2, _ = extend_detailed(p, seed=5)
     assert q1 == q2
     assert q1.m == 8  # slack 1/2 and stem sum 2 pin depth 8
     assert validate(q1).ok
@@ -145,7 +164,7 @@ def test_extend_structure_and_determinism():
         base = p.h[t[: p.m]]
         assert len(q1.h[t]) == len(base) + 1
         assert q1.h[t].startswith(base)
-    assert extend(p, seed=6) != q1  # another seed lands elsewhere
+    assert extend_detailed(p, seed=6)[0] != q1  # another seed lands elsewhere
 
 
 def test_extend_respects_level_cap():
@@ -173,15 +192,15 @@ def test_extend_search_exhausted_without_fallback():
 def test_extend_refuses_unmaterializable_depth():
     p = simple_condition(eps=Fraction(2 ** 40 - 1, 2 ** 40))  # sliver of slack
     with pytest.raises(ValueError):
-        extend(p, seed=1)
-    q = extend(p, seed=1, max_new_levels=2)  # capped growth still fine
+        extend_detailed(p, seed=1)
+    q, _ = extend_detailed(p, seed=1, max_new_levels=2)  # capped growth still fine
     assert q.m == 2
 
 
 def test_extend_rejects_invalid_input():
     bad = Condition(0, {"": ""}, (TaggedWeight(Fraction(1), FULL_W),))
     with pytest.raises(ValueError):
-        extend(bad, seed=3)
+        extend_detailed(bad, seed=3)
 
 
 # ----------------------------------------------- covers and certificates
@@ -213,6 +232,39 @@ def test_certificate_reads_partial_overlap():
     cert = certificate(p, f)
     assert cert.inside == 0  # the whole-space rectangle is not inside f
     assert cert.score_f == Fraction(7, 8)
+
+
+def random_stem(rng, depth):
+    def bits():
+        return "".join(rng.choice("01") for _ in range(rng.randint(0, 2)))
+
+    h = {"": bits()}
+    for level in range(depth):
+        for s in [k for k in h if len(k) == level]:
+            for b in "01":
+                h[s + b] = h[s] + bits()
+    return Condition(depth, h, ())
+
+
+def test_certificate_matches_overlap_oracle():
+    # reference: per-top rectangle overlaps, and the canonical measure of
+    # the inside tops as a clopen set
+    rng = random.Random(11)
+    for _ in range(60):
+        p = random_stem(rng, rng.randint(0, 5))
+        r1, r2 = rng.randint(0, 3), rng.randint(0, 3)
+        cells = sorted(ClopenPlaneSet.full((r1, r2)).rects)
+        f = ClopenPlaneSet.from_rects(
+            rng.sample(cells, rng.randint(0, len(cells))), (r1, r2))
+        tops = p.tops()
+        overlap = sum(
+            (2 ** len(p.h[s]) * f.rect_overlap_measure(s, p.h[s]) for s in tops),
+            Fraction(0))
+        inside = ClopenSet.from_strings(
+            [s for s in tops if f.contains_rect(s, p.h[s])]).measure()
+        assert certificate(p, f) == Certificate(inside, overlap)
+    empty = ClopenPlaneSet.empty((1, 1))
+    assert certificate(trivial_condition(), empty) == Certificate(0, 0)
 
 
 def test_generic_run_trace_and_invariants():
