@@ -8,9 +8,12 @@ packaged scenario schema, and every run emits a single JSON envelope:
 The report body echoes the scenario under "inputs", records the seed for
 seeded commands, and is deterministic for a fixed scenario and seed; only
 meta varies.  Exit codes: 0 when the run's checks all pass, 1 for domain errors
-or failed checks, 2 for unusable input (bad JSON, schema violations,
-missing sections, missing --seed), 3 for any other failure, reported as
-an "InternalError" envelope.
+or failed checks, 2 for unusable input (bad arguments, an unreadable
+--input, an unwritable --out, bad JSON, schema violations, missing
+sections, missing --seed), 3 for any other failure, reported as an
+"InternalError" envelope.  --out is opened once the scenario has been read
+(or failed to read), before the run; if that or argument parsing fails, the
+envelope goes to stdout.
 
 Set FORCING_LAB_LOG=debug (or info, warning, ...) for stderr logging.
 """
@@ -47,17 +50,32 @@ class UsageError(Exception):
     """The scenario cannot drive this command (exit code 2)."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports bad arguments as a UsageError envelope instead of exiting."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
+
+
 def _load_schema(name: str) -> dict:
     ref = resources.files("forcing_lab.schemas").joinpath(name)
     with ref.open("r", encoding="utf-8") as fh:
         return json.load(fh)
 
 
+def _open(path: str, mode: str, purpose: str):
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot {purpose}: {exc}") from exc
+
+
 def _read_scenario(args: argparse.Namespace) -> dict:
     if args.input == "-":
         text = sys.stdin.read()
     else:
-        with open(args.input, "r", encoding="utf-8") as fh:
+        with _open(args.input, "r", "read scenario") as fh:
             text = fh.read()
     try:
         data = json.loads(text)
@@ -84,6 +102,7 @@ def _need_seed(args: argparse.Namespace) -> int:
 
 
 def _cmd_slalom(args, scenario):
+    """extract the heavy-label slalom of a name"""
     g = jsonio.name_from_json(_need(scenario, "name"))
     s = slalom_extract(g)
     report = {
@@ -95,6 +114,7 @@ def _cmd_slalom(args, scenario):
 
 
 def _cmd_refine(args, scenario):
+    """shrink a positive-measure set off a function's value cells"""
     g = jsonio.name_from_json(_need(scenario, "name"))
     f = _need(scenario, "function")
     p = jsonio.clopen_from_json(_need(scenario, "condition_set"))
@@ -109,6 +129,7 @@ def _cmd_refine(args, scenario):
 
 
 def _cmd_extend(args, scenario):
+    """grow a condition's stem with seeded, exactly checked bits"""
     p = jsonio.condition_from_json(_need(scenario, "condition"))
     seed = _need_seed(args)
     q, stats = extend_detailed(
@@ -129,6 +150,7 @@ def _cmd_extend(args, scenario):
 
 
 def _cmd_generic_run(args, scenario):
+    """interleave cover attachment and extension, with certificates"""
     seed = _need_seed(args)
     steps = int(_need(scenario, "steps"))
     schedule = [
@@ -152,6 +174,7 @@ def _cmd_generic_run(args, scenario):
 
 
 def _cmd_smz(args, scenario):
+    """derive cover tolerances and flatten heavy interval families"""
     eps = [jsonio.rational_from_json(e) for e in _need(scenario, "eps")]
     horizon = int(_need(scenario, "horizon"))
     delta, delta_prime = cover_translate(eps, horizon)
@@ -170,11 +193,14 @@ def _cmd_smz(args, scenario):
 
 
 def _cmd_rapid(args, scenario):
+    """check block density, thinness, and rapidity of selections"""
+    thin = "set" in scenario and "blocks" in scenario
+    if not thin and "rapid" not in scenario:
+        raise UsageError(
+            "rapid needs 'set'+'blocks' and/or 'rapid'+'selection'+'checkpoints'")
     report: dict = {}
     ok = True
-    handled = False
-    if "set" in scenario and "blocks" in scenario:
-        handled = True
+    if thin:
         verdict = thin_set_bound_check(scenario["set"], int(scenario["blocks"]))
         report["thin"] = {
             "ok": verdict.ok,
@@ -189,7 +215,6 @@ def _cmd_rapid(args, scenario):
                 int(window["start"]), int(window["stop"]))
             report["product"] = jsonio.rational_to_json(value)
     if "rapid" in scenario:
-        handled = True
         verdict = rapidity_check(
             scenario["rapid"], _need(scenario, "selection"),
             _need(scenario, "checkpoints"))
@@ -199,13 +224,11 @@ def _cmd_rapid(args, scenario):
             "counts": list(verdict.counts),
         }
         ok = ok and verdict.ok
-    if not handled:
-        raise UsageError(
-            "rapid needs 'set'+'blocks' and/or 'rapid'+'selection'+'checkpoints'")
     return ok, report
 
 
 def _cmd_diagram(args, scenario):
+    """check a diagram assignment or a ground/extension pair"""
     if "ground" in scenario and "extension" in scenario:
         verdict = check_extension_pair(
             jsonio.assignment_from_json(scenario["ground"]),
@@ -225,6 +248,7 @@ def _cmd_diagram(args, scenario):
 
 
 def _cmd_selftest(args, scenario):
+    """run the bundled acceptance suite (one line per criterion)"""
     results = acceptance.run_all()
     for r in results:
         print(r.line(), file=sys.stderr)
@@ -254,6 +278,8 @@ HANDLERS = {
     "selftest": _cmd_selftest,
 }
 
+SEEDED = ("extend", "generic-run")
+
 
 def build_parser() -> argparse.ArgumentParser:
     io_parent = argparse.ArgumentParser(add_help=False)
@@ -278,36 +304,29 @@ def build_parser() -> argparse.ArgumentParser:
         help="cap on stem depth growth per extension (default: the pinned "
              "depth formula for 'extend', 3 for 'generic-run')")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="forcing-lab",
         description="Exact toolkit for weighted stem conditions, names and "
                     "slaloms, interval covers, and the cardinal diagram.")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser(
-        "slalom", parents=[io_parent],
-        help="extract the heavy-label slalom of a name")
-    sub.add_parser(
-        "refine", parents=[io_parent],
-        help="shrink a positive-measure set off a function's value cells")
-    sub.add_parser(
-        "extend", parents=[io_parent, seeded_parent],
-        help="grow a condition's stem with seeded, exactly checked bits")
-    sub.add_parser(
-        "generic-run", parents=[io_parent, seeded_parent],
-        help="interleave cover attachment and extension, with certificates")
-    sub.add_parser(
-        "smz", parents=[io_parent],
-        help="derive cover tolerances and flatten heavy interval families")
-    sub.add_parser(
-        "rapid", parents=[io_parent],
-        help="check block density, thinness, and rapidity of selections")
-    sub.add_parser(
-        "diagram", parents=[io_parent],
-        help="check a diagram assignment or a ground/extension pair")
-    sub.add_parser(
-        "selftest", parents=[io_parent],
-        help="run the bundled acceptance suite (one line per criterion)")
+    for name, handler in HANDLERS.items():
+        parents = [io_parent, seeded_parent] if name in SEEDED else [io_parent]
+        sub.add_parser(name, parents=parents, help=handler.__doc__)
     return parser
+
+
+def _failure(exc: Exception) -> tuple[int, dict]:
+    """Exit code and envelope error body for an exception raised by a run."""
+    error = {"type": type(exc).__name__, "message": str(exc)}
+    if isinstance(exc, ForcingLabError):
+        if hasattr(exc, "step"):
+            error["step"] = exc.step
+        return 1, error
+    if isinstance(exc, (UsageError, KeyError, TypeError, ValueError)):
+        # the last three: schema-shaped input that failed to decode
+        return 2, error
+    log.debug("run failed unexpectedly", exc_info=exc)
+    return 3, {"type": "InternalError", "message": f"{type(exc).__name__}: {exc}"}
 
 
 def main(argv=None) -> int:
@@ -316,51 +335,31 @@ def main(argv=None) -> int:
         stream=sys.stderr,
         format="%(levelname)s %(name)s: %(message)s",
         level=getattr(logging, env_level.upper(), logging.WARNING))
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     started = time.perf_counter()
-    envelope: dict = {"command": args.command}
-    code = 0
+    command = argv[0] if argv and argv[0] in HANDLERS else ""
+    envelope: dict = {"command": command, "ok": False}
+    out = sys.stdout
     try:
-        scenario = None if args.command == "selftest" else _read_scenario(args)
+        args = build_parser().parse_args(argv)
+        try:
+            scenario = None if args.command == "selftest" else _read_scenario(args)
+        finally:  # read before truncating: --out may name the --input file
+            if args.out != "-":
+                out = _open(args.out, "w", "write report")
         ok, report = HANDLERS[args.command](args, scenario)
         if scenario is not None:
             report = {"inputs": scenario, **report}
-        envelope["ok"] = ok
-        envelope["report"] = report
-        envelope["meta"] = {
-            "wall_time_ms": round((time.perf_counter() - started) * 1000, 3)}
+        wall_ms = round((time.perf_counter() - started) * 1000, 3)
+        envelope.update(ok=ok, report=report, meta={"wall_time_ms": wall_ms})
         code = 0 if ok else 1
-    except UsageError as exc:
-        envelope["ok"] = False
-        envelope["error"] = {"type": "UsageError", "message": str(exc)}
-        code = 2
-    except ForcingLabError as exc:
-        detail = {"type": type(exc).__name__, "message": str(exc)}
-        if hasattr(exc, "step"):
-            detail["step"] = exc.step
-        envelope["ok"] = False
-        envelope["error"] = detail
-        code = 1
-    except (KeyError, TypeError, ValueError) as exc:
-        # schema-shaped input whose payload still failed to decode or
-        # violated a constructor contract
-        envelope["ok"] = False
-        envelope["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        code = 2
-    except Exception as exc:  # last resort: still one schema-checked envelope
-        log.debug("%s failed unexpectedly", args.command, exc_info=True)
-        envelope["ok"] = False
-        envelope["error"] = {
-            "type": "InternalError", "message": f"{type(exc).__name__}: {exc}"}
-        code = 3
+    except Exception as exc:  # every failure still ends in one envelope
+        code, envelope["error"] = _failure(exc)
     jsonschema.validate(envelope, _load_schema("report.schema.json"))
-    text = json.dumps(envelope, indent=2, sort_keys=True) + "\n"
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    log.info("%s finished with exit code %d", args.command, code)
+    out.write(json.dumps(envelope, indent=2, sort_keys=True) + "\n")
+    if out is not sys.stdout:
+        out.close()
+    log.info("%s finished with exit code %d", command, code)
     return code
 
 

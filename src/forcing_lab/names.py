@@ -122,6 +122,11 @@ def slalom_extract(g: FiniteName) -> Slalom:
     return Slalom(tuple(slots))
 
 
+def tail_cutoff(mu: Fraction, start: int) -> int:
+    """Least integer n above max(start, 1) with 1/(n-1) < mu, for mu > 0."""
+    return max(max(start, 1) + 1, mu.denominator // mu.numerator + 2)
+
+
 def refine_condition(
     p: ClopenSet, g: FiniteName, f: Sequence[int], start: int
 ) -> tuple[ClopenSet, int]:
@@ -142,9 +147,7 @@ def refine_condition(
     for k in range(start, g.horizon):
         if f[k] in slalom.slots[k]:
             raise SlalomViolation(k, f[k])
-    n = max(start, 1) + 1
-    while Fraction(1, n - 1) >= mu:
-        n += 1
+    n = tail_cutoff(mu, start)
     q = p
     for k in range(n, g.horizon):
         q = q.difference(boolean_value(g, k, f[k]))

@@ -438,7 +438,6 @@ def generic_run(
     retry_cap: int = 64,
     exhaustive_cap: int = 2 ** 20,
     max_new_levels: int | None = 3,
-    start: Condition | None = None,
 ) -> tuple[Condition, list[TraceEntry]]:
     """Interleave cover attachment and extension from the trivial condition.
 
@@ -460,7 +459,7 @@ def generic_run(
         if steps and c.at_step >= steps:
             raise ValueError(f"cover scheduled at step {c.at_step}, run has {steps}")
 
-    p = start if start is not None else trivial_condition()
+    p = trivial_condition()
     attached: list[tuple[int, ClopenPlaneSet]] = []
     trace: list[TraceEntry] = []
 

@@ -7,8 +7,11 @@ here; these cases pin envelope shape, exit codes, and determinism.
 import hashlib
 import io
 import json
+import re
+import shlex
 from fractions import Fraction as Rational
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -40,6 +43,8 @@ ONE_COVER_RUN = {
 
 REPORT_SCHEMA = json.loads(resources.files("forcing_lab.schemas")
                            .joinpath("report.schema.json").read_text())
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def labels(**over):
@@ -128,6 +133,15 @@ def test_refine_long_generator_set(tmp_path):
     assert env["ok"] is True
     assert env["report"]["refined"] == ["0" * 5000, "1"]
     jsonschema.validate(env, REPORT_SCHEMA)
+
+
+def test_refine_tiny_set_takes_closed_form_cutoff(tmp_path):
+    scenario = {"name": HALVES_NAME, "function": [2, 2],
+                "condition_set": ["0" * 64]}
+    code, env = run(tmp_path, ["refine"], scenario)
+    assert code == 0
+    assert env["report"]["cutoff"] == 2 ** 64 + 2
+    assert env["report"]["refined"] == ["0" * 64]
 
 
 def test_refine_slalom_violation_exits_one(tmp_path):
@@ -244,6 +258,52 @@ def test_rapid_needs_some_section(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["extend", "--seed", "abc"],
+    ["diagram", "--bogus"],
+], ids=["bad-seed", "unknown-flag"])
+def test_bad_arguments_exit_two_with_envelope(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    env = json.loads(captured.out)
+    assert code == 2
+    assert env["command"] == argv[0]
+    assert env["error"]["type"] == "UsageError"
+    assert captured.err.startswith("usage:")
+    jsonschema.validate(env, REPORT_SCHEMA)
+
+
+def test_unwritable_out_exits_two_on_stdout(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"assignment": labels()}))
+    out = tmp_path / "missing_dir" / "out.json"
+    code = cli.main(["diagram", "--input", str(path), "--out", str(out)])
+    env = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert env["error"]["type"] == "UsageError"
+    assert "cannot write report" in env["error"]["message"]
+    jsonschema.validate(env, REPORT_SCHEMA)
+
+
+def test_out_may_name_the_input_file(tmp_path):
+    path = tmp_path / "scenario.json"
+    scenario = {"assignment": labels()}
+    path.write_text(json.dumps(scenario))
+    code = cli.main(["diagram", "--input", str(path), "--out", str(path)])
+    env = json.loads(path.read_text())
+    assert code == 0
+    assert env["report"]["inputs"] == scenario
+    jsonschema.validate(env, REPORT_SCHEMA)
+
+
+def test_missing_input_exits_two(tmp_path):
+    code, env = run(tmp_path, ["diagram", "--input", str(tmp_path / "nope.json")])
+    assert code == 2
+    assert env["error"]["type"] == "UsageError"
+    assert "cannot read scenario" in env["error"]["message"]
+    jsonschema.validate(env, REPORT_SCHEMA)
+
+
 def test_bad_json_exits_two(tmp_path):
     code, env = run(tmp_path, ["diagram"], raw="{oops")
     assert code == 2
@@ -271,3 +331,20 @@ def test_envelope_text_is_byte_stable(tmp_path):
     text = out.read_text()
     assert text.endswith("\n")
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def test_readme_examples_run(monkeypatch, capsys):
+    examples = [
+        (shlex.split(m.group(2)), m.group(1))
+        for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+        for m in re.finditer(
+            r"echo '(.*?)'\s*\\?\s*\|\s*forcing-lab ([^\n]*)", block, re.S)
+    ]
+    assert [argv[0] for argv, _ in examples] == [
+        "slalom", "extend", "smz", "rapid", "diagram"]
+    for argv, scenario in examples:
+        monkeypatch.setattr("sys.stdin", io.StringIO(scenario))
+        code = cli.main(argv)
+        env = json.loads(capsys.readouterr().out)
+        assert code == 0, (argv, env)
+        jsonschema.validate(env, REPORT_SCHEMA)

@@ -18,7 +18,7 @@ from forcing_lab import (
     refine_condition,
     slalom_extract,
 )
-from forcing_lab.names import NonpositiveThreshold, NotAPartition
+from forcing_lab.names import NonpositiveThreshold, NotAPartition, tail_cutoff
 
 
 def halves(lo=0, hi=1):
@@ -88,6 +88,21 @@ def test_refine_cutoff_scales_with_measure():
     # least n above 1 with 1/(n-1) < 1/4 is 6
     assert n == 6
     assert q == p  # absent labels have empty value cells
+
+
+def linear_cutoff(mu, start):
+    # reference: the linear search tail_cutoff replaced, about 1/mu steps
+    n = max(start, 1) + 1
+    while Fraction(1, n - 1) >= mu:
+        n += 1
+    return n
+
+
+def test_tail_cutoff_matches_linear_search():
+    measures = {Fraction(p, q) for q in range(1, 65) for p in range(1, q + 1)}
+    for mu in measures:
+        for start in range(71):
+            assert tail_cutoff(mu, start) == linear_cutoff(mu, start), (mu, start)
 
 
 def test_refine_rejects_slalom_values():
