@@ -86,7 +86,8 @@ class ClopenSet:
         return self.generators == frozenset([""])
 
     def measure(self) -> Fraction:
-        return sum((Fraction(1, 2 ** len(s)) for s in self.generators), Fraction(0))
+        depth = max(map(len, self.generators), default=0)
+        return Fraction(sum(1 << (depth - len(s)) for s in self.generators), 1 << depth)
 
     def union(self, other: "ClopenSet") -> "ClopenSet":
         return ClopenSet.from_strings(self.generators | other.generators)

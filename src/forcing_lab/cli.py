@@ -30,7 +30,7 @@ from importlib import resources
 
 import jsonschema
 
-from . import acceptance, jsonio
+from . import jsonio
 from .diagram import check_assignment, check_extension_pair
 from .errors import ForcingLabError
 from .names import refine_condition, slalom_extract
@@ -59,9 +59,25 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_schema(name: str) -> dict:
+    """The packaged schema with each {"$ref": "#/$defs/x"} replaced by its
+    target, so validation never resolves a reference per instance node;
+    error messages and instance paths are those of the packaged file."""
     ref = resources.files("forcing_lab.schemas").joinpath(name)
     with ref.open("r", encoding="utf-8") as fh:
-        return json.load(fh)
+        schema = json.load(fh)
+    defs = schema.pop("$defs", {})
+
+    def inline(node):
+        if isinstance(node, list):
+            return [inline(v) for v in node]
+        if not isinstance(node, dict):
+            return node
+        target = node.get("$ref", "")
+        if len(node) == 1 and target.startswith("#/$defs/"):
+            return inline(defs[target.removeprefix("#/$defs/")])
+        return {k: inline(v) for k, v in node.items()}
+
+    return inline(schema)
 
 
 def _open(path: str, mode: str, purpose: str):
@@ -249,6 +265,8 @@ def _cmd_diagram(args, scenario):
 
 def _cmd_selftest(args, scenario):
     """run the bundled acceptance suite (one line per criterion)"""
+    from . import acceptance  # only this command needs it
+
     results = acceptance.run_all()
     for r in results:
         print(r.line(), file=sys.stderr)

@@ -48,13 +48,16 @@ def _validate_partition(cells: Sequence[tuple[Hashable, ClopenSet]], where) -> N
     labels = [lab for lab, _ in cells]
     if len(labels) != len(set(labels)):
         raise NotAPartition(where, "duplicate labels")
-    total = Fraction(0)
-    for i, (_, a) in enumerate(cells):
-        total += a.measure()
-        for j in range(i + 1, len(cells)):
-            if not a.intersect(cells[j][1]).is_empty():
-                raise NotAPartition(
-                    where, f"cells {labels[i]!r} and {labels[j]!r} overlap")
+    gens = sorted(g for _, cell in cells for g in cell.generators)
+    # in sorted order everything between a generator and an extension of it
+    # extends it too, so any overlap shows up as an adjacent prefix pair
+    if any(b.startswith(a) for a, b in zip(gens, gens[1:])):
+        for i, (_, a) in enumerate(cells):  # name the first overlapping pair
+            for j in range(i + 1, len(cells)):
+                if not a.intersect(cells[j][1]).is_empty():
+                    raise NotAPartition(
+                        where, f"cells {labels[i]!r} and {labels[j]!r} overlap")
+    total = sum((cell.measure() for _, cell in cells), Fraction(0))
     if total != 1:
         raise NotAPartition(where, f"cell measures sum to {total}, expected 1")
 

@@ -119,6 +119,13 @@ def test_inclusion_exclusion(xs, ys):
     assert a.complement().complement() == a
 
 
+@settings(max_examples=120, derandomize=True)
+@given(st.lists(st.text(alphabet="01", max_size=12), max_size=8))
+def test_measure_sums_generator_cylinders(xs):
+    for a in (ClopenSet.from_strings(xs), EMPTY, FULL):
+        assert a.measure() == sum(Fraction(1, 2 ** len(g)) for g in a.generators)
+
+
 def test_plane_from_rects_expands_to_common_resolution():
     h = ClopenPlaneSet.from_rects([("0", ""), ("1", "1")])
     assert h.resolution == (1, 1)

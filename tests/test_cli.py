@@ -317,6 +317,86 @@ def test_schema_violation_exits_two(tmp_path):
     assert "schema" in env["error"]["message"]
 
 
+SCHEMA_FILES = ("scenario.schema.json", "report.schema.json")
+
+
+def packaged_schema(name):
+    return json.loads(resources.files("forcing_lab.schemas").joinpath(name).read_text())
+
+
+@pytest.mark.parametrize("name", SCHEMA_FILES)
+def test_loaded_schema_is_reference_free(name):
+    loaded = cli._load_schema(name)
+    text = json.dumps(loaded)
+    assert "$ref" not in text and "$defs" not in text
+    assert loaded["title"] == packaged_schema(name)["title"]
+    jsonschema.Draft202012Validator.check_schema(loaded)
+
+
+def cover(**over):
+    return {"covers": [{"cover": {"resolution": [1, 1], "rects": [["0", "1"]]},
+                        "eps": "1/2", **over}]}
+
+
+def weighted(phi=None, **over):
+    phi = phi or {"resolution": [0, 0], "table": [["", "", "1"]]}
+    return {"condition": {"m": 0, "h": [["", ""]], "u": [{"eps": "1/2", "phi": phi, **over}]}}
+
+
+def named(**over):
+    return {"name": {"horizon": 1, "coords": [[{"label": 0, "cells": [""], **over}]]}}
+
+
+# at least one broken scenario per $defs entry of the scenario schema
+BROKEN_SCENARIOS = {
+    "bits": {"condition_set": ["01", "012"]},
+    "clopen": {"condition_set": "01"},
+    "rational": {"eps": ["1/2", "half"]},
+    "resolution-negative": {"covers": [{"cover": {"resolution": [1, -1], "rects": []},
+                                        "eps": "1/2"}]},
+    "resolution-short": {"covers": [{"cover": {"resolution": [1], "rects": []},
+                                     "eps": "1/2"}]},
+    "rect-one-item": {"covers": [{"cover": {"resolution": [1, 1], "rects": [["0"]]},
+                                  "eps": "1/2"}]},
+    "plane": {"covers": [{"cover": {"resolution": [1, 1]}, "eps": "1/2"}]},
+    "namedCell-unknown-key": named(weight=1),
+    "namedCell-bad-bits": named(cells=["0", "1b"]),
+    "name": {"name": {"horizon": -1, "coords": []}},
+    "weight-unknown-key": weighted({"resolution": [0, 0], "table": [], "scale": 2}),
+    "weight-bad-rational": weighted({"resolution": [0, 0], "table": [["", "", "1/x"]]}),
+    "taggedWeight-unknown-key": weighted(tag="a"),
+    "condition": {"condition": {"m": -1, "h": [], "u": []}},
+    "interval": {"heavy": [[["0", "1/2", "1"]]]},
+    "scheduledCover-unknown-key": cover(when=0),
+    "scheduledCover-bad-step": cover(at_step=-2),
+    "assignment": {"assignment": {"b": "aleph1", "d": 2}},
+}
+
+
+@pytest.mark.parametrize("scenario", BROKEN_SCENARIOS.values(), ids=BROKEN_SCENARIOS)
+def test_loaded_schema_reports_like_packaged(scenario):
+    def failure(schema):
+        with pytest.raises(jsonschema.ValidationError) as info:
+            jsonschema.validate(scenario, schema)
+        return info.value.message, list(info.value.absolute_path)
+
+    name = "scenario.schema.json"
+    assert failure(cli._load_schema(name)) == failure(packaged_schema(name))
+
+
+def test_bad_bits_deep_in_name_keep_their_message(tmp_path):
+    name = json.loads(json.dumps(HALVES_NAME))
+    name["coords"][1][1]["cells"] = ["10", "1a"]
+    code, env = run(tmp_path, ["slalom"], {"name": name})
+    assert code == 2
+    # the text the packaged schema gave before its references were inlined
+    assert env["error"] == {
+        "type": "UsageError",
+        "message": "scenario fails schema at name/coords/1/1/cells/1: "
+                   "'1a' does not match '^[01]*$'",
+    }
+
+
 def test_missing_section_exits_two(tmp_path):
     code, env = run(tmp_path, ["diagram"], {})
     assert code == 2

@@ -1,5 +1,6 @@
 """Names, slaloms, and measure-positive refinement."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,81 @@ def test_make_name_validates_partitions():
     with pytest.raises(NotAPartition):  # duplicate labels
         make_name([[(0, ClopenSet.from_strings(["0"])),
                     (0, ClopenSet.from_strings(["1"]))]])
+
+
+def pairwise_verdict(cells, where):
+    # reference: the pairwise check the sorted pass replaced; the message
+    # make_name should raise, or None for a partition
+    labels = [lab for lab, _ in cells]
+    if len(labels) != len(set(labels)):
+        return f"coordinate {where}: duplicate labels"
+    total = Fraction(0)
+    for i, (_, a) in enumerate(cells):
+        total += sum(Fraction(1, 2 ** len(g)) for g in a.generators)
+        for j in range(i + 1, len(cells)):
+            if not a.intersect(cells[j][1]).is_empty():
+                return f"coordinate {where}: cells {labels[i]!r} and {labels[j]!r} overlap"
+    if total != 1:
+        return f"coordinate {where}: cell measures sum to {total}, expected 1"
+    return None
+
+
+def random_partition(rng, max_depth=8):
+    """Leaves of a random binary tree of depth <= max_depth, grouped under
+    1-6 distinct labels."""
+    leaves, stack = [], [""]
+    while stack:
+        s = stack.pop()
+        if len(s) < max_depth and rng.random() < 0.6:
+            stack += [s + "0", s + "1"]
+        else:
+            leaves.append(s)
+    count = min(len(leaves), rng.randint(1, 6))
+    groups = [[] for _ in range(count)]
+    rng.shuffle(leaves)
+    for i, leaf in enumerate(leaves):
+        groups[i if i < count else rng.randrange(count)].append(leaf)
+    labels = rng.sample(range(20), count)
+    return [(lab, ClopenSet.from_strings(g)) for lab, g in zip(labels, groups)]
+
+
+def perturbations(rng, cells):
+    """The partition and four ways to break it (or, by chance, not)."""
+    yield "intact", cells
+    i, j = rng.randrange(len(cells)), rng.randrange(len(cells))
+    g = rng.choice(sorted(cells[i][1].generators))
+
+    def with_cell(k, gens):
+        out = list(cells)
+        out[k] = (cells[k][0], ClopenSet.from_strings(gens))
+        return out
+
+    if i != j:
+        yield "copied", with_cell(j, cells[j][1].generators | {g})
+    deeper = g + "".join(rng.choice("01") for _ in range(rng.randint(1, 3)))
+    yield "added-under", with_cell(j, cells[j][1].generators | {deeper})
+    yield "dropped", with_cell(i, cells[i][1].generators - {g})
+    yield "duplicate-label", cells + [(cells[i][0], EMPTY)]
+
+
+def test_partition_check_matches_pairwise_reference():
+    rng = random.Random(20261018)
+    seen = {}
+    for _ in range(400):
+        for kind, cells in perturbations(rng, random_partition(rng)):
+            want = pairwise_verdict(cells, 0)
+            if want is None:
+                assert make_name([cells]).horizon == 1
+            else:
+                with pytest.raises(NotAPartition) as info:
+                    make_name([cells])
+                assert str(info.value) == want, (kind, cells)
+            verdict = "ok" if want is None else want.split()[2]
+            seen.setdefault(kind, set()).add(verdict)
+    # every perturbation hit the verdict it exists to provoke
+    assert "ok" in seen["intact"] and "ok" in seen["added-under"]
+    assert "cells" in seen["copied"] and "cells" in seen["added-under"]
+    assert "cell" in seen["dropped"] and "duplicate" in seen["duplicate-label"]
 
 
 def test_boolean_value():
