@@ -55,35 +55,22 @@ def _canonical(gens: Iterable[str]) -> frozenset[str]:
 class ClopenSet:
     """Canonical finite union of cylinders.  Immutable.
 
-    Construct via from_strings (canonicalizing) or module-level
-    canonicalize; the raw constructor insists on canonical input so that
-    non-canonical values are unrepresentable.
+    The constructor canonicalizes whatever generators it is given, so
+    non-canonical values are unrepresentable; from_strings and module-level
+    canonicalize are the same construction.
     """
 
     generators: frozenset[str]
 
     def __post_init__(self) -> None:
-        gens = self.generators
-        if not isinstance(gens, frozenset):
-            object.__setattr__(self, "generators", frozenset(gens))
-            gens = self.generators
-        ordered = sorted(check_bits(s) for s in gens)
-        # in sorted order any absorbed generator or sibling pair is adjacent
-        for a, b in zip(ordered, ordered[1:]):
-            if b.startswith(a):
-                raise ValueError(f"generator {b!r} is absorbed by {a!r}")
-            if len(a) == len(b) and a[:-1] == b[:-1]:
-                raise ValueError(f"sibling pair {a!r}/{b!r} must merge")
+        object.__setattr__(self, "generators", _canonical(self.generators))
 
     @classmethod
     def from_strings(cls, gens: Iterable[str]) -> "ClopenSet":
-        return cls(_canonical(gens))
+        return cls(gens)
 
     def is_empty(self) -> bool:
         return not self.generators
-
-    def is_full(self) -> bool:
-        return self.generators == frozenset([""])
 
     def measure(self) -> Fraction:
         depth = max(map(len, self.generators), default=0)
@@ -113,11 +100,10 @@ class ClopenSet:
                 if g[:i] in inner:
                     break
                 inner.add(g[:i])
-        # the missing children of the proper prefixes; they form an
-        # antichain without sibling pairs, so the result is already canonical
-        return ClopenSet(frozenset(
+        # the missing children of the proper prefixes
+        return ClopenSet(
             p + b for p in inner for b in "01"
-            if p + b not in inner and p + b not in gens))
+            if p + b not in inner and p + b not in gens)
 
     def difference(self, other: "ClopenSet") -> "ClopenSet":
         return self.intersect(other.complement())

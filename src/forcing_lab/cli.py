@@ -123,7 +123,7 @@ def _cmd_slalom(args, scenario):
     s = slalom_extract(g)
     report = {
         "horizon": g.horizon,
-        "slots": [sorted(slot) for slot in s.slots],
+        **jsonio.slalom_to_json(s),
         "caps": [(n + 1) ** 2 for n in range(g.horizon)],
     }
     return True, report

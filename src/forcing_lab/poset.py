@@ -80,7 +80,7 @@ class WeightFunction:
 
     @classmethod
     def from_table(cls, resolution: tuple[int, int], table: Mapping) -> "WeightFunction":
-        clean = {k: Fraction(v) for k, v in table.items() if Fraction(v) != 0}
+        clean = {k: f for k, v in table.items() if (f := Fraction(v))}
         return cls(tuple(resolution), clean)
 
     @classmethod
@@ -156,8 +156,13 @@ def score(h: Mapping[str, str], phi: WeightFunction) -> Fraction:
     weight's x-resolution, so the cost stays proportional to the stem size
     with only a handful of exact multiplications."""
     m = max(map(len, h))
+    return _score_tops([(s, v) for s, v in h.items() if len(s) == m], m, phi)
+
+
+def _score_tops(tops: list[tuple[str, str]], m: int, phi: WeightFunction) -> Fraction:
+    """score over the (top, value) pairs of a stem of depth m."""
     m1, _ = phi.resolution
-    groups = Counter((s[:m1], h[s]) for s in h if len(s) == m)
+    groups = Counter((s[:m1], v) for s, v in tops)
     scale = Fraction(1, 2 ** max(0, m - m1))
     acc = Fraction(0)
     for (row, value), count in groups.items():
@@ -175,6 +180,7 @@ class ClauseViolation:
 class ValidationReport:
     ok: bool
     violations: tuple[ClauseViolation, ...]
+    scores: tuple[Fraction, ...] = ()
 
     @property
     def first(self) -> ClauseViolation | None:
@@ -183,7 +189,9 @@ class ValidationReport:
 
 def validate(p: Condition) -> ValidationReport:
     """Check the full condition contract and report every violated clause:
-    stem domain completeness, monotonicity, tag ranges, and score > eps."""
+    stem domain completeness, monotonicity, tag ranges, and score > eps.
+    When the domain is complete, scores holds score(h, phi) for every
+    weight in order (whatever its tag); otherwise it is empty."""
     bad: list[ClauseViolation] = []
     by_level: dict[int, int] = {}
     domain_ok = True
@@ -205,23 +213,23 @@ def validate(p: Condition) -> ValidationReport:
                 "domain",
                 f"level {level} holds {by_level.get(level, 0)} keys, needs {2 ** level}"))
             domain_ok = False
+    scores: tuple[Fraction, ...] = ()
     if domain_ok:
         for s in p.h:
             if s and not p.h[s].startswith(p.h[s[:-1]]):
                 bad.append(ClauseViolation(
                     "monotone",
                     f"h({s!r}) = {p.h[s]!r} does not extend h({s[:-1]!r}) = {p.h[s[:-1]]!r}"))
+        tops = [(s, v) for s, v in p.h.items() if len(s) == p.m]
+        scores = tuple(_score_tops(tops, p.m, tw.phi) for tw in p.u)
     for i, tw in enumerate(p.u):
         if not 0 < tw.eps < 1:
             bad.append(ClauseViolation(
                 "epsilon", f"weight #{i} tag {tw.eps} outside (0,1)"))
-            continue
-        if domain_ok:
-            sc = score(p.h, tw.phi)
-            if sc <= tw.eps:
-                bad.append(ClauseViolation(
-                    "score", f"weight #{i} scores {sc}, needs > {tw.eps}"))
-    return ValidationReport(not bad, tuple(bad))
+        elif scores and scores[i] <= tw.eps:
+            bad.append(ClauseViolation(
+                "score", f"weight #{i} scores {scores[i]}, needs > {tw.eps}"))
+    return ValidationReport(not bad, tuple(bad), scores)
 
 
 @dataclass
@@ -318,7 +326,7 @@ def extend_detailed(
     chosen = dict.fromkeys(tops, 0)
     if p.u:
         n = len(p.u)
-        slack = min(score(p.h, tw.phi) - tw.eps for tw in p.u)
+        slack = min(sc - tw.eps for sc, tw in zip(rep.scores, p.u))
         sigma = sum(2 ** (1 + len(p.h[s])) for s in tops)
         delta = slack / (2 * sigma)
         threshold = delta * delta / (2 * n)

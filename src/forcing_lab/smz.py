@@ -121,17 +121,16 @@ class DensityProfile:
                 raise ValueError(f"density {v} outside [0, 1]")
 
 
-def _block_count(sorted_a: list[int], m: int) -> int:
+def _block_density(sorted_a: list[int], m: int) -> Fraction:
     lo = bisect.bisect_left(sorted_a, m * m)
     hi = bisect.bisect_left(sorted_a, (m + 1) * (m + 1))
-    return hi - lo
+    return Fraction(hi - lo, 2 * m + 1)
 
 
 def density_profile(a: Iterable[int], blocks: int) -> DensityProfile:
     """values[m] = |a intersect [m^2, (m+1)^2)| / (2m + 1) for m < blocks."""
     sorted_a = sorted(set(a))
-    return DensityProfile(tuple(
-        Fraction(_block_count(sorted_a, m), 2 * m + 1) for m in range(blocks)))
+    return DensityProfile(tuple(_block_density(sorted_a, m) for m in range(blocks)))
 
 
 def icbrt(x: int) -> int:
@@ -179,7 +178,7 @@ def thin_set_bound_check(a: Iterable[int], blocks: int) -> ThinSetVerdict:
     max_ratio = Fraction(0)
     witness = None
     for m in range(blocks):
-        value = Fraction(_block_count(sorted_a, m), 2 * m + 1)
+        value = _block_density(sorted_a, m)
         if value > max_ratio:
             max_ratio = value
         bound = Fraction(icbrt((m + 1) ** 2) + 1, 2 * m + 1)
@@ -196,7 +195,7 @@ def product_bound(
     acc = Fraction(1)
     for m in sorted(set(x)):
         if start <= m < stop:
-            acc *= 1 - Fraction(_block_count(sorted_a, m), 2 * m + 1)
+            acc *= 1 - _block_density(sorted_a, m)
     return acc
 
 

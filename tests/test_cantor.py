@@ -52,11 +52,17 @@ def test_canonical_absorbs_prefixes():
     assert ClopenSet.from_strings([]) == EMPTY
 
 
-def test_constructor_rejects_noncanonical():
+def test_constructor_canonicalizes():
+    assert ClopenSet(frozenset({"00", "01"})) == ClopenSet.from_strings(["0"])  # siblings
+    assert ClopenSet(frozenset({"0", "01"})).generators == {"0"}  # prefix pair
     with pytest.raises(ValueError):
-        ClopenSet(frozenset({"00", "01"}))  # sibling pair
-    with pytest.raises(ValueError):
-        ClopenSet(frozenset({"0", "01"}))  # prefix pair
+        ClopenSet(frozenset({"2"}))
+
+
+@settings(max_examples=80, derandomize=True)
+@given(gen_lists)
+def test_constructor_matches_from_strings(xs):
+    assert ClopenSet(frozenset(xs)) == ClopenSet.from_strings(xs)
 
 
 def test_measure_and_complement():

@@ -29,6 +29,8 @@ from forcing_lab import (
     trivial_condition,
     validate,
 )
+from forcing_lab.cantor import check_bits
+from forcing_lab.poset import ClauseViolation
 
 FULL_W = WeightFunction.full()
 
@@ -265,6 +267,115 @@ def test_certificate_matches_overlap_oracle():
         assert certificate(p, f) == Certificate(inside, overlap)
     empty = ClopenPlaneSet.empty((1, 1))
     assert certificate(trivial_condition(), empty) == Certificate(0, 0)
+
+
+def reference_validate(p):
+    # reference: validate with one score() call per weight over the whole stem
+    bad = []
+    by_level = {}
+    domain_ok = True
+    for s in p.h:
+        try:
+            check_bits(s)
+            check_bits(p.h[s])
+        except ValueError as exc:
+            bad.append(ClauseViolation("domain", str(exc)))
+            domain_ok = False
+            continue
+        if len(s) > p.m:
+            bad.append(ClauseViolation("domain", f"key {s!r} deeper than m={p.m}"))
+            domain_ok = False
+        by_level[len(s)] = by_level.get(len(s), 0) + 1
+    for level in range(p.m + 1):
+        if by_level.get(level, 0) != 2 ** level:
+            bad.append(ClauseViolation(
+                "domain",
+                f"level {level} holds {by_level.get(level, 0)} keys, needs {2 ** level}"))
+            domain_ok = False
+    if domain_ok:
+        for s in p.h:
+            if s and not p.h[s].startswith(p.h[s[:-1]]):
+                bad.append(ClauseViolation(
+                    "monotone",
+                    f"h({s!r}) = {p.h[s]!r} does not extend h({s[:-1]!r}) = {p.h[s[:-1]]!r}"))
+    for i, tw in enumerate(p.u):
+        if not 0 < tw.eps < 1:
+            bad.append(ClauseViolation(
+                "epsilon", f"weight #{i} tag {tw.eps} outside (0,1)"))
+            continue
+        if domain_ok:
+            sc = score(p.h, tw.phi)
+            if sc <= tw.eps:
+                bad.append(ClauseViolation(
+                    "score", f"weight #{i} scores {sc}, needs > {tw.eps}"))
+    return not bad, tuple(bad), domain_ok
+
+
+def random_weight(rng):
+    kind = rng.choice(["full", "uniform", "cover"])
+    if kind == "full":
+        return FULL_W
+    if kind == "uniform":
+        c = Fraction(rng.randint(1, 8), 8)
+        return WeightFunction.scaled_uniform(c, (rng.randint(0, 2), rng.randint(0, 2)))
+    r1, r2 = rng.randint(0, 3), rng.randint(0, 3)
+    cells = sorted(ClopenPlaneSet.full((r1, r2)).rects)
+    cover = ClopenPlaneSet.from_rects(rng.sample(cells, rng.randint(0, len(cells) - 1)), (r1, r2))
+    return phi_from_clopen(cover.complement())
+
+
+def perturbed(rng, p):
+    """The condition itself and one copy per way of breaking it."""
+    h = p.h
+    yield p
+    keys = list(h)
+    dropped = rng.choice(keys)
+    yield Condition(p.m, {k: v for k, v in h.items() if k != dropped}, p.u)
+    yield Condition(p.m, {**h, "0" * (p.m + 1): h["0" * p.m]}, p.u)
+    yield Condition(p.m, {**h, "2": ""}, p.u)
+    yield Condition(p.m, {**h, rng.choice(keys): "0a"}, p.u)
+    yield Condition(p.m, {**h, 5: "0"}, p.u)
+    if p.m:
+        s = rng.choice([k for k in keys if k])
+        parent = h[s[:-1]] or "0"
+        flip = "1" if parent[0] == "0" else "0"
+        yield Condition(p.m, {**h, s[:-1]: parent, s: flip + h[s]}, p.u)
+    if p.u:
+        i = rng.randrange(len(p.u))
+        phi = p.u[i].phi
+        above = (score(h, phi) + 1) / 2
+        for eps in (Fraction(0), Fraction(1), above):
+            u = p.u[:i] + (TaggedWeight(eps, phi),) + p.u[i + 1:]
+            yield Condition(p.m, h, u)
+
+
+def test_validate_matches_reference():
+    rng = random.Random(29)
+    kinds = set()
+    for _ in range(150):
+        stem = random_stem(rng, rng.randint(0, 6))
+        u = []
+        for _ in range(rng.randint(0, 3)):
+            phi = random_weight(rng)
+            u.append(TaggedWeight(score(stem.h, phi) * rng.randint(1, 7) / 8, phi))
+        for p in perturbed(rng, Condition(stem.m, stem.h, tuple(u))):
+            ok, violations, domain_ok = reference_validate(p)
+            rep = validate(p)
+            assert (rep.ok, rep.violations) == (ok, violations)
+            expected = tuple(score(p.h, tw.phi) for tw in p.u) if domain_ok else ()
+            assert rep.scores == expected
+            kinds.update(v.clause for v in violations)
+    assert kinds == {"domain", "monotone", "epsilon", "score"}
+
+
+def test_extend_slack_is_least_over_weights():
+    # slacks 1/4 then 1/2: delta = 1/16 over stem sum 2, so 2^-m' < 1/1024
+    u = (TaggedWeight(Fraction(1, 2), WeightFunction.scaled_uniform(Fraction(3, 4))),
+         TaggedWeight(Fraction(1, 2), FULL_W))
+    p = Condition(0, {"": ""}, u)
+    assert validate(p).scores == (Fraction(3, 4), Fraction(1))
+    _, stats = extend_detailed(p, seed=1, max_new_levels=1)
+    assert stats.pinned_m_prime == 11
 
 
 def test_generic_run_trace_and_invariants():
