@@ -374,7 +374,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # every failure still ends in one envelope
         code, envelope["error"] = _failure(exc)
     jsonschema.validate(envelope, _load_schema("report.schema.json"))
-    out.write(json.dumps(envelope, indent=2, sort_keys=True) + "\n")
+    out.write(json.dumps(envelope, sort_keys=True, separators=(",", ":")) + "\n")
     if out is not sys.stdout:
         out.close()
     log.info("%s finished with exit code %d", command, code)

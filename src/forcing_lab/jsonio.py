@@ -7,7 +7,9 @@ documents are byte-stable across runs.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from operator import itemgetter
 from typing import Any, Mapping, Sequence
 
 from .cantor import ClopenPlaneSet, ClopenSet
@@ -21,6 +23,14 @@ from .poset import (
     WeightFunction,
 )
 from .smz import IntervalSpec
+
+
+def _refuse_repeats(built: Mapping, entries: Sequence, key, what: str) -> None:
+    """Raise ValueError naming a key that entries repeat; built is the dict
+    made from them, so a repeat shows as a shorter dict."""
+    if len(built) != len(entries):
+        repeated = next(k for k, n in Counter(map(key, entries)).items() if n > 1)
+        raise ValueError(f"repeated {what} {repeated!r}")
 
 
 def rational_to_json(x: Fraction) -> str:
@@ -97,6 +107,7 @@ def weight_to_json(phi: WeightFunction) -> dict:
 def weight_from_json(data: Mapping) -> WeightFunction:
     r1, r2 = data["resolution"]
     table = {(s, t): rational_from_json(v) for s, t, v in data["table"]}
+    _refuse_repeats(table, data["table"], itemgetter(0, 1), "weight table key")
     return WeightFunction.from_table((int(r1), int(r2)), table)
 
 
@@ -113,6 +124,7 @@ def condition_to_json(p: Condition) -> dict:
 
 def condition_from_json(data: Mapping) -> Condition:
     h = {s: v for s, v in data["h"]}
+    _refuse_repeats(h, data["h"], itemgetter(0), "stem key")
     u = tuple(
         TaggedWeight(rational_from_json(entry["eps"]), weight_from_json(entry["phi"]))
         for entry in data["u"]

@@ -187,41 +187,61 @@ class ValidationReport:
         return self.violations[0] if self.violations else None
 
 
+def _all_binary(h: Mapping) -> bool:
+    """Whether every key and value of h is a 0/1 string, in C-level passes."""
+    try:
+        texts = ("".join(h), "".join(h.values()))
+    except TypeError:
+        return False
+    return all(text.count("0") + text.count("1") == len(text) for text in texts)
+
+
+def _domain_violations(h: Mapping, m: int) -> tuple[list[ClauseViolation], Counter]:
+    """Word the key and value violations of h per key, in key order, and
+    count the keys that pass per level."""
+    bad: list[ClauseViolation] = []
+    by_level: Counter = Counter()
+    for s in h:
+        try:
+            check_bits(s)
+            check_bits(h[s])
+        except ValueError as exc:
+            bad.append(ClauseViolation("domain", str(exc)))
+            continue
+        if len(s) > m:
+            bad.append(ClauseViolation("domain", f"key {s!r} deeper than m={m}"))
+        by_level[len(s)] += 1
+    return bad, by_level
+
+
 def validate(p: Condition) -> ValidationReport:
     """Check the full condition contract and report every violated clause:
     stem domain completeness, monotonicity, tag ranges, and score > eps.
-    When the domain is complete, scores holds score(h, phi) for every
-    weight in order (whatever its tag); otherwise it is empty."""
-    bad: list[ClauseViolation] = []
-    by_level: dict[int, int] = {}
-    domain_ok = True
-    for s in p.h:
-        try:
-            check_bits(s)
-            check_bits(p.h[s])
-        except ValueError as exc:
-            bad.append(ClauseViolation("domain", str(exc)))
-            domain_ok = False
-            continue
-        if len(s) > p.m:
-            bad.append(ClauseViolation("domain", f"key {s!r} deeper than m={p.m}"))
-            domain_ok = False
-        by_level[len(s)] = by_level.get(len(s), 0) + 1
-    for level in range(p.m + 1):
-        if by_level.get(level, 0) != 2 ** level:
+    Each clause is checked in bulk over the whole stem; a clause that fails
+    is then worded per key, in key order.  When the domain is complete,
+    scores holds score(h, phi) for every weight in order (whatever its
+    tag); otherwise it is empty."""
+    h, m = p.h, p.m
+    by_level = Counter(map(len, h)) if _all_binary(h) else None
+    if by_level is None or max(by_level, default=0) > m:
+        bad, by_level = _domain_violations(h, m)
+    else:
+        bad = []
+    for level in range(m + 1):
+        if by_level[level] != 2 ** level:
             bad.append(ClauseViolation(
-                "domain",
-                f"level {level} holds {by_level.get(level, 0)} keys, needs {2 ** level}"))
-            domain_ok = False
+                "domain", f"level {level} holds {by_level[level]} keys, needs {2 ** level}"))
+    domain_ok = not bad
     scores: tuple[Fraction, ...] = ()
     if domain_ok:
-        for s in p.h:
-            if s and not p.h[s].startswith(p.h[s[:-1]]):
-                bad.append(ClauseViolation(
+        if not all(map(str.startswith, h.values(), map(h.__getitem__, [s[:-1] for s in h]))):
+            bad.extend(
+                ClauseViolation(
                     "monotone",
-                    f"h({s!r}) = {p.h[s]!r} does not extend h({s[:-1]!r}) = {p.h[s[:-1]]!r}"))
-        tops = [(s, v) for s, v in p.h.items() if len(s) == p.m]
-        scores = tuple(_score_tops(tops, p.m, tw.phi) for tw in p.u)
+                    f"h({s!r}) = {h[s]!r} does not extend h({s[:-1]!r}) = {h[s[:-1]]!r}")
+                for s in h if not h[s].startswith(h[s[:-1]]))
+        tops = [(s, v) for s, v in h.items() if len(s) == m]
+        scores = tuple(_score_tops(tops, m, tw.phi) for tw in p.u)
     for i, tw in enumerate(p.u):
         if not 0 < tw.eps < 1:
             bad.append(ClauseViolation(

@@ -196,6 +196,21 @@ def test_extend_without_seed_exits_two(tmp_path):
     assert "--seed" in env["error"]["message"]
 
 
+@pytest.mark.parametrize("condition, named", [
+    ({"m": 1, "h": [["", ""], ["0", "0"], ["1", "1"], ["0", "1"]], "u": []},
+     "repeated stem key '0'"),
+    ({**SIMPLE_CONDITION, "u": [{"eps": "1/2", "phi": {
+        "resolution": [1, 1], "table": [["0", "1", "1/8"], ["1", "0", "1/8"],
+                                        ["0", "1", "1/4"]]}}]},
+     "repeated weight table key ('0', '1')"),
+])
+def test_repeated_key_exits_two(tmp_path, condition, named):
+    code, env = run(tmp_path, ["extend", "--seed", "1", "--max-new-levels", "1"],
+                    {"condition": condition})
+    assert code == 2
+    assert env["error"] == {"type": "ValueError", "message": named}
+
+
 def test_generic_run_trace_shape(tmp_path):
     code, env = run(tmp_path, ["generic-run", "--seed", "2026"], ONE_COVER_RUN)
     assert code == 0
@@ -410,7 +425,7 @@ def test_envelope_text_is_byte_stable(tmp_path):
     cli.main(["diagram", "--input", str(path), "--out", str(out)])
     text = out.read_text()
     assert text.endswith("\n")
-    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def test_readme_examples_run(monkeypatch, capsys):

@@ -335,11 +335,26 @@ def perturbed(rng, p):
     yield Condition(p.m, {**h, "2": ""}, p.u)
     yield Condition(p.m, {**h, rng.choice(keys): "0a"}, p.u)
     yield Condition(p.m, {**h, 5: "0"}, p.u)
+    # values that are not strings stop the bulk bits check at the join
+    yield Condition(p.m, {**h, keys[-1]: None}, p.u)
+    yield Condition(p.m, {**h, keys[0]: 3}, p.u)
+    # deeper keys on both sides of a bad value: violations stay in key order
+    deep0, deep1 = "0" * (p.m + 1), "1" * (p.m + 1)
+    yield Condition(p.m, {deep0: h["0" * p.m], **h, keys[-1]: "0a", deep1: h["1" * p.m]}, p.u)
     if p.m:
         s = rng.choice([k for k in keys if k])
         parent = h[s[:-1]] or "0"
         flip = "1" if parent[0] == "0" else "0"
         yield Condition(p.m, {**h, s[:-1]: parent, s: flip + h[s]}, p.u)
+        # a non-binary character in a key of the top level
+        top = rng.choice([k for k in keys if len(k) == p.m])
+        yield Condition(p.m, {(top[:-1] + "x" if k == top else k): v for k, v in h.items()}, p.u)
+        # at least two monotone breaks, at the first and last top keys
+        broken = dict(h)
+        for s in ("0" * p.m, "1" * p.m):
+            parent = broken[s[:-1]] = broken[s[:-1]] or "0"
+            broken[s] = ("1" if parent[0] == "0" else "0") + h[s]
+        yield Condition(p.m, broken, p.u)
     if p.u:
         i = rng.randrange(len(p.u))
         phi = p.u[i].phi
