@@ -1,7 +1,8 @@
 """Command line front end.
 
 Scenarios arrive as JSON (stdin or --input), are validated against the
-packaged scenario schema, and every run emits a single JSON envelope:
+packaged scenario schema, and every run emits a single JSON envelope,
+itself checked against the packaged report schema:
 
     {"command": ..., "ok": ..., "report": {...}, "meta": {"wall_time_ms": ...}}
 
@@ -9,11 +10,17 @@ The report body echoes the scenario under "inputs", records the seed for
 seeded commands, and is deterministic for a fixed scenario and seed; only
 meta varies.  Exit codes: 0 when the run's checks all pass, 1 for domain errors
 or failed checks, 2 for unusable input (bad arguments, an unreadable
---input, an unwritable --out, bad JSON, schema violations, missing
-sections, missing --seed), 3 for any other failure, reported as an
-"InternalError" envelope.  --out is opened once the scenario has been read
-(or failed to read), before the run; if that or argument parsing fails, the
-envelope goes to stdout.
+--input, an unwritable --out, bad JSON, a key repeated within one object,
+schema violations, missing sections, missing --seed), 3 for any other
+failure, reported as an "InternalError" envelope.  --out is opened once the
+scenario has been read (or failed to read), before the run; if that or
+argument parsing fails, the envelope goes to stdout.
+
+Both schema checks run on a check compiled once per process
+(`schemacheck`), so a run that passes them never imports `jsonschema`.  A
+rejected document is handed to `jsonschema.validate`, whose error gives the
+message and path.  Should `jsonschema` accept it after all, the run ends in
+an "InternalError" envelope (exit 3), for a scenario before the command runs.
 
 Set FORCING_LAB_LOG=debug (or info, warning, ...) for stderr logging.
 """
@@ -21,20 +28,21 @@ Set FORCING_LAB_LOG=debug (or info, warning, ...) for stderr logging.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
 import sys
 import time
+from collections import Counter
 from importlib import resources
-
-import jsonschema
 
 from . import jsonio
 from .diagram import check_assignment, check_extension_pair
 from .errors import ForcingLabError
 from .names import refine_condition, slalom_extract
 from .poset import ScheduledCover, extend_detailed, generic_run
+from .schemacheck import compile_schema
 from .smz import (
     cover_translate,
     flatten_heavy_intervals,
@@ -44,6 +52,14 @@ from .smz import (
 )
 
 log = logging.getLogger("forcing_lab.cli")
+
+
+def __getattr__(name: str):
+    # `cli.jsonschema` is imported on first use: only a rejection needs it
+    if name == "jsonschema":
+        import jsonschema
+        return jsonschema
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class UsageError(Exception):
@@ -80,6 +96,38 @@ def _load_schema(name: str) -> dict:
     return inline(schema)
 
 
+@functools.cache
+def _compiled(name: str):
+    """The loaded schema `name` and its compiled check, built once."""
+    schema = _load_schema(name)
+    return schema, compile_schema(schema)
+
+
+def _schema_error(instance, name: str):
+    """None when `instance` conforms to the packaged schema `name`, else
+    jsonschema's own ValidationError for it.  Raises RuntimeError if
+    jsonschema accepts what the compiled check rejected."""
+    schema, accepts = _compiled(name)
+    if accepts(instance):
+        return None
+    # looked up on the module, so a stand-in bound to `cli.jsonschema` is used
+    lib = sys.modules[__name__].jsonschema
+    try:
+        lib.validate(instance, schema)
+    except lib.ValidationError as exc:
+        return exc
+    raise RuntimeError(f"the compiled check of {name} rejects what jsonschema accepts")
+
+
+def _unique_keys(pairs: list) -> dict:
+    """object_pairs_hook that refuses a key repeated within one object."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise UsageError(f"repeated scenario key {key!r}")
+    return obj
+
+
 def _open(path: str, mode: str, purpose: str):
     try:
         return open(path, mode, encoding="utf-8")
@@ -94,12 +142,11 @@ def _read_scenario(args: argparse.Namespace) -> dict:
         with _open(args.input, "r", "read scenario") as fh:
             text = fh.read()
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise UsageError(f"scenario is not JSON: {exc}") from exc
-    try:
-        jsonschema.validate(data, _load_schema("scenario.schema.json"))
-    except jsonschema.ValidationError as exc:
+    exc = _schema_error(data, "scenario.schema.json")
+    if exc is not None:
         where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise UsageError(f"scenario fails schema at {where}: {exc.message}") from exc
     return data
@@ -373,7 +420,13 @@ def main(argv=None) -> int:
         code = 0 if ok else 1
     except Exception as exc:  # every failure still ends in one envelope
         code, envelope["error"] = _failure(exc)
-    jsonschema.validate(envelope, _load_schema("report.schema.json"))
+    try:
+        fault = _schema_error(envelope, "report.schema.json")
+    except RuntimeError as exc:
+        fault = exc
+    if fault is not None:  # this program's fault, so _failure makes it exit 3
+        code, error = _failure(fault)
+        envelope = {"command": command, "ok": False, "error": error}
     out.write(json.dumps(envelope, sort_keys=True, separators=(",", ":")) + "\n")
     if out is not sys.stdout:
         out.close()

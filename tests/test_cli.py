@@ -1,23 +1,32 @@
 """End-to-end runs of cli.main with file and stdio plumbing.
 
 The bundled selftest command is exercised by the acceptance tests, not
-here; these cases pin envelope shape, exit codes, and determinism.
+here; these cases pin envelope shape, exit codes, and determinism, and
+hold the compiled schema check (forcing_lab.schemacheck) to the verdicts
+of jsonschema's Draft 2020-12 validator on the packaged schemas.
 """
 
 import hashlib
 import io
 import json
+import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from fractions import Fraction as Rational
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forcing_lab import cli
 from forcing_lab.diagram import NODES
+from forcing_lab.schemacheck import compile_schema
 
 HALVES_NAME = {
     "horizon": 2,
@@ -211,6 +220,20 @@ def test_repeated_key_exits_two(tmp_path, condition, named):
     assert env["error"] == {"type": "ValueError", "message": named}
 
 
+@pytest.mark.parametrize("raw, key", [
+    ('{"condition": %s, "condition": %s}' % (
+        json.dumps(SIMPLE_CONDITION), json.dumps({**SIMPLE_CONDITION, "u": []})),
+     "condition"),
+    ('{"condition": {"m": 0, "h": [["", ""]], "u": [{"eps": "1/2", "phi": '
+     '{"resolution": [0, 0], "table": [["", "", "1/1"]], "resolution": [1, 1]}}]}}',
+     "resolution"),
+], ids=["top-level", "in-phi"])
+def test_repeated_scenario_key_exits_two(tmp_path, raw, key):
+    code, env = run(tmp_path, ["extend", "--seed", "1", "--max-new-levels", "1"], raw=raw)
+    assert code == 2
+    assert env["error"] == {"type": "UsageError", "message": f"repeated scenario key {key!r}"}
+
+
 def test_generic_run_trace_shape(tmp_path):
     code, env = run(tmp_path, ["generic-run", "--seed", "2026"], ONE_COVER_RUN)
     assert code == 0
@@ -326,10 +349,21 @@ def test_bad_json_exits_two(tmp_path):
     assert "not JSON" in env["error"]["message"]
 
 
-def test_schema_violation_exits_two(tmp_path):
+def test_schema_violation_exits_two(tmp_path, monkeypatch):
+    asked = []
+
+    class Spy:  # a stand-in bound to cli.jsonschema, as the traced launcher binds one
+        ValidationError = jsonschema.ValidationError
+
+        def validate(self, instance, schema):
+            asked.append(schema["title"])
+            jsonschema.validate(instance, schema)
+
+    monkeypatch.setattr(cli, "jsonschema", Spy())
     code, env = run(tmp_path, ["smz"], {"bogus_key": 1})
     assert code == 2
     assert "schema" in env["error"]["message"]
+    assert asked == ["forcing-lab scenario"]
 
 
 SCHEMA_FILES = ("scenario.schema.json", "report.schema.json")
@@ -399,17 +433,211 @@ def test_loaded_schema_reports_like_packaged(scenario):
     assert failure(cli._load_schema(name)) == failure(packaged_schema(name))
 
 
+BAD_BITS_MESSAGE = "scenario fails schema at name/coords/1/1/cells/1: '1a' does not match '^[01]*$'"
+
+
 def test_bad_bits_deep_in_name_keep_their_message(tmp_path):
     name = json.loads(json.dumps(HALVES_NAME))
     name["coords"][1][1]["cells"] = ["10", "1a"]
     code, env = run(tmp_path, ["slalom"], {"name": name})
     assert code == 2
     # the text the packaged schema gave before its references were inlined
-    assert env["error"] == {
-        "type": "UsageError",
-        "message": "scenario fails schema at name/coords/1/1/cells/1: "
-                   "'1a' does not match '^[01]*$'",
-    }
+    assert env["error"] == {"type": "UsageError", "message": BAD_BITS_MESSAGE}
+
+
+def test_jsonschema_stays_unimported_on_accepted_runs(tmp_path):
+    name = json.loads(json.dumps(HALVES_NAME))
+    name["coords"][1][1]["cells"] = ["10", "1a"]
+    # the forcing_lab this test imported, installed or from src/
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    probe = ("import sys, forcing_lab.cli as cli\n"
+             "code = cli.main(sys.argv[1:])\n"
+             "print('jsonschema' in sys.modules, file=sys.stderr)\n"
+             "sys.exit(code)\n")
+
+    def cli_run(argv, scenario):
+        done = subprocess.run([sys.executable, "-c", probe, *argv], input=json.dumps(scenario),
+                              capture_output=True, text=True, env=env, timeout=60)
+        return done.returncode, json.loads(done.stdout), done.stderr.split()[-1]
+
+    code, out, imported = cli_run(["extend", "--seed", "7"], {"condition": SIMPLE_CONDITION})
+    assert (code, out["ok"], imported) == (0, True, "False")
+    code, out, imported = cli_run(["slalom"], {"name": name})
+    assert (code, imported) == (2, "True")
+    assert out["error"] == {"type": "UsageError", "message": BAD_BITS_MESSAGE}
+
+
+@pytest.mark.parametrize("disowned", SCHEMA_FILES)
+def test_compiled_check_disagreeing_with_jsonschema_exits_three(tmp_path, monkeypatch, disowned):
+    real = cli._compiled
+    monkeypatch.setattr(cli, "_compiled", lambda name: (
+        real(name)[0], (lambda x: False) if name == disowned else real(name)[1]))
+    ran = []
+    monkeypatch.setitem(cli.HANDLERS, "diagram", lambda args, scenario: ran.append(1) or (True, {}))
+    code, env = run(tmp_path, ["diagram"], {"assignment": labels()})
+    assert code == 3
+    assert env == {"command": "diagram", "ok": False, "error": {
+        "type": "InternalError",
+        "message": f"RuntimeError: the compiled check of {disowned} rejects what jsonschema accepts"}}
+    assert ran == ([] if disowned == "scenario.schema.json" else [1])
+
+
+@pytest.mark.parametrize("keyword", [{"enum": [1]}, {"format": "date"}, {"$ref": "#/$defs/x"}],
+                         ids=["enum", "format", "$ref"])
+def test_compile_refuses_unknown_keywords(keyword):
+    with pytest.raises(NotImplementedError, match=re.escape(repr(sorted(keyword)))):
+        compile_schema({"type": "object", "properties": {"a": keyword}})
+
+
+@pytest.mark.parametrize("schema", [
+    {"minimum": 2}, {"pattern": "^a"}, {"required": ["a"]}, {"minItems": 1}, {"maxItems": 1},
+    {"properties": {"a": {"type": "string"}}}, {"additionalProperties": False},
+    {"prefixItems": [{"type": "string"}], "items": {"type": "integer"}},
+    {"type": ["integer", "null"], "minimum": 1},
+], ids=repr)
+def test_keywords_pass_other_types_like_jsonschema(schema):
+    # the packaged schemas never use these keywords without a "type" beside them
+    compiled = compile_schema(schema)
+    reference = jsonschema.Draft202012Validator(schema).is_valid
+    for x in [False, True, 0, 1, 2, 2.0, "", "a", "b", None, [], ["a"], ["a", 1], ["a", "b"],
+              [1], {}, {"a": 1}, {"a": "x"}, {"b": 1}]:
+        assert compiled(x) == reference(x), x
+
+
+def compiled_and_reference(name):
+    return (compile_schema(cli._load_schema(name)),
+            jsonschema.Draft202012Validator(packaged_schema(name)).is_valid)
+
+
+COMPILED_SCENARIO, REFERENCE_SCENARIO = compiled_and_reference("scenario.schema.json")
+COMPILED_REPORT, REFERENCE_REPORT = compiled_and_reference("report.schema.json")
+
+INTEGER_EDGES = [2.0, True, math.nan, math.inf, -0.0, 10 ** 30]
+EDGE_SCENARIOS = [
+    {"condition_set": ["01\n"]},
+    *({"horizon": v} for v in INTEGER_EDGES),
+    *({"set": [v]} for v in INTEGER_EDGES),
+    *({"condition": {"m": v, "h": [], "u": []}} for v in INTEGER_EDGES),
+    *({"name": {"horizon": 1, "coords": [[{"label": v, "cells": []}]]}} for v in INTEGER_EDGES),
+    *(cover(at_step=v) for v in INTEGER_EDGES),
+    *({"covers": [{"cover": {"resolution": [v, 1], "rects": []}, "eps": v}]}
+      for v in INTEGER_EDGES),
+    {"condition_set": [], "covers": [], "set": [], "heavy": [[]], "function": []},
+    *({"covers": [{"cover": {"resolution": [1, 1], "rects": [rect]}, "eps": "1/2"}]}
+      for rect in ([], ["0"], ["0", "1", "0"], ["0", "1"])),
+    *({"assignment": {"b": v}} for v in (1, None, True, ["aleph1"], {}, 2.0, "aleph1")),
+]
+
+
+def test_compiled_check_matches_jsonschema_on_edge_values():
+    verdicts = [COMPILED_SCENARIO(x) for x in EDGE_SCENARIOS]
+    assert verdicts == [REFERENCE_SCENARIO(x) for x in EDGE_SCENARIOS]
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_bits_with_trailing_newline_pass_schema_and_fail_decoding(tmp_path):
+    scenario = {"name": HALVES_NAME, "function": [2, 2], "condition_set": ["01\n"]}
+    assert COMPILED_SCENARIO(scenario) and REFERENCE_SCENARIO(scenario)
+    code, env = run(tmp_path, ["refine"], scenario)
+    assert code == 2
+    assert env["error"]["type"] == "ValueError"
+
+
+EDGE_VALUES = [None, True, 0, -1, 2.0, 2.5, -0.0, math.nan, math.inf, 10 ** 30,
+               "", "01\n", "1/2", "x", [], [""], {}, {"zz": 1}]
+
+
+def node_paths(x, path=()):
+    yield path
+    items = x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else ()
+    for k, v in items:
+        yield from node_paths(v, path + (k,))
+
+
+def replaced(x, path, value):
+    if not path:
+        return value
+    copy = dict(x) if isinstance(x, dict) else list(x)
+    copy[path[0]] = replaced(x[path[0]], path[1:], value)
+    return copy
+
+
+def variants(node):
+    """Values to put in place of `node`: every edge value, and `node` with
+    one key or item dropped or added."""
+    yield from EDGE_VALUES
+    if isinstance(node, dict):
+        yield {**node, "zz": 0}
+        yield from ({k: v for k, v in node.items() if k != gone} for gone in node)
+    elif isinstance(node, list):
+        yield node[:-1]
+        yield node + node[-1:] if node else [0]
+
+
+def mutants(x):
+    """`x` with one node replaced, for every node and variant."""
+    for path in node_paths(x):
+        node = x
+        for k in path:
+            node = node[k]
+        yield from (replaced(x, path, v) for v in variants(node))
+
+
+@pytest.mark.parametrize("scenario", BROKEN_SCENARIOS.values(), ids=BROKEN_SCENARIOS)
+def test_compiled_check_matches_jsonschema_on_broken_mutants(scenario):
+    for x in [scenario, *mutants(scenario)]:
+        assert COMPILED_SCENARIO(x) == REFERENCE_SCENARIO(x), x
+        assert COMPILED_REPORT(x) == REFERENCE_REPORT(x), x
+
+
+bit_strings = st.text(alphabet="01", max_size=3)
+rationals = st.one_of(st.integers(-2, 5), st.sampled_from(["1/2", "-3", "0/1", "7/8"]))
+pairs = st.lists(st.lists(bit_strings, min_size=2, max_size=2), max_size=3)
+naturals = st.lists(st.integers(0, 20), max_size=3)
+weights = st.fixed_dictionaries({
+    "resolution": st.lists(st.integers(0, 2), min_size=2, max_size=2),
+    "table": st.lists(st.tuples(bit_strings, bit_strings, rationals).map(list), max_size=3)})
+planes = st.fixed_dictionaries({
+    "resolution": st.lists(st.integers(0, 2), min_size=2, max_size=2), "rects": pairs})
+SECTIONS = {
+    "name": st.fixed_dictionaries({"horizon": st.integers(0, 3), "coords": st.lists(st.lists(
+        st.fixed_dictionaries({"label": st.integers(-1, 3), "cells": st.lists(bit_strings)}),
+        max_size=2), max_size=2)}),
+    "function": st.lists(st.integers(-1, 9), max_size=3),
+    "condition_set": st.lists(bit_strings, max_size=3),
+    "start": st.integers(0, 3),
+    "condition": st.fixed_dictionaries({
+        "m": st.integers(0, 3), "h": pairs,
+        "u": st.lists(st.fixed_dictionaries({"eps": rationals, "phi": weights}), max_size=2)}),
+    "covers": st.lists(st.fixed_dictionaries(
+        {"cover": planes, "eps": rationals}, optional={"at_step": st.integers(0, 3)}), max_size=2),
+    "steps": st.integers(1, 3),
+    "eps": st.lists(rationals, max_size=3),
+    "horizon": st.integers(0, 3),
+    "heavy": st.lists(st.lists(st.lists(rationals, min_size=2, max_size=2), max_size=2),
+                      max_size=2),
+    "set": naturals, "blocks": st.integers(0, 3), "rapid": naturals, "selection": naturals,
+    "checkpoints": naturals,
+    "product": st.fixed_dictionaries({"start": st.integers(0, 3), "stop": st.integers(0, 3)}),
+    **dict.fromkeys(("assignment", "ground", "extension"),
+                    st.dictionaries(st.sampled_from(sorted(NODES)), st.just("aleph1"))),
+}
+scenarios = st.fixed_dictionaries({}, optional=SECTIONS)
+envelopes = st.fixed_dictionaries({"command": st.sampled_from(["extend", ""]), "ok": st.booleans()}, optional={
+    "report": st.dictionaries(st.sampled_from(["inputs", "seed"]), st.integers(0, 3)),
+    "meta": st.fixed_dictionaries({"wall_time_ms": st.floats(allow_nan=True)}),
+    "error": st.fixed_dictionaries({"type": st.just("UsageError"), "message": st.text(max_size=3)},
+                                   optional={"step": st.integers(-1, 3)}),
+})
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.one_of(scenarios, envelopes), st.data())
+def test_compiled_check_matches_jsonschema(instance, data):
+    mutant = data.draw(st.sampled_from([instance, *mutants(instance)]))
+    for x in (instance, mutant):
+        assert COMPILED_SCENARIO(x) == REFERENCE_SCENARIO(x)
+        assert COMPILED_REPORT(x) == REFERENCE_REPORT(x)
 
 
 def test_missing_section_exits_two(tmp_path):
