@@ -30,7 +30,7 @@ from .poset import (
     Condition,
     TaggedWeight,
     WeightFunction,
-    _StemSearch,
+    _stem_searches,
     certificate,
     eval_phi,
     extend_detailed,
@@ -300,7 +300,7 @@ def criterion_tail_oracle() -> tuple[bool, str]:
             for delta in deltas:
                 if delta <= 0:
                     continue
-                search = _StemSearch([phi], "", "", 0, m2, delta)
+                search = _stem_searches([phi], 0, m2, delta)("", "")
                 space = 2 ** (2 ** m2)
                 violating = sum(search.first_failing(e) >= 0 for e in range(space))
                 bound = min(Fraction(1), Fraction(1, 2 ** m2) / (delta * delta))

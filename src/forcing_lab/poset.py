@@ -19,6 +19,7 @@ lucky the sampling was (Las Vegas, never Monte Carlo).
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -286,34 +287,72 @@ class _StemSearch:
     weight's x-resolution m1 (one top per row when m2 < m1).  The tops of a
     row share their weights up to the uniform halving below m1, so a row
     contributes through the number of ones in its block of bits.
+
+    A weight's check depends on the stem s only through (s[:m1], h(s)):
+    when m >= m1 the only row is s[:m1] and phi(s, h(s)) is phi(s[:m1], h(s))
+    halved m - m1 times; when m < m1, s[:m1] is s itself.  _stem_searches
+    builds each check once per (weight index, s[:m1], h(s)) and shares it
+    among the stems of that class.  A check is stored over one common
+    denominator D of its values as the integers
+
+        target = (phi(s, h(s))/2 - delta)·D,  base = block·(sum of v0_r)·D,
+        gain_r = (v1_r - v0_r)·D,
+
+    where v0_r and v1_r are the scaled weights of a top of row r with bit 0
+    and bit 1 appended, so e fails it exactly when
+
+        base + sum over r of popcount(block_r(e))·gain_r  <=  target,
+
+    the verdict of the Fraction sum, reached in int arithmetic.
     """
 
-    def __init__(self, phi_list, s: str, value: str, m: int, m2: int, delta: Fraction):
-        self.count = 2 ** (m2 - m)
-        self.checks = []
-        for phi in phi_list:
-            target = eval_phi(phi, s, value) / 2 - delta
-            m1 = phi.resolution[0]
-            k = min(max(m1 - m, 0), m2 - m)
-            scale = Fraction(1, 2 ** max(0, m2 - m1))
-            pairs = []
-            for r in range(2 ** k):
-                row = s + format(r, f"0{k}b") if k else s[:m1]
-                pairs.append((eval_phi(phi, row, value + "0") * scale,
-                              eval_phi(phi, row, value + "1") * scale))
-            self.checks.append((target, self.count >> k, pairs))
+    def __init__(self, checks: list, count: int):
+        self.checks = checks
+        self.count = count
 
     def first_failing(self, e: int) -> int:
         """Index of the first weight whose check e fails, or -1 if e passes."""
-        for idx, (target, block, pairs) in enumerate(self.checks):
+        for idx, (target, block, base, gains) in enumerate(self.checks):
             mask = (1 << block) - 1
-            acc = Fraction(0)
-            for r, (v0, v1) in enumerate(pairs):
-                ones = ((e >> (r * block)) & mask).bit_count()
-                acc += (block - ones) * v0 + ones * v1
+            acc = base
+            for r, gain in enumerate(gains):
+                acc += ((e >> (r * block)) & mask).bit_count() * gain
             if acc <= target:
                 return idx
         return -1
+
+
+def _stem_searches(phi_list, m: int, m2: int, delta: Fraction):
+    """The searches of one extension from depth m to m2, as a function
+    (s, h(s)) -> _StemSearch sharing each check within its class."""
+    count = 2 ** (m2 - m)
+    built: dict = {}
+
+    def build(phi: WeightFunction, s: str, value: str) -> tuple:
+        target = eval_phi(phi, s, value) / 2 - delta
+        m1 = phi.resolution[0]
+        k = min(max(m1 - m, 0), m2 - m)
+        scale = Fraction(1, 2 ** max(0, m2 - m1))
+        pairs = []
+        for r in range(2 ** k):
+            row = s + format(r, f"0{k}b") if k else s[:m1]
+            pairs.append((eval_phi(phi, row, value + "0") * scale,
+                          eval_phi(phi, row, value + "1") * scale))
+        block = count >> k
+        d = math.lcm(target.denominator, *(v.denominator for pair in pairs for v in pair))
+        return (int(target * d), block, int(block * sum(v0 for v0, _ in pairs) * d),
+                [int((v1 - v0) * d) for v0, v1 in pairs])
+
+    def search(s: str, value: str) -> _StemSearch:
+        checks = []
+        for idx, phi in enumerate(phi_list):
+            key = (idx, s[:phi.resolution[0]], value)
+            if key not in built:
+                built[key] = build(phi, s, value)
+            checks.append(built[key])
+        return _StemSearch(checks, count)
+
+    return search
 
 
 def extend_detailed(
@@ -332,10 +371,15 @@ def extend_detailed(
     search per top stem; each candidate is checked exactly, falling back to
     exhaustive enumeration when the space is small enough.  max_new_levels
     (at least 1) caps the depth growth for multi-step runs, where the pinned
-    depth formula compounds past any materializable size.
+    depth formula compounds past any materializable size; retry_cap and
+    exhaustive_cap are at least 0.
     """
     if max_new_levels is not None and max_new_levels < 1:
         raise ValueError(f"max_new_levels must be at least 1, got {max_new_levels}")
+    if retry_cap < 0:
+        raise ValueError(f"retry_cap must be at least 0, got {retry_cap}")
+    if exhaustive_cap < 0:
+        raise ValueError(f"exhaustive_cap must be at least 0, got {exhaustive_cap}")
     rep = validate(p)
     if not rep.ok:
         raise ValueError(f"cannot extend invalid condition: {rep.first.detail}")
@@ -361,9 +405,9 @@ def extend_detailed(
                 f"extension would need depth {m2} from {m}; pass max_new_levels "
                 f"to bound the growth")
 
-        phi_list = [tw.phi for tw in p.u]
+        stem_search = _stem_searches([tw.phi for tw in p.u], m, m2, delta)
         for s in tops:
-            search = _StemSearch(phi_list, s, p.h[s], m, m2, delta)
+            search = stem_search(s, p.h[s])
             rng = random.Random(_sub_seed(seed, s))
             found = None
             last_fail = 0

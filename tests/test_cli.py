@@ -264,6 +264,20 @@ def test_level_cap_below_one_exits_two(tmp_path, command, scenario, levels):
     jsonschema.validate(env, REPORT_SCHEMA)
 
 
+@pytest.mark.parametrize("flag", ["--retry-cap", "--exhaustive-cap"])
+@pytest.mark.parametrize("command, scenario", [
+    ("extend", {"condition": SIMPLE_CONDITION}),
+    ("generic-run", ONE_COVER_RUN),
+], ids=["extend", "generic-run"])
+def test_negative_search_cap_exits_two(tmp_path, command, scenario, flag):
+    code, env = run(tmp_path, [command, "--seed", "1", flag, "-1"], scenario)
+    assert code == 2
+    assert env["error"] == {
+        "type": "ValueError",
+        "message": f"{flag[2:].replace('-', '_')} must be at least 0, got -1"}
+    jsonschema.validate(env, REPORT_SCHEMA)
+
+
 def test_unexpected_failure_exits_three(tmp_path, monkeypatch):
     def broken(args, scenario):
         raise RuntimeError("boom")

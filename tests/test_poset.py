@@ -1,5 +1,7 @@
 """Weighted conditions: weights, scores, validation, extension, certificates."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -30,7 +32,8 @@ from forcing_lab import (
     validate,
 )
 from forcing_lab.cantor import check_bits
-from forcing_lab.poset import ClauseViolation
+from forcing_lab.jsonio import condition_to_json
+from forcing_lab.poset import ClauseViolation, _stem_searches
 
 FULL_W = WeightFunction.full()
 
@@ -151,6 +154,21 @@ def test_extend_refuses_level_cap_below_one(levels):
     for p in (trivial_condition(), simple_condition()):
         with pytest.raises(ValueError, match="max_new_levels"):
             extend_detailed(p, seed=1, max_new_levels=levels)
+
+
+@pytest.mark.parametrize("caps, named", [
+    ({"retry_cap": -1}, "retry_cap"),
+    ({"exhaustive_cap": -1}, "exhaustive_cap"),
+    ({"retry_cap": 0, "exhaustive_cap": -(2 ** 20)}, "exhaustive_cap"),
+])
+def test_extend_refuses_negative_caps(caps, named):
+    invalid = Condition(0, {"": ""}, (TaggedWeight(Fraction(1), FULL_W),))
+    for p in (trivial_condition(), simple_condition(), invalid):  # refused before validation
+        with pytest.raises(ValueError, match=f"{named} must be at least 0"):
+            extend_detailed(p, seed=1, max_new_levels=2, **caps)
+    g = ClopenPlaneSet.from_rects([("0", "00")])
+    with pytest.raises(ValueError, match=named):
+        generic_run([(g, Fraction(1, 4))], steps=1, seed=1, **caps)
 
 
 def test_extend_structure_and_determinism():
@@ -318,6 +336,12 @@ def random_weight(rng):
     if kind == "uniform":
         c = Fraction(rng.randint(1, 8), 8)
         return WeightFunction.scaled_uniform(c, (rng.randint(0, 2), rng.randint(0, 2)))
+    return cover_weight(rng)
+
+
+def cover_weight(rng):
+    """The weight of the complement of a random proper cell set at
+    resolution up to (3, 3)."""
     r1, r2 = rng.randint(0, 3), rng.randint(0, 3)
     cells = sorted(ClopenPlaneSet.full((r1, r2)).rects)
     cover = ClopenPlaneSet.from_rects(rng.sample(cells, rng.randint(0, len(cells) - 1)), (r1, r2))
@@ -391,6 +415,129 @@ def test_extend_slack_is_least_over_weights():
     assert validate(p).scores == (Fraction(3, 4), Fraction(1))
     _, stats = extend_detailed(p, seed=1, max_new_levels=1)
     assert stats.pinned_m_prime == 11
+
+
+def sparse_stem(rng, depth):
+    """A monotone stem whose values gain a bit with probability 0.15 per
+    level, so many tops keep values shorter than a weight's y-resolution
+    and the checks reject candidates."""
+    def bits():
+        return rng.choice("01") if rng.random() < 0.15 else ""
+
+    h = {"": bits()}
+    for level in range(depth):
+        for s in [k for k in h if len(k) == level]:
+            for b in "01":
+                h[s + b] = h[s] + bits()
+    return h
+
+
+class FractionStemSearch:
+    """Reference: one stem's search with every check built from scratch and
+    summed in Fraction arithmetic."""
+
+    def __init__(self, phi_list, s, value, m, m2, delta):
+        self.count = 2 ** (m2 - m)
+        self.checks = []
+        for phi in phi_list:
+            target = eval_phi(phi, s, value) / 2 - delta
+            m1 = phi.resolution[0]
+            k = min(max(m1 - m, 0), m2 - m)
+            scale = Fraction(1, 2 ** max(0, m2 - m1))
+            pairs = []
+            for r in range(2 ** k):
+                row = s + format(r, f"0{k}b") if k else s[:m1]
+                pairs.append((eval_phi(phi, row, value + "0") * scale,
+                              eval_phi(phi, row, value + "1") * scale))
+            self.checks.append((target, self.count >> k, pairs))
+
+    def first_failing(self, e):
+        for idx, (target, block, pairs) in enumerate(self.checks):
+            mask = (1 << block) - 1
+            acc = Fraction(0)
+            for r, (v0, v1) in enumerate(pairs):
+                ones = ((e >> (r * block)) & mask).bit_count()
+                acc += (block - ones) * v0 + ones * v1
+            if acc <= target:
+                return idx
+        return -1
+
+
+def new_top_sum(phi, s, value, m2, e):
+    """sum over the new tops t of s of phi(t, value + bit(t)) under candidate e."""
+    grow = m2 - len(s)
+    return sum((eval_phi(phi, s + format(i, f"0{grow}b"), value + str(e >> i & 1))
+                for i in range(2 ** grow)), Fraction(0))
+
+
+def compare_searches(phis, h, m, grow, deltas, seen):
+    """Hold the verdict on every candidate of every top of h to the
+    reference.  One builder serves all tops of a delta, so checks shared
+    across stems are compared too."""
+    tops = sorted(s for s in h if len(s) == m)
+    for delta in deltas:
+        search = _stem_searches(phis, m, m + grow, delta)
+        for s in tops:
+            ref = FractionStemSearch(phis, s, h[s], m, m + grow, delta)
+            got = search(s, h[s])
+            assert got.count == ref.count == 2 ** grow
+            space = range(2 ** ref.count)
+            verdicts = [ref.first_failing(e) for e in space]
+            assert [got.first_failing(e) for e in space] == verdicts, (m, grow, s, delta)
+            seen["branch"].update(m < phi.resolution[0] for phi in phis)
+            seen["sign"].update((t > 0) - (t < 0) for t, _, _ in ref.checks)
+            if len(set(verdicts)) > 1:
+                seen["mixed"].add(grow)
+
+
+def test_integer_checks_match_fraction_reference():
+    rng = random.Random(61)
+    seen = {"branch": set(), "sign": set(), "mixed": set()}
+    for grow, rounds in ((1, 40), (2, 30), (3, 4)):
+        for _ in range(rounds):
+            m = rng.randint(0, 3)
+            h = sparse_stem(rng, m)
+            phis = [random_weight(rng) for _ in range(rng.randint(0, 2))]
+            phis.insert(rng.randint(0, len(phis)), cover_weight(rng))
+            tops = sorted(s for s in h if len(s) == m)
+            halves = [eval_phi(phi, s, h[s]) / 2 for phi in phis for s in tops]
+            s0, phi0 = rng.choice(tops), rng.choice(phis)
+            on_target = eval_phi(phi0, s0, h[s0]) / 2 - new_top_sum(
+                phi0, s0, h[s0], m + grow, rng.getrandbits(2 ** grow))
+            deltas = [Fraction(1, 2 ** 30), min(halves) / 2,
+                      max(halves) + Fraction(1, 2 ** 30), on_target]
+            compare_searches(phis, h, m, grow, deltas, seen)
+    # 2^16 candidates: one stem below a two-row weight, target ~ phi/2
+    cover = phi_from_clopen(ClopenPlaneSet.from_rects([("1", "01")], (1, 2)).complement())
+    compare_searches([cover], {"": "0"}, 0, 4, [Fraction(1, 2 ** 30)], seen)
+    assert seen == {"branch": {True, False}, "sign": {-1, 0, 1}, "mixed": {1, 2, 3, 4}}
+
+
+DEEP_WEIGHTS = (
+    FULL_W,
+    WeightFunction.scaled_uniform(Fraction(3, 4), (2, 1)),
+    phi_from_clopen(ClopenPlaneSet.from_rects(
+        [("010", "1"), ("1", "001"), ("11", "01")], (3, 3)).complement()),
+)
+
+
+@pytest.mark.parametrize("seed, depth, weights, levels, digest", [
+    (7, 7, DEEP_WEIGHTS, 1, "7bc4ffabbffd3677e030039ef1e3da30097515f9097224d1232d2fd320d38f65"),
+    (7, 7, DEEP_WEIGHTS, 2, "704c0a9fb181bfcd03052e3f641dd7d67dd9406ef70b039a2d8f39cc810ce689"),
+    (8, 8, DEEP_WEIGHTS[1:], 1, "86482b3be3b14cb66215a70587b84e9c8ec2006fc12e9e936f8b1b10cc1145ba"),
+    (8, 8, DEEP_WEIGHTS[1:], 2, "5cf3038bdde3febdd6e56894756a1e2094ea298c357b6847c9d5708b78a10708"),
+], ids=["d7-w3-l1", "d7-w3-l2", "d8-w2-l1", "d8-w2-l2"])
+def test_deep_stem_extension_is_pinned(seed, depth, weights, levels, digest):
+    # digests of the condition and stats, pinned so the search keeps its
+    # choices byte for byte
+    h = sparse_stem(random.Random(seed), depth)
+    u = tuple(TaggedWeight(score(h, phi) * Fraction(15, 16), phi) for phi in weights)
+    q, stats = extend_detailed(Condition(depth, h, u), seed, max_new_levels=levels)
+    assert sum(stats.retries.values()) > 0  # some first candidates failed
+    text = json.dumps(condition_to_json(q), sort_keys=True) + json.dumps(
+        [stats.pinned_m_prime, stats.m_prime, sorted(stats.retries.items()),
+         stats.exhaustive_stems])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_generic_run_trace_and_invariants():
