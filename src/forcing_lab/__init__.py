@@ -22,7 +22,6 @@ from .cantor import (
     ClopenPlaneSet,
     ClopenSet,
     ResolutionTooCoarse,
-    canonicalize,
 )
 from .diagram import (
     EDGES,
@@ -46,9 +45,6 @@ from .names import (
     Slalom,
     SlalomViolation,
     boolean_value,
-    eventually_different,
-    heavy_values,
-    infinitely_equal_hits,
     make_name,
     refine_condition,
     slalom_extract,
@@ -80,14 +76,12 @@ from .poset import (
     validate,
 )
 from .smz import (
-    DensityProfile,
     IntervalSpec,
     LengthBoundViolated,
     PreconditionFailed,
     RapidityVerdict,
     ThinSetVerdict,
     cover_translate,
-    density_profile,
     flatten_heavy_intervals,
     icbrt,
     product_bound,
@@ -104,7 +98,6 @@ __all__ = [
     "ClopenPlaneSet",
     "ClopenSet",
     "Condition",
-    "DensityProfile",
     "DiagramAssignment",
     "DiagramVerdict",
     "EDGES",
@@ -139,20 +132,15 @@ __all__ = [
     "attach_weight",
     "avoid_null",
     "boolean_value",
-    "canonicalize",
     "certificate",
     "check_assignment",
     "check_extension_pair",
     "cover_translate",
-    "density_profile",
     "eval_phi",
-    "eventually_different",
     "extend_detailed",
     "flatten_heavy_intervals",
     "generic_run",
-    "heavy_values",
     "icbrt",
-    "infinitely_equal_hits",
     "make_name",
     "merge_same_stem",
     "phi_from_clopen",

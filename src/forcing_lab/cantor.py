@@ -23,7 +23,7 @@ from .errors import ForcingLabError
 
 
 class ResolutionTooCoarse(ForcingLabError):
-    """Raised when a plane-set query needs more x-bits than were supplied."""
+    """Raised when a plane set is asked for a coarser resolution than its own."""
 
 
 def check_bits(s: str) -> str:
@@ -56,8 +56,8 @@ class ClopenSet:
     """Canonical finite union of cylinders.  Immutable.
 
     The constructor canonicalizes whatever generators it is given, so
-    non-canonical values are unrepresentable; from_strings and module-level
-    canonicalize are the same construction.
+    non-canonical values are unrepresentable; from_strings is the same
+    construction.
     """
 
     generators: frozenset[str]
@@ -108,10 +108,6 @@ class ClopenSet:
     def difference(self, other: "ClopenSet") -> "ClopenSet":
         return self.intersect(other.complement())
 
-    def contains_cylinder(self, s: str) -> bool:
-        check_bits(s)
-        return any(s.startswith(g) for g in self.generators)
-
     def __or__(self, other: "ClopenSet") -> "ClopenSet":
         return self.union(other)
 
@@ -129,10 +125,6 @@ EMPTY = ClopenSet(frozenset())
 FULL = ClopenSet(frozenset([""]))
 
 
-def canonicalize(gens: Iterable[str]) -> ClopenSet:
-    return ClopenSet.from_strings(gens)
-
-
 def _extensions(s: str, length: int) -> list[str]:
     """All binary strings of the given length extending s."""
     k = length - len(s)
@@ -143,8 +135,15 @@ def _extensions(s: str, length: int) -> list[str]:
     return [s + format(i, f"0{k}b") for i in range(2 ** k)]
 
 
+# A flat plane set may hold 2^(r1 + r2) cells; refuse more than 2^16 of them.
+_MAX_PLANE_BITS = 16
+
+
 def _flatten(rects: Iterable[tuple[str, str]], r1: int, r2: int) -> frozenset[tuple[str, str]]:
     """Every rectangle at resolution (r1, r2) inside one of the given ones."""
+    if r1 + r2 > _MAX_PLANE_BITS:
+        raise ValueError(
+            f"plane resolution ({r1}, {r2}) exceeds {_MAX_PLANE_BITS} bits in total")
     flat: set[tuple[str, str]] = set()
     for s, t in rects:
         flat.update(product(_extensions(s, r1), _extensions(t, r2)))
@@ -187,14 +186,6 @@ class ClopenPlaneSet:
         r2 = max([len(t) for _, t in pairs] + [min_resolution[1]], default=min_resolution[1])
         return cls((r1, r2), _flatten(pairs, r1, r2))
 
-    @classmethod
-    def empty(cls, resolution: tuple[int, int] = (0, 0)) -> "ClopenPlaneSet":
-        return cls(resolution, frozenset())
-
-    @classmethod
-    def full(cls, resolution: tuple[int, int] = (0, 0)) -> "ClopenPlaneSet":
-        return cls(resolution, _flatten([("", "")], *resolution))
-
     def at_resolution(self, r1: int, r2: int) -> "ClopenPlaneSet":
         if (r1, r2) == self.resolution:
             return self
@@ -203,26 +194,9 @@ class ClopenPlaneSet:
                 f"cannot coarsen resolution {self.resolution} to {(r1, r2)}")
         return ClopenPlaneSet((r1, r2), _flatten(self.rects, r1, r2))
 
-    def _common(self, other: "ClopenPlaneSet") -> tuple["ClopenPlaneSet", "ClopenPlaneSet"]:
-        r1 = max(self.resolution[0], other.resolution[0])
-        r2 = max(self.resolution[1], other.resolution[1])
-        return self.at_resolution(r1, r2), other.at_resolution(r1, r2)
-
     def measure(self) -> Fraction:
         r1, r2 = self.resolution
         return Fraction(len(self.rects), 2 ** (r1 + r2))
-
-    def union(self, other: "ClopenPlaneSet") -> "ClopenPlaneSet":
-        a, b = self._common(other)
-        return ClopenPlaneSet(a.resolution, a.rects | b.rects)
-
-    def intersect(self, other: "ClopenPlaneSet") -> "ClopenPlaneSet":
-        a, b = self._common(other)
-        return ClopenPlaneSet(a.resolution, a.rects & b.rects)
-
-    def difference(self, other: "ClopenPlaneSet") -> "ClopenPlaneSet":
-        a, b = self._common(other)
-        return ClopenPlaneSet(a.resolution, a.rects - b.rects)
 
     def complement(self) -> "ClopenPlaneSet":
         everything = _flatten([("", "")], *self.resolution)
@@ -255,21 +229,12 @@ class ClopenPlaneSet:
                 count += 1
         return count * cell
 
-    def section_x(self, s: str) -> ClopenSet:
-        """The y-section over the cylinder [s]; needs |s| >= resolution[0]."""
-        check_bits(s)
-        r1, _ = self.resolution
-        if len(s) < r1:
-            raise ResolutionTooCoarse(
-                f"section needs at least {r1} x-bits, got {len(s)}")
-        x = s[:r1]
-        return ClopenSet.from_strings(t for a, t in self.rects if a == x)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ClopenPlaneSet):
             return NotImplemented
-        a, b = self._common(other)
-        return a.rects == b.rects
+        r1 = max(self.resolution[0], other.resolution[0])
+        r2 = max(self.resolution[1], other.resolution[1])
+        return self.at_resolution(r1, r2).rects == other.at_resolution(r1, r2).rects
 
     __hash__ = None  # type: ignore[assignment]
 

@@ -1,4 +1,4 @@
-"""JSON wire formats for every public value type.
+"""JSON wire formats of the values the command line reads and writes.
 
 Conventions: rationals travel as "p/q" strings, binary strings as 0/1
 text, and every collection is emitted in sorted order so that serialized
@@ -10,10 +10,10 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from operator import itemgetter
-from typing import Any, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .cantor import ClopenPlaneSet, ClopenSet
-from .diagram import NODES, CardinalLabel, DiagramAssignment
+from .diagram import CardinalLabel, DiagramAssignment
 from .names import FiniteName, Slalom, make_name
 from .poset import (
     Certificate,
@@ -54,27 +54,10 @@ def clopen_from_json(data: Sequence[str]) -> ClopenSet:
     return ClopenSet.from_strings(data)
 
 
-def plane_to_json(h: ClopenPlaneSet) -> dict:
-    return {
-        "resolution": list(h.resolution),
-        "rects": [[s, t] for s, t in sorted(h.rects)],
-    }
-
-
 def plane_from_json(data: Mapping) -> ClopenPlaneSet:
     r1, r2 = data["resolution"]
     rects = [(s, t) for s, t in data["rects"]]
     return ClopenPlaneSet.from_rects(rects, min_resolution=(int(r1), int(r2)))
-
-
-def name_to_json(g: FiniteName) -> dict:
-    return {
-        "horizon": g.horizon,
-        "coords": [
-            [{"label": lab, "cells": clopen_to_json(cell)} for lab, cell in coord]
-            for coord in g.cells
-        ],
-    }
 
 
 def name_from_json(data: Mapping) -> FiniteName:
@@ -91,10 +74,6 @@ def name_from_json(data: Mapping) -> FiniteName:
 
 def slalom_to_json(s: Slalom) -> dict:
     return {"slots": [sorted(slot) for slot in s.slots]}
-
-
-def slalom_from_json(data: Mapping) -> Slalom:
-    return Slalom(tuple(frozenset(slot) for slot in data["slots"]))
 
 
 def weight_to_json(phi: WeightFunction) -> dict:
@@ -165,10 +144,6 @@ def interval_from_json(data: Sequence) -> IntervalSpec:
 
 def rationals_to_json(xs: Sequence[Fraction]) -> list[str]:
     return [rational_to_json(x) for x in xs]
-
-
-def assignment_to_json(a: DiagramAssignment) -> dict:
-    return {node: a[node].text for node in NODES}
 
 
 def assignment_from_json(data: Mapping) -> DiagramAssignment:

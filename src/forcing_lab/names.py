@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Sequence
 
 from .cantor import EMPTY, ClopenSet
 from .errors import ForcingLabError
@@ -38,10 +38,6 @@ class SlalomViolation(ForcingLabError):
         self.label = label
         super().__init__(
             f"f({coordinate}) = {label} lands in the extracted slalom slot")
-
-
-class NonpositiveThreshold(ForcingLabError):
-    pass
 
 
 def _validate_partition(cells: Sequence[tuple[Hashable, ClopenSet]], where) -> None:
@@ -109,10 +105,6 @@ class Slalom:
                 raise ValueError(
                     f"slot {n} holds {len(slot)} labels, cap is {(n + 1) ** 2}")
 
-    @property
-    def horizon(self) -> int:
-        return len(self.slots)
-
 
 def slalom_extract(g: FiniteName) -> Slalom:
     """Collect, per coordinate n, the labels whose cell measure exceeds
@@ -156,27 +148,3 @@ def refine_condition(
         q = q.difference(boolean_value(g, k, f[k]))
     return q, n
 
-
-def heavy_values(
-    cells: Sequence[tuple[Hashable, ClopenSet]], threshold: Fraction
-) -> set:
-    """Labels of an exact partition whose cells measure strictly more than
-    the threshold; pigeonhole caps the count below 1/threshold."""
-    threshold = Fraction(threshold)
-    if threshold <= 0:
-        raise NonpositiveThreshold(f"threshold must be positive, got {threshold}")
-    cells = tuple(cells)
-    _validate_partition(cells, "heavy_values input")
-    return {lab for lab, cell in cells if cell.measure() > threshold}
-
-
-def eventually_different(f: Sequence[int], g: Sequence[int], start: int = 0) -> bool:
-    """Exact finite-horizon check that f and g never agree from `start` on."""
-    stop = min(len(f), len(g))
-    return all(f[i] != g[i] for i in range(start, stop))
-
-
-def infinitely_equal_hits(f: Sequence[int], slalom: Slalom) -> set[int]:
-    """Coordinates below both horizons where f lands inside the slalom."""
-    stop = min(len(f), slalom.horizon)
-    return {n for n in range(stop) if f[n] in slalom.slots[n]}

@@ -269,9 +269,9 @@ def _sub_seed(seed: int, tag: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-# Materializing a stem dict beyond ~2^24 entries is not a desk-scale
-# computation; fail fast instead of thrashing.
-_HARD_LEVEL_LIMIT = 24
+# A stem of depth m holds 2^(m+1) keys; a depth-18 run peaks near 0.2 GB and
+# each level doubles that, so deeper stems are refused before materializing.
+_MAX_DEPTH = 20
 
 
 class _StemSearch:
@@ -371,8 +371,9 @@ def extend_detailed(
     search per top stem; each candidate is checked exactly, falling back to
     exhaustive enumeration when the space is small enough.  max_new_levels
     (at least 1) caps the depth growth for multi-step runs, where the pinned
-    depth formula compounds past any materializable size; retry_cap and
-    exhaustive_cap are at least 0.
+    depth formula compounds past any materializable size; a depth past
+    _MAX_DEPTH is refused either way.  retry_cap and exhaustive_cap are at
+    least 0.
     """
     if max_new_levels is not None and max_new_levels < 1:
         raise ValueError(f"max_new_levels must be at least 1, got {max_new_levels}")
@@ -400,11 +401,11 @@ def extend_detailed(
         if max_new_levels is not None:
             m2 = min(m2, m + max_new_levels)
         stats.m_prime = m2
-        if m2 - m > _HARD_LEVEL_LIMIT:
-            raise ValueError(
-                f"extension would need depth {m2} from {m}; pass max_new_levels "
-                f"to bound the growth")
-
+    if m2 > _MAX_DEPTH:
+        raise ValueError(
+            f"extension would need depth {m2} from {m}, past the limit of {_MAX_DEPTH}; "
+            f"pass max_new_levels to bound the growth")
+    if p.u:
         stem_search = _stem_searches([tw.phi for tw in p.u], m, m2, delta)
         for s in tops:
             search = stem_search(s, p.h[s])

@@ -9,7 +9,7 @@ delta.  Flattening the per-level heavy-interval families in level order
 then keeps every interval at least as short as its positional target.
 
 The density side works on finite sets of naturals blocked into
-[m^2, (m+1)^2): exact density profiles, the cube-root thinness bound, the
+[m^2, (m+1)^2): exact block densities, the cube-root thinness bound, the
 product lower bound for avoiding a set, and the rapidity count check.
 """
 
@@ -111,26 +111,10 @@ def flatten_heavy_intervals(
     return flat
 
 
-@dataclass(frozen=True)
-class DensityProfile:
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        for v in self.values:
-            if not 0 <= v <= 1:
-                raise ValueError(f"density {v} outside [0, 1]")
-
-
 def _block_density(sorted_a: list[int], m: int) -> Fraction:
     lo = bisect.bisect_left(sorted_a, m * m)
     hi = bisect.bisect_left(sorted_a, (m + 1) * (m + 1))
     return Fraction(hi - lo, 2 * m + 1)
-
-
-def density_profile(a: Iterable[int], blocks: int) -> DensityProfile:
-    """values[m] = |a intersect [m^2, (m+1)^2)| / (2m + 1) for m < blocks."""
-    sorted_a = sorted(set(a))
-    return DensityProfile(tuple(_block_density(sorted_a, m) for m in range(blocks)))
 
 
 def icbrt(x: int) -> int:

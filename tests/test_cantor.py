@@ -12,8 +12,8 @@ from forcing_lab import (
     ClopenPlaneSet,
     ClopenSet,
     ResolutionTooCoarse,
-    canonicalize,
 )
+from forcing_lab import cantor
 from forcing_lab.cantor import check_bits
 
 bit_strings = st.text(alphabet="01", min_size=0, max_size=6)
@@ -82,20 +82,8 @@ def test_operators_match_methods():
     assert (~b).generators == frozenset({"1"})
 
 
-def test_contains_cylinder():
-    a = ClopenSet.from_strings(["01"])
-    assert a.contains_cylinder("011")
-    assert a.contains_cylinder("01")
-    assert not a.contains_cylinder("0")
-    assert not a.contains_cylinder("1")
-
-
-def test_canonicalize_helper():
-    assert canonicalize(["11", "10"]).generators == frozenset({"1"})
-
-
 def test_long_generators_stay_iterative():
-    a = canonicalize(["0" * 5000, "1"])
+    a = ClopenSet(["0" * 5000, "1"])
     assert a.measure() == Fraction(1, 2) + Fraction(1, 2 ** 5000)
     b = a.complement()
     assert b.generators == frozenset("0" * k + "1" for k in range(1, 5000))
@@ -139,9 +127,9 @@ def test_plane_from_rects_expands_to_common_resolution():
 
 
 def test_plane_full_and_empty():
-    assert ClopenPlaneSet.full((1, 1)).measure() == 1
-    assert ClopenPlaneSet.empty((2, 0)).measure() == 0
-    assert ClopenPlaneSet.full((0, 0)).rects == frozenset({("", "")})
+    assert ClopenPlaneSet.from_rects([("", "")], (1, 1)).measure() == 1
+    assert ClopenPlaneSet.from_rects([], (2, 0)).measure() == 0
+    assert ClopenPlaneSet.from_rects([], (0, 0)).complement().rects == frozenset({("", "")})
 
 
 def test_plane_equality_across_resolutions():
@@ -153,7 +141,7 @@ def test_plane_equality_across_resolutions():
 
 def test_plane_is_unhashable():
     with pytest.raises(TypeError):
-        hash(ClopenPlaneSet.full((0, 0)))
+        hash(ClopenPlaneSet.from_rects([("", "")]))
 
 
 def test_plane_refuses_coarsening():
@@ -166,9 +154,9 @@ def test_plane_boolean_ops():
     g = ClopenPlaneSet.from_rects([("0", "00")])
     f = g.complement()
     assert f.measure() == Fraction(7, 8)
-    assert g.union(f) == ClopenPlaneSet.full((1, 2))
-    assert g.intersect(f).measure() == 0
-    assert f.difference(g) == f
+    assert f.rects | g.rects == ClopenPlaneSet.from_rects([("", "")], (1, 2)).rects
+    assert not f.rects & g.rects
+    assert f.complement() == g
 
 
 def test_contains_rect_and_overlap():
@@ -181,14 +169,17 @@ def test_contains_rect_and_overlap():
     assert f.rect_overlap_measure("00", "000") == Fraction(0)
 
 
-def test_section_x():
-    h = ClopenPlaneSet.from_rects([("0", "00"), ("0", "1")])
-    assert h.section_x("0") == ClopenSet.from_strings(["00", "1"])
-    assert h.section_x("01").measure() == Fraction(3, 4)
-    with pytest.raises(ResolutionTooCoarse):
-        h.section_x("")
-
-
 def test_plane_rejects_off_resolution_rect():
     with pytest.raises(ValueError):
         ClopenPlaneSet((1, 1), frozenset({("00", "1")}))
+
+
+def test_plane_refuses_oversized_resolution(monkeypatch):
+    monkeypatch.setattr(cantor, "_MAX_PLANE_BITS", 4)
+    assert ClopenPlaneSet.from_rects([("0", "1")], (2, 2)).complement().measure() == Fraction(3, 4)
+    with pytest.raises(ValueError, match="resolution"):
+        ClopenPlaneSet.from_rects([("0", "1")], (3, 2))
+    with pytest.raises(ValueError, match="resolution"):
+        ClopenPlaneSet((3, 2), frozenset()).complement()
+    with pytest.raises(ValueError, match="resolution"):
+        ClopenPlaneSet.from_rects([("0", "1")]).at_resolution(4, 1)

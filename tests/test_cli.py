@@ -6,6 +6,7 @@ hold the compiled schema check (forcing_lab.schemacheck) to the verdicts
 of jsonschema's Draft 2020-12 validator on the packaged schemas.
 """
 
+import ast
 import hashlib
 import io
 import json
@@ -15,6 +16,8 @@ import re
 import shlex
 import subprocess
 import sys
+import time
+import tokenize
 from fractions import Fraction as Rational
 from importlib import resources
 from pathlib import Path
@@ -24,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import forcing_lab
 from forcing_lab import cli
 from forcing_lab.diagram import NODES
 from forcing_lab.schemacheck import compile_schema
@@ -261,6 +265,18 @@ def test_level_cap_below_one_exits_two(tmp_path, command, scenario, levels):
     assert code == 2
     assert env["error"]["type"] == "ValueError"
     assert "max_new_levels" in env["error"]["message"]
+    jsonschema.validate(env, REPORT_SCHEMA)
+
+
+def test_oversized_plane_resolution_exits_two(tmp_path):
+    cover = {"resolution": [40, 40], "rects": [["0", "00"]]}
+    started = time.perf_counter()
+    code, env = run(tmp_path, ["generic-run", "--seed", "1"],
+                    {"steps": 1, "covers": [{"cover": cover, "eps": "1/4"}]})
+    assert time.perf_counter() - started < 1
+    assert code == 2
+    assert env["error"]["type"] == "ValueError"
+    assert "resolution (40, 40)" in env["error"]["message"]
     jsonschema.validate(env, REPORT_SCHEMA)
 
 
@@ -685,3 +701,42 @@ def test_readme_examples_run(monkeypatch, capsys):
         env = json.loads(capsys.readouterr().out)
         assert code == 0, (argv, env)
         jsonschema.validate(env, REPORT_SCHEMA)
+
+
+def stated_value(comment):
+    # the longest prefix of a README comment, cut at "," or ":", that evaluates
+    cuts = [i for i, c in enumerate(comment) if c in ",:"] + [len(comment)]
+    for i in reversed(cuts):
+        try:
+            return eval(comment[:i], {"Fraction": Rational})
+        except Exception:
+            continue
+    raise AssertionError(f"README comment states no value: {comment!r}")
+
+
+def test_readme_examples_python():
+    namespace = {}
+    checked = []
+    for block in re.findall(r"```python\n(.*?)```", README.read_text(), re.S):
+        comments = {
+            tok.start[0]: tok.string.lstrip("# ")
+            for tok in tokenize.generate_tokens(io.StringIO(block).readline)
+            if tok.type == tokenize.COMMENT}
+        for stmt in ast.parse(block).body:
+            if isinstance(stmt, ast.Expr) and stmt.end_lineno in comments:
+                value = eval(compile(ast.Expression(stmt.value), "README", "eval"), namespace)
+                assert value == stated_value(comments[stmt.end_lineno]), ast.unparse(stmt)
+                checked.append(value)
+            else:
+                exec(compile(ast.Module([stmt], []), "README", "exec"), namespace)
+    assert checked == [
+        Rational(3, 4), Rational(1, 4), (frozenset(), frozenset({0, 1})),
+        (Rational(1), 3), 8, True, True, 2]
+
+
+def test_public_names_resolve():
+    names = forcing_lab.__all__
+    assert names == sorted(names)
+    assert len(names) == len(set(names))
+    for name in names:
+        getattr(forcing_lab, name)

@@ -12,14 +12,11 @@ from forcing_lab import (
     EmptyCondition,
     SlalomViolation,
     boolean_value,
-    eventually_different,
-    heavy_values,
-    infinitely_equal_hits,
     make_name,
     refine_condition,
     slalom_extract,
 )
-from forcing_lab.names import NonpositiveThreshold, NotAPartition, tail_cutoff
+from forcing_lab.names import NotAPartition, tail_cutoff
 
 
 def halves(lo=0, hi=1):
@@ -134,13 +131,6 @@ def test_slalom_extract_threshold_is_strict():
     assert all(len(s.slots[n]) < (n + 1) ** 2 for n in range(4))
 
 
-def test_heavy_values():
-    assert heavy_values(halves(), Fraction(1, 3)) == {0, 1}
-    assert heavy_values(halves(), Fraction(1, 2)) == set()
-    with pytest.raises(NonpositiveThreshold):
-        heavy_values(halves(), Fraction(0))
-
-
 def test_refine_exact_measure():
     # three pairwise disjoint value cells of measures 1/16, 1/32, 1/64
     g = make_name([
@@ -207,15 +197,3 @@ def test_refine_requires_full_length_function():
     with pytest.raises(ValueError):
         refine_condition(FULL, g, [0], start=0)
 
-
-def test_eventually_different():
-    assert eventually_different([1, 2, 3], [4, 5, 6])
-    assert not eventually_different([1, 2, 3], [9, 2, 9])
-    assert eventually_different([1, 2, 3], [1, 9, 9], start=1)
-
-
-def test_infinitely_equal_hits():
-    g = make_name([halves(), halves(), halves()])
-    s = slalom_extract(g)
-    assert infinitely_equal_hits([0, 0, 0], s) == {1, 2}  # slot 0 is empty
-    assert infinitely_equal_hits([9, 9, 9], s) == set()

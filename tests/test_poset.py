@@ -31,6 +31,7 @@ from forcing_lab import (
     trivial_condition,
     validate,
 )
+from forcing_lab import poset
 from forcing_lab.cantor import check_bits
 from forcing_lab.jsonio import condition_to_json
 from forcing_lab.poset import ClauseViolation, _stem_searches
@@ -72,7 +73,7 @@ def test_phi_from_clopen_matches_overlap():
     for s, t in [("", ""), ("0", "0"), ("0", "00"), ("1", ""), ("00", "000")]:
         assert eval_phi(phi, s, t) == f.rect_overlap_measure(s, t)
     with pytest.raises(NullSet):
-        phi_from_clopen(ClopenPlaneSet.empty((1, 1)))
+        phi_from_clopen(ClopenPlaneSet.from_rects([], (1, 1)))
 
 
 def test_score_of_full_weight_is_one():
@@ -217,6 +218,17 @@ def test_extend_refuses_unmaterializable_depth():
     assert q.m == 2
 
 
+def test_extend_refuses_depth_past_the_limit(monkeypatch):
+    monkeypatch.setattr(poset, "_MAX_DEPTH", 6)
+    g = ClopenPlaneSet.from_rects([("0", "00")])
+    with pytest.raises(ValueError, match="max_new_levels"):  # depth 4, then 8
+        generic_run([(g, Fraction(1, 4))], steps=4, seed=2026, max_new_levels=4)
+    with pytest.raises(ValueError, match="max_new_levels"):  # unweighted growth too
+        generic_run([], steps=7, seed=1)
+    p, _ = generic_run([], steps=6, seed=1)
+    assert p.m == 6
+
+
 def test_extend_rejects_invalid_input():
     bad = Condition(0, {"": ""}, (TaggedWeight(Fraction(1), FULL_W),))
     with pytest.raises(ValueError):
@@ -235,7 +247,8 @@ def test_avoid_null_attaches_complement_weight():
 
 def test_avoid_null_rejects_full_cover():
     with pytest.raises(NullSet):
-        avoid_null(trivial_condition(), ClopenPlaneSet.full((1, 1)), Fraction(1, 2))
+        full_cover = ClopenPlaneSet.from_rects([("", "")], (1, 1))
+        avoid_null(trivial_condition(), full_cover, Fraction(1, 2))
 
 
 def test_certificate_agrees_at_full_depth():
@@ -273,7 +286,7 @@ def test_certificate_matches_overlap_oracle():
     for _ in range(60):
         p = random_stem(rng, rng.randint(0, 5))
         r1, r2 = rng.randint(0, 3), rng.randint(0, 3)
-        cells = sorted(ClopenPlaneSet.full((r1, r2)).rects)
+        cells = sorted(ClopenPlaneSet.from_rects([("", "")], (r1, r2)).rects)
         f = ClopenPlaneSet.from_rects(
             rng.sample(cells, rng.randint(0, len(cells))), (r1, r2))
         tops = p.tops()
@@ -283,7 +296,7 @@ def test_certificate_matches_overlap_oracle():
         inside = ClopenSet.from_strings(
             [s for s in tops if f.contains_rect(s, p.h[s])]).measure()
         assert certificate(p, f) == Certificate(inside, overlap)
-    empty = ClopenPlaneSet.empty((1, 1))
+    empty = ClopenPlaneSet.from_rects([], (1, 1))
     assert certificate(trivial_condition(), empty) == Certificate(0, 0)
 
 
@@ -343,7 +356,7 @@ def cover_weight(rng):
     """The weight of the complement of a random proper cell set at
     resolution up to (3, 3)."""
     r1, r2 = rng.randint(0, 3), rng.randint(0, 3)
-    cells = sorted(ClopenPlaneSet.full((r1, r2)).rects)
+    cells = sorted(ClopenPlaneSet.from_rects([("", "")], (r1, r2)).rects)
     cover = ClopenPlaneSet.from_rects(rng.sample(cells, rng.randint(0, len(cells) - 1)), (r1, r2))
     return phi_from_clopen(cover.complement())
 
@@ -561,7 +574,7 @@ def test_generic_run_rejects_late_cover():
 
 
 def test_generic_run_error_carries_step():
-    full_cover = ClopenPlaneSet.full((1, 1))
+    full_cover = ClopenPlaneSet.from_rects([("", "")], (1, 1))
     with pytest.raises(NullSet) as info:
         generic_run([(full_cover, Fraction(1, 2))], steps=1, seed=1)
     assert info.value.step == 0

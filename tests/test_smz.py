@@ -11,7 +11,6 @@ from forcing_lab import (
     LengthBoundViolated,
     PreconditionFailed,
     cover_translate,
-    density_profile,
     flatten_heavy_intervals,
     icbrt,
     product_bound,
@@ -91,8 +90,9 @@ def test_flatten_needs_enough_targets():
 
 def test_density_profile_linear_blocks():
     a = {m * m + t for m in range(10) for t in range(m)}  # m members in block m
-    profile = density_profile(a, 10)
-    assert profile.values == tuple(Fraction(m, 2 * m + 1) for m in range(10))
+    # a product over one block is 1 - its density, 1 - m/(2m + 1)
+    assert [product_bound(a, {m}, 0, 10) for m in range(10)] == [
+        Fraction(m + 1, 2 * m + 1) for m in range(10)]
 
 
 def test_product_bound_linear_blocks():
