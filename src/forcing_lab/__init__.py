@@ -14,144 +14,49 @@ The package provides, with no floating point anywhere in the math path:
   its random-extension transfer rules (`diagram`);
 - JSON codecs (`jsonio`), a bundled acceptance suite (`acceptance`), and a
   command line front end (`cli`).
+
+Each public name below is imported from its module the first time it is
+read (PEP 562), so `import forcing_lab` loads no layer by itself.
 """
 
-from .cantor import (
-    EMPTY,
-    FULL,
-    ClopenPlaneSet,
-    ClopenSet,
-    ResolutionTooCoarse,
-)
-from .diagram import (
-    EDGES,
-    NODES,
-    CardinalLabel,
-    DiagramAssignment,
-    DiagramVerdict,
-    InvalidGround,
-    TransferConstraint,
-    Violation,
-    check_assignment,
-    check_extension_pair,
-    random_extension_constraints,
-)
-from .errors import ForcingLabError
-from .names import (
-    EmptyCondition,
-    FiniteName,
-    HorizonExceeded,
-    NotAPartition,
-    Slalom,
-    SlalomViolation,
-    boolean_value,
-    make_name,
-    refine_condition,
-    slalom_extract,
-)
-from .poset import (
-    CenteredIndex,
-    Certificate,
-    Condition,
-    ExtendStats,
-    NullSet,
-    ScheduledCover,
-    ScoreTooLow,
-    SearchExhausted,
-    TaggedWeight,
-    TraceEntry,
-    ValidationReport,
-    WeightFunction,
-    attach_weight,
-    avoid_null,
-    certificate,
-    eval_phi,
-    extend_detailed,
-    generic_run,
-    merge_same_stem,
-    phi_from_clopen,
-    score,
-    sigma_centered_index,
-    trivial_condition,
-    validate,
-)
-from .smz import (
-    IntervalSpec,
-    LengthBoundViolated,
-    PreconditionFailed,
-    RapidityVerdict,
-    ThinSetVerdict,
-    cover_translate,
-    flatten_heavy_intervals,
-    icbrt,
-    product_bound,
-    rapidity_check,
-    thin_set_bound_check,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CardinalLabel",
-    "CenteredIndex",
-    "Certificate",
-    "ClopenPlaneSet",
-    "ClopenSet",
-    "Condition",
-    "DiagramAssignment",
-    "DiagramVerdict",
-    "EDGES",
-    "EMPTY",
-    "EmptyCondition",
-    "ExtendStats",
-    "FULL",
-    "FiniteName",
-    "ForcingLabError",
-    "HorizonExceeded",
-    "IntervalSpec",
-    "InvalidGround",
-    "LengthBoundViolated",
-    "NODES",
-    "NotAPartition",
-    "NullSet",
-    "PreconditionFailed",
-    "RapidityVerdict",
-    "ResolutionTooCoarse",
-    "ScheduledCover",
-    "ScoreTooLow",
-    "SearchExhausted",
-    "Slalom",
-    "SlalomViolation",
-    "TaggedWeight",
-    "ThinSetVerdict",
-    "TraceEntry",
-    "TransferConstraint",
-    "ValidationReport",
-    "Violation",
-    "WeightFunction",
-    "attach_weight",
-    "avoid_null",
-    "boolean_value",
-    "certificate",
-    "check_assignment",
-    "check_extension_pair",
-    "cover_translate",
-    "eval_phi",
-    "extend_detailed",
-    "flatten_heavy_intervals",
-    "generic_run",
-    "icbrt",
-    "make_name",
-    "merge_same_stem",
-    "phi_from_clopen",
-    "product_bound",
-    "random_extension_constraints",
-    "rapidity_check",
-    "refine_condition",
-    "score",
-    "sigma_centered_index",
-    "slalom_extract",
-    "thin_set_bound_check",
-    "trivial_condition",
-    "validate",
-]
+_EXPORTS = {
+    "cantor": ("EMPTY", "FULL", "ClopenPlaneSet", "ClopenSet", "ResolutionTooCoarse"),
+    "diagram": (
+        "EDGES", "NODES", "CardinalLabel", "DiagramAssignment", "DiagramVerdict",
+        "InvalidGround", "TransferConstraint", "Violation", "check_assignment",
+        "check_extension_pair", "random_extension_constraints"),
+    "errors": ("ForcingLabError",),
+    "names": (
+        "EmptyCondition", "FiniteName", "HorizonExceeded", "NotAPartition", "Slalom",
+        "SlalomViolation", "boolean_value", "make_name", "refine_condition",
+        "slalom_extract"),
+    "poset": (
+        "CenteredIndex", "Certificate", "Condition", "ExtendStats", "NullSet",
+        "ScheduledCover", "ScoreTooLow", "SearchExhausted", "TaggedWeight", "TraceEntry",
+        "ValidationReport", "WeightFunction", "attach_weight", "avoid_null",
+        "certificate", "eval_phi", "extend_detailed", "generic_run", "merge_same_stem",
+        "phi_from_clopen", "score", "sigma_centered_index", "trivial_condition",
+        "validate"),
+    "smz": (
+        "IntervalSpec", "LengthBoundViolated", "PreconditionFailed", "RapidityVerdict",
+        "ThinSetVerdict", "cover_translate", "flatten_heavy_intervals", "icbrt",
+        "product_bound", "rapidity_check", "thin_set_bound_check"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    # any other name raises, so `from forcing_lab import cli` imports the submodule
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *__all__})

@@ -257,7 +257,14 @@ def _cmd_smz(args, scenario):
 
 def _cmd_rapid(args, scenario):
     """check block density, thinness, and rapidity of selections"""
-    thin = "set" in scenario and "blocks" in scenario
+    # a section the run would otherwise ignore is refused
+    for section, *needs in (("set", "blocks"), ("blocks", "set"), ("checkpoints", "rapid"),
+                            ("product", "set", "blocks", "selection")):
+        if section in scenario and not all(k in scenario for k in needs):
+            raise UsageError(f"rapid's {section!r} section needs {' and '.join(map(repr, needs))}")
+    if "selection" in scenario and "product" not in scenario and "rapid" not in scenario:
+        raise UsageError("rapid's 'selection' section needs 'product' or 'rapid'")
+    thin = "set" in scenario
     if not thin and "rapid" not in scenario:
         raise UsageError(
             "rapid needs 'set'+'blocks' and/or 'rapid'+'selection'+'checkpoints'")
@@ -271,7 +278,7 @@ def _cmd_rapid(args, scenario):
             "witness": verdict.witness,
         }
         ok = ok and verdict.ok
-        if "product" in scenario and "selection" in scenario:
+        if "product" in scenario:
             window = scenario["product"]
             value = product_bound(
                 scenario["set"], scenario["selection"],

@@ -43,7 +43,10 @@ def rational_from_json(text) -> Fraction:
         return Fraction(text)
     if not isinstance(text, str):
         raise ValueError(f"rational must be 'p/q' text, got {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"rational {text!r} has a zero denominator") from None
 
 
 def clopen_to_json(a: ClopenSet) -> list[str]:

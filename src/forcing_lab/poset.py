@@ -24,6 +24,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Mapping, Sequence
 
 from .cantor import ClopenPlaneSet, check_bits, _extensions
@@ -274,6 +275,13 @@ def _sub_seed(seed: int, tag: str) -> int:
 _MAX_DEPTH = 20
 
 
+def _refuse_past_limit(m: int, m2: int) -> None:
+    if m2 > _MAX_DEPTH:
+        raise ValueError(
+            f"extension would need depth {m2} from {m}, past the limit of {_MAX_DEPTH}; "
+            f"pass max_new_levels to bound the growth")
+
+
 class _StemSearch:
     """Per-stem search state for the new top-level bit choices.
 
@@ -381,6 +389,7 @@ def extend_detailed(
         raise ValueError(f"retry_cap must be at least 0, got {retry_cap}")
     if exhaustive_cap < 0:
         raise ValueError(f"exhaustive_cap must be at least 0, got {exhaustive_cap}")
+    _refuse_past_limit(p.m, p.m + 1)  # every extension reaches m + 1: refuse before validate
     rep = validate(p)
     if not rep.ok:
         raise ValueError(f"cannot extend invalid condition: {rep.first.detail}")
@@ -401,37 +410,27 @@ def extend_detailed(
         if max_new_levels is not None:
             m2 = min(m2, m + max_new_levels)
         stats.m_prime = m2
-    if m2 > _MAX_DEPTH:
-        raise ValueError(
-            f"extension would need depth {m2} from {m}, past the limit of {_MAX_DEPTH}; "
-            f"pass max_new_levels to bound the growth")
+    _refuse_past_limit(m, m2)
     if p.u:
         stem_search = _stem_searches([tw.phi for tw in p.u], m, m2, delta)
+        count = 2 ** (m2 - m)
+        # the exhaustive fallback tries every pattern, tagged as attempt retry_cap
+        space = 2 ** count if count < 64 and 2 ** count <= exhaustive_cap else 0
         for s in tops:
-            search = stem_search(s, p.h[s])
+            first_failing = stem_search(s, p.h[s]).first_failing
             rng = random.Random(_sub_seed(seed, s))
-            found = None
+            draws = (rng.getrandbits(count) for _ in range(retry_cap))
             last_fail = 0
-            for attempt in range(retry_cap):
-                e = rng.getrandbits(search.count)
-                last_fail = search.first_failing(e)
+            for attempt, e in chain(enumerate(draws), zip(repeat(retry_cap), range(space))):
+                last_fail = first_failing(e)
                 if last_fail < 0:
-                    found = e
-                    stats.retries[s] = attempt
                     break
-            if found is None:
-                space = 2 ** search.count if search.count < 64 else None
-                if space is not None and space <= exhaustive_cap:
-                    stats.exhaustive_stems.append(s)
-                    for e in range(space):
-                        last_fail = search.first_failing(e)
-                        if last_fail < 0:
-                            found = e
-                            stats.retries[s] = retry_cap
-                            break
-            if found is None:
+            else:
                 raise SearchExhausted(s, last_fail, retry_cap)
-            chosen[s] = found
+            stats.retries[s] = attempt
+            if attempt == retry_cap:
+                stats.exhaustive_stems.append(s)
+            chosen[s] = e
 
     h2 = dict(p.h)
     for s, e in chosen.items():

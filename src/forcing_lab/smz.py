@@ -16,8 +16,10 @@ product lower bound for avoiding a set, and the rapidity count check.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterable, Sequence
 
 from .errors import ForcingLabError
@@ -154,14 +156,21 @@ def thin_set_bound_check(a: Iterable[int], blocks: int) -> ThinSetVerdict:
     if sorted_a and sorted_a[0] < 0:
         raise ValueError("set members must be nonnegative")
     n_limit = icbrt(blocks * blocks) + 1
-    for n in range(1, n_limit + 1):
+    # |A intersect [0, n^3)| grows only at n = icbrt(x) + 1 for members x,
+    # so the least n that breaks the precondition is one of these
+    for n, _ in groupby(icbrt(x) + 1 for x in sorted_a):
+        if n > n_limit:
+            break
         below = bisect.bisect_left(sorted_a, n ** 3)
         if below > n:
             raise PreconditionFailed(
                 n, f"|A intersect [0, {n ** 3})| = {below} exceeds {n}")
     max_ratio = Fraction(0)
     witness = None
-    for m in range(blocks):
+    # an empty block has density 0: it neither raises max_ratio nor breaks the bound
+    for m, _ in groupby(math.isqrt(x) for x in sorted_a):
+        if m >= blocks:
+            break
         value = _block_density(sorted_a, m)
         if value > max_ratio:
             max_ratio = value

@@ -8,6 +8,7 @@ of jsonschema's Draft 2020-12 validator on the packaged schemas.
 
 import ast
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -280,6 +281,28 @@ def test_oversized_plane_resolution_exits_two(tmp_path):
     jsonschema.validate(env, REPORT_SCHEMA)
 
 
+def test_input_depth_past_the_limit_exits_two(tmp_path):
+    started = time.perf_counter()
+    code, env = run(tmp_path, ["extend", "--seed", "1"],
+                    {"condition": {"m": 20000, "h": [["", ""]], "u": []}})
+    assert time.perf_counter() - started < 1
+    assert code == 2
+    assert env["error"]["type"] == "ValueError"
+    assert "past the limit of 20" in env["error"]["message"]
+
+
+@pytest.mark.parametrize("argv, scenario", [
+    (["smz"], {"horizon": 1, "eps": ["1/0", "1/2"]}),
+    (["extend", "--seed", "1"], {"condition": {**SIMPLE_CONDITION, "u": [{"eps": "1/2", "phi": {
+        "resolution": [0, 0], "table": [["", "", "1/0"]]}}]}}),
+], ids=["smz", "extend"])
+def test_zero_denominator_exits_two(tmp_path, argv, scenario):
+    code, env = run(tmp_path, argv, scenario)
+    assert code == 2
+    assert env["error"] == {"type": "ValueError",
+                            "message": "rational '1/0' has a zero denominator"}
+
+
 @pytest.mark.parametrize("flag", ["--retry-cap", "--exhaustive-cap"])
 @pytest.mark.parametrize("command, scenario", [
     ("extend", {"condition": SIMPLE_CONDITION}),
@@ -324,6 +347,31 @@ def test_rapid_combined_report(tmp_path):
 def test_rapid_needs_some_section(tmp_path):
     code, env = run(tmp_path, ["rapid"], {})
     assert code == 2
+
+
+def test_rapid_runs_in_time_bounded_by_the_set(tmp_path):
+    started = time.perf_counter()
+    code, env = run(tmp_path, ["rapid"], {"set": [1, 8], "blocks": 10 ** 12})
+    assert time.perf_counter() - started < 1
+    assert code == 0
+    assert env["report"]["thin"] == {"ok": True, "max_ratio": "1/3", "witness": None}
+
+
+@pytest.mark.parametrize("scenario, section", [
+    ({"set": [1, 8], "blocks": 3, "product": {"start": 0, "stop": 2}}, "product"),
+    ({"rapid": [0, 1], "selection": [1], "checkpoints": [1],
+      "product": {"start": 0, "stop": 2}}, "product"),
+    ({"set": [1, 8], "rapid": [0, 1], "selection": [1], "checkpoints": [1]}, "set"),
+    ({"blocks": 3, "rapid": [0, 1], "selection": [1], "checkpoints": [1]}, "blocks"),
+    ({"set": [1, 8], "blocks": 3, "checkpoints": [1]}, "checkpoints"),
+    ({"set": [1, 8], "blocks": 3, "selection": [1]}, "selection"),
+], ids=["product-without-selection", "product-without-set", "set-without-blocks",
+        "blocks-without-set", "checkpoints-without-rapid", "selection-alone"])
+def test_rapid_refuses_an_ignored_section(tmp_path, scenario, section):
+    code, env = run(tmp_path, ["rapid"], scenario)
+    assert code == 2
+    assert env["error"]["type"] == "UsageError"
+    assert env["error"]["message"].startswith(f"rapid's {section!r} section needs")
 
 
 @pytest.mark.parametrize("argv", [
@@ -737,6 +785,24 @@ def test_readme_examples_python():
 def test_public_names_resolve():
     names = forcing_lab.__all__
     assert names == sorted(names)
-    assert len(names) == len(set(names))
-    for name in names:
-        getattr(forcing_lab, name)
+    listed = [name for group in forcing_lab._EXPORTS.values() for name in group]
+    assert sorted(listed) == names  # each name under exactly one module
+    for module, group in forcing_lab._EXPORTS.items():
+        layer = importlib.import_module(f"forcing_lab.{module}")
+        for name in group:
+            assert getattr(forcing_lab, name) is getattr(layer, name)
+    assert set(names) <= set(dir(forcing_lab))
+    with pytest.raises(AttributeError):
+        forcing_lab.no_such_name
+
+
+def test_package_import_loads_no_layer():
+    # the forcing_lab this test imported, installed or from src/
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    probe = ("import sys, forcing_lab\n"
+             "print(sorted(m for m in sys.modules if m.startswith('forcing_lab')))\n"
+             "from forcing_lab import ClopenSet, jsonio\n"
+             "print('forcing_lab.cantor' in sys.modules, 'forcing_lab.poset' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert done.stdout.splitlines() == ["['forcing_lab']", "True True"]

@@ -1,5 +1,6 @@
 """Cover translation, interval flattening, block density and rapidity."""
 
+import bisect
 from fractions import Fraction
 
 import pytest
@@ -163,3 +164,38 @@ def test_rapidity_validates_blocks_and_checkpoints():
         rapidity_check([0, 1], {0}, [2, 2])
     with pytest.raises(ValueError):  # selection indexes past r
         rapidity_check([0, 1], {5}, [1])
+
+
+def _thin_set_reference(a, blocks):
+    """thin_set_bound_check by direct scan: every n up to the limit and
+    every block below `blocks`, empty or not."""
+    sorted_a = sorted(set(a))
+    for n in range(1, icbrt(blocks * blocks) + 2):
+        below = bisect.bisect_left(sorted_a, n ** 3)
+        if below > n:
+            raise PreconditionFailed(
+                n, f"|A intersect [0, {n ** 3})| = {below} exceeds {n}")
+    max_ratio = Fraction(0)
+    witness = None
+    for m in range(blocks):
+        value = Fraction(bisect.bisect_left(sorted_a, (m + 1) ** 2)
+                         - bisect.bisect_left(sorted_a, m * m), 2 * m + 1)
+        max_ratio = max(max_ratio, value)
+        if value > Fraction(icbrt((m + 1) ** 2) + 1, 2 * m + 1) and witness is None:
+            witness = m
+    return witness is None, max_ratio, witness
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.sets(st.one_of(st.integers(0, 30), st.integers(0, 7000)), max_size=40),
+       st.integers(0, 80))
+def test_thin_set_matches_the_full_scan(a, blocks):
+    try:
+        expected = _thin_set_reference(a, blocks)
+    except PreconditionFailed as exc:
+        with pytest.raises(PreconditionFailed) as got:
+            thin_set_bound_check(a, blocks)
+        assert (got.value.witness, got.value.detail) == (exc.witness, exc.detail)
+    else:
+        verdict = thin_set_bound_check(a, blocks)
+        assert (verdict.ok, verdict.max_ratio, verdict.witness) == expected
