@@ -28,6 +28,7 @@ from .diagram import (
 from .names import FiniteName, boolean_value, make_name, refine_condition, slalom_extract
 from .poset import (
     Condition,
+    ScheduledCover,
     TaggedWeight,
     WeightFunction,
     _stem_searches,
@@ -302,7 +303,7 @@ def criterion_tail_oracle() -> tuple[bool, str]:
                     continue
                 search = _stem_searches([phi], 0, m2, delta)("", "")
                 space = 2 ** (2 ** m2)
-                violating = sum(search.first_failing(e) >= 0 for e in range(space))
+                violating = sum(search(e) >= 0 for e in range(space))
                 bound = min(Fraction(1), Fraction(1, 2 ** m2) / (delta * delta))
                 if Fraction(violating, space) > bound:
                     return False, (
@@ -324,7 +325,7 @@ def criterion_tail_oracle() -> tuple[bool, str]:
 def criterion_null_avoidance() -> tuple[bool, str]:
     """Four constrained extension steps keep the cover complement heavy."""
     g = ClopenPlaneSet.from_rects([("0", "00")])  # measure 1/8 at the zero corner
-    p, trace = generic_run([(g, Fraction(1, 4))], steps=4, seed=2026)
+    p, trace = generic_run([ScheduledCover(g, Fraction(1, 4), 0)], steps=4, seed=2026)
     floor = Fraction(3, 4)
     for entry in trace:
         for _, cert in entry.certificates:

@@ -195,9 +195,7 @@ def _cmd_extend(args, scenario):
     """grow a condition's stem with seeded, exactly checked bits"""
     p = jsonio.condition_from_json(_need(scenario, "condition"))
     seed = _need_seed(args)
-    q, stats = extend_detailed(
-        p, seed, retry_cap=args.retry_cap, exhaustive_cap=args.exhaustive_cap,
-        max_new_levels=args.max_new_levels)
+    q, stats = extend_detailed(p, seed, max_new_levels=args.max_new_levels)
     log.info("extended depth %d -> %d (pinned %d)", p.m, q.m, stats.pinned_m_prime)
     report = {
         "seed": seed,
@@ -223,10 +221,8 @@ def _cmd_generic_run(args, scenario):
             int(entry.get("at_step", i)))
         for i, entry in enumerate(_need(scenario, "covers"))
     ]
-    levels = args.max_new_levels if args.max_new_levels is not None else 3
-    p, trace = generic_run(
-        schedule, steps, seed, retry_cap=args.retry_cap,
-        exhaustive_cap=args.exhaustive_cap, max_new_levels=levels)
+    levels = {} if args.max_new_levels is None else {"max_new_levels": args.max_new_levels}
+    p, trace = generic_run(schedule, steps, seed, **levels)
     report = {
         "seed": seed,
         "depth": p.m,
@@ -365,12 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     seeded_parent.add_argument(
         "--seed", type=int, default=None,
         help="integer seed for the bit-choice sampler (required)")
-    seeded_parent.add_argument(
-        "--retry-cap", type=int, default=64, metavar="N",
-        help="sampling attempts per stem before exhaustive fallback")
-    seeded_parent.add_argument(
-        "--exhaustive-cap", type=int, default=2 ** 20, metavar="N",
-        help="largest candidate space the fallback will enumerate")
     seeded_parent.add_argument(
         "--max-new-levels", type=int, default=None, metavar="K",
         help="cap on stem depth growth per extension (default: the pinned "

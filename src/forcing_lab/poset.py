@@ -273,6 +273,10 @@ def _sub_seed(seed: int, tag: str) -> int:
 # A stem of depth m holds 2^(m+1) keys; a depth-18 run peaks near 0.2 GB and
 # each level doubles that, so deeper stems are refused before materializing.
 _MAX_DEPTH = 20
+# Sampled candidates per stem before the exhaustive fallback, and the largest
+# candidate space that fallback enumerates.
+_RETRY_CAP = 64
+_EXHAUSTIVE_CAP = 2 ** 20
 
 
 def _refuse_past_limit(m: int, m2: int) -> None:
@@ -282,8 +286,10 @@ def _refuse_past_limit(m: int, m2: int) -> None:
             f"pass max_new_levels to bound the growth")
 
 
-class _StemSearch:
-    """Per-stem search state for the new top-level bit choices.
+def _stem_searches(phi_list, m: int, m2: int, delta: Fraction):
+    """The searches of one extension from depth m to m2, as a function
+    (s, h(s)) -> first_failing, where first_failing(e) is the index of the
+    first weight whose check the candidate e fails, or -1 if e passes.
 
     Bit i of a candidate integer e is the appended value bit of the i-th
     suffix (suffixes enumerated MSB-first as format(i, "0Lb")).  The
@@ -298,10 +304,10 @@ class _StemSearch:
 
     A weight's check depends on the stem s only through (s[:m1], h(s)):
     when m >= m1 the only row is s[:m1] and phi(s, h(s)) is phi(s[:m1], h(s))
-    halved m - m1 times; when m < m1, s[:m1] is s itself.  _stem_searches
-    builds each check once per (weight index, s[:m1], h(s)) and shares it
-    among the stems of that class.  A check is stored over one common
-    denominator D of its values as the integers
+    halved m - m1 times; when m < m1, s[:m1] is s itself.  Each check is
+    built once per (weight index, s[:m1], h(s)) and shared among the stems
+    of that class.  A check is stored over one common denominator D of its
+    values as the integers
 
         target = (phi(s, h(s))/2 - delta)·D,  base = block·(sum of v0_r)·D,
         gain_r = (v1_r - v0_r)·D,
@@ -313,26 +319,6 @@ class _StemSearch:
 
     the verdict of the Fraction sum, reached in int arithmetic.
     """
-
-    def __init__(self, checks: list, count: int):
-        self.checks = checks
-        self.count = count
-
-    def first_failing(self, e: int) -> int:
-        """Index of the first weight whose check e fails, or -1 if e passes."""
-        for idx, (target, block, base, gains) in enumerate(self.checks):
-            mask = (1 << block) - 1
-            acc = base
-            for r, gain in enumerate(gains):
-                acc += ((e >> (r * block)) & mask).bit_count() * gain
-            if acc <= target:
-                return idx
-        return -1
-
-
-def _stem_searches(phi_list, m: int, m2: int, delta: Fraction):
-    """The searches of one extension from depth m to m2, as a function
-    (s, h(s)) -> _StemSearch sharing each check within its class."""
     count = 2 ** (m2 - m)
     built: dict = {}
 
@@ -351,44 +337,45 @@ def _stem_searches(phi_list, m: int, m2: int, delta: Fraction):
         return (int(target * d), block, int(block * sum(v0 for v0, _ in pairs) * d),
                 [int((v1 - v0) * d) for v0, v1 in pairs])
 
-    def search(s: str, value: str) -> _StemSearch:
+    def search(s: str, value: str):
         checks = []
         for idx, phi in enumerate(phi_list):
             key = (idx, s[:phi.resolution[0]], value)
             if key not in built:
                 built[key] = build(phi, s, value)
             checks.append(built[key])
-        return _StemSearch(checks, count)
+
+        def first_failing(e: int) -> int:
+            for idx, (target, block, base, gains) in enumerate(checks):
+                mask = (1 << block) - 1
+                acc = base
+                for r, gain in enumerate(gains):
+                    acc += ((e >> (r * block)) & mask).bit_count() * gain
+                if acc <= target:
+                    return idx
+            return -1
+
+        return first_failing
 
     return search
 
 
 def extend_detailed(
-    p: Condition,
-    seed: int,
-    *,
-    retry_cap: int = 64,
-    exhaustive_cap: int = 2 ** 20,
-    max_new_levels: int | None = None,
+    p: Condition, seed: int, *, max_new_levels: int | None = None,
 ) -> tuple[Condition, ExtendStats]:
     """Extend a valid condition, returning the result and search statistics.
 
     With no attached weights the stem grows one level with zero bits
     appended.  Otherwise the slack-derived tolerance delta and the least
     depth m' with 2^(-m') / delta^2 < 1/(2n) drive an independent seeded
-    search per top stem; each candidate is checked exactly, falling back to
-    exhaustive enumeration when the space is small enough.  max_new_levels
-    (at least 1) caps the depth growth for multi-step runs, where the pinned
-    depth formula compounds past any materializable size; a depth past
-    _MAX_DEPTH is refused either way.  retry_cap and exhaustive_cap are at
-    least 0.
+    search per top stem: _RETRY_CAP sampled candidates, then every candidate
+    when the space holds at most _EXHAUSTIVE_CAP of them, each checked
+    exactly.  max_new_levels (at least 1) caps the depth growth for
+    multi-step runs, where the pinned depth formula compounds past any
+    materializable size; a depth past _MAX_DEPTH is refused either way.
     """
     if max_new_levels is not None and max_new_levels < 1:
         raise ValueError(f"max_new_levels must be at least 1, got {max_new_levels}")
-    if retry_cap < 0:
-        raise ValueError(f"retry_cap must be at least 0, got {retry_cap}")
-    if exhaustive_cap < 0:
-        raise ValueError(f"exhaustive_cap must be at least 0, got {exhaustive_cap}")
     _refuse_past_limit(p.m, p.m + 1)  # every extension reaches m + 1: refuse before validate
     rep = validate(p)
     if not rep.ok:
@@ -410,25 +397,24 @@ def extend_detailed(
         if max_new_levels is not None:
             m2 = min(m2, m + max_new_levels)
         stats.m_prime = m2
-    _refuse_past_limit(m, m2)
-    if p.u:
+        _refuse_past_limit(m, m2)
         stem_search = _stem_searches([tw.phi for tw in p.u], m, m2, delta)
         count = 2 ** (m2 - m)
-        # the exhaustive fallback tries every pattern, tagged as attempt retry_cap
-        space = 2 ** count if count < 64 and 2 ** count <= exhaustive_cap else 0
+        # the exhaustive fallback tries every pattern, tagged as attempt _RETRY_CAP
+        space = 2 ** count if count < 64 and 2 ** count <= _EXHAUSTIVE_CAP else 0
         for s in tops:
-            first_failing = stem_search(s, p.h[s]).first_failing
+            first_failing = stem_search(s, p.h[s])
             rng = random.Random(_sub_seed(seed, s))
-            draws = (rng.getrandbits(count) for _ in range(retry_cap))
+            draws = (rng.getrandbits(count) for _ in range(_RETRY_CAP))
             last_fail = 0
-            for attempt, e in chain(enumerate(draws), zip(repeat(retry_cap), range(space))):
+            for attempt, e in chain(enumerate(draws), zip(repeat(_RETRY_CAP), range(space))):
                 last_fail = first_failing(e)
                 if last_fail < 0:
                     break
             else:
-                raise SearchExhausted(s, last_fail, retry_cap)
+                raise SearchExhausted(s, last_fail, _RETRY_CAP)
             stats.retries[s] = attempt
-            if attempt == retry_cap:
+            if attempt == _RETRY_CAP:
                 stats.exhaustive_stems.append(s)
             chosen[s] = e
 
@@ -503,32 +489,19 @@ class TraceEntry:
 
 
 def generic_run(
-    schedule: Sequence,
-    steps: int,
-    seed: int,
-    *,
-    retry_cap: int = 64,
-    exhaustive_cap: int = 2 ** 20,
-    max_new_levels: int | None = 3,
+    schedule: Sequence[ScheduledCover], steps: int, seed: int, *, max_new_levels: int | None = 3,
 ) -> tuple[Condition, list[TraceEntry]]:
     """Interleave cover attachment and extension from the trivial condition.
 
-    Schedule entries are ScheduledCover or bare (cover, eps) pairs, the
-    latter attaching before step 0, 1, ... in order.  After every action the
-    trace records, for each cover already attached, the exact certificate of
-    its complement.  Multi-step runs default to bounded depth growth; the
-    pinned depth formula compounds roughly quadratically per step and leaves
-    any second unbounded extension beyond reach.
+    Each cover attaches before the extension of its step, which must lie in
+    the run.  After every action the trace records, for each cover already
+    attached, the exact certificate of its complement.  Multi-step runs
+    default to bounded depth growth; the pinned depth formula compounds
+    roughly quadratically per step and leaves any second unbounded
+    extension beyond reach.
     """
-    covers: list[ScheduledCover] = []
-    for i, entry in enumerate(schedule):
-        if isinstance(entry, ScheduledCover):
-            covers.append(entry)
-        else:
-            g, eps = entry
-            covers.append(ScheduledCover(g, Fraction(eps), i))
-    for c in covers:
-        if steps and c.at_step >= steps:
+    for c in schedule:
+        if not 0 <= c.at_step < steps:
             raise ValueError(f"cover scheduled at step {c.at_step}, run has {steps}")
 
     p = trivial_condition()
@@ -541,14 +514,13 @@ def generic_run(
 
     for step in range(steps):
         try:
-            for i, c in enumerate(covers):
+            for i, c in enumerate(schedule):
                 if c.at_step == step:
                     p = avoid_null(p, c.cover, c.eps)
                     attached.append((i, c.cover.complement()))
                     snapshot(step, "attach")
             p, _ = extend_detailed(
-                p, _sub_seed(seed, f"step{step}"), retry_cap=retry_cap,
-                exhaustive_cap=exhaustive_cap, max_new_levels=max_new_levels)
+                p, _sub_seed(seed, f"step{step}"), max_new_levels=max_new_levels)
             snapshot(step, "extend")
         except ForcingLabError as exc:
             exc.step = step  # type: ignore[attr-defined]

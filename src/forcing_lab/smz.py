@@ -19,7 +19,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from itertools import accumulate, groupby
 from typing import Iterable, Sequence
 
 from .errors import ForcingLabError
@@ -80,12 +80,8 @@ def cover_translate(
     eps = [Fraction(e) for e in eps]
     if any(e <= 0 for e in eps):
         raise ValueError("eps entries must be positive")
-    delta: list[Fraction] = []
-    for n in range(horizon + 1):
-        cap = min(eps[k] for k in range(n ** 3 + 1)) / 2
-        if delta and delta[-1] < cap:
-            cap = delta[-1]
-        delta.append(cap)
+    prefix = list(accumulate(eps[:need + 1], min))
+    delta = [prefix[n ** 3] / 2 for n in range(horizon + 1)]
     delta_prime = [delta[n + 1 - (n % 2)] / 2 for n in range(horizon)]
     return delta[:horizon], delta_prime
 

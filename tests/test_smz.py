@@ -52,6 +52,30 @@ def test_cover_translate_keeps_delta_monotone():
     assert delta == [Fraction(1, 128), Fraction(1, 128), Fraction(1, 128)]
 
 
+def loop_cover_translate(eps, horizon):
+    """Reference: the minimum over eps[:n^3 + 1] recomputed for every n,
+    clamped to the previous delta."""
+    eps = [Fraction(e) for e in eps]
+    delta = []
+    for n in range(horizon + 1):
+        cap = min(eps[k] for k in range(n ** 3 + 1)) / 2
+        if delta and delta[-1] < cap:
+            cap = delta[-1]
+        delta.append(cap)
+    return delta[:horizon], [delta[n + 1 - (n % 2)] / 2 for n in range(horizon)]
+
+
+@settings(max_examples=200, derandomize=True)
+@given(st.integers(min_value=0, max_value=4).flatmap(lambda horizon: st.tuples(
+    st.just(horizon),
+    st.lists(st.integers(min_value=1, max_value=64),
+             min_size=horizon ** 3 + 1, max_size=horizon ** 3 + 4))))
+def test_cover_translate_matches_the_recomputed_minimum(case):
+    horizon, numerators = case
+    eps = [Fraction(k, 64) for k in numerators]
+    assert cover_translate(eps, horizon) == loop_cover_translate(eps, horizon)
+
+
 def test_cover_translate_needs_deep_targets():
     with pytest.raises(HorizonTooShort):
         cover_translate([Fraction(1, 2)] * 27, 3)  # needs index 27
