@@ -24,7 +24,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "cantor": ("EMPTY", "FULL", "ClopenPlaneSet", "ClopenSet", "ResolutionTooCoarse"),
+    "cantor": ("EMPTY", "FULL", "ClopenPlaneSet", "ClopenSet"),
     "diagram": (
         "EDGES", "NODES", "CardinalLabel", "DiagramAssignment", "DiagramVerdict",
         "InvalidGround", "TransferConstraint", "Violation", "check_assignment",

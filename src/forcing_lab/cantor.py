@@ -9,21 +9,16 @@ exact fraction with a power-of-two denominator.
 
 Plane sets live on the product of two copies of the space.  They are kept
 flattened at a uniform resolution (r1, r2): a set of rectangles [s] x [t]
-with |s| = r1 and |t| = r2 exactly.
+with |s| = r1 and |t| = r2 exactly, built by the constructor from any
+rectangles no deeper than the resolution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from typing import Iterable
-
-from .errors import ForcingLabError
-
-
-class ResolutionTooCoarse(ForcingLabError):
-    """Raised when a plane set is asked for a coarser resolution than its own."""
 
 
 def check_bits(s: str) -> str:
@@ -140,13 +135,23 @@ _MAX_PLANE_BITS = 16
 
 
 def _flatten(rects: Iterable[tuple[str, str]], r1: int, r2: int) -> frozenset[tuple[str, str]]:
-    """Every rectangle at resolution (r1, r2) inside one of the given ones."""
+    """Every rectangle at resolution (r1, r2) inside one of the given ones,
+    none of which may be deeper than (r1, r2).  Each distinct string of the
+    given rectangles is checked once; the cells built from them need no check."""
     if r1 + r2 > _MAX_PLANE_BITS:
         raise ValueError(
             f"plane resolution ({r1}, {r2}) exceeds {_MAX_PLANE_BITS} bits in total")
+    rects = list(rects)
+    for s in dict.fromkeys(chain.from_iterable(rects)):
+        check_bits(s)
     flat: set[tuple[str, str]] = set()
     for s, t in rects:
-        flat.update(product(_extensions(s, r1), _extensions(t, r2)))
+        if len(s) == r1 and len(t) == r2:
+            flat.add((s, t))
+        elif len(s) > r1 or len(t) > r2:
+            raise ValueError(f"rectangle ({s!r}, {t!r}) deeper than resolution ({r1}, {r2})")
+        else:
+            flat.update(product(_extensions(s, r1), _extensions(t, r2)))
     return frozenset(flat)
 
 
@@ -154,10 +159,11 @@ def _flatten(rects: Iterable[tuple[str, str]], r1: int, r2: int) -> frozenset[tu
 class ClopenPlaneSet:
     """Finite union of rectangles on the product space, resolution-flat.
 
-    Every stored rectangle (s, t) has |s| = resolution[0] and
-    |t| = resolution[1].  Two plane sets are equal when they agree after
-    reflattening to the common refinement, so the same point set built at
-    different resolutions compares equal.
+    The constructor flattens the given rectangles, none deeper than the
+    resolution, so every stored rectangle (s, t) has |s| = resolution[0]
+    and |t| = resolution[1].  Two plane sets are equal when they agree
+    after reflattening to the common refinement, so the same point set
+    built at different resolutions compares equal.
     """
 
     resolution: tuple[int, int]
@@ -167,13 +173,8 @@ class ClopenPlaneSet:
         r1, r2 = self.resolution
         if r1 < 0 or r2 < 0:
             raise ValueError("resolution must be nonnegative")
-        if not isinstance(self.rects, frozenset):
-            object.__setattr__(self, "rects", frozenset(self.rects))
-        for s, t in self.rects:
-            check_bits(s)
-            check_bits(t)
-            if len(s) != r1 or len(t) != r2:
-                raise ValueError(f"rectangle ({s!r}, {t!r}) off resolution {self.resolution}")
+        object.__setattr__(self, "resolution", (r1, r2))
+        object.__setattr__(self, "rects", _flatten(self.rects, r1, r2))
 
     @classmethod
     def from_rects(
@@ -181,18 +182,10 @@ class ClopenPlaneSet:
         rects: Iterable[tuple[str, str]],
         min_resolution: tuple[int, int] = (0, 0),
     ) -> "ClopenPlaneSet":
-        pairs = [(check_bits(s), check_bits(t)) for s, t in rects]
-        r1 = max([len(s) for s, _ in pairs] + [min_resolution[0]], default=min_resolution[0])
-        r2 = max([len(t) for _, t in pairs] + [min_resolution[1]], default=min_resolution[1])
-        return cls((r1, r2), _flatten(pairs, r1, r2))
-
-    def at_resolution(self, r1: int, r2: int) -> "ClopenPlaneSet":
-        if (r1, r2) == self.resolution:
-            return self
-        if r1 < self.resolution[0] or r2 < self.resolution[1]:
-            raise ResolutionTooCoarse(
-                f"cannot coarsen resolution {self.resolution} to {(r1, r2)}")
-        return ClopenPlaneSet((r1, r2), _flatten(self.rects, r1, r2))
+        rects = list(rects)
+        r1 = max([min_resolution[0], *(len(s) for s, _ in rects)])
+        r2 = max([min_resolution[1], *(len(t) for _, t in rects)])
+        return cls((r1, r2), rects)
 
     def measure(self) -> Fraction:
         r1, r2 = self.resolution
@@ -209,11 +202,7 @@ class ClopenPlaneSet:
         r1, r2 = self.resolution
         if len(s) >= r1 and len(t) >= r2:
             return (s[:r1], t[:r2]) in self.rects
-        return all(
-            (a[:r1], b[:r2]) in self.rects
-            for a in _extensions(s, max(len(s), r1))
-            for b in _extensions(t, max(len(t), r2))
-        )
+        return _flatten([(s[:r1], t[:r2])], r1, r2) <= self.rects
 
     def rect_overlap_measure(self, s: str, t: str) -> Fraction:
         """Exact measure of ([s] x [t]) intersected with this set."""
@@ -234,7 +223,7 @@ class ClopenPlaneSet:
             return NotImplemented
         r1 = max(self.resolution[0], other.resolution[0])
         r2 = max(self.resolution[1], other.resolution[1])
-        return self.at_resolution(r1, r2).rects == other.at_resolution(r1, r2).rects
+        return _flatten(self.rects, r1, r2) == _flatten(other.rects, r1, r2)
 
     __hash__ = None  # type: ignore[assignment]
 

@@ -11,10 +11,10 @@ seeded commands, and is deterministic for a fixed scenario and seed; only
 meta varies.  Exit codes: 0 when the run's checks all pass, 1 for domain errors
 or failed checks, 2 for unusable input (bad arguments, an unreadable
 --input, an unwritable --out, bad JSON, a key repeated within one object,
-schema violations, missing sections, missing --seed), 3 for any other
-failure, reported as an "InternalError" envelope.  --out is opened once the
-scenario has been read (or failed to read), before the run; if that or
-argument parsing fails, the envelope goes to stdout.
+a scenario nested too deeply, schema violations, missing sections, missing
+--seed), 3 for any other failure, reported as an "InternalError" envelope.
+--out is opened once the scenario has been read (or failed to read), before
+the run; if that or argument parsing fails, the envelope goes to stdout.
 
 Both schema checks run on a check compiled once per process
 (`schemacheck`), so a run that passes them never imports `jsonschema`.  A
@@ -143,9 +143,11 @@ def _read_scenario(args: argparse.Namespace) -> dict:
             text = fh.read()
     try:
         data = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"scenario is not JSON: {exc}") from exc
-    exc = _schema_error(data, "scenario.schema.json")
+        exc = _schema_error(data, "scenario.schema.json")
+    except json.JSONDecodeError as err:
+        raise UsageError(f"scenario is not JSON: {err}") from err
+    except RecursionError:  # raised by the parser or by jsonschema's wording
+        raise UsageError("scenario is nested too deeply") from None
     if exc is not None:
         where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise UsageError(f"scenario fails schema at {where}: {exc.message}") from exc

@@ -90,7 +90,7 @@ def weight_from_json(data: Mapping) -> WeightFunction:
     r1, r2 = data["resolution"]
     table = {(s, t): rational_from_json(v) for s, t, v in data["table"]}
     _refuse_repeats(table, data["table"], itemgetter(0, 1), "weight table key")
-    return WeightFunction.from_table((int(r1), int(r2)), table)
+    return WeightFunction((int(r1), int(r2)), table)
 
 
 def condition_to_json(p: Condition) -> dict:

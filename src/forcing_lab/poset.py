@@ -54,9 +54,9 @@ class SearchExhausted(ForcingLabError):
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """Finitely represented bi-additive pair mass.  Zero entries are omitted
-    from the table; the total mass (the value at the pair of empty strings)
-    must be positive."""
+    """Finitely represented bi-additive pair mass.  The constructor converts
+    each table value with Fraction and drops the zero ones; the total mass
+    (the value at the pair of empty strings) must be positive."""
 
     resolution: tuple[int, int]
     table: dict
@@ -65,25 +65,20 @@ class WeightFunction:
         m1, m2 = self.resolution
         if m1 < 0 or m2 < 0:
             raise ValueError("resolution must be nonnegative")
-        cap = Fraction(1, 2 ** (m1 + m2))
-        total = Fraction(0)
-        for (s, t), v in self.table.items():
+        table = {k: f for k, v in self.table.items() if (f := Fraction(v))}
+        if not table:
+            raise ValueError("weight function needs positive total mass")
+        for s, t in table:  # every key at the resolution before 2^(m1+m2) is built
             check_bits(s)
             check_bits(t)
             if len(s) != m1 or len(t) != m2:
                 raise ValueError(f"table key ({s!r}, {t!r}) off resolution")
-            if not isinstance(v, Fraction):
-                raise ValueError("table values must be Fraction")
-            if v <= 0 or v > cap:
+        cap = Fraction(1, 2 ** (m1 + m2))
+        for v in table.values():
+            if not 0 < v <= cap:
                 raise ValueError(f"table value {v} outside (0, {cap}]")
-            total += v
-        if total <= 0:
-            raise ValueError("weight function needs positive total mass")
-
-    @classmethod
-    def from_table(cls, resolution: tuple[int, int], table: Mapping) -> "WeightFunction":
-        clean = {k: f for k, v in table.items() if (f := Fraction(v))}
-        return cls(tuple(resolution), clean)
+        object.__setattr__(self, "resolution", (m1, m2))
+        object.__setattr__(self, "table", table)
 
     @classmethod
     def full(cls) -> "WeightFunction":
@@ -95,7 +90,7 @@ class WeightFunction:
         c = Fraction(c)
         m1, m2 = resolution
         cell = c / 2 ** (m1 + m2)
-        return cls.from_table(resolution, {
+        return cls(resolution, {
             (a, b): cell for a in _extensions("", m1) for b in _extensions("", m2)})
 
     def total(self) -> Fraction:
@@ -122,8 +117,7 @@ def phi_from_clopen(f: ClopenPlaneSet) -> WeightFunction:
     if f.measure() == 0:
         raise NullSet("cannot build a weight from a measure-zero plane set")
     r1, r2 = f.resolution
-    cell = Fraction(1, 2 ** (r1 + r2))
-    return WeightFunction.from_table((r1, r2), {(s, t): cell for s, t in f.rects})
+    return WeightFunction(f.resolution, dict.fromkeys(f.rects, Fraction(1, 2 ** (r1 + r2))))
 
 
 @dataclass(frozen=True)
@@ -500,6 +494,8 @@ def generic_run(
     roughly quadratically per step and leaves any second unbounded
     extension beyond reach.
     """
+    if steps > _MAX_DEPTH:  # every step grows the stem by at least one level
+        raise ValueError(f"steps {steps} would grow the stem past the depth limit of {_MAX_DEPTH}")
     for c in schedule:
         if not 0 <= c.at_step < steps:
             raise ValueError(f"cover scheduled at step {c.at_step}, run has {steps}")

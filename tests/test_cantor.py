@@ -11,7 +11,6 @@ from forcing_lab import (
     FULL,
     ClopenPlaneSet,
     ClopenSet,
-    ResolutionTooCoarse,
 )
 from forcing_lab import cantor
 from forcing_lab.cantor import check_bits
@@ -146,8 +145,8 @@ def test_plane_is_unhashable():
 
 def test_plane_refuses_coarsening():
     h = ClopenPlaneSet.from_rects([("01", "1")])
-    with pytest.raises(ResolutionTooCoarse):
-        h.at_resolution(1, 1)
+    with pytest.raises(ValueError, match="deeper than resolution"):
+        ClopenPlaneSet((1, 1), h.rects)
 
 
 def test_plane_boolean_ops():
@@ -180,6 +179,74 @@ def test_plane_refuses_oversized_resolution(monkeypatch):
     with pytest.raises(ValueError, match="resolution"):
         ClopenPlaneSet.from_rects([("0", "1")], (3, 2))
     with pytest.raises(ValueError, match="resolution"):
-        ClopenPlaneSet((3, 2), frozenset()).complement()
+        ClopenPlaneSet((3, 2), frozenset())  # refused at construction, even empty
     with pytest.raises(ValueError, match="resolution"):
-        ClopenPlaneSet.from_rects([("0", "1")]).at_resolution(4, 1)
+        ClopenPlaneSet((4, 1), ClopenPlaneSet.from_rects([("0", "1")]).rects)
+
+
+def flat_reference(resolution, rects):
+    # every cell at the resolution, kept when it extends a given rectangle
+    r1, r2 = resolution
+    return {(a, b)
+            for a in (format(i, f"0{r1}b") if r1 else "" for i in range(2 ** r1))
+            for b in (format(j, f"0{r2}b") if r2 else "" for j in range(2 ** r2))
+            if any(a.startswith(s) and b.startswith(t) for s, t in rects)}
+
+
+plane_resolutions = st.tuples(st.integers(0, 4), st.integers(0, 4))
+
+
+@st.composite
+def plane_inputs(draw):
+    r1, r2 = draw(plane_resolutions)
+    rects = draw(st.lists(st.tuples(st.text("01", max_size=r1), st.text("01", max_size=r2)),
+                          max_size=5))
+    return (r1, r2), rects
+
+
+@settings(max_examples=120, derandomize=True)
+@given(plane_inputs())
+def test_plane_constructor_flattens_like_the_reference(case):
+    resolution, rects = case
+    f = ClopenPlaneSet(resolution, rects)
+    assert f.resolution == resolution
+    assert f.rects == flat_reference(resolution, rects)
+    assert f == ClopenPlaneSet.from_rects(rects, resolution)
+
+
+@settings(max_examples=60, derandomize=True)
+@given(plane_inputs(), plane_resolutions)
+def test_plane_reflattens_only_to_finer_resolutions(case, extra):
+    (r1, r2), rects = case
+    f = ClopenPlaneSet((r1, r2), rects)
+    finer = ClopenPlaneSet((r1 + extra[0], r2 + extra[1]), f.rects)
+    assert finer == f and finer.measure() == f.measure()
+    if f.rects and (r1 or r2):
+        with pytest.raises(ValueError, match="deeper than resolution"):
+            ClopenPlaneSet((max(r1 - 1, 0), max(r2 - 1, 0)), f.rects)
+
+
+def test_plane_refuses_bad_input_at_construction():
+    with pytest.raises(ValueError, match="not a binary string"):
+        ClopenPlaneSet((1, 1), [("0", "2")])
+    with pytest.raises(ValueError, match="nonnegative"):
+        ClopenPlaneSet((-1, 0), [])
+    with pytest.raises(ValueError, match="exceeds 16 bits"):
+        ClopenPlaneSet((40, 40), frozenset())
+
+
+def contains_rect_reference(f, s, t):
+    # every cell of [s] x [t], cut or extended to the resolution, lies in f
+    r1, r2 = f.resolution
+    return all(
+        (a[:r1], b[:r2]) in f.rects
+        for a in cantor._extensions(s, max(len(s), r1))
+        for b in cantor._extensions(t, max(len(t), r2)))
+
+
+@settings(max_examples=150, derandomize=True)
+@given(plane_inputs(), st.text("01", max_size=6), st.text("01", max_size=6))
+def test_contains_rect_matches_the_enumeration(case, s, t):
+    f = ClopenPlaneSet(*case)
+    for g in (f, f.complement()):
+        assert g.contains_rect(s, t) == contains_rect_reference(g, s, t)

@@ -291,6 +291,41 @@ def test_input_depth_past_the_limit_exits_two(tmp_path):
     assert "past the limit of 20" in env["error"]["message"]
 
 
+@pytest.mark.installed
+def test_steps_past_the_depth_limit_exit_two_before_any_extension(tmp_path):
+    started = time.perf_counter()
+    code, env = run(tmp_path, ["generic-run", "--seed", "1"], {"steps": 21, "covers": []})
+    assert time.perf_counter() - started < 1
+    assert code == 2
+    assert env["error"]["type"] == "ValueError"
+    assert "steps 21" in env["error"]["message"]
+    jsonschema.validate(env, REPORT_SCHEMA)
+
+
+@pytest.mark.installed
+def test_deeply_nested_scenario_exits_two(tmp_path):
+    code, env = run(tmp_path, ["slalom"], raw="[" * 100000 + "]" * 100000)
+    assert code == 2
+    assert env["error"] == {"type": "UsageError", "message": "scenario is nested too deeply"}
+    jsonschema.validate(env, REPORT_SCHEMA)
+
+
+@pytest.mark.installed
+def test_recursion_while_wording_a_rejection_exits_two(tmp_path, monkeypatch):
+    class Overflowing:  # jsonschema's repr of a deeply nested value overflows like this
+        ValidationError = jsonschema.ValidationError
+
+        def validate(self, instance, schema):
+            raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "jsonschema", Overflowing())
+    code, env = run(tmp_path, ["refine"], {"name": HALVES_NAME, "function": [[[0]]],
+                                           "condition_set": ["0"]})
+    assert code == 2
+    assert env["error"] == {"type": "UsageError", "message": "scenario is nested too deeply"}
+    jsonschema.validate(env, REPORT_SCHEMA)
+
+
 @pytest.mark.parametrize("argv, scenario", [
     (["smz"], {"horizon": 1, "eps": ["1/0", "1/2"]}),
     (["extend", "--seed", "1"], {"condition": {**SIMPLE_CONDITION, "u": [{"eps": "1/2", "phi": {
@@ -526,6 +561,7 @@ def test_bad_bits_deep_in_name_keep_their_message(tmp_path):
     assert env["error"] == {"type": "UsageError", "message": BAD_BITS_MESSAGE}
 
 
+@pytest.mark.installed
 def test_jsonschema_stays_unimported_on_accepted_runs(tmp_path):
     name = json.loads(json.dumps(HALVES_NAME))
     name["coords"][1][1]["cells"] = ["10", "1a"]
@@ -548,6 +584,7 @@ def test_jsonschema_stays_unimported_on_accepted_runs(tmp_path):
     assert out["error"] == {"type": "UsageError", "message": BAD_BITS_MESSAGE}
 
 
+@pytest.mark.installed
 @pytest.mark.parametrize("disowned", SCHEMA_FILES)
 def test_compiled_check_disagreeing_with_jsonschema_exits_three(tmp_path, monkeypatch, disowned):
     real = cli._compiled
@@ -563,6 +600,7 @@ def test_compiled_check_disagreeing_with_jsonschema_exits_three(tmp_path, monkey
     assert ran == ([] if disowned == "scenario.schema.json" else [1])
 
 
+@pytest.mark.installed
 @pytest.mark.parametrize("keyword", [{"enum": [1]}, {"format": "date"}, {"$ref": "#/$defs/x"}],
                          ids=["enum", "format", "$ref"])
 def test_compile_refuses_unknown_keywords(keyword):
@@ -570,6 +608,7 @@ def test_compile_refuses_unknown_keywords(keyword):
         compile_schema({"type": "object", "properties": {"a": keyword}})
 
 
+@pytest.mark.installed
 @pytest.mark.parametrize("schema", [
     {"minimum": 2}, {"pattern": "^a"}, {"required": ["a"]}, {"minItems": 1}, {"maxItems": 1},
     {"properties": {"a": {"type": "string"}}}, {"additionalProperties": False},
@@ -610,6 +649,7 @@ EDGE_SCENARIOS = [
 ]
 
 
+@pytest.mark.installed
 def test_compiled_check_matches_jsonschema_on_edge_values():
     verdicts = [COMPILED_SCENARIO(x) for x in EDGE_SCENARIOS]
     assert verdicts == [REFERENCE_SCENARIO(x) for x in EDGE_SCENARIOS]
@@ -664,6 +704,7 @@ def mutants(x):
         yield from (replaced(x, path, v) for v in variants(node))
 
 
+@pytest.mark.installed
 @pytest.mark.parametrize("scenario", BROKEN_SCENARIOS.values(), ids=BROKEN_SCENARIOS)
 def test_compiled_check_matches_jsonschema_on_broken_mutants(scenario):
     for x in [scenario, *mutants(scenario)]:
@@ -712,6 +753,7 @@ envelopes = st.fixed_dictionaries({"command": st.sampled_from(["extend", ""]), "
 })
 
 
+@pytest.mark.installed
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(st.one_of(scenarios, envelopes), st.data())
 def test_compiled_check_matches_jsonschema(instance, data):
@@ -737,6 +779,7 @@ def test_envelope_text_is_byte_stable(tmp_path):
     assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
 
 
+@pytest.mark.installed
 def test_readme_examples_run(monkeypatch, capsys):
     examples = [
         (shlex.split(m.group(2)), m.group(1))
@@ -765,6 +808,7 @@ def stated_value(comment):
     raise AssertionError(f"README comment states no value: {comment!r}")
 
 
+@pytest.mark.installed
 def test_readme_examples_python():
     namespace = {}
     checked = []
@@ -799,6 +843,7 @@ def test_public_names_resolve():
         forcing_lab.no_such_name
 
 
+@pytest.mark.installed
 def test_package_import_loads_no_layer():
     # the forcing_lab this test imported, installed or from src/
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}

@@ -90,7 +90,7 @@ def test_slalom_wire_form():
 
 
 def test_weight_round_trip():
-    phi = WeightFunction.from_table(
+    phi = WeightFunction(
         (1, 1), {("0", "0"): Rational(1, 4), ("0", "1"): Rational(1, 8),
                  ("1", "0"): Rational(1, 4), ("1", "1"): Rational(1, 4)})
     wire = weight_to_json(phi)

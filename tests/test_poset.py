@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -46,12 +47,46 @@ def simple_condition(eps=Fraction(1, 2)):
 # ---------------------------------------------------------------- weights
 
 def test_weight_table_validation():
-    with pytest.raises(ValueError):  # off-resolution key
+    with pytest.raises(ValueError, match=r"table key \('', ''\) off resolution"):
         WeightFunction((1, 0), {("", ""): Fraction(1)})
-    with pytest.raises(ValueError):  # exceeds the dyadic cap
+    with pytest.raises(ValueError, match=r"table value 1/2 outside \(0, 1/4\]"):
         WeightFunction((1, 1), {("0", "0"): Fraction(1, 2)})
-    with pytest.raises(ValueError):  # no mass at all
-        WeightFunction.from_table((0, 0), {("", ""): 0})
+    with pytest.raises(ValueError, match="needs positive total mass"):  # no mass at all
+        WeightFunction((0, 0), {("", ""): 0})
+    with pytest.raises(ValueError, match="needs positive total mass"):
+        WeightFunction((0, 0), {})
+
+
+def from_table_reference(resolution, table):
+    # the cleaning a separate from_table step did before the checking constructor
+    clean = {k: f for k, v in table.items() if (f := Fraction(v))}
+    return tuple(resolution), clean
+
+
+@pytest.mark.parametrize("resolution, table", [
+    ((0, 0), {("", ""): 1}),
+    ([1, 0], {("0", ""): "1/2", ("1", ""): 0}),
+    ((1, 1), {("0", "0"): Fraction(1, 4), ("0", "1"): "0/3", ("1", "1"): "1/8"}),
+    ((2, 0), {("00", ""): 0, ("01", ""): "1/4", ("10", ""): Fraction(1, 8), ("11", ""): 0}),
+], ids=["int", "string-and-zero", "mixed", "zeros-around"])
+def test_weight_constructor_cleans_like_from_table(resolution, table):
+    phi = WeightFunction(resolution, table)
+    assert (phi.resolution, phi.table) == from_table_reference(resolution, table)
+    assert all(type(v) is Fraction for v in phi.table.values())
+    assert phi == WeightFunction(phi.resolution, phi.table)
+
+
+@pytest.mark.parametrize("table", [{}, {("0", ""): Fraction(1, 2)}], ids=["empty", "off-key"])
+def test_weight_refuses_before_building_the_cap(table):
+    # a resolution no key proves must not cost a 2^(m1+m2) denominator
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            WeightFunction((10 ** 7, 0), table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_eval_phi_full():
@@ -212,10 +247,19 @@ def test_extend_refuses_depth_past_the_limit(monkeypatch):
     with pytest.raises(ValueError, match="max_new_levels"):  # depth 4, then 8
         generic_run([ScheduledCover(g, Fraction(1, 4), 0)], steps=4, seed=2026,
                     max_new_levels=4)
-    with pytest.raises(ValueError, match="max_new_levels"):  # unweighted growth too
+    with pytest.raises(ValueError, match="steps 7"):  # unweighted growth too
         generic_run([], steps=7, seed=1)
     p, _ = generic_run([], steps=6, seed=1)
     assert p.m == 6
+
+
+def test_generic_run_refuses_steps_past_the_limit_before_extending(monkeypatch):
+    monkeypatch.setattr(poset, "_MAX_DEPTH", 3)
+    extended = []
+    monkeypatch.setattr(poset, "extend_detailed", lambda *a, **k: extended.append(a))
+    with pytest.raises(ValueError, match="steps 4"):
+        generic_run([], steps=4, seed=1)
+    assert extended == []
 
 
 def test_extend_rejects_invalid_input():
