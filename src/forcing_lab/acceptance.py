@@ -301,7 +301,7 @@ def criterion_tail_oracle() -> tuple[bool, str]:
             for delta in deltas:
                 if delta <= 0:
                     continue
-                search = _stem_searches([phi], 0, m2, delta)("", "")
+                search, _ = _stem_searches([phi], 0, m2, delta)("", "")
                 space = 2 ** (2 ** m2)
                 violating = sum(search(e) >= 0 for e in range(space))
                 bound = min(Fraction(1), Fraction(1, 2 ** m2) / (delta * delta))
@@ -560,14 +560,14 @@ class CriterionResult:
         return f"{status} {self.name} ({self.elapsed:.2f}s{budget}): {self.detail}"
 
 
+def run_criterion(name: str, fn, budget: float | None) -> CriterionResult:
+    start = time.perf_counter()
+    try:
+        passed, detail = fn()
+    except Exception as exc:  # a crashed criterion is a failed criterion
+        passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+    return CriterionResult(name, passed, detail, time.perf_counter() - start, budget)
+
+
 def run_all() -> list[CriterionResult]:
-    results = []
-    for name, fn, budget in CRITERIA:
-        start = time.perf_counter()
-        try:
-            passed, detail = fn()
-        except Exception as exc:  # a crashed criterion is a failed criterion
-            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        elapsed = time.perf_counter() - start
-        results.append(CriterionResult(name, passed, detail, elapsed, budget))
-    return results
+    return [run_criterion(*criterion) for criterion in CRITERIA]

@@ -152,16 +152,23 @@ def score(h: Mapping[str, str], phi: WeightFunction) -> Fraction:
     weight's x-resolution, so the cost stays proportional to the stem size
     with only a handful of exact multiplications."""
     m = max(map(len, h))
-    return _score_tops([(s, v) for s, v in h.items() if len(s) == m], m, phi)
+    return _score_groups(_top_groups(h, m, phi.resolution[0]), m, phi)
 
 
-def _score_tops(tops: list[tuple[str, str]], m: int, phi: WeightFunction) -> Fraction:
-    """score over the (top, value) pairs of a stem of depth m."""
+def _top_groups(h: Mapping[str, str], m: int, cut: int) -> Counter:
+    """The tops of a stem of depth m counted per (top[:cut], value)."""
+    return Counter((s[:cut], v) for s, v in h.items() if len(s) == m)
+
+
+def _score_groups(groups: Counter, m: int, phi: WeightFunction) -> Fraction:
+    """score from _top_groups cut at the weight's x-resolution or deeper."""
     m1, _ = phi.resolution
-    groups = Counter((s[:m1], v) for s, v in tops)
+    rows: Counter = Counter()
+    for (row, value), count in groups.items():
+        rows[row[:m1], value] += count
     scale = Fraction(1, 2 ** max(0, m - m1))
     acc = Fraction(0)
-    for (row, value), count in groups.items():
+    for (row, value), count in rows.items():
         acc += count * 2 ** len(value) * eval_phi(phi, row, value) * scale
     return acc
 
@@ -236,8 +243,9 @@ def validate(p: Condition) -> ValidationReport:
                     "monotone",
                     f"h({s!r}) = {h[s]!r} does not extend h({s[:-1]!r}) = {h[s[:-1]]!r}")
                 for s in h if not h[s].startswith(h[s[:-1]]))
-        tops = [(s, v) for s, v in h.items() if len(s) == m]
-        scores = tuple(_score_tops(tops, m, tw.phi) for tw in p.u)
+        if p.u:  # one pass over the tops, cut to the finest x-resolution, serves every weight
+            groups = _top_groups(h, m, max(tw.phi.resolution[0] for tw in p.u))
+            scores = tuple(_score_groups(groups, m, tw.phi) for tw in p.u)
     for i, tw in enumerate(p.u):
         if not 0 < tw.eps < 1:
             bad.append(ClauseViolation(
@@ -251,12 +259,14 @@ def validate(p: Condition) -> ValidationReport:
 @dataclass
 class ExtendStats:
     """Bookkeeping from one extension: the depth formula's answer before any
-    cap, the depth used, and per-stem sampling effort."""
+    cap, the depth used, per-stem sampling effort, and the result's exact
+    score against each weight (empty when there are none)."""
 
     pinned_m_prime: int
     m_prime: int
     retries: dict = field(default_factory=dict)
     exhaustive_stems: list = field(default_factory=list)
+    scores: tuple = ()
 
 
 def _sub_seed(seed: int, tag: str) -> int:
@@ -264,8 +274,10 @@ def _sub_seed(seed: int, tag: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-# A stem of depth m holds 2^(m+1) keys; a depth-18 run peaks near 0.2 GB and
-# each level doubles that, so deeper stems are refused before materializing.
+# A stem of depth m holds 2^(m+1) keys.  A depth-20 `extend` of the trivial
+# condition with one full weight took 7.7 s and peaked at 560 MB RSS through
+# the CLI (2-vCPU host, Python 3.11.7), writing 58 MB of JSON; each level
+# doubles that, so deeper stems are refused before materializing.
 _MAX_DEPTH = 20
 # Sampled candidates per stem before the exhaustive fallback, and the largest
 # candidate space that fallback enumerates.
@@ -311,7 +323,10 @@ def _stem_searches(phi_list, m: int, m2: int, delta: Fraction):
 
         base + sum over r of popcount(block_r(e))·gain_r  <=  target,
 
-    the verdict of the Fraction sum, reached in int arithmetic.
+    the verdict of the Fraction sum, reached in int arithmetic.  The sum
+    on the left is D times the new tops' sum of phi(t, h(s) + bit(t)), so
+    sums(e) also hands the extension each weight's (D, sum) to score the
+    grown stem with.
     """
     count = 2 ** (m2 - m)
     built: dict = {}
@@ -329,7 +344,7 @@ def _stem_searches(phi_list, m: int, m2: int, delta: Fraction):
         block = count >> k
         d = math.lcm(target.denominator, *(v.denominator for pair in pairs for v in pair))
         return (int(target * d), block, int(block * sum(v0 for v0, _ in pairs) * d),
-                [int((v1 - v0) * d) for v0, v1 in pairs])
+                [int((v1 - v0) * d) for v0, v1 in pairs], d)
 
     def search(s: str, value: str):
         checks = []
@@ -340,18 +355,36 @@ def _stem_searches(phi_list, m: int, m2: int, delta: Fraction):
             checks.append(built[key])
 
         def first_failing(e: int) -> int:
-            for idx, (target, block, base, gains) in enumerate(checks):
-                mask = (1 << block) - 1
-                acc = base
-                for r, gain in enumerate(gains):
-                    acc += ((e >> (r * block)) & mask).bit_count() * gain
-                if acc <= target:
+            for idx, check in enumerate(checks):
+                if _check_sum(check, e) <= check[0]:
                     return idx
             return -1
 
-        return first_failing
+        def sums(e: int) -> list[tuple[int, int]]:
+            return [(check[4], _check_sum(check, e)) for check in checks]
+
+        return first_failing, sums
 
     return search
+
+
+def _check_sum(check: tuple, e: int) -> int:
+    """base + sum over r of popcount(block_r(e))·gain_r for one check."""
+    _, block, acc, gains, _ = check
+    mask = (1 << block) - 1
+    for r, gain in enumerate(gains):
+        acc += ((e >> (r * block)) & mask).bit_count() * gain
+    return acc
+
+
+def _suffixes(k: int) -> list[str]:
+    """Every binary string of length 1..k in preorder, which is sorted
+    order: each string comes right before its extensions, so the strings
+    of length k come in increasing binary value."""
+    out: list[str] = []
+    for _ in range(k):
+        out = ["0", *["0" + u for u in out], "1", *["1" + u for u in out]]
+    return out
 
 
 def extend_detailed(
@@ -367,6 +400,11 @@ def extend_detailed(
     exactly.  max_new_levels (at least 1) caps the depth growth for
     multi-step runs, where the pinned depth formula compounds past any
     materializable size; a depth past _MAX_DEPTH is refused either way.
+
+    The result's scores are read off the accepted candidates' integer sums,
+    score = sum over tops s of 2^(|h(s)|+1)·sum_s/D_s, and each must exceed
+    its tag; the grown stem is complete and monotone by construction, and
+    its keys are in sorted order.
     """
     if max_new_levels is not None and max_new_levels < 1:
         raise ValueError(f"max_new_levels must be at least 1, got {max_new_levels}")
@@ -375,7 +413,8 @@ def extend_detailed(
     if not rep.ok:
         raise ValueError(f"cannot extend invalid condition: {rep.first.detail}")
     m = p.m
-    tops = p.tops()
+    items = sorted(p.h.items())
+    tops = [s for s, _ in items if len(s) == m]
     m2 = m + 1
     stats = ExtendStats(m2, m2)
     chosen = dict.fromkeys(tops, 0)
@@ -396,8 +435,9 @@ def extend_detailed(
         count = 2 ** (m2 - m)
         # the exhaustive fallback tries every pattern, tagged as attempt _RETRY_CAP
         space = 2 ** count if count < 64 and 2 ** count <= _EXHAUSTIVE_CAP else 0
+        totals: list[dict] = [{} for _ in p.u]  # per weight: D -> sum of 2^(|h(s)|+1)·sum_s
         for s in tops:
-            first_failing = stem_search(s, p.h[s])
+            first_failing, sums = stem_search(s, p.h[s])
             rng = random.Random(_sub_seed(seed, s))
             draws = (rng.getrandbits(count) for _ in range(_RETRY_CAP))
             last_fail = 0
@@ -411,19 +451,30 @@ def extend_detailed(
             if attempt == _RETRY_CAP:
                 stats.exhaustive_stems.append(s)
             chosen[s] = e
+            shift = len(p.h[s]) + 1
+            for total, (d, acc) in zip(totals, sums(e)):
+                total[d] = total.get(d, 0) + (acc << shift)
+        stats.scores = tuple(
+            sum((Fraction(acc, d) for d, acc in total.items()), Fraction(0)) for total in totals)
+        for i, (sc, tw) in enumerate(zip(stats.scores, p.u)):
+            if sc <= tw.eps:  # unreachable when every stem passed its exact check
+                raise RuntimeError(
+                    f"extension produced invalid condition: weight #{i} scores {sc}, "
+                    f"needs > {tw.eps}")
 
-    h2 = dict(p.h)
-    for s, e in chosen.items():
-        base = p.h[s]
-        for depth in range(m + 1, m2):
-            h2.update(dict.fromkeys(_extensions(s, depth), base))
-        for i, t in enumerate(_extensions(s, m2)):
-            h2[t] = base + ("1" if (e >> i) & 1 else "0")
-    q = Condition(m2, h2, p.u)
-    after = validate(q)
-    if not after.ok:  # unreachable when every stem passed its exact check
-        raise RuntimeError(f"extension produced invalid condition: {after.first}")
-    return q, stats
+    # one key list in sorted order: each top s is followed by its new keys
+    # s + u, u in preorder; inner ones keep h(s), leaf i appends bit i of e
+    suffixes = _suffixes(m2 - m)
+    leaf = [len(u) == m2 - m for u in suffixes]
+    h2: dict[str, str] = {}
+    for s, v in items:
+        h2[s] = v
+        if len(s) == m:
+            bits = iter(format(chosen[s], f"0{2 ** (m2 - m)}b")[::-1])
+            v0, v1 = v + "0", v + "1"
+            h2.update(zip([s + u for u in suffixes],
+                          [(v1 if next(bits) == "1" else v0) if is_leaf else v for is_leaf in leaf]))
+    return Condition(m2, h2, p.u), stats
 
 
 def attach_weight(p: Condition, eps: Fraction, phi: WeightFunction) -> Condition:
@@ -462,7 +513,12 @@ class Certificate:
 
 
 def certificate(p: Condition, f: ClopenPlaneSet) -> Certificate:
-    inside = Fraction(sum(f.contains_rect(s, p.h[s]) for s in p.tops()), 2 ** p.m)
+    # a set at x-resolution r1 holds [s] x [v] exactly when it holds
+    # [s[:r1]] x [v], so the tops are counted per (s[:r1], v) class
+    r1 = f.resolution[0]
+    classes = Counter((s[:r1], v) for s, v in p.h.items() if len(s) == p.m)
+    inside = Fraction(sum(n for (row, v), n in classes.items() if f.contains_rect(row, v)),
+                      2 ** p.m)
     score_f = score(p.h, phi_from_clopen(f)) if f.rects else Fraction(0)
     return Certificate(inside, score_f)
 

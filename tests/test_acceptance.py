@@ -1,26 +1,19 @@
 """Acceptance gate: every bundled criterion must pass inside its budget.
 
-The suite runs once per session and each criterion becomes its own test,
-printing the same one-line report the CLI selftest emits.
+Each criterion runs as its own test, so pytest's durations name it, and
+prints the same one-line report the CLI selftest emits.
 """
 
 import pytest
 
 from forcing_lab import acceptance
 
-_RESULTS: dict | None = None
+CRITERIA = {name: (fn, budget) for name, fn, budget in acceptance.CRITERIA}
 
 
-def results() -> dict:
-    global _RESULTS
-    if _RESULTS is None:
-        _RESULTS = {r.name: r for r in acceptance.run_all()}
-    return _RESULTS
-
-
-@pytest.mark.parametrize("name", [name for name, _, _ in acceptance.CRITERIA])
+@pytest.mark.parametrize("name", list(CRITERIA))
 def test_criterion(name):
-    r = results()[name]
+    r = acceptance.run_criterion(name, *CRITERIA[name])
     print(r.line())
     assert r.passed, r.detail
     assert r.in_budget, f"took {r.elapsed:.2f}s, budget {r.budget}s"

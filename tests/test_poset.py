@@ -33,7 +33,7 @@ from forcing_lab import (
     validate,
 )
 from forcing_lab import poset
-from forcing_lab.cantor import check_bits
+from forcing_lab.cantor import _extensions, check_bits
 from forcing_lab.jsonio import condition_to_json
 from forcing_lab.poset import ClauseViolation, _stem_searches
 
@@ -333,6 +333,23 @@ def test_certificate_matches_overlap_oracle():
     assert certificate(trivial_condition(), empty) == Certificate(0, 0)
 
 
+def test_certificate_counts_like_per_top_calls():
+    # reference: one contains_rect call per top, on stems shallower and
+    # deeper than the set's x-resolution
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(80):
+        p = random_stem(rng, rng.randint(0, 6))
+        r1 = rng.randint(0, 5)
+        r2 = rng.randint(0, 6 - r1)
+        cells = sorted(ClopenPlaneSet.from_rects([("", "")], (r1, r2)).rects)
+        f = ClopenPlaneSet.from_rects(rng.sample(cells, rng.randint(0, len(cells))), (r1, r2))
+        inside = Fraction(sum(f.contains_rect(s, p.h[s]) for s in p.tops()), 2 ** p.m)
+        assert certificate(p, f).inside == inside
+        seen.add(p.m < r1)
+    assert seen == {True, False}
+
+
 def reference_validate(p):
     # reference: validate with one score() call per weight over the whole stem
     bad = []
@@ -525,7 +542,7 @@ def compare_searches(phis, h, m, grow, deltas, seen):
         search = _stem_searches(phis, m, m + grow, delta)
         for s in tops:
             ref = FractionStemSearch(phis, s, h[s], m, m + grow, delta)
-            got = search(s, h[s])
+            got, _ = search(s, h[s])
             space = range(2 ** ref.count)
             verdicts = [ref.first_failing(e) for e in space]
             assert [got(e) for e in space] == verdicts, (m, grow, s, delta)
@@ -583,6 +600,101 @@ def test_deep_stem_extension_is_pinned(seed, depth, weights, levels, digest):
         [stats.pinned_m_prime, stats.m_prime, sorted(stats.retries.items()),
          stats.exhaustive_stems])
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def record_accepted(monkeypatch):
+    """Spy on the stem searches: the candidate each stem accepted."""
+    accepted = {}
+    real = poset._stem_searches
+
+    def spy(phi_list, m, m2, delta):
+        search = real(phi_list, m, m2, delta)
+
+        def stem(s, value):
+            first_failing, sums = search(s, value)
+
+            def verdict(e):
+                idx = first_failing(e)
+                if idx < 0:
+                    accepted[s] = e
+                return idx
+
+            return verdict, sums
+
+        return stem
+
+    monkeypatch.setattr(poset, "_stem_searches", spy)
+    return accepted
+
+
+def reference_growth(p, m2, accepted):
+    """The growth loop of the earlier extend_detailed: one format per key,
+    every key of a level at once, then the full validate of the result."""
+    h2 = dict(p.h)
+    for s in p.tops():
+        e, base = accepted.get(s, 0), p.h[s]
+        for depth in range(p.m + 1, m2):
+            h2.update(dict.fromkeys(_extensions(s, depth), base))
+        for i, t in enumerate(_extensions(s, m2)):
+            h2[t] = base + ("1" if (e >> i) & 1 else "0")
+    rep = validate(Condition(m2, h2, p.u))
+    assert rep.ok, rep.first
+    return h2, rep.scores
+
+
+def seeded_weights(rng, h):
+    """One to three full, scaled-uniform or cover-complement weights, each
+    tagged below its positive score."""
+    u, n = [], rng.randint(1, 3)
+    while len(u) < n:
+        phi = random_weight(rng)
+        sc = score(h, phi)
+        if sc:
+            u.append(TaggedWeight(sc * rng.randint(1, 4) / 8, phi))
+    return tuple(u)
+
+
+def test_extension_matches_reference_growth(monkeypatch):
+    accepted = record_accepted(monkeypatch)
+    rng = random.Random(83)
+    branches = set()
+    for fresh in [True] * 12 + [False] * 8:
+        m = rng.randint(0, 3) if fresh else rng.randint(6, 8)
+        h = sparse_stem(rng, m)
+        p = Condition(m, h, seeded_weights(rng, h) if rng.random() < 0.9 else ())
+        accepted.clear()  # fresh depths are capped at 12, deep ones grow 1-2 levels
+        levels = 12 - m if fresh else rng.randint(1, 2)
+        q, stats = extend_detailed(p, rng.getrandbits(32), max_new_levels=levels)
+        h2, scores = reference_growth(p, stats.m_prime, accepted)
+        assert q.h == h2
+        assert list(q.h) == sorted(q.h)
+        assert stats.scores == scores == validate(q).scores
+        branches.update(m < tw.phi.resolution[0] for tw in p.u)
+    assert branches == {True, False}
+
+
+def test_extension_post_check_refuses_a_failing_candidate(monkeypatch):
+    # the weight of [0] on the value axis: new tops valued h(s) + "1" score 0
+    g = ClopenPlaneSet.from_rects([("", "1")])
+    p = avoid_null(trivial_condition(), g, Fraction(9, 16))  # score 1/2, tag 7/16
+    q, stats = extend_detailed(p, seed=3, max_new_levels=2)
+    assert stats.scores == validate(q).scores and stats.scores[0] > Fraction(7, 16)
+    real = poset._stem_searches
+
+    def all_ones_accepted(phi_list, m, m2, delta):
+        search = real(phi_list, m, m2, delta)
+        ones = 2 ** 2 ** (m2 - m) - 1
+
+        def stem(s, value):
+            first_failing, sums = search(s, value)
+            assert first_failing(ones) == 0  # the real verdict refuses it
+            return (lambda e: -1 if e == ones else 0), sums
+
+        return stem
+
+    monkeypatch.setattr(poset, "_stem_searches", all_ones_accepted)
+    with pytest.raises(RuntimeError, match="weight #0 scores 0, needs > 7/16"):
+        extend_detailed(p, seed=3, max_new_levels=2)
 
 
 def test_generic_run_trace_and_invariants():
