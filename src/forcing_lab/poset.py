@@ -24,6 +24,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, repeat
 from typing import Mapping, Sequence
 
@@ -96,19 +97,51 @@ class WeightFunction:
     def total(self) -> Fraction:
         return sum(self.table.values(), Fraction(0))
 
+    @cached_property
+    def _integer_form(self) -> tuple[int, list[int], dict]:
+        """(D, numerators, memo): the common denominator D of the table, each
+        value times D in table order, and a memo of D times the table mass
+        per truncated pair (s[:m1], t[:m2]), filled by _mass.  Built on
+        first use and kept on the instance outside the dataclass fields, so
+        equality, repr and the JSON form do not see it."""
+        d = math.lcm(*(v.denominator for v in self.table.values()))
+        return d, [v.numerator * (d // v.denominator) for v in self.table.values()], {}
+
+
+def _scan(phi: WeightFunction, numerators: list[int], s1: str, t1: str) -> int:
+    """D times the table mass inside [s1] x [t1], for |s1| <= m1 and |t1| <= m2."""
+    return sum(n for (a, b), n in zip(phi.table, numerators)
+               if a.startswith(s1) and b.startswith(t1))
+
+
+def _mass(phi: WeightFunction, s: str, t: str) -> tuple[int, int]:
+    """(D, n) with n/D the table mass compatible with (s, t), that is the
+    weight at (s[:m1], t[:m2]).  The table is scanned once per distinct
+    truncated pair; the strings are not checked."""
+    d, numerators, memo = phi._integer_form
+    m1, m2 = phi.resolution
+    key = (s[:m1], t[:m2])
+    n = memo.get(key)
+    if n is None:
+        n = memo[key] = _scan(phi, numerators, *key)
+    return d, n
+
+
+def _depth_shift(phi: WeightFunction, s: str, t: str) -> int:
+    """How many uniform halvings (s, t) lies below the weight's resolution."""
+    m1, m2 = phi.resolution
+    return max(0, len(s) - m1) + max(0, len(t) - m2)
+
 
 def eval_phi(phi: WeightFunction, s: str, t: str) -> Fraction:
-    """Evaluate the weight at any pair: table entries compatible with (s, t)
-    are summed, and coordinates deeper than the resolution halve uniformly."""
+    """Evaluate the weight at any pair: the table mass compatible with
+    (s, t), halved once per coordinate bit past the resolution.  The mass is
+    read from the weight's integer memo (see _mass), so repeated truncated
+    pairs cost one dict lookup; both strings are checked first."""
     check_bits(s)
     check_bits(t)
-    m1, m2 = phi.resolution
-    acc = Fraction(0)
-    for (a, b), v in phi.table.items():
-        if (a.startswith(s) or s.startswith(a)) and (b.startswith(t) or t.startswith(b)):
-            acc += v
-    shift = max(0, len(s) - m1) + max(0, len(t) - m2)
-    return acc / 2 ** shift if shift else acc
+    d, n = _mass(phi, s, t)
+    return Fraction(n, d << _depth_shift(phi, s, t))
 
 
 def phi_from_clopen(f: ClopenPlaneSet) -> WeightFunction:
@@ -161,16 +194,19 @@ def _top_groups(h: Mapping[str, str], m: int, cut: int) -> Counter:
 
 
 def _score_groups(groups: Counter, m: int, phi: WeightFunction) -> Fraction:
-    """score from _top_groups cut at the weight's x-resolution or deeper."""
-    m1, _ = phi.resolution
+    """score from _top_groups cut at the weight's x-resolution or deeper.
+    A row is at most m1 long, so a term count·2^|value|·phi(row, value) is
+    count·n·2^min(|value|, m2) over D, and the sum is scaled by 2^-(m - m1)
+    when the tops lie below the x-resolution."""
+    m1, m2 = phi.resolution
     rows: Counter = Counter()
     for (row, value), count in groups.items():
         rows[row[:m1], value] += count
-    scale = Fraction(1, 2 ** max(0, m - m1))
-    acc = Fraction(0)
+    d = phi._integer_form[0]
+    acc = 0
     for (row, value), count in rows.items():
-        acc += count * 2 ** len(value) * eval_phi(phi, row, value) * scale
-    return acc
+        acc += count * _mass(phi, row, value)[1] << min(len(value), m2)
+    return Fraction(acc, d << max(0, m - m1))
 
 
 @dataclass(frozen=True)
@@ -259,14 +295,18 @@ def validate(p: Condition) -> ValidationReport:
 @dataclass
 class ExtendStats:
     """Bookkeeping from one extension: the depth formula's answer before any
-    cap, the depth used, per-stem sampling effort, and the result's exact
-    score against each weight (empty when there are none)."""
+    cap, the depth used, per-stem sampling effort, the result's exact score
+    against each weight (empty when there are none), and the accepted bit
+    pattern per old top (bit i is the value bit appended at its i-th new
+    top, all zero when there are no weights), from which the grown stem's
+    census is counted without walking it (see _grown_census)."""
 
     pinned_m_prime: int
     m_prime: int
     retries: dict = field(default_factory=dict)
     exhaustive_stems: list = field(default_factory=list)
     scores: tuple = ()
+    chosen: dict = field(default_factory=dict)
 
 
 def _sub_seed(seed: int, tag: str) -> int:
@@ -332,19 +372,23 @@ def _stem_searches(phi_list, m: int, m2: int, delta: Fraction):
     built: dict = {}
 
     def build(phi: WeightFunction, s: str, value: str) -> tuple:
-        target = eval_phi(phi, s, value) / 2 - delta
+        # each weight read here is an integer from phi's memo over D << shift
+        d_phi, n = _mass(phi, s, value)
+        target = Fraction(n, d_phi << (_depth_shift(phi, s, value) + 1)) - delta
         m1 = phi.resolution[0]
         k = min(max(m1 - m, 0), m2 - m)
-        scale = Fraction(1, 2 ** max(0, m2 - m1))
-        pairs = []
-        for r in range(2 ** k):
-            row = s + format(r, f"0{k}b") if k else s[:m1]
-            pairs.append((eval_phi(phi, row, value + "0") * scale,
-                          eval_phi(phi, row, value + "1") * scale))
+        rows = [s + format(r, f"0{k}b") for r in range(2 ** k)] if k else [s[:m1]]
+        zeros = [_mass(phi, row, value + "0")[1] for row in rows]
+        ones = [_mass(phi, row, value + "1")[1] for row in rows]
+        # for the weight's resolution (m1, r2), a new top valued value + bit lies
+        # max(0, m2 - m1) halvings below its row's weight on the x-axis and
+        # max(0, |value| + 1 - r2) on the y-axis
+        row_d = d_phi << (max(0, m2 - m1) + max(0, len(value) + 1 - phi.resolution[1]))
+        d = math.lcm(target.denominator, row_d)
+        scale = d // row_d
         block = count >> k
-        d = math.lcm(target.denominator, *(v.denominator for pair in pairs for v in pair))
-        return (int(target * d), block, int(block * sum(v0 for v0, _ in pairs) * d),
-                [int((v1 - v0) * d) for v0, v1 in pairs], d)
+        return (target.numerator * (d // target.denominator), block, block * sum(zeros) * scale,
+                [(n1 - n0) * scale for n0, n1 in zip(zeros, ones)], d)
 
     def search(s: str, value: str):
         checks = []
@@ -416,8 +460,8 @@ def extend_detailed(
     items = sorted(p.h.items())
     tops = [s for s, _ in items if len(s) == m]
     m2 = m + 1
-    stats = ExtendStats(m2, m2)
-    chosen = dict.fromkeys(tops, 0)
+    stats = ExtendStats(m2, m2, chosen=dict.fromkeys(tops, 0))
+    chosen = stats.chosen
     if p.u:
         n = len(p.u)
         slack = min(sc - tw.eps for sc, tw in zip(rep.scores, p.u))
@@ -513,14 +557,46 @@ class Certificate:
 
 
 def certificate(p: Condition, f: ClopenPlaneSet) -> Certificate:
-    # a set at x-resolution r1 holds [s] x [v] exactly when it holds
-    # [s[:r1]] x [v], so the tops are counted per (s[:r1], v) class
+    """The certificate of p against f, from one census of the tops cut at
+    f's x-resolution; score_f is scored against a weight built here."""
+    census = _top_groups(p.h, p.m, f.resolution[0])
+    return _certify(census, p.m, f, phi_from_clopen(f) if f.rects else None)
+
+
+def _certify(census: Counter, m: int, f: ClopenPlaneSet, phi: WeightFunction | None) -> Certificate:
+    """The certificate from a census of the tops of a depth-m stem, cut at
+    f's x-resolution r1 or deeper, and f's weight (None when f is empty).
+    A set at x-resolution r1 holds [s] x [v] exactly when it holds
+    [s[:r1]] x [v], so contains_rect runs once per (s[:r1], v) class."""
     r1 = f.resolution[0]
-    classes = Counter((s[:r1], v) for s, v in p.h.items() if len(s) == p.m)
-    inside = Fraction(sum(n for (row, v), n in classes.items() if f.contains_rect(row, v)),
-                      2 ** p.m)
-    score_f = score(p.h, phi_from_clopen(f)) if f.rects else Fraction(0)
-    return Certificate(inside, score_f)
+    classes: Counter = Counter()
+    for (row, v), n in census.items():
+        classes[row[:r1], v] += n
+    inside = Fraction(sum(n for (row, v), n in classes.items() if f.contains_rect(row, v)), 2 ** m)
+    return Certificate(inside, _score_groups(classes, m, phi) if phi is not None else Fraction(0))
+
+
+def _grown_census(h: Mapping[str, str], chosen: Mapping[str, int], m: int, m2: int,
+                  cut: int) -> Counter:
+    """_top_groups(h2, m2, cut) of the stem grown from depth m to m2 with the
+    accepted patterns chosen (ExtendStats.chosen), counted from the patterns
+    alone.  The first k = min(max(cut - m, 0), m2 - m) suffix bits of a new
+    top pick its row, the blocks of bits _check_sum reads, so a row of top s
+    holds popcount(block) tops valued h(s) + "1" and the rest h(s) + "0"."""
+    k = min(max(cut - m, 0), m2 - m)
+    block = 2 ** (m2 - m - k)
+    mask = (1 << block) - 1
+    census: Counter = Counter()
+    for s, e in chosen.items():
+        v = h[s]
+        for r in range(2 ** k):
+            row = s + format(r, f"0{k}b") if k else s[:cut]
+            ones = ((e >> (r * block)) & mask).bit_count()
+            if ones:
+                census[row, v + "1"] += ones
+            if ones < block:
+                census[row, v + "0"] += block - ones
+    return census
 
 
 @dataclass(frozen=True)
@@ -545,10 +621,16 @@ def generic_run(
 
     Each cover attaches before the extension of its step, which must lie in
     the run.  After every action the trace records, for each cover already
-    attached, the exact certificate of its complement.  Multi-step runs
-    default to bounded depth growth; the pinned depth formula compounds
-    roughly quadratically per step and leaves any second unbounded
-    extension beyond reach.
+    attached, the exact certificate of its complement, equal to
+    certificate(p, complement).  The certificates of a snapshot share one
+    census of the tops, cut at the finest x-resolution among the covers:
+    it is recounted from h only when an attached cover needs a finer cut,
+    and after an extension it is counted from the accepted bit patterns.
+    score_f is scored against the weight avoid_null attached, so each
+    cover's weight is built once per run and its memo serves every
+    snapshot.  Multi-step runs default to bounded depth growth; the pinned
+    depth formula compounds roughly quadratically per step and leaves any
+    second unbounded extension beyond reach.
     """
     if steps > _MAX_DEPTH:  # every step grows the stem by at least one level
         raise ValueError(f"steps {steps} would grow the stem past the depth limit of {_MAX_DEPTH}")
@@ -557,11 +639,13 @@ def generic_run(
             raise ValueError(f"cover scheduled at step {c.at_step}, run has {steps}")
 
     p = trivial_condition()
-    attached: list[tuple[int, ClopenPlaneSet]] = []
+    attached: list[tuple[int, ClopenPlaneSet, WeightFunction]] = []
     trace: list[TraceEntry] = []
+    cut = 0  # the finest x-resolution among the attached covers
+    census: Counter = Counter()  # _top_groups(p.h, p.m, cut) once a cover is attached
 
     def snapshot(step: int, action: str) -> None:
-        certs = tuple((i, certificate(p, f)) for i, f in attached)
+        certs = tuple((i, _certify(census, p.m, f, phi)) for i, f, phi in attached)
         trace.append(TraceEntry(step, action, p.m, certs))
 
     for step in range(steps):
@@ -569,10 +653,17 @@ def generic_run(
             for i, c in enumerate(schedule):
                 if c.at_step == step:
                     p = avoid_null(p, c.cover, c.eps)
-                    attached.append((i, c.cover.complement()))
+                    f = c.cover.complement()
+                    if not attached or f.resolution[0] > cut:
+                        cut = max(cut, f.resolution[0])
+                        census = _top_groups(p.h, p.m, cut)
+                    attached.append((i, f, p.u[-1].phi))
                     snapshot(step, "attach")
-            p, _ = extend_detailed(
+            grown, stats = extend_detailed(
                 p, _sub_seed(seed, f"step{step}"), max_new_levels=max_new_levels)
+            if attached:
+                census = _grown_census(p.h, stats.chosen, p.m, grown.m, cut)
+            p = grown
             snapshot(step, "extend")
         except ForcingLabError as exc:
             exc.step = step  # type: ignore[attr-defined]

@@ -34,7 +34,7 @@ from forcing_lab import (
 )
 from forcing_lab import poset
 from forcing_lab.cantor import _extensions, check_bits
-from forcing_lab.jsonio import condition_to_json
+from forcing_lab.jsonio import condition_to_json, weight_to_json
 from forcing_lab.poset import ClauseViolation, _stem_searches
 
 FULL_W = WeightFunction.full()
@@ -109,6 +109,80 @@ def test_phi_from_clopen_matches_overlap():
         assert eval_phi(phi, s, t) == f.rect_overlap_measure(s, t)
     with pytest.raises(NullSet):
         phi_from_clopen(ClopenPlaneSet.from_rects([], (1, 1)))
+
+
+def scanning_eval_phi(phi, s, t):
+    """Reference: the weight at (s, t) from a Fraction scan of the whole
+    table on every call."""
+    check_bits(s)
+    check_bits(t)
+    m1, m2 = phi.resolution
+    acc = Fraction(0)
+    for (a, b), v in phi.table.items():
+        if (a.startswith(s) or s.startswith(a)) and (b.startswith(t) or t.startswith(b)):
+            acc += v
+    shift = max(0, len(s) - m1) + max(0, len(t) - m2)
+    return acc / 2 ** shift if shift else acc
+
+
+def lookup_weights(rng):
+    """Full, scaled-uniform, seeded random tables (zero and non-dyadic
+    values) and cover complements up to (4, 4), each built afresh."""
+    yield WeightFunction.full()
+    for c, resolution in [(Fraction(3, 4), (0, 0)), (Fraction(5, 8), (1, 2)),
+                          (Fraction(1, 3), (2, 1)), (Fraction(7, 8), (3, 3))]:
+        yield WeightFunction.scaled_uniform(c, resolution)
+    for _ in range(6):
+        m1, m2 = rng.randint(0, 3), rng.randint(0, 3)
+        cap = 2 ** (m1 + m2)
+        table = {(a, b): Fraction(rng.randint(0, 6), rng.choice([6, 7, 8]) * cap)
+                 for a in _extensions("", m1) for b in _extensions("", m2)}
+        table[rng.choice(sorted(table))] = Fraction(1, cap)  # some mass
+        yield WeightFunction((m1, m2), table)
+    for m1 in range(5):
+        for m2 in range(5):
+            cells = sorted(ClopenPlaneSet.from_rects([("", "")], (m1, m2)).rects)
+            cover = ClopenPlaneSet.from_rects(
+                rng.sample(cells, rng.randint(0, len(cells) - 1)), (m1, m2))
+            yield phi_from_clopen(cover.complement())
+
+
+def test_eval_phi_lookups_match_the_scanning_reference():
+    rng = random.Random(41)
+    seen = set()
+    for phi in lookup_weights(rng):
+        m1, m2 = phi.resolution
+        for ls in {0, m1 // 2, m1, m1 + 1, m1 + 3}:
+            for lt in {0, m2 // 2, m2, m2 + 1, m2 + 3}:
+                for _ in range(3):
+                    s = format(rng.getrandbits(ls), f"0{ls}b") if ls else ""
+                    t = format(rng.getrandbits(lt), f"0{lt}b") if lt else ""
+                    want = scanning_eval_phi(phi, s, t)
+                    assert eval_phi(phi, s, t) == want, (phi.resolution, s, t)
+                    assert eval_phi(phi, s, t) == want  # again, from the memo
+                    seen.add(((ls > m1) - (ls < m1), (lt > m2) - (lt < m2)))
+    assert seen == {(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1)}
+
+
+@pytest.mark.parametrize("s, t", [("2", ""), ("0a", "0"), ("", "01x"), (None, ""), ("0", 1)])
+def test_eval_phi_checks_its_strings(s, t):
+    phi = WeightFunction.scaled_uniform(Fraction(1, 2), (1, 1))
+    eval_phi(phi, "0", "0")  # the truncated pair ("0", "0") is in the memo now
+    with pytest.raises(ValueError, match="not a binary string"):
+        eval_phi(phi, s, t)
+
+
+def test_weight_memo_leaves_equality_repr_and_json_alone():
+    rng = random.Random(43)
+    for phi in lookup_weights(rng):
+        copy = WeightFunction(phi.resolution, phi.table)
+        before = (repr(phi), json.dumps(weight_to_json(phi)))
+        assert "_integer_form" not in vars(phi)
+        for s in _extensions("", phi.resolution[0]):
+            eval_phi(phi, s, "0")
+        assert vars(phi)["_integer_form"][2]  # the memo holds the pairs read
+        assert (repr(phi), json.dumps(weight_to_json(phi))) == before
+        assert phi == copy and copy == phi
 
 
 def test_score_of_full_weight_is_one():
@@ -695,6 +769,88 @@ def test_extension_post_check_refuses_a_failing_candidate(monkeypatch):
     monkeypatch.setattr(poset, "_stem_searches", all_ones_accepted)
     with pytest.raises(RuntimeError, match="weight #0 scores 0, needs > 7/16"):
         extend_detailed(p, seed=3, max_new_levels=2)
+
+
+def test_grown_census_matches_materialized_groups():
+    # the census counted from the accepted patterns against _top_groups of
+    # the grown stem, at every cut from 0 to past the new depth
+    rng = random.Random(89)
+    seen = set()
+    for _ in range(40):
+        m = rng.randint(0, 5)
+        h = sparse_stem(rng, m)
+        p = Condition(m, h, seeded_weights(rng, h) if rng.random() < 0.85 else ())
+        q, stats = extend_detailed(p, rng.getrandbits(32), max_new_levels=rng.randint(1, 3))
+        assert sorted(stats.chosen) == p.tops()
+        for cut in range(q.m + 2):
+            grown = poset._grown_census(p.h, stats.chosen, p.m, q.m, cut)
+            assert dict(grown) == dict(poset._top_groups(q.h, q.m, cut)), (m, q.m, cut)
+            seen.add((cut > m) + (cut >= q.m))
+        seen.add(("weights", bool(p.u)))
+    assert seen == {0, 1, 2, ("weights", True), ("weights", False)}
+
+
+def record_conditions(monkeypatch):
+    """Spy on generic_run's actions: the condition after each attach and
+    each extension, in trace order."""
+    conditions = []
+    for name in ("avoid_null", "extend_detailed"):
+        def spy(*args, real=getattr(poset, name), **kwargs):
+            out = real(*args, **kwargs)
+            conditions.append(out[0] if isinstance(out, tuple) else out)
+            return out
+        monkeypatch.setattr(poset, name, spy)
+    return conditions
+
+
+def test_generic_run_certificates_equal_public_certificate(monkeypatch):
+    # covers at coarser and finer x-resolutions than the ones attached
+    # before them, so the census is reused and recounted
+    conditions = record_conditions(monkeypatch)
+    rng = random.Random(97)
+    finer = set()
+    for _ in range(10):
+        steps = rng.randint(2, 4)
+        schedule = []
+        for at in [0] + sorted(rng.sample(range(1, steps), rng.randint(0, steps - 1))):
+            r1 = rng.randint(0, 3)
+            cell = (format(rng.getrandbits(r1), f"0{r1}b") if r1 else "",
+                    format(rng.getrandbits(4 - r1), f"0{4 - r1}b"))
+            cover = ClopenPlaneSet.from_rects([cell], (r1, 4 - r1))
+            schedule.append(ScheduledCover(cover, Fraction(rng.choice([2, 3]), 4), at))
+        finer.update(c.cover.resolution[0] > max(d.cover.resolution[0] for d in schedule[:i])
+                     for i, c in enumerate(schedule) if i)
+        conditions.clear()
+        p, trace = generic_run(schedule, steps, rng.getrandbits(32), max_new_levels=2)
+        assert len(conditions) == len(trace) and conditions[-1] is p
+        for q, entry in zip(conditions, trace):
+            assert entry.certificates == tuple(
+                (i, certificate(q, schedule[i].cover.complement())) for i, _ in entry.certificates)
+    assert finer == {True, False}
+
+
+def test_one_cell_8x8_cover_builds_its_weight_once(monkeypatch):
+    # the complement of one cell at (8, 8) is a 65,535-entry weight table:
+    # built once per run, and scanned once per distinct truncated pair
+    built, scanned = [], []
+    real_phi, real_scan = poset.phi_from_clopen, poset._scan
+
+    def counting_phi(f):
+        built.append(f)
+        return real_phi(f)
+
+    def counting_scan(phi, numerators, s1, t1):
+        scanned.append((id(phi), s1, t1))
+        return real_scan(phi, numerators, s1, t1)
+
+    monkeypatch.setattr(poset, "phi_from_clopen", counting_phi)
+    monkeypatch.setattr(poset, "_scan", counting_scan)
+    cover = ClopenPlaneSet.from_rects([("0" * 8, "0" * 8)])
+    p, trace = generic_run([ScheduledCover(cover, Fraction(1, 2), 0)], steps=1, seed=1)
+    assert [e.action for e in trace] == ["attach", "extend"]
+    assert len(built) == 1
+    assert scanned and len(set(scanned)) == len(scanned)
+    assert {key[0] for key in scanned} == {id(p.u[0].phi)}
 
 
 def test_generic_run_trace_and_invariants():
