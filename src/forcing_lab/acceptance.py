@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -25,6 +24,7 @@ from .diagram import (
     check_extension_pair,
     random_extension_constraints,
 )
+from .errors import FrozenValue
 from .names import FiniteName, boolean_value, make_name, refine_condition, slalom_extract
 from .poset import (
     Condition,
@@ -542,8 +542,8 @@ CRITERIA: tuple[tuple[str, object, float | None], ...] = (
 )
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(FrozenValue):
+    _fields = ("name", "passed", "detail", "elapsed", "budget")
     name: str
     passed: bool
     detail: str

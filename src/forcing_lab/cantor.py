@@ -15,10 +15,12 @@ rectangles no deeper than the resolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, product
 from typing import Iterable
+
+from .errors import FrozenValue
 
 
 def check_bits(s: str) -> str:
@@ -46,8 +48,7 @@ def _canonical(gens: Iterable[str]) -> frozenset[str]:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class ClopenSet:
+class ClopenSet(FrozenValue):
     """Canonical finite union of cylinders.  Immutable.
 
     The constructor canonicalizes whatever generators it is given, so
@@ -55,10 +56,11 @@ class ClopenSet:
     construction.
     """
 
+    _fields = ("generators",)
     generators: frozenset[str]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "generators", _canonical(self.generators))
+    def __init__(self, generators: Iterable[str]) -> None:
+        super().__init__(_canonical(generators))
 
     @classmethod
     def from_strings(cls, gens: Iterable[str]) -> "ClopenSet":
@@ -155,8 +157,7 @@ def _flatten(rects: Iterable[tuple[str, str]], r1: int, r2: int) -> frozenset[tu
     return frozenset(flat)
 
 
-@dataclass(frozen=True, eq=False)
-class ClopenPlaneSet:
+class ClopenPlaneSet(FrozenValue):
     """Finite union of rectangles on the product space, resolution-flat.
 
     The constructor flattens the given rectangles, none deeper than the
@@ -166,15 +167,15 @@ class ClopenPlaneSet:
     built at different resolutions compares equal.
     """
 
+    _fields = ("resolution", "rects")
     resolution: tuple[int, int]
     rects: frozenset[tuple[str, str]]
 
-    def __post_init__(self) -> None:
-        r1, r2 = self.resolution
+    def __init__(self, resolution: tuple[int, int], rects: Iterable[tuple[str, str]]) -> None:
+        r1, r2 = resolution
         if r1 < 0 or r2 < 0:
             raise ValueError("resolution must be nonnegative")
-        object.__setattr__(self, "resolution", (r1, r2))
-        object.__setattr__(self, "rects", _flatten(self.rects, r1, r2))
+        super().__init__((r1, r2), _flatten(rects, r1, r2))
 
     @classmethod
     def from_rects(
@@ -192,6 +193,11 @@ class ClopenPlaneSet:
         return Fraction(len(self.rects), 2 ** (r1 + r2))
 
     def complement(self) -> "ClopenPlaneSet":
+        """The complement at the same resolution, computed once per set."""
+        return self._complement
+
+    @cached_property
+    def _complement(self) -> "ClopenPlaneSet":
         everything = _flatten([("", "")], *self.resolution)
         return ClopenPlaneSet(self.resolution, everything - self.rects)
 

@@ -22,7 +22,8 @@ rejected document is handed to `jsonschema.validate`, whose error gives the
 message and path.  Should `jsonschema` accept it after all, the run ends in
 an "InternalError" envelope (exit 3), for a scenario before the command runs.
 
-Set FORCING_LAB_LOG=debug (or info, warning, ...) for stderr logging.
+Set FORCING_LAB_LOG=debug (or info, warning, ...) for stderr logging;
+`logging` is imported only when it is set.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import logging
 import os
 import sys
 import time
@@ -51,7 +51,13 @@ from .smz import (
     thin_set_bound_check,
 )
 
-log = logging.getLogger("forcing_lab.cli")
+
+def _log(level: str, message: str, *args, **kwargs) -> None:
+    """Log to the `forcing_lab.cli` logger when FORCING_LAB_LOG is set.
+    Nothing is logged otherwise, so `logging` is imported only then."""
+    if os.environ.get("FORCING_LAB_LOG"):
+        import logging
+        getattr(logging.getLogger("forcing_lab.cli"), level)(message, *args, **kwargs)
 
 
 def __getattr__(name: str):
@@ -198,7 +204,7 @@ def _cmd_extend(args, scenario):
     p = jsonio.condition_from_json(_need(scenario, "condition"))
     seed = _need_seed(args)
     q, stats = extend_detailed(p, seed, max_new_levels=args.max_new_levels)
-    log.info("extended depth %d -> %d (pinned %d)", p.m, q.m, stats.pinned_m_prime)
+    _log("info", "extended depth %d -> %d (pinned %d)", p.m, q.m, stats.pinned_m_prime)
     report = {
         "seed": seed,
         "condition": jsonio.condition_to_json(q),
@@ -389,16 +395,18 @@ def _failure(exc: Exception) -> tuple[int, dict]:
     if isinstance(exc, (UsageError, KeyError, TypeError, ValueError)):
         # the last three: schema-shaped input that failed to decode
         return 2, error
-    log.debug("run failed unexpectedly", exc_info=exc)
+    _log("debug", "run failed unexpectedly", exc_info=exc)
     return 3, {"type": "InternalError", "message": f"{type(exc).__name__}: {exc}"}
 
 
 def main(argv=None) -> int:
     env_level = os.environ.get("FORCING_LAB_LOG", "")
-    logging.basicConfig(
-        stream=sys.stderr,
-        format="%(levelname)s %(name)s: %(message)s",
-        level=getattr(logging, env_level.upper(), logging.WARNING))
+    if env_level:
+        import logging
+        logging.basicConfig(
+            stream=sys.stderr,
+            format="%(levelname)s %(name)s: %(message)s",
+            level=getattr(logging, env_level.upper(), logging.WARNING))
     argv = sys.argv[1:] if argv is None else list(argv)
     started = time.perf_counter()
     command = argv[0] if argv and argv[0] in HANDLERS else ""
@@ -429,7 +437,7 @@ def main(argv=None) -> int:
     out.write(json.dumps(envelope, sort_keys=True, separators=(",", ":")) + "\n")
     if out is not sys.stdout:
         out.close()
-    log.info("%s finished with exit code %d", command, code)
+    _log("info", "%s finished with exit code %d", command, code)
     return code
 
 

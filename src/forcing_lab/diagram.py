@@ -14,10 +14,9 @@ and uniformity.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import ForcingLabError
+from .errors import ForcingLabError, FrozenValue
 
 
 class InvalidGround(ForcingLabError):
@@ -67,33 +66,34 @@ EDGES: tuple[tuple[str, str], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class DiagramAssignment:
+class DiagramAssignment(FrozenValue):
+    _fields = ("values",)
     values: dict
 
-    def __post_init__(self) -> None:
-        got = set(self.values)
+    def __init__(self, values: dict) -> None:
+        got = set(values)
         want = set(NODES)
         if got != want:
             missing = sorted(want - got)
             extra = sorted(got - want)
             raise ValueError(f"bad node set: missing {missing}, extra {extra}")
-        for node, label in self.values.items():
+        for node, label in values.items():
             if not isinstance(label, CardinalLabel):
                 raise ValueError(f"{node}: {label!r} is not a CardinalLabel")
+        super().__init__(values)
 
     def __getitem__(self, node: str) -> CardinalLabel:
         return self.values[node]
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(FrozenValue):
+    _fields = ("kind", "detail")
     kind: str
     detail: str
 
 
-@dataclass(frozen=True)
-class DiagramVerdict:
+class DiagramVerdict(FrozenValue):
+    _fields = ("ok", "violations")
     ok: bool
     violations: tuple[Violation, ...]
 
@@ -118,8 +118,8 @@ def check_assignment(a: DiagramAssignment) -> DiagramVerdict:
     return DiagramVerdict(not bad, tuple(bad))
 
 
-@dataclass(frozen=True)
-class TransferConstraint:
+class TransferConstraint(FrozenValue):
+    _fields = ("node", "relation", "bound", "source")
     node: str
     relation: str  # "eq", "ge", or "le"
     bound: CardinalLabel

@@ -9,12 +9,11 @@ a slalom whose n-th slot has fewer than (n+1)^2 entries, by pigeonhole.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Sequence
 
 from .cantor import EMPTY, ClopenSet
-from .errors import ForcingLabError
+from .errors import ForcingLabError, FrozenValue
 
 
 class NotAPartition(ForcingLabError):
@@ -58,10 +57,10 @@ def _validate_partition(cells: Sequence[tuple[Hashable, ClopenSet]], where) -> N
         raise NotAPartition(where, f"cell measures sum to {total}, expected 1")
 
 
-@dataclass(frozen=True)
-class FiniteName:
+class FiniteName(FrozenValue):
     """Validated per-coordinate labeled partitions; construct via make_name."""
 
+    _fields = ("horizon", "cells")
     horizon: int
     cells: tuple[tuple[tuple[int, ClopenSet], ...], ...]
 
@@ -93,17 +92,18 @@ def boolean_value(g: FiniteName, n: int, k: int) -> ClopenSet:
     return EMPTY
 
 
-@dataclass(frozen=True)
-class Slalom:
+class Slalom(FrozenValue):
     """Per-coordinate finite slots; slot n may hold at most (n+1)^2 labels."""
 
+    _fields = ("slots",)
     slots: tuple[frozenset[int], ...]
 
-    def __post_init__(self) -> None:
-        for n, slot in enumerate(self.slots):
+    def __init__(self, slots: tuple[frozenset[int], ...]) -> None:
+        for n, slot in enumerate(slots):
             if len(slot) > (n + 1) ** 2:
                 raise ValueError(
                     f"slot {n} holds {len(slot)} labels, cap is {(n + 1) ** 2}")
+        super().__init__(slots)
 
 
 def slalom_extract(g: FiniteName) -> Slalom:

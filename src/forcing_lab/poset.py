@@ -18,18 +18,16 @@ lucky the sampling was (Las Vegas, never Monte Carlo).
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
 from typing import Mapping, Sequence
 
 from .cantor import ClopenPlaneSet, check_bits, _extensions
-from .errors import ForcingLabError
+from .errors import ForcingLabError, FrozenValue
 
 
 class NullSet(ForcingLabError):
@@ -53,20 +51,20 @@ class SearchExhausted(ForcingLabError):
             f"attempts (weight #{weight_index} kept failing)")
 
 
-@dataclass(frozen=True)
-class WeightFunction:
+class WeightFunction(FrozenValue):
     """Finitely represented bi-additive pair mass.  The constructor converts
     each table value with Fraction and drops the zero ones; the total mass
     (the value at the pair of empty strings) must be positive."""
 
+    _fields = ("resolution", "table")
     resolution: tuple[int, int]
     table: dict
 
-    def __post_init__(self) -> None:
-        m1, m2 = self.resolution
+    def __init__(self, resolution: tuple[int, int], table: Mapping) -> None:
+        m1, m2 = resolution
         if m1 < 0 or m2 < 0:
             raise ValueError("resolution must be nonnegative")
-        table = {k: f for k, v in self.table.items() if (f := Fraction(v))}
+        table = {k: f for k, v in table.items() if (f := Fraction(v))}
         if not table:
             raise ValueError("weight function needs positive total mass")
         for s, t in table:  # every key at the resolution before 2^(m1+m2) is built
@@ -78,8 +76,7 @@ class WeightFunction:
         for v in table.values():
             if not 0 < v <= cap:
                 raise ValueError(f"table value {v} outside (0, {cap}]")
-        object.__setattr__(self, "resolution", (m1, m2))
-        object.__setattr__(self, "table", table)
+        super().__init__((m1, m2), table)
 
     @classmethod
     def full(cls) -> "WeightFunction":
@@ -98,32 +95,48 @@ class WeightFunction:
         return sum(self.table.values(), Fraction(0))
 
     @cached_property
-    def _integer_form(self) -> tuple[int, list[int], dict]:
-        """(D, numerators, memo): the common denominator D of the table, each
-        value times D in table order, and a memo of D times the table mass
-        per truncated pair (s[:m1], t[:m2]), filled by _mass.  Built on
-        first use and kept on the instance outside the dataclass fields, so
-        equality, repr and the JSON form do not see it."""
+    def _integer_form(self) -> tuple[int, dict, dict, set]:
+        """(D, rows, memo, prefixes): the common denominator D of the table;
+        the row index, mapping each x-string of the table to the list of its
+        y-strings and the list of their values times D; a memo of D times
+        the table mass per truncated pair (s[:m1], t[:m2]), filled by _mass;
+        and the set of every prefix of the x-strings.  Built on first use
+        and kept on the instance outside the fields, so equality, repr and
+        the JSON form do not see it."""
         d = math.lcm(*(v.denominator for v in self.table.values()))
-        return d, [v.numerator * (d // v.denominator) for v in self.table.values()], {}
+        rows: dict[str, tuple[list[str], list[int]]] = {}
+        for (a, b), v in self.table.items():
+            ys, ns = rows.setdefault(a, ([], []))
+            ys.append(b)
+            ns.append(v.numerator * (d // v.denominator))
+        prefixes = {a[:i] for a in rows for i in range(len(a) + 1)}
+        return d, rows, {}, prefixes
 
 
-def _scan(phi: WeightFunction, numerators: list[int], s1: str, t1: str) -> int:
-    """D times the table mass inside [s1] x [t1], for |s1| <= m1 and |t1| <= m2."""
-    return sum(n for (a, b), n in zip(phi.table, numerators)
-               if a.startswith(s1) and b.startswith(t1))
+def _read_row(phi: WeightFunction, s1: str, t1: str) -> int:
+    """D times the table mass inside [s1] x [t1] for an x-string s1 at the
+    resolution: the entries of row s1 whose y-string extends t1."""
+    ys, ns = phi._integer_form[1].get(s1, ((), ()))
+    return sum(n for b, n in zip(ys, ns) if b.startswith(t1))
 
 
 def _mass(phi: WeightFunction, s: str, t: str) -> tuple[int, int]:
     """(D, n) with n/D the table mass compatible with (s, t), that is the
-    weight at (s[:m1], t[:m2]).  The table is scanned once per distinct
-    truncated pair; the strings are not checked."""
-    d, numerators, memo = phi._integer_form
+    weight at (s[:m1], t[:m2]), memoized per truncated pair.  A miss at the
+    x-resolution reads only its own row (_read_row), at most 2^m2 entries;
+    a shorter x-string adds up the masses of those of its two children
+    that some row extends.  The strings are not checked."""
+    d, _, memo, prefixes = phi._integer_form
     m1, m2 = phi.resolution
     key = (s[:m1], t[:m2])
     n = memo.get(key)
     if n is None:
-        n = memo[key] = _scan(phi, numerators, *key)
+        s1, t1 = key
+        if len(s1) == m1:
+            n = _read_row(phi, s1, t1)
+        else:
+            n = sum(_mass(phi, c, t1)[1] for c in (s1 + "0", s1 + "1") if c in prefixes)
+        memo[key] = n
     return d, n
 
 
@@ -153,23 +166,26 @@ def phi_from_clopen(f: ClopenPlaneSet) -> WeightFunction:
     return WeightFunction(f.resolution, dict.fromkeys(f.rects, Fraction(1, 2 ** (r1 + r2))))
 
 
-@dataclass(frozen=True)
-class TaggedWeight:
+class TaggedWeight(FrozenValue):
     """A weight with its score tag.  Ops that build conditions keep eps in
     (0,1); the raw constructor is permissive so validators can report."""
 
+    _fields = ("eps", "phi")
     eps: Fraction
     phi: WeightFunction
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(FrozenValue):
     """Stem map plus tagged weights.  h maps every binary string of length
     at most m to a binary string; use validate() for the full contract."""
 
+    _fields = ("m", "h", "u")
     m: int
     h: dict
-    u: tuple[TaggedWeight, ...] = ()
+    u: tuple[TaggedWeight, ...]
+
+    def __init__(self, m: int, h: dict, u: tuple[TaggedWeight, ...] = ()) -> None:
+        super().__init__(m, h, u)
 
     def tops(self) -> list[str]:
         return sorted(s for s in self.h if len(s) == self.m)
@@ -209,17 +225,21 @@ def _score_groups(groups: Counter, m: int, phi: WeightFunction) -> Fraction:
     return Fraction(acc, d << max(0, m - m1))
 
 
-@dataclass(frozen=True)
-class ClauseViolation:
+class ClauseViolation(FrozenValue):
+    _fields = ("clause", "detail")
     clause: str
     detail: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(FrozenValue):
+    _fields = ("ok", "violations", "scores")
     ok: bool
     violations: tuple[ClauseViolation, ...]
-    scores: tuple[Fraction, ...] = ()
+    scores: tuple[Fraction, ...]
+
+    def __init__(self, ok: bool, violations: tuple[ClauseViolation, ...],
+                 scores: tuple[Fraction, ...] = ()) -> None:
+        super().__init__(ok, violations, scores)
 
     @property
     def first(self) -> ClauseViolation | None:
@@ -292,26 +312,48 @@ def validate(p: Condition) -> ValidationReport:
     return ValidationReport(not bad, tuple(bad), scores)
 
 
-@dataclass
-class ExtendStats:
+class ExtendStats(FrozenValue):
     """Bookkeeping from one extension: the depth formula's answer before any
     cap, the depth used, per-stem sampling effort, the result's exact score
     against each weight (empty when there are none), and the accepted bit
     pattern per old top (bit i is the value bit appended at its i-th new
     top, all zero when there are no weights), from which the grown stem's
-    census is counted without walking it (see _grown_census)."""
+    census is counted without walking it (see _grown_census).  Unlike the
+    other values it is filled in as the extension runs, so it is mutable
+    and unhashable."""
 
+    _fields = ("pinned_m_prime", "m_prime", "retries", "exhaustive_stems", "scores", "chosen")
     pinned_m_prime: int
     m_prime: int
-    retries: dict = field(default_factory=dict)
-    exhaustive_stems: list = field(default_factory=list)
-    scores: tuple = ()
-    chosen: dict = field(default_factory=dict)
+    retries: dict
+    exhaustive_stems: list
+    scores: tuple
+    chosen: dict
+
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, pinned_m_prime: int, m_prime: int, retries: dict | None = None,
+                 exhaustive_stems: list | None = None, scores: tuple = (),
+                 chosen: dict | None = None) -> None:
+        super().__init__(pinned_m_prime, m_prime, {} if retries is None else retries,
+                         [] if exhaustive_stems is None else exhaustive_stems, scores,
+                         {} if chosen is None else chosen)
 
 
 def _sub_seed(seed: int, tag: str) -> int:
-    digest = hashlib.sha256(f"{seed}|{tag}".encode()).digest()
+    digest = _sha256(f"{seed}|{tag}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def _sha256(data: bytes):
+    """hashlib.sha256, imported by the first seed derivation, which then
+    binds the module name _sha256 to it: only extension derives seeds, so
+    no other command pays for importing hashlib."""
+    global _sha256
+    from hashlib import sha256 as _sha256
+    return _sha256(data)
 
 
 # A stem of depth m holds 2^(m+1) keys.  A depth-20 `extend` of the trivial
@@ -543,8 +585,7 @@ def avoid_null(p: Condition, g: ClopenPlaneSet, eps: Fraction) -> Condition:
     return attach_weight(p, 1 - eps, phi)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(FrozenValue):
     """Two independent exact readings of how much of the stem sits inside a
     plane set.  inside is the measure of the tops s whose rectangle
     [s] x [h(s)] lies in the set: their count over 2^m, since distinct tops
@@ -552,6 +593,7 @@ class Certificate:
     set's weight phi = phi_from_clopen(f), and 0 for the empty set.  They
     agree once the stem is deep enough to resolve the set on both axes."""
 
+    _fields = ("inside", "score_f")
     inside: Fraction
     score_f: Fraction
 
@@ -599,15 +641,15 @@ def _grown_census(h: Mapping[str, str], chosen: Mapping[str, int], m: int, m2: i
     return census
 
 
-@dataclass(frozen=True)
-class ScheduledCover:
+class ScheduledCover(FrozenValue):
+    _fields = ("cover", "eps", "at_step")
     cover: ClopenPlaneSet
     eps: Fraction
     at_step: int
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(FrozenValue):
+    _fields = ("step", "action", "depth", "certificates")
     step: int
     action: str
     depth: int
@@ -626,9 +668,10 @@ def generic_run(
     census of the tops, cut at the finest x-resolution among the covers:
     it is recounted from h only when an attached cover needs a finer cut,
     and after an extension it is counted from the accepted bit patterns.
-    score_f is scored against the weight avoid_null attached, so each
-    cover's weight is built once per run and its memo serves every
-    snapshot.  Multi-step runs default to bounded depth growth; the pinned
+    score_f is scored against the weight avoid_null attached, and the
+    complement is the one avoid_null computed and the cover keeps, so each
+    cover's complement and weight are built once per run and the weight's
+    memo serves every snapshot.  Multi-step runs default to bounded depth growth; the pinned
     depth formula compounds roughly quadratically per step and leaves any
     second unbounded extension beyond reach.
     """
@@ -653,7 +696,7 @@ def generic_run(
             for i, c in enumerate(schedule):
                 if c.at_step == step:
                     p = avoid_null(p, c.cover, c.eps)
-                    f = c.cover.complement()
+                    f = c.cover._complement  # the complement avoid_null computed
                     if not attached or f.resolution[0] > cut:
                         cut = max(cut, f.resolution[0])
                         census = _top_groups(p.h, p.m, cut)
@@ -671,11 +714,11 @@ def generic_run(
     return p, trace
 
 
-@dataclass(frozen=True)
-class CenteredIndex:
+class CenteredIndex(FrozenValue):
     """Finite classification datum: conditions sharing an index are pairwise
     compatible, witnessed by keeping the stem and pooling the weights."""
 
+    _fields = ("size", "k", "stem", "tags")
     size: int
     k: int
     stem: tuple[tuple[str, str], ...]

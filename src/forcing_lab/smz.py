@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, groupby
 from typing import Iterable, Sequence
 
-from .errors import ForcingLabError
+from .errors import ForcingLabError, FrozenValue
 
 
 class HorizonTooShort(ForcingLabError):
@@ -45,18 +44,18 @@ class PreconditionFailed(ForcingLabError):
         super().__init__(detail)
 
 
-@dataclass(frozen=True)
-class IntervalSpec:
+class IntervalSpec(FrozenValue):
     """Half-open subinterval of [0, 1) with exact rational endpoints."""
 
+    _fields = ("left", "right")
     left: Fraction
     right: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "left", Fraction(self.left))
-        object.__setattr__(self, "right", Fraction(self.right))
-        if not 0 <= self.left < self.right <= 1:
-            raise ValueError(f"bad interval [{self.left}, {self.right})")
+    def __init__(self, left: Fraction, right: Fraction) -> None:
+        left, right = Fraction(left), Fraction(right)
+        if not 0 <= left < right <= 1:
+            raise ValueError(f"bad interval [{left}, {right})")
+        super().__init__(left, right)
 
     @property
     def length(self) -> Fraction:
@@ -133,8 +132,8 @@ def icbrt(x: int) -> int:
     return r
 
 
-@dataclass(frozen=True)
-class ThinSetVerdict:
+class ThinSetVerdict(FrozenValue):
+    _fields = ("ok", "max_ratio", "witness")
     ok: bool
     max_ratio: Fraction
     witness: int | None
@@ -188,8 +187,8 @@ def product_bound(
     return acc
 
 
-@dataclass(frozen=True)
-class RapidityVerdict:
+class RapidityVerdict(FrozenValue):
+    _fields = ("ok", "witness", "counts")
     ok: bool
     witness: int | None
     counts: tuple[int, ...]

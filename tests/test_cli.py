@@ -584,6 +584,50 @@ def test_jsonschema_stays_unimported_on_accepted_runs(tmp_path):
     assert out["error"] == {"type": "UsageError", "message": BAD_BITS_MESSAGE}
 
 
+def run_module(argv, scenario, *flags, **env):
+    """`python <flags> -m forcing_lab.cli <argv>` on a scenario from stdin,
+    for the forcing_lab this test imported (installed or from src/), with
+    FORCING_LAB_LOG unset unless given.  Returns the finished process."""
+    base = {k: v for k, v in os.environ.items() if k != "FORCING_LAB_LOG"}
+    base["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, *flags, "-m", "forcing_lab.cli", *argv],
+                          input=json.dumps(scenario), capture_output=True, text=True,
+                          env={**base, **env}, timeout=60)
+
+
+@pytest.mark.installed
+@pytest.mark.parametrize("argv, scenario, unused", [
+    (["slalom"], {"name": HALVES_NAME},
+     ("dataclasses", "inspect", "logging", "hashlib", "jsonschema")),
+    (["extend", "--seed", "7"], {"condition": SIMPLE_CONDITION},
+     ("dataclasses", "inspect", "logging", "jsonschema")),
+], ids=["slalom", "extend"])
+def test_commands_import_only_what_they_use(argv, scenario, unused):
+    # -X importtime names every module the process imports, site's included;
+    # the command itself runs as __main__, and imports the layers
+    done = run_module(argv, scenario, "-X", "importtime")
+    assert done.returncode == 0, done.stdout
+    imported = {line.rsplit("|", 1)[1].strip()
+                for line in done.stderr.splitlines() if line.startswith("import time:")}
+    assert "forcing_lab.jsonio" in imported
+    assert imported.isdisjoint(unused), sorted(imported & set(unused))
+
+
+def test_log_lines_go_to_stderr_when_asked():
+    done = run_module(["extend", "--seed", "7"], {"condition": SIMPLE_CONDITION},
+                      FORCING_LAB_LOG="info")
+    assert done.returncode == 0
+    assert done.stderr.splitlines() == [
+        "INFO forcing_lab.cli: extended depth 0 -> 8 (pinned 8)",
+        "INFO forcing_lab.cli: extend finished with exit code 0"]
+
+
+def test_no_log_lines_by_default():
+    done = run_module(["extend", "--seed", "7"], {"condition": SIMPLE_CONDITION})
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout)["ok"] is True
+
+
 @pytest.mark.installed
 @pytest.mark.parametrize("disowned", SCHEMA_FILES)
 def test_compiled_check_disagreeing_with_jsonschema_exits_three(tmp_path, monkeypatch, disowned):

@@ -2,12 +2,14 @@
 
 Each scenario is shaped like a benchmark workload and built here from a
 fixed seed, as calls that run once the counting starts.  Counting
-wrappers on `poset` count weight-table scans (`_scan`), passes over the
-tops (`_top_groups`), weights built from plane sets (`phi_from_clopen`)
-and public `eval_phi` calls.  Every count must stay at
-or below its budget, which is the count when the budget was pinned: a
-change that lowers a count lowers its budget with it.  The counts are
-printed, so a run with `-rP` shows them.
+wrappers count reads of one weight-table row (`_read_row`) and the
+table entries those reads cover (`row entries`), passes over
+the tops (`_top_groups`), weights built from plane sets
+(`phi_from_clopen`), public `eval_phi`, `check_bits`, `validate`, `score`
+and `_sub_seed` calls, and the `contains_rect` and `complement` calls of
+plane sets.  Every count must stay at or below its budget, which is the
+count when the budget was pinned: a change that lowers a count lowers its
+budget with it.  The counts are printed, so a run with `-rP` shows them.
 """
 
 import random
@@ -24,15 +26,62 @@ from forcing_lab import (
     extend_detailed,
     generic_run,
     phi_from_clopen,
+    refine_condition,
     score,
+    slalom_extract,
 )
-from forcing_lab import poset
+from forcing_lab import cantor, poset
+from forcing_lab.jsonio import clopen_from_json, name_from_json
 
-COUNTED = ("_scan", "_top_groups", "phi_from_clopen", "eval_phi")
+# counter -> the namespaces that bind the counted function, by attribute name
+COUNTED = {
+    "_read_row": (poset,),
+    "_top_groups": (poset,),
+    "phi_from_clopen": (poset,),
+    "eval_phi": (poset,),
+    "check_bits": (cantor, poset),
+    "validate": (poset,),
+    "score": (poset,),
+    "_sub_seed": (poset,),
+    "contains_rect": (ClopenPlaneSet,),
+    "complement": (ClopenPlaneSet,),
+}
 
 
 def _bits(rng, k):
     return format(rng.getrandbits(k), f"0{k}b") if k else ""
+
+
+def _stem(rng, m, budget, grow):
+    """A monotone stem map of depth m whose values are at most `budget`
+    bits long; a child adds grow(room) bits to its parent's value."""
+    h = {"": _bits(rng, rng.randint(0, budget))}
+    for level in range(m):
+        for s in sorted(k for k in h if len(k) == level):
+            for b in "01":
+                h[s + b] = h[s] + _bits(rng, grow(budget - len(h[s])))
+    return h
+
+
+def _weights(rng, h, count):
+    """1-3 full, uniform or cover-complement weights tagged at a quarter or
+    half of their score on h, each an equal weight with no memo yet, as a
+    decoded scenario has."""
+    u = []
+    for _ in range(count):
+        kind = rng.choice(["full", "uniform", "cover"])
+        if kind == "full":
+            phi = WeightFunction.full()
+        elif kind == "uniform":
+            phi = WeightFunction.scaled_uniform(
+                Fraction(rng.choice([6, 7, 8]), 8), (rng.randint(0, 2), rng.randint(0, 2)))
+        else:
+            r1, r2 = rng.randint(1, 3), rng.randint(1, 3)
+            cover = ClopenPlaneSet.from_rects([(_bits(rng, r1), _bits(rng, r2))], (r1, r2))
+            phi = phi_from_clopen(cover.complement())
+        tag = score(h, phi) * rng.choice([Fraction(1, 4), Fraction(1, 2)])
+        u.append(TaggedWeight(tag, WeightFunction(phi.resolution, phi.table)))
+    return tuple(u)
 
 
 def generic_runs():
@@ -53,50 +102,105 @@ def generic_runs():
 
 def deep_extensions():
     """Monotone stems at depth 9 and 10, values growing 0-2 bits a level up
-    to 8 bits, with 1-3 full, uniform or cover-complement weights tagged at
-    a quarter or half of their score, extended by 1 or 2 levels."""
+    to 8 bits, with 1-3 weights, extended by 1 or 2 levels."""
     rng = random.Random(1602)
     runs = []
     for m, levels, count in ((9, 2, 3), (10, 1, 2)):
-        h = {"": _bits(rng, rng.randint(0, 8))}
-        for level in range(m):
-            for s in sorted(k for k in h if len(k) == level):
-                for b in "01":
-                    h[s + b] = h[s] + _bits(rng, min(8 - len(h[s]), rng.choice([0, 0, 0, 1, 1, 2])))
-        u = []
-        for _ in range(count):
-            kind = rng.choice(["full", "uniform", "cover"])
-            if kind == "full":
-                phi = WeightFunction.full()
-            elif kind == "uniform":
-                phi = WeightFunction.scaled_uniform(
-                    Fraction(rng.choice([6, 7, 8]), 8), (rng.randint(0, 2), rng.randint(0, 2)))
-            else:
-                r1, r2 = rng.randint(1, 3), rng.randint(1, 3)
-                cover = ClopenPlaneSet.from_rects([(_bits(rng, r1), _bits(rng, r2))], (r1, r2))
-                phi = phi_from_clopen(cover.complement())
-            tag = score(h, phi) * rng.choice([Fraction(1, 4), Fraction(1, 2)])
-            # an equal weight with no memo yet, as a decoded scenario has
-            u.append(TaggedWeight(tag, WeightFunction(phi.resolution, phi.table)))
-        runs.append((extend_detailed, (Condition(m, h, tuple(u)), rng.getrandbits(31)),
-                     {"max_new_levels": levels}))
+        h = _stem(rng, m, 8, lambda room: min(room, rng.choice([0, 0, 0, 1, 1, 2])))
+        runs.append((extend_detailed, (Condition(m, h, _weights(rng, h, count)),
+                                       rng.getrandbits(31)), {"max_new_levels": levels}))
     return runs
 
 
-SCENARIOS = {"generic-run": generic_runs, "extend-deep": deep_extensions}
+def fresh_extensions():
+    """Shallow stems (depth 0-3, short values) with 1-3 weights, extended
+    to their pinned depth, which is drawn from 8-11 by rejection."""
+    rng = random.Random(1701)
+    runs = []
+    for target in (8, 9, 10, 11):
+        while True:
+            m = rng.choice([0, 1, 2, 3])
+            h = _stem(rng, m, 3 - m, lambda room: rng.randint(0, room))
+            p = Condition(m, h, _weights(rng, h, rng.randint(1, 3)))
+            if extend_detailed(p, 0, max_new_levels=1)[1].pinned_m_prime == target:
+                break
+        p = Condition(m, h, tuple(TaggedWeight(tw.eps, WeightFunction(tw.phi.resolution,
+                                                                       tw.phi.table))
+                                  for tw in p.u))
+        runs.append((extend_detailed, (p, rng.getrandbits(31)), {}))
+    return runs
+
+
+def names_calls():
+    """Two slalom and two refine calls on names of horizon 24 with cells
+    down to depth 8, each decoded from its wire form as the CLI does."""
+    rng = random.Random(1702)
+
+    def partition():
+        leaves, stack = [], [""]
+        while stack:
+            s = stack.pop()
+            if len(s) < 8 and (len(s) < 2 or rng.random() < 0.62):
+                stack += [s + "1", s + "0"]
+            else:
+                leaves.append(s)
+        labels = rng.sample(range(50), min(len(leaves), rng.randint(2, 8)))
+        groups = [leaves[i::len(labels)] for i in range(len(labels))]
+        return [{"label": lab, "cells": sorted(g)} for lab, g in zip(labels, groups)]
+
+    def name():
+        return {"horizon": 24, "coords": [partition() for _ in range(24)]}
+
+    def slalom(doc):
+        return slalom_extract(name_from_json(doc))
+
+    def refine(doc, cells, start):
+        g = name_from_json(doc)
+        f = [next(iter(set(range(50)) - slot)) for slot in slalom_extract(g).slots]
+        return refine_condition(clopen_from_json(cells), g, f, start)
+
+    runs = []
+    for _ in range(2):
+        runs.append((slalom, (name(),), {}))
+        cells = sorted(rng.sample([_bits(rng, 4) for _ in range(16)], 8))
+        runs.append((refine, (name(), cells, rng.randint(1, 3)), {}))
+    return runs
+
+
+SCENARIOS = {"generic-run": generic_runs, "extend-deep": deep_extensions,
+             "extend-fresh": fresh_extensions, "names-mix": names_calls}
 BUDGETS = {
-    "generic-run": {"_scan": 83, "_top_groups": 16, "phi_from_clopen": 6, "eval_phi": 0},
-    "extend-deep": {"_scan": 11, "_top_groups": 2, "phi_from_clopen": 0, "eval_phi": 0},
+    "generic-run": {"_read_row": 97, "_top_groups": 16, "phi_from_clopen": 6, "eval_phi": 0,
+                    "check_bits": 1568, "validate": 8, "score": 6, "_sub_seed": 1178,
+                    "contains_rect": 661, "complement": 6, "row entries": 320},
+    "extend-deep": {"_read_row": 11, "_top_groups": 2, "phi_from_clopen": 0, "eval_phi": 0,
+                    "check_bits": 0, "validate": 2, "score": 0, "_sub_seed": 1536,
+                    "contains_rect": 0, "complement": 0, "row entries": 50},
+    "extend-fresh": {"_read_row": 27, "_top_groups": 4, "phi_from_clopen": 0, "eval_phi": 0,
+                     "check_bits": 0, "validate": 4, "score": 0, "_sub_seed": 4,
+                     "contains_rect": 0, "complement": 0, "row entries": 77},
+    "names-mix": {"_read_row": 0, "_top_groups": 0, "phi_from_clopen": 0, "eval_phi": 0,
+                  "check_bits": 2946, "validate": 0, "score": 0, "_sub_seed": 0,
+                  "contains_rect": 0, "complement": 0, "row entries": 0},
 }
 
 
 def count_calls(monkeypatch) -> dict:
-    counts = dict.fromkeys(COUNTED, 0)
-    for name in COUNTED:
-        def counting(*args, real=getattr(poset, name), name=name, **kwargs):
+    counts = dict.fromkeys([*COUNTED, "row entries"], 0)
+    for name, namespaces in COUNTED.items():
+        real = getattr(namespaces[0], name)
+
+        def counting(*args, real=real, name=name, **kwargs):
             counts[name] += 1
             return real(*args, **kwargs)
-        monkeypatch.setattr(poset, name, counting)
+        for namespace in namespaces:
+            monkeypatch.setattr(namespace, name, counting)
+    read_row = poset._read_row
+
+    def reading(phi, s1, t1):
+        counts["row entries"] += len(phi._integer_form[1].get(s1, ((), ()))[0])
+        return read_row(phi, s1, t1)
+    monkeypatch.setattr(poset, "_read_row", reading)
     return counts
 
 
@@ -106,6 +210,6 @@ def test_effort_stays_within_budget(monkeypatch, scenario):
     counts = count_calls(monkeypatch)
     for fn, args, kwargs in runs:
         fn(*args, **kwargs)
-    for name in COUNTED:
-        print(f"effort {scenario} {name}: {counts[name]} (budget {BUDGETS[scenario][name]})")
+    for name, count in counts.items():
+        print(f"effort {scenario} {name}: {count} (budget {BUDGETS[scenario][name]})")
     assert {n: c for n, c in counts.items() if c > BUDGETS[scenario][n]} == {}

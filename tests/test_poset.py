@@ -831,26 +831,41 @@ def test_generic_run_certificates_equal_public_certificate(monkeypatch):
 
 def test_one_cell_8x8_cover_builds_its_weight_once(monkeypatch):
     # the complement of one cell at (8, 8) is a 65,535-entry weight table:
-    # built once per run, and scanned once per distinct truncated pair
-    built, scanned = [], []
-    real_phi, real_scan = poset.phi_from_clopen, poset._scan
+    # built once per run, and read one row of at most 256 entries per miss
+    built, read = [], []
+    real_phi, real_read = poset.phi_from_clopen, poset._read_row
 
     def counting_phi(f):
         built.append(f)
         return real_phi(f)
 
-    def counting_scan(phi, numerators, s1, t1):
-        scanned.append((id(phi), s1, t1))
-        return real_scan(phi, numerators, s1, t1)
+    def counting_read(phi, s1, t1):
+        read.append((id(phi), s1, t1, len(phi._integer_form[1].get(s1, ((), ()))[0])))
+        return real_read(phi, s1, t1)
 
     monkeypatch.setattr(poset, "phi_from_clopen", counting_phi)
-    monkeypatch.setattr(poset, "_scan", counting_scan)
+    monkeypatch.setattr(poset, "_read_row", counting_read)
     cover = ClopenPlaneSet.from_rects([("0" * 8, "0" * 8)])
     p, trace = generic_run([ScheduledCover(cover, Fraction(1, 2), 0)], steps=1, seed=1)
     assert [e.action for e in trace] == ["attach", "extend"]
     assert len(built) == 1
-    assert scanned and len(set(scanned)) == len(scanned)
-    assert {key[0] for key in scanned} == {id(p.u[0].phi)}
+    assert read and len(set(read)) == len(read)
+    assert {key[0] for key in read} == {id(p.u[0].phi)}
+    assert max(entries for *_, entries in read) <= 256
+
+
+def test_generic_run_complements_each_cover_once(monkeypatch):
+    calls = []
+    real = ClopenPlaneSet.complement
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(ClopenPlaneSet, "complement", counting)
+    covers = [ClopenPlaneSet.from_rects([(s, t)]) for s, t in (("0", "00"), ("11", "1"), ("1", "0"))]
+    generic_run([ScheduledCover(g, Fraction(1, 2), i) for i, g in enumerate(covers)], 3, seed=5)
+    assert list(map(id, calls)) == list(map(id, covers))
 
 
 def test_generic_run_trace_and_invariants():
