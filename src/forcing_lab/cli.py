@@ -434,7 +434,10 @@ def main(argv=None) -> int:
     if fault is not None:  # this program's fault, so _failure makes it exit 3
         code, error = _failure(fault)
         envelope = {"command": command, "ok": False, "error": error}
-    out.write(json.dumps(envelope, sort_keys=True, separators=(",", ":")) + "\n")
+    # the envelope is a tree built here from a parsed scenario and fresh
+    # report values, so the encoder's cycle check could never fire
+    out.write(json.dumps(envelope, sort_keys=True, separators=(",", ":"),
+                         check_circular=False) + "\n")
     if out is not sys.stdout:
         out.close()
     _log("info", "%s finished with exit code %d", command, code)

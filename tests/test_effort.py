@@ -4,12 +4,16 @@ Each scenario is shaped like a benchmark workload and built here from a
 fixed seed, as calls that run once the counting starts.  Counting
 wrappers count reads of one weight-table row (`_read_row`) and the
 table entries those reads cover (`row entries`), passes over
-the tops (`_top_groups`), weights built from plane sets
-(`phi_from_clopen`), public `eval_phi`, `check_bits`, `validate`, `score`
-and `_sub_seed` calls, and the `contains_rect` and `complement` calls of
-plane sets.  Every count must stay at or below its budget, which is the
-count when the budget was pinned: a change that lowers a count lowers its
-budget with it.  The counts are printed, so a run with `-rP` shows them.
+the tops (`_top_groups`), certificates (`_certify`), weights built from
+plane sets (`phi_from_clopen`), public `eval_phi`, `check_bits`,
+`validate`, `score` and `_sub_seed` calls, and the `contains_rect` and
+`complement` calls of plane sets.  They also count the keys of every
+stem `extend_detailed` grows (`grown keys`) and the classes of every
+census of the tops, counted from `h` or from the accepted bit patterns
+(`census classes`).  Every count must stay at or below its budget, which
+is the count when the budget was pinned: a change that lowers a count
+lowers its budget with it.  The counts are printed, so a run with `-rP`
+shows them.
 """
 
 import random
@@ -37,6 +41,7 @@ from forcing_lab.jsonio import clopen_from_json, name_from_json
 COUNTED = {
     "_read_row": (poset,),
     "_top_groups": (poset,),
+    "_certify": (poset,),
     "phi_from_clopen": (poset,),
     "eval_phi": (poset,),
     "check_bits": (cantor, poset),
@@ -84,6 +89,12 @@ def _weights(rng, h, count):
     return tuple(u)
 
 
+def extend(*args, **kwargs):
+    """extend_detailed as poset binds it at the call, so the counting
+    wrapper sees the scenarios' own extensions as well as generic_run's."""
+    return poset.extend_detailed(*args, **kwargs)
+
+
 def generic_runs():
     """Two runs of 4 steps with 3 one-cell covers at r1 + r2 = 4, the first
     at step 0, growing 3 levels a step to depth 12."""
@@ -107,8 +118,8 @@ def deep_extensions():
     runs = []
     for m, levels, count in ((9, 2, 3), (10, 1, 2)):
         h = _stem(rng, m, 8, lambda room: min(room, rng.choice([0, 0, 0, 1, 1, 2])))
-        runs.append((extend_detailed, (Condition(m, h, _weights(rng, h, count)),
-                                       rng.getrandbits(31)), {"max_new_levels": levels}))
+        runs.append((extend, (Condition(m, h, _weights(rng, h, count)), rng.getrandbits(31)),
+                     {"max_new_levels": levels}))
     return runs
 
 
@@ -127,7 +138,7 @@ def fresh_extensions():
         p = Condition(m, h, tuple(TaggedWeight(tw.eps, WeightFunction(tw.phi.resolution,
                                                                        tw.phi.table))
                                   for tw in p.u))
-        runs.append((extend_detailed, (p, rng.getrandbits(31)), {}))
+        runs.append((extend, (p, rng.getrandbits(31)), {}))
     return runs
 
 
@@ -170,23 +181,27 @@ def names_calls():
 SCENARIOS = {"generic-run": generic_runs, "extend-deep": deep_extensions,
              "extend-fresh": fresh_extensions, "names-mix": names_calls}
 BUDGETS = {
-    "generic-run": {"_read_row": 97, "_top_groups": 16, "phi_from_clopen": 6, "eval_phi": 0,
-                    "check_bits": 1568, "validate": 8, "score": 6, "_sub_seed": 1178,
-                    "contains_rect": 661, "complement": 6, "row entries": 320},
-    "extend-deep": {"_read_row": 11, "_top_groups": 2, "phi_from_clopen": 0, "eval_phi": 0,
-                    "check_bits": 0, "validate": 2, "score": 0, "_sub_seed": 1536,
-                    "contains_rect": 0, "complement": 0, "row entries": 50},
-    "extend-fresh": {"_read_row": 27, "_top_groups": 4, "phi_from_clopen": 0, "eval_phi": 0,
-                     "check_bits": 0, "validate": 4, "score": 0, "_sub_seed": 4,
-                     "contains_rect": 0, "complement": 0, "row entries": 77},
-    "names-mix": {"_read_row": 0, "_top_groups": 0, "phi_from_clopen": 0, "eval_phi": 0,
-                  "check_bits": 2946, "validate": 0, "score": 0, "_sub_seed": 0,
-                  "contains_rect": 0, "complement": 0, "row entries": 0},
+    "generic-run": {"_read_row": 97, "_top_groups": 16, "_certify": 28, "phi_from_clopen": 6,
+                    "eval_phi": 0, "check_bits": 1568, "validate": 8, "score": 6,
+                    "_sub_seed": 1178, "contains_rect": 661, "complement": 6,
+                    "row entries": 320, "grown keys": 18712, "census classes": 405},
+    "extend-deep": {"_read_row": 11, "_top_groups": 2, "_certify": 0, "phi_from_clopen": 0,
+                    "eval_phi": 0, "check_bits": 0, "validate": 2, "score": 0,
+                    "_sub_seed": 1536, "contains_rect": 0, "complement": 0,
+                    "row entries": 50, "grown keys": 8190, "census classes": 41},
+    "extend-fresh": {"_read_row": 27, "_top_groups": 4, "_certify": 0, "phi_from_clopen": 0,
+                     "eval_phi": 0, "check_bits": 0, "validate": 4, "score": 0,
+                     "_sub_seed": 4, "contains_rect": 0, "complement": 0,
+                     "row entries": 77, "grown keys": 7676, "census classes": 4},
+    "names-mix": {"_read_row": 0, "_top_groups": 0, "_certify": 0, "phi_from_clopen": 0,
+                  "eval_phi": 0, "check_bits": 2946, "validate": 0, "score": 0,
+                  "_sub_seed": 0, "contains_rect": 0, "complement": 0,
+                  "row entries": 0, "grown keys": 0, "census classes": 0},
 }
 
 
 def count_calls(monkeypatch) -> dict:
-    counts = dict.fromkeys([*COUNTED, "row entries"], 0)
+    counts = dict.fromkeys([*COUNTED, "row entries", "grown keys", "census classes"], 0)
     for name, namespaces in COUNTED.items():
         real = getattr(namespaces[0], name)
 
@@ -201,6 +216,21 @@ def count_calls(monkeypatch) -> dict:
         counts["row entries"] += len(phi._integer_form[1].get(s1, ((), ()))[0])
         return read_row(phi, s1, t1)
     monkeypatch.setattr(poset, "_read_row", reading)
+    real_extend = poset.extend_detailed
+
+    def extending(*args, **kwargs):
+        q, stats = real_extend(*args, **kwargs)
+        counts["grown keys"] += len(q.h)
+        return q, stats
+    monkeypatch.setattr(poset, "extend_detailed", extending)
+    for name in ("_top_groups", "_grown_census"):
+        real_census = getattr(poset, name)
+
+        def censusing(*args, real_census=real_census):
+            census = real_census(*args)
+            counts["census classes"] += len(census)
+            return census
+        monkeypatch.setattr(poset, name, censusing)
     return counts
 
 

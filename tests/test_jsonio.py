@@ -2,6 +2,9 @@
 JSON codecs."""
 
 import json
+import struct
+import sys
+import tracemalloc
 from fractions import Fraction as Rational
 
 import pytest
@@ -15,6 +18,7 @@ from forcing_lab import (
     TraceEntry,
     WeightFunction,
     attach_weight,
+    extend_detailed,
     make_name,
     trivial_condition,
 )
@@ -102,11 +106,29 @@ def test_condition_round_trip():
     p = attach_weight(trivial_condition(), Rational(1, 2), WeightFunction.full())
     wire = condition_to_json(p)
     assert wire["m"] == 0
-    assert wire["h"] == [["", ""]]
+    assert wire["h"] == [("", "")]
     assert wire["u"][0]["eps"] == "1/2"
     assert condition_from_json(wire) == p
     with pytest.raises(KeyError):
         condition_from_json({"m": 0, "h": [["", ""]]})  # "u" is mandatory
+
+
+def test_encoding_a_grown_stem_makes_one_pair_per_key():
+    # the sorted pairs are the wire pairs, with no second object per key,
+    # whatever the Python's object sizes; the stem is large enough that the
+    # pairs the tuple free list hands out untraced do not hide a second object
+    p = attach_weight(trivial_condition(), Rational(127, 128), WeightFunction.full())
+    q, _ = extend_detailed(p, 1, max_new_levels=12)
+    assert len(q.h) == 2 ** 13 - 1
+    per_key = 1.25 * (sys.getsizeof(("", "")) + struct.calcsize("P"))
+    tracemalloc.start()
+    try:
+        wire = condition_to_json(q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(wire["h"]) == len(q.h)
+    assert peak <= per_key * len(q.h), f"{peak / len(q.h):.1f} B per key"
 
 
 def test_certificate_and_trace_shapes():

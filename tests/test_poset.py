@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -55,6 +56,16 @@ def test_weight_table_validation():
         WeightFunction((0, 0), {("", ""): 0})
     with pytest.raises(ValueError, match="needs positive total mass"):
         WeightFunction((0, 0), {})
+
+
+@pytest.mark.parametrize("bad", [[1], {"p": 1}, "x", None], ids=["list", "dict", "text", "none"])
+def test_weight_refuses_a_value_as_fraction_does(bad):
+    # the shared value is converted once, keyed by identity, so an
+    # unhashable value raises Fraction's own error, not a hashing one
+    with pytest.raises(Exception) as expected:
+        Fraction(bad)
+    with pytest.raises(expected.type, match=re.escape(str(expected.value))):
+        WeightFunction((1, 0), {("0", ""): bad, ("1", ""): bad})
 
 
 def from_table_reference(resolution, table):
@@ -852,6 +863,24 @@ def test_one_cell_8x8_cover_builds_its_weight_once(monkeypatch):
     assert read and len(set(read)) == len(read)
     assert {key[0] for key in read} == {id(p.u[0].phi)}
     assert max(entries for *_, entries in read) <= 256
+
+
+def test_one_cell_8x8_cover_converts_its_shared_weight_value_once(monkeypatch):
+    # phi_from_clopen hands one Fraction to all 65,535 keys of the complement
+    made = []
+    real = poset.Fraction
+
+    def counting(*args):
+        made.append(args)
+        return real(*args)
+
+    f = ClopenPlaneSet.from_rects([("0" * 8, "0" * 8)]).complement()
+    monkeypatch.setattr(poset, "Fraction", counting)
+    phi = phi_from_clopen(f)
+    monkeypatch.undo()
+    assert len(phi.table) == 2 ** 16 - 1
+    assert len({id(v) for v in phi.table.values()}) == 1
+    assert len(made) <= 3  # the shared value, its one conversion and the range cap
 
 
 def test_generic_run_complements_each_cover_once(monkeypatch):
