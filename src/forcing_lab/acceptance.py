@@ -32,7 +32,6 @@ from .poset import (
     TaggedWeight,
     WeightFunction,
     _stem_searches,
-    certificate,
     eval_phi,
     extend_detailed,
     generic_run,

@@ -14,7 +14,6 @@ and uniformity.
 from __future__ import annotations
 
 import enum
-from typing import Mapping, Sequence
 
 from .errors import ForcingLabError, FrozenValue
 

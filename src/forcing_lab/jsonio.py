@@ -92,7 +92,19 @@ def weight_to_json(phi: WeightFunction) -> dict:
 
 def weight_from_json(data: Mapping) -> WeightFunction:
     r1, r2 = data["resolution"]
-    table = {(s, t): rational_from_json(v) for s, t, v in data["table"]}
+    # one Fraction per distinct value text, so WeightFunction's identity memo
+    # converts and range-checks it once; only str values are shared, because
+    # a dict keyed by value would hand 1.0 the Fraction parsed for 1
+    parsed: dict[str, Fraction] = {}
+
+    def value(v) -> Fraction:
+        if not isinstance(v, str):
+            return rational_from_json(v)
+        if v not in parsed:
+            parsed[v] = rational_from_json(v)
+        return parsed[v]
+
+    table = {(s, t): value(v) for s, t, v in data["table"]}
     _refuse_repeats(table, data["table"], itemgetter(0, 1), "weight table key")
     return WeightFunction((int(r1), int(r2)), table)
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
@@ -106,22 +107,22 @@ class WeightFunction(FrozenValue):
         return sum(self.table.values(), Fraction(0))
 
     @cached_property
-    def _integer_form(self) -> tuple[int, dict, dict, set]:
-        """(D, rows, memo, prefixes): the common denominator D of the table;
+    def _integer_form(self) -> tuple[int, dict, dict, list]:
+        """(D, rows, memo, keys): the common denominator D of the table;
         the row index, mapping each x-string of the table to the list of its
         y-strings and the list of their values times D; a memo of D times
         the table mass per truncated pair (s[:m1], t[:m2]), filled by _mass;
-        and the set of every prefix of the x-strings.  Built on first use
-        and kept on the instance outside the fields, so equality, repr and
-        the JSON form do not see it."""
+        and the x-strings of the table in sorted order, in which the rows
+        under any shorter x-string form one run.  Built on first use and
+        kept on the instance outside the fields, so equality, repr and the
+        JSON form do not see it."""
         d = math.lcm(*(v.denominator for v in self.table.values()))
         rows: dict[str, tuple[list[str], list[int]]] = {}
         for (a, b), v in self.table.items():
             ys, ns = rows.setdefault(a, ([], []))
             ys.append(b)
             ns.append(v.numerator * (d // v.denominator))
-        prefixes = {a[:i] for a in rows for i in range(len(a) + 1)}
-        return d, rows, {}, prefixes
+        return d, rows, {}, sorted(rows)
 
 
 def _read_row(phi: WeightFunction, s1: str, t1: str) -> int:
@@ -135,9 +136,10 @@ def _mass(phi: WeightFunction, s: str, t: str) -> tuple[int, int]:
     """(D, n) with n/D the table mass compatible with (s, t), that is the
     weight at (s[:m1], t[:m2]), memoized per truncated pair.  A miss at the
     x-resolution reads only its own row (_read_row), at most 2^m2 entries;
-    a shorter x-string adds up the masses of those of its two children
-    that some row extends.  The strings are not checked."""
-    d, _, memo, prefixes = phi._integer_form
+    a shorter x-string s1 adds up the memoized masses of the rows under it,
+    the run of sorted x-strings from s1 up to s1 + "2", so no miss recurses
+    or reads the whole table.  The strings are not checked."""
+    d, _, memo, keys = phi._integer_form
     m1, m2 = phi.resolution
     key = (s[:m1], t[:m2])
     n = memo.get(key)
@@ -146,7 +148,8 @@ def _mass(phi: WeightFunction, s: str, t: str) -> tuple[int, int]:
         if len(s1) == m1:
             n = _read_row(phi, s1, t1)
         else:
-            n = sum(_mass(phi, c, t1)[1] for c in (s1 + "0", s1 + "1") if c in prefixes)
+            under = keys[bisect_left(keys, s1):bisect_left(keys, s1 + "2")]
+            n = sum(_mass(phi, row, t1)[1] for row in under)
         memo[key] = n
     return d, n
 
@@ -329,9 +332,8 @@ class ExtendStats(FrozenValue):
     against each weight (empty when there are none), and the accepted bit
     pattern per old top (bit i is the value bit appended at its i-th new
     top, all zero when there are no weights), from which the grown stem's
-    census is counted without walking it (see _grown_census).  Unlike the
-    other values it is filled in as the extension runs, so it is mutable
-    and unhashable."""
+    census is counted without walking it (see _grown_census).  Built once
+    the extension is done; its dict and list fields make it unhashable."""
 
     _fields = ("pinned_m_prime", "m_prime", "retries", "exhaustive_stems", "scores", "chosen")
     pinned_m_prime: int
@@ -340,17 +342,6 @@ class ExtendStats(FrozenValue):
     exhaustive_stems: list
     scores: tuple
     chosen: dict
-
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None  # type: ignore[assignment]
-
-    def __init__(self, pinned_m_prime: int, m_prime: int, retries: dict | None = None,
-                 exhaustive_stems: list | None = None, scores: tuple = (),
-                 chosen: dict | None = None) -> None:
-        super().__init__(pinned_m_prime, m_prime, {} if retries is None else retries,
-                         [] if exhaustive_stems is None else exhaustive_stems, scores,
-                         {} if chosen is None else chosen)
 
 
 def _sub_seed(seed: int, tag: str) -> int:
@@ -385,6 +376,17 @@ def _refuse_past_limit(m: int, m2: int) -> None:
             f"pass max_new_levels to bound the growth")
 
 
+def _rows(s: str, m: int, m2: int, cut: int) -> tuple[list[str], int]:
+    """The rows, cut at x-resolution cut, of the new tops grown from a top s
+    of depth m to depth m2, and the number of new tops per row.  The first
+    k = min(max(cut - m, 0), m2 - m) suffix bits of a new top pick its row,
+    so row r holds the r-th block of a candidate's bits; with k = 0 the one
+    row is s[:cut]."""
+    k = min(max(cut - m, 0), m2 - m)
+    rows = [s + format(r, f"0{k}b") for r in range(2 ** k)] if k else [s[:cut]]
+    return rows, 2 ** (m2 - m - k)
+
+
 def _stem_searches(phi_list, m: int, m2: int, delta: Fraction):
     """The searches of one extension from depth m to m2, as a function
     (s, h(s)) -> first_failing, where first_failing(e) is the index of the
@@ -396,10 +398,10 @@ def _stem_searches(phi_list, m: int, m2: int, delta: Fraction):
 
         sum over new tops t of phi(t, h(s) + bit(t))  >  phi(s, h(s))/2 - delta.
 
-    The first k = min(max(m1 - m, 0), m2 - m) suffix bits pick a row at the
-    weight's x-resolution m1 (one top per row when m2 < m1).  The tops of a
-    row share their weights up to the uniform halving below m1, so a row
-    contributes through the number of ones in its block of bits.
+    The new tops fall into rows at the weight's x-resolution m1 (see _rows;
+    one top per row when m2 < m1).  The tops of a row share their weights
+    up to the uniform halving below m1, so a row contributes through the
+    number of ones in its block of bits.
 
     A weight's check depends on the stem s only through (s[:m1], h(s)):
     when m >= m1 the only row is s[:m1] and phi(s, h(s)) is phi(s[:m1], h(s))
@@ -421,7 +423,6 @@ def _stem_searches(phi_list, m: int, m2: int, delta: Fraction):
     sums(e) also hands the extension each weight's (D, sum) to score the
     grown stem with.
     """
-    count = 2 ** (m2 - m)
     built: dict = {}
 
     def build(phi: WeightFunction, s: str, value: str) -> tuple:
@@ -429,8 +430,7 @@ def _stem_searches(phi_list, m: int, m2: int, delta: Fraction):
         d_phi, n = _mass(phi, s, value)
         target = Fraction(n, d_phi << (_depth_shift(phi, s, value) + 1)) - delta
         m1 = phi.resolution[0]
-        k = min(max(m1 - m, 0), m2 - m)
-        rows = [s + format(r, f"0{k}b") for r in range(2 ** k)] if k else [s[:m1]]
+        rows, block = _rows(s, m, m2, m1)
         zeros = [_mass(phi, row, value + "0")[1] for row in rows]
         ones = [_mass(phi, row, value + "1")[1] for row in rows]
         # for the weight's resolution (m1, r2), a new top valued value + bit lies
@@ -439,7 +439,6 @@ def _stem_searches(phi_list, m: int, m2: int, delta: Fraction):
         row_d = d_phi << (max(0, m2 - m1) + max(0, len(value) + 1 - phi.resolution[1]))
         d = math.lcm(target.denominator, row_d)
         scale = d // row_d
-        block = count >> k
         return (target.numerator * (d // target.denominator), block, block * sum(zeros) * scale,
                 [(n1 - n0) * scale for n0, n1 in zip(zeros, ones)], d)
 
@@ -512,21 +511,21 @@ def extend_detailed(
     m = p.m
     items = sorted(p.h.items())
     tops = [s for s, _ in items if len(s) == m]
-    m2 = m + 1
-    stats = ExtendStats(m2, m2, chosen=dict.fromkeys(tops, 0))
-    chosen = stats.chosen
+    m2 = pinned = m + 1
+    retries: dict[str, int] = {}
+    exhaustive: list[str] = []
+    scores: tuple[Fraction, ...] = ()
+    chosen = dict.fromkeys(tops, 0)
     if p.u:
         n = len(p.u)
         slack = min(sc - tw.eps for sc, tw in zip(rep.scores, p.u))
         sigma = sum(2 ** (1 + len(p.h[s])) for s in tops)
         delta = slack / (2 * sigma)
         threshold = delta * delta / (2 * n)
-        while Fraction(1, 2 ** m2) >= threshold:
-            m2 += 1
-        stats.pinned_m_prime = m2
+        # the least m2 > m with 2^m2 > 1/threshold, that is 2^-m2 < threshold
+        m2 = pinned = max(m + 1, (threshold.denominator // threshold.numerator).bit_length())
         if max_new_levels is not None:
             m2 = min(m2, m + max_new_levels)
-        stats.m_prime = m2
         _refuse_past_limit(m, m2)
         stem_search = _stem_searches([tw.phi for tw in p.u], m, m2, delta)
         count = 2 ** (m2 - m)
@@ -544,16 +543,16 @@ def extend_detailed(
                     break
             else:
                 raise SearchExhausted(s, last_fail, _RETRY_CAP)
-            stats.retries[s] = attempt
+            retries[s] = attempt
             if attempt == _RETRY_CAP:
-                stats.exhaustive_stems.append(s)
+                exhaustive.append(s)
             chosen[s] = e
             shift = len(p.h[s]) + 1
             for total, (d, acc) in zip(totals, sums(e)):
                 total[d] = total.get(d, 0) + (acc << shift)
-        stats.scores = tuple(
+        scores = tuple(
             sum((Fraction(acc, d) for d, acc in total.items()), Fraction(0)) for total in totals)
-        for i, (sc, tw) in enumerate(zip(stats.scores, p.u)):
+        for i, (sc, tw) in enumerate(zip(scores, p.u)):
             if sc <= tw.eps:  # unreachable when every stem passed its exact check
                 raise RuntimeError(
                     f"extension produced invalid condition: weight #{i} scores {sc}, "
@@ -571,7 +570,7 @@ def extend_detailed(
             v0, v1 = v + "0", v + "1"
             h2.update(zip([s + u for u in suffixes],
                           [(v1 if next(bits) == "1" else v0) if is_leaf else v for is_leaf in leaf]))
-    return Condition(m2, h2, p.u), stats
+    return Condition(m2, h2, p.u), ExtendStats(pinned, m2, retries, exhaustive, scores, chosen)
 
 
 def attach_weight(p: Condition, eps: Fraction, phi: WeightFunction) -> Condition:
@@ -633,17 +632,15 @@ def _grown_census(h: Mapping[str, str], chosen: Mapping[str, int], m: int, m2: i
                   cut: int) -> Counter:
     """_top_groups(h2, m2, cut) of the stem grown from depth m to m2 with the
     accepted patterns chosen (ExtendStats.chosen), counted from the patterns
-    alone.  The first k = min(max(cut - m, 0), m2 - m) suffix bits of a new
-    top pick its row, the blocks of bits _check_sum reads, so a row of top s
-    holds popcount(block) tops valued h(s) + "1" and the rest h(s) + "0"."""
-    k = min(max(cut - m, 0), m2 - m)
-    block = 2 ** (m2 - m - k)
-    mask = (1 << block) - 1
+    alone.  A row of top s (see _rows) holds the tops of one block of bits,
+    the blocks _check_sum reads, so popcount(block) of them are valued
+    h(s) + "1" and the rest h(s) + "0"."""
     census: Counter = Counter()
     for s, e in chosen.items():
         v = h[s]
-        for r in range(2 ** k):
-            row = s + format(r, f"0{k}b") if k else s[:cut]
+        rows, block = _rows(s, m, m2, cut)
+        mask = (1 << block) - 1
+        for r, row in enumerate(rows):
             ones = ((e >> (r * block)) & mask).bit_count()
             if ones:
                 census[row, v + "1"] += ones
@@ -676,15 +673,15 @@ def generic_run(
     the run.  After every action the trace records, for each cover already
     attached, the exact certificate of its complement, equal to
     certificate(p, complement).  The certificates of a snapshot share one
-    census of the tops, cut at the finest x-resolution among the covers:
-    it is recounted from h only when an attached cover needs a finer cut,
-    and after an extension it is counted from the accepted bit patterns.
+    census of the tops, cut at the finest x-resolution in the schedule: it
+    starts as the trivial stem's one top and, after each extension, is
+    counted from the accepted bit patterns, so h is never walked for it.
     score_f is scored against the weight avoid_null attached, and the
     complement is the one avoid_null computed and the cover keeps, so each
     cover's complement and weight are built once per run and the weight's
-    memo serves every snapshot.  Multi-step runs default to bounded depth growth; the pinned
-    depth formula compounds roughly quadratically per step and leaves any
-    second unbounded extension beyond reach.
+    memo serves every snapshot.  Multi-step runs default to bounded depth
+    growth; the pinned depth formula compounds roughly quadratically per
+    step and leaves any second unbounded extension beyond reach.
     """
     if steps > _MAX_DEPTH:  # every step grows the stem by at least one level
         raise ValueError(f"steps {steps} would grow the stem past the depth limit of {_MAX_DEPTH}")
@@ -695,8 +692,8 @@ def generic_run(
     p = trivial_condition()
     attached: list[tuple[int, ClopenPlaneSet, WeightFunction]] = []
     trace: list[TraceEntry] = []
-    cut = 0  # the finest x-resolution among the attached covers
-    census: Counter = Counter()  # _top_groups(p.h, p.m, cut) once a cover is attached
+    cut = max((c.cover.resolution[0] for c in schedule), default=0)
+    census = Counter({("", ""): 1})  # _top_groups(p.h, p.m, cut)
 
     def snapshot(step: int, action: str) -> None:
         certs = tuple((i, _certify(census, p.m, f, phi)) for i, f, phi in attached)
@@ -708,15 +705,11 @@ def generic_run(
                 if c.at_step == step:
                     p = avoid_null(p, c.cover, c.eps)
                     f = c.cover._complement  # the complement avoid_null computed
-                    if not attached or f.resolution[0] > cut:
-                        cut = max(cut, f.resolution[0])
-                        census = _top_groups(p.h, p.m, cut)
                     attached.append((i, f, p.u[-1].phi))
                     snapshot(step, "attach")
             grown, stats = extend_detailed(
                 p, _sub_seed(seed, f"step{step}"), max_new_levels=max_new_levels)
-            if attached:
-                census = _grown_census(p.h, stats.chosen, p.m, grown.m, cut)
+            census = _grown_census(p.h, stats.chosen, p.m, grown.m, cut)
             p = grown
             snapshot(step, "extend")
         except ForcingLabError as exc:

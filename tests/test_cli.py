@@ -13,12 +13,14 @@ import io
 import json
 import math
 import os
+import random
 import re
 import shlex
 import subprocess
 import sys
 import time
 import tokenize
+import tracemalloc
 from fractions import Fraction as Rational
 from importlib import resources
 from pathlib import Path
@@ -289,6 +291,43 @@ def test_input_depth_past_the_limit_exits_two(tmp_path):
     assert code == 2
     assert env["error"]["type"] == "ValueError"
     assert "past the limit of 20" in env["error"]["message"]
+
+
+def test_tag_with_a_long_denominator_exits_two_in_time(tmp_path):
+    # slack 2^-14000 pins depth 28006, which is refused as past the limit
+    d = 2 ** 14000
+    condition = {**SIMPLE_CONDITION, "u": [{**SIMPLE_CONDITION["u"][0], "eps": f"{d - 1}/{d}"}]}
+    started = time.perf_counter()
+    code, env = run(tmp_path, ["extend", "--seed", "1"], {"condition": condition})
+    assert time.perf_counter() - started < 1
+    assert code == 2
+    assert env["error"] == {"type": "ValueError", "message": (
+        "extension would need depth 28006 from 0, past the limit of 20; "
+        "pass max_new_levels to bound the growth")}
+
+
+def deep_row_condition(m1, count):
+    """The trivial stem with one weight at resolution (m1, 0): count random
+    rows, each carrying the cap 2^-m1, tagged at 2^-(m1 + 1), below the
+    stem's score."""
+    rng = random.Random(m1)
+    rows = sorted({format(rng.getrandbits(m1), f"0{m1}b") for _ in range(count)})
+    return {"m": 0, "h": [["", ""]], "u": [{"eps": f"1/{2 ** (m1 + 1)}", "phi": {
+        "resolution": [m1, 0], "table": [[a, "", f"1/{2 ** m1}"] for a in rows]}}]}
+
+
+def test_extend_over_deep_weight_rows_stays_small(tmp_path):
+    # 40 rows at x-resolution 3000: no prefix of a row is stored or recursed on
+    scenario = {"condition": deep_row_condition(3000, 40)}
+    tracemalloc.start()
+    try:
+        code, env = run(tmp_path, ["extend", "--seed", "1", "--max-new-levels", "2"], scenario)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0, env.get("error")
+    assert env["report"]["condition"]["m"] == 2
+    assert peak < 40 * 2 ** 20, f"{peak / 2 ** 20:.1f} MB"
 
 
 @pytest.mark.installed
@@ -885,6 +924,25 @@ def test_public_names_resolve():
     assert set(names) <= set(dir(forcing_lab))
     with pytest.raises(AttributeError):
         forcing_lab.no_such_name
+
+
+def unused_imports(source):
+    """The names a module's imports bind and its code never reads."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {alias.asname or alias.name for alias in node.names}
+    return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_modules_use_every_name_they_import():
+    package = Path(forcing_lab.__file__).resolve().parent
+    unused = {path.name: sorted(names) for path in sorted(package.glob("*.py"))
+              if (names := unused_imports(path.read_text()))}
+    assert unused == {}
 
 
 @pytest.mark.installed

@@ -181,10 +181,10 @@ def names_calls():
 SCENARIOS = {"generic-run": generic_runs, "extend-deep": deep_extensions,
              "extend-fresh": fresh_extensions, "names-mix": names_calls}
 BUDGETS = {
-    "generic-run": {"_read_row": 97, "_top_groups": 16, "_certify": 28, "phi_from_clopen": 6,
+    "generic-run": {"_read_row": 97, "_top_groups": 14, "_certify": 28, "phi_from_clopen": 6,
                     "eval_phi": 0, "check_bits": 1568, "validate": 8, "score": 6,
                     "_sub_seed": 1178, "contains_rect": 661, "complement": 6,
-                    "row entries": 320, "grown keys": 18712, "census classes": 405},
+                    "row entries": 320, "grown keys": 18712, "census classes": 403},
     "extend-deep": {"_read_row": 11, "_top_groups": 2, "_certify": 0, "phi_from_clopen": 0,
                     "eval_phi": 0, "check_bits": 0, "validate": 2, "score": 0,
                     "_sub_seed": 1536, "contains_rect": 0, "complement": 0,

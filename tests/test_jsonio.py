@@ -20,8 +20,10 @@ from forcing_lab import (
     attach_weight,
     extend_detailed,
     make_name,
+    phi_from_clopen,
     trivial_condition,
 )
+from forcing_lab import jsonio
 from forcing_lab.diagram import NODES, CardinalLabel, DiagramAssignment
 from forcing_lab.jsonio import (
     assignment_from_json,
@@ -100,6 +102,24 @@ def test_weight_round_trip():
     wire = weight_to_json(phi)
     assert wire["table"] == sorted(wire["table"])
     assert weight_from_json(wire) == phi
+
+
+def test_weight_decode_parses_each_value_text_once(monkeypatch):
+    # the complement of one cell at (8, 8): 65,535 rows, all "1/65536"
+    phi = phi_from_clopen(ClopenPlaneSet.from_rects([("0" * 8, "0" * 8)]).complement())
+    wire = json.loads(json.dumps(weight_to_json(phi)))
+    parsed = []
+
+    def counting(text):
+        parsed.append(text)
+        return rational_from_json(text)
+
+    monkeypatch.setattr(jsonio, "rational_from_json", counting)
+    assert weight_from_json(wire) == phi
+    assert parsed == ["1/65536"]
+    # only texts are shared: 1.0 equals 1 but is still refused
+    with pytest.raises(ValueError, match="'p/q' text"):
+        weight_from_json({"resolution": [1, 0], "table": [["0", "", 1], ["1", "", 1.0]]})
 
 
 def test_condition_round_trip():

@@ -175,6 +175,25 @@ def test_eval_phi_lookups_match_the_scanning_reference():
     assert seen == {(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1)}
 
 
+@pytest.mark.parametrize("m1", [600, 2000])
+def test_eval_phi_on_deep_rows_matches_the_scanning_reference(m1):
+    # rows deeper than the interpreter's recursion limit, some of them
+    # sharing all but their first, second, middle or last bit
+    rng = random.Random(m1)
+    base = format(rng.getrandbits(m1), f"0{m1}b")
+    flipped = [base[:i] + "10"[int(base[i])] + base[i + 1:] for i in (0, 1, m1 // 2, m1 - 1)]
+    rows = sorted({base, *flipped, format(rng.getrandbits(m1), f"0{m1}b")})
+    table = {(a, b): Fraction(rng.randint(1, 4), 4 << (m1 + 1)) for a in rows for b in "01"}
+    phi = WeightFunction((m1, 1), table)
+    stray = base[:2] + "10"[int(base[2])] + base[3:m1 // 2]  # under no row
+    for s in [stray] + [(a + "01")[:ls] for a in rows
+                        for ls in (0, 1, 2, m1 // 2, m1 // 2 + 1, m1 - 1, m1, m1 + 2)]:
+        for t in ("", "1", "10"):
+            want = scanning_eval_phi(phi, s, t)
+            assert eval_phi(phi, s, t) == want, (len(s), t)
+    assert eval_phi(phi, stray, "") == 0
+
+
 @pytest.mark.parametrize("s, t", [("2", ""), ("0a", "0"), ("", "01x"), (None, ""), ("0", 1)])
 def test_eval_phi_checks_its_strings(s, t):
     phi = WeightFunction.scaled_uniform(Fraction(1, 2), (1, 1))
@@ -563,6 +582,35 @@ def test_extend_slack_is_least_over_weights():
     assert validate(p).scores == (Fraction(3, 4), Fraction(1))
     _, stats = extend_detailed(p, seed=1, max_new_levels=1)
     assert stats.pinned_m_prime == 11
+
+
+def stepped_pinned_depth(p):
+    """Reference: the least m' > m with 2^-m' < delta^2/(2n), found by
+    trying one depth after another."""
+    slack = min(sc - tw.eps for sc, tw in zip(validate(p).scores, p.u))
+    delta = slack / (2 * sum(2 ** (1 + len(p.h[s])) for s in p.tops()))
+    threshold = delta * delta / (2 * len(p.u))
+    m2 = p.m + 1
+    while Fraction(1, 2 ** m2) >= threshold:
+        m2 += 1
+    return m2
+
+
+def test_pinned_depth_matches_the_stepping_reference():
+    rng = random.Random(1901)
+    for i in range(300):
+        h = rng.choice([{"": ""}, DEPTH2_STEM])
+        if i < 40:  # slack a power of two, so 1/threshold is one too
+            eps = 1 - Fraction(1, 2 ** (i + 1))
+        else:
+            q = rng.randint(2, 2 ** rng.randint(1, 160))
+            eps = Fraction(rng.randint(1, q - 1), q)
+        u = (TaggedWeight(eps, FULL_W),)
+        if rng.random() < 0.5:
+            u += (TaggedWeight(eps * Fraction(3, 4), WeightFunction.scaled_uniform(Fraction(3, 4))),)
+        p = Condition(max(map(len, h)), h, u)
+        _, stats = extend_detailed(p, seed=i, max_new_levels=1)
+        assert stats.pinned_m_prime == stepped_pinned_depth(p), eps
 
 
 def sparse_stem(rng, depth):

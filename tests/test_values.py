@@ -35,8 +35,8 @@ from forcing_lab.poset import ClauseViolation
      "Certificate(inside=Fraction(1, 4), score_f=Fraction(0, 1))"),
     (ValidationReport(True, ()), "ValidationReport(ok=True, violations=(), scores=())"),
     (Slalom((frozenset({1}),)), "Slalom(slots=(frozenset({1}),))"),
-    (ExtendStats(1, 1), "ExtendStats(pinned_m_prime=1, m_prime=1, retries={}, "
-                        "exhaustive_stems=[], scores=(), chosen={})"),
+    (ExtendStats(1, 1, {}, [], (), {}), "ExtendStats(pinned_m_prime=1, m_prime=1, retries={}, "
+                                        "exhaustive_stems=[], scores=(), chosen={})"),
 ])
 def test_repr_names_every_field(value, text):
     assert repr(value) == text
@@ -54,7 +54,7 @@ def test_equality_holds_within_one_type_only():
 
 
 @pytest.mark.parametrize("value", [
-    Condition(0, {"": ""}), WeightFunction.full(), ExtendStats(1, 1),
+    Condition(0, {"": ""}), WeightFunction.full(), ExtendStats(1, 1, {}, [], (), {}),
     ClopenPlaneSet.from_rects([("", "")]),
 ], ids=["Condition", "WeightFunction", "ExtendStats", "ClopenPlaneSet"])
 def test_values_with_unhashable_or_set_semantics_do_not_hash(value):
@@ -66,7 +66,9 @@ def test_values_with_unhashable_or_set_semantics_do_not_hash(value):
     (ClopenSet(["0"]), "generators"), (Condition(0, {"": ""}), "m"),
     (WeightFunction.full(), "table"), (IntervalSpec(0, 1), "left"),
     (CriterionResult("C", True, "", 0.0, None), "passed"),
-], ids=["ClopenSet", "Condition", "WeightFunction", "IntervalSpec", "CriterionResult"])
+    (ExtendStats(1, 2, {}, [], (), {"": 1}), "m_prime"),
+], ids=["ClopenSet", "Condition", "WeightFunction", "IntervalSpec", "CriterionResult",
+        "ExtendStats"])
 def test_fields_cannot_be_set_or_deleted(value, field):
     before = repr(value)
     with pytest.raises(AttributeError):
@@ -78,16 +80,11 @@ def test_fields_cannot_be_set_or_deleted(value, field):
     assert repr(value) == before
 
 
-def test_extend_stats_stay_mutable_with_fresh_defaults():
-    a, b = ExtendStats(1, 2), ExtendStats(1, 2, chosen={"": 1})
-    a.retries["0"] = 3
-    a.m_prime = 5
-    assert (a.retries, a.m_prime, b.retries, b.chosen) == ({"0": 3}, 5, {}, {"": 1})
-
-
 def test_constructors_take_their_fields_in_order():
     with pytest.raises(TypeError):
         Certificate(Fraction(1))
     with pytest.raises(TypeError):
         Violation("edge", "x", "extra")
+    with pytest.raises(TypeError):
+        ExtendStats(1, 2)
     assert Condition(1, {"": "", "0": "", "1": ""}).u == ()
