@@ -51,47 +51,50 @@ from .smz import (
 )
 
 ORACLE_DEPTH = 8
+# the most generators of a random set, labels of a random partition's pool,
+# and bits of a random cover's resolution in each coordinate
+SET_GENERATORS, LABEL_POOL, COVER_RESOLUTION = 6, 12, 3
 
 
 # ---------------------------------------------------------------- oracles
 
-def clopen_to_bitmap(a: ClopenSet, depth: int = ORACLE_DEPTH) -> int:
-    """Flat model: bit i set iff the depth-level leaf with index i (its
-    string read as a binary numeral) lies inside the set."""
+def clopen_to_bitmap(a: ClopenSet) -> int:
+    """Flat model: bit i set iff the ORACLE_DEPTH-level leaf with index i
+    (its string read as a binary numeral) lies inside the set."""
     mask = 0
     for s in a.generators:
-        if len(s) > depth:
-            raise ValueError(f"generator {s!r} deeper than oracle depth {depth}")
-        width = 2 ** (depth - len(s))
+        if len(s) > ORACLE_DEPTH:
+            raise ValueError(f"generator {s!r} deeper than oracle depth {ORACLE_DEPTH}")
+        width = 2 ** (ORACLE_DEPTH - len(s))
         start = int(s, 2) * width if s else 0
         mask |= ((1 << width) - 1) << start
     return mask
 
-def bitmap_measure(mask: int, depth: int = ORACLE_DEPTH) -> Fraction:
-    return Fraction(mask.bit_count(), 2 ** depth)
+def bitmap_measure(mask: int) -> Fraction:
+    return Fraction(mask.bit_count(), 2 ** ORACLE_DEPTH)
 
 
 # ------------------------------------------------------------- generators
 
-def random_clopen(rng: random.Random, max_depth: int = 8, max_gens: int = 6) -> ClopenSet:
+def random_clopen(rng: random.Random) -> ClopenSet:
     roll = rng.random()
     if roll < 0.05:
         return EMPTY
     if roll < 0.10:
         return FULL
     gens = [
-        "".join(rng.choice("01") for _ in range(rng.randint(1, max_depth)))
-        for _ in range(rng.randint(1, max_gens))
+        "".join(rng.choice("01") for _ in range(rng.randint(1, ORACLE_DEPTH)))
+        for _ in range(rng.randint(1, SET_GENERATORS))
     ]
     return ClopenSet.from_strings(gens)
 
 
-def random_partition(rng: random.Random, max_depth: int = 4, label_pool: int = 12):
+def random_partition(rng: random.Random, max_depth: int = 4):
     depth = rng.randint(1, max_depth)
     leaves = _extensions("", depth)
     rng.shuffle(leaves)
     count = rng.randint(1, min(6, len(leaves)))
-    labels = rng.sample(range(label_pool), count)
+    labels = rng.sample(range(LABEL_POOL), count)
     groups: list[list[str]] = [[] for _ in range(count)]
     for i, leaf in enumerate(leaves):
         groups[i if i < count else rng.randrange(count)].append(leaf)
@@ -114,9 +117,9 @@ def random_monotone_stem(rng: random.Random, depth: int, budget: int) -> dict:
     return h
 
 
-def random_cover(rng: random.Random, max_resolution: int = 3, max_rects: int = 2) -> ClopenPlaneSet:
-    r1 = rng.randint(1, max_resolution)
-    r2 = rng.randint(1, max_resolution)
+def random_cover(rng: random.Random, max_rects: int) -> ClopenPlaneSet:
+    r1 = rng.randint(1, COVER_RESOLUTION)
+    r2 = rng.randint(1, COVER_RESOLUTION)
     cells = [(a, b) for a in _extensions("", r1) for b in _extensions("", r2)]
     picked = rng.sample(cells, rng.randint(1, min(max_rects, len(cells))))
     return ClopenPlaneSet((r1, r2), frozenset(picked))
@@ -130,7 +133,7 @@ def random_extension_weight(rng: random.Random, h: dict) -> tuple[Fraction, Weig
         c = Fraction(rng.choice([6, 7, 8]), 8)
         phi = WeightFunction.scaled_uniform(c, (rng.randint(0, 2), rng.randint(0, 2)))
     else:
-        phi = phi_from_clopen(random_cover(rng, max_resolution=3, max_rects=1).complement())
+        phi = phi_from_clopen(random_cover(rng, max_rects=1).complement())
     sc = score(h, phi)
     if sc < Fraction(1, 2):  # keep the extension depth formula desk-sized
         phi = WeightFunction.full()
@@ -286,7 +289,7 @@ def criterion_tail_oracle() -> tuple[bool, str]:
         kind = rng.choice(["cover", "uniform", "full"])
         if kind == "cover":
             weights.append(phi_from_clopen(
-                random_cover(rng, max_resolution=3, max_rects=2).complement()))
+                random_cover(rng, max_rects=2).complement()))
         elif kind == "uniform":
             weights.append(WeightFunction.scaled_uniform(
                 Fraction(rng.randint(4, 8), 8), (rng.randint(0, 2), rng.randint(0, 2))))

@@ -17,10 +17,9 @@ a scenario nested too deeply, schema violations, missing sections, missing
 the run; if that or argument parsing fails, the envelope goes to stdout.
 
 Both schema checks run on a check compiled once per process
-(`schemacheck`), so a run that passes them never imports `jsonschema`.  A
-rejected document is handed to `jsonschema.validate`, whose error gives the
-message and path.  Should `jsonschema` accept it after all, the run ends in
-an "InternalError" envelope (exit 3), for a scenario before the command runs.
+(`schemacheck`), which also words a rejection with its path; a scenario it
+rejects exits 2, an envelope it rejects is this program's fault and ends
+in an "InternalError" envelope (exit 3) instead.
 
 Set FORCING_LAB_LOG=debug (or info, warning, ...) for stderr logging;
 `logging` is imported only when it is set.
@@ -61,7 +60,8 @@ def _log(level: str, message: str, *args, **kwargs) -> None:
 
 
 def __getattr__(name: str):
-    # `cli.jsonschema` is imported on first use: only a rejection needs it
+    # `cli.jsonschema` is read only by perfbench/launcher.py, which rebinds it
+    # to a traced stand-in; nothing in forcing_lab imports jsonschema
     if name == "jsonschema":
         import jsonschema
         return jsonschema
@@ -104,25 +104,18 @@ def _load_schema(name: str) -> dict:
 
 @functools.cache
 def _compiled(name: str):
-    """The loaded schema `name` and its compiled check, built once."""
-    schema = _load_schema(name)
-    return schema, compile_schema(schema)
+    """The compiled check of the packaged schema `name`, built once."""
+    return compile_schema(_load_schema(name))
 
 
-def _schema_error(instance, name: str):
+def _schema_fault(instance, name: str) -> str | None:
     """None when `instance` conforms to the packaged schema `name`, else
-    jsonschema's own ValidationError for it.  Raises RuntimeError if
-    jsonschema accepts what the compiled check rejected."""
-    schema, accepts = _compiled(name)
-    if accepts(instance):
+    where and why it first fails."""
+    error = _compiled(name)(instance)
+    if error is None:
         return None
-    # looked up on the module, so a stand-in bound to `cli.jsonschema` is used
-    lib = sys.modules[__name__].jsonschema
-    try:
-        lib.validate(instance, schema)
-    except lib.ValidationError as exc:
-        return exc
-    raise RuntimeError(f"the compiled check of {name} rejects what jsonschema accepts")
+    path, _, message = error
+    return f"fails schema at {'/'.join(map(str, path)) or '<root>'}: {message}"
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -149,14 +142,13 @@ def _read_scenario(args: argparse.Namespace) -> dict:
             text = fh.read()
     try:
         data = json.loads(text, object_pairs_hook=_unique_keys)
-        exc = _schema_error(data, "scenario.schema.json")
     except json.JSONDecodeError as err:
         raise UsageError(f"scenario is not JSON: {err}") from err
-    except RecursionError:  # raised by the parser or by jsonschema's wording
+    except RecursionError:
         raise UsageError("scenario is nested too deeply") from None
-    if exc is not None:
-        where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise UsageError(f"scenario fails schema at {where}: {exc.message}") from exc
+    fault = _schema_fault(data, "scenario.schema.json")
+    if fault is not None:
+        raise UsageError(f"scenario {fault}")
     return data
 
 
@@ -427,12 +419,9 @@ def main(argv=None) -> int:
         code = 0 if ok else 1
     except Exception as exc:  # every failure still ends in one envelope
         code, envelope["error"] = _failure(exc)
-    try:
-        fault = _schema_error(envelope, "report.schema.json")
-    except RuntimeError as exc:
-        fault = exc
+    fault = _schema_fault(envelope, "report.schema.json")
     if fault is not None:  # this program's fault, so _failure makes it exit 3
-        code, error = _failure(fault)
+        code, error = _failure(RuntimeError(f"report {fault}"))
         envelope = {"command": command, "ok": False, "error": error}
     # the envelope is a tree built here from a parsed scenario and fresh
     # report values, so the encoder's cycle check could never fire

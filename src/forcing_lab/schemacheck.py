@@ -1,6 +1,6 @@
 """JSON Schema checks compiled once into nested closures.
 
-`compile_schema(schema)` walks a schema once and returns a predicate that
+`compile_schema(schema)` walks a schema once and returns a check that
 accepts exactly the instances `jsonschema`'s Draft 2020-12 validator
 accepts.  Checking an instance then does no keyword dispatch, reference
 resolution or meta-schema check.  The approach is that of fastjsonschema
@@ -16,17 +16,21 @@ Only the keywords the packaged schemas use are compiled: `type`,
 
 As in Draft 2020-12, a keyword passes every instance of a type it does not
 apply to, an "integer" is an int or an integral float but never a bool, a
-"number" is never a bool, and `pattern` matches by `re.search`.  The
-predicate only says yes or no: ask `jsonschema` why an instance fails.
+"number" is never a bool, and `pattern` matches by `re.search`.  The check
+returns None for an instance the schema accepts, else its first error as
+(path, keyword, message), worded as jsonschema words it for the packaged
+schemas, but with a bounded `reprlib` repr of every value it shows.
 """
 
 from __future__ import annotations
 
 import numbers
 import re
+from reprlib import repr as _repr
 from typing import Callable
 
-Check = Callable[[object], bool]
+Error = tuple[tuple, str | None, str]  # (path, keyword, message)
+Check = Callable[[object], Error | None]
 
 ANNOTATIONS = frozenset({"$schema", "title", "description"})
 
@@ -48,12 +52,18 @@ TYPES = {
 }
 
 
-def _accept(x) -> bool:
-    return True
+def _accept(x) -> None:
+    return None
 
 
-def _reject(x) -> bool:
-    return False
+def _reject(x) -> Error:
+    return (), None, f"False schema does not allow {_repr(x)}"
+
+
+def _under(key, error: Error) -> Error:
+    """`error` of the value at `key`, as seen from the value that holds it."""
+    path, keyword, message = error
+    return (key, *path), keyword, message
 
 
 def _all(checks: list[Check]) -> Check:
@@ -61,22 +71,30 @@ def _all(checks: list[Check]) -> Check:
         return _accept
     if len(checks) == 1:
         return checks[0]
-    return lambda x: all(check(x) for check in checks)
+
+    def check(x):
+        for each in checks:
+            if (error := each(x)) is not None:
+                return error
+    return check
 
 
-def _type(names) -> tuple[type | None, Check]:
-    """The class `names` allows when it is exactly one class, and the check."""
+def _type(names) -> tuple[type | None, Callable[[object], bool], Check]:
+    """The class `names` allows when it is exactly one class, the test for
+    an allowed instance, and the error of any other."""
     names = [names] if isinstance(names, str) else names
     unknown = set(names) - TYPES.keys()
     if unknown:
         raise NotImplementedError(f"cannot compile schema type(s) {sorted(unknown)}")
+    wording = f" is not of type {', '.join(map(repr, names))}"
+    wrong = lambda x: ((), "type", _repr(x) + wording)
     classes = tuple(TYPES[n] for n in names if isinstance(TYPES[n], type))
     tests = [TYPES[n] for n in names if not isinstance(TYPES[n], type)]
     if not tests:
-        return (classes[0] if len(classes) == 1 else None), lambda x: isinstance(x, classes)
+        return (classes[0] if len(classes) == 1 else None), lambda x: isinstance(x, classes), wrong
     if not classes and len(tests) == 1:
-        return None, tests[0]
-    return None, lambda x: isinstance(x, classes) or any(t(x) for t in tests)
+        return None, tests[0], wrong
+    return None, lambda x: isinstance(x, classes) or any(t(x) for t in tests), wrong
 
 
 def _object(schema: dict) -> Check | None:
@@ -84,9 +102,27 @@ def _object(schema: dict) -> Check | None:
         return None
     properties = {k: compile_schema(v) for k, v in schema.get("properties", {}).items()}
     required = tuple(schema.get("required", ()))
+    closed = schema.get("additionalProperties", True) is False
     extra = compile_schema(schema.get("additionalProperties", True))
-    return lambda x: (all(k in x for k in required)
-                      and all(properties.get(k, extra)(v) for k, v in x.items()))
+
+    def check(x):
+        for k in required:
+            if k not in x:
+                return (), "required", f"{k!r} is a required property"
+        for k, v in x.items():
+            if (error := properties.get(k, extra)(v)) is not None:
+                break
+        else:
+            return None
+        # as in jsonschema, unexpected keys are named at the object's own
+        # path, before any error inside a value
+        extras = sorted((k for k in x if k not in properties), key=str) if closed else ()
+        if not extras:
+            return _under(k, error)
+        verb = "was" if len(extras) == 1 else "were"
+        return (), "additionalProperties", (
+            f"Additional properties are not allowed ({_repr(extras)[1:-1]} {verb} unexpected)")
+    return check
 
 
 def _array(schema: dict) -> Check | None:
@@ -96,23 +132,51 @@ def _array(schema: dict) -> Check | None:
     rest = compile_schema(schema.get("items", True))
     lo, hi = schema.get("minItems", 0), schema.get("maxItems", float("inf"))
     skip = len(prefix)
-    return lambda x: (lo <= len(x) <= hi
-                      and all(c(v) for c, v in zip(prefix, x))
-                      and all(map(rest, x[skip:] if skip else x)))
+
+    def check(x):
+        if not lo <= len(x) <= hi:
+            keyword, size = ("minItems", "short") if len(x) < lo else ("maxItems", "long")
+            return (), keyword, f"{_repr(x)} is too {size}"
+        for each, v in zip(prefix, x):
+            if each(v) is not None:
+                break
+        else:
+            if not any(map(rest, x[skip:] if skip else x)):
+                return None
+        for i, v in enumerate(x):  # an item fails: find the first, for its index
+            if (error := (prefix[i] if i < skip else rest)(v)) is not None:
+                return _under(i, error)
+    return check
 
 
 def _string(schema: dict) -> Check | None:
     if "pattern" not in schema:
         return None
-    search = re.compile(schema["pattern"]).search
-    return lambda x: search(x) is not None
+    pattern = schema["pattern"]
+    search = re.compile(pattern).search
+    return lambda x: None if search(x) else ((), "pattern", f"{_repr(x)} does not match {pattern!r}")
 
 
 def _number(schema: dict) -> Check | None:
     if "minimum" not in schema:
         return None
     least = schema["minimum"]
-    return lambda x: isinstance(x, bool) or not x < least
+    return lambda x: None if isinstance(x, bool) or not x < least else (
+        (), "minimum", f"{_repr(x)} is less than the minimum of {least!r}")
+
+
+def _one_of(options: list) -> Check:
+    checks = [compile_schema(s) for s in options]
+
+    def check(x):
+        valid = [s for s, each in zip(options, checks) if each(x) is None]
+        if len(valid) == 1:
+            return None
+        if not valid:
+            return (), "oneOf", f"{_repr(x)} is not valid under any of the given schemas"
+        reprs = ", ".join(map(repr, valid[1:] + valid[:1]))  # jsonschema's order
+        return (), "oneOf", f"{_repr(x)} is valid under each of {reprs}"
+    return check
 
 
 # the class of instances each group of keywords applies to, and its compiler
@@ -124,7 +188,8 @@ KEYWORDS = ANNOTATIONS | {
 
 
 def compile_schema(schema) -> Check:
-    """A predicate that is true exactly on the instances `schema` accepts.
+    """A check that returns None exactly on the instances `schema` accepts,
+    and the first error on every other.
 
     Raises NotImplementedError for a keyword outside KEYWORDS (`$ref`
     included) and for a schema that is neither an object nor a boolean.
@@ -139,16 +204,15 @@ def compile_schema(schema) -> Check:
     kinds = [(cls, check) for cls, build in KINDS if (check := build(schema))]
     checks = []
     if "type" in schema:
-        only, type_check = _type(schema["type"])
-        if only is not None:  # no other kind's keywords meet an instance that passes
+        only, is_type, wrong = _type(schema["type"])
+        if only is None:
+            checks.append(lambda x: None if is_type(x) else wrong(x))
+        else:  # no other kind's keywords meet an instance that passes
             inner = _all([check for cls, check in kinds if cls is only])
             kinds = []
-            if inner is not _accept:
-                type_check = lambda x: isinstance(x, only) and inner(x)
-        checks.append(type_check)
-    checks += [(lambda x, cls=cls, check=check: not isinstance(x, cls) or check(x))
+            checks.append(lambda x: inner(x) if isinstance(x, only) else wrong(x))
+    checks += [(lambda x, cls=cls, check=check: check(x) if isinstance(x, cls) else None)
                for cls, check in kinds]
     if "oneOf" in schema:
-        options = [compile_schema(s) for s in schema["oneOf"]]
-        checks.append(lambda x: sum(option(x) for option in options) == 1)
+        checks.append(_one_of(schema["oneOf"]))
     return _all(checks)
