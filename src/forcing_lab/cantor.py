@@ -7,6 +7,12 @@ no two sibling generators s0, s1 appear together (they merge to s).  With
 that normal form, value equality is set equality and every measure is an
 exact fraction with a power-of-two denominator.
 
+Costs, for n generators in all: the constructor, `union` and `intersect`
+each sort n strings and make one pass, since in sorted order a string's
+extensions come right after it; `complement` visits each proper prefix
+once, so it costs the total generator length; `difference` is
+`intersect` with a complement.
+
 Plane sets live on the product of two copies of the space.  They are kept
 flattened at a uniform resolution (r1, r2): a set of rectangles [s] x [t]
 with |s| = r1 and |t| = r2 exactly, built by the constructor from any
@@ -29,16 +35,30 @@ def check_bits(s: str) -> str:
     return s
 
 
+def _all_bits(*groups: Iterable[str]) -> bool:
+    """Whether every string of the groups is a 0/1 string, in C-level passes."""
+    try:
+        text = "".join(chain(*groups))
+    except TypeError:
+        return False
+    return text.count("0") + text.count("1") == len(text)
+
+
 def _canonical(gens: Iterable[str]) -> frozenset[str]:
     """Reduce arbitrary generators to the canonical antichain.
 
-    In sorted order every prefix precedes its extensions, and s0 (or what
-    it merged into) is the top of the stack when s1 arrives, so one pass
-    with a stack absorbs prefixes and merges siblings, including merges
-    that cascade upward.
+    The bits are checked in bulk; only a failing check words its message
+    per generator, in input order.  In sorted order every prefix precedes
+    its extensions, and s0 (or what it merged into) is the top of the stack
+    when s1 arrives, so one pass with a stack absorbs prefixes and merges
+    siblings, including merges that cascade upward.
     """
+    gens = list(gens)
+    if not _all_bits(gens):
+        for g in gens:
+            check_bits(g)
     out: list[str] = []
-    for g in sorted({check_bits(g) for g in gens}):
+    for g in sorted(set(gens)):
         if out and g.startswith(out[-1]):
             continue
         while g.endswith("1") and out and out[-1] == g[:-1] + "0":
@@ -77,13 +97,15 @@ class ClopenSet(FrozenValue):
         return ClopenSet.from_strings(self.generators | other.generators)
 
     def intersect(self, other: "ClopenSet") -> "ClopenSet":
-        out = []
-        for s in self.generators:
-            for t in other.generators:
-                if t.startswith(s):
-                    out.append(t)
-                elif s.startswith(t):
-                    out.append(s)
+        # in sorted order a generator's extensions follow it; both sets are
+        # antichains, so one that extends the last outer generator is in both
+        out: list[str] = []
+        outer = None
+        for g in sorted([*self.generators, *other.generators]):
+            if outer is not None and g.startswith(outer):
+                out.append(g)
+            else:
+                outer = g
         return ClopenSet.from_strings(out)
 
     def complement(self) -> "ClopenSet":

@@ -46,12 +46,21 @@ def _validate_partition(cells: Sequence[tuple[Hashable, ClopenSet]], where) -> N
     gens = sorted(g for _, cell in cells for g in cell.generators)
     # in sorted order everything between a generator and an extension of it
     # extends it too, so any overlap shows up as an adjacent prefix pair
-    if any(b.startswith(a) for a, b in zip(gens, gens[1:])):
-        for i, (_, a) in enumerate(cells):  # name the first overlapping pair
-            for j in range(i + 1, len(cells)):
-                if not a.intersect(cells[j][1]).is_empty():
-                    raise NotAPartition(
-                        where, f"cells {labels[i]!r} and {labels[j]!r} overlap")
+    if any(map(str.startswith, gens[1:], gens)):
+        # name the first overlapping pair in cell order.  The stack holds the
+        # chain of earlier generators that prefix g, each with the least cell
+        # index on the chain so far, so that cell gives g's first pair.
+        pairs, stack = [], []
+        for g, i in sorted((g, i) for i, (_, cell) in enumerate(cells) for g in cell.generators):
+            while stack and not g.startswith(stack[-1][0]):
+                stack.pop()
+            least = i
+            if stack:
+                least = min(i, stack[-1][1])
+                pairs.append((least, max(i, stack[-1][1])))
+            stack.append((g, least))
+        i, j = min(pairs)
+        raise NotAPartition(where, f"cells {labels[i]!r} and {labels[j]!r} overlap")
     total = sum((cell.measure() for _, cell in cells), Fraction(0))
     if total != 1:
         raise NotAPartition(where, f"cell measures sum to {total}, expected 1")

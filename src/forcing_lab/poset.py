@@ -27,7 +27,7 @@ from functools import cached_property
 from itertools import chain, repeat
 from typing import Mapping, Sequence
 
-from .cantor import ClopenPlaneSet, check_bits, _extensions
+from .cantor import ClopenPlaneSet, check_bits, _all_bits, _extensions
 from .errors import ForcingLabError, FrozenValue
 
 
@@ -260,15 +260,6 @@ class ValidationReport(FrozenValue):
         return self.violations[0] if self.violations else None
 
 
-def _all_binary(h: Mapping) -> bool:
-    """Whether every key and value of h is a 0/1 string, in C-level passes."""
-    try:
-        texts = ("".join(h), "".join(h.values()))
-    except TypeError:
-        return False
-    return all(text.count("0") + text.count("1") == len(text) for text in texts)
-
-
 def _domain_violations(h: Mapping, m: int) -> tuple[list[ClauseViolation], Counter]:
     """Word the key and value violations of h per key, in key order, and
     count the keys that pass per level."""
@@ -295,7 +286,7 @@ def validate(p: Condition) -> ValidationReport:
     scores holds score(h, phi) for every weight in order (whatever its
     tag); otherwise it is empty."""
     h, m = p.h, p.m
-    by_level = Counter(map(len, h)) if _all_binary(h) else None
+    by_level = Counter(map(len, h)) if _all_bits(h, h.values()) else None
     if by_level is None or max(by_level, default=0) > m:
         bad, by_level = _domain_violations(h, m)
     else:

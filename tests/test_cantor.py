@@ -1,5 +1,6 @@
 """Clopen-set algebra: canonical form, exact measure, plane sets."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -117,6 +118,43 @@ def test_inclusion_exclusion(xs, ys):
 def test_measure_sums_generator_cylinders(xs):
     for a in (ClopenSet.from_strings(xs), EMPTY, FULL):
         assert a.measure() == sum(Fraction(1, 2 ** len(g)) for g in a.generators)
+
+
+def pairwise_intersect(a: ClopenSet, b: ClopenSet) -> ClopenSet:
+    # reference: of each comparable pair of generators, the longer one
+    return ClopenSet([t if t.startswith(s) else s
+                      for s in a.generators for t in b.generators
+                      if t.startswith(s) or s.startswith(t)])
+
+
+def random_clopen_pair(rng):
+    """Up to 30 generators of up to 20 bits each; about half of the second
+    set's generators cut or extend one of the first's, so they overlap."""
+    def bits(k):
+        return "".join(rng.choice("01") for _ in range(k))
+
+    xs = [bits(rng.randint(1, 20)) for _ in range(rng.randint(0, 30))]
+    ys = []
+    for _ in range(rng.randint(0, 30)):
+        if xs and rng.random() < 0.5:
+            x = rng.choice(xs)
+            ys.append(x[:rng.randint(0, len(x))] if rng.random() < 0.5
+                      else (x + bits(rng.randint(0, 20 - len(x))))[:20])
+        else:
+            ys.append(bits(rng.randint(1, 20)))
+    return ClopenSet(xs), ClopenSet(ys)
+
+
+def test_intersect_and_difference_match_the_pairwise_reference():
+    rng = random.Random(20261019)
+    proper = 0
+    for _ in range(600):
+        a, b = random_clopen_pair(rng)
+        want = pairwise_intersect(a, b)
+        assert a.intersect(b) == want == b.intersect(a), (a, b)
+        assert a.difference(b) == pairwise_intersect(a, b.complement()), (a, b)
+        proper += not want.is_empty() and want != a and want != b
+    assert proper > 200  # most pairs overlap only in part
 
 
 def test_plane_from_rects_expands_to_common_resolution():

@@ -365,6 +365,46 @@ def test_rejection_messages_are_bounded(tmp_path):
     jsonschema.validate(env, REPORT_SCHEMA)
 
 
+def random_bits(rng, count, k):
+    return [format(rng.getrandbits(k), f"0{k}b") for _ in range(count)]
+
+
+@pytest.mark.installed
+def test_refine_over_large_random_cells_answers_in_time(tmp_path):
+    # each coordinate: a light cell of 400 random 16-bit generators and its
+    # complement; the condition set is the complement of 400 more, so every
+    # subtraction meets thousands of generators on both sides
+    rng = random.Random(21)
+    coords = []
+    for _ in range(6):
+        light = forcing_lab.ClopenSet(random_bits(rng, 400, 16))
+        coords.append([{"label": 0, "cells": sorted(light.generators)},
+                       {"label": 1, "cells": sorted((~light).generators)}])
+    condition = ~forcing_lab.ClopenSet(random_bits(rng, 400, 16))
+    scenario = {"name": {"horizon": 6, "coords": coords}, "function": [0] * 6,
+                "condition_set": sorted(condition.generators)}
+    assert len(json.dumps(scenario)) > 340_000
+    code, env = run(tmp_path, ["refine"], scenario)
+    assert code == 0, env.get("error")
+    assert env["report"]["cutoff"] == 3
+    assert env["meta"]["wall_time_ms"] < 1000
+
+
+@pytest.mark.installed
+def test_overlap_among_many_cells_is_named_in_time(tmp_path):
+    # 3,000 one-generator 12-bit cells; only the last two overlap
+    rng = random.Random(21)
+    gens = [format(v, "012b") for v in rng.sample(range(4096), 2999)]
+    gens.append(gens[-1])
+    name = {"horizon": 1, "coords": [[{"label": i, "cells": [g]} for i, g in enumerate(gens)]]}
+    started = time.perf_counter()
+    code, env = run(tmp_path, ["slalom"], {"name": name})
+    assert time.perf_counter() - started < 1
+    assert code == 1
+    assert env["error"] == {"type": "NotAPartition",
+                            "message": "coordinate 0: cells 2998 and 2999 overlap"}
+
+
 @pytest.mark.parametrize("argv, scenario", [
     (["smz"], {"horizon": 1, "eps": ["1/0", "1/2"]}),
     (["extend", "--seed", "1"], {"condition": {**SIMPLE_CONDITION, "u": [{"eps": "1/2", "phi": {

@@ -40,8 +40,12 @@ def test_make_name_validates_partitions():
                     (0, ClopenSet.from_strings(["1"]))]])
 
 
+def overlap(a, b):
+    return any(s.startswith(t) or t.startswith(s) for s in a.generators for t in b.generators)
+
+
 def pairwise_verdict(cells, where):
-    # reference: the pairwise check the sorted pass replaced; the message
+    # reference: the pairwise check the sorted scan replaced; the message
     # make_name should raise, or None for a partition
     labels = [lab for lab, _ in cells]
     if len(labels) != len(set(labels)):
@@ -50,7 +54,7 @@ def pairwise_verdict(cells, where):
     for i, (_, a) in enumerate(cells):
         total += sum(Fraction(1, 2 ** len(g)) for g in a.generators)
         for j in range(i + 1, len(cells)):
-            if not a.intersect(cells[j][1]).is_empty():
+            if overlap(a, cells[j][1]):
                 return f"coordinate {where}: cells {labels[i]!r} and {labels[j]!r} overlap"
     if total != 1:
         return f"coordinate {where}: cell measures sum to {total}, expected 1"
@@ -113,6 +117,33 @@ def test_partition_check_matches_pairwise_reference():
     assert "ok" in seen["intact"] and "ok" in seen["added-under"]
     assert "cells" in seen["copied"] and "cells" in seen["added-under"]
     assert "cell" in seen["dropped"] and "duplicate" in seen["duplicate-label"]
+
+
+def chained_cells(rng):
+    """A partition with 3-7 extra cells that each hold a link of one prefix
+    chain (now and then one link twice), in shuffled cell order."""
+    cells = random_partition(rng)
+    chain = "".join(rng.choice("01") for _ in range(rng.randint(5, 12)))
+    links = [chain[:k] for k in rng.sample(range(len(chain) + 1), rng.randint(3, 6))]
+    if rng.random() < 0.3:
+        links.append(rng.choice(links))
+    labels = rng.sample(range(20, 60), len(links))
+    cells += [(lab, ClopenSet([s])) for lab, s in zip(labels, links)]
+    rng.shuffle(cells)
+    return cells
+
+
+def test_chained_overlaps_match_pairwise_reference():
+    rng = random.Random(20261019)
+    # sorted order meets "" and "0" first; cell order meets "00" and "" first
+    fixed = [(7, ClopenSet(["00"])), (3, ClopenSet(["1"])), (5, FULL), (9, ClopenSet(["0"]))]
+    assert pairwise_verdict(fixed, 0) == "coordinate 0: cells 7 and 5 overlap"
+    for cells in [fixed, *(chained_cells(rng) for _ in range(300))]:
+        want = pairwise_verdict(cells, 0)
+        assert want is not None and "overlap" in want
+        with pytest.raises(NotAPartition) as info:
+            make_name([cells])
+        assert str(info.value) == want, cells
 
 
 def test_boolean_value():
