@@ -545,7 +545,6 @@ CRITERIA: tuple[tuple[str, object, float | None], ...] = (
 
 
 class CriterionResult(FrozenValue):
-    _fields = ("name", "passed", "detail", "elapsed", "budget")
     name: str
     passed: bool
     detail: str

@@ -76,7 +76,6 @@ class ClopenSet(FrozenValue):
     construction.
     """
 
-    _fields = ("generators",)
     generators: frozenset[str]
 
     def __init__(self, generators: Iterable[str]) -> None:
@@ -189,7 +188,6 @@ class ClopenPlaneSet(FrozenValue):
     built at different resolutions compares equal.
     """
 
-    _fields = ("resolution", "rects")
     resolution: tuple[int, int]
     rects: frozenset[tuple[str, str]]
 

@@ -66,7 +66,6 @@ EDGES: tuple[tuple[str, str], ...] = (
 
 
 class DiagramAssignment(FrozenValue):
-    _fields = ("values",)
     values: dict
 
     def __init__(self, values: dict) -> None:
@@ -86,13 +85,11 @@ class DiagramAssignment(FrozenValue):
 
 
 class Violation(FrozenValue):
-    _fields = ("kind", "detail")
     kind: str
     detail: str
 
 
 class DiagramVerdict(FrozenValue):
-    _fields = ("ok", "violations")
     ok: bool
     violations: tuple[Violation, ...]
 
@@ -118,7 +115,6 @@ def check_assignment(a: DiagramAssignment) -> DiagramVerdict:
 
 
 class TransferConstraint(FrozenValue):
-    _fields = ("node", "relation", "bound", "source")
     node: str
     relation: str  # "eq", "ge", or "le"
     bound: CardinalLabel

@@ -7,25 +7,38 @@ class ForcingLabError(Exception):
 
 
 class FrozenValue:
-    """Immutable value whose fields are named, in order, by `_fields`.
+    """Immutable value whose fields are the names its class annotates, in
+    order (the class's own annotations only; they are read, never evaluated).
 
     The fields drive a positional constructor, equality with values of the
     same type only, a hash of the field values (TypeError when one is
-    unhashable), and a repr in the form Name(field=value, ...).  Setting or
-    deleting an attribute raises AttributeError.  A type that checks or
-    converts its input defines its own __init__ and passes the final field
-    values to FrozenValue.__init__.  Attributes outside the fields, such as
-    a functools.cached_property, live in the instance dict and take no part
-    in equality, hash or repr.
+    unhashable), and a repr in the form Name(field=value, ...).  A trailing
+    field the class body assigns (u: tuple = ()) takes that value when the
+    caller leaves it out; any other missing or extra argument is a
+    TypeError.  Setting or deleting an attribute raises AttributeError.  A
+    type that checks or converts its input defines its own __init__ and
+    passes the final field values to FrozenValue.__init__.  Attributes
+    outside the fields, such as a functools.cached_property, live in the
+    instance dict and take no part in equality, hash or repr.
     """
 
     _fields: tuple[str, ...] = ()
 
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+
     def __init__(self, *values) -> None:
         if len(values) != len(self._fields):
-            raise TypeError(
-                f"{type(self).__name__} takes {len(self._fields)} arguments, got {len(values)}")
+            values += self._defaults(len(values))
         self.__dict__.update(zip(self._fields, values))
+
+    @classmethod
+    def _defaults(cls, given: int) -> tuple:
+        """The class-body values of the fields after the first `given`."""
+        missing = cls._fields[given:]
+        if not missing or not all(map(cls.__dict__.__contains__, missing)):
+            raise TypeError(f"{cls.__name__} takes {len(cls._fields)} arguments, got {given}")
+        return tuple(map(cls.__dict__.__getitem__, missing))
 
     def _values(self) -> tuple:
         return tuple(map(self.__dict__.__getitem__, self._fields))

@@ -69,7 +69,6 @@ def _validate_partition(cells: Sequence[tuple[Hashable, ClopenSet]], where) -> N
 class FiniteName(FrozenValue):
     """Validated per-coordinate labeled partitions; construct via make_name."""
 
-    _fields = ("horizon", "cells")
     horizon: int
     cells: tuple[tuple[tuple[int, ClopenSet], ...], ...]
 
@@ -104,7 +103,6 @@ def boolean_value(g: FiniteName, n: int, k: int) -> ClopenSet:
 class Slalom(FrozenValue):
     """Per-coordinate finite slots; slot n may hold at most (n+1)^2 labels."""
 
-    _fields = ("slots",)
     slots: tuple[frozenset[int], ...]
 
     def __init__(self, slots: tuple[frozenset[int], ...]) -> None:

@@ -59,7 +59,6 @@ class WeightFunction(FrozenValue):
     object shared by many keys is converted and range-checked once, and the
     keys keep sharing its conversion."""
 
-    _fields = ("resolution", "table")
     resolution: tuple[int, int]
     table: dict
 
@@ -184,7 +183,6 @@ class TaggedWeight(FrozenValue):
     """A weight with its score tag.  Ops that build conditions keep eps in
     (0,1); the raw constructor is permissive so validators can report."""
 
-    _fields = ("eps", "phi")
     eps: Fraction
     phi: WeightFunction
 
@@ -193,13 +191,9 @@ class Condition(FrozenValue):
     """Stem map plus tagged weights.  h maps every binary string of length
     at most m to a binary string; use validate() for the full contract."""
 
-    _fields = ("m", "h", "u")
     m: int
     h: dict
-    u: tuple[TaggedWeight, ...]
-
-    def __init__(self, m: int, h: dict, u: tuple[TaggedWeight, ...] = ()) -> None:
-        super().__init__(m, h, u)
+    u: tuple[TaggedWeight, ...] = ()
 
     def tops(self) -> list[str]:
         return sorted(s for s in self.h if len(s) == self.m)
@@ -240,20 +234,14 @@ def _score_groups(groups: Counter, m: int, phi: WeightFunction) -> Fraction:
 
 
 class ClauseViolation(FrozenValue):
-    _fields = ("clause", "detail")
     clause: str
     detail: str
 
 
 class ValidationReport(FrozenValue):
-    _fields = ("ok", "violations", "scores")
     ok: bool
     violations: tuple[ClauseViolation, ...]
-    scores: tuple[Fraction, ...]
-
-    def __init__(self, ok: bool, violations: tuple[ClauseViolation, ...],
-                 scores: tuple[Fraction, ...] = ()) -> None:
-        super().__init__(ok, violations, scores)
+    scores: tuple[Fraction, ...] = ()
 
     @property
     def first(self) -> ClauseViolation | None:
@@ -326,7 +314,6 @@ class ExtendStats(FrozenValue):
     census is counted without walking it (see _grown_census).  Built once
     the extension is done; its dict and list fields make it unhashable."""
 
-    _fields = ("pinned_m_prime", "m_prime", "retries", "exhaustive_stems", "scores", "chosen")
     pinned_m_prime: int
     m_prime: int
     retries: dict
@@ -369,13 +356,12 @@ def _refuse_past_limit(m: int, m2: int) -> None:
 
 def _rows(s: str, m: int, m2: int, cut: int) -> tuple[list[str], int]:
     """The rows, cut at x-resolution cut, of the new tops grown from a top s
-    of depth m to depth m2, and the number of new tops per row.  The first
-    k = min(max(cut - m, 0), m2 - m) suffix bits of a new top pick its row,
-    so row r holds the r-th block of a candidate's bits; with k = 0 the one
-    row is s[:cut]."""
-    k = min(max(cut - m, 0), m2 - m)
-    rows = [s + format(r, f"0{k}b") for r in range(2 ** k)] if k else [s[:cut]]
-    return rows, 2 ** (m2 - m - k)
+    of depth m to depth m2, and the number of new tops per row.  A new top's
+    row is its prefix of length min(cut, m2), so row r, the r-th such
+    prefix in binary order, holds the r-th block of a candidate's bits; when
+    cut <= m the one row is s[:cut]."""
+    depth = min(cut, m2)
+    return _extensions(s[:cut], depth), 2 ** (m2 - max(m, depth))
 
 
 def _stem_searches(phi_list, m: int, m2: int, delta: Fraction):
@@ -594,7 +580,6 @@ class Certificate(FrozenValue):
     set's weight phi = phi_from_clopen(f), and 0 for the empty set.  They
     agree once the stem is deep enough to resolve the set on both axes."""
 
-    _fields = ("inside", "score_f")
     inside: Fraction
     score_f: Fraction
 
@@ -641,14 +626,12 @@ def _grown_census(h: Mapping[str, str], chosen: Mapping[str, int], m: int, m2: i
 
 
 class ScheduledCover(FrozenValue):
-    _fields = ("cover", "eps", "at_step")
     cover: ClopenPlaneSet
     eps: Fraction
     at_step: int
 
 
 class TraceEntry(FrozenValue):
-    _fields = ("step", "action", "depth", "certificates")
     step: int
     action: str
     depth: int
@@ -713,7 +696,6 @@ class CenteredIndex(FrozenValue):
     """Finite classification datum: conditions sharing an index are pairwise
     compatible, witnessed by keeping the stem and pooling the weights."""
 
-    _fields = ("size", "k", "stem", "tags")
     size: int
     k: int
     stem: tuple[tuple[str, str], ...]

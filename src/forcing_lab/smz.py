@@ -47,7 +47,6 @@ class PreconditionFailed(ForcingLabError):
 class IntervalSpec(FrozenValue):
     """Half-open subinterval of [0, 1) with exact rational endpoints."""
 
-    _fields = ("left", "right")
     left: Fraction
     right: Fraction
 
@@ -133,7 +132,6 @@ def icbrt(x: int) -> int:
 
 
 class ThinSetVerdict(FrozenValue):
-    _fields = ("ok", "max_ratio", "witness")
     ok: bool
     max_ratio: Fraction
     witness: int | None
@@ -188,7 +186,6 @@ def product_bound(
 
 
 class RapidityVerdict(FrozenValue):
-    _fields = ("ok", "witness", "counts")
     ok: bool
     witness: int | None
     counts: tuple[int, ...]

@@ -1,7 +1,12 @@
 """The value contract of the package's data types (errors.FrozenValue):
-repr, equality within one type, hashing, and immutability."""
+fields read from the class annotations, repr, equality within one type,
+hashing, and immutability."""
 
+from __future__ import annotations
+
+import importlib
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
@@ -19,6 +24,7 @@ from forcing_lab import (
     WeightFunction,
 )
 from forcing_lab.acceptance import CriterionResult
+from forcing_lab.errors import FrozenValue
 from forcing_lab.poset import ClauseViolation
 
 
@@ -88,3 +94,65 @@ def test_constructors_take_their_fields_in_order():
     with pytest.raises(TypeError):
         ExtendStats(1, 2)
     assert Condition(1, {"": "", "0": "", "1": ""}).u == ()
+
+
+class _Point(FrozenValue):
+    x: int
+    y: int
+    label: str = "origin"
+    scale = 10  # not annotated, so not a field
+
+    @cached_property
+    def norm(self) -> int:
+        return self.x * self.x + self.y * self.y
+
+
+def test_a_value_class_takes_its_fields_from_its_annotations():
+    point = _Point(1, 2)
+    assert _Point._fields == ("x", "y", "label")
+    assert (point.label, point.norm, point.scale) == ("origin", 5, 10)
+    assert point == _Point(1, 2, "origin") != _Point(1, 2, "other")
+    assert hash(point) == hash(_Point(1, 2, "origin"))
+    assert repr(point) == "_Point(x=1, y=2, label='origin')"
+    with pytest.raises(TypeError, match="takes 3 arguments, got 1"):
+        _Point(1)
+    with pytest.raises(TypeError, match="takes 3 arguments, got 4"):
+        _Point(1, 2, "origin", "extra")
+
+
+# The fields of every value class of the package, pinned so that a Python
+# version that reports class annotations differently fails here instead of
+# silently dropping a field from equality, hashing and repr.
+FIELDS = {
+    "acceptance.CriterionResult": ("name", "passed", "detail", "elapsed", "budget"),
+    "cantor.ClopenPlaneSet": ("resolution", "rects"),
+    "cantor.ClopenSet": ("generators",),
+    "diagram.DiagramAssignment": ("values",),
+    "diagram.DiagramVerdict": ("ok", "violations"),
+    "diagram.TransferConstraint": ("node", "relation", "bound", "source"),
+    "diagram.Violation": ("kind", "detail"),
+    "names.FiniteName": ("horizon", "cells"),
+    "names.Slalom": ("slots",),
+    "poset.CenteredIndex": ("size", "k", "stem", "tags"),
+    "poset.Certificate": ("inside", "score_f"),
+    "poset.ClauseViolation": ("clause", "detail"),
+    "poset.Condition": ("m", "h", "u"),
+    "poset.ExtendStats": (
+        "pinned_m_prime", "m_prime", "retries", "exhaustive_stems", "scores", "chosen"),
+    "poset.ScheduledCover": ("cover", "eps", "at_step"),
+    "poset.TaggedWeight": ("eps", "phi"),
+    "poset.TraceEntry": ("step", "action", "depth", "certificates"),
+    "poset.ValidationReport": ("ok", "violations", "scores"),
+    "poset.WeightFunction": ("resolution", "table"),
+    "smz.IntervalSpec": ("left", "right"),
+    "smz.RapidityVerdict": ("ok", "witness", "counts"),
+    "smz.ThinSetVerdict": ("ok", "max_ratio", "witness"),
+}
+
+
+def test_every_value_class_of_the_package_has_its_pinned_fields():
+    for module in {name.split(".")[0] for name in FIELDS}:
+        importlib.import_module(f"forcing_lab.{module}")
+    found = {f"{cls.__module__.removeprefix('forcing_lab.')}.{cls.__qualname__}": cls._fields
+             for cls in FrozenValue.__subclasses__() if cls.__module__.startswith("forcing_lab.")}
+    assert found == FIELDS
