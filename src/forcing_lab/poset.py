@@ -25,6 +25,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .cantor import ClopenPlaneSet, check_bits, _all_bits, _extensions
@@ -286,7 +287,9 @@ def validate(p: Condition) -> ValidationReport:
     domain_ok = not bad
     scores: tuple[Fraction, ...] = ()
     if domain_ok:
-        if not all(map(str.startswith, h.values(), map(h.__getitem__, [s[:-1] for s in h]))):
+        # parents are cut one at a time: a list of them all holds a new string per key
+        parents = map(h.__getitem__, map(itemgetter(slice(None, -1)), h))
+        if not all(map(str.startswith, h.values(), parents)):
             bad.extend(
                 ClauseViolation(
                     "monotone",
@@ -328,16 +331,27 @@ def _sub_seed(seed: int, tag: str) -> int:
 
 
 def _sha256(data: bytes):
-    """hashlib.sha256, imported by the first seed derivation, which then
-    binds the module name _sha256 to it: only extension derives seeds, so
-    no other command pays for importing hashlib."""
+    """The interpreter's built-in SHA-256, imported by the first seed
+    derivation, which then binds the module name _sha256 to it: only
+    extension derives seeds, so no other command pays for the import.
+    The lookup order is random's: module _sha2 (Python 3.12 on), then
+    _sha256 (before 3.12), and hashlib.sha256 only on a build configured
+    without the built-in SHA-2 modules.  The digests are the same, but
+    hashlib loads OpenSSL's libcrypto, which costs an extension process
+    about 3.4 MB of peak RSS for this one hash."""
     global _sha256
-    from hashlib import sha256 as _sha256
+    try:
+        from _sha2 import sha256 as _sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256 as _sha256
+        except ImportError:
+            from hashlib import sha256 as _sha256
     return _sha256(data)
 
 
 # A stem of depth m holds 2^(m+1) keys.  A depth-20 `extend` of the trivial
-# condition with one full weight took 3.9-4.5 s and peaked at 435 MB RSS through
+# condition with one full weight took 3.8-4.6 s and peaked at 431 MB RSS through
 # the CLI (2-vCPU host, Python 3.11.7), writing 58 MB of JSON; each level
 # doubles that, so deeper stems are refused before materializing.
 _MAX_DEPTH = 20

@@ -9,7 +9,7 @@ schemas.
 
 import ast
 import hashlib
-import importlib
+import importlib.util
 import io
 import json
 import math
@@ -702,13 +702,24 @@ def run_module(argv, scenario, *flags, **env):
                           env={**base, **env}, timeout=60)
 
 
+# seeds are hashed by the interpreter's built-in SHA-256 where it has one,
+# so an extension process never loads hashlib and with it OpenSSL
+NEEDS_BUILTIN_SHA256 = pytest.mark.skipif(
+    not any(map(importlib.util.find_spec, ["_sha2", "_sha256"])),
+    reason="this Python has no built-in SHA-256 module")
+
+
 @pytest.mark.installed
 @pytest.mark.parametrize("argv, scenario, unused", [
     (["slalom"], {"name": HALVES_NAME},
      ("dataclasses", "inspect", "logging", "hashlib", "jsonschema")),
-    (["extend", "--seed", "7"], {"condition": SIMPLE_CONDITION},
-     ("dataclasses", "inspect", "logging", "jsonschema")),
-], ids=["slalom", "extend"])
+    pytest.param(["extend", "--seed", "7"], {"condition": SIMPLE_CONDITION},
+                 ("dataclasses", "inspect", "logging", "hashlib", "_hashlib", "jsonschema"),
+                 marks=NEEDS_BUILTIN_SHA256),
+    pytest.param(["generic-run", "--seed", "2026"], ONE_COVER_RUN,
+                 ("dataclasses", "inspect", "logging", "hashlib", "_hashlib", "jsonschema"),
+                 marks=NEEDS_BUILTIN_SHA256),
+], ids=["slalom", "extend", "generic-run"])
 def test_commands_import_only_what_they_use(argv, scenario, unused):
     # -X importtime names every module the process imports, site's included;
     # the command itself runs as __main__, and imports the layers

@@ -1,11 +1,16 @@
 """Weighted conditions: weights, scores, validation, extension, certificates."""
 
 import hashlib
+import importlib.util
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -260,6 +265,22 @@ def test_validate_reports_monotonicity():
     rep = validate(Condition(1, {"": "1", "0": "0", "1": "11"}, ()))
     assert not rep.ok
     assert rep.first.clause == "monotone"
+
+
+def test_validate_reads_parents_without_listing_them():
+    # the monotonicity pass cuts each key's parent as it reaches the key;
+    # listing all 2^15 parents first held about 1 MB more at once
+    keys = [""]
+    for level in range(14):
+        keys += [k + b for k in keys if len(k) == level for b in "01"]
+    p = Condition(14, {s: s[:1] for s in keys}, ())
+    tracemalloc.start()
+    try:
+        assert validate(p).ok
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * 2 ** 20, peak
 
 
 def test_attach_weight_guards():
@@ -733,6 +754,34 @@ def test_deep_stem_extension_is_pinned(seed, depth, weights, levels, digest):
         [stats.pinned_m_prime, stats.m_prime, sorted(stats.retries.items()),
          stats.exhaustive_stems])
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+SUB_SEED_PROBE = """
+import json, sys
+for name in sys.argv[1:]:
+    sys.modules[name] = None  # an import of a None entry raises ImportError
+from forcing_lab.poset import _sub_seed
+seeds = [_sub_seed(seed, tag) for seed, tag in json.loads(sys.stdin.read())]
+print(json.dumps([seeds, "_hashlib" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("blocked", [[], ["_sha2", "_sha256"]], ids=["builtin", "fallback"])
+def test_sub_seed_hashes_alike_with_and_without_the_builtin_module(blocked):
+    # without the interpreter's own SHA-256 the seeds come from hashlib, and
+    # so from OpenSSL; with it, OpenSSL is never loaded
+    if not blocked and not any(map(importlib.util.find_spec, ["_sha2", "_sha256"])):
+        pytest.skip("this Python has no built-in SHA-256 module")
+    pairs = [[0, ""], [7, "0"], [2026, "step3"], [-1, "0110"]]
+    done = subprocess.run(
+        [sys.executable, "-c", SUB_SEED_PROBE, *blocked], input=json.dumps(pairs),
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(poset.__file__).resolve().parents[1])})
+    assert done.returncode == 0, done.stderr
+    seeds, openssl = json.loads(done.stdout)
+    assert seeds == [int.from_bytes(hashlib.sha256(f"{seed}|{tag}".encode()).digest()[:8], "big")
+                     for seed, tag in pairs]
+    assert openssl == bool(blocked)
 
 
 def record_accepted(monkeypatch):
