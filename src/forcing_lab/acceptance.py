@@ -303,9 +303,9 @@ def criterion_tail_oracle() -> tuple[bool, str]:
             for delta in deltas:
                 if delta <= 0:
                     continue
-                search, _ = _stem_searches([phi], 0, m2, delta)("", "")
+                verdicts = _stem_searches([phi], 0, m2, delta)("", "")
                 space = 2 ** (2 ** m2)
-                violating = sum(search(e) >= 0 for e in range(space))
+                violating = sum(verdicts[e][0] >= 0 for e in range(space))
                 bound = min(Fraction(1), Fraction(1, 2 ** m2) / (delta * delta))
                 if Fraction(violating, space) > bound:
                     return False, (

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, product
+from itertools import chain, islice, product
 from typing import Iterable
 
 from .errors import FrozenValue
@@ -35,13 +35,24 @@ def check_bits(s: str) -> str:
     return s
 
 
+# Strings joined per C-level pass of _all_bits: the check holds one chunk's
+# join at a time, not a copy of every string it checks.
+_BITS_CHUNK = 4096
+
+
 def _all_bits(*groups: Iterable[str]) -> bool:
-    """Whether every string of the groups is a 0/1 string, in C-level passes."""
-    try:
-        text = "".join(chain(*groups))
-    except TypeError:
-        return False
-    return text.count("0") + text.count("1") == len(text)
+    """Whether every string of the groups is a 0/1 string, in C-level passes
+    over chunks of _BITS_CHUNK strings.  The loop runs until the strings
+    run out: a chunk of empty strings joins to "" and ends nothing."""
+    strings = chain(*groups)
+    while chunk := list(islice(strings, _BITS_CHUNK)):
+        try:
+            text = "".join(chunk)
+        except TypeError:
+            return False
+        if text.count("0") + text.count("1") != len(text):
+            return False
+    return True
 
 
 def _canonical(gens: Iterable[str]) -> frozenset[str]:

@@ -18,13 +18,12 @@ lucky the sampling was (Las Vegas, never Monte Carlo).
 
 from __future__ import annotations
 
+import _random
 import math
-import random
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, repeat
 from operator import itemgetter
 from typing import Mapping, Sequence
 
@@ -380,8 +379,9 @@ def _rows(s: str, m: int, m2: int, cut: int) -> tuple[list[str], int]:
 
 def _stem_searches(phi_list, m: int, m2: int, delta: Fraction):
     """The searches of one extension from depth m to m2, as a function
-    (s, h(s)) -> first_failing, where first_failing(e) is the index of the
-    first weight whose check the candidate e fails, or -1 if e passes.
+    (s, h(s)) -> verdicts, the _Verdicts of the stem's class: verdicts[e]
+    is (i, None) when the candidate e fails the check of weight #i first,
+    and (-1, sums) when it passes every check.
 
     Bit i of a candidate integer e is the appended value bit of the i-th
     suffix (suffixes enumerated MSB-first as format(i, "0Lb")).  The
@@ -394,12 +394,8 @@ def _stem_searches(phi_list, m: int, m2: int, delta: Fraction):
     up to the uniform halving below m1, so a row contributes through the
     number of ones in its block of bits.
 
-    A weight's check depends on the stem s only through (s[:m1], h(s)):
-    when m >= m1 the only row is s[:m1] and phi(s, h(s)) is phi(s[:m1], h(s))
-    halved m - m1 times; when m < m1, s[:m1] is s itself.  Each check is
-    built once per (weight index, s[:m1], h(s)) and shared among the stems
-    of that class.  A check is stored over one common denominator D of its
-    values as the integers
+    A check is stored over one common denominator D of its values as the
+    integers
 
         target = (phi(s, h(s))/2 - delta)·D,  base = block·(sum of v0_r)·D,
         gain_r = (v1_r - v0_r)·D,
@@ -411,48 +407,85 @@ def _stem_searches(phi_list, m: int, m2: int, delta: Fraction):
 
     the verdict of the Fraction sum, reached in int arithmetic.  The sum
     on the left is D times the new tops' sum of phi(t, h(s) + bit(t)), so
-    sums(e) also hands the extension each weight's (D, sum) to score the
-    grown stem with.
-    """
-    built: dict = {}
+    sums holds each weight's (D, sum) for the extension to score the grown
+    stem with.
 
-    def build(phi: WeightFunction, s: str, value: str) -> tuple:
+    For a weight at resolution (m1, r2) the check reads the stem only
+    through (s[:m1], h(s)[:r2], |h(s)|): the target reads the weight at
+    (s[:m1], h(s)[:r2]), halved once per bit of s past m1 and of h(s)
+    past r2, and the rows are s[:m1] and its extensions, read at
+    ((h(s) + bit)[:r2]), which is h(s)[:r2] + bit while |h(s)| < r2 and
+    h(s)[:r2] after.  So the stems that share the class key
+
+        (s[:max m1], h(s)[:max r2], |h(s)|)
+
+    share the checks of every weight.  Each class builds them once
+    (_stem_checks), from its first stem, and keeps its verdicts: a
+    candidate drawn again by any stem of the class is looked up, not
+    checked again, and an accepted one is summed once.
+    """
+    cut_x = max(phi.resolution[0] for phi in phi_list)
+    cut_y = max(phi.resolution[1] for phi in phi_list)
+    classes: dict = {}
+
+    def search(s: str, value: str) -> _Verdicts:
+        key = (s[:cut_x], value[:cut_y], len(value))
+        verdicts = classes.get(key)
+        if verdicts is None:
+            verdicts = classes[key] = _Verdicts(_stem_checks(phi_list, s, value, m, m2, delta))
+        return verdicts
+
+    return search
+
+
+def _stem_checks(phi_list, s: str, value: str, m: int, m2: int, delta: Fraction) -> tuple:
+    """The check of each weight for the class of a top s valued value (see
+    _stem_searches): (target, block, base, gains, D)."""
+    checks = []
+    for phi in phi_list:
         # each weight read here is an integer from phi's memo over D << shift
         d_phi, n = _mass(phi, s, value)
         target = Fraction(n, d_phi << (_depth_shift(phi, s, value) + 1)) - delta
-        m1 = phi.resolution[0]
+        m1, r2 = phi.resolution
         rows, block = _rows(s, m, m2, m1)
         zeros = [_mass(phi, row, value + "0")[1] for row in rows]
         ones = [_mass(phi, row, value + "1")[1] for row in rows]
-        # for the weight's resolution (m1, r2), a new top valued value + bit lies
-        # max(0, m2 - m1) halvings below its row's weight on the x-axis and
-        # max(0, |value| + 1 - r2) on the y-axis
-        row_d = d_phi << (max(0, m2 - m1) + max(0, len(value) + 1 - phi.resolution[1]))
+        # a new top valued value + bit lies max(0, m2 - m1) halvings below its
+        # row's weight on the x-axis and max(0, |value| + 1 - r2) on the y-axis
+        row_d = d_phi << (max(0, m2 - m1) + max(0, len(value) + 1 - r2))
         d = math.lcm(target.denominator, row_d)
         scale = d // row_d
-        return (target.numerator * (d // target.denominator), block, block * sum(zeros) * scale,
-                [(n1 - n0) * scale for n0, n1 in zip(zeros, ones)], d)
+        checks.append((target.numerator * (d // target.denominator), block,
+                       block * sum(zeros) * scale,
+                       [(n1 - n0) * scale for n0, n1 in zip(zeros, ones)], d))
+    return tuple(checks)
 
-    def search(s: str, value: str):
-        checks = []
-        for idx, phi in enumerate(phi_list):
-            key = (idx, s[:phi.resolution[0]], value)
-            if key not in built:
-                built[key] = build(phi, s, value)
-            checks.append(built[key])
 
-        def first_failing(e: int) -> int:
-            for idx, check in enumerate(checks):
-                if _check_sum(check, e) <= check[0]:
-                    return idx
-            return -1
+class _Verdicts(dict):
+    """The verdicts of one stem class, keyed by candidate and computed on
+    first lookup: (i, None) when the candidate fails the check of weight #i
+    first, (-1, sums) when it passes them all, sums holding each weight's
+    (D, _check_sum).  It keeps one verdict per candidate asked for: at
+    most _RETRY_CAP per stem, and the exhaustive fallback's whole space
+    (at most 2^16 candidates, as count is a power of two) once a stem of
+    the class reaches it."""
 
-        def sums(e: int) -> list[tuple[int, int]]:
-            return [(check[4], _check_sum(check, e)) for check in checks]
+    __slots__ = ("checks",)
 
-        return first_failing, sums
+    def __init__(self, checks: tuple) -> None:
+        super().__init__()
+        self.checks = checks
 
-    return search
+    def __missing__(self, e: int) -> tuple:
+        sums = []
+        for idx, check in enumerate(self.checks):
+            acc = _check_sum(check, e)
+            if acc <= check[0]:
+                self[e] = verdict = (idx, None)
+                return verdict
+            sums.append((check[4], acc))
+        self[e] = verdict = (-1, tuple(sums))
+        return verdict
 
 
 def _check_sum(check: tuple, e: int) -> int:
@@ -518,28 +551,39 @@ def extend_detailed(
         if max_new_levels is not None:
             m2 = min(m2, m + max_new_levels)
         _refuse_past_limit(m, m2)
-        stem_search = _stem_searches([tw.phi for tw in p.u], m, m2, delta)
+        search = _stem_searches([tw.phi for tw in p.u], m, m2, delta)
         count = 2 ** (m2 - m)
         # the exhaustive fallback tries every pattern, tagged as attempt _RETRY_CAP
         space = 2 ** count if count < 64 and 2 ** count <= _EXHAUSTIVE_CAP else 0
+        # one generator reseeded per stem: for an int seed, random.Random's
+        # seed method only adds a type check to this one, so each stem draws
+        # the stream of random.Random(_sub_seed(seed, s))
+        rng = _random.Random(0)
+        reseed, draw = rng.seed, rng.getrandbits
         totals: list[dict] = [{} for _ in p.u]  # per weight: D -> sum of 2^(|h(s)|+1)·sum_s
         for s in tops:
-            first_failing, sums = stem_search(s, p.h[s])
-            rng = random.Random(_sub_seed(seed, s))
-            draws = (rng.getrandbits(count) for _ in range(_RETRY_CAP))
+            value = p.h[s]
+            verdicts = search(s, value)
+            reseed(_sub_seed(seed, s))
             last_fail = 0
-            for attempt, e in chain(enumerate(draws), zip(repeat(_RETRY_CAP), range(space))):
-                last_fail = first_failing(e)
+            for attempt in range(_RETRY_CAP):
+                e = draw(count)
+                last_fail, sums = verdicts[e]
                 if last_fail < 0:
                     break
             else:
-                raise SearchExhausted(s, last_fail, _RETRY_CAP)
-            retries[s] = attempt
-            if attempt == _RETRY_CAP:
+                attempt = _RETRY_CAP
+                for e in range(space):
+                    last_fail, sums = verdicts[e]
+                    if last_fail < 0:
+                        break
+                else:
+                    raise SearchExhausted(s, last_fail, _RETRY_CAP)
                 exhaustive.append(s)
+            retries[s] = attempt
             chosen[s] = e
-            shift = len(p.h[s]) + 1
-            for total, (d, acc) in zip(totals, sums(e)):
+            shift = len(value) + 1
+            for total, (d, acc) in zip(totals, sums):
                 total[d] = total.get(d, 0) + (acc << shift)
         scores = tuple(
             sum((Fraction(acc, d) for d, acc in total.items()), Fraction(0)) for total in totals)

@@ -207,6 +207,61 @@ def test_extend_is_deterministic_for_a_seed(tmp_path):
         "3718dce682dfe3bb6f6110be098eeaa762b40995adada077fa7d8dfed0737969")
 
 
+def deep_extend_condition(seed, weights):
+    """A condition shaped like the benchmark's extend-deep traffic: a
+    monotone stem of depth 10 whose children add 0-2 bits to their
+    parent's value, up to 8 bits, and `weights` weights, the first the
+    complement of one random cell, the others full or scaled uniform,
+    each tagged at a quarter or half of its score.  The root value has at
+    most 2 bits, so some tops keep values shorter than the cell's
+    y-resolution, where the search refuses candidates."""
+    rng = random.Random(seed)
+
+    def bits(k):
+        return format(rng.getrandbits(k), f"0{k}b") if k else ""
+
+    def strings(k):
+        return [format(i, f"0{k}b") if k else "" for i in range(2 ** k)]
+
+    h = {"": bits(rng.randint(0, 2))}
+    for level in range(10):
+        for s in strings(level):
+            for b in "01":
+                h[s + b] = h[s] + bits(min(8 - len(h[s]), rng.choice([0, 0, 0, 1, 1, 2])))
+    u = []
+    for i in range(weights):
+        if i == 0:
+            r1, r2 = rng.randint(1, 3), rng.randint(1, 3)
+            cell = (bits(r1), bits(r2))
+            table = [[a, b, f"1/{2 ** (r1 + r2)}"] for a in strings(r1) for b in strings(r2)
+                     if (a, b) != cell]
+        else:
+            r1, r2 = rng.choice([(0, 0), (rng.randint(0, 2), rng.randint(0, 2))])
+            c = Rational(rng.choice([6, 7, 8]), 8) / 2 ** (r1 + r2)
+            table = [[a, b, str(c)] for a in strings(r1) for b in strings(r2)]
+        phi = forcing_lab.WeightFunction((r1, r2), {(a, b): Rational(v) for a, b, v in table})
+        eps = forcing_lab.score(h, phi) * rng.choice([Rational(1, 4), Rational(1, 2)])
+        u.append({"eps": str(eps), "phi": {"resolution": [r1, r2], "table": table}})
+    return {"m": 10, "h": [[s, v] for s, v in sorted(h.items())], "u": u}
+
+
+@pytest.mark.installed
+@pytest.mark.parametrize("seed, weights, levels, digest", [
+    (2403, 3, "1", "4c5870651b4e2604d437ff1e301299d8a0f5633fae30e62f1ef09b3b8ee1756d"),
+    (2403, 2, "2", "f556c4983d573c623b6db25598373c5e1817cdb0553acaa34e0052ca7c863440"),
+], ids=["w3-l1", "w2-l2"])
+def test_deep_extend_report_is_pinned(tmp_path, seed, weights, levels, digest):
+    # 1,024 tops sharing few search classes: the report, retries and chosen
+    # values included, stays byte for byte what the per-stem search wrote
+    scenario = {"condition": deep_extend_condition(seed, weights)}
+    code, env = run(tmp_path, ["extend", "--seed", str(seed), "--max-new-levels", levels],
+                    scenario)
+    assert code == 0, env.get("error")
+    assert env["report"]["condition"]["m"] == 10 + int(levels)
+    assert any(n for _, n in env["report"]["stats"]["retries"])
+    assert report_digest(env) == digest
+
+
 def test_extend_without_seed_exits_two(tmp_path):
     code, env = run(tmp_path, ["extend"], {"condition": SIMPLE_CONDITION})
     assert code == 2

@@ -8,12 +8,13 @@ the tops (`_top_groups`), certificates (`_certify`), weights built from
 plane sets (`phi_from_clopen`), public `eval_phi`, `check_bits`,
 `validate`, `score` and `_sub_seed` calls, and the `contains_rect` and
 `complement` calls of plane sets.  They also count the keys of every
-stem `extend_detailed` grows (`grown keys`) and the classes of every
+stem `extend_detailed` grows (`grown keys`), the classes of every
 census of the tops, counted from `h` or from the accepted bit patterns
-(`census classes`).  Every count must stay at or below its budget, which
-is the count when the budget was pinned: a change that lowers a count
-lowers its budget with it.  The counts are printed, so a run with `-rP`
-shows them.
+(`census classes`), and the checks the searches build, one per weight
+for each stem class (`check builds`, counted in `_stem_checks`).  Every
+count must stay at or below its budget, which is the count when the
+budget was pinned: a change that lowers a count lowers its budget with
+it.  The counts are printed, so a run with `-rP` shows them.
 """
 
 import random
@@ -184,24 +185,29 @@ BUDGETS = {
     "generic-run": {"_read_row": 97, "_top_groups": 14, "_certify": 28, "phi_from_clopen": 6,
                     "eval_phi": 0, "check_bits": 1568, "validate": 8, "score": 6,
                     "_sub_seed": 1178, "contains_rect": 661, "complement": 6,
-                    "row entries": 320, "grown keys": 18712, "census classes": 403},
+                    "row entries": 320, "grown keys": 18712, "census classes": 403,
+                    "check builds": 234},
     "extend-deep": {"_read_row": 11, "_top_groups": 2, "_certify": 0, "phi_from_clopen": 0,
                     "eval_phi": 0, "check_bits": 0, "validate": 2, "score": 0,
                     "_sub_seed": 1536, "contains_rect": 0, "complement": 0,
-                    "row entries": 50, "grown keys": 8190, "census classes": 41},
+                    "row entries": 50, "grown keys": 8190, "census classes": 41,
+                    "check builds": 38},
     "extend-fresh": {"_read_row": 27, "_top_groups": 4, "_certify": 0, "phi_from_clopen": 0,
                      "eval_phi": 0, "check_bits": 0, "validate": 4, "score": 0,
                      "_sub_seed": 4, "contains_rect": 0, "complement": 0,
-                     "row entries": 77, "grown keys": 7676, "census classes": 4},
+                     "row entries": 77, "grown keys": 7676, "census classes": 4,
+                     "check builds": 7},
     "names-mix": {"_read_row": 0, "_top_groups": 0, "_certify": 0, "phi_from_clopen": 0,
                   "eval_phi": 0, "check_bits": 0, "validate": 0, "score": 0,
                   "_sub_seed": 0, "contains_rect": 0, "complement": 0,
-                  "row entries": 0, "grown keys": 0, "census classes": 0},
+                  "row entries": 0, "grown keys": 0, "census classes": 0,
+                  "check builds": 0},
 }
 
 
 def count_calls(monkeypatch) -> dict:
-    counts = dict.fromkeys([*COUNTED, "row entries", "grown keys", "census classes"], 0)
+    counts = dict.fromkeys(
+        [*COUNTED, "row entries", "grown keys", "census classes", "check builds"], 0)
     for name, namespaces in COUNTED.items():
         real = getattr(namespaces[0], name)
 
@@ -231,6 +237,12 @@ def count_calls(monkeypatch) -> dict:
             counts["census classes"] += len(census)
             return census
         monkeypatch.setattr(poset, name, censusing)
+    stem_checks = poset._stem_checks
+
+    def building(phi_list, *args):
+        counts["check builds"] += len(phi_list)
+        return stem_checks(phi_list, *args)
+    monkeypatch.setattr(poset, "_stem_checks", building)
     return counts
 
 

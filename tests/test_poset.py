@@ -3,6 +3,7 @@
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import random
 import re
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from itertools import chain, repeat
 from pathlib import Path
 
 import pytest
@@ -283,6 +285,39 @@ def test_validate_reads_parents_without_listing_them():
     assert peak < 1.6 * 2 ** 20, peak
 
 
+def complete_keys(depth):
+    """Every binary string of length at most depth, level by level."""
+    keys = [""]
+    for level in range(depth):
+        keys += [k + b for k in keys if len(k) == level for b in "01"]
+    return keys
+
+
+@pytest.mark.parametrize("value", [lambda s: s[:1], lambda s: s], ids=["one-bit", "key-copy"])
+def test_validate_checks_bits_in_bounded_chunks(value):
+    # the bulk bit check joins a bounded chunk of keys or values at a time;
+    # joining all 2^15 keys and values at once peaked at 0.97 MB (one-bit
+    # values) and 1.35 MB (values copying their keys)
+    p = Condition(14, {s: value(s) for s in complete_keys(14)}, ())
+    tracemalloc.start()
+    try:
+        assert validate(p).ok
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.3 * 2 ** 20, peak
+
+
+def test_validate_refuses_a_bad_value_after_a_chunk_of_empty_ones():
+    # a chunk of empty values joins to "", which must not end the bulk check
+    keys = complete_keys(12)
+    h = dict.fromkeys(keys, "")
+    h[keys[-1]] = "2"
+    assert len(keys) > 4096
+    rep = validate(Condition(12, h, ()))
+    assert rep.first == ClauseViolation("domain", "not a binary string: '2'")
+
+
 def test_attach_weight_guards():
     p = trivial_condition()
     with pytest.raises(ValueError):
@@ -354,8 +389,10 @@ def test_extend_search_exhausted_without_fallback(monkeypatch):
     monkeypatch.setattr(poset, "_RETRY_CAP", 0)
     monkeypatch.setattr(poset, "_EXHAUSTIVE_CAP", 0)
     p = simple_condition()
-    with pytest.raises(SearchExhausted):
+    with pytest.raises(SearchExhausted) as info:
         extend_detailed(p, seed=5, max_new_levels=2)
+    # no candidate was tried, so no weight failed and weight #0 is reported
+    assert (info.value.stem, info.value.weight_index, info.value.attempts) == ("", 0, 0)
 
 
 def test_extend_refuses_unmaterializable_depth():
@@ -634,12 +671,12 @@ def test_pinned_depth_matches_the_stepping_reference():
         assert stats.pinned_m_prime == stepped_pinned_depth(p), eps
 
 
-def sparse_stem(rng, depth):
-    """A monotone stem whose values gain a bit with probability 0.15 per
-    level, so many tops keep values shorter than a weight's y-resolution
-    and the checks reject candidates."""
+def sparse_stem(rng, depth, rate=0.15):
+    """A monotone stem whose values gain a bit with probability rate (0.15
+    by default) per level, so many tops keep values shorter than a weight's
+    y-resolution and the checks reject candidates."""
     def bits():
-        return rng.choice("01") if rng.random() < 0.15 else ""
+        return rng.choice("01") if rng.random() < rate else ""
 
     h = {"": bits()}
     for level in range(depth):
@@ -696,10 +733,10 @@ def compare_searches(phis, h, m, grow, deltas, seen):
         search = _stem_searches(phis, m, m + grow, delta)
         for s in tops:
             ref = FractionStemSearch(phis, s, h[s], m, m + grow, delta)
-            got, _ = search(s, h[s])
+            got = search(s, h[s])
             space = range(2 ** ref.count)
             verdicts = [ref.first_failing(e) for e in space]
-            assert [got(e) for e in space] == verdicts, (m, grow, s, delta)
+            assert [got[e][0] for e in space] == verdicts, (m, grow, s, delta)
             seen["branch"].update(m < phi.resolution[0] for phi in phis)
             seen["sign"].update((t > 0) - (t < 0) for t, _, _ in ref.checks)
             if len(set(verdicts)) > 1:
@@ -756,6 +793,113 @@ def test_deep_stem_extension_is_pinned(seed, depth, weights, levels, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def reference_check(phi, s, value, m, m2, delta):
+    """One weight's check (target, block, base, gains, D) for one stem, as
+    the earlier per-stem search built it from (s, h(s)) alone."""
+    d_phi, n = poset._mass(phi, s, value)
+    target = Fraction(n, d_phi << (poset._depth_shift(phi, s, value) + 1)) - delta
+    m1 = phi.resolution[0]
+    rows, block = poset._rows(s, m, m2, m1)
+    zeros = [poset._mass(phi, row, value + "0")[1] for row in rows]
+    ones = [poset._mass(phi, row, value + "1")[1] for row in rows]
+    row_d = d_phi << (max(0, m2 - m1) + max(0, len(value) + 1 - phi.resolution[1]))
+    d = math.lcm(target.denominator, row_d)
+    scale = d // row_d
+    return (target.numerator * (d // target.denominator), block, block * sum(zeros) * scale,
+            [(n1 - n0) * scale for n0, n1 in zip(zeros, ones)], d)
+
+
+def reference_search(p, seed, max_new_levels):
+    """The per-stem search loop of the earlier extend_detailed: checks built
+    per stem, one random.Random(_sub_seed(seed, s)) per stem, first_failing
+    then sums.  (m', retries, exhaustive stems, chosen, scores), or the
+    SearchExhausted it raises."""
+    m, tops = p.m, p.tops()
+    slack = min(sc - tw.eps for sc, tw in zip(validate(p).scores, p.u))
+    delta = slack / (2 * sum(2 ** (1 + len(p.h[s])) for s in tops))
+    threshold = delta * delta / (2 * len(p.u))
+    m2 = max(m + 1, (threshold.denominator // threshold.numerator).bit_length())
+    m2 = min(m2, m + max_new_levels)
+    count = 2 ** (m2 - m)
+    space = 2 ** count if count < 64 and 2 ** count <= poset._EXHAUSTIVE_CAP else 0
+    retries, exhaustive, chosen, scores = {}, [], {}, [Fraction(0)] * len(p.u)
+    for s in tops:
+        checks = [reference_check(tw.phi, s, p.h[s], m, m2, delta) for tw in p.u]
+
+        def first_failing(e):
+            for idx, check in enumerate(checks):
+                if poset._check_sum(check, e) <= check[0]:
+                    return idx
+            return -1
+
+        def sums(e):
+            return [(check[4], poset._check_sum(check, e)) for check in checks]
+
+        rng = random.Random(poset._sub_seed(seed, s))
+        draws = (rng.getrandbits(count) for _ in range(poset._RETRY_CAP))
+        last_fail = 0
+        for attempt, e in chain(enumerate(draws), zip(repeat(poset._RETRY_CAP), range(space))):
+            last_fail = first_failing(e)
+            if last_fail < 0:
+                break
+        else:
+            raise SearchExhausted(s, last_fail, poset._RETRY_CAP)
+        retries[s] = attempt
+        if attempt == poset._RETRY_CAP:
+            exhaustive.append(s)
+        chosen[s] = e
+        for i, (d, acc) in enumerate(sums(e)):
+            scores[i] += Fraction(acc << (len(p.h[s]) + 1), d)
+    return m2, retries, exhaustive, chosen, tuple(scores)
+
+
+def test_class_search_matches_per_stem_reference(monkeypatch):
+    # stems of one class share their checks and verdicts and one reseeded
+    # generator; the per-stem loop must choose, retry, fall back and give
+    # up exactly alike
+    rng = random.Random(2401)
+    seen = set()
+    for _ in range(150):
+        retry_cap, exhaustive_cap = rng.choice([(64, 2 ** 20), (2, 2 ** 20), (1, 2 ** 20), (2, 0)])
+        monkeypatch.setattr(poset, "_RETRY_CAP", retry_cap)
+        monkeypatch.setattr(poset, "_EXHAUSTIVE_CAP", exhaustive_cap)
+        m = rng.randint(0, 5)
+        h = sparse_stem(rng, m, rng.choice([0.15, 0.6]))
+        u, n = [], rng.randint(1, 3)
+        while len(u) < n:
+            phi = random_weight(rng)
+            if sc := score(h, phi):
+                u.append(TaggedWeight(sc * rng.choice([Fraction(1, 2), Fraction(15, 16)]), phi))
+        p = Condition(m, h, tuple(u))
+        seed, levels = rng.getrandbits(32), rng.randint(1, 3)
+        try:
+            want = reference_search(p, seed, levels)
+        except SearchExhausted as exc:
+            with pytest.raises(SearchExhausted) as info:
+                extend_detailed(p, seed, max_new_levels=levels)
+            got = (info.value.stem, info.value.weight_index, info.value.attempts)
+            assert got == (exc.stem, exc.weight_index, exc.attempts)
+            seen.add("exhausted")
+            continue
+        q, stats = extend_detailed(p, seed, max_new_levels=levels)
+        assert (stats.m_prime, stats.retries, stats.exhaustive_stems, stats.chosen,
+                stats.scores) == want
+        assert q.h == reference_growth(p, stats.m_prime, stats.chosen)[0]
+        seen.add(("weights", len(u)))
+        seen.add(("levels", stats.m_prime - m))
+        for tw in u:
+            m1, r2 = tw.phi.resolution
+            seen.add(("stems", "above" if m < m1 else "at or below"))
+            seen.update(("values", "shorter" if len(h[s]) < r2 else "not shorter")
+                        for s in p.tops())
+        seen.update(["retried"] * any(stats.retries.values()) + ["exhaustive"] * bool(
+            stats.exhaustive_stems))
+    assert seen == {("weights", 1), ("weights", 2), ("weights", 3), ("levels", 1), ("levels", 2),
+                    ("levels", 3), ("stems", "above"), ("stems", "at or below"),
+                    ("values", "shorter"), ("values", "not shorter"), "retried", "exhaustive",
+                    "exhausted"}
+
+
 SUB_SEED_PROBE = """
 import json, sys
 for name in sys.argv[1:]:
@@ -784,37 +928,12 @@ def test_sub_seed_hashes_alike_with_and_without_the_builtin_module(blocked):
     assert openssl == bool(blocked)
 
 
-def record_accepted(monkeypatch):
-    """Spy on the stem searches: the candidate each stem accepted."""
-    accepted = {}
-    real = poset._stem_searches
-
-    def spy(phi_list, m, m2, delta):
-        search = real(phi_list, m, m2, delta)
-
-        def stem(s, value):
-            first_failing, sums = search(s, value)
-
-            def verdict(e):
-                idx = first_failing(e)
-                if idx < 0:
-                    accepted[s] = e
-                return idx
-
-            return verdict, sums
-
-        return stem
-
-    monkeypatch.setattr(poset, "_stem_searches", spy)
-    return accepted
-
-
-def reference_growth(p, m2, accepted):
+def reference_growth(p, m2, chosen):
     """The growth loop of the earlier extend_detailed: one format per key,
     every key of a level at once, then the full validate of the result."""
     h2 = dict(p.h)
     for s in p.tops():
-        e, base = accepted.get(s, 0), p.h[s]
+        e, base = chosen[s], p.h[s]
         for depth in range(p.m + 1, m2):
             h2.update(dict.fromkeys(_extensions(s, depth), base))
         for i, t in enumerate(_extensions(s, m2)):
@@ -836,18 +955,17 @@ def seeded_weights(rng, h):
     return tuple(u)
 
 
-def test_extension_matches_reference_growth(monkeypatch):
-    accepted = record_accepted(monkeypatch)
+def test_extension_matches_reference_growth():
     rng = random.Random(83)
     branches = set()
     for fresh in [True] * 12 + [False] * 8:
         m = rng.randint(0, 3) if fresh else rng.randint(6, 8)
         h = sparse_stem(rng, m)
         p = Condition(m, h, seeded_weights(rng, h) if rng.random() < 0.9 else ())
-        accepted.clear()  # fresh depths are capped at 12, deep ones grow 1-2 levels
+        # fresh depths are capped at 12, deep ones grow 1-2 levels
         levels = 12 - m if fresh else rng.randint(1, 2)
         q, stats = extend_detailed(p, rng.getrandbits(32), max_new_levels=levels)
-        h2, scores = reference_growth(p, stats.m_prime, accepted)
+        h2, scores = reference_growth(p, stats.m_prime, stats.chosen)
         assert q.h == h2
         assert list(q.h) == sorted(q.h)
         assert stats.scores == scores == validate(q).scores
@@ -868,9 +986,10 @@ def test_extension_post_check_refuses_a_failing_candidate(monkeypatch):
         ones = 2 ** 2 ** (m2 - m) - 1
 
         def stem(s, value):
-            first_failing, sums = search(s, value)
-            assert first_failing(ones) == 0  # the real verdict refuses it
-            return (lambda e: -1 if e == ones else 0), sums
+            verdicts = search(s, value)
+            assert verdicts[ones][0] == 0  # the real verdict refuses it
+            sums = tuple((check[4], poset._check_sum(check, ones)) for check in verdicts.checks)
+            return {e: (-1, sums) if e == ones else (0, None) for e in range(ones + 1)}
 
         return stem
 
