@@ -86,7 +86,7 @@ def random_clopen(rng: random.Random) -> ClopenSet:
         "".join(rng.choice("01") for _ in range(rng.randint(1, ORACLE_DEPTH)))
         for _ in range(rng.randint(1, SET_GENERATORS))
     ]
-    return ClopenSet.from_strings(gens)
+    return ClopenSet(gens)
 
 
 def random_partition(rng: random.Random, max_depth: int = 4):
@@ -98,7 +98,7 @@ def random_partition(rng: random.Random, max_depth: int = 4):
     groups: list[list[str]] = [[] for _ in range(count)]
     for i, leaf in enumerate(leaves):
         groups[i if i < count else rng.randrange(count)].append(leaf)
-    return [(lab, ClopenSet.from_strings(g)) for lab, g in zip(labels, groups)]
+    return [(lab, ClopenSet(g)) for lab, g in zip(labels, groups)]
 
 
 def random_name(rng: random.Random, horizon: int, max_depth: int = 4) -> FiniteName:
@@ -229,7 +229,7 @@ def criterion_refinement() -> tuple[bool, str]:
                        if cell.measure() <= threshold]
             f.append(rng.choice(options) if options else 99)
         leaves = _extensions("", 3)
-        p = ClopenSet.from_strings(rng.sample(leaves, rng.randint(4, 8)))
+        p = ClopenSet(rng.sample(leaves, rng.randint(4, 8)))
         start = rng.randint(1, 3)
         q, n = refine_condition(p, g, f, start)
         if q.measure() <= 0:

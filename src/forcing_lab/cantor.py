@@ -104,7 +104,7 @@ class ClopenSet(FrozenValue):
         return Fraction(sum(1 << (depth - len(s)) for s in self.generators), 1 << depth)
 
     def union(self, other: "ClopenSet") -> "ClopenSet":
-        return ClopenSet.from_strings(self.generators | other.generators)
+        return ClopenSet(self.generators | other.generators)
 
     def intersect(self, other: "ClopenSet") -> "ClopenSet":
         # in sorted order a generator's extensions follow it; both sets are
@@ -116,7 +116,7 @@ class ClopenSet(FrozenValue):
                 out.append(g)
             else:
                 outer = g
-        return ClopenSet.from_strings(out)
+        return ClopenSet(out)
 
     def complement(self) -> "ClopenSet":
         if self.is_empty():

@@ -80,32 +80,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _load_schema(name: str) -> dict:
-    """The packaged schema with each {"$ref": "#/$defs/x"} replaced by its
-    target, so validation never resolves a reference per instance node;
-    error messages and instance paths are those of the packaged file."""
-    ref = resources.files("forcing_lab.schemas").joinpath(name)
-    with ref.open("r", encoding="utf-8") as fh:
-        schema = json.load(fh)
-    defs = schema.pop("$defs", {})
-
-    def inline(node):
-        if isinstance(node, list):
-            return [inline(v) for v in node]
-        if not isinstance(node, dict):
-            return node
-        target = node.get("$ref", "")
-        if len(node) == 1 and target.startswith("#/$defs/"):
-            return inline(defs[target.removeprefix("#/$defs/")])
-        return {k: inline(v) for k, v in node.items()}
-
-    return inline(schema)
-
-
 @functools.cache
 def _compiled(name: str):
     """The compiled check of the packaged schema `name`, built once."""
-    return compile_schema(_load_schema(name))
+    with resources.files("forcing_lab.schemas").joinpath(name).open("r", encoding="utf-8") as fh:
+        return compile_schema(json.load(fh))
 
 
 def _schema_fault(instance, name: str) -> str | None:
@@ -264,10 +243,13 @@ def _cmd_rapid(args, scenario):
     if not thin and "rapid" not in scenario:
         raise UsageError(
             "rapid needs 'set'+'blocks' and/or 'rapid'+'selection'+'checkpoints'")
+    # the schema's integers may be integral floats; the echoed inputs stay as given
+    ints = {k: [int(v) for v in scenario[k]]
+            for k in ("set", "selection", "rapid", "checkpoints") if k in scenario}
     report: dict = {}
     ok = True
     if thin:
-        verdict = thin_set_bound_check(scenario["set"], int(scenario["blocks"]))
+        verdict = thin_set_bound_check(ints["set"], int(scenario["blocks"]))
         report["thin"] = {
             "ok": verdict.ok,
             "max_ratio": jsonio.rational_to_json(verdict.max_ratio),
@@ -277,13 +259,12 @@ def _cmd_rapid(args, scenario):
         if "product" in scenario:
             window = scenario["product"]
             value = product_bound(
-                scenario["set"], scenario["selection"],
+                ints["set"], ints["selection"],
                 int(window["start"]), int(window["stop"]))
             report["product"] = jsonio.rational_to_json(value)
     if "rapid" in scenario:
         verdict = rapidity_check(
-            scenario["rapid"], _need(scenario, "selection"),
-            _need(scenario, "checkpoints"))
+            ints["rapid"], _need(ints, "selection"), _need(ints, "checkpoints"))
         report["rapidity"] = {
             "ok": verdict.ok,
             "witness": verdict.witness,

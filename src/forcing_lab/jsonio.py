@@ -54,7 +54,7 @@ def clopen_to_json(a: ClopenSet) -> list[str]:
 
 
 def clopen_from_json(data: Sequence[str]) -> ClopenSet:
-    return ClopenSet.from_strings(data)
+    return ClopenSet(data)
 
 
 def plane_from_json(data: Mapping) -> ClopenPlaneSet:

@@ -354,8 +354,8 @@ def _sha256(data: bytes):
 # the CLI (2-vCPU host, Python 3.11.7), writing 58 MB of JSON; each level
 # doubles that, so deeper stems are refused before materializing.
 _MAX_DEPTH = 20
-# Sampled candidates per stem before the exhaustive fallback, and the largest
-# candidate space that fallback enumerates.
+# Sampled candidates per stem before the exhaustive fallback, and the cap on the
+# 2^(2^k) patterns of k new levels it enumerates: in effect 2^16 (k <= 4).
 _RETRY_CAP = 64
 _EXHAUSTIVE_CAP = 2 ** 20
 

@@ -9,10 +9,12 @@ Python source; nested closures do the same job here in less code.
 
 Only the keywords the packaged schemas use are compiled: `type`,
 `properties`, `required`, `additionalProperties`, `items`, `prefixItems`,
-`minItems`, `maxItems`, `minimum`, `pattern` and `oneOf`, with every
-`$ref` already inlined.  The annotations `$schema`, `title` and
-`description` are skipped.  Any other keyword raises
-`NotImplementedError`, so a schema that needs more is never half checked.
+`minItems`, `maxItems`, `minimum`, `pattern`, `oneOf` and `$ref`.  A
+`$ref` must name an entry of the root's `$defs` as `#/$defs/<name>`; that
+entry is compiled in its place, beside any sibling keywords.  `$defs` and
+the annotations `$schema`, `title` and `description` are skipped.  Any
+other keyword or reference raises `NotImplementedError`, so a schema that
+needs more is never half checked.
 
 As in Draft 2020-12, a keyword passes every instance of a type it does not
 apply to, an "integer" is an int or an integral float but never a bool, a
@@ -97,13 +99,13 @@ def _type(names) -> tuple[type | None, Callable[[object], bool], Check]:
     return None, lambda x: isinstance(x, classes) or any(t(x) for t in tests), wrong
 
 
-def _object(schema: dict) -> Check | None:
+def _object(schema: dict, sub: Callable[[object], Check]) -> Check | None:
     if not schema.keys() & {"properties", "required", "additionalProperties"}:
         return None
-    properties = {k: compile_schema(v) for k, v in schema.get("properties", {}).items()}
+    properties = {k: sub(v) for k, v in schema.get("properties", {}).items()}
     required = tuple(schema.get("required", ()))
     closed = schema.get("additionalProperties", True) is False
-    extra = compile_schema(schema.get("additionalProperties", True))
+    extra = sub(schema.get("additionalProperties", True))
 
     def check(x):
         for k in required:
@@ -125,11 +127,11 @@ def _object(schema: dict) -> Check | None:
     return check
 
 
-def _array(schema: dict) -> Check | None:
+def _array(schema: dict, sub: Callable[[object], Check]) -> Check | None:
     if not schema.keys() & {"prefixItems", "items", "minItems", "maxItems"}:
         return None
-    prefix = [compile_schema(s) for s in schema.get("prefixItems", ())]
-    rest = compile_schema(schema.get("items", True))
+    prefix = [sub(s) for s in schema.get("prefixItems", ())]
+    rest = sub(schema.get("items", True))
     lo, hi = schema.get("minItems", 0), schema.get("maxItems", float("inf"))
     skip = len(prefix)
 
@@ -149,7 +151,7 @@ def _array(schema: dict) -> Check | None:
     return check
 
 
-def _string(schema: dict) -> Check | None:
+def _string(schema: dict, sub) -> Check | None:
     if "pattern" not in schema:
         return None
     pattern = schema["pattern"]
@@ -157,7 +159,7 @@ def _string(schema: dict) -> Check | None:
     return lambda x: None if search(x) else ((), "pattern", f"{_repr(x)} does not match {pattern!r}")
 
 
-def _number(schema: dict) -> Check | None:
+def _number(schema: dict, sub) -> Check | None:
     if "minimum" not in schema:
         return None
     least = schema["minimum"]
@@ -165,8 +167,8 @@ def _number(schema: dict) -> Check | None:
         (), "minimum", f"{_repr(x)} is less than the minimum of {least!r}")
 
 
-def _one_of(options: list) -> Check:
-    checks = [compile_schema(s) for s in options]
+def _one_of(options: list, sub: Callable[[object], Check]) -> Check:
+    checks = [sub(s) for s in options]
 
     def check(x):
         valid = [s for s, each in zip(options, checks) if each(x) is None]
@@ -183,7 +185,7 @@ def _one_of(options: list) -> Check:
 KINDS = ((dict, _object), (list, _array), (str, _string), (numbers.Number, _number))
 KEYWORDS = ANNOTATIONS | {
     "type", "properties", "required", "additionalProperties", "items", "prefixItems",
-    "minItems", "maxItems", "minimum", "pattern", "oneOf",
+    "minItems", "maxItems", "minimum", "pattern", "oneOf", "$ref", "$defs",
 }
 
 
@@ -191,9 +193,14 @@ def compile_schema(schema) -> Check:
     """A check that returns None exactly on the instances `schema` accepts,
     and the first error on every other.
 
-    Raises NotImplementedError for a keyword outside KEYWORDS (`$ref`
-    included) and for a schema that is neither an object nor a boolean.
+    Raises NotImplementedError for a keyword outside KEYWORDS, for a `$ref`
+    that names no entry of the root's `$defs`, and for a schema that is
+    neither an object nor a boolean.
     """
+    return _compile(schema, schema.get("$defs", {}) if isinstance(schema, dict) else {})
+
+
+def _compile(schema, defs: dict) -> Check:
     if isinstance(schema, bool):
         return _accept if schema else _reject
     if not isinstance(schema, dict):
@@ -201,7 +208,8 @@ def compile_schema(schema) -> Check:
     unknown = schema.keys() - KEYWORDS
     if unknown:
         raise NotImplementedError(f"cannot compile schema keyword(s) {sorted(unknown)}")
-    kinds = [(cls, check) for cls, build in KINDS if (check := build(schema))]
+    sub = lambda s: _compile(s, defs)
+    kinds = [(cls, check) for cls, build in KINDS if (check := build(schema, sub))]
     checks = []
     if "type" in schema:
         only, is_type, wrong = _type(schema["type"])
@@ -214,5 +222,10 @@ def compile_schema(schema) -> Check:
     checks += [(lambda x, cls=cls, check=check: check(x) if isinstance(x, cls) else None)
                for cls, check in kinds]
     if "oneOf" in schema:
-        checks.append(_one_of(schema["oneOf"]))
+        checks.append(_one_of(schema["oneOf"], sub))
+    if "$ref" in schema:  # only #/$defs/<name>, a name with no escapes
+        pointer, _, name = (ref := schema["$ref"]).rpartition("/")
+        if pointer != "#/$defs" or name not in defs or "~" in name or "%" in name:
+            raise NotImplementedError(f"cannot compile schema reference {ref!r}")
+        checks.append(sub(defs[name]))
     return _all(checks)

@@ -511,19 +511,36 @@ def test_unexpected_failure_exits_three(tmp_path, monkeypatch):
     jsonschema.validate(env, REPORT_SCHEMA)
 
 
+RAPID_SCENARIO = {
+    "set": [k ** 3 for k in range(10)],
+    "blocks": 5,
+    "rapid": [j * j for j in range(30)],
+    "selection": [1, 6, 15],
+    "checkpoints": [1, 5, 9, 20, 29],
+    "product": {"start": 0, "stop": 20},
+}
+
+
 def test_rapid_combined_report(tmp_path):
-    scenario = {
-        "set": [k ** 3 for k in range(10)],
-        "blocks": 5,
-        "rapid": [j * j for j in range(30)],
-        "selection": [1, 6, 15],
-        "checkpoints": [1, 5, 9, 20, 29],
-    }
-    code, env = run(tmp_path, ["rapid"], scenario)
+    code, env = run(tmp_path, ["rapid"], RAPID_SCENARIO)
     assert code == 0
     assert env["report"]["thin"]["ok"] is True
     assert env["report"]["rapidity"] == {
         "ok": True, "witness": None, "counts": [0, 1, 1, 1, 1]}
+
+
+@pytest.mark.installed
+@pytest.mark.parametrize("key", ["set", "selection", "rapid", "checkpoints"])
+def test_rapid_reads_integral_floats_as_integers(tmp_path, key):
+    # Draft 2020-12 counts 8.0 as an integer, so the schema lets it through
+    scenario = {**RAPID_SCENARIO, key: [float(v) for v in RAPID_SCENARIO[key]]}
+    code, env = run(tmp_path, ["rapid"], scenario)
+    twin_code, twin = run(tmp_path, ["rapid"], RAPID_SCENARIO)
+    inputs = env["report"].pop("inputs")
+    assert all(isinstance(v, float) for v in inputs[key])  # echoed as given
+    twin["report"].pop("inputs")
+    assert (code, env["report"]) == (twin_code, twin["report"])
+    assert code == 0 and "product" in env["report"]
 
 
 def test_rapid_needs_some_section(tmp_path):
@@ -624,13 +641,10 @@ def packaged_schema(name):
     return json.loads(resources.files("forcing_lab.schemas").joinpath(name).read_text())
 
 
+@pytest.mark.installed
 @pytest.mark.parametrize("name", SCHEMA_FILES)
-def test_loaded_schema_is_reference_free(name):
-    loaded = cli._load_schema(name)
-    text = json.dumps(loaded)
-    assert "$ref" not in text and "$defs" not in text
-    assert loaded["title"] == packaged_schema(name)["title"]
-    jsonschema.Draft202012Validator.check_schema(loaded)
+def test_packaged_schema_meets_the_metaschema(name):
+    jsonschema.Draft202012Validator.check_schema(packaged_schema(name))
 
 
 def cover(**over):
@@ -673,17 +687,16 @@ BROKEN_SCENARIOS = {
 }
 
 
+@pytest.mark.installed
 @pytest.mark.parametrize("scenario", BROKEN_SCENARIOS.values(), ids=BROKEN_SCENARIOS)
 def test_loaded_schema_reports_like_packaged(scenario):
-    def failure(schema):
-        with pytest.raises(jsonschema.ValidationError) as info:
-            jsonschema.validate(scenario, schema)
-        return info.value.message, list(info.value.absolute_path)
-
+    # the check compiled from the file as loaded words the error as
+    # jsonschema does on the packaged file, references and all
     name = "scenario.schema.json"
-    assert failure(cli._load_schema(name)) == failure(packaged_schema(name))
+    with pytest.raises(jsonschema.ValidationError) as info:
+        jsonschema.validate(scenario, packaged_schema(name))
     path, _, message = cli._compiled(name)(scenario)
-    assert (message, list(path)) == failure(packaged_schema(name))
+    assert (message, list(path)) == (info.value.message, list(info.value.absolute_path))
 
 
 BAD_BITS_MESSAGE = "scenario fails schema at name/coords/1/1/cells/1: '1a' does not match '^[01]*$'"
@@ -694,7 +707,7 @@ def test_bad_bits_deep_in_name_keep_their_message(tmp_path):
     name["coords"][1][1]["cells"] = ["10", "1a"]
     code, env = run(tmp_path, ["slalom"], {"name": name})
     assert code == 2
-    # the text the packaged schema gave before its references were inlined
+    # the text jsonschema gives for the packaged schema
     assert env["error"] == {"type": "UsageError", "message": BAD_BITS_MESSAGE}
 
 
@@ -802,11 +815,49 @@ def test_no_log_lines_by_default():
 
 
 @pytest.mark.installed
-@pytest.mark.parametrize("keyword", [{"enum": [1]}, {"format": "date"}, {"$ref": "#/$defs/x"}],
-                         ids=["enum", "format", "$ref"])
+@pytest.mark.parametrize("keyword", [
+    {"enum": [1]}, {"format": "date"}, {"$ref": "#/$defs/x"},
+    {"$ref": "https://example.com/a.json"}, {"$ref": "#/$defs/a/items"},
+], ids=["enum", "format", "$ref", "$ref-remote", "$ref-pointer"])
 def test_compile_refuses_unknown_keywords(keyword):
-    with pytest.raises(NotImplementedError, match=re.escape(repr(sorted(keyword)))):
-        compile_schema({"type": "object", "properties": {"a": keyword}})
+    # a reference is compiled only when it names an entry of the root's $defs
+    named = keyword.get("$ref", sorted(keyword))
+    with pytest.raises(NotImplementedError, match=re.escape(repr(named))):
+        compile_schema({"type": "object", "properties": {"a": keyword},
+                        "$defs": {"a": {"items": {}}}})
+
+
+REFERRING_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "words": {"$ref": "#/$defs/words"},
+        "zeros": {"$ref": "#/$defs/bits", "pattern": "^0*$"},
+        "count": {"$ref": "#/$defs/natural", "type": "integer"},
+    },
+    "$defs": {
+        "bits": {"type": "string", "pattern": "^[01]*$"},
+        "word": {"$ref": "#/$defs/bits"},
+        "words": {"type": "array", "items": {"$ref": "#/$defs/word"}, "maxItems": 2},
+        "natural": {"minimum": 0},
+    },
+}
+
+
+@pytest.mark.installed
+def test_compiled_references_match_jsonschema():
+    # words -> word -> bits is a two-step chain; zeros and count add a
+    # sibling keyword to the entry they name
+    compiled = compile_schema(REFERRING_SCHEMA)
+    reference = jsonschema.Draft202012Validator(REFERRING_SCHEMA)
+    values = [None, True, 0, -1, 2.0, 2.5, "", "0", "01", "2", [], ["0"], ["01", "2"],
+              ["0", "1", "0"], [1], {}]
+    instances = [{k: v} for k in ("words", "zeros", "count") for v in values]
+    for x in instances:
+        assert_agrees(compiled, reference, x)
+    accepted = sum(compiled(x) is None for x in instances)
+    assert 0 < accepted < len(instances)
+    path, _, message = compiled({"words": ["0", "2"]})
+    assert (message, path) == ("'2' does not match '^[01]*$'", ("words", 1))
 
 
 @pytest.mark.installed
@@ -836,7 +887,7 @@ def assert_agrees(compiled, reference, x):
 
 
 def compiled_and_reference(name):
-    return (compile_schema(cli._load_schema(name)),
+    return (compile_schema(packaged_schema(name)),
             jsonschema.Draft202012Validator(packaged_schema(name)))
 
 
