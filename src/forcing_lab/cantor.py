@@ -21,10 +21,10 @@ rectangles no deeper than the resolution.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice, product
-from typing import Iterable
 
 from .errors import FrozenValue
 

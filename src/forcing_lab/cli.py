@@ -34,7 +34,6 @@ import os
 import sys
 import time
 from collections import Counter
-from importlib import resources
 
 from . import jsonio
 from .diagram import check_assignment, check_extension_pair
@@ -83,7 +82,8 @@ class _Parser(argparse.ArgumentParser):
 @functools.cache
 def _compiled(name: str):
     """The compiled check of the packaged schema `name`, built once."""
-    with resources.files("forcing_lab.schemas").joinpath(name).open("r", encoding="utf-8") as fh:
+    path = os.path.join(os.path.dirname(__file__), "schemas", name)
+    with open(path, encoding="utf-8") as fh:
         return compile_schema(json.load(fh))
 
 
@@ -158,7 +158,7 @@ def _cmd_slalom(args, scenario):
 def _cmd_refine(args, scenario):
     """shrink a positive-measure set off a function's value cells"""
     g = jsonio.name_from_json(_need(scenario, "name"))
-    f = _need(scenario, "function")
+    f = [int(v) for v in _need(scenario, "function")]  # integral floats pass the schema
     p = jsonio.clopen_from_json(_need(scenario, "condition_set"))
     start = int(scenario.get("start", 0))
     q, n = refine_condition(p, g, f, start)
@@ -376,10 +376,11 @@ def main(argv=None) -> int:
     env_level = os.environ.get("FORCING_LAB_LOG", "")
     if env_level:
         import logging
+        level = getattr(logging, env_level.upper(), None)  # BASIC_FORMAT is no level
         logging.basicConfig(
             stream=sys.stderr,
             format="%(levelname)s %(name)s: %(message)s",
-            level=getattr(logging, env_level.upper(), logging.WARNING))
+            level=level if isinstance(level, int) else logging.WARNING)
     argv = sys.argv[1:] if argv is None else list(argv)
     started = time.perf_counter()
     command = argv[0] if argv and argv[0] in HANDLERS else ""

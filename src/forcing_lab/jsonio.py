@@ -8,9 +8,9 @@ documents are byte-stable across runs.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from operator import itemgetter
-from typing import Mapping, Sequence
 
 from .cantor import ClopenPlaneSet, ClopenSet
 from .diagram import CardinalLabel, DiagramAssignment

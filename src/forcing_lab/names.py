@@ -9,8 +9,8 @@ a slalom whose n-th slot has fewer than (n+1)^2 entries, by pigeonhole.
 
 from __future__ import annotations
 
+from collections.abc import Hashable, Sequence
 from fractions import Fraction
-from typing import Hashable, Sequence
 
 from .cantor import EMPTY, ClopenSet
 from .errors import ForcingLabError, FrozenValue

@@ -22,10 +22,10 @@ import _random
 import math
 from bisect import bisect_left
 from collections import Counter
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
-from typing import Mapping, Sequence
 
 from .cantor import ClopenPlaneSet, check_bits, _all_bits, _extensions
 from .errors import ForcingLabError, FrozenValue

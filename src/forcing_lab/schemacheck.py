@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import numbers
 import re
+from collections.abc import Callable
 from reprlib import repr as _repr
-from typing import Callable
 
 Error = tuple[tuple, str | None, str]  # (path, keyword, message)
 Check = Callable[[object], Error | None]

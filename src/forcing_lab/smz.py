@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import accumulate, groupby
-from typing import Iterable, Sequence
 
 from .errors import ForcingLabError, FrozenValue
 

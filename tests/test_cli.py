@@ -543,6 +543,23 @@ def test_rapid_reads_integral_floats_as_integers(tmp_path, key):
     assert code == 0 and "product" in env["report"]
 
 
+@pytest.mark.installed
+@pytest.mark.parametrize("function, want", [([99, 99], 0), ([0, 0], 1)],
+                         ids=["passes", "slalom-violation"])
+def test_refine_reads_integral_floats_as_integers(tmp_path, function, want):
+    scenario = {"name": HALVES_NAME, "function": function, "condition_set": [""]}
+    floats = [float(v) for v in function]
+    code, env = run(tmp_path, ["refine"], {**scenario, "function": floats})
+    twin_code, twin = run(tmp_path, ["refine"], scenario)
+    for e in (env, twin):
+        e.pop("meta", None)
+    if want == 0:
+        assert env["report"].pop("inputs")["function"] == floats  # echoed as given
+        twin["report"].pop("inputs")
+    assert (code, env) == (twin_code, twin)
+    assert code == want
+
+
 def test_rapid_needs_some_section(tmp_path):
     code, env = run(tmp_path, ["rapid"], {})
     assert code == 2
@@ -777,24 +794,34 @@ NEEDS_BUILTIN_SHA256 = pytest.mark.skipif(
     reason="this Python has no built-in SHA-256 module")
 
 
+def imported_modules(done) -> set:
+    """The modules a `-X importtime` process names on its stderr."""
+    return {line.rsplit("|", 1)[1].strip()
+            for line in done.stderr.splitlines() if line.startswith("import time:")}
+
+
+# what the CLI never needs, least of all to open its packaged schemas
+UNUSED = ("dataclasses", "inspect", "logging", "hashlib", "jsonschema",
+          "importlib.resources", "pathlib", "zipfile", "tempfile", "typing")
+
+
 @pytest.mark.installed
 @pytest.mark.parametrize("argv, scenario, unused", [
-    (["slalom"], {"name": HALVES_NAME},
-     ("dataclasses", "inspect", "logging", "hashlib", "jsonschema")),
+    (["slalom"], {"name": HALVES_NAME}, UNUSED),
     pytest.param(["extend", "--seed", "7"], {"condition": SIMPLE_CONDITION},
-                 ("dataclasses", "inspect", "logging", "hashlib", "_hashlib", "jsonschema"),
-                 marks=NEEDS_BUILTIN_SHA256),
+                 (*UNUSED, "_hashlib"), marks=NEEDS_BUILTIN_SHA256),
     pytest.param(["generic-run", "--seed", "2026"], ONE_COVER_RUN,
-                 ("dataclasses", "inspect", "logging", "hashlib", "_hashlib", "jsonschema"),
-                 marks=NEEDS_BUILTIN_SHA256),
+                 (*UNUSED, "_hashlib"), marks=NEEDS_BUILTIN_SHA256),
 ], ids=["slalom", "extend", "generic-run"])
 def test_commands_import_only_what_they_use(argv, scenario, unused):
-    # -X importtime names every module the process imports, site's included;
-    # the command itself runs as __main__, and imports the layers
-    done = run_module(argv, scenario, "-X", "importtime")
+    # -S keeps site and its .pth files from importing anything first, and
+    # -X importtime names every module the process imports; the command
+    # itself runs as __main__, and imports the layers
+    done = run_module(argv, scenario, "-S", "-X", "importtime")
     assert done.returncode == 0, done.stdout
-    imported = {line.rsplit("|", 1)[1].strip()
-                for line in done.stderr.splitlines() if line.startswith("import time:")}
+    bare = subprocess.run([sys.executable, "-S", "-X", "importtime", "-c", "pass"],
+                          capture_output=True, text=True, timeout=60)
+    imported = imported_modules(done) - imported_modules(bare)
     assert "forcing_lab.jsonio" in imported
     assert imported.isdisjoint(unused), sorted(imported & set(unused))
 
@@ -806,6 +833,17 @@ def test_log_lines_go_to_stderr_when_asked():
     assert done.stderr.splitlines() == [
         "INFO forcing_lab.cli: extended depth 0 -> 8 (pinned 8)",
         "INFO forcing_lab.cli: extend finished with exit code 0"]
+
+
+@pytest.mark.parametrize("value", ["basic_format", "no_such_level"])
+def test_a_log_value_that_names_no_level_logs_warnings(value):
+    # logging.BASIC_FORMAT is a format string, not a level
+    done = run_module(["diagram"], {"assignment": labels()}, FORCING_LAB_LOG=value)
+    quiet = run_module(["diagram"], {"assignment": labels()})
+    assert done.returncode == quiet.returncode == 0
+    assert done.stderr == ""  # nothing of this run is logged at warning level
+    assert len(done.stdout.splitlines()) == 1
+    assert json.loads(done.stdout)["ok"] is True
 
 
 def test_no_log_lines_by_default():
