@@ -15,6 +15,8 @@ a scenario nested too deeply, schema violations, missing sections, missing
 --seed), 3 for any other failure, reported as an "InternalError" envelope.
 --out is opened once the scenario has been read (or failed to read), before
 the run; if that or argument parsing fails, the envelope goes to stdout.
+Results are exact and written in full, so the run lifts the interpreter's
+limit on int-text digits, and main restores it before it returns.
 
 Both schema checks run on a check compiled once per process
 (`schemacheck`), which also words a rejection with its path; a scenario it
@@ -120,7 +122,7 @@ def _read_scenario(args: argparse.Namespace) -> dict:
         with _open(args.input, "r", "read scenario") as fh:
             text = fh.read()
     try:
-        data = json.loads(text, object_pairs_hook=_unique_keys)
+        data = json.loads(text, object_pairs_hook=_unique_keys, parse_float=jsonio.read_number)
     except json.JSONDecodeError as err:
         raise UsageError(f"scenario is not JSON: {err}") from err
     except RecursionError:
@@ -158,10 +160,9 @@ def _cmd_slalom(args, scenario):
 def _cmd_refine(args, scenario):
     """shrink a positive-measure set off a function's value cells"""
     g = jsonio.name_from_json(_need(scenario, "name"))
-    f = [int(v) for v in _need(scenario, "function")]  # integral floats pass the schema
+    f = _need(scenario, "function")
     p = jsonio.clopen_from_json(_need(scenario, "condition_set"))
-    start = int(scenario.get("start", 0))
-    q, n = refine_condition(p, g, f, start)
+    q, n = refine_condition(p, g, f, scenario.get("start", 0))
     report = {
         "refined": jsonio.clopen_to_json(q),
         "measure": jsonio.rational_to_json(q.measure()),
@@ -192,12 +193,12 @@ def _cmd_extend(args, scenario):
 def _cmd_generic_run(args, scenario):
     """interleave cover attachment and extension, with certificates"""
     seed = _need_seed(args)
-    steps = int(_need(scenario, "steps"))
+    steps = _need(scenario, "steps")
     schedule = [
         ScheduledCover(
             jsonio.plane_from_json(entry["cover"]),
             jsonio.rational_from_json(entry["eps"]),
-            int(entry.get("at_step", i)))
+            entry.get("at_step", i))
         for i, entry in enumerate(_need(scenario, "covers"))
     ]
     levels = {} if args.max_new_levels is None else {"max_new_levels": args.max_new_levels}
@@ -214,8 +215,7 @@ def _cmd_generic_run(args, scenario):
 def _cmd_smz(args, scenario):
     """derive cover tolerances and flatten heavy interval families"""
     eps = [jsonio.rational_from_json(e) for e in _need(scenario, "eps")]
-    horizon = int(_need(scenario, "horizon"))
-    delta, delta_prime = cover_translate(eps, horizon)
+    delta, delta_prime = cover_translate(eps, _need(scenario, "horizon"))
     report = {
         "delta": jsonio.rationals_to_json(delta),
         "delta_prime": jsonio.rationals_to_json(delta_prime),
@@ -243,13 +243,10 @@ def _cmd_rapid(args, scenario):
     if not thin and "rapid" not in scenario:
         raise UsageError(
             "rapid needs 'set'+'blocks' and/or 'rapid'+'selection'+'checkpoints'")
-    # the schema's integers may be integral floats; the echoed inputs stay as given
-    ints = {k: [int(v) for v in scenario[k]]
-            for k in ("set", "selection", "rapid", "checkpoints") if k in scenario}
     report: dict = {}
     ok = True
     if thin:
-        verdict = thin_set_bound_check(ints["set"], int(scenario["blocks"]))
+        verdict = thin_set_bound_check(scenario["set"], scenario["blocks"])
         report["thin"] = {
             "ok": verdict.ok,
             "max_ratio": jsonio.rational_to_json(verdict.max_ratio),
@@ -259,12 +256,11 @@ def _cmd_rapid(args, scenario):
         if "product" in scenario:
             window = scenario["product"]
             value = product_bound(
-                ints["set"], ints["selection"],
-                int(window["start"]), int(window["stop"]))
+                scenario["set"], scenario["selection"], window["start"], window["stop"])
             report["product"] = jsonio.rational_to_json(value)
     if "rapid" in scenario:
         verdict = rapidity_check(
-            ints["rapid"], _need(ints, "selection"), _need(ints, "checkpoints"))
+            scenario["rapid"], _need(scenario, "selection"), _need(scenario, "checkpoints"))
         report["rapidity"] = {
             "ok": verdict.ok,
             "witness": verdict.witness,
@@ -373,6 +369,14 @@ def _failure(exc: Exception) -> tuple[int, dict]:
 
 
 def main(argv=None) -> int:
+    digits = sys.get_int_max_str_digits()
+    try:
+        return _run(argv)
+    finally:  # _run lifts the limit; a caller in this process keeps its own
+        sys.set_int_max_str_digits(digits)
+
+
+def _run(argv) -> int:
     env_level = os.environ.get("FORCING_LAB_LOG", "")
     if env_level:
         import logging
@@ -393,6 +397,9 @@ def main(argv=None) -> int:
         finally:  # read before truncating: --out may name the --input file
             if args.out != "-":
                 out = _open(args.out, "w", "write report")
+        # exact results may be ints past the digit limit on int-to-text
+        # conversion; the schema keeps each rational part of the scenario within it
+        sys.set_int_max_str_digits(0)
         ok, report = HANDLERS[args.command](args, scenario)
         if scenario is not None:
             report = {"inputs": scenario, **report}

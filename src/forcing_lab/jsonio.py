@@ -2,7 +2,9 @@
 
 Conventions: rationals travel as "p/q" strings, binary strings as 0/1
 text, and every collection is emitted in sorted order so that serialized
-documents are byte-stable across runs.
+documents are byte-stable across runs.  Scenario numbers are parsed by
+`read_number`: an integral one such as 8.0 or 8e0 is the int 8, as the schema
+counts it, so every integer and rational field takes it and no decoder converts.
 """
 
 from __future__ import annotations
@@ -33,6 +35,12 @@ def _refuse_repeats(built: Mapping, entries: Sequence, key, what: str) -> None:
         raise ValueError(f"repeated {what} {repeated!r}")
 
 
+def read_number(text: str) -> int | float:
+    """`parse_float` for json.loads: an integral number as an int."""
+    x = float(text)
+    return int(x) if x.is_integer() else x
+
+
 def rational_to_json(x: Fraction) -> str:
     x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
@@ -58,9 +66,8 @@ def clopen_from_json(data: Sequence[str]) -> ClopenSet:
 
 
 def plane_from_json(data: Mapping) -> ClopenPlaneSet:
-    r1, r2 = data["resolution"]
     rects = [(s, t) for s, t in data["rects"]]
-    return ClopenPlaneSet.from_rects(rects, min_resolution=(int(r1), int(r2)))
+    return ClopenPlaneSet.from_rects(rects, min_resolution=data["resolution"])
 
 
 def name_from_json(data: Mapping) -> FiniteName:
@@ -69,7 +76,7 @@ def name_from_json(data: Mapping) -> FiniteName:
         for coord in data["coords"]
     ]
     g = make_name(coords)
-    if g.horizon != int(data["horizon"]):
+    if g.horizon != data["horizon"]:
         raise ValueError(
             f"horizon field {data['horizon']} does not match {g.horizon} coordinates")
     return g
@@ -91,7 +98,6 @@ def weight_to_json(phi: WeightFunction) -> dict:
 
 
 def weight_from_json(data: Mapping) -> WeightFunction:
-    r1, r2 = data["resolution"]
     # one Fraction per distinct value text, so WeightFunction's identity memo
     # converts and range-checks it once; only str values are shared, because
     # a dict keyed by value would hand 1.0 the Fraction parsed for 1
@@ -106,7 +112,7 @@ def weight_from_json(data: Mapping) -> WeightFunction:
 
     table = {(s, t): value(v) for s, t, v in data["table"]}
     _refuse_repeats(table, data["table"], itemgetter(0, 1), "weight table key")
-    return WeightFunction((int(r1), int(r2)), table)
+    return WeightFunction(data["resolution"], table)
 
 
 def condition_to_json(p: Condition) -> dict:
@@ -130,7 +136,7 @@ def condition_from_json(data: Mapping) -> Condition:
         TaggedWeight(rational_from_json(entry["eps"]), weight_from_json(entry["phi"]))
         for entry in data["u"]
     )
-    return Condition(int(data["m"]), h, u)
+    return Condition(data["m"], h, u)
 
 
 def certificate_to_json(index: int, cert: Certificate) -> dict:

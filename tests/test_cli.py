@@ -8,6 +8,7 @@ schemas.
 """
 
 import ast
+import contextlib
 import hashlib
 import importlib.util
 import io
@@ -22,6 +23,7 @@ import sys
 import time
 import tokenize
 import tracemalloc
+from collections import Counter
 from fractions import Fraction as Rational
 from importlib import resources
 from pathlib import Path
@@ -75,6 +77,17 @@ def report_digest(env):
     return hashlib.sha256(json.dumps(env["report"], sort_keys=True).encode()).hexdigest()
 
 
+@contextlib.contextmanager
+def digit_limit(digits):
+    """Run the block under `digits` as the limit on int-text conversion."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
 def run(tmp_path, argv, scenario=None, raw=None):
     argv = list(argv)
     if scenario is not None or raw is not None:
@@ -83,8 +96,19 @@ def run(tmp_path, argv, scenario=None, raw=None):
         argv += ["--input", str(path)]
     out = tmp_path / "report.json"
     argv += ["--out", str(out)]
+    digits = sys.get_int_max_str_digits()
     code = cli.main(argv)
-    return code, json.loads(out.read_text())
+    assert sys.get_int_max_str_digits() == digits  # main gives back what it lifts
+    with digit_limit(0):  # a report may hold an int past the limit
+        return code, json.loads(out.read_text())
+
+
+def replaced(x, path, value):
+    if not path:
+        return value
+    copy = dict(x) if isinstance(x, dict) else list(x)
+    copy[path[0]] = replaced(x[path[0]], path[1:], value)
+    return copy
 
 
 def test_diagram_consistent_exits_zero(tmp_path):
@@ -529,18 +553,39 @@ def test_rapid_combined_report(tmp_path):
         "ok": True, "witness": None, "counts": [0, 1, 1, 1, 1]}
 
 
+def floated(x):
+    """`x` with every int in it written as a float."""
+    if isinstance(x, dict):
+        return {k: floated(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [floated(v) for v in x]
+    return float(x) if type(x) is int else x
+
+
+def run_twins(tmp_path, argv, scenario, path):
+    """Exit code and envelope text without meta of `scenario` and of its
+    twin whose ints under `path` are written as floats (8.0 for 8); text,
+    because 8.0 == 8 would let a float echo pass as the int."""
+    node = scenario
+    for key in path:
+        node = node[key]
+    twin = replaced(scenario, path, floated(node))
+    assert json.dumps(twin) != json.dumps(scenario)
+    results = []
+    for x in (scenario, twin):
+        code, env = run(tmp_path, argv, x)
+        env.pop("meta", None)
+        results.append((code, json.dumps(env, sort_keys=True)))
+    return results
+
+
 @pytest.mark.installed
 @pytest.mark.parametrize("key", ["set", "selection", "rapid", "checkpoints"])
 def test_rapid_reads_integral_floats_as_integers(tmp_path, key):
     # Draft 2020-12 counts 8.0 as an integer, so the schema lets it through
-    scenario = {**RAPID_SCENARIO, key: [float(v) for v in RAPID_SCENARIO[key]]}
-    code, env = run(tmp_path, ["rapid"], scenario)
-    twin_code, twin = run(tmp_path, ["rapid"], RAPID_SCENARIO)
-    inputs = env["report"].pop("inputs")
-    assert all(isinstance(v, float) for v in inputs[key])  # echoed as given
-    twin["report"].pop("inputs")
-    assert (code, env["report"]) == (twin_code, twin["report"])
-    assert code == 0 and "product" in env["report"]
+    ints, floats = run_twins(tmp_path, ["rapid"], RAPID_SCENARIO, (key,))
+    assert floats == ints
+    assert ints[0] == 0 and '"product":' in ints[1]
 
 
 @pytest.mark.installed
@@ -548,15 +593,105 @@ def test_rapid_reads_integral_floats_as_integers(tmp_path, key):
                          ids=["passes", "slalom-violation"])
 def test_refine_reads_integral_floats_as_integers(tmp_path, function, want):
     scenario = {"name": HALVES_NAME, "function": function, "condition_set": [""]}
-    floats = [float(v) for v in function]
-    code, env = run(tmp_path, ["refine"], {**scenario, "function": floats})
-    twin_code, twin = run(tmp_path, ["refine"], scenario)
-    for e in (env, twin):
-        e.pop("meta", None)
-    if want == 0:
-        assert env["report"].pop("inputs")["function"] == floats  # echoed as given
-        twin["report"].pop("inputs")
-    assert (code, env) == (twin_code, twin)
+    ints, floats = run_twins(tmp_path, ["refine"], scenario, ("function",))
+    assert floats == ints
+    assert ints[0] == want
+
+
+WEIGHT_ONE = replaced(SIMPLE_CONDITION, ("u", 0, "phi", "table", 0, 2), 1)
+TWIN_CASES = {
+    "smz-eps": (["smz"], {"eps": [1, "1/2"], "horizon": 1}, ("eps",)),
+    "smz-horizon": (["smz"], {"eps": [1, "1/2"], "horizon": 1}, ("horizon",)),
+    "smz-heavy": (["smz"], {"eps": ["1/2"] * 9, "horizon": 2,
+                            "heavy": [[], [[0, "1/4"], ["1/2", 1]]]}, ("heavy",)),
+    "extend-weight-value": (["extend", "--seed", "7"], {"condition": WEIGHT_ONE},
+                            ("condition", "u", 0, "phi", "table")),
+    "extend-eps": (["extend", "--seed", "7"],
+                   {"condition": replaced(WEIGHT_ONE, ("u", 0, "eps"), 1)},
+                   ("condition", "u", 0, "eps")),
+    "extend-m": (["extend", "--seed", "7"], {"condition": SIMPLE_CONDITION},
+                 ("condition", "m")),
+    "extend-resolution": (["extend", "--seed", "7"], {"condition": SIMPLE_CONDITION},
+                          ("condition", "u", 0, "phi", "resolution")),
+    "generic-run-eps": (["generic-run", "--seed", "2026"],
+                        replaced(ONE_COVER_RUN, ("covers", 0, "eps"), 1), ("covers", 0, "eps")),
+    "generic-run-steps": (["generic-run", "--seed", "2026"], ONE_COVER_RUN, ("steps",)),
+    "generic-run-at-step": (["generic-run", "--seed", "2026"],
+                            replaced(ONE_COVER_RUN, ("covers", 0),
+                                     {**ONE_COVER_RUN["covers"][0], "at_step": 0}),
+                            ("covers", 0, "at_step")),
+    "generic-run-resolution": (["generic-run", "--seed", "2026"], ONE_COVER_RUN,
+                               ("covers", 0, "cover", "resolution")),
+    **{f"refine-{field}": (["refine"], {"name": HALVES_NAME, "function": [99, 99],
+                                        "condition_set": [""], "start": 1}, path)
+       for field, path in (("start", ("start",)), ("horizon", ("name", "horizon")),
+                           ("label", ("name", "coords")))},
+    "slalom-horizon": (["slalom"], {"name": HALVES_NAME}, ("name", "horizon")),
+    "slalom-label": (["slalom"], {"name": HALVES_NAME}, ("name", "coords")),
+    "rapid-blocks": (["rapid"], RAPID_SCENARIO, ("blocks",)),
+    "rapid-product": (["rapid"], RAPID_SCENARIO, ("product",)),
+}
+
+
+@pytest.mark.installed
+@pytest.mark.parametrize("argv, scenario, path", TWIN_CASES.values(), ids=TWIN_CASES)
+def test_integral_floats_read_as_their_integers(tmp_path, argv, scenario, path):
+    # the twin's whole envelope, inputs included, is the int scenario's; the
+    # tests above do the same for refine's function and rapid's four lists
+    ints, floats = run_twins(tmp_path, argv, scenario, path)
+    assert floats == ints
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2.5", "scenario fails schema at horizon: 2.5 is not of type 'integer'"),
+    ("1e400", "scenario fails schema at horizon: inf is not of type 'integer'"),
+])
+def test_non_integral_numbers_are_refused(tmp_path, text, message):
+    code, env = run(tmp_path, ["smz"], raw=f'{{"eps": [], "horizon": {text}}}')
+    assert (code, env["error"]) == (2, {"type": "UsageError", "message": message})
+
+
+def test_refine_writes_an_exact_answer_past_the_digit_limit(tmp_path):
+    # the measure 2^-15000 and the cutoff 2^15000 + 2 have 4,516 digits
+    scenario = {"name": {"horizon": 1, "coords": [[{"label": 0, "cells": [""]}]]},
+                "function": [0], "condition_set": ["0" * 15000]}
+    code, env = run(tmp_path, ["refine"], scenario)
+    assert code == 0
+    assert env["report"]["cutoff"] == 2 ** 15000 + 2
+    with digit_limit(0):
+        assert env["report"]["measure"] == f"1/{2 ** 15000}"
+
+
+def test_rapid_writes_an_exact_product_past_the_digit_limit(tmp_path):
+    scenario = {"set": [k ** 3 for k in range(4000)], "blocks": 10,
+                "selection": [math.isqrt(k ** 3) for k in range(1, 4000)],
+                "product": {"start": 0, "stop": 252888}}
+    code, env = run(tmp_path, ["rapid"], scenario)
+    assert code == 0
+    per_block = Counter(math.isqrt(a) for a in scenario["set"])
+    want = math.prod((1 - Rational(per_block[m], 2 * m + 1) for m in set(scenario["selection"])),
+                     start=Rational(1))
+    assert len(env["report"]["product"]) > 4300
+    with digit_limit(0):
+        assert Rational(env["report"]["product"]) == want
+
+
+def test_rational_parts_past_the_digit_limit_are_refused(tmp_path):
+    code, env = run(tmp_path, ["smz"], {"eps": ["1" * 4301], "horizon": 1})
+    assert code == 2
+    assert env["error"]["message"].startswith("scenario fails schema at eps/0: ")
+    code, env = run(tmp_path, ["smz"], {"eps": [f"1/{'1' * 4300}", "1" * 4300], "horizon": 1})
+    assert code == 0
+
+
+@pytest.mark.parametrize("scenario, want", [
+    ({"eps": [1, "1/2"], "horizon": 1}, 0),
+    ({"eps": [1, "1/2"], "horizon": "1"}, 2),
+    ({"eps": [1, "1/0"], "horizon": 1}, 2),
+], ids=["success", "schema-refusal", "decode-refusal"])
+def test_main_gives_back_the_callers_digit_limit(tmp_path, scenario, want):
+    with digit_limit(5000):
+        code, _ = run(tmp_path, ["smz"], scenario)  # run checks the limit is kept
     assert code == want
 
 
@@ -974,14 +1109,6 @@ def node_paths(x, path=()):
     items = x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else ()
     for k, v in items:
         yield from node_paths(v, path + (k,))
-
-
-def replaced(x, path, value):
-    if not path:
-        return value
-    copy = dict(x) if isinstance(x, dict) else list(x)
-    copy[path[0]] = replaced(x[path[0]], path[1:], value)
-    return copy
 
 
 def variants(node):

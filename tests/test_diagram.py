@@ -153,3 +153,6 @@ def test_pair_check_reports_ground_problems():
     assert not verdict.ok
     assert all(v.kind in {"ground", "extension", "transfer"} for v in verdict.violations)
     assert any(v.kind == "ground" for v in verdict.violations)
+    # a consistent ground: the extension's own two edges, then the transfer it breaks
+    verdict = check_extension_pair(assignment(), assignment(add_null=A2))
+    assert [v.kind for v in verdict.violations] == ["extension", "extension", "transfer"]

@@ -2,6 +2,7 @@
 JSON codecs."""
 
 import json
+import math
 import struct
 import sys
 import tracemalloc
@@ -56,6 +57,16 @@ def test_rational_wire_form():
         rational_from_json(0.5)
     with pytest.raises(ValueError):
         rational_from_json("three halves")
+
+
+@pytest.mark.parametrize("text, want", [
+    ("8.0", 8), ("8e0", 8), ("-0.0", 0), ("1e22", 10 ** 22), ("9007199254740993.0", 2 ** 53),
+    ("2.5", 2.5), ("1e400", math.inf),
+])
+def test_read_number_reads_integral_numbers_as_ints(text, want):
+    # the value int(float(text)) has always had, now read once at parse time
+    got = json.loads(f"[{text}]", parse_float=jsonio.read_number)[0]
+    assert got == want and type(got) is type(want)
 
 
 def test_rationals_list():

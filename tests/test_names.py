@@ -10,6 +10,8 @@ from forcing_lab import (
     FULL,
     ClopenSet,
     EmptyCondition,
+    HorizonExceeded,
+    Slalom,
     SlalomViolation,
     boolean_value,
     make_name,
@@ -150,6 +152,8 @@ def test_boolean_value():
     g = make_name([halves()])
     assert boolean_value(g, 0, 0) == ClopenSet.from_strings(["0"])
     assert boolean_value(g, 0, 99) == EMPTY
+    with pytest.raises(HorizonExceeded):
+        g.coordinate(1)
 
 
 def test_slalom_extract_threshold_is_strict():
@@ -160,6 +164,8 @@ def test_slalom_extract_threshold_is_strict():
     assert s.slots[1] == {0, 1}
     assert s.slots[3] == {6}
     assert all(len(s.slots[n]) < (n + 1) ** 2 for n in range(4))
+    with pytest.raises(ValueError, match="^slot 0 holds 2 labels, cap is 1$"):
+        Slalom((frozenset({1, 2}),))
 
 
 def test_refine_exact_measure():

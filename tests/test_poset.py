@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from forcing_lab import (
+    CenteredIndex,
     Certificate,
     ClopenPlaneSet,
     ClopenSet,
@@ -444,6 +445,8 @@ def test_avoid_null_rejects_full_cover():
     with pytest.raises(NullSet):
         full_cover = ClopenPlaneSet.from_rects([("", "")], (1, 1))
         avoid_null(trivial_condition(), full_cover, Fraction(1, 2))
+    with pytest.raises(ValueError, match="^eps must lie strictly between 0 and 1, got 1$"):
+        avoid_null(trivial_condition(), ClopenPlaneSet.from_rects([("0", "00")]), Fraction(1))
 
 
 def test_certificate_agrees_at_full_depth():
@@ -1155,6 +1158,10 @@ def test_sigma_centered_index_example():
     assert idx.size == 1
     assert idx.k == 2  # least k with 1/k at most the 1/2 slack
     assert idx.tags == (Fraction(1, 2),)
+    assert sigma_centered_index(trivial_condition()) == CenteredIndex(0, 1, (("", ""),), ())
+    at_tag = Condition(0, {"": ""}, (TaggedWeight(Fraction(1), FULL_W),))  # score 1, tag 1
+    with pytest.raises(ValueError, match="^condition must be valid with positive-mass weights$"):
+        sigma_centered_index(at_tag)
 
 
 def test_same_index_conditions_merge():
