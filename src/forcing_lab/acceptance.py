@@ -181,6 +181,9 @@ def criterion_set_algebra() -> tuple[bool, str]:
             return False, "complement mismatch"
         if clopen_to_bitmap(a.difference(b)) != ma & ~mb:
             return False, "difference mismatch"
+        for result in (a.intersect(b), a.complement(), a.difference(b)):
+            if result != ClopenSet(result.generators):
+                return False, f"non-canonical result {sorted(result.generators)}"
         if a.union(b).complement() != a.complement().intersect(b.complement()):
             return False, "De Morgan (union) fails"
         if a.intersect(b).complement() != a.complement().union(b.complement()):
@@ -206,7 +209,7 @@ def criterion_slalom_bound() -> tuple[bool, str]:
         for n in range(20):
             threshold = Fraction(1, (n + 1) ** 2)
             direct = {lab for lab, cell in g.coordinate(n)
-                      if cell.measure() > threshold}
+                      if bitmap_measure(clopen_to_bitmap(cell)) > threshold}
             if direct != s.slots[n]:
                 return False, f"slot {n} mismatch with direct threshold count"
             if len(s.slots[n]) >= (n + 1) ** 2:

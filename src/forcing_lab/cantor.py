@@ -7,11 +7,15 @@ no two sibling generators s0, s1 appear together (they merge to s).  With
 that normal form, value equality is set equality and every measure is an
 exact fraction with a power-of-two denominator.
 
-Costs, for n generators in all: the constructor, `union` and `intersect`
-each sort n strings and make one pass, since in sorted order a string's
-extensions come right after it; `complement` visits each proper prefix
-once, so it costs the total generator length; `difference` is
-`intersect` with a complement.
+Costs, for n generators in all: the constructor and `union` each check
+the bits, sort n strings and make one pass, since in sorted order a
+string's extensions come right after it.  `intersect` sorts n strings and
+makes one pass; `complement` visits each proper prefix once, so it costs
+the total generator length; `difference` is `intersect` with a
+complement.  The results of those three are canonical as built, so they
+skip the constructor's bit check, re-sort and merge pass.  A value's
+measure is computed once, on first use, as an integer pair in C-level
+passes over the generator lengths.
 
 Plane sets live on the product of two copies of the space.  They are kept
 flattened at a uniform resolution (r1, r2): a set of rectangles [s] x [t]
@@ -55,6 +59,15 @@ def _all_bits(*groups: Iterable[str]) -> bool:
     return True
 
 
+def cylinder_mass(gens: Iterable[str]) -> tuple[int, int]:
+    """The total measure of the cylinders [s], s in gens, as (count, 2^d)
+    with d the greatest length: the sum of 2^-|s| is count / 2^d.  It is
+    the measure of their union when they are disjoint."""
+    lengths = list(map(len, gens))
+    whole = 1 << max(lengths, default=0)
+    return sum(map(whole.__rshift__, lengths)), whole  # 2^d >> |s| == 2^(d - |s|)
+
+
 def _canonical(gens: Iterable[str]) -> frozenset[str]:
     """Reduce arbitrary generators to the canonical antichain.
 
@@ -96,19 +109,34 @@ class ClopenSet(FrozenValue):
     def from_strings(cls, gens: Iterable[str]) -> "ClopenSet":
         return cls(gens)
 
+    @classmethod
+    def _built(cls, antichain: Iterable[str]) -> "ClopenSet":
+        """The value of generators already in canonical form, unchecked."""
+        value = object.__new__(cls)
+        FrozenValue.__init__(value, frozenset(antichain))
+        return value
+
     def is_empty(self) -> bool:
         return not self.generators
 
+    @cached_property
+    def mass(self) -> tuple[int, int]:
+        """The measure as (count, 2^d), d the longest generator's length:
+        the measure is count / 2^d.  Computed once per value."""
+        return cylinder_mass(self.generators)
+
     def measure(self) -> Fraction:
-        depth = max(map(len, self.generators), default=0)
-        return Fraction(sum(1 << (depth - len(s)) for s in self.generators), 1 << depth)
+        return Fraction(*self.mass)
 
     def union(self, other: "ClopenSet") -> "ClopenSet":
         return ClopenSet(self.generators | other.generators)
 
     def intersect(self, other: "ClopenSet") -> "ClopenSet":
         # in sorted order a generator's extensions follow it; both sets are
-        # antichains, so one that extends the last outer generator is in both
+        # antichains, so one that extends the last outer generator is in both.
+        # The result is canonical as built: two results that are siblings or
+        # a prefix pair would extend one outer generator, so both would come
+        # from the other set, a canonical antichain
         out: list[str] = []
         outer = None
         for g in sorted([*self.generators, *other.generators]):
@@ -116,7 +144,7 @@ class ClopenSet(FrozenValue):
                 out.append(g)
             else:
                 outer = g
-        return ClopenSet(out)
+        return ClopenSet._built(out)
 
     def complement(self) -> "ClopenSet":
         if self.is_empty():
@@ -129,8 +157,10 @@ class ClopenSet(FrozenValue):
                 if g[:i] in inner:
                     break
                 inner.add(g[:i])
-        # the missing children of the proper prefixes
-        return ClopenSet(
+        # the missing children of the proper prefixes: canonical as built,
+        # since none is a proper prefix, and both children of a proper prefix
+        # missing would leave no generator below it
+        return ClopenSet._built(
             p + b for p in inner for b in "01"
             if p + b not in inner and p + b not in gens)
 

@@ -125,6 +125,9 @@ def _read_scenario(args: argparse.Namespace) -> dict:
         data = json.loads(text, object_pairs_hook=_unique_keys, parse_float=jsonio.read_number)
     except json.JSONDecodeError as err:
         raise UsageError(f"scenario is not JSON: {err}") from err
+    except ValueError as err:  # the only other one: an int past the int-text digit limit
+        raise UsageError(f"scenario has an integer of more than "
+                         f"{sys.get_int_max_str_digits()} digits, the limit") from err
     except RecursionError:
         raise UsageError("scenario is nested too deeply") from None
     fault = _schema_fault(data, "scenario.schema.json")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Hashable, Sequence
 from fractions import Fraction
 
-from .cantor import EMPTY, ClopenSet
+from .cantor import EMPTY, ClopenSet, cylinder_mass
 from .errors import ForcingLabError, FrozenValue
 
 
@@ -61,9 +61,11 @@ def _validate_partition(cells: Sequence[tuple[Hashable, ClopenSet]], where) -> N
             stack.append((g, least))
         i, j = min(pairs)
         raise NotAPartition(where, f"cells {labels[i]!r} and {labels[j]!r} overlap")
-    total = sum((cell.measure() for _, cell in cells), Fraction(0))
-    if total != 1:
-        raise NotAPartition(where, f"cell measures sum to {total}, expected 1")
+    # the generators are disjoint now, so the cells cover the space exactly
+    # when their cylinders' measures sum to 1
+    count, whole = cylinder_mass(gens)
+    if count != whole:
+        raise NotAPartition(where, f"cell measures sum to {Fraction(count, whole)}, expected 1")
 
 
 class FiniteName(FrozenValue):
@@ -118,9 +120,14 @@ def slalom_extract(g: FiniteName) -> Slalom:
     1/(n+1)^2.  Disjointness forces strictly fewer than (n+1)^2 of them."""
     slots = []
     for n in range(g.horizon):
-        threshold = Fraction(1, (n + 1) ** 2)
-        slots.append(frozenset(
-            lab for lab, cell in g.coordinate(n) if cell.measure() > threshold))
+        # count / whole > 1 / (n+1)^2, in integers
+        cap = (n + 1) ** 2
+        heavy = []
+        for lab, cell in g.coordinate(n):
+            count, whole = cell.mass
+            if count * cap > whole:
+                heavy.append(lab)
+        slots.append(frozenset(heavy))
     return Slalom(tuple(slots))
 
 

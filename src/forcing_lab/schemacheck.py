@@ -22,6 +22,12 @@ apply to, an "integer" is an int or an integral float but never a bool, a
 returns None for an instance the schema accepts, else its first error as
 (path, keyword, message), worded as jsonschema words it for the packaged
 schemas, but with a bounded `reprlib` repr of every value it shows.
+
+An array whose `items` (or, with no `items`, each `prefixItems` entry) is
+a string schema with a `pattern` and nothing else, directly or through
+`$ref`s, is matched in one C-level pass over its items, as the bit-string
+arrays of the scenario schema are; only an array that fails it goes
+through the per-item checks, which word the error.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from __future__ import annotations
 import numbers
 import re
 from collections.abc import Callable
+from functools import partial
 from reprlib import repr as _repr
 
 Error = tuple[tuple, str | None, str]  # (path, keyword, message)
@@ -99,7 +106,7 @@ def _type(names) -> tuple[type | None, Callable[[object], bool], Check]:
     return None, lambda x: isinstance(x, classes) or any(t(x) for t in tests), wrong
 
 
-def _object(schema: dict, sub: Callable[[object], Check]) -> Check | None:
+def _object(schema: dict, sub: Callable[[object], Check], defs: dict) -> Check | None:
     if not schema.keys() & {"properties", "required", "additionalProperties"}:
         return None
     properties = {k: sub(v) for k, v in schema.get("properties", {}).items()}
@@ -127,18 +134,45 @@ def _object(schema: dict, sub: Callable[[object], Check]) -> Check | None:
     return check
 
 
-def _array(schema: dict, sub: Callable[[object], Check]) -> Check | None:
+def _pattern(schema, defs: dict) -> re.Pattern | None:
+    """The compiled pattern when `schema`, through `$ref`s alone, says only
+    that an instance is a string matching it; else None."""
+    while isinstance(schema, dict) and schema.keys() - ANNOTATIONS == {"$ref"}:
+        schema = defs[schema["$ref"].rpartition("/")[2]]  # already compiled, so it resolves
+    if (isinstance(schema, dict) and schema.keys() - ANNOTATIONS == {"type", "pattern"}
+            and schema["type"] == "string"):
+        return re.compile(schema["pattern"])
+    return None
+
+
+def _array(schema: dict, sub: Callable[[object], Check], defs: dict) -> Check | None:
     if not schema.keys() & {"prefixItems", "items", "minItems", "maxItems"}:
         return None
     prefix = [sub(s) for s in schema.get("prefixItems", ())]
     rest = sub(schema.get("items", True))
     lo, hi = schema.get("minItems", 0), schema.get("maxItems", float("inf"))
     skip = len(prefix)
+    # An array of pattern-only strings is matched in one C-level pass that
+    # maps each item to its pattern's match.  A non-string raises TypeError
+    # and a miss gives None; either way the loops below find and word the
+    # first error, so only a valid array takes the short cut.
+    bulk = None
+    if not prefix and (pattern := _pattern(schema.get("items"), defs)):
+        bulk = partial(map, pattern.search)
+    elif prefix and "items" not in schema and all(
+            patterns := [_pattern(s, defs) for s in schema["prefixItems"]]):
+        bulk = partial(map, re.Pattern.search, patterns)
 
     def check(x):
         if not lo <= len(x) <= hi:
             keyword, size = ("minItems", "short") if len(x) < lo else ("maxItems", "long")
             return (), keyword, f"{_repr(x)} is too {size}"
+        if bulk is not None:
+            try:
+                if all(bulk(x)):
+                    return None
+            except TypeError:
+                pass
         for each, v in zip(prefix, x):
             if each(v) is not None:
                 break
@@ -151,7 +185,7 @@ def _array(schema: dict, sub: Callable[[object], Check]) -> Check | None:
     return check
 
 
-def _string(schema: dict, sub) -> Check | None:
+def _string(schema: dict, sub, defs) -> Check | None:
     if "pattern" not in schema:
         return None
     pattern = schema["pattern"]
@@ -159,7 +193,7 @@ def _string(schema: dict, sub) -> Check | None:
     return lambda x: None if search(x) else ((), "pattern", f"{_repr(x)} does not match {pattern!r}")
 
 
-def _number(schema: dict, sub) -> Check | None:
+def _number(schema: dict, sub, defs) -> Check | None:
     if "minimum" not in schema:
         return None
     least = schema["minimum"]
@@ -209,7 +243,7 @@ def _compile(schema, defs: dict) -> Check:
     if unknown:
         raise NotImplementedError(f"cannot compile schema keyword(s) {sorted(unknown)}")
     sub = lambda s: _compile(s, defs)
-    kinds = [(cls, check) for cls, build in KINDS if (check := build(schema, sub))]
+    kinds = [(cls, check) for cls, build in KINDS if (check := build(schema, sub, defs))]
     checks = []
     if "type" in schema:
         only, is_type, wrong = _type(schema["type"])

@@ -153,6 +153,9 @@ def test_intersect_and_difference_match_the_pairwise_reference():
         want = pairwise_intersect(a, b)
         assert a.intersect(b) == want == b.intersect(a), (a, b)
         assert a.difference(b) == pairwise_intersect(a, b.complement()), (a, b)
+        # built without the constructor, each result is still canonical
+        for result in (a.intersect(b), b.intersect(a), a.difference(b), a.complement()):
+            assert result == ClopenSet(result.generators), (a, b)
         proper += not want.is_empty() and want != a and want != b
     assert proper > 200  # most pairs overlap only in part
 

@@ -684,6 +684,14 @@ def test_rational_parts_past_the_digit_limit_are_refused(tmp_path):
     assert code == 0
 
 
+def test_integer_literals_past_the_digit_limit_are_refused(tmp_path):
+    code, env = run(tmp_path, ["smz"], raw=f'{{"eps": [], "horizon": {"1" * 4301}}}')
+    assert (code, env["error"]) == (2, {"type": "UsageError", "message": (
+        "scenario has an integer of more than 4300 digits, the limit")})
+    code, env = run(tmp_path, ["smz"], raw=f'{{"eps": [], "horizon": {"1" * 4300}}}')
+    assert (code, env["error"]["type"]) == (1, "HorizonTooShort")  # read, then run
+
+
 @pytest.mark.parametrize("scenario, want", [
     ({"eps": [1, "1/2"], "horizon": 1}, 0),
     ({"eps": [1, "1/2"], "horizon": "1"}, 2),
@@ -1090,6 +1098,58 @@ def test_compiled_check_matches_jsonschema_on_edge_values():
         assert_agrees(COMPILED_SCENARIO, REFERENCE_SCENARIO, x)
     accepted = sum(COMPILED_SCENARIO(x) is None for x in EDGE_SCENARIOS)
     assert 0 < accepted < len(EDGE_SCENARIOS)
+
+
+BITS = ["0", "", "01", "110", "1"]
+# where each bit-string array sits in a scenario, and its array of pairs
+BIT_ARRAYS = {
+    "condition_set": lambda items: {"condition_set": items},
+    "cells": lambda items: {"name": {"horizon": 1, "coords": [[
+        {"label": 0, "cells": BITS}, {"label": 1, "cells": items}]]}},
+}
+PAIR_ARRAYS = {
+    "h": lambda pairs: {"condition": {"m": 0, "h": pairs, "u": []}},
+    "rects": lambda pairs: {"covers": [{"cover": {"resolution": [1, 1], "rects": pairs},
+                                        "eps": "1/2"}]},
+}
+BAD_ITEMS = [7, True, None, ["0"], "012"]
+
+
+def assert_same_first_error(x, path):
+    """The compiled check rejects `x` at `path` with jsonschema's message
+    for the one error jsonschema finds there."""
+    errors = list(REFERENCE_SCENARIO.iter_errors(x))
+    assert [tuple(e.absolute_path) for e in errors] == [path], errors
+    assert COMPILED_SCENARIO(x) == (path, errors[0].validator, errors[0].message)
+
+
+@pytest.mark.installed
+@pytest.mark.parametrize("bad", BAD_ITEMS, ids=repr)
+@pytest.mark.parametrize("index", [0, 2, 4], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("section", BIT_ARRAYS)
+def test_bulk_bit_arrays_give_jsonschemas_verdict(section, index, bad):
+    # the compiled check matches these arrays in one pass; a failing item
+    # must still be named at its own index, with jsonschema's wording
+    build = BIT_ARRAYS[section]
+    assert COMPILED_SCENARIO(build(BITS)) is None and REFERENCE_SCENARIO.is_valid(build(BITS))
+    x = build(replaced(BITS, (index,), bad))
+    path = (("condition_set",) if section == "condition_set"
+            else ("name", "coords", 0, 1, "cells"))
+    assert_same_first_error(x, (*path, index))
+
+
+@pytest.mark.installed
+@pytest.mark.parametrize("bad", BAD_ITEMS, ids=repr)
+@pytest.mark.parametrize("slot", [0, 1])
+@pytest.mark.parametrize("index", [0, 1, 2], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("section", PAIR_ARRAYS)
+def test_bulk_bit_pairs_give_jsonschemas_verdict(section, index, slot, bad):
+    build = PAIR_ARRAYS[section]
+    pairs = [["0", "1"], ["", "01"], ["10", ""]]
+    assert COMPILED_SCENARIO(build(pairs)) is None and REFERENCE_SCENARIO.is_valid(build(pairs))
+    x = build(replaced(pairs, (index, slot), bad))
+    path = ("condition", "h") if section == "h" else ("covers", 0, "cover", "rects")
+    assert_same_first_error(x, (*path, index, slot))
 
 
 def test_bits_with_trailing_newline_pass_schema_and_fail_decoding(tmp_path):

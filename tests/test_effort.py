@@ -1,18 +1,21 @@
 """Effort budgets: deterministic work counts of fixed in-process scenarios.
 
-Each scenario is shaped like a benchmark workload and built here from a
+Each scenario is shaped like a benchmark workload (`refine` like the
+refine calls of names-mix, with more subtractions) and built here from a
 fixed seed, as calls that run once the counting starts.  Counting
 wrappers count reads of one weight-table row (`_read_row`) and the
 table entries those reads cover (`row entries`), passes over
 the tops (`_top_groups`), certificates (`_certify`), weights built from
 plane sets (`phi_from_clopen`), public `eval_phi`, `check_bits`,
-`validate`, `score` and `_sub_seed` calls, and the `contains_rect` and
-`complement` calls of plane sets.  They also count the keys of every
-stem `extend_detailed` grows (`grown keys`), the classes of every
-census of the tops, counted from `h` or from the accepted bit patterns
-(`census classes`), and the checks the searches build, one per weight
-for each stem class (`check builds`, counted in `_stem_checks`).  Every
-count must stay at or below its budget, which is the count when the
+`validate`, `score` and `_sub_seed` calls, the `contains_rect` and
+`complement` calls of plane sets, the clopen sets canonicalized from
+given generators (`_canonical`), and the measures computed, of clopen
+sets and of name coordinates (`cylinder_mass`).  They also count the
+keys of every stem `extend_detailed` grows (`grown keys`), the classes
+of every census of the tops, counted from `h` or from the accepted bit
+patterns (`census classes`), and the checks the searches build, one per
+weight for each stem class (`check builds`, counted in `_stem_checks`).
+Every count must stay at or below its budget, which is the count when the
 budget was pinned: a change that lowers a count lowers its budget with
 it.  The counts are printed, so a run with `-rP` shows them.
 """
@@ -24,6 +27,7 @@ import pytest
 
 from forcing_lab import (
     ClopenPlaneSet,
+    ClopenSet,
     Condition,
     ScheduledCover,
     TaggedWeight,
@@ -35,7 +39,7 @@ from forcing_lab import (
     score,
     slalom_extract,
 )
-from forcing_lab import cantor, poset
+from forcing_lab import cantor, names, poset
 from forcing_lab.jsonio import clopen_from_json, name_from_json
 
 # counter -> the namespaces that bind the counted function, by attribute name
@@ -51,6 +55,8 @@ COUNTED = {
     "_sub_seed": (poset,),
     "contains_rect": (ClopenPlaneSet,),
     "complement": (ClopenPlaneSet,),
+    "_canonical": (cantor,),
+    "cylinder_mass": (cantor, names),
 }
 
 
@@ -143,16 +149,14 @@ def fresh_extensions():
     return runs
 
 
-def names_calls():
-    """Two slalom and two refine calls on names of horizon 24 with cells
-    down to depth 8, each decoded from its wire form as the CLI does."""
-    rng = random.Random(1702)
-
+def _name(rng, horizon, depth):
+    """The wire form of a name whose coordinates split the space down to
+    `depth` and deal the leaves to 2-8 labels drawn from 0..49."""
     def partition():
         leaves, stack = [], [""]
         while stack:
             s = stack.pop()
-            if len(s) < 8 and (len(s) < 2 or rng.random() < 0.62):
+            if len(s) < depth and (len(s) < 2 or rng.random() < 0.62):
                 stack += [s + "1", s + "0"]
             else:
                 leaves.append(s)
@@ -160,48 +164,77 @@ def names_calls():
         groups = [leaves[i::len(labels)] for i in range(len(labels))]
         return [{"label": lab, "cells": sorted(g)} for lab, g in zip(labels, groups)]
 
-    def name():
-        return {"horizon": 24, "coords": [partition() for _ in range(24)]}
+    return {"horizon": horizon, "coords": [partition() for _ in range(horizon)]}
 
-    def slalom(doc):
-        return slalom_extract(name_from_json(doc))
 
-    def refine(doc, cells, start):
-        g = name_from_json(doc)
-        f = [next(iter(set(range(50)) - slot)) for slot in slalom_extract(g).slots]
-        return refine_condition(clopen_from_json(cells), g, f, start)
+def _slalom(doc):
+    return slalom_extract(name_from_json(doc))
 
+
+def _refine(doc, cells, start):
+    g = name_from_json(doc)
+    f = [next(iter(set(range(50)) - slot)) for slot in slalom_extract(g).slots]
+    return refine_condition(clopen_from_json(cells), g, f, start)
+
+
+def names_calls():
+    """Two slalom and two refine calls on names of horizon 24 with cells
+    down to depth 8, each decoded from its wire form as the CLI does."""
+    rng = random.Random(1702)
     runs = []
     for _ in range(2):
-        runs.append((slalom, (name(),), {}))
+        runs.append((_slalom, (_name(rng, 24, 8),), {}))
         cells = sorted(rng.sample([_bits(rng, 4) for _ in range(16)], 8))
-        runs.append((refine, (name(), cells, rng.randint(1, 3)), {}))
+        runs.append((_refine, (_name(rng, 24, 8), cells, rng.randint(1, 3)), {}))
+    return runs
+
+
+def refine_calls():
+    """Two refine calls that subtract 37 of the 40 coordinates of a name
+    with cells down to depth 10 from the complement of 200 random 12-bit
+    cylinders: the clopen algebra of `refine` in bulk."""
+    rng = random.Random(2801)
+    runs = []
+    for _ in range(2):
+        cells = sorted((~ClopenSet(_bits(rng, 12) for _ in range(200))).generators)
+        runs.append((_refine, (_name(rng, 40, 10), cells, 1), {}))
     return runs
 
 
 SCENARIOS = {"generic-run": generic_runs, "extend-deep": deep_extensions,
-             "extend-fresh": fresh_extensions, "names-mix": names_calls}
+             "extend-fresh": fresh_extensions, "names-mix": names_calls,
+             "refine": refine_calls}
 BUDGETS = {
     "generic-run": {"_read_row": 97, "_top_groups": 14, "_certify": 28, "phi_from_clopen": 6,
                     "eval_phi": 0, "check_bits": 1568, "validate": 8, "score": 6,
                     "_sub_seed": 1178, "contains_rect": 661, "complement": 6,
-                    "row entries": 320, "grown keys": 18712, "census classes": 403,
-                    "check builds": 234},
+                    "_canonical": 0, "cylinder_mass": 0, "row entries": 320,
+                    "grown keys": 18712, "census classes": 403, "check builds": 234},
     "extend-deep": {"_read_row": 11, "_top_groups": 2, "_certify": 0, "phi_from_clopen": 0,
                     "eval_phi": 0, "check_bits": 0, "validate": 2, "score": 0,
                     "_sub_seed": 1536, "contains_rect": 0, "complement": 0,
-                    "row entries": 50, "grown keys": 8190, "census classes": 41,
-                    "check builds": 38},
+                    "_canonical": 0, "cylinder_mass": 0, "row entries": 50,
+                    "grown keys": 8190, "census classes": 41, "check builds": 38},
     "extend-fresh": {"_read_row": 27, "_top_groups": 4, "_certify": 0, "phi_from_clopen": 0,
                      "eval_phi": 0, "check_bits": 0, "validate": 4, "score": 0,
                      "_sub_seed": 4, "contains_rect": 0, "complement": 0,
-                     "row entries": 77, "grown keys": 7676, "census classes": 4,
-                     "check builds": 7},
+                     "_canonical": 0, "cylinder_mass": 0, "row entries": 77,
+                     "grown keys": 7676, "census classes": 4, "check builds": 7},
+    # names-mix: 468 cells in 96 coordinates and 2 condition sets, each
+    # canonicalized once; one measure per cell, per coordinate and per
+    # condition set, though each name's slalom is extracted once or twice
     "names-mix": {"_read_row": 0, "_top_groups": 0, "_certify": 0, "phi_from_clopen": 0,
                   "eval_phi": 0, "check_bits": 0, "validate": 0, "score": 0,
                   "_sub_seed": 0, "contains_rect": 0, "complement": 0,
-                  "row entries": 0, "grown keys": 0, "census classes": 0,
-                  "check builds": 0},
+                  "_canonical": 470, "cylinder_mass": 566, "row entries": 0, "grown keys": 0,
+                  "census classes": 0, "check builds": 0},
+    # refine: 408 cells in 80 coordinates and 2 condition sets, as above;
+    # the 74 differences canonicalize nothing and measure nothing
+    "refine": {"_read_row": 0, "_top_groups": 0, "_certify": 0, "phi_from_clopen": 0,
+               "eval_phi": 0, "check_bits": 0, "validate": 0, "score": 0,
+               "_sub_seed": 0, "contains_rect": 0, "complement": 0,
+               "_canonical": 410, "cylinder_mass": 490, "row entries": 0, "grown keys": 0,
+               "census classes": 0, "check builds": 0},
 }
 
 

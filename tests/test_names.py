@@ -148,6 +148,33 @@ def test_chained_overlaps_match_pairwise_reference():
         assert str(info.value) == want, cells
 
 
+def test_gap_of_two_to_the_minus_twenty_is_refused():
+    # the cells 1, 01, ..., 0^19 1 cover all but the cylinder [0^20]
+    cells = [(k, ClopenSet(["0" * k + "1"])) for k in range(20)]
+    with pytest.raises(NotAPartition) as info:
+        make_name([halves(), cells])
+    assert str(info.value) == "coordinate 1: cell measures sum to 1048575/1048576, expected 1"
+    assert make_name([cells + [(20, ClopenSet(["0" * 20]))]]).horizon == 1
+
+
+def test_slalom_extract_matches_a_fraction_threshold_reference():
+    rng = random.Random(2028)
+    heavy = 0
+    for _ in range(60):
+        horizon = rng.randint(1, 12)
+        g = make_name([random_partition(rng, max_depth=rng.randint(2, 10))
+                       for _ in range(horizon)])
+        # reference: each cell's measure summed from its generators afresh
+        want = tuple(
+            frozenset(lab for lab, cell in g.coordinate(n)
+                      if sum(Fraction(1, 2 ** len(s)) for s in cell.generators)
+                      > Fraction(1, (n + 1) ** 2))
+            for n in range(horizon))
+        assert slalom_extract(g).slots == want
+        heavy += sum(map(len, want))
+    assert heavy > 100
+
+
 def test_boolean_value():
     g = make_name([halves()])
     assert boolean_value(g, 0, 0) == ClopenSet.from_strings(["0"])
