@@ -258,7 +258,8 @@ def criterion_extension() -> tuple[bool, str]:
     for i in range(100):
         p = random_condition(rng)
         q, stats = extend_detailed(p, seed=rng.getrandbits(32))
-        rep = validate(q)
+        # the full contract on the materialized stem, not the layered shortcut
+        rep = validate(Condition(q.m, q.h, q.u))
         if not rep.ok:
             return False, f"instance {i}: invalid extension: {rep.first.detail}"
         if q.m != stats.pinned_m_prime:
@@ -346,7 +347,7 @@ def criterion_null_avoidance() -> tuple[bool, str]:
             return False, (
                 f"full-depth readings disagree: inside {cert.inside}, "
                 f"score {cert.score_f}")
-    if not validate(p).ok:
+    if not validate(Condition(p.m, p.h, p.u)).ok:  # the materialized stem
         return False, "final condition fails validation"
     return True, (
         f"depth {p.m} after 4 steps, final certificate "

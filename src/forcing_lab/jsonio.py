@@ -116,12 +116,14 @@ def weight_from_json(data: Mapping) -> WeightFunction:
 
 
 def condition_to_json(p: Condition) -> dict:
-    # the (key, value) pairs stay tuples, which json writes as arrays, so a
-    # stem costs one pair per key; report.schema.json does not look inside
-    # report bodies, where the compiled check would count only lists as arrays
+    # the (key, value) pairs come in key order from the condition, a grown
+    # stem's written once from its layers with no dict and no sort; they
+    # stay tuples, which json writes as arrays, so a stem costs one pair per
+    # key; report.schema.json does not look inside report bodies, where the
+    # compiled check would count only lists as arrays
     return {
         "m": p.m,
-        "h": sorted(p.h.items()),
+        "h": p.pairs(),
         "u": [
             {"eps": rational_to_json(tw.eps), "phi": weight_to_json(tw.phi)}
             for tw in p.u

@@ -24,7 +24,7 @@ from bisect import bisect_left
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from operator import itemgetter
 
 from .cantor import ClopenPlaneSet, check_bits, _all_bits, _extensions
@@ -189,25 +189,73 @@ class TaggedWeight(FrozenValue):
 
 class Condition(FrozenValue):
     """Stem map plus tagged weights.  h maps every binary string of length
-    at most m to a binary string; use validate() for the full contract."""
+    at most m to a binary string; use validate() for the full contract.
+
+    A condition that extension returns is held as layers: its base, the
+    depth and sorted (key, value) pairs of the stem it grew from, and one
+    layer (depth, {top: e}) per extension since, e being the pattern
+    accepted for a top of the level before (ExtendStats.chosen).  Between
+    the top and its new tops the new keys keep the top's value, and its
+    i-th new top in key order appends bit i of e.  The layered levels are
+    complete and monotone by construction, and their tops, census and wire
+    pairs are read from the layers; h, the full map, is built from them
+    the first time it is read (_stem_map) and kept.  Equality and repr read
+    h, so a layered condition equals its materialized one."""
 
     m: int
     h: dict
     u: tuple[TaggedWeight, ...] = ()
+    _base = _layers = None  # set on a layered condition only (not fields)
+
+    @classmethod
+    def _layered(cls, m: int, base: tuple[int, list], layers: tuple, u: tuple) -> Condition:
+        p = cls.__new__(cls)
+        p.__dict__.update(m=m, u=u, _base=base, _layers=layers)
+        return p
+
+    def __getattr__(self, name: str):
+        # called only for what __dict__ lacks: h of a layered condition not read yet
+        if name != "h" or self._layers is None:
+            raise AttributeError(name)
+        h = self.__dict__["h"] = _stem_map(self)
+        return h
+
+    def _values(self) -> tuple:
+        return self.m, self.h, self.u
 
     def tops(self) -> list[str]:
+        if self._layers is not None:
+            return [s for s, _ in _grown_tops(self._base, self._layers)]
         return sorted(s for s in self.h if len(s) == self.m)
+
+    def pairs(self) -> list[tuple[str, str]]:
+        """The stem's (key, value) pairs in key order.  A layered stem whose
+        h is not built is written from its layers (_write_layers); a built h
+        is listed as it stands, which is key order when it came from layers."""
+        h = self.__dict__.get("h")
+        if h is None:
+            return _write_layers(self._base, self._layers)
+        return sorted(h.items()) if self._layers is None else list(h.items())
+
+
+def _stem_map(p: Condition) -> dict:
+    """The full map of a layered condition, built from its pairs."""
+    return dict(p.pairs())
 
 
 def trivial_condition() -> Condition:
     return Condition(0, {"": ""}, ())
 
 
-def score(h: Mapping[str, str], phi: WeightFunction) -> Fraction:
-    """Exact score of a stem map against a weight.  The top strings are
-    grouped by (row prefix, value), the row being the top cut to the
-    weight's x-resolution, so the cost stays proportional to the stem size
-    with only a handful of exact multiplications."""
+def score(h: Mapping[str, str] | Condition, phi: WeightFunction) -> Fraction:
+    """Exact score of a stem map, or of a condition's stem, against a
+    weight.  The top strings are grouped by (row prefix, value), the row
+    being the top cut to the weight's x-resolution, so the cost stays
+    proportional to the stem size with only a handful of exact
+    multiplications; a layered condition's groups are counted from its
+    last layer (_census)."""
+    if isinstance(h, Condition):
+        return _score_groups(_census(h, phi.resolution[0]), h.m, phi)
     m = max(map(len, h))
     return _score_groups(_top_groups(h, m, phi.resolution[0]), m, phi)
 
@@ -215,6 +263,16 @@ def score(h: Mapping[str, str], phi: WeightFunction) -> Fraction:
 def _top_groups(h: Mapping[str, str], m: int, cut: int) -> Counter:
     """The tops of a stem of depth m counted per (top[:cut], value)."""
     return Counter((s[:cut], v) for s, v in h.items() if len(s) == m)
+
+
+def _census(p: Condition, cut: int) -> Counter:
+    """_top_groups(p.h, p.m, cut), of a layered condition counted from the
+    patterns of its last layer and the tops of the level before it."""
+    if p._layers is None:
+        return _top_groups(p.h, p.m, cut)
+    *below, (m2, chosen) = p._layers
+    m = below[-1][0] if below else p._base[0]
+    return _grown_census(dict(_grown_tops(p._base, below)), chosen, m, m2, cut)
 
 
 def _score_groups(groups: Counter, m: int, phi: WeightFunction) -> Fraction:
@@ -272,31 +330,35 @@ def validate(p: Condition) -> ValidationReport:
     Each clause is checked in bulk over the whole stem; a clause that fails
     is then worded per key, in key order.  When the domain is complete,
     scores holds score(h, phi) for every weight in order (whatever its
-    tag); otherwise it is empty."""
-    h, m = p.h, p.m
-    by_level = Counter(map(len, h)) if _all_bits(h, h.values()) else None
-    if by_level is None or max(by_level, default=0) > m:
-        bad, by_level = _domain_violations(h, m)
-    else:
-        bad = []
-    for level in range(m + 1):
-        if by_level[level] != 2 ** level:
-            bad.append(ClauseViolation(
-                "domain", f"level {level} holds {by_level[level]} keys, needs {2 ** level}"))
-    domain_ok = not bad
+    tag); otherwise it is empty.  A layered condition (see Condition) is
+    complete and monotone by construction, its base having been validated
+    when it was extended, so only its tags and scores are checked, from
+    the census of its last layer."""
+    m = p.m
+    bad: list[ClauseViolation] = []
+    if p._layers is None:
+        h = p.h
+        by_level = Counter(map(len, h)) if _all_bits(h, h.values()) else None
+        if by_level is None or max(by_level, default=0) > m:
+            bad, by_level = _domain_violations(h, m)
+        for level in range(m + 1):
+            if by_level[level] != 2 ** level:
+                bad.append(ClauseViolation(
+                    "domain", f"level {level} holds {by_level[level]} keys, needs {2 ** level}"))
+        if not bad:
+            # parents are cut one at a time: a list of them all holds a new string per key
+            parents = map(h.__getitem__, map(itemgetter(slice(None, -1)), h))
+            if not all(map(str.startswith, h.values(), parents)):
+                bad.extend(
+                    ClauseViolation(
+                        "monotone",
+                        f"h({s!r}) = {h[s]!r} does not extend h({s[:-1]!r}) = {h[s[:-1]]!r}")
+                    for s in h if not h[s].startswith(h[s[:-1]]))
     scores: tuple[Fraction, ...] = ()
-    if domain_ok:
-        # parents are cut one at a time: a list of them all holds a new string per key
-        parents = map(h.__getitem__, map(itemgetter(slice(None, -1)), h))
-        if not all(map(str.startswith, h.values(), parents)):
-            bad.extend(
-                ClauseViolation(
-                    "monotone",
-                    f"h({s!r}) = {h[s]!r} does not extend h({s[:-1]!r}) = {h[s[:-1]]!r}")
-                for s in h if not h[s].startswith(h[s[:-1]]))
-        if p.u:  # one pass over the tops, cut to the finest x-resolution, serves every weight
-            groups = _top_groups(h, m, max(tw.phi.resolution[0] for tw in p.u))
-            scores = tuple(_score_groups(groups, m, tw.phi) for tw in p.u)
+    if p.u and all(v.clause != "domain" for v in bad):
+        # one census, cut to the finest x-resolution, serves every weight
+        groups = _census(p, max(tw.phi.resolution[0] for tw in p.u))
+        scores = tuple(_score_groups(groups, m, tw.phi) for tw in p.u)
     for i, tw in enumerate(p.u):
         if not 0 < tw.eps < 1:
             bad.append(ClauseViolation(
@@ -313,8 +375,10 @@ class ExtendStats(FrozenValue):
     against each weight (empty when there are none), and the accepted bit
     pattern per old top (bit i is the value bit appended at its i-th new
     top, all zero when there are no weights), from which the grown stem's
-    census is counted without walking it (see _grown_census).  Built once
-    the extension is done; its dict and list fields make it unhashable."""
+    census is counted without walking it (see _grown_census); that dict is
+    also the result's last layer (see Condition), so it is read, never
+    changed.  Built once the extension is done; its dict and list fields
+    make it unhashable."""
 
     pinned_m_prime: int
     m_prime: int
@@ -350,9 +414,10 @@ def _sha256(data: bytes):
 
 
 # A stem of depth m holds 2^(m+1) keys.  A depth-20 `extend` of the trivial
-# condition with one full weight took 3.8-4.6 s and peaked at 431 MB RSS through
-# the CLI (2-vCPU host, Python 3.11.7), writing 58 MB of JSON; each level
-# doubles that, so deeper stems are refused before materializing.
+# condition with one full weight took 1.5-1.6 s and peaked at 432 MB RSS through
+# the CLI (2-vCPU host, Python 3.11.7), writing 58 MB of JSON: the peak is the
+# wire pairs and their JSON text, and each level doubles both, so deeper stems
+# are refused before any is written.
 _MAX_DEPTH = 20
 # Sampled candidates per stem before the exhaustive fallback, and the cap on the
 # 2^(2^k) patterns of k new levels it enumerates: in effect 2^16 (k <= 4).
@@ -507,6 +572,101 @@ def _suffixes(k: int) -> list[str]:
     return out
 
 
+# Levels of a grown top written per pass of _write_top.
+_CHUNK = 8
+
+
+@cache
+def _chunk(c: int) -> tuple[list[str], str]:
+    """The suffixes of c levels (_suffixes(c)) and a %-template of their
+    values: "x" for an inner suffix, "%s" for one of length c."""
+    low = _suffixes(c)
+    return low, "".join("%s" if len(u) == c else "x" for u in low)
+
+
+def _grown_tops(base: tuple[int, list], layers: Sequence) -> list[tuple[str, str]]:
+    """The (top, value) pairs, in key order, of the deepest level of a base
+    and its layers (see Condition)."""
+    m, pairs = base
+    tops = [pair for pair in pairs if len(pair[0]) == m]
+    for m2, chosen in layers:
+        leaves = _extensions("", m2 - m)
+        width = f"0{len(leaves)}b"
+        grown: list[tuple[str, str]] = []
+        for (s, v), e in zip(tops, chosen.values()):
+            pick = {"0": v + "0", "1": v + "1"}.__getitem__
+            grown += zip([s + u for u in leaves], map(pick, format(e, width)[::-1]))
+        tops, m = grown, m2
+    return tops
+
+
+def _write_layers(base: tuple[int, list], layers: Sequence) -> list[tuple[str, str]]:
+    """The (key, value) pairs of a base and its layers (see Condition) in
+    key order, in one pass: each pair of the base and, after each of its
+    tops, the pairs grown under it.  The tops of each level are reached in
+    key order, the order of their layer's patterns, so each layer's items
+    are read in turn and its keys are the strings written for its tops.  A
+    top of the last layer writes its levels a chunk at a time (_write_top);
+    one of an earlier layer walks its suffixes, each new top followed by
+    what the next layer grows under it."""
+    depths = [base[0], *(m2 for m2, _ in layers)]
+    suffixes = [_suffixes(m2 - m) for m, m2 in zip(depths, depths[1:-1])]
+    grown = [iter(chosen.items()) for _, chosen in layers]
+    codes: dict[int, str] = {}  # the last layer's value codes, per pattern
+    out: list[tuple[str, str]] = []
+
+    def grow(s: str, v: str, e: int, j: int) -> None:
+        k = depths[j + 1] - depths[j]
+        if j == len(suffixes):
+            _write_top(out, s, v, e, k, codes)
+            return
+        bits = iter(format(e, f"0{2 ** k}b")[::-1])
+        v0, v1 = v + "0", v + "1"
+        following = grown[j + 1]
+        for u in suffixes[j]:
+            if len(u) < k:
+                out.append((s + u, v))
+            else:
+                t, e_t = next(following)  # the top s + u
+                w = v1 if next(bits) == "1" else v0
+                out.append((t, w))
+                grow(t, w, e_t, j + 1)
+
+    for pair in base[1]:
+        out.append(pair)
+        if len(pair[0]) == depths[0] and layers:
+            s, e = next(grown[0])
+            grow(s, pair[1], e, 0)
+    return out
+
+
+def _write_top(out: list, s: str, v: str, e: int, k: int, codes: dict) -> None:
+    """Append to out, in key order, the pairs of the k levels grown under a
+    top s valued v with the pattern e.  The last c = min(k, _CHUNK) levels
+    are written a chunk at a time: under each string w of length k - c (s
+    itself when c = k) the keys w + _suffixes(c), valued in one pass over
+    _chunk(c)'s template filled with w's block of 2^c bits of e.  When
+    c = k the filled template is kept in codes, per pattern, for the other
+    tops of the layer."""
+    c = min(k, _CHUNK)
+    low, template = _chunk(c)
+    pick = {"x": v, "0": v + "0", "1": v + "1"}.__getitem__
+    if c == k:
+        code = codes.get(e)
+        if code is None:
+            code = codes[e] = template % tuple(format(e, f"0{2 ** k}b")[::-1])
+        out += zip([s + u for u in low], map(pick, code))
+        return
+    bits = format(e, f"0{2 ** k}b")[::-1]
+    block, at = 2 ** c, 0
+    for u in _suffixes(k - c):
+        w = s + u
+        out.append((w, v))
+        if len(u) == k - c:
+            out += zip([w + x for x in low], map(pick, template % tuple(bits[at:at + block])))
+            at += block
+
+
 def extend_detailed(
     p: Condition, seed: int, *, max_new_levels: int | None = None,
 ) -> tuple[Condition, ExtendStats]:
@@ -523,8 +683,10 @@ def extend_detailed(
 
     The result's scores are read off the accepted candidates' integer sums,
     score = sum over tops s of 2^(|h(s)|+1)·sum_s/D_s, and each must exceed
-    its tag; the grown stem is complete and monotone by construction, and
-    its keys are in sorted order.
+    its tag.  The result is layered (see Condition): p's layers, or the
+    sorted pairs of p's stem as its base, plus one layer holding the
+    accepted patterns (ExtendStats.chosen), so no key of the grown stem is
+    built here; it is complete and monotone by construction.
     """
     if max_new_levels is not None and max_new_levels < 1:
         raise ValueError(f"max_new_levels must be at least 1, got {max_new_levels}")
@@ -533,17 +695,20 @@ def extend_detailed(
     if not rep.ok:
         raise ValueError(f"cannot extend invalid condition: {rep.first.detail}")
     m = p.m
-    items = sorted(p.h.items())
-    tops = [s for s, _ in items if len(s) == m]
+    if p._layers is None:
+        base, layers = (m, sorted(p.h.items())), ()
+    else:
+        base, layers = p._base, p._layers
+    tops = _grown_tops(base, layers)
     m2 = pinned = m + 1
     retries: dict[str, int] = {}
     exhaustive: list[str] = []
     scores: tuple[Fraction, ...] = ()
-    chosen = dict.fromkeys(tops, 0)
+    chosen = dict.fromkeys([s for s, _ in tops], 0)
     if p.u:
         n = len(p.u)
         slack = min(sc - tw.eps for sc, tw in zip(rep.scores, p.u))
-        sigma = sum(2 ** (1 + len(p.h[s])) for s in tops)
+        sigma = sum(2 ** (1 + len(v)) for _, v in tops)
         delta = slack / (2 * sigma)
         threshold = delta * delta / (2 * n)
         # the least m2 > m with 2^m2 > 1/threshold, that is 2^-m2 < threshold
@@ -561,8 +726,7 @@ def extend_detailed(
         rng = _random.Random(0)
         reseed, draw = rng.seed, rng.getrandbits
         totals: list[dict] = [{} for _ in p.u]  # per weight: D -> sum of 2^(|h(s)|+1)·sum_s
-        for s in tops:
-            value = p.h[s]
+        for s, value in tops:
             verdicts = search(s, value)
             reseed(_sub_seed(seed, s))
             last_fail = 0
@@ -592,20 +756,8 @@ def extend_detailed(
                 raise RuntimeError(
                     f"extension produced invalid condition: weight #{i} scores {sc}, "
                     f"needs > {tw.eps}")
-
-    # one key list in sorted order: each top s is followed by its new keys
-    # s + u, u in preorder; inner ones keep h(s), leaf i appends bit i of e
-    suffixes = _suffixes(m2 - m)
-    leaf = [len(u) == m2 - m for u in suffixes]
-    h2: dict[str, str] = {}
-    for s, v in items:
-        h2[s] = v
-        if len(s) == m:
-            bits = iter(format(chosen[s], f"0{2 ** (m2 - m)}b")[::-1])
-            v0, v1 = v + "0", v + "1"
-            h2.update(zip([s + u for u in suffixes],
-                          [(v1 if next(bits) == "1" else v0) if is_leaf else v for is_leaf in leaf]))
-    return Condition(m2, h2, p.u), ExtendStats(pinned, m2, retries, exhaustive, scores, chosen)
+    q = Condition._layered(m2, base, layers + ((m2, chosen),), p.u)
+    return q, ExtendStats(pinned, m2, retries, exhaustive, scores, chosen)
 
 
 def attach_weight(p: Condition, eps: Fraction, phi: WeightFunction) -> Condition:
@@ -613,10 +765,13 @@ def attach_weight(p: Condition, eps: Fraction, phi: WeightFunction) -> Condition
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise ValueError(f"tag must lie strictly between 0 and 1, got {eps}")
-    sc = score(p.h, phi)
+    sc = score(p, phi)
     if sc <= eps:
         raise ScoreTooLow(sc, eps)
-    return Condition(p.m, dict(p.h), p.u + (TaggedWeight(eps, phi),))
+    u = p.u + (TaggedWeight(eps, phi),)
+    if p._layers is None:
+        return Condition(p.m, dict(p.h), u)
+    return Condition._layered(p.m, p._base, p._layers, u)  # layers are never changed
 
 
 def avoid_null(p: Condition, g: ClopenPlaneSet, eps: Fraction) -> Condition:
@@ -645,7 +800,7 @@ class Certificate(FrozenValue):
 def certificate(p: Condition, f: ClopenPlaneSet) -> Certificate:
     """The certificate of p against f, from one census of the tops cut at
     f's x-resolution; score_f is scored against a weight built here."""
-    census = _top_groups(p.h, p.m, f.resolution[0])
+    census = _census(p, f.resolution[0])
     return _certify(census, p.m, f, phi_from_clopen(f) if f.rects else None)
 
 
@@ -668,8 +823,23 @@ def _grown_census(h: Mapping[str, str], chosen: Mapping[str, int], m: int, m2: i
     accepted patterns chosen (ExtendStats.chosen), counted from the patterns
     alone.  A row of top s (see _rows) holds the tops of one block of bits,
     the blocks _check_sum reads, so popcount(block) of them are valued
-    h(s) + "1" and the rest h(s) + "0"."""
+    h(s) + "1" and the rest h(s) + "0".  When cut <= m each top has one
+    row, its own cut, so the tops and ones are added up per (row, h(s))
+    before any value string is built."""
     census: Counter = Counter()
+    if cut <= m:
+        grown: Counter = Counter()  # per (row, h(s)): new tops, and those valued h(s) + "1"
+        set_bits: Counter = Counter()
+        for s, e in chosen.items():
+            key = s[:cut], h[s]
+            grown[key] += 2 ** (m2 - m)
+            set_bits[key] += e.bit_count()
+        for (row, v), n in grown.items():
+            if set_bits[row, v]:
+                census[row, v + "1"] = set_bits[row, v]
+            if set_bits[row, v] < n:
+                census[row, v + "0"] = n - set_bits[row, v]
+        return census
     for s, e in chosen.items():
         v = h[s]
         rows, block = _rows(s, m, m2, cut)
@@ -707,7 +877,9 @@ def generic_run(
     certificate(p, complement).  The certificates of a snapshot share one
     census of the tops, cut at the finest x-resolution in the schedule: it
     starts as the trivial stem's one top and, after each extension, is
-    counted from the accepted bit patterns, so h is never walked for it.
+    counted from the accepted bit patterns of the grown stem's last layer
+    (see Condition), so no step builds h: each one extends the layered
+    condition the last one returned.
     score_f is scored against the weight avoid_null attached, and the
     complement is the one avoid_null computed and the cover keeps, so each
     cover's complement and weight are built once per run and the weight's
@@ -739,10 +911,9 @@ def generic_run(
                     f = c.cover._complement  # the complement avoid_null computed
                     attached.append((i, f, p.u[-1].phi))
                     snapshot(step, "attach")
-            grown, stats = extend_detailed(
+            p, _ = extend_detailed(
                 p, _sub_seed(seed, f"step{step}"), max_new_levels=max_new_levels)
-            census = _grown_census(p.h, stats.chosen, p.m, grown.m, cut)
-            p = grown
+            census = _census(p, cut)
             snapshot(step, "extend")
         except ForcingLabError as exc:
             exc.step = step  # type: ignore[attr-defined]
@@ -763,10 +934,10 @@ class CenteredIndex(FrozenValue):
 def sigma_centered_index(p: Condition) -> CenteredIndex:
     """(number of weights, least k with every total mass >= 1/k and every
     score >= tag + 1/k, the stem itself, the tag vector)."""
-    stem = tuple(sorted(p.h.items()))
+    stem = tuple(p.pairs())
     if not p.u:
         return CenteredIndex(0, 1, stem, ())
-    q = min(c for tw in p.u for c in (tw.phi.total(), score(p.h, tw.phi) - tw.eps))
+    q = min(c for tw in p.u for c in (tw.phi.total(), score(p, tw.phi) - tw.eps))
     if q <= 0:
         raise ValueError("condition must be valid with positive-mass weights")
     k = -(-q.denominator // q.numerator)  # ceil(1/q)

@@ -286,6 +286,50 @@ def test_deep_extend_report_is_pinned(tmp_path, seed, weights, levels, digest):
     assert report_digest(env) == digest
 
 
+SHALLOW_CONDITIONS = {
+    # one top valued "1": a full weight tagged 3/4 and a cover complement
+    # at resolution (1, 2) pin depth 13
+    "m0": {"m": 0, "h": [["", "1"]], "u": [
+        {"eps": "3/4", "phi": {"resolution": [0, 0], "table": [["", "", "1/1"]]}},
+        {"eps": "1/4", "phi": {"resolution": [1, 2], "table": [
+            [a, b, "1/8"] for a in "01" for b in ("00", "01", "10", "11")
+            if (a, b) != ("1", "00")]}}]},
+    # four tops valued "0", "", "1", "": a uniform weight at resolution
+    # (1, 2) and a cover complement at (2, 1) pin depth 15
+    "m2": {"m": 2, "h": [["", ""], ["0", ""], ["00", "0"], ["01", ""], ["1", ""],
+                         ["10", "1"], ["11", ""]], "u": [
+        {"eps": "3/8", "phi": {"resolution": [1, 2], "table": [
+            [a, b, "7/64"] for a in "01" for b in ("00", "01", "10", "11")]}},
+        {"eps": "1/2", "phi": {"resolution": [2, 1], "table": [
+            [a, b, "1/8"] for a in ("00", "01", "10", "11") for b in "01"
+            if (a, b) != ("01", "1")]}}]},
+}
+
+
+@pytest.mark.parametrize("name, depth, digest", [
+    ("m0", 13, "8d852ad15356060f079454a0af5ebd2c2573c1e24460f8d3705d759eeaafa154"),
+    ("m2", 15, "73e046cef13687ccd109d13a8f35ce295972223113aad8560efaae4d9da89807"),
+], ids=["m0", "m2"])
+def test_shallow_extend_report_is_pinned(tmp_path, name, depth, digest):
+    # one grown layer under few tops, written pair by pair in key order
+    code, env = run(tmp_path, ["extend", "--seed", "13"],
+                    {"condition": SHALLOW_CONDITIONS[name]})
+    assert code == 0, env.get("error")
+    assert env["report"]["stats"]["pinned_depth"] == env["report"]["condition"]["m"] == depth
+    assert len(env["report"]["condition"]["h"]) == 2 ** (depth + 1) - 1
+    assert report_digest(env) == digest
+
+
+def test_chained_generic_run_report_is_pinned(tmp_path):
+    # four extensions of three levels each: the final stem chains four layers
+    code, env = run(tmp_path, ["generic-run", "--seed", "2026"], {**ONE_COVER_RUN, "steps": 4})
+    assert code == 0, env.get("error")
+    assert env["report"]["depth"] == 12
+    assert len(env["report"]["final"]["h"]) == 2 ** 13 - 1
+    assert report_digest(env) == (
+        "da10714c09f56d9453297abcdd4cfbcf072d2cdccc6002450bfc0f254e5d7cd6")
+
+
 def test_extend_without_seed_exits_two(tmp_path):
     code, env = run(tmp_path, ["extend"], {"condition": SIMPLE_CONDITION})
     assert code == 2

@@ -11,7 +11,10 @@ plane sets (`phi_from_clopen`), public `eval_phi`, `check_bits`,
 `complement` calls of plane sets, the clopen sets canonicalized from
 given generators (`_canonical`), and the measures computed, of clopen
 sets and of name coordinates (`cylinder_mass`).  They also count the
-keys of every stem `extend_detailed` grows (`grown keys`), the classes
+keys of every full stem map built from a layered condition's layers
+(`materialized keys`, counted in `_stem_map`, the one function that
+builds one; extension and runs hand back layered conditions and build
+none, so only a reader of `h` pays for the map), the classes
 of every census of the tops, counted from `h` or from the accepted bit
 patterns (`census classes`), and the checks the searches build, one per
 weight for each stem class (`check builds`, counted in `_stem_checks`).
@@ -96,12 +99,6 @@ def _weights(rng, h, count):
     return tuple(u)
 
 
-def extend(*args, **kwargs):
-    """extend_detailed as poset binds it at the call, so the counting
-    wrapper sees the scenarios' own extensions as well as generic_run's."""
-    return poset.extend_detailed(*args, **kwargs)
-
-
 def generic_runs():
     """Two runs of 4 steps with 3 one-cell covers at r1 + r2 = 4, the first
     at step 0, growing 3 levels a step to depth 12."""
@@ -125,8 +122,8 @@ def deep_extensions():
     runs = []
     for m, levels, count in ((9, 2, 3), (10, 1, 2)):
         h = _stem(rng, m, 8, lambda room: min(room, rng.choice([0, 0, 0, 1, 1, 2])))
-        runs.append((extend, (Condition(m, h, _weights(rng, h, count)), rng.getrandbits(31)),
-                     {"max_new_levels": levels}))
+        p = Condition(m, h, _weights(rng, h, count))
+        runs.append((extend_detailed, (p, rng.getrandbits(31)), {"max_new_levels": levels}))
     return runs
 
 
@@ -145,7 +142,7 @@ def fresh_extensions():
         p = Condition(m, h, tuple(TaggedWeight(tw.eps, WeightFunction(tw.phi.resolution,
                                                                        tw.phi.table))
                                   for tw in p.u))
-        runs.append((extend, (p, rng.getrandbits(31)), {}))
+        runs.append((extend_detailed, (p, rng.getrandbits(31)), {}))
     return runs
 
 
@@ -205,42 +202,42 @@ SCENARIOS = {"generic-run": generic_runs, "extend-deep": deep_extensions,
              "extend-fresh": fresh_extensions, "names-mix": names_calls,
              "refine": refine_calls}
 BUDGETS = {
-    "generic-run": {"_read_row": 97, "_top_groups": 14, "_certify": 28, "phi_from_clopen": 6,
+    "generic-run": {"_read_row": 97, "_top_groups": 4, "_certify": 28, "phi_from_clopen": 6,
                     "eval_phi": 0, "check_bits": 1568, "validate": 8, "score": 6,
                     "_sub_seed": 1178, "contains_rect": 661, "complement": 6,
                     "_canonical": 0, "cylinder_mass": 0, "row entries": 320,
-                    "grown keys": 18712, "census classes": 403, "check builds": 234},
+                    "materialized keys": 0, "census classes": 403, "check builds": 234},
     "extend-deep": {"_read_row": 11, "_top_groups": 2, "_certify": 0, "phi_from_clopen": 0,
                     "eval_phi": 0, "check_bits": 0, "validate": 2, "score": 0,
                     "_sub_seed": 1536, "contains_rect": 0, "complement": 0,
                     "_canonical": 0, "cylinder_mass": 0, "row entries": 50,
-                    "grown keys": 8190, "census classes": 41, "check builds": 38},
+                    "materialized keys": 0, "census classes": 41, "check builds": 38},
     "extend-fresh": {"_read_row": 27, "_top_groups": 4, "_certify": 0, "phi_from_clopen": 0,
                      "eval_phi": 0, "check_bits": 0, "validate": 4, "score": 0,
                      "_sub_seed": 4, "contains_rect": 0, "complement": 0,
                      "_canonical": 0, "cylinder_mass": 0, "row entries": 77,
-                     "grown keys": 7676, "census classes": 4, "check builds": 7},
+                     "materialized keys": 0, "census classes": 4, "check builds": 7},
     # names-mix: 468 cells in 96 coordinates and 2 condition sets, each
     # canonicalized once; one measure per cell, per coordinate and per
     # condition set, though each name's slalom is extracted once or twice
     "names-mix": {"_read_row": 0, "_top_groups": 0, "_certify": 0, "phi_from_clopen": 0,
                   "eval_phi": 0, "check_bits": 0, "validate": 0, "score": 0,
                   "_sub_seed": 0, "contains_rect": 0, "complement": 0,
-                  "_canonical": 470, "cylinder_mass": 566, "row entries": 0, "grown keys": 0,
-                  "census classes": 0, "check builds": 0},
+                  "_canonical": 470, "cylinder_mass": 566, "row entries": 0,
+                  "materialized keys": 0, "census classes": 0, "check builds": 0},
     # refine: 408 cells in 80 coordinates and 2 condition sets, as above;
     # the 74 differences canonicalize nothing and measure nothing
     "refine": {"_read_row": 0, "_top_groups": 0, "_certify": 0, "phi_from_clopen": 0,
                "eval_phi": 0, "check_bits": 0, "validate": 0, "score": 0,
                "_sub_seed": 0, "contains_rect": 0, "complement": 0,
-               "_canonical": 410, "cylinder_mass": 490, "row entries": 0, "grown keys": 0,
-               "census classes": 0, "check builds": 0},
+               "_canonical": 410, "cylinder_mass": 490, "row entries": 0,
+               "materialized keys": 0, "census classes": 0, "check builds": 0},
 }
 
 
 def count_calls(monkeypatch) -> dict:
     counts = dict.fromkeys(
-        [*COUNTED, "row entries", "grown keys", "census classes", "check builds"], 0)
+        [*COUNTED, "row entries", "materialized keys", "census classes", "check builds"], 0)
     for name, namespaces in COUNTED.items():
         real = getattr(namespaces[0], name)
 
@@ -255,13 +252,13 @@ def count_calls(monkeypatch) -> dict:
         counts["row entries"] += len(phi._integer_form[1].get(s1, ((), ()))[0])
         return read_row(phi, s1, t1)
     monkeypatch.setattr(poset, "_read_row", reading)
-    real_extend = poset.extend_detailed
+    stem_map = poset._stem_map
 
-    def extending(*args, **kwargs):
-        q, stats = real_extend(*args, **kwargs)
-        counts["grown keys"] += len(q.h)
-        return q, stats
-    monkeypatch.setattr(poset, "extend_detailed", extending)
+    def materializing(p):
+        h = stem_map(p)
+        counts["materialized keys"] += len(h)
+        return h
+    monkeypatch.setattr(poset, "_stem_map", materializing)
     for name in ("_top_groups", "_grown_census"):
         real_census = getattr(poset, name)
 

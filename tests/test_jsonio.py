@@ -162,6 +162,27 @@ def test_encoding_a_grown_stem_makes_one_pair_per_key():
     assert peak <= per_key * len(q.h), f"{peak / len(q.h):.1f} B per key"
 
 
+def test_extending_and_encoding_hold_only_the_wire_pairs():
+    # a condition pinned at depth 16, extended and encoded with its h never
+    # read: the grown stem is held as layers and written once, so the peak
+    # is the 131,071 wire pairs and their key strings.  On Python 3.11 it
+    # read 130 B per key; building the full map first, then a sorted list
+    # of its items, read 157.5 B per key.
+    p = attach_weight(trivial_condition(), Rational(125, 128), WeightFunction.full())
+    tracemalloc.start()
+    try:
+        q, stats = extend_detailed(p, 16)
+        wire = condition_to_json(q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    keys = len(wire["h"])
+    assert stats.pinned_m_prime == q.m == 16 and keys == 2 ** 17 - 1
+    per_key = sys.getsizeof(("", "")) + sys.getsizeof("0" * 16) + struct.calcsize("P")
+    assert peak <= 1.1 * per_key * keys, f"{peak / keys:.1f} B per key"
+    assert "h" not in vars(q)  # encoding did not build the map
+
+
 def test_certificate_and_trace_shapes():
     cert = Certificate(Rational(0), Rational(7, 8))
     assert certificate_to_json(1, cert) == {

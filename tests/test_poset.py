@@ -976,6 +976,47 @@ def test_extension_matches_reference_growth():
     assert branches == {True, False}
 
 
+def test_layered_conditions_match_their_materialized_stems():
+    # conditions extended 1-3 times by 1-4 levels, some with a tightly tagged
+    # weight attached between extensions: each read of the layers against
+    # the same read of Condition(q.m, q.h, q.u), and q.h and the wire pairs
+    # against a map grown key by key (reference_growth), never from layers
+    rng = random.Random(2901)
+    chains, retries, resolutions = set(), 0, set()
+    for _ in range(30):
+        m = rng.randint(0, 3)
+        ref = sparse_stem(rng, m)
+        q = Condition(m, ref, seeded_weights(rng, ref))
+        for step in range(rng.randint(1, 3)):
+            if q.m >= 12:
+                break
+            if step and rng.random() < 0.5:
+                phi = cover_weight(rng)
+                if sc := score(q, phi):
+                    q = attach_weight(q, sc * Fraction(15, 16), phi)
+            p = q
+            q, stats = extend_detailed(p, rng.getrandbits(32),
+                                       max_new_levels=min(rng.randint(1, 4), 12 - p.m))
+            ref, scores = reference_growth(Condition(p.m, ref, p.u), q.m, stats.chosen)
+            retries += sum(stats.retries.values())
+            chains.add(step)
+            wire = condition_to_json(q)["h"]  # written from the layers: h is not built yet
+            assert "h" not in vars(q)
+            plain = Condition(q.m, q.h, q.u)
+            assert q.h == ref and list(q.h) == sorted(ref)
+            assert wire == sorted(ref.items())
+            assert validate(q) == validate(plain) and validate(q).scores == scores
+            for phi in [tw.phi for tw in q.u] + [cover_weight(rng) for _ in range(3)]:
+                assert score(q, phi) == score(plain, phi) == score(ref, phi)
+                resolutions.add(phi.resolution[0])
+            assert q.tops() == plain.tops()
+            cover = cover_weight(rng)
+            f = ClopenPlaneSet.from_rects(list(cover.table), cover.resolution)
+            assert certificate(q, f) == certificate(plain, f)
+            assert sigma_centered_index(q) == sigma_centered_index(plain)
+    assert chains == {0, 1, 2} and resolutions == {0, 1, 2, 3} and retries > 0
+
+
 def test_extension_post_check_refuses_a_failing_candidate(monkeypatch):
     # the weight of [0] on the value axis: new tops valued h(s) + "1" score 0
     g = ClopenPlaneSet.from_rects([("", "1")])
