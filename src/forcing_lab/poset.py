@@ -191,55 +191,65 @@ class Condition(FrozenValue):
     """Stem map plus tagged weights.  h maps every binary string of length
     at most m to a binary string; use validate() for the full contract.
 
-    A condition that extension returns is held as layers: its base, the
-    depth and sorted (key, value) pairs of the stem it grew from, and one
-    layer (depth, {top: e}) per extension since, e being the pattern
-    accepted for a top of the level before (ExtendStats.chosen).  Between
-    the top and its new tops the new keys keep the top's value, and its
-    i-th new top in key order appends bit i of e.  The layered levels are
-    complete and monotone by construction, and their tops, census and wire
-    pairs are read from the layers; h, the full map, is built from them
-    the first time it is read (_stem_map) and kept.  Equality and repr read
-    h, so a layered condition equals its materialized one."""
+    Every condition is a base plus layers.  The base is the depth and the
+    sorted (key, value) pairs of a given stem: one built from h is its own
+    base, sorted on first use (_base), with no layers.  Each extension
+    appends a layer (depth, tops, chosen): the (top, value) pairs of the
+    level it grew from, in key order, and the pattern e accepted for each
+    (ExtendStats.chosen).  Between a top and its new tops the new keys keep
+    the top's value, and its i-th new top in key order appends bit i of e,
+    so the layered levels are complete and monotone by construction.  h of
+    an extended condition is built from its pairs when first read
+    (_stem_map) and kept; equality and repr read h, so an extended
+    condition equals its materialized one."""
 
     m: int
     h: dict
     u: tuple[TaggedWeight, ...] = ()
-    _base = _layers = None  # set on a layered condition only (not fields)
+    _layers = ()  # not annotated, so not a field
 
     @classmethod
-    def _layered(cls, m: int, base: tuple[int, list], layers: tuple, u: tuple) -> Condition:
+    def _of(cls, state: dict) -> Condition:  # state unchecked
         p = cls.__new__(cls)
-        p.__dict__.update(m=m, u=u, _base=base, _layers=layers)
+        p.__dict__.update(state)
         return p
 
     def __getattr__(self, name: str):
-        # called only for what __dict__ lacks: h of a layered condition not read yet
-        if name != "h" or self._layers is None:
+        # called only for what __dict__ lacks: h of an extended condition not read yet
+        if name != "h":
             raise AttributeError(name)
         h = self.__dict__["h"] = _stem_map(self)
         return h
 
+    @cached_property
+    def _base(self) -> tuple[int, list]:
+        return self.m, sorted(self.h.items())
+
     def _values(self) -> tuple:
         return self.m, self.h, self.u
 
+    def _top_pairs(self) -> list[tuple[str, str]]:
+        """The (top, value) pairs of the deepest level in key order: the
+        base's, or those the last layer grew (_grown_tops)."""
+        if self._layers:
+            return _grown_tops(*self._layers[-1])
+        m, pairs = self._base
+        return [pair for pair in pairs if len(pair[0]) == m]
+
     def tops(self) -> list[str]:
-        if self._layers is not None:
-            return [s for s, _ in _grown_tops(self._base, self._layers)]
-        return sorted(s for s in self.h if len(s) == self.m)
+        return [s for s, _ in self._top_pairs()]
 
     def pairs(self) -> list[tuple[str, str]]:
-        """The stem's (key, value) pairs in key order.  A layered stem whose
-        h is not built is written from its layers (_write_layers); a built h
-        is listed as it stands, which is key order when it came from layers."""
-        h = self.__dict__.get("h")
-        if h is None:
-            return _write_layers(self._base, self._layers)
-        return sorted(h.items()) if self._layers is None else list(h.items())
+        """The stem's (key, value) pairs in key order, written from the base
+        and layers (_write_layers), or h's items once an extended condition
+        has built h, which is in key order, so no key is written twice."""
+        if self._layers and "h" in self.__dict__:
+            return list(self.h.items())
+        return _write_layers(self._base, self._layers)
 
 
 def _stem_map(p: Condition) -> dict:
-    """The full map of a layered condition, built from its pairs."""
+    """The full map of an extended condition, built from its pairs."""
     return dict(p.pairs())
 
 
@@ -252,7 +262,7 @@ def score(h: Mapping[str, str] | Condition, phi: WeightFunction) -> Fraction:
     weight.  The top strings are grouped by (row prefix, value), the row
     being the top cut to the weight's x-resolution, so the cost stays
     proportional to the stem size with only a handful of exact
-    multiplications; a layered condition's groups are counted from its
+    multiplications; an extended condition's groups are counted from its
     last layer (_census)."""
     if isinstance(h, Condition):
         return _score_groups(_census(h, phi.resolution[0]), h.m, phi)
@@ -266,13 +276,11 @@ def _top_groups(h: Mapping[str, str], m: int, cut: int) -> Counter:
 
 
 def _census(p: Condition, cut: int) -> Counter:
-    """_top_groups(p.h, p.m, cut), of a layered condition counted from the
-    patterns of its last layer and the tops of the level before it."""
-    if p._layers is None:
+    """_top_groups(p.h, p.m, cut), of an extended condition counted from
+    its last layer: the patterns and the tops they were accepted for."""
+    if not p._layers:
         return _top_groups(p.h, p.m, cut)
-    *below, (m2, chosen) = p._layers
-    m = below[-1][0] if below else p._base[0]
-    return _grown_census(dict(_grown_tops(p._base, below)), chosen, m, m2, cut)
+    return _grown_census(*p._layers[-1], cut)
 
 
 def _score_groups(groups: Counter, m: int, phi: WeightFunction) -> Fraction:
@@ -330,13 +338,13 @@ def validate(p: Condition) -> ValidationReport:
     Each clause is checked in bulk over the whole stem; a clause that fails
     is then worded per key, in key order.  When the domain is complete,
     scores holds score(h, phi) for every weight in order (whatever its
-    tag); otherwise it is empty.  A layered condition (see Condition) is
-    complete and monotone by construction, its base having been validated
-    when it was extended, so only its tags and scores are checked, from
-    the census of its last layer."""
+    tag); otherwise it is empty.  A given stem is checked in full; the
+    layered levels of an extended one (see Condition) hold by construction,
+    its base having been validated when it was extended, so only its tags
+    and scores are checked, from the census of its last layer."""
     m = p.m
     bad: list[ClauseViolation] = []
-    if p._layers is None:
+    if not p._layers:
         h = p.h
         by_level = Counter(map(len, h)) if _all_bits(h, h.values()) else None
         if by_level is None or max(by_level, default=0) > m:
@@ -376,7 +384,7 @@ class ExtendStats(FrozenValue):
     pattern per old top (bit i is the value bit appended at its i-th new
     top, all zero when there are no weights), from which the grown stem's
     census is counted without walking it (see _grown_census); that dict is
-    also the result's last layer (see Condition), so it is read, never
+    also in the result's last layer (see Condition), so it is read, never
     changed.  Built once the extension is done; its dict and list fields
     make it unhashable."""
 
@@ -584,59 +592,52 @@ def _chunk(c: int) -> tuple[list[str], str]:
     return low, "".join("%s" if len(u) == c else "x" for u in low)
 
 
-def _grown_tops(base: tuple[int, list], layers: Sequence) -> list[tuple[str, str]]:
-    """The (top, value) pairs, in key order, of the deepest level of a base
-    and its layers (see Condition)."""
-    m, pairs = base
-    tops = [pair for pair in pairs if len(pair[0]) == m]
-    for m2, chosen in layers:
-        leaves = _extensions("", m2 - m)
-        width = f"0{len(leaves)}b"
-        grown: list[tuple[str, str]] = []
-        for (s, v), e in zip(tops, chosen.values()):
-            pick = {"0": v + "0", "1": v + "1"}.__getitem__
-            grown += zip([s + u for u in leaves], map(pick, format(e, width)[::-1]))
-        tops, m = grown, m2
-    return tops
+def _grown_tops(m2: int, tops: Sequence[tuple[str, str]], chosen: Mapping) -> list[tuple[str, str]]:
+    """The (top, value) pairs, in key order, of the level that a layer (see
+    Condition) grew to depth m2 from the pairs tops."""
+    leaves = _extensions("", m2 - len(tops[0][0]))
+    width = f"0{len(leaves)}b"
+    grown: list[tuple[str, str]] = []
+    for (s, v), e in zip(tops, chosen.values()):
+        pick = {"0": v + "0", "1": v + "1"}.__getitem__
+        grown += zip([s + u for u in leaves], map(pick, format(e, width)[::-1]))
+    return grown
 
 
 def _write_layers(base: tuple[int, list], layers: Sequence) -> list[tuple[str, str]]:
     """The (key, value) pairs of a base and its layers (see Condition) in
     key order, in one pass: each pair of the base and, after each of its
     tops, the pairs grown under it.  The tops of each level are reached in
-    key order, the order of their layer's patterns, so each layer's items
-    are read in turn and its keys are the strings written for its tops.  A
-    top of the last layer writes its levels a chunk at a time (_write_top);
-    one of an earlier layer walks its suffixes, each new top followed by
-    what the next layer grows under it."""
-    depths = [base[0], *(m2 for m2, _ in layers)]
+    key order, the order of the next layer's tops, so each layer's pairs
+    and patterns are read in turn.  A top of the last layer writes its
+    levels a chunk at a time (_write_top); one of an earlier layer walks
+    its suffixes, writing each new top as the next layer holds it,
+    followed by what that layer grows under it."""
+    depths = [base[0], *(m2 for m2, _, _ in layers)]
     suffixes = [_suffixes(m2 - m) for m, m2 in zip(depths, depths[1:-1])]
-    grown = [iter(chosen.items()) for _, chosen in layers]
+    grown = [zip(tops, chosen.values()) for _, tops, chosen in layers]
     codes: dict[int, str] = {}  # the last layer's value codes, per pattern
     out: list[tuple[str, str]] = []
 
-    def grow(s: str, v: str, e: int, j: int) -> None:
+    def grow(top: tuple[str, str], e: int, j: int) -> None:
+        s, v = top
         k = depths[j + 1] - depths[j]
         if j == len(suffixes):
             _write_top(out, s, v, e, k, codes)
             return
-        bits = iter(format(e, f"0{2 ** k}b")[::-1])
-        v0, v1 = v + "0", v + "1"
         following = grown[j + 1]
         for u in suffixes[j]:
             if len(u) < k:
                 out.append((s + u, v))
             else:
-                t, e_t = next(following)  # the top s + u
-                w = v1 if next(bits) == "1" else v0
-                out.append((t, w))
-                grow(t, w, e_t, j + 1)
+                new, e_new = next(following)  # the top s + u, valued as grown
+                out.append(new)
+                grow(new, e_new, j + 1)
 
     for pair in base[1]:
         out.append(pair)
-        if len(pair[0]) == depths[0] and layers:
-            s, e = next(grown[0])
-            grow(s, pair[1], e, 0)
+        if layers and len(pair[0]) == depths[0]:
+            grow(*next(grown[0]), 0)
     return out
 
 
@@ -683,10 +684,10 @@ def extend_detailed(
 
     The result's scores are read off the accepted candidates' integer sums,
     score = sum over tops s of 2^(|h(s)|+1)·sum_s/D_s, and each must exceed
-    its tag.  The result is layered (see Condition): p's layers, or the
-    sorted pairs of p's stem as its base, plus one layer holding the
-    accepted patterns (ExtendStats.chosen), so no key of the grown stem is
-    built here; it is complete and monotone by construction.
+    its tag.  The result is p's base and layers (see Condition) plus one
+    layer holding p's top pairs and the accepted patterns
+    (ExtendStats.chosen), so no key of the grown stem is built here; it is
+    complete and monotone by construction.
     """
     if max_new_levels is not None and max_new_levels < 1:
         raise ValueError(f"max_new_levels must be at least 1, got {max_new_levels}")
@@ -695,11 +696,7 @@ def extend_detailed(
     if not rep.ok:
         raise ValueError(f"cannot extend invalid condition: {rep.first.detail}")
     m = p.m
-    if p._layers is None:
-        base, layers = (m, sorted(p.h.items())), ()
-    else:
-        base, layers = p._base, p._layers
-    tops = _grown_tops(base, layers)
+    tops = p._top_pairs()
     m2 = pinned = m + 1
     retries: dict[str, int] = {}
     exhaustive: list[str] = []
@@ -756,7 +753,8 @@ def extend_detailed(
                 raise RuntimeError(
                     f"extension produced invalid condition: weight #{i} scores {sc}, "
                     f"needs > {tw.eps}")
-    q = Condition._layered(m2, base, layers + ((m2, chosen),), p.u)
+    q = Condition._of({"m": m2, "u": p.u, "_base": p._base,
+                       "_layers": p._layers + ((m2, tops, chosen),)})
     return q, ExtendStats(pinned, m2, retries, exhaustive, scores, chosen)
 
 
@@ -768,10 +766,8 @@ def attach_weight(p: Condition, eps: Fraction, phi: WeightFunction) -> Condition
     sc = score(p, phi)
     if sc <= eps:
         raise ScoreTooLow(sc, eps)
-    u = p.u + (TaggedWeight(eps, phi),)
-    if p._layers is None:
-        return Condition(p.m, dict(p.h), u)
-    return Condition._layered(p.m, p._base, p._layers, u)  # layers are never changed
+    # the stem's state is shared: neither condition ever changes it
+    return Condition._of({**vars(p), "u": p.u + (TaggedWeight(eps, phi),)})
 
 
 def avoid_null(p: Condition, g: ClopenPlaneSet, eps: Fraction) -> Condition:
@@ -817,21 +813,23 @@ def _certify(census: Counter, m: int, f: ClopenPlaneSet, phi: WeightFunction | N
     return Certificate(inside, _score_groups(classes, m, phi) if phi is not None else Fraction(0))
 
 
-def _grown_census(h: Mapping[str, str], chosen: Mapping[str, int], m: int, m2: int,
+def _grown_census(m2: int, tops: Sequence[tuple[str, str]], chosen: Mapping[str, int],
                   cut: int) -> Counter:
-    """_top_groups(h2, m2, cut) of the stem grown from depth m to m2 with the
-    accepted patterns chosen (ExtendStats.chosen), counted from the patterns
-    alone.  A row of top s (see _rows) holds the tops of one block of bits,
-    the blocks _check_sum reads, so popcount(block) of them are valued
-    h(s) + "1" and the rest h(s) + "0".  When cut <= m each top has one
-    row, its own cut, so the tops and ones are added up per (row, h(s))
-    before any value string is built."""
+    """_top_groups(h2, m2, cut) of the stem grown to depth m2 from the
+    (top, value) pairs tops of depth m with the accepted patterns chosen
+    (ExtendStats.chosen), counted from the patterns alone.  A row of top s
+    (see _rows) holds the tops of one block of bits, the blocks _check_sum
+    reads, so popcount(block) of them are valued h(s) + "1" and the rest
+    h(s) + "0".  When cut <= m each top has one row, its own cut, so the
+    tops and ones are added up per (row, h(s)) before any value string is
+    built."""
+    m = len(tops[0][0])
     census: Counter = Counter()
     if cut <= m:
         grown: Counter = Counter()  # per (row, h(s)): new tops, and those valued h(s) + "1"
         set_bits: Counter = Counter()
-        for s, e in chosen.items():
-            key = s[:cut], h[s]
+        for (s, v), e in zip(tops, chosen.values()):
+            key = s[:cut], v
             grown[key] += 2 ** (m2 - m)
             set_bits[key] += e.bit_count()
         for (row, v), n in grown.items():
@@ -840,8 +838,7 @@ def _grown_census(h: Mapping[str, str], chosen: Mapping[str, int], m: int, m2: i
             if set_bits[row, v] < n:
                 census[row, v + "0"] = n - set_bits[row, v]
         return census
-    for s, e in chosen.items():
-        v = h[s]
+    for (s, v), e in zip(tops, chosen.values()):
         rows, block = _rows(s, m, m2, cut)
         mask = (1 << block) - 1
         for r, row in enumerate(rows):
@@ -945,7 +942,7 @@ def sigma_centered_index(p: Condition) -> CenteredIndex:
 
 
 def merge_same_stem(p: Condition, q: Condition) -> Condition:
-    """Compatibility witness for two conditions with identical stems."""
+    """Compatibility witness for two conditions with identical stems; p's stem is shared."""
     if p.m != q.m or p.h != q.h:
         raise ValueError("conditions do not share a stem")
-    return Condition(p.m, dict(p.h), p.u + q.u)
+    return Condition._of({**vars(p), "u": p.u + q.u})

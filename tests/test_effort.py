@@ -14,7 +14,10 @@ sets and of name coordinates (`cylinder_mass`).  They also count the
 keys of every full stem map built from a layered condition's layers
 (`materialized keys`, counted in `_stem_map`, the one function that
 builds one; extension and runs hand back layered conditions and build
-none, so only a reader of `h` pays for the map), the classes
+none, so only a reader of `h` pays for the map), the (top, value) pairs
+grown from a layer (`grown tops`, counted in `_grown_tops`: extending an
+extended condition grows its deepest level once from its last layer, and
+census, `validate` and `score` read the last layer as it stands), the classes
 of every census of the tops, counted from `h` or from the accepted bit
 patterns (`census classes`), and the checks the searches build, one per
 weight for each stem class (`check builds`, counted in `_stem_checks`).
@@ -206,17 +209,20 @@ BUDGETS = {
                     "eval_phi": 0, "check_bits": 1568, "validate": 8, "score": 6,
                     "_sub_seed": 1178, "contains_rect": 661, "complement": 6,
                     "_canonical": 0, "cylinder_mass": 0, "row entries": 320,
-                    "materialized keys": 0, "census classes": 403, "check builds": 234},
+                    "materialized keys": 0, "grown tops": 1168,
+                    "census classes": 403, "check builds": 234},
     "extend-deep": {"_read_row": 11, "_top_groups": 2, "_certify": 0, "phi_from_clopen": 0,
                     "eval_phi": 0, "check_bits": 0, "validate": 2, "score": 0,
                     "_sub_seed": 1536, "contains_rect": 0, "complement": 0,
                     "_canonical": 0, "cylinder_mass": 0, "row entries": 50,
-                    "materialized keys": 0, "census classes": 41, "check builds": 38},
+                    "materialized keys": 0, "grown tops": 0,
+                    "census classes": 41, "check builds": 38},
     "extend-fresh": {"_read_row": 27, "_top_groups": 4, "_certify": 0, "phi_from_clopen": 0,
                      "eval_phi": 0, "check_bits": 0, "validate": 4, "score": 0,
                      "_sub_seed": 4, "contains_rect": 0, "complement": 0,
                      "_canonical": 0, "cylinder_mass": 0, "row entries": 77,
-                     "materialized keys": 0, "census classes": 4, "check builds": 7},
+                     "materialized keys": 0, "grown tops": 0,
+                     "census classes": 4, "check builds": 7},
     # names-mix: 468 cells in 96 coordinates and 2 condition sets, each
     # canonicalized once; one measure per cell, per coordinate and per
     # condition set, though each name's slalom is extracted once or twice
@@ -224,20 +230,22 @@ BUDGETS = {
                   "eval_phi": 0, "check_bits": 0, "validate": 0, "score": 0,
                   "_sub_seed": 0, "contains_rect": 0, "complement": 0,
                   "_canonical": 470, "cylinder_mass": 566, "row entries": 0,
-                  "materialized keys": 0, "census classes": 0, "check builds": 0},
+                  "materialized keys": 0, "grown tops": 0,
+                  "census classes": 0, "check builds": 0},
     # refine: 408 cells in 80 coordinates and 2 condition sets, as above;
     # the 74 differences canonicalize nothing and measure nothing
     "refine": {"_read_row": 0, "_top_groups": 0, "_certify": 0, "phi_from_clopen": 0,
                "eval_phi": 0, "check_bits": 0, "validate": 0, "score": 0,
                "_sub_seed": 0, "contains_rect": 0, "complement": 0,
                "_canonical": 410, "cylinder_mass": 490, "row entries": 0,
-               "materialized keys": 0, "census classes": 0, "check builds": 0},
+               "materialized keys": 0, "grown tops": 0,
+               "census classes": 0, "check builds": 0},
 }
 
 
 def count_calls(monkeypatch) -> dict:
-    counts = dict.fromkeys(
-        [*COUNTED, "row entries", "materialized keys", "census classes", "check builds"], 0)
+    counts = dict.fromkeys([*COUNTED, "row entries", "materialized keys", "grown tops",
+                            "census classes", "check builds"], 0)
     for name, namespaces in COUNTED.items():
         real = getattr(namespaces[0], name)
 
@@ -259,6 +267,13 @@ def count_calls(monkeypatch) -> dict:
         counts["materialized keys"] += len(h)
         return h
     monkeypatch.setattr(poset, "_stem_map", materializing)
+    grown_tops = poset._grown_tops
+
+    def growing(*args):
+        tops = grown_tops(*args)
+        counts["grown tops"] += len(tops)
+        return tops
+    monkeypatch.setattr(poset, "_grown_tops", growing)
     for name in ("_top_groups", "_grown_census"):
         real_census = getattr(poset, name)
 

@@ -1017,6 +1017,31 @@ def test_layered_conditions_match_their_materialized_stems():
     assert chains == {0, 1, 2} and resolutions == {0, 1, 2, 3} and retries > 0
 
 
+def test_a_given_stem_in_scrambled_key_order_reads_as_its_sorted_twin():
+    # a given stem is its own base, its pairs sorted on first use: a map
+    # listed in scrambled key order gives the pairs, tops, wire form and
+    # extension of the same map listed in key order
+    rng = random.Random(3001)
+    for _ in range(12):
+        m = rng.randint(2, 6)
+        ref = sparse_stem(rng, m)
+        u = seeded_weights(rng, ref)
+        items = sorted(ref.items())
+        while items == sorted(items):
+            rng.shuffle(items)
+        scrambled, ordered = Condition(m, dict(items), u), Condition(m, dict(sorted(items)), u)
+        assert list(scrambled.h) != sorted(scrambled.h)
+        assert scrambled.pairs() == ordered.pairs() == sorted(items)
+        assert scrambled.tops() == ordered.tops() == sorted(s for s in ref if len(s) == m)
+        assert condition_to_json(scrambled) == condition_to_json(ordered)
+        seed, levels = rng.getrandbits(32), rng.randint(1, 3)
+        q1, stats1 = extend_detailed(scrambled, seed, max_new_levels=levels)
+        q2, stats2 = extend_detailed(ordered, seed, max_new_levels=levels)
+        assert list(stats1.chosen.items()) == list(stats2.chosen.items())
+        assert condition_to_json(q1)["h"] == condition_to_json(q2)["h"]
+        assert q1.h == reference_growth(scrambled, q1.m, stats1.chosen)[0]
+
+
 def test_extension_post_check_refuses_a_failing_candidate(monkeypatch):
     # the weight of [0] on the value axis: new tops valued h(s) + "1" score 0
     g = ClopenPlaneSet.from_rects([("", "1")])
@@ -1054,7 +1079,8 @@ def test_grown_census_matches_materialized_groups():
         q, stats = extend_detailed(p, rng.getrandbits(32), max_new_levels=rng.randint(1, 3))
         assert sorted(stats.chosen) == p.tops()
         for cut in range(q.m + 2):
-            grown = poset._grown_census(p.h, stats.chosen, p.m, q.m, cut)
+            tops = [(s, p.h[s]) for s in stats.chosen]
+            grown = poset._grown_census(q.m, tops, stats.chosen, cut)
             assert dict(grown) == dict(poset._top_groups(q.h, q.m, cut)), (m, q.m, cut)
             seen.add((cut > m) + (cut >= q.m))
         seen.add(("weights", bool(p.u)))
@@ -1214,6 +1240,33 @@ def test_same_index_conditions_merge():
     merged = merge_same_stem(p1, p2)
     assert validate(merged).ok
     assert len(merged.u) == 2
+
+
+def test_merging_extended_conditions_matches_merging_their_twins():
+    # two equal extended conditions, one layer or two: the merge shares the
+    # first one's stem state, as attach_weight does, and equals the merge of
+    # their materialized twins
+    rng = random.Random(3002)
+    for layers in (1, 2):
+        h = sparse_stem(rng, 3)
+        p = Condition(3, h, seeded_weights(rng, h))
+        seeds = [rng.getrandbits(32) for _ in range(layers)]
+
+        def extended():
+            q = p
+            for seed in seeds:
+                q, _ = extend_detailed(q, seed, max_new_levels=2)
+            return q
+
+        q1, q2 = extended(), extended()
+        merged = merge_same_stem(q1, q2)
+        twin = merge_same_stem(Condition(q1.m, q1.h, q1.u), Condition(q2.m, q2.h, q2.u))
+        assert merged == twin and merged.u == q1.u + q2.u
+        assert merged._layers is q1._layers and len(merged._layers) == layers
+        assert merged.pairs() == twin.pairs() == sorted(twin.h.items())
+        assert validate(merged) == validate(twin)
+        assert condition_to_json(merged) == condition_to_json(twin)
+        assert twin.h is q1.h  # a given stem's map is shared, not copied
 
 
 def test_merge_requires_shared_stem():

@@ -22,6 +22,9 @@ from forcing_lab import (
     ValidationReport,
     Violation,
     WeightFunction,
+    attach_weight,
+    extend_detailed,
+    trivial_condition,
 )
 from forcing_lab.acceptance import CriterionResult
 from forcing_lab.errors import FrozenValue
@@ -66,6 +69,27 @@ def test_equality_holds_within_one_type_only():
 def test_values_with_unhashable_or_set_semantics_do_not_hash(value):
     with pytest.raises(TypeError):
         hash(value)
+
+
+def test_an_extended_condition_reads_as_its_materialized_twin():
+    # an extended condition builds h on its first read, so repr, equality
+    # and hashing see the same fields as Condition(q.m, q.h, q.u)
+    def extended():
+        p = attach_weight(trivial_condition(), Fraction(1, 2), WeightFunction.full())
+        q, _ = extend_detailed(p, 7, max_new_levels=2)
+        assert "h" not in vars(q)
+        return q
+
+    q = extended()
+    twin = Condition(q.m, q.h, q.u)
+    assert repr(extended()) == repr(twin)
+    assert extended() == twin and twin == extended()
+    with pytest.raises(TypeError) as plain:
+        hash(twin)
+    with pytest.raises(TypeError) as layered:
+        hash(extended())
+    assert str(layered.value) == str(plain.value)
+    assert Condition._fields == ("m", "h", "u")
 
 
 @pytest.mark.parametrize("value, field", [
