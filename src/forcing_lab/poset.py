@@ -18,7 +18,6 @@ lucky the sampling was (Las Vegas, never Monte Carlo).
 
 from __future__ import annotations
 
-import _random
 import math
 from bisect import bisect_left
 from collections import Counter
@@ -110,11 +109,11 @@ class WeightFunction(FrozenValue):
         """(D, rows, memo, keys): the common denominator D of the table;
         the row index, mapping each x-string of the table to the list of its
         y-strings and the list of their values times D; a memo of D times
-        the table mass per truncated pair (s[:m1], t[:m2]), filled by _mass;
-        and the x-strings of the table in sorted order, in which the rows
-        under any shorter x-string form one run.  Built on first use and
-        kept on the instance outside the fields, so equality, repr and the
-        JSON form do not see it."""
+        the table mass per truncated pair (s[:m1], t[:m2]), filled by _mass
+        and _read_row; and the x-strings of the table in sorted order, in
+        which the rows under any shorter x-string form one run.  Built on
+        first use and kept on the instance outside the fields, so equality,
+        repr and the JSON form do not see it."""
         d = math.lcm(*(v.denominator for v in self.table.values()))
         rows: dict[str, tuple[list[str], list[int]]] = {}
         for (a, b), v in self.table.items():
@@ -126,9 +125,14 @@ class WeightFunction(FrozenValue):
 
 def _read_row(phi: WeightFunction, s1: str, t1: str) -> int:
     """D times the table mass inside [s1] x [t1] for an x-string s1 at the
-    resolution: the entries of row s1 whose y-string extends t1."""
-    ys, ns = phi._integer_form[1].get(s1, ((), ()))
-    return sum(n for b, n in zip(ys, ns) if b.startswith(t1))
+    resolution: the entries of row s1 whose y-string extends t1.  The pass
+    sums the row under every y-string of t1's length and memoizes them all."""
+    _, rows, memo, _ = phi._integer_form
+    sums: Counter = Counter()
+    for b, n in zip(*rows.get(s1, ((), ()))):
+        sums[b[:len(t1)]] += n
+    memo.update(((s1, t), n) for t, n in sums.items())
+    return sums[t1]
 
 
 def _mass(phi: WeightFunction, s: str, t: str) -> tuple[int, int]:
@@ -276,11 +280,16 @@ def _top_groups(h: Mapping[str, str], m: int, cut: int) -> Counter:
 
 
 def _census(p: Condition, cut: int) -> Counter:
-    """_top_groups(p.h, p.m, cut), of an extended condition counted from
-    its last layer: the patterns and the tops they were accepted for."""
+    """_top_groups(p.h, p.m, cut) or a finer cut, which every reader cuts
+    again (_score_groups, _certify).  An extended condition's is counted from
+    its last layer, the patterns and the tops they were accepted for, and
+    the finest is kept on p, shared with the conditions attach_weight makes."""
     if not p._layers:
         return _top_groups(p.h, p.m, cut)
-    return _grown_census(*p._layers[-1], cut)
+    kept = p.__dict__.get("_kept_census")
+    if kept is None or kept[0] < cut:
+        kept = p.__dict__["_kept_census"] = cut, _grown_census(*p._layers[-1], cut)
+    return kept[1]
 
 
 def _score_groups(groups: Counter, m: int, phi: WeightFunction) -> Fraction:
@@ -396,29 +405,15 @@ class ExtendStats(FrozenValue):
     chosen: dict
 
 
-def _sub_seed(seed: int, tag: str) -> int:
-    digest = _sha256(f"{seed}|{tag}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
-def _sha256(data: bytes):
-    """The interpreter's built-in SHA-256, imported by the first seed
-    derivation, which then binds the module name _sha256 to it: only
-    extension derives seeds, so no other command pays for the import.
-    The lookup order is random's: module _sha2 (Python 3.12 on), then
-    _sha256 (before 3.12), and hashlib.sha256 only on a build configured
-    without the built-in SHA-2 modules.  The digests are the same, but
-    hashlib loads OpenSSL's libcrypto, which costs an extension process
-    about 3.4 MB of peak RSS for this one hash."""
-    global _sha256
+def _shake(text: str, size: int) -> bytes:
+    """The first size bytes of SHAKE-256 (FIPS 202) of text in UTF-8, from
+    the built-in module _sha3, imported by extension only; from hashlib, which
+    loads OpenSSL's libcrypto (3.4 MB of peak RSS), only on a build without it."""
     try:
-        from _sha2 import sha256 as _sha256
+        from _sha3 import shake_256
     except ImportError:
-        try:
-            from _sha256 import sha256 as _sha256
-        except ImportError:
-            from hashlib import sha256 as _sha256
-    return _sha256(data)
+        from hashlib import shake_256
+    return shake_256(text.encode()).digest(size)
 
 
 # A stem of depth m holds 2^(m+1) keys.  A depth-20 `extend` of the trivial
@@ -675,12 +670,17 @@ def extend_detailed(
 
     With no attached weights the stem grows one level with zero bits
     appended.  Otherwise the slack-derived tolerance delta and the least
-    depth m' with 2^(-m') / delta^2 < 1/(2n) drive an independent seeded
-    search per top stem: _RETRY_CAP sampled candidates, then every candidate
+    depth m' with 2^(-m') / delta^2 < 1/(2n) drive a seeded search per top
+    stem: _RETRY_CAP sampled candidates, then every candidate 0 .. 2^count - 1
     when the space holds at most _EXHAUSTIVE_CAP of them, each checked
-    exactly.  max_new_levels (at least 1) caps the depth growth for
-    multi-step runs, where the pinned depth formula compounds past any
-    materializable size; a depth past _MAX_DEPTH is refused either way.
+    exactly.  A candidate is count = 2^(m' - m) bits, read little-endian
+    from B = ceil(count/8) bytes of SHAKE-256 (_shake) and masked to count
+    bits: candidate 0 of the top with key-order index t from bytes
+    t·B .. (t+1)·B of the one stream of f"{seed}|{m}|{m'}", and candidate
+    a >= 1 of top s from the first B bytes of f"{seed}|{m'}|{s}|{a}".
+    max_new_levels (at least 1) caps the depth growth for multi-step runs,
+    where the pinned depth formula compounds past any materializable size;
+    a depth past _MAX_DEPTH is refused either way.
 
     The result's scores are read off the accepted candidates' integer sums,
     score = sum over tops s of 2^(|h(s)|+1)·sum_s/D_s, and each must exceed
@@ -703,11 +703,9 @@ def extend_detailed(
     scores: tuple[Fraction, ...] = ()
     chosen = dict.fromkeys([s for s, _ in tops], 0)
     if p.u:
-        n = len(p.u)
         slack = min(sc - tw.eps for sc, tw in zip(rep.scores, p.u))
-        sigma = sum(2 ** (1 + len(v)) for _, v in tops)
-        delta = slack / (2 * sigma)
-        threshold = delta * delta / (2 * n)
+        delta = slack / (2 * sum(2 ** (1 + len(v)) for _, v in tops))
+        threshold = delta * delta / (2 * len(p.u))
         # the least m2 > m with 2^m2 > 1/threshold, that is 2^-m2 < threshold
         m2 = pinned = max(m + 1, (threshold.denominator // threshold.numerator).bit_length())
         if max_new_levels is not None:
@@ -717,18 +715,17 @@ def extend_detailed(
         count = 2 ** (m2 - m)
         # the exhaustive fallback tries every pattern, tagged as attempt _RETRY_CAP
         space = 2 ** count if count < 64 and 2 ** count <= _EXHAUSTIVE_CAP else 0
-        # one generator reseeded per stem: for an int seed, random.Random's
-        # seed method only adds a type check to this one, so each stem draws
-        # the stream of random.Random(_sub_seed(seed, s))
-        rng = _random.Random(0)
-        reseed, draw = rng.seed, rng.getrandbits
+        size, mask = -(-count // 8), (1 << count) - 1
+        stream = _shake(f"{seed}|{m}|{m2}", len(tops) * size)
         totals: list[dict] = [{} for _ in p.u]  # per weight: D -> sum of 2^(|h(s)|+1)·sum_s
-        for s, value in tops:
+        for t, (s, value) in enumerate(tops):
             verdicts = search(s, value)
-            reseed(_sub_seed(seed, s))
+            candidate = stream[t * size:(t + 1) * size]
             last_fail = 0
             for attempt in range(_RETRY_CAP):
-                e = draw(count)
+                if attempt:
+                    candidate = _shake(f"{seed}|{m2}|{s}|{attempt}", size)
+                e = int.from_bytes(candidate, "little") & mask
                 last_fail, sums = verdicts[e]
                 if last_fail < 0:
                     break
@@ -871,18 +868,21 @@ def generic_run(
     Each cover attaches before the extension of its step, which must lie in
     the run.  After every action the trace records, for each cover already
     attached, the exact certificate of its complement, equal to
-    certificate(p, complement).  The certificates of a snapshot share one
-    census of the tops, cut at the finest x-resolution in the schedule: it
-    starts as the trivial stem's one top and, after each extension, is
-    counted from the accepted bit patterns of the grown stem's last layer
-    (see Condition), so no step builds h: each one extends the layered
-    condition the last one returned.
-    score_f is scored against the weight avoid_null attached, and the
-    complement is the one avoid_null computed and the cover keeps, so each
-    cover's complement and weight are built once per run and the weight's
-    memo serves every snapshot.  Multi-step runs default to bounded depth
-    growth; the pinned depth formula compounds roughly quadratically per
-    step and leaves any second unbounded extension beyond reach.
+    certificate(p, complement).  The certificates share one census of the
+    tops, cut at the finest x-resolution in the schedule: it starts as the
+    trivial stem's one top and, after each extension, is counted from the
+    accepted bit patterns of the grown stem's last layer (see Condition), so
+    no step builds h: each one extends the layered condition the last one
+    returned.  An attachment leaves the census as it is, so it certifies
+    only the new cover.  score_f is scored against the weight avoid_null
+    attached, and the complement is the one avoid_null computed and the
+    cover keeps, so each cover's complement and weight are built once per
+    run and the weight's memo serves every snapshot.  Every step extends
+    with the run's own seed: each step grows from a new depth, so its
+    streams (see extend_detailed) differ.  Multi-step runs default to
+    bounded depth growth; the pinned depth formula compounds roughly
+    quadratically per step and leaves any second unbounded extension
+    beyond reach.
     """
     if steps > _MAX_DEPTH:  # every step grows the stem by at least one level
         raise ValueError(f"steps {steps} would grow the stem past the depth limit of {_MAX_DEPTH}")
@@ -892,26 +892,23 @@ def generic_run(
 
     p = trivial_condition()
     attached: list[tuple[int, ClopenPlaneSet, WeightFunction]] = []
+    certs: list[tuple[int, Certificate]] = []  # of each attached cover, against census
     trace: list[TraceEntry] = []
     cut = max((c.cover.resolution[0] for c in schedule), default=0)
     census = Counter({("", ""): 1})  # _top_groups(p.h, p.m, cut)
-
-    def snapshot(step: int, action: str) -> None:
-        certs = tuple((i, _certify(census, p.m, f, phi)) for i, f, phi in attached)
-        trace.append(TraceEntry(step, action, p.m, certs))
-
     for step in range(steps):
         try:
             for i, c in enumerate(schedule):
                 if c.at_step == step:
                     p = avoid_null(p, c.cover, c.eps)
-                    f = c.cover._complement  # the complement avoid_null computed
-                    attached.append((i, f, p.u[-1].phi))
-                    snapshot(step, "attach")
-            p, _ = extend_detailed(
-                p, _sub_seed(seed, f"step{step}"), max_new_levels=max_new_levels)
+                    f, phi = c.cover._complement, p.u[-1].phi  # as avoid_null built them
+                    attached.append((i, f, phi))
+                    certs.append((i, _certify(census, p.m, f, phi)))
+                    trace.append(TraceEntry(step, "attach", p.m, tuple(certs)))
+            p, _ = extend_detailed(p, seed, max_new_levels=max_new_levels)
             census = _census(p, cut)
-            snapshot(step, "extend")
+            certs = [(i, _certify(census, p.m, f, phi)) for i, f, phi in attached]
+            trace.append(TraceEntry(step, "extend", p.m, tuple(certs)))
         except ForcingLabError as exc:
             exc.step = step  # type: ignore[attr-defined]
             raise
@@ -942,7 +939,9 @@ def sigma_centered_index(p: Condition) -> CenteredIndex:
 
 
 def merge_same_stem(p: Condition, q: Condition) -> Condition:
-    """Compatibility witness for two conditions with identical stems; p's stem is shared."""
-    if p.m != q.m or p.h != q.h:
+    """Compatibility witness for two conditions with identical stems; p's stem is shared.
+    Two extended conditions with equal bases and layers never build h here."""
+    same = p._layers and q._layers and (p._base, p._layers) == (q._base, q._layers)
+    if p.m != q.m or not (same or p.h == q.h):
         raise ValueError("conditions do not share a stem")
     return Condition._of({**vars(p), "u": p.u + q.u})

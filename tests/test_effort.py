@@ -7,10 +7,12 @@ wrappers count reads of one weight-table row (`_read_row`) and the
 table entries those reads cover (`row entries`), passes over
 the tops (`_top_groups`), certificates (`_certify`), weights built from
 plane sets (`phi_from_clopen`), public `eval_phi`, `check_bits`,
-`validate`, `score` and `_sub_seed` calls, the `contains_rect` and
-`complement` calls of plane sets, the clopen sets canonicalized from
-given generators (`_canonical`), and the measures computed, of clopen
-sets and of name coordinates (`cylinder_mass`).  They also count the
+`validate` and `score` calls, the candidate streams hashed (`_shake`:
+one per extension with weights, plus one per candidate drawn after a
+top's first), the `contains_rect` and `complement` calls of plane sets,
+the clopen sets canonicalized from given generators (`_canonical`), and
+the measures computed, of clopen sets and of name coordinates
+(`cylinder_mass`).  They also count the
 keys of every full stem map built from a layered condition's layers
 (`materialized keys`, counted in `_stem_map`, the one function that
 builds one; extension and runs hand back layered conditions and build
@@ -19,8 +21,10 @@ grown from a layer (`grown tops`, counted in `_grown_tops`: extending an
 extended condition grows its deepest level once from its last layer, and
 census, `validate` and `score` read the last layer as it stands), the classes
 of every census of the tops, counted from `h` or from the accepted bit
-patterns (`census classes`), and the checks the searches build, one per
-weight for each stem class (`check builds`, counted in `_stem_checks`).
+patterns (`census classes`; an extended condition keeps its finest
+census, so the readers of one stem count it once), and the checks the
+searches build, one per weight for each stem class (`check builds`,
+counted in `_stem_checks`).
 Every count must stay at or below its budget, which is the count when the
 budget was pinned: a change that lowers a count lowers its budget with
 it.  The counts are printed, so a run with `-rP` shows them.
@@ -58,7 +62,7 @@ COUNTED = {
     "check_bits": (cantor, poset),
     "validate": (poset,),
     "score": (poset,),
-    "_sub_seed": (poset,),
+    "_shake": (poset,),
     "contains_rect": (ClopenPlaneSet,),
     "complement": (ClopenPlaneSet,),
     "_canonical": (cantor,),
@@ -205,22 +209,22 @@ SCENARIOS = {"generic-run": generic_runs, "extend-deep": deep_extensions,
              "extend-fresh": fresh_extensions, "names-mix": names_calls,
              "refine": refine_calls}
 BUDGETS = {
-    "generic-run": {"_read_row": 97, "_top_groups": 4, "_certify": 28, "phi_from_clopen": 6,
-                    "eval_phi": 0, "check_bits": 1568, "validate": 8, "score": 6,
-                    "_sub_seed": 1178, "contains_rect": 661, "complement": 6,
-                    "_canonical": 0, "cylinder_mass": 0, "row entries": 320,
+    "generic-run": {"_read_row": 59, "_top_groups": 4, "_certify": 22, "phi_from_clopen": 6,
+                    "eval_phi": 0, "check_bits": 1520, "validate": 8, "score": 6,
+                    "_shake": 8, "contains_rect": 634, "complement": 6,
+                    "_canonical": 0, "cylinder_mass": 0, "row entries": 150,
                     "materialized keys": 0, "grown tops": 1168,
-                    "census classes": 403, "check builds": 234},
+                    "census classes": 244, "check builds": 234},
     "extend-deep": {"_read_row": 11, "_top_groups": 2, "_certify": 0, "phi_from_clopen": 0,
                     "eval_phi": 0, "check_bits": 0, "validate": 2, "score": 0,
-                    "_sub_seed": 1536, "contains_rect": 0, "complement": 0,
+                    "_shake": 2, "contains_rect": 0, "complement": 0,
                     "_canonical": 0, "cylinder_mass": 0, "row entries": 50,
                     "materialized keys": 0, "grown tops": 0,
                     "census classes": 41, "check builds": 38},
-    "extend-fresh": {"_read_row": 27, "_top_groups": 4, "_certify": 0, "phi_from_clopen": 0,
+    "extend-fresh": {"_read_row": 21, "_top_groups": 4, "_certify": 0, "phi_from_clopen": 0,
                      "eval_phi": 0, "check_bits": 0, "validate": 4, "score": 0,
-                     "_sub_seed": 4, "contains_rect": 0, "complement": 0,
-                     "_canonical": 0, "cylinder_mass": 0, "row entries": 77,
+                     "_shake": 4, "contains_rect": 0, "complement": 0,
+                     "_canonical": 0, "cylinder_mass": 0, "row entries": 58,
                      "materialized keys": 0, "grown tops": 0,
                      "census classes": 4, "check builds": 7},
     # names-mix: 468 cells in 96 coordinates and 2 condition sets, each
@@ -228,7 +232,7 @@ BUDGETS = {
     # condition set, though each name's slalom is extracted once or twice
     "names-mix": {"_read_row": 0, "_top_groups": 0, "_certify": 0, "phi_from_clopen": 0,
                   "eval_phi": 0, "check_bits": 0, "validate": 0, "score": 0,
-                  "_sub_seed": 0, "contains_rect": 0, "complement": 0,
+                  "_shake": 0, "contains_rect": 0, "complement": 0,
                   "_canonical": 470, "cylinder_mass": 566, "row entries": 0,
                   "materialized keys": 0, "grown tops": 0,
                   "census classes": 0, "check builds": 0},
@@ -236,7 +240,7 @@ BUDGETS = {
     # the 74 differences canonicalize nothing and measure nothing
     "refine": {"_read_row": 0, "_top_groups": 0, "_certify": 0, "phi_from_clopen": 0,
                "eval_phi": 0, "check_bits": 0, "validate": 0, "score": 0,
-               "_sub_seed": 0, "contains_rect": 0, "complement": 0,
+               "_shake": 0, "contains_rect": 0, "complement": 0,
                "_canonical": 410, "cylinder_mass": 490, "row entries": 0,
                "materialized keys": 0, "grown tops": 0,
                "census classes": 0, "check builds": 0},

@@ -778,10 +778,10 @@ DEEP_WEIGHTS = (
 
 
 @pytest.mark.parametrize("seed, depth, weights, levels, digest", [
-    (7, 7, DEEP_WEIGHTS, 1, "7bc4ffabbffd3677e030039ef1e3da30097515f9097224d1232d2fd320d38f65"),
-    (7, 7, DEEP_WEIGHTS, 2, "704c0a9fb181bfcd03052e3f641dd7d67dd9406ef70b039a2d8f39cc810ce689"),
-    (8, 8, DEEP_WEIGHTS[1:], 1, "86482b3be3b14cb66215a70587b84e9c8ec2006fc12e9e936f8b1b10cc1145ba"),
-    (8, 8, DEEP_WEIGHTS[1:], 2, "5cf3038bdde3febdd6e56894756a1e2094ea298c357b6847c9d5708b78a10708"),
+    (7, 7, DEEP_WEIGHTS, 1, "6cdd609c3a7b7bd60c6ce6aaae5adf5879a39751d1ac8bfa2c131fe53ab05c84"),
+    (7, 7, DEEP_WEIGHTS, 2, "b2edc6875af4cf336d0a482ea45ffc4783e3dfbd18e5b7692588668905f3ad87"),
+    (8, 8, DEEP_WEIGHTS[1:], 1, "3dbaf420c15ebaf4d09a8da5cf904f352a2793903805dd9926688f4f00e1969e"),
+    (8, 8, DEEP_WEIGHTS[1:], 2, "a3ae3d2d81f3c95f14d642e646769169fce46eb68f45600989df1c3d334e1697"),
 ], ids=["d7-w3-l1", "d7-w3-l2", "d8-w2-l1", "d8-w2-l2"])
 def test_deep_stem_extension_is_pinned(seed, depth, weights, levels, digest):
     # digests of the condition and stats, pinned so the search keeps its
@@ -812,9 +812,24 @@ def reference_check(phi, s, value, m, m2, delta):
             [(n1 - n0) * scale for n0, n1 in zip(zeros, ones)], d)
 
 
+def stream_candidate(seed, m, m2, t, s, attempt):
+    """Candidate `attempt` of the top s, with key-order index t, in an
+    extension from depth m to m2, hashed here from the stated rule: 2^(m2-m)
+    bits read little-endian from B bytes of SHAKE-256, at offset t·B of the
+    stream "seed|m|m2" for attempt 0, and first in "seed|m2|s|attempt"
+    after it."""
+    bits = 2 ** (m2 - m)
+    size = (bits + 7) // 8
+    if attempt:
+        block = hashlib.shake_256(f"{seed}|{m2}|{s}|{attempt}".encode()).digest(size)
+    else:
+        block = hashlib.shake_256(f"{seed}|{m}|{m2}".encode()).digest((t + 1) * size)[t * size:]
+    return int.from_bytes(block, "little") % 2 ** bits
+
+
 def reference_search(p, seed, max_new_levels):
     """The per-stem search loop of the earlier extend_detailed: checks built
-    per stem, one random.Random(_sub_seed(seed, s)) per stem, first_failing
+    per stem, candidates hashed per stem (stream_candidate), first_failing
     then sums.  (m', retries, exhaustive stems, chosen, scores), or the
     SearchExhausted it raises."""
     m, tops = p.m, p.tops()
@@ -826,7 +841,7 @@ def reference_search(p, seed, max_new_levels):
     count = 2 ** (m2 - m)
     space = 2 ** count if count < 64 and 2 ** count <= poset._EXHAUSTIVE_CAP else 0
     retries, exhaustive, chosen, scores = {}, [], {}, [Fraction(0)] * len(p.u)
-    for s in tops:
+    for t, s in enumerate(tops):
         checks = [reference_check(tw.phi, s, p.h[s], m, m2, delta) for tw in p.u]
 
         def first_failing(e):
@@ -838,8 +853,7 @@ def reference_search(p, seed, max_new_levels):
         def sums(e):
             return [(check[4], poset._check_sum(check, e)) for check in checks]
 
-        rng = random.Random(poset._sub_seed(seed, s))
-        draws = (rng.getrandbits(count) for _ in range(poset._RETRY_CAP))
+        draws = (stream_candidate(seed, m, m2, t, s, a) for a in range(poset._RETRY_CAP))
         last_fail = 0
         for attempt, e in chain(enumerate(draws), zip(repeat(poset._RETRY_CAP), range(space))):
             last_fail = first_failing(e)
@@ -857,9 +871,9 @@ def reference_search(p, seed, max_new_levels):
 
 
 def test_class_search_matches_per_stem_reference(monkeypatch):
-    # stems of one class share their checks and verdicts and one reseeded
-    # generator; the per-stem loop must choose, retry, fall back and give
-    # up exactly alike
+    # stems of one class share their checks and verdicts and one candidate
+    # stream; the per-stem loop must choose, retry, fall back and give up
+    # exactly alike
     rng = random.Random(2401)
     seen = set()
     for _ in range(150):
@@ -903,32 +917,93 @@ def test_class_search_matches_per_stem_reference(monkeypatch):
                     "exhausted"}
 
 
-SUB_SEED_PROBE = """
+SHAKE_PROBE = """
 import json, sys
 for name in sys.argv[1:]:
     sys.modules[name] = None  # an import of a None entry raises ImportError
-from forcing_lab.poset import _sub_seed
-seeds = [_sub_seed(seed, tag) for seed, tag in json.loads(sys.stdin.read())]
-print(json.dumps([seeds, "_hashlib" in sys.modules]))
+from forcing_lab.poset import _shake
+out = [_shake(text, size).hex() for text, size in json.loads(sys.stdin.read())]
+print(json.dumps([out, "_hashlib" in sys.modules]))
 """
 
 
-@pytest.mark.parametrize("blocked", [[], ["_sha2", "_sha256"]], ids=["builtin", "fallback"])
-def test_sub_seed_hashes_alike_with_and_without_the_builtin_module(blocked):
-    # without the interpreter's own SHA-256 the seeds come from hashlib, and
-    # so from OpenSSL; with it, OpenSSL is never loaded
-    if not blocked and not any(map(importlib.util.find_spec, ["_sha2", "_sha256"])):
-        pytest.skip("this Python has no built-in SHA-256 module")
-    pairs = [[0, ""], [7, "0"], [2026, "step3"], [-1, "0110"]]
+@pytest.mark.parametrize("blocked", [[], ["_sha3"]], ids=["builtin", "fallback"])
+def test_shake_hashes_alike_with_and_without_the_builtin_module(blocked):
+    # without the interpreter's own SHAKE-256 the streams come from hashlib,
+    # and so from OpenSSL; with it, OpenSSL is never loaded
+    if not blocked and importlib.util.find_spec("_sha3") is None:
+        pytest.skip("this Python has no built-in _sha3 module")
+    pairs = [["0|0|1", 1], ["7|1|2", 2], ["2026|12|15", 1024], ["-1|3|0110|5", 3]]
     done = subprocess.run(
-        [sys.executable, "-c", SUB_SEED_PROBE, *blocked], input=json.dumps(pairs),
+        [sys.executable, "-c", SHAKE_PROBE, *blocked], input=json.dumps(pairs),
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": str(Path(poset.__file__).resolve().parents[1])})
     assert done.returncode == 0, done.stderr
-    seeds, openssl = json.loads(done.stdout)
-    assert seeds == [int.from_bytes(hashlib.sha256(f"{seed}|{tag}".encode()).digest()[:8], "big")
-                     for seed, tag in pairs]
+    out, openssl = json.loads(done.stdout)
+    assert out == [hashlib.shake_256(text.encode()).digest(size).hex() for text, size in pairs]
     assert openssl == bool(blocked)
+
+
+# (top, attempt, e) of the depth-7 stem pinned above, extended with seed 7 by
+# 1, 2 and 4 levels (candidates of 2, 4 and 16 bits, read from 1, 1 and 2
+# bytes); e is checked against stream_candidate, so against hashlib
+PINNED_CANDIDATES = {
+    1: [("0000000", 0, 2), ("0000001", 0, 3), ("0101010", 2, 2), ("1010011", 3, 2)],
+    2: [("0000001", 0, 9), ("0000010", 0, 15), ("1001100", 4, 5), ("1010100", 5, 12)],
+    4: [("0000000", 0, 19971), ("0000001", 0, 19215), ("0100001", 1, 47416),
+        ("0101000", 3, 27825)],
+}
+
+
+@pytest.mark.parametrize("levels", [1, 2, 4])
+def test_extension_draws_the_pinned_stream(levels):
+    h = sparse_stem(random.Random(7), 7)
+    u = tuple(TaggedWeight(score(h, phi) * Fraction(15, 16), phi) for phi in DEEP_WEIGHTS)
+    p = Condition(7, h, u)
+    _, stats = extend_detailed(p, 7, max_new_levels=levels)
+    tops = p.tops()
+    for s, attempt, e in PINNED_CANDIDATES[levels]:
+        assert stream_candidate(7, 7, 7 + levels, tops.index(s), s, attempt) == e
+        assert (stats.retries[s], stats.chosen[s]) == (attempt, e)
+
+
+def test_unretried_layer_of_bytes_is_the_stream():
+    # with at least 8 bits per top and no retry, the patterns concatenated
+    # in key order, the first top lowest, are the stream read little-endian
+    rng = random.Random(3102)
+    checked = 0
+    for _ in range(40):
+        m = rng.randint(0, 3)
+        h = sparse_stem(rng, m)
+        p = Condition(m, h, seeded_weights(rng, h))
+        seed = rng.getrandbits(32)
+        q, stats = extend_detailed(p, seed, max_new_levels=rng.randint(3, 5))
+        count = 2 ** (q.m - m)
+        if count < 8 or any(stats.retries.values()):
+            continue
+        stream = hashlib.shake_256(f"{seed}|{m}|{q.m}".encode()).digest(2 ** m * count // 8)
+        layer = sum(stats.chosen[s] << (t * count) for t, s in enumerate(p.tops()))
+        assert layer == int.from_bytes(stream, "little")
+        checked += 1
+    assert checked >= 10
+
+
+def test_generic_run_steps_extend_with_the_run_seed():
+    # each step's layer is the extension, with the run's own seed, of the
+    # condition the step started from once its covers attached
+    covers = [ClopenPlaneSet.from_rects([("0", "01")], (1, 2)),
+              ClopenPlaneSet.from_rects([("10", "1")], (2, 1))]
+    schedule = [ScheduledCover(covers[0], Fraction(1, 2), 0),
+                ScheduledCover(covers[1], Fraction(1, 2), 2)]
+    p, _ = generic_run(schedule, 4, 2026, max_new_levels=2)
+    q = trivial_condition()
+    for step in range(4):
+        for c in schedule:
+            if c.at_step == step:
+                q = avoid_null(q, c.cover, c.eps)
+        q, _ = extend_detailed(q, 2026, max_new_levels=2)
+        assert q._layers[-1] == p._layers[step]
+    assert q == p
 
 
 def reference_growth(p, m2, chosen):
@@ -1267,6 +1342,19 @@ def test_merging_extended_conditions_matches_merging_their_twins():
         assert validate(merged) == validate(twin)
         assert condition_to_json(merged) == condition_to_json(twin)
         assert twin.h is q1.h  # a given stem's map is shared, not copied
+
+
+def test_merging_equal_extensions_builds_no_map():
+    p = simple_condition()  # one full weight tagged 1/2 pins depth 8
+    q1, q2, other = (extend_detailed(p, seed)[0] for seed in (7, 7, 8))
+    assert q1.m == other.m == 8
+    merged = merge_same_stem(q1, q2)
+    assert merged.u == q1.u + q2.u
+    assert not {"h"} & (vars(q1).keys() | vars(q2).keys() | vars(merged).keys())
+    assert q1.pairs() != other.pairs()
+    with pytest.raises(ValueError, match="do not share a stem"):
+        merge_same_stem(q1, other)
+    assert merge_same_stem(Condition(8, q1.h, ()), q2).u == q2.u  # equal stems, built apart
 
 
 def test_merge_requires_shared_stem():
