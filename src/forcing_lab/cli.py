@@ -9,12 +9,12 @@ itself checked against the packaged report schema:
 The report body echoes the scenario under "inputs", records the seed for
 seeded commands, and is deterministic for a fixed scenario and seed; only
 meta varies.  Exit codes: 0 when the run's checks all pass, 1 for domain errors
-or failed checks, 2 for unusable input (bad arguments, an unreadable
---input, an unwritable --out, bad JSON, a key repeated within one object,
-a scenario nested too deeply, schema violations, missing sections, missing
---seed), 3 for any other failure, reported as an "InternalError" envelope.
+or failed checks, 2 for unusable input (bad arguments, missing --seed, an
+unreadable --input, an unwritable --out, bad JSON, a key repeated within one
+object, a scenario nested too deeply, schema violations, missing sections),
+3 for any other failure, reported as an "InternalError" envelope.
 --out is opened once the scenario has been read (or failed to read), before
-the run; if that or argument parsing fails, the envelope goes to stdout.
+the run; if that or the command line fails, the envelope goes to stdout.
 Results are exact and written in full, so the run lifts the interpreter's
 limit on int-text digits, and main restores it before it returns.
 
@@ -29,13 +29,13 @@ Set FORCING_LAB_LOG=debug (or info, warning, ...) for stderr logging;
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
 import time
 from collections import Counter
+from types import SimpleNamespace
 
 from . import jsonio
 from .diagram import check_assignment, check_extension_pair
@@ -53,10 +53,14 @@ from .smz import (
 
 
 def _log(level: str, message: str, *args, **kwargs) -> None:
-    """Log to the `forcing_lab.cli` logger when FORCING_LAB_LOG is set.
-    Nothing is logged otherwise, so `logging` is imported only then."""
-    if os.environ.get("FORCING_LAB_LOG"):
+    """Log to stderr at the level FORCING_LAB_LOG names (WARNING if it names
+    none) when it is set; nothing is logged, nor `logging` imported, otherwise."""
+    env_level = os.environ.get("FORCING_LAB_LOG")
+    if env_level:
         import logging
+        threshold = getattr(logging, env_level.upper(), None)  # BASIC_FORMAT is no level
+        logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s",
+                            level=threshold if isinstance(threshold, int) else logging.WARNING)
         getattr(logging.getLogger("forcing_lab.cli"), level)(message, *args, **kwargs)
 
 
@@ -71,14 +75,6 @@ def __getattr__(name: str):
 
 class UsageError(Exception):
     """The scenario cannot drive this command (exit code 2)."""
-
-
-class _Parser(argparse.ArgumentParser):
-    """Reports bad arguments as a UsageError envelope instead of exiting."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise UsageError(message)
 
 
 @functools.cache
@@ -115,11 +111,11 @@ def _open(path: str, mode: str, purpose: str):
         raise UsageError(f"cannot {purpose}: {exc}") from exc
 
 
-def _read_scenario(args: argparse.Namespace) -> dict:
-    if args.input == "-":
+def _read_scenario(path: str) -> dict:
+    if path == "-":
         text = sys.stdin.read()
     else:
-        with _open(args.input, "r", "read scenario") as fh:
+        with _open(path, "r", "read scenario") as fh:
             text = fh.read()
     try:
         data = json.loads(text, object_pairs_hook=_unique_keys, parse_float=jsonio.read_number)
@@ -140,12 +136,6 @@ def _need(scenario: dict, key: str):
     if key not in scenario:
         raise UsageError(f"scenario needs a {key!r} section for this command")
     return scenario[key]
-
-
-def _need_seed(args: argparse.Namespace) -> int:
-    if args.seed is None:
-        raise UsageError("this command draws random bits; pass --seed")
-    return args.seed
 
 
 def _cmd_slalom(args, scenario):
@@ -177,11 +167,10 @@ def _cmd_refine(args, scenario):
 def _cmd_extend(args, scenario):
     """grow a condition's stem with seeded, exactly checked bits"""
     p = jsonio.condition_from_json(_need(scenario, "condition"))
-    seed = _need_seed(args)
-    q, stats = extend_detailed(p, seed, max_new_levels=args.max_new_levels)
+    q, stats = extend_detailed(p, args.seed, max_new_levels=args.max_new_levels)
     _log("info", "extended depth %d -> %d (pinned %d)", p.m, q.m, stats.pinned_m_prime)
     report = {
-        "seed": seed,
+        "seed": args.seed,
         "condition": jsonio.condition_to_json(q),
         "stats": {
             "pinned_depth": stats.pinned_m_prime,
@@ -195,7 +184,6 @@ def _cmd_extend(args, scenario):
 
 def _cmd_generic_run(args, scenario):
     """interleave cover attachment and extension, with certificates"""
-    seed = _need_seed(args)
     steps = _need(scenario, "steps")
     schedule = [
         ScheduledCover(
@@ -205,9 +193,9 @@ def _cmd_generic_run(args, scenario):
         for i, entry in enumerate(_need(scenario, "covers"))
     ]
     levels = {} if args.max_new_levels is None else {"max_new_levels": args.max_new_levels}
-    p, trace = generic_run(schedule, steps, seed, **levels)
+    p, trace = generic_run(schedule, steps, args.seed, **levels)
     report = {
-        "seed": seed,
+        "seed": args.seed,
         "depth": p.m,
         "final": jsonio.condition_to_json(p),
         "trace": jsonio.trace_to_json(trace),
@@ -329,32 +317,48 @@ HANDLERS = {
 SEEDED = ("extend", "generic-run")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    io_parent = argparse.ArgumentParser(add_help=False)
-    io_parent.add_argument(
-        "--input", "-i", default="-", metavar="PATH",
-        help="scenario JSON file, '-' for stdin (default)")
-    io_parent.add_argument(
-        "--out", "-o", default="-", metavar="PATH",
-        help="report destination, '-' for stdout (default)")
-    seeded_parent = argparse.ArgumentParser(add_help=False)
-    seeded_parent.add_argument(
-        "--seed", type=int, default=None,
-        help="integer seed for the bit-choice sampler (required)")
-    seeded_parent.add_argument(
-        "--max-new-levels", type=int, default=None, metavar="K",
-        help="cap on stem depth growth per extension (default: the pinned "
-             "depth formula for 'extend', 3 for 'generic-run')")
+# field -> the options that set it; the SEEDED commands also take
+# SEEDED_OPTIONS, whose values are read with int()
+OPTIONS = {"input": ("--input", "-i"), "out": ("--out", "-o")}
+SEEDED_OPTIONS = {"seed": ("--seed",), "max_new_levels": ("--max-new-levels",)}
 
-    parser = _Parser(
-        prog="forcing-lab",
-        description="Exact toolkit for weighted stem conditions, names and "
-                    "slaloms, interval covers, and the cardinal diagram.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler in HANDLERS.items():
-        parents = [io_parent, seeded_parent] if name in SEEDED else [io_parent]
-        sub.add_parser(name, parents=parents, help=handler.__doc__)
-    return parser
+USAGE = (f"usage: forcing-lab [-h] {{{','.join(HANDLERS)}}} [--input/-i PATH] [--out/-o PATH]\n"
+         f"       ({', '.join(SEEDED)}: --seed N [--max-new-levels K])")
+
+
+def _refuse(message: str):
+    print(USAGE, file=sys.stderr)
+    raise UsageError(message)
+
+
+def _parse(argv: list) -> SimpleNamespace:
+    """The command and options of argv, whose grammar USAGE states; an argv
+    outside it, or lacking a SEEDED command's --seed, is refused with USAGE."""
+    command = argv[0] if argv else ""
+    if command not in HANDLERS:
+        _refuse(f"argument command: invalid choice: {command!r} "
+                f"(choose from {', '.join(map(repr, HANDLERS))})")
+    options = {**OPTIONS, **SEEDED_OPTIONS} if command in SEEDED else OPTIONS
+    args = SimpleNamespace(command=command, input="-", out="-", seed=None, max_new_levels=None)
+    words, unknown = iter(argv[1:]), []
+    for word in words:
+        field = next((f for f, names in options.items() if word in names), None)
+        if field is None:
+            unknown.append(word)
+            continue
+        name, value = "/".join(options[field]), next(words, None)
+        # a value may be "-" or a negative integer, but not look like an option
+        if value is None or value[:1] == "-" and value != "-" and not value[1:].isdigit():
+            _refuse(f"argument {name}: expected one argument")
+        try:
+            setattr(args, field, int(value) if field in SEEDED_OPTIONS else value)
+        except ValueError:
+            _refuse(f"argument {name}: invalid int value: {value!r}")
+    if unknown:
+        _refuse(f"unrecognized arguments: {' '.join(unknown)}")
+    if command in SEEDED and args.seed is None:
+        _refuse("this command draws random bits; pass --seed")
+    return args
 
 
 def _failure(exc: Exception) -> tuple[int, dict]:
@@ -380,23 +384,19 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    env_level = os.environ.get("FORCING_LAB_LOG", "")
-    if env_level:
-        import logging
-        level = getattr(logging, env_level.upper(), None)  # BASIC_FORMAT is no level
-        logging.basicConfig(
-            stream=sys.stderr,
-            format="%(levelname)s %(name)s: %(message)s",
-            level=level if isinstance(level, int) else logging.WARNING)
     argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:  # the help is the whole output
+        print(USAGE, "", *(f"  {name:<12} {cmd.__doc__}" for name, cmd in HANDLERS.items()),
+              sep="\n")
+        return 0
     started = time.perf_counter()
     command = argv[0] if argv and argv[0] in HANDLERS else ""
     envelope: dict = {"command": command, "ok": False}
     out = sys.stdout
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(argv)
         try:
-            scenario = None if args.command == "selftest" else _read_scenario(args)
+            scenario = None if args.command == "selftest" else _read_scenario(args.input)
         finally:  # read before truncating: --out may name the --input file
             if args.out != "-":
                 out = _open(args.out, "w", "write report")

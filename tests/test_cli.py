@@ -332,10 +332,24 @@ def test_chained_generic_run_report_is_pinned(tmp_path):
         "d583b8aae2c29b38cffa3cc8121cbd00c20ee931507b934e2599bd967c88b842")
 
 
-def test_extend_without_seed_exits_two(tmp_path):
-    code, env = run(tmp_path, ["extend"], {"condition": SIMPLE_CONDITION})
-    assert code == 2
-    assert "--seed" in env["error"]["message"]
+def test_extend_without_seed_exits_two(tmp_path, capsys):
+    # a missing --seed is refused with the other bad arguments, before the
+    # scenario is read or --out opened, so the envelope goes to stdout and
+    # the usage line to stderr, for generic-run too
+    good, bad, out = tmp_path / "scenario.json", tmp_path / "bad.json", tmp_path / "out.json"
+    bad.write_text('{"bogus_key": 1}')
+    for command, scenario in (("extend", {"condition": SIMPLE_CONDITION}),
+                              ("generic-run", ONE_COVER_RUN)):
+        good.write_text(json.dumps(scenario))
+        for rest in (["--input", str(good)], ["--input", str(good), "--out", str(out)],
+                     ["--out", str(out), "--input", str(bad)]):
+            code = cli.main([command, *rest])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert json.loads(captured.out) == {"command": command, "ok": False, "error": {
+                "type": "UsageError", "message": "this command draws random bits; pass --seed"}}
+            assert captured.err.startswith("usage:")
+            assert not out.exists()
 
 
 @pytest.mark.parametrize("condition, named", [
@@ -779,19 +793,74 @@ def test_rapid_refuses_an_ignored_section(tmp_path, scenario, section):
     assert env["error"]["message"].startswith(f"rapid's {section!r} section needs")
 
 
-@pytest.mark.parametrize("argv", [
-    ["extend", "--seed", "abc"],
-    ["diagram", "--bogus"],
-], ids=["bad-seed", "unknown-flag"])
-def test_bad_arguments_exit_two_with_envelope(capsys, argv):
+@pytest.mark.parametrize("argv, message", [
+    (["slalom", "--seed", "3"], "unrecognized arguments: --seed 3"),
+    (["extend", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+    (["diagram", "--bogus"], "unrecognized arguments: --bogus"),
+    (["extend", "--seed"], "argument --seed: expected one argument"),
+    (["extend", "--seed", "--out", "x"], "argument --seed: expected one argument"),
+    (["generic-run", "--seed", "1", "--max-new-levels", "1.5"],
+     "argument --max-new-levels: invalid int value: '1.5'"),
+    (["refine", "--out"], "argument --out/-o: expected one argument"),
+    (["diagram", "-i", "a.json", "stray", "--inp", "b.json"],
+     "unrecognized arguments: stray --inp b.json"),
+    (["smz", "--input=a.json"], "unrecognized arguments: --input=a.json"),
+    (["bogus"], "argument command: invalid choice: 'bogus' (choose from 'slalom', 'refine', "
+                "'extend', 'generic-run', 'smz', 'rapid', 'diagram', 'selftest')"),
+    ([], None),
+], ids=["seed-on-slalom", "bad-seed", "unknown-flag", "no-seed-value", "option-as-value",
+        "bad-levels", "no-out-value", "stray-words", "equals-form", "unknown-command",
+        "no-command"])
+def test_bad_arguments_exit_two_with_envelope(capsys, argv, message):
+    # one envelope on stdout (no --out is open yet), the usage line on stderr
     code = cli.main(argv)
     captured = capsys.readouterr()
-    env = json.loads(captured.out)
     assert code == 2
-    assert env["command"] == argv[0]
+    env = json.loads(captured.out)
+    assert captured.out.count("\n") == 1
+    assert env["command"] == (argv[0] if argv and argv[0] in cli.HANDLERS else "")
     assert env["error"]["type"] == "UsageError"
+    if message is not None:
+        assert env["error"]["message"] == message
     assert captured.err.startswith("usage:")
     jsonschema.validate(env, REPORT_SCHEMA)
+
+
+@pytest.mark.parametrize("text, seed", [("-5", -5), ("+7", 7), (" 8 ", 8), ("1_0", 10)])
+def test_seed_reads_as_int_reads_it(tmp_path, text, seed):
+    code, env = run(tmp_path, ["extend", "--seed", text], {"condition": SIMPLE_CONDITION})
+    assert code == 0, env.get("error")
+    code, twin = run(tmp_path, ["extend", "--seed", str(seed)], {"condition": SIMPLE_CONDITION})
+    assert env["report"]["seed"] == seed and env["report"] == twin["report"]
+
+
+def test_options_repeat_and_come_in_any_order(tmp_path):
+    # a repeated option keeps its last value; --out may come before --input
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"condition": SIMPLE_CONDITION}))
+    out = tmp_path / "report.json"
+    code = cli.main(["extend", "-o", str(tmp_path / "first.json"), "--out", str(out),
+                     "--seed", "1", "-i", str(tmp_path / "missing.json"),
+                     "--max-new-levels", "9", "--input", str(path), "--seed", "7",
+                     "--max-new-levels", "1"])
+    env = json.loads(out.read_text())
+    assert code == 0 and not (tmp_path / "first.json").exists()
+    assert env["report"]["seed"] == 7 and env["report"]["condition"]["m"] == 1
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["extend", "--seed", "1", "-h"],
+                                  ["slalom", "--out", "report.json", "--help"]],
+                         ids=["h", "help", "h-after-command", "help-after-out"])
+def test_help_lists_every_command_without_an_envelope(tmp_path, argv):
+    done = subprocess.run([sys.executable, "-m", "forcing_lab.cli", *argv], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage:") and done.stderr == ""
+    text = " ".join(done.stdout.split())  # the docstrings as a wrapping help prints them
+    for name, handler in cli.HANDLERS.items():
+        assert f"{name} {handler.__doc__}" in text
+    assert '"command"' not in done.stdout and not (tmp_path / "report.json").exists()
 
 
 def test_unwritable_out_exits_two_on_stdout(tmp_path, capsys):
@@ -991,7 +1060,8 @@ def imported_modules(done) -> set:
 
 # what the CLI never needs, least of all to open its packaged schemas
 UNUSED = ("dataclasses", "inspect", "logging", "hashlib", "jsonschema",
-          "importlib.resources", "pathlib", "zipfile", "tempfile", "typing")
+          "importlib.resources", "pathlib", "zipfile", "tempfile", "typing",
+          "argparse", "gettext", "locale", "shutil")
 
 
 @pytest.mark.installed

@@ -11,7 +11,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, product, repeat
 from pathlib import Path
 
 import pytest
@@ -794,6 +794,35 @@ def test_deep_stem_extension_is_pinned(seed, depth, weights, levels, digest):
         [stats.pinned_m_prime, stats.m_prime, sorted(stats.retries.items()),
          stats.exhaustive_stems])
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_retries_do_not_rest_on_one_stream_draw(monkeypatch):
+    # 64 tops valued "" or "0" against the weight of the plane off [""] x [00],
+    # tagged at 15/16 of its score: counted over each stem class's whole
+    # candidate space, the first candidates are expected to fail 20 times or
+    # more, so every run seed retries somewhere
+    h = {"".join(b): "0" if b[:1] == ("1",) else ""
+         for k in range(7) for b in product("01", repeat=k)}
+    phi = phi_from_clopen(ClopenPlaneSet.from_rects([("", "1"), ("", "01")]).complement())
+    p = Condition(6, h, (TaggedWeight(score(h, phi) * Fraction(15, 16), phi),))
+    built = []
+    real = poset._stem_searches
+    monkeypatch.setattr(poset, "_stem_searches", lambda *args: built.append(args) or real(*args))
+    for run_seed in range(10):
+        q, stats = extend_detailed(p, run_seed, max_new_levels=3)
+        assert sum(stats.retries.values()) > 0 and stats.exhaustive_stems == []
+    phi_list, m, m2, delta = built[0]
+    assert (m, m2) == (6, 9)
+    search = real(phi_list, m, m2, delta)
+    space = range(2 ** 2 ** (m2 - m))
+    failing = {}  # per stem class: the share of its candidates that fail
+    expected = Fraction(0)
+    for s, value in p._top_pairs():
+        verdicts = search(s, value)
+        if id(verdicts) not in failing:
+            failing[id(verdicts)] = Fraction(sum(verdicts[e][0] >= 0 for e in space), len(space))
+        expected += failing[id(verdicts)]
+    assert len(failing) == 2 and expected >= 20
 
 
 def reference_check(phi, s, value, m, m2, delta):
