@@ -415,10 +415,11 @@ def _run(argv) -> int:
     if fault is not None:  # this program's fault, so _failure makes it exit 3
         code, error = _failure(RuntimeError(f"report {fault}"))
         envelope = {"command": command, "ok": False, "error": error}
-    # the envelope is a tree built here from a parsed scenario and fresh
-    # report values, so the encoder's cycle check could never fire
-    out.write(json.dumps(envelope, sort_keys=True, separators=(",", ":"),
-                         check_circular=False) + "\n")
+    try:
+        jsonio.write(envelope, out.write, json.dumps)
+        print(file=out, flush=True)
+    except BrokenPipeError:  # the reader left: the rest, the exit-time flush too, goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
     if out is not sys.stdout:
         out.close()
     _log("info", "%s finished with exit code %d", command, code)

@@ -9,8 +9,9 @@ counts it, so every integer and rational field takes it and no decoder converts.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
 from operator import itemgetter
 
@@ -23,6 +24,7 @@ from .poset import (
     TaggedWeight,
     TraceEntry,
     WeightFunction,
+    stem_text,
 )
 from .smz import IntervalSpec
 
@@ -116,19 +118,37 @@ def weight_from_json(data: Mapping) -> WeightFunction:
 
 
 def condition_to_json(p: Condition) -> dict:
-    # the (key, value) pairs come in key order from the condition, a grown
-    # stem's written once from its layers with no dict and no sort; they
-    # stay tuples, which json writes as arrays, so a stem costs one pair per
-    # key; report.schema.json does not look inside report bodies, where the
-    # compiled check would count only lists as arrays
-    return {
-        "m": p.m,
-        "h": p.pairs(),
-        "u": [
-            {"eps": rational_to_json(tw.eps), "phi": weight_to_json(tw.phi)}
-            for tw in p.u
-        ],
-    }
+    # "h" writes the stem's text in pieces (encode); report.schema.json never reads it
+    return {"m": p.m, "h": lambda: stem_text(p), "u": [
+        {"eps": rational_to_json(tw.eps), "phi": weight_to_json(tw.phi)} for tw in p.u]}
+
+
+def encode(tree, dumps=json.dumps) -> Iterator[str]:
+    """The JSON text of a report tree in pieces, as dumps(tree, sort_keys=True,
+    separators=(",", ":")) writes it with each callable value's pieces in its place:
+    a dict (of str keys) key by key, any other value in one dumps call, unchecked for cycles."""
+    if isinstance(tree, dict):
+        yield "{"
+        for i, key in enumerate(sorted(tree)):
+            yield ("," if i else "") + dumps(key) + ":"
+            yield from encode(tree[key], dumps)
+        yield "}"
+    elif callable(tree):
+        yield from tree()
+    else:
+        yield dumps(tree, sort_keys=True, separators=(",", ":"), check_circular=False)
+
+
+def write(tree, sink, dumps=json.dumps) -> None:
+    """Pass the JSON text of a report tree (encode) to sink about 64 KB at a time."""
+    pieces, size = [], 0
+    for piece in encode(tree, dumps):
+        pieces.append(piece)
+        size += len(piece)
+        if size >= 65536:
+            sink("".join(pieces))
+            pieces, size = [], 0
+    sink("".join(pieces))
 
 
 def condition_from_json(data: Mapping) -> Condition:

@@ -18,10 +18,11 @@ lucky the sampling was (Las Vegas, never Monte Carlo).
 
 from __future__ import annotations
 
+import json
 import math
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import cache, cached_property
 from operator import itemgetter
@@ -191,6 +192,12 @@ class TaggedWeight(FrozenValue):
     phi: WeightFunction
 
 
+# A stem's JSON forms (stem_text) as (open, a %-template of a pair of binary strings,
+# which need no escape, close): the wire's array of pairs, and an object for json.loads.
+ARRAY = ("[", '["%s","%s"]', "]")
+OBJECT = ("{", '"%s":"%s"', "}")
+
+
 class Condition(FrozenValue):
     """Stem map plus tagged weights.  h maps every binary string of length
     at most m to a binary string; use validate() for the full contract.
@@ -203,7 +210,7 @@ class Condition(FrozenValue):
     (ExtendStats.chosen).  Between a top and its new tops the new keys keep
     the top's value, and its i-th new top in key order appends bit i of e,
     so the layered levels are complete and monotone by construction.  h of
-    an extended condition is built from its pairs when first read
+    an extended condition is parsed from its text when first read
     (_stem_map) and kept; equality and repr read h, so an extended
     condition equals its materialized one."""
 
@@ -244,17 +251,16 @@ class Condition(FrozenValue):
         return [s for s, _ in self._top_pairs()]
 
     def pairs(self) -> list[tuple[str, str]]:
-        """The stem's (key, value) pairs in key order, written from the base
-        and layers (_write_layers), or h's items once an extended condition
-        has built h, which is in key order, so no key is written twice."""
-        if self._layers and "h" in self.__dict__:
-            return list(self.h.items())
-        return _write_layers(self._base, self._layers)
+        """The stem's (key, value) pairs in key order: a given stem's base, or
+        an extended one's h, parsed from its text (_stem_map) if not built."""
+        if not self._layers:
+            return list(self._base[1])
+        return list((self.__dict__.get("h") or _stem_map(self)).items())
 
 
 def _stem_map(p: Condition) -> dict:
-    """The full map of an extended condition, built from its pairs."""
-    return dict(p.pairs())
+    """The full map of an extended condition, parsed from its OBJECT text."""
+    return json.loads("".join(stem_text(p, OBJECT)))
 
 
 def trivial_condition() -> Condition:
@@ -416,11 +422,10 @@ def _shake(text: str, size: int) -> bytes:
     return shake_256(text.encode()).digest(size)
 
 
-# A stem of depth m holds 2^(m+1) keys.  A depth-20 `extend` of the trivial
-# condition with one full weight took 1.5-1.6 s and peaked at 432 MB RSS through
-# the CLI (2-vCPU host, Python 3.11.7), writing 58 MB of JSON: the peak is the
-# wire pairs and their JSON text, and each level doubles both, so deeper stems
-# are refused before any is written.
+# A stem of depth m holds 2^(m+1) keys, written from its layers in pieces: a depth-20
+# `extend` of the trivial condition with one full weight writes 58 MB of JSON in
+# 0.3-0.5 s at 15 MB peak RSS through the CLI (2-vCPU host, Python 3.11.7).  Each
+# level doubles the time and the text, so deeper stems are refused.
 _MAX_DEPTH = 20
 # Sampled candidates per stem before the exhaustive fallback, and the cap on the
 # 2^(2^k) patterns of k new levels it enumerates: in effect 2^16 (k <= 4).
@@ -565,28 +570,6 @@ def _check_sum(check: tuple, e: int) -> int:
     return acc
 
 
-def _suffixes(k: int) -> list[str]:
-    """Every binary string of length 1..k in preorder, which is sorted
-    order: each string comes right before its extensions, so the strings
-    of length k come in increasing binary value."""
-    out: list[str] = []
-    for _ in range(k):
-        out = ["0", *["0" + u for u in out], "1", *["1" + u for u in out]]
-    return out
-
-
-# Levels of a grown top written per pass of _write_top.
-_CHUNK = 8
-
-
-@cache
-def _chunk(c: int) -> tuple[list[str], str]:
-    """The suffixes of c levels (_suffixes(c)) and a %-template of their
-    values: "x" for an inner suffix, "%s" for one of length c."""
-    low = _suffixes(c)
-    return low, "".join("%s" if len(u) == c else "x" for u in low)
-
-
 def _grown_tops(m2: int, tops: Sequence[tuple[str, str]], chosen: Mapping) -> list[tuple[str, str]]:
     """The (top, value) pairs, in key order, of the level that a layer (see
     Condition) grew to depth m2 from the pairs tops."""
@@ -599,68 +582,64 @@ def _grown_tops(m2: int, tops: Sequence[tuple[str, str]], chosen: Mapping) -> li
     return grown
 
 
-def _write_layers(base: tuple[int, list], layers: Sequence) -> list[tuple[str, str]]:
-    """The (key, value) pairs of a base and its layers (see Condition) in
-    key order, in one pass: each pair of the base and, after each of its
-    tops, the pairs grown under it.  The tops of each level are reached in
-    key order, the order of the next layer's tops, so each layer's pairs
-    and patterns are read in turn.  A top of the last layer writes its
-    levels a chunk at a time (_write_top); one of an earlier layer walks
-    its suffixes, writing each new top as the next layer holds it,
-    followed by what that layer grows under it."""
-    depths = [base[0], *(m2 for m2, _, _ in layers)]
-    suffixes = [_suffixes(m2 - m) for m, m2 in zip(depths, depths[1:-1])]
+# Levels of a grown top written per filled _chunk template: 511 keys.
+_CHUNK = 8
+
+
+def _inner(s: str, v: str, k: int, pair: str) -> Iterator[tuple[str, str]]:
+    """(text, w) for each w = s + u, u of length k, in key order: text is the
+    pairs valued v of the keys s + u[:j], 0 < j < k, between w and the one before."""
+    for r in range(2 ** k):
+        u = format(r, f"0{k}b")
+        new = (r & -r).bit_length() if r else k  # the prefixes w does not share with r - 1
+        yield "".join("," + pair % (s + u[:j], v) for j in range(k - new + 1, k)), s + u
+
+
+@cache
+def _chunk(c: int, pair: str) -> str:
+    """The pairs of the c levels under a top, each led by a comma: K stands for the
+    top, V for its value, and the value of a key of length c ends in %s, its bit."""
+    return "".join(text + "," + pair % (w, "V%s") for text, w in _inner("K", "V", c, pair))
+
+
+def stem_text(p: Condition, form: tuple[str, str, str] = ARRAY) -> Iterator[str]:
+    """The JSON text of p's stem in form, in pieces, in one pass over the base
+    and layers (see Condition): each pair of the base and, after each of its
+    tops, the pairs grown under it.  A top of an earlier layer writes its new
+    keys (_inner), each new top as the next layer holds it and then what that
+    layer grows under it; one of the last layer fills _chunk's template of its
+    last min(k, _CHUNK) levels with its pattern's bits, once per string of the
+    levels above them, so a piece costs a few C-level calls."""
+    start, pair, end = form
+    (m, pairs), layers = p._base, p._layers
     grown = [zip(tops, chosen.values()) for _, tops, chosen in layers]
-    codes: dict[int, str] = {}  # the last layer's value codes, per pattern
-    out: list[tuple[str, str]] = []
+    codes: dict[int, str] = {}
 
-    def grow(top: tuple[str, str], e: int, j: int) -> None:
-        s, v = top
-        k = depths[j + 1] - depths[j]
-        if j == len(suffixes):
-            _write_top(out, s, v, e, k, codes)
-            return
-        following = grown[j + 1]
-        for u in suffixes[j]:
-            if len(u) < k:
-                out.append((s + u, v))
-            else:
-                new, e_new = next(following)  # the top s + u, valued as grown
-                out.append(new)
-                grow(new, e_new, j + 1)
+    def grow(s: str, v: str, e: int, j: int) -> Iterator[str]:
+        k = layers[j][0] - len(s)
+        if j + 1 < len(layers):
+            for text, w in _inner(s, v, k, pair):
+                (_, value), e_new = next(grown[j + 1])  # the top w, valued as grown
+                yield text + "," + pair % (w, value)
+                yield from grow(w, value, e_new, j + 1)
+        elif k <= _CHUNK:
+            code = codes.get(e) or _chunk(k, pair) % tuple(format(e, f"0{2 ** k}b")[::-1])
+            if k <= 3:  # at most 256 patterns: kept for the other tops
+                codes[e] = code
+            yield code.replace("K", s).replace("V", v)
+        else:
+            bits, size = e.to_bytes(2 ** k // 8, "little"), 2 ** _CHUNK // 8  # bytes per block
+            for r, (text, w) in enumerate(_inner(s, v, k - _CHUNK, pair)):
+                block = int.from_bytes(bits[r * size:(r + 1) * size], "little")
+                code = _chunk(_CHUNK, pair) % tuple(format(block, f"0{2 ** _CHUNK}b")[::-1])
+                yield text + "," + pair % (w, v) + code.replace("K", w).replace("V", v)
 
-    for pair in base[1]:
-        out.append(pair)
-        if layers and len(pair[0]) == depths[0]:
-            grow(*next(grown[0]), 0)
-    return out
-
-
-def _write_top(out: list, s: str, v: str, e: int, k: int, codes: dict) -> None:
-    """Append to out, in key order, the pairs of the k levels grown under a
-    top s valued v with the pattern e.  The last c = min(k, _CHUNK) levels
-    are written a chunk at a time: under each string w of length k - c (s
-    itself when c = k) the keys w + _suffixes(c), valued in one pass over
-    _chunk(c)'s template filled with w's block of 2^c bits of e.  When
-    c = k the filled template is kept in codes, per pattern, for the other
-    tops of the layer."""
-    c = min(k, _CHUNK)
-    low, template = _chunk(c)
-    pick = {"x": v, "0": v + "0", "1": v + "1"}.__getitem__
-    if c == k:
-        code = codes.get(e)
-        if code is None:
-            code = codes[e] = template % tuple(format(e, f"0{2 ** k}b")[::-1])
-        out += zip([s + u for u in low], map(pick, code))
-        return
-    bits = format(e, f"0{2 ** k}b")[::-1]
-    block, at = 2 ** c, 0
-    for u in _suffixes(k - c):
-        w = s + u
-        out.append((w, v))
-        if len(u) == k - c:
-            out += zip([w + x for x in low], map(pick, template % tuple(bits[at:at + block])))
-            at += block
+    yield start
+    for i, (s, v) in enumerate(pairs):
+        yield ("," if i else "") + pair % (s, v)
+        if layers and len(s) == m:
+            yield from grow(s, v, next(grown[0])[1], 0)  # the top s, with its pattern
+    yield end
 
 
 def extend_detailed(

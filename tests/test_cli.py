@@ -1045,6 +1045,68 @@ def run_module(argv, scenario, *flags, **env):
                           env={**base, **env}, timeout=60)
 
 
+def spawn_module(argv, stdout):
+    """`python -m forcing_lab.cli <argv>` started as run_module starts it,
+    stdin and stderr piped, stdout given."""
+    env = {k: v for k, v in os.environ.items() if k != "FORCING_LAB_LOG"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.Popen([sys.executable, "-m", "forcing_lab.cli", *argv], env=env,
+                            stdin=subprocess.PIPE, stdout=stdout, stderr=subprocess.PIPE)
+
+
+def pinned_by(eps):
+    """An extend scenario: the trivial stem with one full weight tagged eps."""
+    return {"condition": {**SIMPLE_CONDITION, "u": [{**SIMPLE_CONDITION["u"][0], "eps": eps}]}}
+
+
+@pytest.mark.parametrize("argv, scenario, read", [
+    (["extend", "--seed", "0"], pinned_by("125/128"), 10),
+    (["slalom"], {"name": HALVES_NAME}, 0),
+], ids=["large", "tiny"])
+def test_a_closed_stdout_ends_the_run_quietly(argv, scenario, read):
+    # the reader leaves after 10 bytes of a depth-16 envelope (3.1 MB), or
+    # before a 0.3 KB one is written: the run keeps its exit code, and
+    # neither the write nor the exit-time flush prints a traceback
+    r, w = os.pipe()
+    if not read:
+        os.close(r)
+    proc = spawn_module(argv, w)
+    os.close(w)
+    proc.stdin.write(json.dumps(scenario).encode())
+    proc.stdin.close()
+    if read:
+        assert os.read(r, read).startswith(b'{"command"')
+        os.close(r)
+    stderr = proc.stderr.read()
+    assert (proc.wait(timeout=60), stderr) == (0, b"")
+
+
+# Linux carries the peak RSS of the image a process replaces at exec into
+# its own, so the CLI is spawned by a small process, not by pytest's
+RSS_PROBE = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE)
+head, size = proc.stdout.read(60), 0
+while chunk := proc.stdout.read(2 ** 20):
+    size += len(chunk)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, size, head.decode())
+"""
+
+
+def test_a_depth_20_extend_writes_58_megabytes_in_little_memory():
+    # 2,097,151 keys written from the layers 64 KB at a time: the process
+    # peaks at 15-17 MB RSS on Python 3.11; writing the whole envelope with
+    # json.dumps from one pair per key peaked at 431 MB
+    argv = ["extend", "--seed", "0", "--max-new-levels", "20"]
+    done = run_module(argv, pinned_by("255/256"), "-c", RSS_PROBE, sys.executable)
+    code, rss_kb, size, head = done.stdout.split(" ", 3)
+    assert (code, done.stderr) == ("0", "")
+    assert head.startswith('{"command":"extend","meta":{"wall_time_ms":') and '"ok":true' in head
+    assert int(size) > 57 * 10 ** 6
+    assert int(rss_kb) < 64 * 1024, f"{int(rss_kb) / 1024:.1f} MB"
+
+
 # candidate streams come from the interpreter's built-in SHAKE-256 where it
 # has one, so an extension process never loads hashlib and with it OpenSSL
 NEEDS_BUILTIN_SHA3 = pytest.mark.skipif(

@@ -3,12 +3,12 @@ JSON codecs."""
 
 import json
 import math
-import struct
-import sys
 import tracemalloc
 from fractions import Fraction as Rational
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from forcing_lab import (
     Certificate,
@@ -33,6 +33,7 @@ from forcing_lab.jsonio import (
     clopen_to_json,
     condition_from_json,
     condition_to_json,
+    encode,
     interval_from_json,
     interval_to_json,
     name_from_json,
@@ -45,6 +46,22 @@ from forcing_lab.jsonio import (
     weight_from_json,
     weight_to_json,
 )
+
+
+def parsed(tree):
+    """The JSON that tree encodes to (jsonio.encode), read back."""
+    return json.loads("".join(encode(tree)))
+
+
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner), max_leaves=20)
+
+
+@given(JSON_TREES)
+def test_encode_writes_what_json_dumps_writes(tree):
+    # dicts are walked key by key, everything else is one dumps call
+    assert "".join(encode(tree)) == json.dumps(tree, sort_keys=True, separators=(",", ":"))
 
 
 def test_rational_wire_form():
@@ -135,52 +152,47 @@ def test_weight_decode_parses_each_value_text_once(monkeypatch):
 
 def test_condition_round_trip():
     p = attach_weight(trivial_condition(), Rational(1, 2), WeightFunction.full())
-    wire = condition_to_json(p)
+    wire = parsed(condition_to_json(p))
     assert wire["m"] == 0
-    assert wire["h"] == [("", "")]
+    assert wire["h"] == [["", ""]]
     assert wire["u"][0]["eps"] == "1/2"
     assert condition_from_json(wire) == p
     with pytest.raises(KeyError):
         condition_from_json({"m": 0, "h": [["", ""]]})  # "u" is mandatory
 
 
-def test_encoding_a_grown_stem_makes_one_pair_per_key():
-    # the sorted pairs are the wire pairs, with no second object per key,
-    # whatever the Python's object sizes; the stem is large enough that the
-    # pairs the tuple free list hands out untraced do not hide a second object
-    p = attach_weight(trivial_condition(), Rational(127, 128), WeightFunction.full())
-    q, _ = extend_detailed(p, 1, max_new_levels=12)
-    assert len(q.h) == 2 ** 13 - 1
-    per_key = 1.25 * (sys.getsizeof(("", "")) + struct.calcsize("P"))
+def write_peak(q) -> int:
+    """The traced peak of writing q's wire form, as the CLI writes it, to a
+    sink that keeps nothing."""
+    tree = condition_to_json(q)
+    jsonio.write(tree, len)  # fills the chunk templates, which are kept
     tracemalloc.start()
     try:
-        wire = condition_to_json(q)
-        _, peak = tracemalloc.get_traced_memory()
+        jsonio.write(tree, len)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(wire["h"]) == len(q.h)
-    assert peak <= per_key * len(q.h), f"{peak / len(q.h):.1f} B per key"
 
 
-def test_extending_and_encoding_hold_only_the_wire_pairs():
-    # a condition pinned at depth 16, extended and encoded with its h never
-    # read: the grown stem is held as layers and written once, so the peak
-    # is the 131,071 wire pairs and their key strings.  On Python 3.11 it
-    # read 130 B per key; building the full map first, then a sorted list
-    # of its items, read 157.5 B per key.
-    p = attach_weight(trivial_condition(), Rational(125, 128), WeightFunction.full())
-    tracemalloc.start()
-    try:
-        q, stats = extend_detailed(p, 16)
-        wire = condition_to_json(q)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    keys = len(wire["h"])
-    assert stats.pinned_m_prime == q.m == 16 and keys == 2 ** 17 - 1
-    per_key = sys.getsizeof(("", "")) + sys.getsizeof("0" * 16) + struct.calcsize("P")
-    assert peak <= 1.1 * per_key * keys, f"{peak / keys:.1f} B per key"
-    assert "h" not in vars(q)  # encoding did not build the map
+def pinned(depth):
+    """The trivial stem extended to depth, its one full weight tagged to pin it deeper."""
+    p = attach_weight(trivial_condition(), Rational(255, 256), WeightFunction.full())
+    return extend_detailed(p, 1, max_new_levels=depth)[0]
+
+
+def test_writing_a_depth_16_stem_peaks_under_a_megabyte():
+    # 131,071 keys written from the layers, 3.1 MB of text, with h never
+    # built: the 64 KB pieces and one chunk template at a time
+    q = pinned(16)
+    peak = write_peak(q)
+    assert q.m == 16 and "h" not in vars(q)
+    assert peak < 2 ** 20, f"{peak / 1024:.0f} KB"
+
+
+def test_writing_a_deeper_stem_holds_no_more():
+    # 16 times the keys: only the pattern's own bytes, one bit per key, grow
+    shallow, deep = write_peak(pinned(14)), write_peak(pinned(18))
+    assert deep < 1.5 * shallow, f"{deep / 1024:.0f} KB against {shallow / 1024:.0f} KB"
 
 
 def test_certificate_and_trace_shapes():
@@ -211,6 +223,6 @@ def test_assignment_decode_refuses_bad_label():
 
 def test_wire_forms_are_json_serializable_and_stable():
     p = attach_weight(trivial_condition(), Rational(1, 2), WeightFunction.full())
-    once = json.dumps(condition_to_json(p), sort_keys=True)
-    again = json.dumps(condition_to_json(p), sort_keys=True)
+    once = json.dumps(parsed(condition_to_json(p)), sort_keys=True)
+    again = json.dumps(parsed(condition_to_json(p)), sort_keys=True)
     assert once == again

@@ -43,10 +43,15 @@ from forcing_lab import (
 )
 from forcing_lab import poset
 from forcing_lab.cantor import _extensions, check_bits
-from forcing_lab.jsonio import condition_to_json, weight_to_json
-from forcing_lab.poset import ClauseViolation, _stem_searches
+from forcing_lab.jsonio import condition_to_json, encode, weight_to_json
+from forcing_lab.poset import OBJECT, ClauseViolation, _stem_searches, stem_text
 
 FULL_W = WeightFunction.full()
+
+
+def parsed(tree):
+    """The JSON that tree encodes to (jsonio.encode), read back."""
+    return json.loads("".join(encode(tree)))
 
 
 def simple_condition(eps=Fraction(1, 2)):
@@ -790,7 +795,7 @@ def test_deep_stem_extension_is_pinned(seed, depth, weights, levels, digest):
     u = tuple(TaggedWeight(score(h, phi) * Fraction(15, 16), phi) for phi in weights)
     q, stats = extend_detailed(Condition(depth, h, u), seed, max_new_levels=levels)
     assert sum(stats.retries.values()) > 0  # some first candidates failed
-    text = json.dumps(condition_to_json(q), sort_keys=True) + json.dumps(
+    text = json.dumps(parsed(condition_to_json(q)), sort_keys=True) + json.dumps(
         [stats.pinned_m_prime, stats.m_prime, sorted(stats.retries.items()),
          stats.exhaustive_stems])
     assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -1104,11 +1109,11 @@ def test_layered_conditions_match_their_materialized_stems():
             ref, scores = reference_growth(Condition(p.m, ref, p.u), q.m, stats.chosen)
             retries += sum(stats.retries.values())
             chains.add(step)
-            wire = condition_to_json(q)["h"]  # written from the layers: h is not built yet
+            wire = parsed(condition_to_json(q))["h"]  # written from the layers: h is not built yet
             assert "h" not in vars(q)
             plain = Condition(q.m, q.h, q.u)
             assert q.h == ref and list(q.h) == sorted(ref)
-            assert wire == sorted(ref.items())
+            assert wire == [list(pair) for pair in sorted(ref.items())]
             assert validate(q) == validate(plain) and validate(q).scores == scores
             for phi in [tw.phi for tw in q.u] + [cover_weight(rng) for _ in range(3)]:
                 assert score(q, phi) == score(plain, phi) == score(ref, phi)
@@ -1119,6 +1124,43 @@ def test_layered_conditions_match_their_materialized_stems():
             assert certificate(q, f) == certificate(plain, f)
             assert sigma_centered_index(q) == sigma_centered_index(plain)
     assert chains == {0, 1, 2} and resolutions == {0, 1, 2, 3} and retries > 0
+
+
+WRITER_SHAPES = {**{f"k{k}": (k,) for k in range(1, 13)},
+                 "run-2": (3, 3), "run-3": (2, 3, 1), "run-4": (3, 1, 3, 2)}
+
+
+@pytest.mark.parametrize("shape", WRITER_SHAPES)
+def test_stem_text_is_what_json_writes_of_the_grown_pairs(shape):
+    # one layer of k levels, k <= _CHUNK a filled template per top and k >
+    # _CHUNK one per string of length k - _CHUNK, or 2-4 layers of a run
+    # with a cover's complement weight attached between extensions, its
+    # table sharing one value: the wire text and the object text against
+    # json.dumps of the pairs grown key by key (reference_growth), before
+    # and after h is read, and the given stem's own text
+    levels = WRITER_SHAPES[shape]
+    rng = random.Random(shape)
+    m = 0 if sum(levels) > 9 else rng.randint(0, 2)
+    ref = sparse_stem(rng, m)
+    q = given = Condition(m, ref, (TaggedWeight(score(ref, FULL_W) * Fraction(255, 256), FULL_W),))
+    for i, k in enumerate(levels):
+        if i:
+            q = avoid_null(q, ClopenPlaneSet.from_rects([("1", "010")], (1, 3)), Fraction(1, 2))
+        p = q
+        q, stats = extend_detailed(p, rng.getrandbits(32), max_new_levels=k)
+        assert q.m == p.m + k
+        ref = reference_growth(Condition(p.m, ref, p.u), q.m, stats.chosen)[0]
+    assert len(q._layers) == len(levels)
+    if len(levels) > 1:
+        assert len(set(map(id, q.u[-1].phi.table.values()))) == 1 < len(q.u[-1].phi.table)
+    for cond, pairs in ((given, sorted(given.h.items())), (q, sorted(ref.items()))):
+        expected = json.dumps({**condition_to_json(cond), "h": pairs}, sort_keys=True,
+                              separators=(",", ":"))
+        objects = json.dumps(dict(pairs), separators=(",", ":"))
+        for _ in range(2):  # h not read yet, then read
+            assert "".join(encode(condition_to_json(cond))) == expected
+            assert "".join(stem_text(cond, OBJECT)) == objects
+            assert cond.h == dict(pairs) and cond.pairs() == pairs
 
 
 def test_a_given_stem_in_scrambled_key_order_reads_as_its_sorted_twin():
@@ -1137,12 +1179,12 @@ def test_a_given_stem_in_scrambled_key_order_reads_as_its_sorted_twin():
         assert list(scrambled.h) != sorted(scrambled.h)
         assert scrambled.pairs() == ordered.pairs() == sorted(items)
         assert scrambled.tops() == ordered.tops() == sorted(s for s in ref if len(s) == m)
-        assert condition_to_json(scrambled) == condition_to_json(ordered)
+        assert parsed(condition_to_json(scrambled)) == parsed(condition_to_json(ordered))
         seed, levels = rng.getrandbits(32), rng.randint(1, 3)
         q1, stats1 = extend_detailed(scrambled, seed, max_new_levels=levels)
         q2, stats2 = extend_detailed(ordered, seed, max_new_levels=levels)
         assert list(stats1.chosen.items()) == list(stats2.chosen.items())
-        assert condition_to_json(q1)["h"] == condition_to_json(q2)["h"]
+        assert parsed(condition_to_json(q1))["h"] == parsed(condition_to_json(q2))["h"]
         assert q1.h == reference_growth(scrambled, q1.m, stats1.chosen)[0]
 
 
@@ -1369,7 +1411,7 @@ def test_merging_extended_conditions_matches_merging_their_twins():
         assert merged._layers is q1._layers and len(merged._layers) == layers
         assert merged.pairs() == twin.pairs() == sorted(twin.h.items())
         assert validate(merged) == validate(twin)
-        assert condition_to_json(merged) == condition_to_json(twin)
+        assert parsed(condition_to_json(merged)) == parsed(condition_to_json(twin))
         assert twin.h is q1.h  # a given stem's map is shared, not copied
 
 
