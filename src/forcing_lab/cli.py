@@ -10,11 +10,14 @@ The report body echoes the scenario under "inputs", records the seed for
 seeded commands, and is deterministic for a fixed scenario and seed; only
 meta varies.  Exit codes: 0 when the run's checks all pass, 1 for domain errors
 or failed checks, 2 for unusable input (bad arguments, missing --seed, an
-unreadable --input, an unwritable --out, bad JSON, a key repeated within one
-object, a scenario nested too deeply, schema violations, missing sections),
-3 for any other failure, reported as an "InternalError" envelope.
---out is opened once the scenario has been read (or failed to read), before
-the run; if that or the command line fails, the envelope goes to stdout.
+unreadable --input, an --out that cannot be opened or written, bad JSON, a key
+repeated within one object, a scenario nested too deeply, schema violations,
+missing sections) and for a stdout that cannot be written, which is said in
+one line on stderr, 3 for any other failure, reported as an "InternalError"
+envelope.  --out is opened once the scenario has been read (or failed to read),
+before the run; if that, its write or the command line fails, the envelope (a
+UsageError for --out) goes to stdout.  A stdout closed early by its reader ends
+the run quietly with the run's own exit code.
 Results are exact and written in full, so the run lifts the interpreter's
 limit on int-text digits, and main restores it before it returns.
 
@@ -415,14 +418,31 @@ def _run(argv) -> int:
     if fault is not None:  # this program's fault, so _failure makes it exit 3
         code, error = _failure(RuntimeError(f"report {fault}"))
         envelope = {"command": command, "ok": False, "error": error}
+    code = _emit(envelope, out, code)
+    _log("info", "%s finished with exit code %d", command, code)
+    return code
+
+
+def _emit(envelope: dict, out, code: int) -> int:
+    """Write envelope, then a newline, to out (closed after unless it is stdout)
+    and return the exit code: code, or 2 when the write fails.  A failed --out
+    write sends a UsageError envelope to stdout instead, a failed stdout write
+    one line to stderr; a reader that leaves keeps the run's code."""
     try:
         jsonio.write(envelope, out.write, json.dumps)
         print(file=out, flush=True)
-    except BrokenPipeError:  # the reader left: the rest, the exit-time flush too, goes nowhere
+    except OSError as exc:  # the rest, the closing or exit-time flush too, goes nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            if out is sys.stdout:
+                print(f"forcing-lab: cannot write report: {exc}", file=sys.stderr)
+                return 2
+            out.close()
+            code, error = _failure(UsageError(f"cannot write report: {exc}"))
+            return _emit({"command": envelope["command"], "ok": False, "error": error},
+                         sys.stdout, code)
     if out is not sys.stdout:
         out.close()
-    _log("info", "%s finished with exit code %d", command, code)
     return code
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from operator import itemgetter
 
@@ -118,37 +118,26 @@ def weight_from_json(data: Mapping) -> WeightFunction:
 
 
 def condition_to_json(p: Condition) -> dict:
-    # "h" writes the stem's text in pieces (encode); report.schema.json never reads it
-    return {"m": p.m, "h": lambda: stem_text(p), "u": [
+    # "h" writes the stem's text to the sink (write); report.schema.json never reads it
+    return {"m": p.m, "h": lambda sink: stem_text(p, sink), "u": [
         {"eps": rational_to_json(tw.eps), "phi": weight_to_json(tw.phi)} for tw in p.u]}
 
 
-def encode(tree, dumps=json.dumps) -> Iterator[str]:
-    """The JSON text of a report tree in pieces, as dumps(tree, sort_keys=True,
-    separators=(",", ":")) writes it with each callable value's pieces in its place:
-    a dict (of str keys) key by key, any other value in one dumps call, unchecked for cycles."""
-    if isinstance(tree, dict):
-        yield "{"
-        for i, key in enumerate(sorted(tree)):
-            yield ("," if i else "") + dumps(key) + ":"
-            yield from encode(tree[key], dumps)
-        yield "}"
-    elif callable(tree):
-        yield from tree()
-    else:
-        yield dumps(tree, sort_keys=True, separators=(",", ":"), check_circular=False)
-
-
 def write(tree, sink, dumps=json.dumps) -> None:
-    """Pass the JSON text of a report tree (encode) to sink about 64 KB at a time."""
-    pieces, size = [], 0
-    for piece in encode(tree, dumps):
-        pieces.append(piece)
-        size += len(piece)
-        if size >= 65536:
-            sink("".join(pieces))
-            pieces, size = [], 0
-    sink("".join(pieces))
+    """Pass the JSON text of a report tree to sink in pieces, as dumps(tree, sort_keys=True,
+    separators=(",", ":")) writes it with each callable value writing its own text to sink
+    in its place: a dict (of str keys) key by key, any other value in one dumps call,
+    unchecked for cycles."""
+    if isinstance(tree, dict):
+        sink("{")
+        for i, key in enumerate(sorted(tree)):
+            sink(("," if i else "") + dumps(key) + ":")
+            write(tree[key], sink, dumps)
+        sink("}")
+    elif callable(tree):
+        tree(sink)
+    else:
+        sink(dumps(tree, sort_keys=True, separators=(",", ":"), check_circular=False))
 
 
 def condition_from_json(data: Mapping) -> Condition:

@@ -18,11 +18,10 @@ lucky the sampling was (Las Vegas, never Monte Carlo).
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import cache, cached_property
 from operator import itemgetter
@@ -192,12 +191,6 @@ class TaggedWeight(FrozenValue):
     phi: WeightFunction
 
 
-# A stem's JSON forms (stem_text) as (open, a %-template of a pair of binary strings,
-# which need no escape, close): the wire's array of pairs, and an object for json.loads.
-ARRAY = ("[", '["%s","%s"]', "]")
-OBJECT = ("{", '"%s":"%s"', "}")
-
-
 class Condition(FrozenValue):
     """Stem map plus tagged weights.  h maps every binary string of length
     at most m to a binary string; use validate() for the full contract.
@@ -259,8 +252,15 @@ class Condition(FrozenValue):
 
 
 def _stem_map(p: Condition) -> dict:
-    """The full map of an extended condition, parsed from its OBJECT text."""
-    return json.loads("".join(stem_text(p, OBJECT)))
+    """The full map of an extended condition, read from its wire text: with
+    the brackets around and between its pairs (_PAIR) cut, it splits at '","'
+    into keys and values in turn.  json.loads, or a split at every quote,
+    would also make an object per pair, and building and then reading the
+    map (C04) would be slower."""
+    text: list[str] = []
+    stem_text(p, text.append)
+    parts = "".join(text).replace('"],["', '","')[3:-3].split('","')
+    return dict(zip(parts[::2], parts[1::2]))
 
 
 def trivial_condition() -> Condition:
@@ -584,62 +584,64 @@ def _grown_tops(m2: int, tops: Sequence[tuple[str, str]], chosen: Mapping) -> li
 
 # Levels of a grown top written per filled _chunk template: 511 keys.
 _CHUNK = 8
+# A stem's (key, value) pair on the wire; binary strings need no escape.
+_PAIR = '["%s","%s"]'
 
 
-def _inner(s: str, v: str, k: int, pair: str) -> Iterator[tuple[str, str]]:
+def _inner(s: str, v: str, k: int) -> Iterator[tuple[str, str]]:
     """(text, w) for each w = s + u, u of length k, in key order: text is the
     pairs valued v of the keys s + u[:j], 0 < j < k, between w and the one before."""
     for r in range(2 ** k):
         u = format(r, f"0{k}b")
         new = (r & -r).bit_length() if r else k  # the prefixes w does not share with r - 1
-        yield "".join("," + pair % (s + u[:j], v) for j in range(k - new + 1, k)), s + u
+        yield "".join("," + _PAIR % (s + u[:j], v) for j in range(k - new + 1, k)), s + u
 
 
 @cache
-def _chunk(c: int, pair: str) -> str:
+def _chunk(c: int) -> str:
     """The pairs of the c levels under a top, each led by a comma: K stands for the
     top, V for its value, and the value of a key of length c ends in %s, its bit."""
-    return "".join(text + "," + pair % (w, "V%s") for text, w in _inner("K", "V", c, pair))
+    return "".join(text + "," + _PAIR % (w, "V%s") for text, w in _inner("K", "V", c))
 
 
-def stem_text(p: Condition, form: tuple[str, str, str] = ARRAY) -> Iterator[str]:
-    """The JSON text of p's stem in form, in pieces, in one pass over the base
-    and layers (see Condition): each pair of the base and, after each of its
-    tops, the pairs grown under it.  A top of an earlier layer writes its new
-    keys (_inner), each new top as the next layer holds it and then what that
-    layer grows under it; one of the last layer fills _chunk's template of its
-    last min(k, _CHUNK) levels with its pattern's bits, once per string of the
-    levels above them, so a piece costs a few C-level calls."""
-    start, pair, end = form
+def stem_text(p: Condition, sink: Callable[[str], object]) -> None:
+    """Pass the JSON text of p's stem, an array of (key, value) pairs, to sink in
+    pieces, in one pass over the base and layers (see Condition): each pair of
+    the base and, after each of its tops, the pairs grown under it.  A top of an
+    earlier layer writes its new keys (_inner), each new top as the next layer
+    holds it and then what that layer grows under it; one of the last layer
+    fills _chunk's template of its last min(k, _CHUNK) levels with its
+    pattern's bits, once per string of the levels above them, so a piece costs
+    a few C-level calls."""
     (m, pairs), layers = p._base, p._layers
     grown = [zip(tops, chosen.values()) for _, tops, chosen in layers]
     codes: dict[int, str] = {}
 
-    def grow(s: str, v: str, e: int, j: int) -> Iterator[str]:
+    def grow(s: str, v: str, e: int, j: int) -> None:
         k = layers[j][0] - len(s)
         if j + 1 < len(layers):
-            for text, w in _inner(s, v, k, pair):
+            for text, w in _inner(s, v, k):
                 (_, value), e_new = next(grown[j + 1])  # the top w, valued as grown
-                yield text + "," + pair % (w, value)
-                yield from grow(w, value, e_new, j + 1)
+                sink(text + "," + _PAIR % (w, value))
+                grow(w, value, e_new, j + 1)
         elif k <= _CHUNK:
-            code = codes.get(e) or _chunk(k, pair) % tuple(format(e, f"0{2 ** k}b")[::-1])
+            code = codes.get(e) or _chunk(k) % tuple(format(e, f"0{2 ** k}b")[::-1])
             if k <= 3:  # at most 256 patterns: kept for the other tops
                 codes[e] = code
-            yield code.replace("K", s).replace("V", v)
+            sink(code.replace("K", s).replace("V", v))
         else:
             bits, size = e.to_bytes(2 ** k // 8, "little"), 2 ** _CHUNK // 8  # bytes per block
-            for r, (text, w) in enumerate(_inner(s, v, k - _CHUNK, pair)):
+            for r, (text, w) in enumerate(_inner(s, v, k - _CHUNK)):
                 block = int.from_bytes(bits[r * size:(r + 1) * size], "little")
-                code = _chunk(_CHUNK, pair) % tuple(format(block, f"0{2 ** _CHUNK}b")[::-1])
-                yield text + "," + pair % (w, v) + code.replace("K", w).replace("V", v)
+                code = _chunk(_CHUNK) % tuple(format(block, f"0{2 ** _CHUNK}b")[::-1])
+                sink(text + "," + _PAIR % (w, v) + code.replace("K", w).replace("V", v))
 
-    yield start
+    sink("[")
     for i, (s, v) in enumerate(pairs):
-        yield ("," if i else "") + pair % (s, v)
+        sink(("," if i else "") + _PAIR % (s, v))
         if layers and len(s) == m:
-            yield from grow(s, v, next(grown[0])[1], 0)  # the top s, with its pattern
-    yield end
+            grow(s, v, next(grown[0])[1], 0)  # the top s, with its pattern
+    sink("]")
 
 
 def extend_detailed(

@@ -1059,6 +1059,7 @@ def pinned_by(eps):
     return {"condition": {**SIMPLE_CONDITION, "u": [{**SIMPLE_CONDITION["u"][0], "eps": eps}]}}
 
 
+@pytest.mark.installed
 @pytest.mark.parametrize("argv, scenario, read", [
     (["extend", "--seed", "0"], pinned_by("125/128"), 10),
     (["slalom"], {"name": HALVES_NAME}, 0),
@@ -1081,6 +1082,38 @@ def test_a_closed_stdout_ends_the_run_quietly(argv, scenario, read):
     assert (proc.wait(timeout=60), stderr) == (0, b"")
 
 
+# a depth-16 envelope (3.1 MB) fails in its stem, a tiny one at its flush
+FULL_WRITES = pytest.mark.parametrize("argv, scenario", [
+    (["extend", "--seed", "0"], pinned_by("125/128")),
+    (["smz"], {"eps": ["1/2"], "horizon": 0}),
+], ids=["large", "tiny"])
+NEEDS_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                    reason="this system has no /dev/full")
+
+
+@pytest.mark.installed
+@NEEDS_DEV_FULL
+@FULL_WRITES
+def test_a_full_out_file_exits_two_with_its_envelope_on_stdout(argv, scenario):
+    done = run_module([*argv, "--out", "/dev/full"], scenario)
+    assert (done.returncode, done.stderr) == (2, "")
+    env = json.loads(done.stdout)
+    assert env["command"] == argv[0] and env["error"]["type"] == "UsageError"
+    assert env["error"]["message"].startswith("cannot write report: ")
+    jsonschema.validate(env, REPORT_SCHEMA)
+
+
+@pytest.mark.installed
+@NEEDS_DEV_FULL
+@FULL_WRITES
+def test_a_full_stdout_exits_two_with_one_line_on_stderr(argv, scenario):
+    with open("/dev/full", "wb") as full:
+        proc = spawn_module(argv, full)
+    _, stderr = proc.communicate(json.dumps(scenario).encode(), timeout=60)
+    assert proc.returncode == 2
+    assert stderr.startswith(b"forcing-lab: cannot write report: ") and stderr.count(b"\n") == 1
+
+
 # Linux carries the peak RSS of the image a process replaces at exec into
 # its own, so the CLI is spawned by a small process, not by pytest's
 RSS_PROBE = """
@@ -1095,7 +1128,7 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, size, head.decode())
 
 
 def test_a_depth_20_extend_writes_58_megabytes_in_little_memory():
-    # 2,097,151 keys written from the layers 64 KB at a time: the process
+    # 2,097,151 keys written from the layers piece by piece: the process
     # peaks at 15-17 MB RSS on Python 3.11; writing the whole envelope with
     # json.dumps from one pair per key peaked at 431 MB
     argv = ["extend", "--seed", "0", "--max-new-levels", "20"]

@@ -41,17 +41,24 @@ from forcing_lab import (
     trivial_condition,
     validate,
 )
-from forcing_lab import poset
+from forcing_lab import jsonio, poset
 from forcing_lab.cantor import _extensions, check_bits
-from forcing_lab.jsonio import condition_to_json, encode, weight_to_json
-from forcing_lab.poset import OBJECT, ClauseViolation, _stem_searches, stem_text
+from forcing_lab.jsonio import condition_to_json, weight_to_json
+from forcing_lab.poset import ClauseViolation, _stem_searches
 
 FULL_W = WeightFunction.full()
 
 
+def written(tree) -> str:
+    """The JSON text that jsonio.write passes to its sink for tree."""
+    pieces: list[str] = []
+    jsonio.write(tree, pieces.append)
+    return "".join(pieces)
+
+
 def parsed(tree):
-    """The JSON that tree encodes to (jsonio.encode), read back."""
-    return json.loads("".join(encode(tree)))
+    """The JSON that jsonio.write writes of tree, read back."""
+    return json.loads(written(tree))
 
 
 def simple_condition(eps=Fraction(1, 2)):
@@ -1135,9 +1142,9 @@ def test_stem_text_is_what_json_writes_of_the_grown_pairs(shape):
     # one layer of k levels, k <= _CHUNK a filled template per top and k >
     # _CHUNK one per string of length k - _CHUNK, or 2-4 layers of a run
     # with a cover's complement weight attached between extensions, its
-    # table sharing one value: the wire text and the object text against
-    # json.dumps of the pairs grown key by key (reference_growth), before
-    # and after h is read, and the given stem's own text
+    # table sharing one value: the wire text against json.dumps of the
+    # pairs grown key by key (reference_growth), and pairs() and h against
+    # those pairs, before and after h is read, and the given stem's own text
     levels = WRITER_SHAPES[shape]
     rng = random.Random(shape)
     m = 0 if sum(levels) > 9 else rng.randint(0, 2)
@@ -1156,11 +1163,9 @@ def test_stem_text_is_what_json_writes_of_the_grown_pairs(shape):
     for cond, pairs in ((given, sorted(given.h.items())), (q, sorted(ref.items()))):
         expected = json.dumps({**condition_to_json(cond), "h": pairs}, sort_keys=True,
                               separators=(",", ":"))
-        objects = json.dumps(dict(pairs), separators=(",", ":"))
         for _ in range(2):  # h not read yet, then read
-            assert "".join(encode(condition_to_json(cond))) == expected
-            assert "".join(stem_text(cond, OBJECT)) == objects
-            assert cond.h == dict(pairs) and cond.pairs() == pairs
+            assert written(condition_to_json(cond)) == expected
+            assert cond.pairs() == pairs and cond.h == dict(pairs)
 
 
 def test_a_given_stem_in_scrambled_key_order_reads_as_its_sorted_twin():
