@@ -17,7 +17,9 @@ one line on stderr, 3 for any other failure, reported as an "InternalError"
 envelope.  --out is opened once the scenario has been read (or failed to read),
 before the run; if that, its write or the command line fails, the envelope (a
 UsageError for --out) goes to stdout.  A stdout closed early by its reader ends
-the run quietly with the run's own exit code.
+the run quietly with the run's own exit code.  The envelope is written in
+pieces; a write-through stdout (python -u or PYTHONUNBUFFERED) buffers
+them while it is written and is write-through again after.
 Results are exact and written in full, so the run lifts the interpreter's
 limit on int-text digits, and main restores it before it returns.
 
@@ -427,8 +429,13 @@ def _emit(envelope: dict, out, code: int) -> int:
     """Write envelope, then a newline, to out (closed after unless it is stdout)
     and return the exit code: code, or 2 when the write fails.  A failed --out
     write sends a UsageError envelope to stdout instead, a failed stdout write
-    one line to stderr; a reader that leaves keeps the run's code."""
+    one line to stderr; a reader that leaves keeps the run's code.  A
+    write-through out (python -u), which would take one write call per
+    piece, is buffered while the envelope is written and set back after."""
+    through = getattr(out, "write_through", False)
     try:
+        if through:
+            out.reconfigure(write_through=False)
         jsonio.write(envelope, out.write, json.dumps)
         print(file=out, flush=True)
     except OSError as exc:  # the rest, the closing or exit-time flush too, goes nowhere
@@ -441,6 +448,9 @@ def _emit(envelope: dict, out, code: int) -> int:
             code, error = _failure(UsageError(f"cannot write report: {exc}"))
             return _emit({"command": envelope["command"], "ok": False, "error": error},
                          sys.stdout, code)
+    finally:
+        if through:
+            out.reconfigure(write_through=True)
     if out is not sys.stdout:
         out.close()
     return code

@@ -205,7 +205,8 @@ class Condition(FrozenValue):
     so the layered levels are complete and monotone by construction.  h of
     an extended condition is parsed from its text when first read
     (_stem_map) and kept; equality and repr read h, so an extended
-    condition equals its materialized one."""
+    condition equals its materialized one.  A condition keeps its finest
+    census (_census); an extension starts with none."""
 
     m: int
     h: dict
@@ -269,15 +270,12 @@ def trivial_condition() -> Condition:
 
 def score(h: Mapping[str, str] | Condition, phi: WeightFunction) -> Fraction:
     """Exact score of a stem map, or of a condition's stem, against a
-    weight.  The top strings are grouped by (row prefix, value), the row
-    being the top cut to the weight's x-resolution, so the cost stays
-    proportional to the stem size with only a handful of exact
-    multiplications; an extended condition's groups are counted from its
-    last layer (_census)."""
-    if isinstance(h, Condition):
-        return _score_groups(_census(h, phi.resolution[0]), h.m, phi)
-    m = max(map(len, h))
-    return _score_groups(_top_groups(h, m, phi.resolution[0]), m, phi)
+    weight, read from the census of its tops (_census) cut at the weight's
+    x-resolution, so the cost stays proportional to the stem size with only
+    a handful of exact multiplications; a condition's census is counted
+    once and kept."""
+    p = h if isinstance(h, Condition) else Condition(max(map(len, h)), h)
+    return _score_groups(_census(p, phi.resolution[0]), p.m, phi)
 
 
 def _top_groups(h: Mapping[str, str], m: int, cut: int) -> Counter:
@@ -287,14 +285,14 @@ def _top_groups(h: Mapping[str, str], m: int, cut: int) -> Counter:
 
 def _census(p: Condition, cut: int) -> Counter:
     """_top_groups(p.h, p.m, cut) or a finer cut, which every reader cuts
-    again (_score_groups, _certify).  An extended condition's is counted from
-    its last layer, the patterns and the tops they were accepted for, and
-    the finest is kept on p, shared with the conditions attach_weight makes."""
-    if not p._layers:
-        return _top_groups(p.h, p.m, cut)
+    again (_score_groups, _certify).  Counted from a given stem's tops or an
+    extended one's last layer (_grown_census) only when p keeps no census at
+    least as fine, and the finest is kept on p, shared with the conditions
+    attach_weight and merge_same_stem make."""
     kept = p.__dict__.get("_kept_census")
     if kept is None or kept[0] < cut:
-        kept = p.__dict__["_kept_census"] = cut, _grown_census(*p._layers[-1], cut)
+        census = _grown_census(*p._layers[-1], cut) if p._layers else _top_groups(p.h, p.m, cut)
+        kept = p.__dict__["_kept_census"] = cut, census
     return kept[1]
 
 
@@ -356,7 +354,7 @@ def validate(p: Condition) -> ValidationReport:
     tag); otherwise it is empty.  A given stem is checked in full; the
     layered levels of an extended one (see Condition) hold by construction,
     its base having been validated when it was extended, so only its tags
-    and scores are checked, from the census of its last layer."""
+    and scores are checked; the scores read the census p keeps (_census)."""
     m = p.m
     bad: list[ClauseViolation] = []
     if not p._layers:
@@ -737,7 +735,7 @@ def extend_detailed(
 
 
 def attach_weight(p: Condition, eps: Fraction, phi: WeightFunction) -> Condition:
-    """Add a tagged weight; the current stem must already score above eps."""
+    """Add a tagged weight; the stem must score above eps.  p's stem and census are shared."""
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise ValueError(f"tag must lie strictly between 0 and 1, got {eps}")
@@ -849,21 +847,21 @@ def generic_run(
     Each cover attaches before the extension of its step, which must lie in
     the run.  After every action the trace records, for each cover already
     attached, the exact certificate of its complement, equal to
-    certificate(p, complement).  The certificates share one census of the
-    tops, cut at the finest x-resolution in the schedule: it starts as the
-    trivial stem's one top and, after each extension, is counted from the
-    accepted bit patterns of the grown stem's last layer (see Condition), so
-    no step builds h: each one extends the layered condition the last one
-    returned.  An attachment leaves the census as it is, so it certifies
-    only the new cover.  score_f is scored against the weight avoid_null
-    attached, and the complement is the one avoid_null computed and the
-    cover keeps, so each cover's complement and weight are built once per
-    run and the weight's memo serves every snapshot.  Every step extends
-    with the run's own seed: each step grows from a new depth, so its
-    streams (see extend_detailed) differ.  Multi-step runs default to
-    bounded depth growth; the pinned depth formula compounds roughly
-    quadratically per step and leaves any second unbounded extension
-    beyond reach.
+    certificate(p, complement).  The certificates read the census the
+    condition keeps (_census), cut at the finest x-resolution in the
+    schedule or finer: the trivial stem's counts its one top, and an
+    extended one's is counted from the accepted bit patterns of its last
+    layer (see Condition), so no step builds h: each one extends the
+    layered condition the last one returned.  An attachment shares its
+    condition's census and certifies only the new cover.  score_f is scored
+    against the weight avoid_null attached, and the complement is the one
+    avoid_null computed and the cover keeps, so each cover's complement and
+    weight are built once per run and the weight's memo serves every
+    snapshot.  Every step extends with the run's own seed: each step grows
+    from a new depth, so its streams (see extend_detailed) differ.
+    Multi-step runs default to bounded depth growth; the pinned depth
+    formula compounds roughly quadratically per step and leaves any second
+    unbounded extension beyond reach.
     """
     if steps > _MAX_DEPTH:  # every step grows the stem by at least one level
         raise ValueError(f"steps {steps} would grow the stem past the depth limit of {_MAX_DEPTH}")
@@ -873,10 +871,9 @@ def generic_run(
 
     p = trivial_condition()
     attached: list[tuple[int, ClopenPlaneSet, WeightFunction]] = []
-    certs: list[tuple[int, Certificate]] = []  # of each attached cover, against census
+    certs: list[tuple[int, Certificate]] = []  # of each attached cover
     trace: list[TraceEntry] = []
     cut = max((c.cover.resolution[0] for c in schedule), default=0)
-    census = Counter({("", ""): 1})  # _top_groups(p.h, p.m, cut)
     for step in range(steps):
         try:
             for i, c in enumerate(schedule):
@@ -884,11 +881,10 @@ def generic_run(
                     p = avoid_null(p, c.cover, c.eps)
                     f, phi = c.cover._complement, p.u[-1].phi  # as avoid_null built them
                     attached.append((i, f, phi))
-                    certs.append((i, _certify(census, p.m, f, phi)))
+                    certs.append((i, _certify(_census(p, cut), p.m, f, phi)))
                     trace.append(TraceEntry(step, "attach", p.m, tuple(certs)))
             p, _ = extend_detailed(p, seed, max_new_levels=max_new_levels)
-            census = _census(p, cut)
-            certs = [(i, _certify(census, p.m, f, phi)) for i, f, phi in attached]
+            certs = [(i, _certify(_census(p, cut), p.m, f, phi)) for i, f, phi in attached]
             trace.append(TraceEntry(step, "extend", p.m, tuple(certs)))
         except ForcingLabError as exc:
             exc.step = step  # type: ignore[attr-defined]
@@ -920,8 +916,8 @@ def sigma_centered_index(p: Condition) -> CenteredIndex:
 
 
 def merge_same_stem(p: Condition, q: Condition) -> Condition:
-    """Compatibility witness for two conditions with identical stems; p's stem is shared.
-    Two extended conditions with equal bases and layers never build h here."""
+    """Compatibility witness for two conditions with identical stems; p's stem and census
+    are shared.  Two extended conditions with equal bases and layers never build h here."""
     same = p._layers and q._layers and (p._base, p._layers) == (q._base, q._layers)
     if p.m != q.m or not (same or p.h == q.h):
         raise ValueError("conditions do not share a stem")

@@ -288,6 +288,36 @@ def test_deep_extend_report_is_pinned(tmp_path, seed, run_seed, weights, levels,
     assert report_digest(env) == digest
 
 
+class CountingRaw(io.RawIOBase):
+    """A raw output stream that keeps the bytes it is given and counts its write calls."""
+
+    def __init__(self):
+        self.calls, self.data = 0, bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        self.calls += 1
+        self.data += b
+        return len(b)
+
+
+def test_a_write_through_stdout_takes_the_envelope_in_few_writes(tmp_path, monkeypatch):
+    # python -u makes stdout write-through, one write call per piece of the
+    # envelope; main buffers the pieces and gives the setting back
+    raw = CountingRaw()
+    out = io.TextIOWrapper(raw, encoding="utf-8", write_through=True)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"condition": deep_extend_condition(2403, 2)}))
+    monkeypatch.setattr("sys.stdout", out)
+    code = cli.main(["extend", "--seed", "2403", "--max-new-levels", "1", "--input", str(path)])
+    assert code == 0 and out.write_through
+    assert raw.calls <= len(raw.data) / 4096 + 16, (raw.calls, len(raw.data))
+    with digit_limit(0):
+        assert json.loads(raw.data)["report"]["condition"]["m"] == 11
+
+
 SHALLOW_CONDITIONS = {
     # one top valued "1": a full weight tagged 3/4 and a cover complement
     # at resolution (1, 2) pin depth 13

@@ -21,8 +21,9 @@ grown from a layer (`grown tops`, counted in `_grown_tops`: extending an
 extended condition grows its deepest level once from its last layer, and
 census, `validate` and `score` read the last layer as it stands), the classes
 of every census of the tops, counted from `h` or from the accepted bit
-patterns (`census classes`; an extended condition keeps its finest
-census, so the readers of one stem count it once), and the checks the
+patterns (`census classes`; every condition, given or extended, keeps
+its finest census and the conditions attach_weight makes share it, so
+the readers of one stem at no finer cut count it once), and the checks the
 searches build, one per weight for each stem class (`check builds`,
 counted in `_stem_checks`).
 Every count must stay at or below its budget, which is the count when the
@@ -209,12 +210,12 @@ SCENARIOS = {"generic-run": generic_runs, "extend-deep": deep_extensions,
              "extend-fresh": fresh_extensions, "names-mix": names_calls,
              "refine": refine_calls}
 BUDGETS = {
-    "generic-run": {"_read_row": 59, "_top_groups": 4, "_certify": 22, "phi_from_clopen": 6,
+    "generic-run": {"_read_row": 59, "_top_groups": 2, "_certify": 22, "phi_from_clopen": 6,
                     "eval_phi": 0, "check_bits": 1520, "validate": 8, "score": 6,
                     "_shake": 8, "contains_rect": 634, "complement": 6,
                     "_canonical": 0, "cylinder_mass": 0, "row entries": 150,
                     "materialized keys": 0, "grown tops": 1168,
-                    "census classes": 244, "check builds": 234},
+                    "census classes": 242, "check builds": 234},
     "extend-deep": {"_read_row": 11, "_top_groups": 2, "_certify": 0, "phi_from_clopen": 0,
                     "eval_phi": 0, "check_bits": 0, "validate": 2, "score": 0,
                     "_shake": 2, "contains_rect": 0, "complement": 0,

@@ -1238,6 +1238,82 @@ def test_grown_census_matches_materialized_groups():
     assert seen == {0, 1, 2, ("weights", True), ("weights", False)}
 
 
+def counted_cuts(monkeypatch) -> list:
+    """The cut of each pass over a given stem's tops (_top_groups), in order."""
+    cuts = []
+
+    def counting(h, m, cut, real=poset._top_groups):
+        cuts.append(cut)
+        return real(h, m, cut)
+    monkeypatch.setattr(poset, "_top_groups", counting)
+    return cuts
+
+
+def test_a_given_stem_is_counted_once_by_its_readers(monkeypatch):
+    # attach_weight counts the tops at x-resolution 2 and keeps the census;
+    # validate and a certificate at x-resolution 1 read it again
+    rng = random.Random(3501)
+    h = sparse_stem(rng, 4, rate=0.5)
+    phi = phi_from_clopen(ClopenPlaneSet.from_rects([("01", "1")]).complement())
+    f = ClopenPlaneSet.from_rects([("1", "0")]).complement()
+    assert (phi.resolution[0], f.resolution[0]) == (2, 1)
+    tag = score(h, phi) / 2
+    cuts = counted_cuts(monkeypatch)
+    p = attach_weight(Condition(4, h), tag, phi)
+    rep, cert = validate(p), certificate(p, f)
+    assert cuts == [2]
+    twin = Condition(4, dict(h), p.u)
+    assert rep == validate(twin) and rep.ok and cert == certificate(twin, f)
+
+
+def test_generic_run_counts_its_trivial_stem_once(monkeypatch):
+    # attaching the cover counts the trivial stem's one top; the attach
+    # certificate and the first extension's validate read that count
+    cuts = counted_cuts(monkeypatch)
+    g = ClopenPlaneSet.from_rects([("0", "00")])
+    generic_run([ScheduledCover(g, Fraction(1, 4), 0)], steps=3, seed=2026)
+    assert cuts == [1]
+
+
+def test_a_finer_cut_recounts_the_kept_census():
+    # a reader at a finer x-resolution than the census kept counts again,
+    # for a given stem and an extended one alike, and scores as the sum
+    # over the tops of their materialized twins does
+    rng = random.Random(3502)
+    h = sparse_stem(rng, 5, rate=0.5)
+
+    def weight_at(r):  # of a random quarter of the cells at resolution (r, 2)
+        cells = [(format(a, f"0{r}b"), format(b, "02b")) for a in range(2 ** r) for b in range(4)]
+        return phi_from_clopen(ClopenPlaneSet.from_rects(rng.sample(cells, 2 ** r), (r, 2)))
+    coarse, fine = weight_at(1), weight_at(3)
+    p = Condition(5, h, (TaggedWeight(score(h, coarse) / 2, coarse),))
+    q, _ = extend_detailed(p, 7, max_new_levels=2)
+    for c in (p, Condition(p.m, dict(h), p.u), q):
+        twin = Condition(c.m, poset._stem_map(c) if c._layers else c.h)
+        want = [sum(2 ** len(v) * eval_phi(phi, s, v) for s, v in twin.h.items() if len(s) == c.m)
+                for phi in (coarse, fine)]
+        assert [score(c, coarse), score(c, fine), score(c, coarse)] == [*want, want[0]]
+        assert c._kept_census[0] == 3
+
+
+def test_an_extension_counts_its_own_census():
+    # the parent keeps a census before it is extended; the extension's own
+    # census, at cuts below and above the parent's, is that of its stem
+    rng = random.Random(3503)
+    kept = set()
+    for _ in range(12):
+        m = rng.randint(1, 4)
+        h = sparse_stem(rng, m)
+        p = Condition(m, h, seeded_weights(rng, h))
+        assert validate(p).ok
+        kept.add(p._kept_census[0])
+        q, _ = extend_detailed(p, rng.getrandbits(32), max_new_levels=rng.randint(1, 2))
+        stem = poset._stem_map(q)
+        for cut in range(q.m + 2):
+            assert poset._census(q, cut) == poset._top_groups(stem, q.m, cut), (m, q.m, cut)
+    assert {0, 3} <= kept
+
+
 def record_conditions(monkeypatch):
     """Spy on generic_run's actions: the condition after each attach and
     each extension, in trace order."""
