@@ -23,6 +23,12 @@ them while it is written and is write-through again after.
 Results are exact and written in full, so the run lifts the interpreter's
 limit on int-text digits, and main restores it before it returns.
 
+main(argv) is the in-process entry and returns the exit code.  The process
+entry, program, runs main on sys.argv and then ends the process with
+os._exit once logging and both standard streams are flushed: the envelope
+is written, flushed and closed by then, and the interpreter's teardown
+(freeing every object and module, exit handlers) is skipped.
+
 Both schema checks run on a check compiled once per process
 (`schemacheck`), which also words a rejection with its path; a scenario it
 rejects exits 2, an envelope it rejects is this program's fault and ends
@@ -456,5 +462,28 @@ def _emit(envelope: dict, out, code: int) -> int:
     return code
 
 
+def program():
+    """The entry of `python -m forcing_lab.cli` and of the forcing-lab
+    script: main on sys.argv, then os._exit with its code (see the module
+    docstring).  An error raised out of main ends the process as usual."""
+    code = main()
+    if "logging" in sys.modules:  # _log imports it when FORCING_LAB_LOG is set
+        sys.modules["logging"].shutdown()
+    # _emit has flushed any envelope and made a failed write the run's code,
+    # so what stdout may still hold is the -h text
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:  # a reader that leaves keeps the run's code
+        pass
+    except OSError as exc:
+        print(f"forcing-lab: cannot write help: {exc}", file=sys.stderr)
+        code = 2
+    try:
+        sys.stderr.flush()
+    except OSError:  # nowhere left to say so
+        pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    program()

@@ -849,10 +849,11 @@ def generic_run(
     attached, the exact certificate of its complement, equal to
     certificate(p, complement).  The certificates read the census the
     condition keeps (_census), cut at the finest x-resolution in the
-    schedule or finer: the trivial stem's counts its one top, and an
-    extended one's is counted from the accepted bit patterns of its last
-    layer (see Condition), so no step builds h: each one extends the
-    layered condition the last one returned.  An attachment shares its
+    schedule or finer: the trivial stem's counts its one top at that cut
+    before the first attachment scores it, and an extended one's is
+    counted from the accepted bit patterns of its last layer (see
+    Condition), so no step builds h: each one extends the layered
+    condition the last one returned.  An attachment shares its
     condition's census and certifies only the new cover.  score_f is scored
     against the weight avoid_null attached, and the complement is the one
     avoid_null computed and the cover keeps, so each cover's complement and
@@ -874,6 +875,8 @@ def generic_run(
     certs: list[tuple[int, Certificate]] = []  # of each attached cover
     trace: list[TraceEntry] = []
     cut = max((c.cover.resolution[0] for c in schedule), default=0)
+    if schedule:  # the first attachment's score reads this census, not a coarser one
+        _census(p, cut)
     for step in range(steps):
         try:
             for i, c in enumerate(schedule):

@@ -34,7 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import forcing_lab
-from forcing_lab import cli
+from forcing_lab import cli, poset
 from forcing_lab.diagram import NODES
 from forcing_lab.schemacheck import compile_schema
 
@@ -360,6 +360,25 @@ def test_chained_generic_run_report_is_pinned(tmp_path):
     assert len(env["report"]["final"]["h"]) == 2 ** 13 - 1
     assert report_digest(env) == (
         "d583b8aae2c29b38cffa3cc8121cbd00c20ee931507b934e2599bd967c88b842")
+
+
+def test_generic_run_counts_the_trivial_stem_once_at_the_finest_cut(tmp_path, monkeypatch):
+    # the step-0 cover sits at x-resolution 1 and the step-1 cover at 2: the
+    # trivial stem is counted once, at 2, and the first attachment's score
+    # reads that count
+    cuts = []
+
+    def counting(h, m, cut, real=poset._top_groups):
+        cuts.append(cut)
+        return real(h, m, cut)
+    monkeypatch.setattr(poset, "_top_groups", counting)
+    scenario = {"steps": 3, "covers": [
+        {"cover": {"resolution": [1, 2], "rects": [["0", "00"]]}, "eps": "1/4", "at_step": 0},
+        {"cover": {"resolution": [2, 1], "rects": [["11", "1"]]}, "eps": "1/4", "at_step": 1}]}
+    code, env = run(tmp_path, ["generic-run", "--seed", "2026"], scenario)
+    assert (code, cuts) == (0, [2])
+    assert report_digest(env) == (
+        "e3dceb4522d92879a2b7933bb00f63177333949d5d765a43be25aae2f848dbd9")
 
 
 def test_extend_without_seed_exits_two(tmp_path, capsys):
@@ -1144,6 +1163,19 @@ def test_a_full_stdout_exits_two_with_one_line_on_stderr(argv, scenario):
     assert stderr.startswith(b"forcing-lab: cannot write report: ") and stderr.count(b"\n") == 1
 
 
+@NEEDS_DEV_FULL
+def test_help_on_a_full_buffered_stdout_exits_two_with_one_line_on_stderr():
+    # the help stays in stdout's buffer until the program entry flushes it
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    with open("/dev/full", "wb") as full:
+        done = subprocess.run([sys.executable, "-m", "forcing_lab.cli", "-h"], stdout=full,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr.startswith(b"forcing-lab: cannot write help: ")
+    assert done.stderr.count(b"\n") == 1
+
+
 # Linux carries the peak RSS of the image a process replaces at exec into
 # its own, so the CLI is spawned by a small process, not by pytest's
 RSS_PROBE = """
@@ -1234,6 +1266,79 @@ def test_no_log_lines_by_default():
     done = run_module(["extend", "--seed", "7"], {"condition": SIMPLE_CONDITION})
     assert (done.returncode, done.stderr) == (0, "")
     assert json.loads(done.stdout)["ok"] is True
+
+
+def test_log_lines_go_to_stderr_when_the_envelope_goes_to_out(tmp_path):
+    out = tmp_path / "out.json"
+    done = run_module(["extend", "--seed", "7", "--out", str(out)],
+                      {"condition": SIMPLE_CONDITION}, FORCING_LAB_LOG="info")
+    assert (done.returncode, done.stdout) == (0, "")
+    assert done.stderr.splitlines() == [
+        "INFO forcing_lab.cli: extended depth 0 -> 8 (pinned 8)",
+        "INFO forcing_lab.cli: extend finished with exit code 0"]
+    assert json.loads(out.read_text())["ok"] is True
+
+
+@pytest.mark.installed
+@pytest.mark.parametrize("argv, scenario, code", [
+    (["extend", "--seed", "0"], pinned_by("125/128"), 0),
+    (["diagram"], {"assignment": labels(add_null="aleph2")}, 1),
+    (["smz"], {"bogus_key": 1}, 2),
+], ids=["ok", "failed-check", "refused"])
+@pytest.mark.parametrize("to_out", [False, True], ids=["stdout", "out"])
+def test_the_program_entry_writes_one_whole_envelope(tmp_path, capsys, argv, scenario,
+                                                      code, to_out):
+    # the process ends in os._exit once main returns: its envelope (3.1 MB
+    # for the depth-16 extend) is one whole line on a pipe or in --out, and
+    # its exit code and envelope are those of main run in this process
+    path, out = tmp_path / "scenario.json", tmp_path / "out.json"
+    path.write_text(json.dumps(scenario))
+    argv = [*argv, "--input", str(path), *(["--out", str(out)] if to_out else [])]
+    done = run_module(argv, None)
+    assert (done.returncode, done.stderr) == (code, "")
+    text = done.stdout + (out.read_text() if to_out else "")  # the one it went to
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert cli.main(argv) == code
+    mine = out.read_text() if to_out else capsys.readouterr().out
+    unmetered = [{k: v for k, v in json.loads(t).items() if k != "meta"} for t in (text, mine)]
+    assert unmetered[0] == unmetered[1] and unmetered[0]["command"] == argv[0]
+
+
+def test_help_on_a_pipe_is_written_whole(capsys):
+    # the help is printed to a block-buffered pipe, which the program entry
+    # flushes before os._exit
+    done = run_module(["-h"], None)
+    assert cli.main(["-h"]) == done.returncode == 0
+    assert (done.stdout, done.stderr) == (capsys.readouterr().out, "")
+
+
+# the CLI module run as __main__ under an exit handler that marks a
+# normal interpreter exit; the -c process's argv is ["-c", "-m", module, ...]
+AT_EXIT_PROBE = """
+import atexit, runpy, sys
+atexit.register(print, "interpreter torn down", file=sys.stderr)
+sys.argv = sys.argv[2:]
+runpy.run_module(sys.argv[0], run_name="__main__")
+"""
+
+
+def test_the_module_ends_without_tearing_down_the_interpreter():
+    # os._exit skips the exit handlers and the freeing of every object and
+    # module, and keeps the run's exit code
+    done = run_module(["diagram"], {"assignment": labels(add_null="aleph2")},
+                      "-c", AT_EXIT_PROBE)
+    assert (done.returncode, done.stderr) == (1, "")
+    assert json.loads(done.stdout)["ok"] is False
+
+
+@pytest.mark.installed
+def test_the_console_script_is_the_program_entry():
+    from importlib import metadata
+    scripts = [ep.value for ep in metadata.entry_points(group="console_scripts")
+               if ep.name == "forcing-lab"]
+    if not scripts:
+        pytest.skip("forcing-lab is not installed")
+    assert scripts == ["forcing_lab.cli:program"]
 
 
 @pytest.mark.installed
