@@ -10,24 +10,21 @@ The report body echoes the scenario under "inputs", records the seed for
 seeded commands, and is deterministic for a fixed scenario and seed; only
 meta varies.  Exit codes: 0 when the run's checks all pass, 1 for domain errors
 or failed checks, 2 for unusable input (bad arguments, missing --seed, an
-unreadable --input, an --out that cannot be opened or written, bad JSON, a key
-repeated within one object, a scenario nested too deeply, schema violations,
-missing sections) and for a stdout that cannot be written, which is said in
-one line on stderr, 3 for any other failure, reported as an "InternalError"
-envelope.  --out is opened once the scenario has been read (or failed to read),
-before the run; if that, its write or the command line fails, the envelope (a
-UsageError for --out) goes to stdout.  A stdout closed early by its reader ends
-the run quietly with the run's own exit code.  The envelope is written in
-pieces; a write-through stdout (python -u or PYTHONUNBUFFERED) buffers
-them while it is written and is write-through again after.
-Results are exact and written in full, so the run lifts the interpreter's
-limit on int-text digits, and main restores it before it returns.
+unreadable --input or closed stdin, an --out that cannot be opened or
+written, bad JSON, a key repeated within one object, a scenario nested too
+deeply, schema violations, missing sections) and for a closed or unwritable
+stdout, 3 for any other failure, reported as an "InternalError" envelope.
+--out is opened once the scenario has been read (or failed to read), before
+the run; if that, its write or the command line fails, the envelope (a
+UsageError for --out) goes to stdout.  Results are exact and written in full,
+so the run lifts the interpreter's limit on int-text digits, and main
+restores it before it returns.
 
-main(argv) is the in-process entry and returns the exit code.  The process
-entry, program, runs main on sys.argv and then ends the process with
-os._exit once logging and both standard streams are flushed: the envelope
-is written, flushed and closed by then, and the interpreter's teardown
-(freeing every object and module, exit handlers) is skipped.
+_emit alone writes stdout (the envelope or the -h text), and _say alone
+stderr, one flushed line at a time, dropped if stderr is closed or fails.
+main(argv) is the in-process entry and returns the exit code; the process
+entry, program, runs main on sys.argv and ends the process with os._exit,
+skipping the interpreter's teardown (freeing every object, exit handlers).
 
 Both schema checks run on a check compiled once per process
 (`schemacheck`), which also words a rejection with its path; a scenario it
@@ -124,6 +121,8 @@ def _open(path: str, mode: str, purpose: str):
 
 def _read_scenario(path: str) -> dict:
     if path == "-":
+        if sys.stdin is None:  # the process started with it closed
+            raise UsageError("cannot read scenario: stdin is closed")
         text = sys.stdin.read()
     else:
         with _open(path, "r", "read scenario") as fh:
@@ -298,7 +297,7 @@ def _cmd_selftest(args, scenario):
 
     results = acceptance.run_all()
     for r in results:
-        print(r.line(), file=sys.stderr)
+        _say(r.line())
     report = {
         "criteria": [
             {
@@ -337,8 +336,17 @@ USAGE = (f"usage: forcing-lab [-h] {{{','.join(HANDLERS)}}} [--input/-i PATH] [-
          f"       ({', '.join(SEEDED)}: --seed N [--max-new-levels K])")
 
 
+def _say(line: str) -> None:
+    """Write line to stderr, flushed, unless stderr is None (closed) or fails."""
+    try:
+        sys.stderr.write(line + "\n")
+        sys.stderr.flush()
+    except (AttributeError, OSError):  # nowhere left to say so
+        pass
+
+
 def _refuse(message: str):
-    print(USAGE, file=sys.stderr)
+    _say(USAGE)
     raise UsageError(message)
 
 
@@ -397,9 +405,8 @@ def main(argv=None) -> int:
 def _run(argv) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     if "-h" in argv or "--help" in argv:  # the help is the whole output
-        print(USAGE, "", *(f"  {name:<12} {cmd.__doc__}" for name, cmd in HANDLERS.items()),
-              sep="\n")
-        return 0
+        return _emit("\n".join([USAGE, "", *(f"  {name:<12} {cmd.__doc__}"
+                                             for name, cmd in HANDLERS.items())]), sys.stdout, 0)
     started = time.perf_counter()
     command = argv[0] if argv and argv[0] in HANDLERS else ""
     envelope: dict = {"command": command, "ok": False}
@@ -431,57 +438,50 @@ def _run(argv) -> int:
     return code
 
 
-def _emit(envelope: dict, out, code: int) -> int:
-    """Write envelope, then a newline, to out (closed after unless it is stdout)
-    and return the exit code: code, or 2 when the write fails.  A failed --out
-    write sends a UsageError envelope to stdout instead, a failed stdout write
-    one line to stderr; a reader that leaves keeps the run's code.  A
-    write-through out (python -u), which would take one write call per
-    piece, is buffered while the envelope is written and set back after."""
+def _emit(envelope: dict | str, out, code: int) -> int:
+    """Write envelope, or the -h text given as a str, then a newline, to out
+    (closed after unless it is stdout); return code, or 2 if the write fails.
+    A failed --out write sends a UsageError envelope to stdout instead, a
+    failed or closed stdout one line to stderr; a reader that leaves keeps
+    the run's code.  A write-through out (python -u) is buffered meanwhile."""
+    what = "help" if isinstance(envelope, str) else "report"
     through = getattr(out, "write_through", False)
     try:
+        if out is None:  # sys.stdout of a process started with it closed
+            raise OSError("stdout is closed")
         if through:
             out.reconfigure(write_through=False)
-        jsonio.write(envelope, out.write, json.dumps)
+        if what == "help":
+            out.write(envelope)
+        else:
+            jsonio.write(envelope, out.write, json.dumps)
         print(file=out, flush=True)
     except OSError as exc:  # the rest, the closing or exit-time flush too, goes nowhere
-        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        if out is not None:
+            os.dup2(devnull := os.open(os.devnull, os.O_WRONLY), out.fileno())
+            os.close(devnull)
         if not isinstance(exc, BrokenPipeError):
             if out is sys.stdout:
-                print(f"forcing-lab: cannot write report: {exc}", file=sys.stderr)
+                _say(f"forcing-lab: cannot write {what}: {exc}")
                 return 2
-            out.close()
             code, error = _failure(UsageError(f"cannot write report: {exc}"))
             return _emit({"command": envelope["command"], "ok": False, "error": error},
                          sys.stdout, code)
     finally:
         if through:
             out.reconfigure(write_through=True)
-    if out is not sys.stdout:
-        out.close()
+        if out is not sys.stdout:
+            out.close()
     return code
 
 
 def program():
-    """The entry of `python -m forcing_lab.cli` and of the forcing-lab
-    script: main on sys.argv, then os._exit with its code (see the module
-    docstring).  An error raised out of main ends the process as usual."""
+    """The entry of `python -m forcing_lab.cli` and of the forcing-lab script:
+    main on sys.argv, logging shut down if loaded, then os._exit with main's
+    code (see the module docstring).  An error out of main ends as usual."""
     code = main()
     if "logging" in sys.modules:  # _log imports it when FORCING_LAB_LOG is set
         sys.modules["logging"].shutdown()
-    # _emit has flushed any envelope and made a failed write the run's code,
-    # so what stdout may still hold is the -h text
-    try:
-        sys.stdout.flush()
-    except BrokenPipeError:  # a reader that leaves keeps the run's code
-        pass
-    except OSError as exc:
-        print(f"forcing-lab: cannot write help: {exc}", file=sys.stderr)
-        code = 2
-    try:
-        sys.stderr.flush()
-    except OSError:  # nowhere left to say so
-        pass
     os._exit(code)
 
 

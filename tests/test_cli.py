@@ -1165,7 +1165,8 @@ def test_a_full_stdout_exits_two_with_one_line_on_stderr(argv, scenario):
 
 @NEEDS_DEV_FULL
 def test_help_on_a_full_buffered_stdout_exits_two_with_one_line_on_stderr():
-    # the help stays in stdout's buffer until the program entry flushes it
+    # the help stays in stdout's buffer until _emit flushes it, as it
+    # flushes an envelope, and says on stderr that it cannot
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
     with open("/dev/full", "wb") as full:
@@ -1174,6 +1175,62 @@ def test_help_on_a_full_buffered_stdout_exits_two_with_one_line_on_stderr():
     assert done.returncode == 2
     assert done.stderr.startswith(b"forcing-lab: cannot write help: ")
     assert done.stderr.count(b"\n") == 1
+
+
+BOGUS = {"command": "", "ok": False, "error": {
+    "type": "UsageError", "message": "argument command: invalid choice: 'bogus' (choose from "
+    "'slalom', 'refine', 'extend', 'generic-run', 'smz', 'rapid', 'diagram', 'selftest')"}}
+
+
+@pytest.mark.installed
+@pytest.mark.parametrize("shell, env, code, envelope, stderr", [
+    pytest.param("-h > /dev/full", {"PYTHONUNBUFFERED": "1"}, 2, None,
+                 "forcing-lab: cannot write help: ", marks=NEEDS_DEV_FULL),
+    ("diagram >&-", {}, 2, None, "forcing-lab: cannot write report: "),
+    ("-h >&-", {}, 2, None, "forcing-lab: cannot write help: "),
+    ("smz 2>&-", {}, 0, {"command": "smz", "ok": True, "report": {
+        "delta": [], "delta_prime": [], "inputs": {"eps": ["1/2"], "horizon": 0}}}, ""),
+    ("bogus 2>&-", {}, 2, BOGUS, ""),
+    pytest.param("bogus 2>/dev/full", {}, 2, BOGUS, "", marks=NEEDS_DEV_FULL),
+    ("smz <&-", {}, 2, {"command": "smz", "ok": False, "error": {
+        "type": "UsageError", "message": "cannot read scenario: stdin is closed"}}, ""),
+    pytest.param("diagram > /dev/full 2>&-", {}, 2, None, "", marks=NEEDS_DEV_FULL),
+], ids=["help-full-unbuffered", "closed-stdout", "help-closed-stdout", "closed-stderr",
+        "usage-closed-stderr", "usage-full-stderr", "closed-stdin", "full-stdout-closed-stderr"])
+def test_a_closed_or_full_standard_stream_ends_in_its_exit_code(shell, env, code, envelope,
+                                                                 stderr):
+    # the child closes or redirects the stream itself; stdout holds one
+    # envelope (meta aside) or nothing, stderr at most one line, and a
+    # closed or failing stderr changes neither the code nor stdout
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("FORCING_LAB_LOG", "PYTHONUNBUFFERED")}
+    base["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    scenario = {"eps": ["1/2"], "horizon": 0} if shell.startswith("smz") else {
+        "assignment": labels()}
+    done = subprocess.run(["sh", "-c", f'exec "$0" -m forcing_lab.cli {shell}', sys.executable],
+                          input=json.dumps(scenario), capture_output=True, text=True,
+                          env={**base, **env}, timeout=60)
+    assert "Traceback" not in done.stdout + done.stderr
+    assert done.returncode == code, done.stderr
+    if envelope is None:
+        assert done.stdout == ""
+    else:
+        assert done.stdout.endswith("\n") and done.stdout.count("\n") == 1
+        assert {k: v for k, v in json.loads(done.stdout).items() if k != "meta"} == envelope
+    assert done.stderr.startswith(stderr) and done.stderr.count("\n") == (stderr != "")
+
+
+@NEEDS_DEV_FULL
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="this system has no /proc/self/fd")
+def test_failed_writes_leave_no_file_descriptor_open(tmp_path, capsys):
+    # each failed --out write points the file at os.devnull and closes both
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"eps": ["1/2"], "horizon": 0}))
+    argv = ["smz", "--input", str(path), "--out", "/dev/full"]
+    before = len(os.listdir("/proc/self/fd"))
+    assert [cli.main(argv) for _ in range(3)] == [2, 2, 2]
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert capsys.readouterr().out.count('"type":"UsageError"') == 3
 
 
 # Linux carries the peak RSS of the image a process replaces at exec into
@@ -1305,8 +1362,8 @@ def test_the_program_entry_writes_one_whole_envelope(tmp_path, capsys, argv, sce
 
 
 def test_help_on_a_pipe_is_written_whole(capsys):
-    # the help is printed to a block-buffered pipe, which the program entry
-    # flushes before os._exit
+    # the help goes to a block-buffered pipe through _emit, which flushes it
+    # before main returns and the process ends in os._exit
     done = run_module(["-h"], None)
     assert cli.main(["-h"]) == done.returncode == 0
     assert (done.stdout, done.stderr) == (capsys.readouterr().out, "")
