@@ -1,24 +1,24 @@
 """Command line front end.
 
-Scenarios arrive as JSON (stdin or --input), are validated against the
-packaged scenario schema, and every run emits a single JSON envelope,
-itself checked against the packaged report schema:
+Scenarios arrive as JSON in strict UTF-8 (the bytes of stdin or --input),
+are validated against the packaged scenario schema, and every run emits a
+single JSON envelope, itself checked against the packaged report schema:
 
     {"command": ..., "ok": ..., "report": {...}, "meta": {"wall_time_ms": ...}}
 
 The report body echoes the scenario under "inputs", records the seed for
 seeded commands, and is deterministic for a fixed scenario and seed; only
 meta varies.  Exit codes: 0 when the run's checks all pass, 1 for domain errors
-or failed checks, 2 for unusable input (bad arguments, missing --seed, an
-unreadable --input or closed stdin, an --out that cannot be opened or
-written, bad JSON, a key repeated within one object, a scenario nested too
-deeply, schema violations, missing sections) and for a closed or unwritable
-stdout, 3 for any other failure, reported as an "InternalError" envelope.
+or failed checks, 2 for unusable input (bad arguments, missing --seed, a
+scenario that cannot be read or is not UTF-8, an --out that cannot be opened
+or written, bad JSON, a key repeated within one object, a scenario nested too
+deeply, schema violations, missing sections, a ValueError of a decoder or
+layer) and for a closed or unwritable stdout, 3 for any other failure, a
+KeyError or TypeError included, reported as an "InternalError" envelope.
 --out is opened once the scenario has been read (or failed to read), before
 the run; if that, its write or the command line fails, the envelope (a
-UsageError for --out) goes to stdout.  Results are exact and written in full,
-so the run lifts the interpreter's limit on int-text digits, and main
-restores it before it returns.
+UsageError for --out) goes to stdout.  Results are exact and written in
+full, so the run lifts the interpreter's int-text digit limit; main restores it.
 
 _emit alone writes stdout (the envelope or the -h text), and _say alone
 stderr, one flushed line at a time, dropped if stderr is closed or fails.
@@ -112,21 +112,20 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
-def _open(path: str, mode: str, purpose: str):
-    try:
-        return open(path, mode, encoding="utf-8")
-    except OSError as exc:
-        raise UsageError(f"cannot {purpose}: {exc}") from exc
-
-
 def _read_scenario(path: str) -> dict:
-    if path == "-":
-        if sys.stdin is None:  # the process started with it closed
-            raise UsageError("cannot read scenario: stdin is closed")
-        text = sys.stdin.read()
-    else:
-        with _open(path, "r", "read scenario") as fh:
-            text = fh.read()
+    try:
+        if path != "-":
+            with open(path, "rb") as fh:
+                raw = fh.read()
+        elif sys.stdin is None:  # the process started with it closed
+            raise OSError("stdin is closed")
+        else:
+            raw = sys.stdin.buffer.read()
+        text = raw.decode("utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot read scenario: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"scenario is not UTF-8: {exc}") from exc
     try:
         data = json.loads(text, object_pairs_hook=_unique_keys, parse_float=jsonio.read_number)
     except json.JSONDecodeError as err:
@@ -387,8 +386,7 @@ def _failure(exc: Exception) -> tuple[int, dict]:
         if hasattr(exc, "step"):
             error["step"] = exc.step
         return 1, error
-    if isinstance(exc, (UsageError, KeyError, TypeError, ValueError)):
-        # the last three: schema-shaped input that failed to decode
+    if isinstance(exc, (UsageError, ValueError)):  # refusals the code makes on purpose
         return 2, error
     _log("debug", "run failed unexpectedly", exc_info=exc)
     return 3, {"type": "InternalError", "message": f"{type(exc).__name__}: {exc}"}
@@ -417,7 +415,10 @@ def _run(argv) -> int:
             scenario = None if args.command == "selftest" else _read_scenario(args.input)
         finally:  # read before truncating: --out may name the --input file
             if args.out != "-":
-                out = _open(args.out, "w", "write report")
+                try:
+                    out = open(args.out, "w", encoding="utf-8")
+                except OSError as exc:
+                    raise UsageError(f"cannot write report: {exc}") from exc
         # exact results may be ints past the digit limit on int-to-text
         # conversion; the schema keeps each rational part of the scenario within it
         sys.set_int_max_str_digits(0)

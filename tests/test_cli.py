@@ -150,8 +150,9 @@ def test_diagram_bad_label_exits_two(tmp_path):
 
 
 def test_stdin_stdout_defaults(monkeypatch, capsys):
+    # the scenario is read from stdin's bytes, so the double has them
     monkeypatch.setattr(
-        "sys.stdin", io.StringIO(json.dumps({"assignment": labels()})))
+        "sys.stdin", io.TextIOWrapper(io.BytesIO(json.dumps({"assignment": labels()}).encode())))
     code = cli.main(["diagram"])
     env = json.loads(capsys.readouterr().out)
     assert code == 0 and env["ok"] is True
@@ -642,6 +643,22 @@ def test_unexpected_failure_exits_three(tmp_path, monkeypatch):
     assert env["ok"] is False
     assert env["error"] == {"type": "InternalError", "message": "RuntimeError: boom"}
     jsonschema.validate(env, REPORT_SCHEMA)
+
+
+@pytest.mark.parametrize("exc, code, error", [
+    (KeyError("cover"), 3, {"type": "InternalError", "message": "KeyError: 'cover'"}),
+    (TypeError("bad operand"), 3, {"type": "InternalError", "message": "TypeError: bad operand"}),
+    (ValueError("refused"), 2, {"type": "ValueError", "message": "refused"}),
+], ids=["KeyError", "TypeError", "ValueError"])
+def test_only_a_deliberate_refusal_exits_two(tmp_path, monkeypatch, exc, code, error):
+    # a KeyError or TypeError past the schema is this program's fault; a
+    # ValueError is how the decoders and the layers refuse a value
+    def failing(args, scenario):
+        raise exc
+
+    monkeypatch.setitem(cli.HANDLERS, "diagram", failing)
+    assert run(tmp_path, ["diagram"], {"assignment": labels()}) == (
+        code, {"command": "diagram", "ok": False, "error": error})
 
 
 RAPID_SCENARIO = {
@@ -1220,6 +1237,45 @@ def test_a_closed_or_full_standard_stream_ends_in_its_exit_code(shell, env, code
     assert done.stderr.startswith(stderr) and done.stderr.count("\n") == (stderr != "")
 
 
+NOT_UTF8 = "scenario is not UTF-8: 'utf-8' codec can't decode byte 0xff in position {}: " \
+    "invalid start byte"
+
+
+@pytest.mark.installed
+@pytest.mark.parametrize("command, source, env, code, error", [
+    ("smz", b"\xff\xfe", {}, 2, {"type": "UsageError", "message": NOT_UTF8.format(0)}),
+    ("smz", b'{"eps": ["1/2"], "horizon": 0, "bogus\xff": 1}', {}, 2,
+     {"type": "UsageError", "message": NOT_UTF8.format(37)}),
+    ("diagram", json.dumps({"assignment": labels(b="aleph1\u00e9")}, ensure_ascii=False).encode(),
+     {"PYTHONIOENCODING": "latin-1"}, 2,
+     {"type": "ValueError", "message": "unknown cardinal label 'aleph1\u00e9'"}),
+    pytest.param("smz", "/proc/self/mem", {}, 2, {
+        "type": "UsageError", "message": "cannot read scenario: [Errno 5] Input/output error"},
+        marks=pytest.mark.skipif(not os.path.exists("/proc/self/mem"),
+                                 reason="this system has no /proc/self/mem")),
+], ids=["not-utf8", "not-utf8-key", "latin-1-stdio", "open-but-unreadable"])
+def test_stdin_and_input_read_the_same_bytes_alike(tmp_path, command, source, env, code, error):
+    # the same bytes give the same envelope from stdin and from --input,
+    # whatever the locale or PYTHONIOENCODING say; /proc/self/mem opens but
+    # its first page cannot be read
+    path = source
+    if isinstance(source, bytes):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(source)
+    base = {k: v for k, v in os.environ.items() if k != "FORCING_LAB_LOG"}
+    base["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    runs = []
+    for argv, stdin in (([command], path), ([command, "-i", str(path)], os.devnull)):
+        with open(stdin, "rb") as fh:
+            runs.append(subprocess.run([sys.executable, "-m", "forcing_lab.cli", *argv],
+                                       stdin=fh, capture_output=True, env={**base, **env},
+                                       timeout=60))
+    piped, named = runs
+    assert (piped.returncode, piped.stdout, piped.stderr) == (named.returncode, named.stdout, b"")
+    assert named.returncode == code and named.stderr == b""
+    assert json.loads(named.stdout) == {"command": command, "ok": False, "error": error}
+
+
 @NEEDS_DEV_FULL
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="this system has no /proc/self/fd")
 def test_failed_writes_leave_no_file_descriptor_open(tmp_path, capsys):
@@ -1681,7 +1737,7 @@ def test_readme_examples_run(monkeypatch, capsys):
     assert [argv[0] for argv, _ in examples] == [
         "slalom", "extend", "smz", "rapid", "diagram"]
     for argv, scenario in examples:
-        monkeypatch.setattr("sys.stdin", io.StringIO(scenario))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(scenario.encode())))
         code = cli.main(argv)
         env = json.loads(capsys.readouterr().out)
         assert code == 0, (argv, env)

@@ -7,10 +7,9 @@ wrappers count reads of one weight-table row (`_read_row`) and the
 table entries those reads cover (`row entries`), passes over
 the tops (`_top_groups`), certificates (`_certify`), weights built from
 plane sets (`phi_from_clopen`), public `eval_phi`, `check_bits`,
-`validate` and `score` calls, the candidate streams hashed (`_shake`:
-one per extension with weights, plus one per candidate drawn after a
-top's first), the `contains_rect` and `complement` calls of plane sets,
-the clopen sets canonicalized from given generators (`_canonical`), and
+`validate` and `score` calls, the `contains_rect` and `complement`
+calls of plane sets, the clopen sets canonicalized from given
+generators (`_canonical`), and
 the measures computed, of clopen sets and of name coordinates
 (`cylinder_mass`).  They also count the
 keys of every full stem map built from a layered condition's layers
@@ -29,6 +28,16 @@ counted in `_stem_checks`).
 Every count must stay at or below its budget, which is the count when the
 budget was pinned: a change that lowers a count lowers its budget with
 it.  The counts are printed, so a run with `-rP` shows them.
+
+The texts `_shake` hashes are counted in two parts.  `_shake streams`
+counts the texts f"{seed}|{m}|{m'}", one stream per extension with
+weights, whose count the scenario alone fixes, so it has a budget.
+`_shake draws` counts the texts f"{seed}|{m'}|{s}|{a}", one per candidate
+drawn after a top's first, whose count depends on what the seed draws:
+it has no budget, and must equal the sum over every extension's
+`ExtendStats.retries` of min(retries, _RETRY_CAP - 1), read from the
+results of `poset.extend_detailed`, so a run that retries by chance
+cannot fail the budgets.
 """
 
 import random
@@ -63,7 +72,6 @@ COUNTED = {
     "check_bits": (cantor, poset),
     "validate": (poset,),
     "score": (poset,),
-    "_shake": (poset,),
     "contains_rect": (ClopenPlaneSet,),
     "complement": (ClopenPlaneSet,),
     "_canonical": (cantor,),
@@ -131,7 +139,7 @@ def deep_extensions():
     for m, levels, count in ((9, 2, 3), (10, 1, 2)):
         h = _stem(rng, m, 8, lambda room: min(room, rng.choice([0, 0, 0, 1, 1, 2])))
         p = Condition(m, h, _weights(rng, h, count))
-        runs.append((extend_detailed, (p, rng.getrandbits(31)), {"max_new_levels": levels}))
+        runs.append((_extend, (p, rng.getrandbits(31)), {"max_new_levels": levels}))
     return runs
 
 
@@ -150,7 +158,7 @@ def fresh_extensions():
         p = Condition(m, h, tuple(TaggedWeight(tw.eps, WeightFunction(tw.phi.resolution,
                                                                        tw.phi.table))
                                   for tw in p.u))
-        runs.append((extend_detailed, (p, rng.getrandbits(31)), {}))
+        runs.append((_extend, (p, rng.getrandbits(31)), {}))
     return runs
 
 
@@ -170,6 +178,11 @@ def _name(rng, horizon, depth):
         return [{"label": lab, "cells": sorted(g)} for lab, g in zip(labels, groups)]
 
     return {"horizon": horizon, "coords": [partition() for _ in range(horizon)]}
+
+
+def _extend(p, seed, **kwargs):
+    # looked up when called, so count_calls sees the run's statistics
+    return poset.extend_detailed(p, seed, **kwargs)
 
 
 def _slalom(doc):
@@ -212,19 +225,19 @@ SCENARIOS = {"generic-run": generic_runs, "extend-deep": deep_extensions,
 BUDGETS = {
     "generic-run": {"_read_row": 59, "_top_groups": 2, "_certify": 22, "phi_from_clopen": 6,
                     "eval_phi": 0, "check_bits": 1520, "validate": 8, "score": 6,
-                    "_shake": 8, "contains_rect": 634, "complement": 6,
+                    "_shake streams": 8, "contains_rect": 634, "complement": 6,
                     "_canonical": 0, "cylinder_mass": 0, "row entries": 150,
                     "materialized keys": 0, "grown tops": 1168,
                     "census classes": 242, "check builds": 234},
     "extend-deep": {"_read_row": 11, "_top_groups": 2, "_certify": 0, "phi_from_clopen": 0,
                     "eval_phi": 0, "check_bits": 0, "validate": 2, "score": 0,
-                    "_shake": 2, "contains_rect": 0, "complement": 0,
+                    "_shake streams": 2, "contains_rect": 0, "complement": 0,
                     "_canonical": 0, "cylinder_mass": 0, "row entries": 50,
                     "materialized keys": 0, "grown tops": 0,
                     "census classes": 41, "check builds": 38},
     "extend-fresh": {"_read_row": 21, "_top_groups": 4, "_certify": 0, "phi_from_clopen": 0,
                      "eval_phi": 0, "check_bits": 0, "validate": 4, "score": 0,
-                     "_shake": 4, "contains_rect": 0, "complement": 0,
+                     "_shake streams": 4, "contains_rect": 0, "complement": 0,
                      "_canonical": 0, "cylinder_mass": 0, "row entries": 58,
                      "materialized keys": 0, "grown tops": 0,
                      "census classes": 4, "check builds": 7},
@@ -233,7 +246,7 @@ BUDGETS = {
     # condition set, though each name's slalom is extracted once or twice
     "names-mix": {"_read_row": 0, "_top_groups": 0, "_certify": 0, "phi_from_clopen": 0,
                   "eval_phi": 0, "check_bits": 0, "validate": 0, "score": 0,
-                  "_shake": 0, "contains_rect": 0, "complement": 0,
+                  "_shake streams": 0, "contains_rect": 0, "complement": 0,
                   "_canonical": 470, "cylinder_mass": 566, "row entries": 0,
                   "materialized keys": 0, "grown tops": 0,
                   "census classes": 0, "check builds": 0},
@@ -241,16 +254,19 @@ BUDGETS = {
     # the 74 differences canonicalize nothing and measure nothing
     "refine": {"_read_row": 0, "_top_groups": 0, "_certify": 0, "phi_from_clopen": 0,
                "eval_phi": 0, "check_bits": 0, "validate": 0, "score": 0,
-               "_shake": 0, "contains_rect": 0, "complement": 0,
+               "_shake streams": 0, "contains_rect": 0, "complement": 0,
                "_canonical": 410, "cylinder_mass": 490, "row entries": 0,
                "materialized keys": 0, "grown tops": 0,
                "census classes": 0, "check builds": 0},
 }
 
 
-def count_calls(monkeypatch) -> dict:
-    counts = dict.fromkeys([*COUNTED, "row entries", "materialized keys", "grown tops",
-                            "census classes", "check builds"], 0)
+def count_calls(monkeypatch) -> tuple[dict, list]:
+    """The counters, which the wrapped functions add to, and the list of the
+    ExtendStats of every extension, which poset.extend_detailed fills."""
+    counts = dict.fromkeys([*COUNTED, "_shake streams", "_shake draws", "row entries",
+                            "materialized keys", "grown tops", "census classes",
+                            "check builds"], 0)
     for name, namespaces in COUNTED.items():
         real = getattr(namespaces[0], name)
 
@@ -293,15 +309,33 @@ def count_calls(monkeypatch) -> dict:
         counts["check builds"] += len(phi_list)
         return stem_checks(phi_list, *args)
     monkeypatch.setattr(poset, "_stem_checks", building)
-    return counts
+    shake = poset._shake
+
+    def shaking(text, size):  # a drawn candidate's text names its top and attempt
+        counts["_shake draws" if text.count("|") == 3 else "_shake streams"] += 1
+        return shake(text, size)
+    monkeypatch.setattr(poset, "_shake", shaking)
+    extend, extensions = poset.extend_detailed, []
+
+    def extending(*args, **kwargs):
+        q, stats = extend(*args, **kwargs)
+        extensions.append(stats)
+        return q, stats
+    monkeypatch.setattr(poset, "extend_detailed", extending)
+    return counts, extensions
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_effort_stays_within_budget(monkeypatch, scenario):
     runs = SCENARIOS[scenario]()  # built before counting starts
-    counts = count_calls(monkeypatch)
+    counts, extensions = count_calls(monkeypatch)
     for fn, args, kwargs in runs:
         fn(*args, **kwargs)
+    draws = counts.pop("_shake draws")
+    retried = sum(min(n, poset._RETRY_CAP - 1)
+                  for stats in extensions for n in stats.retries.values())
     for name, count in counts.items():
         print(f"effort {scenario} {name}: {count} (budget {BUDGETS[scenario][name]})")
+    print(f"effort {scenario} _shake draws: {draws} (drawn after a top's first: {retried})")
     assert {n: c for n, c in counts.items() if c > BUDGETS[scenario][n]} == {}
+    assert draws == retried
