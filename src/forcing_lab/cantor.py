@@ -15,7 +15,9 @@ the total generator length; `difference` is `intersect` with a
 complement.  The results of those three are canonical as built, so they
 skip the constructor's bit check, re-sort and merge pass.  A value's
 measure is computed once, on first use, as an integer pair in C-level
-passes over the generator lengths.
+passes over the generator lengths.  The cells of a name are canonicalized
+by `names.make_name`, one sorted pass per coordinate, not by one
+constructor call per cell.
 
 Plane sets live on the product of two copies of the space.  They are kept
 flattened at a uniform resolution (r1, r2): a set of rectangles [s] x [t]
@@ -25,10 +27,11 @@ rectangles no deeper than the resolution.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Collection, Iterable
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, islice, product
+from itertools import chain, islice, product, repeat
+from operator import rshift
 
 from .errors import FrozenValue
 
@@ -51,12 +54,33 @@ def _all_bits(*groups: Iterable[str]) -> bool:
     strings = chain(*groups)
     while chunk := list(islice(strings, _BITS_CHUNK)):
         try:
-            text = "".join(chunk)
-        except TypeError:
+            text = "".join(chunk).encode("ascii")
+        except (TypeError, UnicodeEncodeError):
             return False
-        if text.count("0") + text.count("1") != len(text):
+        if text.translate(None, b"01"):  # what is left once the bits are deleted
             return False
     return True
+
+
+def require_bits(*groups: Iterable[str]) -> None:
+    """Raise ValueError naming the first string of the groups, in order, that
+    is not a 0/1 string.  The check is _all_bits; only a failing one words
+    its message per string, so the groups must be iterable twice."""
+    if not _all_bits(*groups):
+        for g in chain(*groups):
+            check_bits(g)
+
+
+def generator_collection(gens: Iterable[str]) -> Collection[str]:
+    """The generators as a collection that can be read twice: a list,
+    tuple or frozenset as given, any other iterable as a new list.  A bare
+    string is refused: it would iterate as its characters, each a one-bit
+    generator."""
+    if isinstance(gens, (list, tuple, frozenset)):
+        return gens
+    if isinstance(gens, str):
+        raise ValueError(f"generators must be an iterable of bit strings, not the string {gens!r}")
+    return list(gens)
 
 
 def cylinder_mass(gens: Iterable[str]) -> tuple[int, int]:
@@ -65,7 +89,7 @@ def cylinder_mass(gens: Iterable[str]) -> tuple[int, int]:
     the measure of their union when they are disjoint."""
     lengths = list(map(len, gens))
     whole = 1 << max(lengths, default=0)
-    return sum(map(whole.__rshift__, lengths)), whole  # 2^d >> |s| == 2^(d - |s|)
+    return sum(map(rshift, repeat(whole), lengths)), whole  # 2^d >> |s| == 2^(d - |s|)
 
 
 def _canonical(gens: Iterable[str]) -> frozenset[str]:
@@ -77,10 +101,8 @@ def _canonical(gens: Iterable[str]) -> frozenset[str]:
     when s1 arrives, so one pass with a stack absorbs prefixes and merges
     siblings, including merges that cascade upward.
     """
-    gens = list(gens)
-    if not _all_bits(gens):
-        for g in gens:
-            check_bits(g)
+    gens = generator_collection(gens)
+    require_bits(gens)
     out: list[str] = []
     for g in sorted(set(gens)):
         if out and g.startswith(out[-1]):
@@ -95,9 +117,9 @@ def _canonical(gens: Iterable[str]) -> frozenset[str]:
 class ClopenSet(FrozenValue):
     """Canonical finite union of cylinders.  Immutable.
 
-    The constructor canonicalizes whatever generators it is given, so
-    non-canonical values are unrepresentable; from_strings is the same
-    construction.
+    The constructor canonicalizes whatever iterable of bit strings it is
+    given (a bare string is refused), so non-canonical values are
+    unrepresentable; from_strings is the same construction.
     """
 
     generators: frozenset[str]

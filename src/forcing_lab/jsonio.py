@@ -73,11 +73,9 @@ def plane_from_json(data: Mapping) -> ClopenPlaneSet:
 
 
 def name_from_json(data: Mapping) -> FiniteName:
-    coords = [
-        [(entry["label"], clopen_from_json(entry["cells"])) for entry in coord]
-        for coord in data["coords"]
-    ]
-    g = make_name(coords)
+    # make_name canonicalizes the decoded generator lists itself
+    g = make_name([[(entry["label"], entry["cells"]) for entry in coord]
+                   for coord in data["coords"]])
     if g.horizon != data["horizon"]:
         raise ValueError(
             f"horizon field {data['horizon']} does not match {g.horizon} coordinates")

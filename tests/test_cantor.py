@@ -40,6 +40,27 @@ def test_check_bits_rejects_junk():
         ClopenSet.from_strings(["0", 1])  # checked before the sort compares it
 
 
+def test_a_bare_string_is_refused():
+    # its characters would be one-bit generators: "01" read as the full space
+    for build in (ClopenSet, ClopenSet.from_strings):
+        with pytest.raises(ValueError, match="^generators must be an iterable of bit strings, "
+                                             "not the string '01'$"):
+            build("01")
+
+
+@pytest.mark.parametrize("strings", [
+    ["01", "0\u00e9"], ["\udcff"], ["0", 1], ["\uff10"], ["0" * 5000 + "2"],
+    ["", "1"] * 3000 + ["x"], ["", "01", "0011"], [],
+], ids=["latin", "surrogate", "int", "fullwidth-zero", "long", "late", "bits", "none"])
+def test_all_bits_agrees_with_check_bits(strings):
+    def each():
+        try:
+            return all(check_bits(s) is s for s in strings)
+        except ValueError:
+            return False
+    assert cantor._all_bits(strings) == each()
+
+
 def test_canonical_merges_siblings():
     assert ClopenSet.from_strings(["00", "01"]).generators == frozenset({"0"})
     assert ClopenSet.from_strings(["0", "1"]) == FULL

@@ -594,6 +594,58 @@ def test_overlap_among_many_cells_is_named_in_time(tmp_path):
                             "message": "coordinate 0: cells 2998 and 2999 overlap"}
 
 
+def pinned_names_scenario(command, seed):
+    """A names-mix-shaped scenario of horizon 24: each coordinate splits the
+    space down to depth 8 and deals its shuffled leaves to 2-8 labels, so
+    cells hold sibling leaves that merge.  Coordinate 3's first cell also
+    holds an extension of its first generator, and coordinate 5's second
+    cell repeats its first.  `refine` takes a function that picks a light
+    label where one exists, else one the coordinate does not use."""
+    rng = random.Random(seed)
+    coords, f = [], []
+    for n in range(24):
+        leaves, stack = [], [""]
+        while stack:
+            s = stack.pop()
+            if len(s) < 8 and (len(s) < 2 or rng.random() < 0.62):
+                stack += [s + "1", s + "0"]
+            else:
+                leaves.append(s)
+        labels = rng.sample(range(50), min(len(leaves), rng.randint(2, 8)))
+        rng.shuffle(leaves)
+        groups = [[leaf] for leaf in leaves[:len(labels)]]
+        for leaf in leaves[len(labels):]:
+            rng.choice(groups).append(leaf)
+        coords.append([{"label": lab, "cells": sorted(g)} for lab, g in zip(labels, groups)])
+        light = [lab for lab, g in zip(labels, groups)
+                 if sum(Rational(1, 2 ** len(s)) for s in g) <= Rational(1, (n + 1) ** 2)]
+        f.append(rng.choice(light) if light else 50 + rng.randrange(50))
+    inside = coords[3][0]["cells"]
+    inside.append(inside[0] + "01")
+    coords[5][1]["cells"].append(coords[5][1]["cells"][0])
+    name = {"horizon": 24, "coords": coords}
+    if command == "slalom":
+        return {"name": name}
+    cells = sorted(rng.sample([format(v, "04b") for v in range(16)], rng.randint(8, 14)))
+    return {"name": name, "function": f, "condition_set": cells, "start": rng.randint(1, 3)}
+
+
+@pytest.mark.installed
+@pytest.mark.parametrize("command, seed, digest", [
+    ("slalom", 3901, "f83005980126075e57c49e52b5d9dbd07177396976490b4ded794339186c574e"),
+    ("refine", 3902, "293a55cbc67991c11385b26671245f3f47402282ffe1f88bae03bd54610e4b0f"),
+])
+def test_names_report_is_pinned(tmp_path, command, seed, digest):
+    # the name is canonicalized cell by cell: merged siblings, the absorbed
+    # extension and the repeat all leave the report as the parent wrote it
+    scenario = pinned_names_scenario(command, seed)
+    cells = [set(c["cells"]) for coord in scenario["name"]["coords"] for c in coord]
+    assert any(s[:-1] + "1" in cell for cell in cells for s in cell if s.endswith("0"))
+    code, env = run(tmp_path, [command], scenario)
+    assert code == 0, env.get("error")
+    assert report_digest(env) == digest
+
+
 @pytest.mark.parametrize("argv, scenario", [
     (["smz"], {"horizon": 1, "eps": ["1/0", "1/2"]}),
     (["extend", "--seed", "1"], {"condition": {**SIMPLE_CONDITION, "u": [{"eps": "1/2", "phi": {

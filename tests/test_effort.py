@@ -9,7 +9,8 @@ the tops (`_top_groups`), certificates (`_certify`), weights built from
 plane sets (`phi_from_clopen`), public `eval_phi`, `check_bits`,
 `validate` and `score` calls, the `contains_rect` and `complement`
 calls of plane sets, the clopen sets canonicalized from given
-generators (`_canonical`), and
+generators (`_canonical`, in `cantor` and in `names.make_name`'s fallback
+for a coordinate that is not a partition as given), and
 the measures computed, of clopen sets and of name coordinates
 (`cylinder_mass`).  They also count the
 keys of every full stem map built from a layered condition's layers
@@ -74,7 +75,7 @@ COUNTED = {
     "score": (poset,),
     "contains_rect": (ClopenPlaneSet,),
     "complement": (ClopenPlaneSet,),
-    "_canonical": (cantor,),
+    "_canonical": (cantor, names),
     "cylinder_mass": (cantor, names),
 }
 
@@ -241,13 +242,15 @@ BUDGETS = {
                      "_canonical": 0, "cylinder_mass": 0, "row entries": 58,
                      "materialized keys": 0, "grown tops": 0,
                      "census classes": 4, "check builds": 7},
-    # names-mix: 468 cells in 96 coordinates and 2 condition sets, each
-    # canonicalized once; one measure per cell, per coordinate and per
-    # condition set, though each name's slalom is extracted once or twice
+    # names-mix: 468 cells in 96 coordinates and 2 condition sets; only the
+    # condition sets are canonicalized by _canonical, since make_name merges
+    # a partition's cells in one sorted pass per coordinate; one measure per
+    # cell, per coordinate and per condition set, though each name's slalom
+    # is extracted once or twice
     "names-mix": {"_read_row": 0, "_top_groups": 0, "_certify": 0, "phi_from_clopen": 0,
                   "eval_phi": 0, "check_bits": 0, "validate": 0, "score": 0,
                   "_shake streams": 0, "contains_rect": 0, "complement": 0,
-                  "_canonical": 470, "cylinder_mass": 566, "row entries": 0,
+                  "_canonical": 2, "cylinder_mass": 566, "row entries": 0,
                   "materialized keys": 0, "grown tops": 0,
                   "census classes": 0, "check builds": 0},
     # refine: 408 cells in 80 coordinates and 2 condition sets, as above;
@@ -255,7 +258,7 @@ BUDGETS = {
     "refine": {"_read_row": 0, "_top_groups": 0, "_certify": 0, "phi_from_clopen": 0,
                "eval_phi": 0, "check_bits": 0, "validate": 0, "score": 0,
                "_shake streams": 0, "contains_rect": 0, "complement": 0,
-               "_canonical": 410, "cylinder_mass": 490, "row entries": 0,
+               "_canonical": 2, "cylinder_mass": 490, "row entries": 0,
                "materialized keys": 0, "grown tops": 0,
                "census classes": 0, "check builds": 0},
 }

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forcing_lab import (
     EMPTY,
@@ -18,7 +20,7 @@ from forcing_lab import (
     refine_condition,
     slalom_extract,
 )
-from forcing_lab.names import NotAPartition, tail_cutoff
+from forcing_lab.names import FiniteName, NotAPartition, tail_cutoff
 
 
 def halves(lo=0, hi=1):
@@ -155,6 +157,178 @@ def test_gap_of_two_to_the_minus_twenty_is_refused():
         make_name([halves(), cells])
     assert str(info.value) == "coordinate 1: cell measures sum to 1048575/1048576, expected 1"
     assert make_name([cells + [(20, ClopenSet(["0" * 20]))]]).horizon == 1
+
+
+def reference_canonical(gens):
+    """Test-local canonical form: drop each generator that extends another,
+    then merge sibling pairs until none is left."""
+    out = {g for g in gens if not any(g != h and g.startswith(h) for h in gens)}
+    while pair := next((g for g in out if g.endswith("0") and g[:-1] + "1" in out), None):
+        out -= {pair, pair[:-1] + "1"}
+        out.add(pair[:-1])
+    return frozenset(out)
+
+
+def reference_name(coords):
+    """The FiniteName make_name should build from coords, given as
+    (label, generator list) pairs, or the (type, message) of the error it
+    should raise: a bare string cell anywhere, then a bad bit anywhere, in
+    input order, then per coordinate a label that is not an int and the
+    pairwise partition check on the canonical cells."""
+    for coord in coords:
+        for _, gens in coord:
+            if isinstance(gens, str):
+                return ValueError, ("generators must be an iterable of bit strings, "
+                                    f"not the string {gens!r}")
+    for coord in coords:
+        for _, gens in coord:
+            for g in gens:
+                if not isinstance(g, str) or set(g) - {"0", "1"}:
+                    return ValueError, f"not a binary string: {g!r}"
+    built = []
+    for n, coord in enumerate(coords):
+        for lab, _ in coord:
+            if not isinstance(lab, int):
+                return ValueError, f"coordinate {n}: label {lab!r} is not an int"
+        cells = [(lab, ClopenSet._built(reference_canonical(gens))) for lab, gens in coord]
+        want = pairwise_verdict(cells, n)
+        if want is not None:
+            return NotAPartition, want
+        built.append(tuple(cells))
+    return FiniteName(len(built), tuple(built))
+
+
+def name_verdict(coords):
+    try:
+        return make_name(coords)
+    except (ValueError, NotAPartition) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def broken_coordinates(draw):
+    """A coordinate as (label, generator list) pairs: the leaves of a random
+    tree of depth <= 6 dealt to 1-6 labels, so cells hold siblings that
+    merge, then left intact or broken in one of the ways make_name falls
+    back on or refuses."""
+    leaves, stack = [], [""]
+    while stack:
+        s = stack.pop()
+        if len(s) < 6 and draw(st.booleans()):
+            stack += [s + "1", s + "0"]
+        else:
+            leaves.append(s)
+    count = draw(st.integers(1, min(6, len(leaves))))
+    labels = draw(st.lists(st.integers(0, 30), min_size=count, max_size=count, unique=True))
+    owner = draw(st.lists(st.integers(0, count - 1), min_size=len(leaves),
+                          max_size=len(leaves)))
+    cells = [[leaf for leaf, o in zip(leaves, owner) if o == i] for i in range(count)]
+    i, j = draw(st.integers(0, count - 1)), draw(st.integers(0, count - 1))
+    g = draw(st.sampled_from(leaves))
+    tail = draw(st.text("01", min_size=1, max_size=3))
+    kind = draw(st.sampled_from([
+        "intact", "repeat", "extension-inside", "overlap", "copied", "chain", "short",
+        "dropped", "half-twice", "duplicate-label", "bad-bit", "bad-label", "string-cell"]))
+    if kind == "repeat" and cells[i]:
+        cells[i].append(cells[i][0])
+    elif kind == "extension-inside" and cells[i]:
+        cells[i].append(cells[i][-1] + tail)
+    elif kind == "overlap":
+        cells[j].append(g + tail)
+    elif kind == "copied":
+        cells[j].append(g)
+    elif kind == "chain":  # overlaps several cells deep, in shuffled cell order
+        chain = g + tail + tail
+        links = sorted(set(draw(st.lists(st.integers(0, len(chain)), min_size=2, max_size=5))))
+        cells += [[chain[:k]] for k in links]
+        labels += range(40, 40 + len(links))
+        order = draw(st.permutations(range(len(cells))))
+        cells, labels = [cells[k] for k in order], [labels[k] for k in order]
+    elif kind == "short":  # 1, 01, ..., 0^19 1: all but the cylinder [0^20]
+        return [(k, ["0" * k + "1"]) for k in range(20)]
+    elif kind == "dropped":
+        cells = [[h for h in cell if h != g] for cell in cells]
+    elif kind == "half-twice":  # the measures still sum to 1, over a gap
+        cells = [[h for h in cell if h != g] for cell in cells]
+        cells[i].append(g + "0")
+        cells[j].append(g + "0")
+    elif kind == "duplicate-label":
+        cells.append([])
+        labels.append(labels[i])
+    elif kind == "bad-bit":
+        cells[i].append(draw(st.sampled_from(["2", "01x", "0\u00e9", "\uff11"])))
+    elif kind == "bad-label":
+        labels[i] = draw(st.sampled_from([0.5, 2.5, "3", None]))
+    elif kind == "string-cell":
+        cells[i] = "".join(cells[i]) or "0"
+    return list(zip(labels, cells))
+
+
+def as_given(coords, form):
+    """The cells as make_name is handed them: lists, tuples, one-pass
+    iterators, or ClopenSets where a cell is a list of bit strings."""
+    def cell(gens):
+        if isinstance(gens, str) or form == "list":
+            return gens
+        if form == "tuple":
+            return tuple(gens)
+        if form == "iterator":
+            return iter(gens)
+        return ClopenSet(gens) if not any(set(g) - {"0", "1"} for g in gens) else gens
+    return [[(lab, cell(gens)) for lab, gens in coord] for coord in coords]
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.lists(broken_coordinates(), max_size=4),
+       st.sampled_from(["list", "tuple", "iterator", "ClopenSet"]))
+def test_make_name_matches_the_per_cell_reference(coords, form):
+    assert name_verdict(as_given(coords, form)) == reference_name(coords)
+
+
+@pytest.mark.parametrize("coords, message", [
+    # chained overlap four cells deep, the first pair named in cell order
+    ([[(1, ["1"]), (2, ["0"]), (3, ["01"]), (4, ["011"]), (5, ["0110"])]],
+     "coordinate 0: cells 2 and 3 overlap"),
+    ([[(0, ["0", "1"])], [(k, ["0" * k + "1"]) for k in range(20)]],
+     "coordinate 1: cell measures sum to 1048575/1048576, expected 1"),
+    # a partition error in coordinate 0 and a bad bit in coordinate 2: the
+    # bits of the whole name are checked first
+    ([[(0, ["0"]), (1, ["0"])], [(0, [""])], [(0, ["1"]), (1, ["0", "2"])]],
+     "not a binary string: '2'"),
+    ([[(0, ["0"]), (1, ["1"])], [(0, ["01", "00"]), (1.0, ["1"])]],
+     "coordinate 1: label 1.0 is not an int"),
+    # the measures sum to 1, but two cells overlap and [1] is uncovered
+    ([[(0, ["0"]), (1, ["00", "01"])]], "coordinate 0: cells 0 and 1 overlap"),
+], ids=["chain", "short", "late-bad-bit", "float-label", "overlap-over-a-gap"])
+def test_make_name_fallback_reasons(coords, message):
+    want = reference_name(coords)
+    assert want[1] == message
+    assert name_verdict(coords) == want
+
+
+def test_make_name_refuses_labels_that_are_not_ints():
+    # int() would truncate them: 0.9 next to 0 read as a duplicate label,
+    # 2.5 as the label 2
+    with pytest.raises(ValueError, match=r"^coordinate 0: label 0\.9 is not an int$"):
+        make_name([[(0.9, ["0"]), (0, ["1"])]])
+    with pytest.raises(ValueError, match=r"^coordinate 1: label 2\.5 is not an int$"):
+        make_name([halves(), [(2.5, FULL)]])
+    assert make_name([[(True, FULL)]]).cells == (((1, FULL),),)  # an int subclass, as int
+
+
+def test_make_name_refuses_a_bare_string_cell():
+    with pytest.raises(ValueError, match="^generators must be an iterable of bit strings, "
+                                         "not the string '01'$"):
+        make_name([[(0, "01"), (1, ["1", "00"])]])
+
+
+def test_make_name_canonicalizes_cells_in_one_pass():
+    # siblings merge, cascading; an absorbed extension and a repeat fall
+    # back to the per-cell path and give the same canonical cells
+    g = make_name([[(0, ["000", "001", "01"]), (1, ["10"]), (2, ["11"])],
+                   [(0, ["000", "001", "01", "011"]), (1, ["10", "10"]), (2, ["11"])]])
+    assert g.coordinate(0) == g.coordinate(1) == (
+        (0, ClopenSet(["0"])), (1, ClopenSet(["10"])), (2, ClopenSet(["11"])))
 
 
 def test_slalom_extract_matches_a_fraction_threshold_reference():
