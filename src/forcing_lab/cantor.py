@@ -15,9 +15,9 @@ the total generator length; `difference` is `intersect` with a
 complement.  The results of those three are canonical as built, so they
 skip the constructor's bit check, re-sort and merge pass.  A value's
 measure is computed once, on first use, as an integer pair in C-level
-passes over the generator lengths.  The cells of a name are canonicalized
-by `names.make_name`, one sorted pass per coordinate, not by one
-constructor call per cell.
+passes over the generator lengths.  `names.make_name` checks the bits of
+a whole name once and then canonicalizes each cell with the unchecked
+pass (`_antichain`), not with one constructor call per cell.
 
 Plane sets live on the product of two copies of the space.  They are kept
 flattened at a uniform resolution (r1, r2): a set of rectangles [s] x [t]
@@ -30,8 +30,7 @@ from __future__ import annotations
 from collections.abc import Collection, Iterable
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, islice, product, repeat
-from operator import rshift
+from itertools import chain, islice, product
 
 from .errors import FrozenValue
 
@@ -89,29 +88,40 @@ def cylinder_mass(gens: Iterable[str]) -> tuple[int, int]:
     the measure of their union when they are disjoint."""
     lengths = list(map(len, gens))
     whole = 1 << max(lengths, default=0)
-    return sum(map(rshift, repeat(whole), lengths)), whole  # 2^d >> |s| == 2^(d - |s|)
+    return sum(map(whole.__rshift__, lengths)), whole  # 2^d >> |s| == 2^(d - |s|)
+
+
+def _antichain(gens: Iterable[str]) -> list[str]:
+    """The canonical antichain of 0/1 strings, whose bits are not checked.
+
+    In sorted order every prefix precedes its extensions, and s0 (or what
+    it merged into) is the top of the stack when s1 arrives, so one pass
+    with a stack absorbs prefixes and repeats, which are prefixes of
+    themselves, and merges siblings, including merges that cascade upward.
+    """
+    out: list[str] = []
+    top = "-"  # out[-1], or a string that prefixes no bit string
+    for g in sorted(gens):
+        if g.startswith(top):
+            continue
+        while top == g[:-1] + "0" and g[-1:] == "1":
+            out.pop()
+            g = g[:-1]
+            top = out[-1] if out else "-"
+        out.append(g)
+        top = g
+    return out
 
 
 def _canonical(gens: Iterable[str]) -> frozenset[str]:
     """Reduce arbitrary generators to the canonical antichain.
 
     The bits are checked in bulk; only a failing check words its message
-    per generator, in input order.  In sorted order every prefix precedes
-    its extensions, and s0 (or what it merged into) is the top of the stack
-    when s1 arrives, so one pass with a stack absorbs prefixes and merges
-    siblings, including merges that cascade upward.
+    per generator, in input order.
     """
     gens = generator_collection(gens)
     require_bits(gens)
-    out: list[str] = []
-    for g in sorted(set(gens)):
-        if out and g.startswith(out[-1]):
-            continue
-        while g.endswith("1") and out and out[-1] == g[:-1] + "0":
-            out.pop()
-            g = g[:-1]
-        out.append(g)
-    return frozenset(out)
+    return frozenset(_antichain(gens))
 
 
 class ClopenSet(FrozenValue):
@@ -133,9 +143,10 @@ class ClopenSet(FrozenValue):
 
     @classmethod
     def _built(cls, antichain: Iterable[str]) -> "ClopenSet":
-        """The value of generators already in canonical form, unchecked."""
+        """The value of generators already in canonical form, unchecked: its
+        one field is stored directly, as FrozenValue.__init__ would."""
         value = object.__new__(cls)
-        FrozenValue.__init__(value, frozenset(antichain))
+        value.__dict__["generators"] = frozenset(antichain)
         return value
 
     def is_empty(self) -> bool:

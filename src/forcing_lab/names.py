@@ -6,22 +6,20 @@ of "the named function takes value k at n".  Extraction of the heavy
 labels per coordinate (those whose cell measure exceeds 1/(n+1)^2) yields
 a slalom whose n-th slot has fewer than (n+1)^2 entries, by pigeonhole.
 
-Building a name checks the bits of all its generators once and then makes
-one sorted pass per coordinate.  A coordinate whose generators, as given,
-hold no repeat and no prefix pair and have measures summing to 1 under
-distinct labels is a partition already, so each of its cells only merges
-siblings and is built unchecked, with no ClopenSet construction per cell.
-Any other coordinate has each cell canonicalized and the partition checked
-on the canonical cells, which words the error.
+Building a name checks the bits of all its given generators once, then
+canonicalizes each given cell in one unchecked sorted pass, with no
+ClopenSet construction per cell, and checks each coordinate's partition
+with one sort of its generators.  A cell given as a ClopenSet is taken
+as it is.
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection, Hashable, Iterable, Sequence
+from collections.abc import Hashable, Iterable, Sequence
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain
 
-from .cantor import EMPTY, ClopenSet, _canonical, cylinder_mass, generator_collection, require_bits
+from .cantor import EMPTY, ClopenSet, _antichain, cylinder_mass, generator_collection, require_bits
 from .errors import ForcingLabError, FrozenValue
 
 
@@ -48,13 +46,11 @@ class SlalomViolation(ForcingLabError):
             f"f({coordinate}) = {label} lands in the extracted slalom slot")
 
 
-def _validate_partition(labels: Sequence[Hashable], cells: Sequence[Collection[str]],
-                        where) -> None:
-    """Raise NotAPartition unless the cells, each a canonical antichain, are
-    an exact partition of the space under distinct labels."""
+def _validate_partition(cells: Sequence[tuple[Hashable, ClopenSet]], where) -> None:
+    labels = [lab for lab, _ in cells]
     if len(labels) != len(set(labels)):
         raise NotAPartition(where, "duplicate labels")
-    gens = sorted(chain.from_iterable(cells))
+    gens = sorted(chain.from_iterable(cell.generators for _, cell in cells))
     # in sorted order everything between a generator and an extension of it
     # extends it too, so any overlap shows up as an adjacent prefix pair
     if any(map(str.startswith, gens[1:], gens)):
@@ -62,7 +58,7 @@ def _validate_partition(labels: Sequence[Hashable], cells: Sequence[Collection[s
         # chain of earlier generators that prefix g, each with the least cell
         # index on the chain so far, so that cell gives g's first pair.
         pairs, stack = [], []
-        for g, i in sorted((g, i) for i, cell in enumerate(cells) for g in cell):
+        for g, i in sorted((g, i) for i, (_, cell) in enumerate(cells) for g in cell.generators):
             while stack and not g.startswith(stack[-1][0]):
                 stack.pop()
             least = i
@@ -77,40 +73,6 @@ def _validate_partition(labels: Sequence[Hashable], cells: Sequence[Collection[s
     count, whole = cylinder_mass(gens)
     if count != whole:
         raise NotAPartition(where, f"cell measures sum to {Fraction(count, whole)}, expected 1")
-
-
-def _merged_cells(labels: Sequence[int],
-                  cells: Sequence[Collection[str]]) -> list[list[str]] | None:
-    """Each cell's canonical generators, when the labels are distinct and the
-    generators of all the cells, sorted once, hold no repeat and no prefix
-    pair and have measures summing to 1: the coordinate is then a partition
-    as given.  None for any other coordinate.
-
-    Such a cell absorbs none of its generators, so its canonical form is
-    its generators with siblings merged: one pass with a stack over the
-    cell's sorted generators merges them as _canonical does, cascades
-    included.
-    """
-    if len(labels) != len(set(labels)):
-        return None
-    gens = sorted(chain.from_iterable(cells))
-    # adjacent in sorted order: a repeat, which is a prefix of itself, and a
-    # prefix pair, as in _validate_partition
-    if any(map(str.startswith, gens[1:], gens)):
-        return None
-    count, whole = cylinder_mass(gens)
-    if count != whole:
-        return None
-    merged = []
-    for cell in cells:
-        out: list[str] = []
-        for g in sorted(cell):
-            while out and g[-1:] == "1" and out[-1] == g[:-1] + "0":
-                out.pop()
-                g = g[:-1]
-            out.append(g)
-        merged.append(out)
-    return merged
 
 
 class FiniteName(FrozenValue):
@@ -128,30 +90,24 @@ class FiniteName(FrozenValue):
 def make_name(cells: Iterable[Iterable[tuple[int, ClopenSet | Iterable[str]]]]) -> FiniteName:
     """Build a name from per-coordinate (label, cell) lists, validating that
     each coordinate is an exact partition with distinct int labels.  A cell
-    is a ClopenSet or an iterable of bit strings, which is canonicalized.
-
-    The bits of the whole name are checked first.  A coordinate that is a
-    partition as given (_merged_cells) is canonicalized in one sorted pass;
-    any other has each cell canonicalized and the partition checked on the
-    canonical cells, which words the error.
-    """
-    coords = [[(lab, cell.generators if isinstance(cell, ClopenSet) else generator_collection(cell))
+    is a ClopenSet, taken as it is, or an iterable of bit strings, which is
+    canonicalized.  The bits of every given generator are checked before
+    any coordinate, so a bad bit is named ahead of any partition error."""
+    coords = [[(lab, cell if isinstance(cell, ClopenSet) else generator_collection(cell))
                for lab, cell in coord] for coord in cells]
-    require_bits(*(gens for coord in coords for _, gens in coord))
-    checked = []
+    require_bits(*(cell for coord in coords for _, cell in coord
+                   if not isinstance(cell, ClopenSet)))
+    frozen = []
     for n, coord in enumerate(coords):
-        labels = [lab for lab, _ in coord]
-        if not all(map(isinstance, labels, repeat(int))):
-            bad = next(lab for lab in labels if not isinstance(lab, int))
-            raise ValueError(f"coordinate {n}: label {bad!r} is not an int")
-        labels = list(map(int, labels))  # a bool label reads as 0 or 1
-        given = [gens for _, gens in coord]
-        canonical = _merged_cells(labels, given)
-        if canonical is None:
-            canonical = [_canonical(gens) for gens in given]
-            _validate_partition(labels, canonical, n)
-        checked.append(tuple(zip(labels, map(ClopenSet._built, canonical))))
-    return FiniteName(len(checked), tuple(checked))
+        for lab, _ in coord:
+            if not isinstance(lab, int):
+                raise ValueError(f"coordinate {n}: label {lab!r} is not an int")
+        coord = tuple((int(lab),  # a bool label reads as 0 or 1
+                       cell if isinstance(cell, ClopenSet) else ClopenSet._built(_antichain(cell)))
+                      for lab, cell in coord)
+        _validate_partition(coord, n)
+        frozen.append(coord)
+    return FiniteName(len(frozen), tuple(frozen))
 
 
 def boolean_value(g: FiniteName, n: int, k: int) -> ClopenSet:

@@ -9,8 +9,9 @@ the tops (`_top_groups`), certificates (`_certify`), weights built from
 plane sets (`phi_from_clopen`), public `eval_phi`, `check_bits`,
 `validate` and `score` calls, the `contains_rect` and `complement`
 calls of plane sets, the clopen sets canonicalized from given
-generators (`_canonical`, in `cantor` and in `names.make_name`'s fallback
-for a coordinate that is not a partition as given), and
+generators whose bits they check (`_canonical`), the unchecked
+canonicalizing passes, one inside each `_canonical` and one for each
+cell `names.make_name` is given as generators (`_antichain`), and
 the measures computed, of clopen sets and of name coordinates
 (`cylinder_mass`).  They also count the
 keys of every full stem map built from a layered condition's layers
@@ -75,7 +76,8 @@ COUNTED = {
     "score": (poset,),
     "contains_rect": (ClopenPlaneSet,),
     "complement": (ClopenPlaneSet,),
-    "_canonical": (cantor, names),
+    "_canonical": (cantor,),
+    "_antichain": (cantor, names),
     "cylinder_mass": (cantor, names),
 }
 
@@ -227,30 +229,30 @@ BUDGETS = {
     "generic-run": {"_read_row": 59, "_top_groups": 2, "_certify": 22, "phi_from_clopen": 6,
                     "eval_phi": 0, "check_bits": 1520, "validate": 8, "score": 6,
                     "_shake streams": 8, "contains_rect": 634, "complement": 6,
-                    "_canonical": 0, "cylinder_mass": 0, "row entries": 150,
+                    "_canonical": 0, "_antichain": 0, "cylinder_mass": 0, "row entries": 150,
                     "materialized keys": 0, "grown tops": 1168,
                     "census classes": 242, "check builds": 234},
     "extend-deep": {"_read_row": 11, "_top_groups": 2, "_certify": 0, "phi_from_clopen": 0,
                     "eval_phi": 0, "check_bits": 0, "validate": 2, "score": 0,
                     "_shake streams": 2, "contains_rect": 0, "complement": 0,
-                    "_canonical": 0, "cylinder_mass": 0, "row entries": 50,
+                    "_canonical": 0, "_antichain": 0, "cylinder_mass": 0, "row entries": 50,
                     "materialized keys": 0, "grown tops": 0,
                     "census classes": 41, "check builds": 38},
     "extend-fresh": {"_read_row": 21, "_top_groups": 4, "_certify": 0, "phi_from_clopen": 0,
                      "eval_phi": 0, "check_bits": 0, "validate": 4, "score": 0,
                      "_shake streams": 4, "contains_rect": 0, "complement": 0,
-                     "_canonical": 0, "cylinder_mass": 0, "row entries": 58,
+                     "_canonical": 0, "_antichain": 0, "cylinder_mass": 0, "row entries": 58,
                      "materialized keys": 0, "grown tops": 0,
                      "census classes": 4, "check builds": 7},
-    # names-mix: 468 cells in 96 coordinates and 2 condition sets; only the
-    # condition sets are canonicalized by _canonical, since make_name merges
-    # a partition's cells in one sorted pass per coordinate; one measure per
-    # cell, per coordinate and per condition set, though each name's slalom
-    # is extracted once or twice
+    # names-mix: 468 cells in 96 coordinates and 2 condition sets, each
+    # canonicalized once; only the condition sets go through _canonical,
+    # since make_name checks a name's bits once and canonicalizes its cells
+    # unchecked; one measure per cell, per coordinate and per condition set,
+    # though each name's slalom is extracted once or twice
     "names-mix": {"_read_row": 0, "_top_groups": 0, "_certify": 0, "phi_from_clopen": 0,
                   "eval_phi": 0, "check_bits": 0, "validate": 0, "score": 0,
                   "_shake streams": 0, "contains_rect": 0, "complement": 0,
-                  "_canonical": 2, "cylinder_mass": 566, "row entries": 0,
+                  "_canonical": 2, "_antichain": 470, "cylinder_mass": 566, "row entries": 0,
                   "materialized keys": 0, "grown tops": 0,
                   "census classes": 0, "check builds": 0},
     # refine: 408 cells in 80 coordinates and 2 condition sets, as above;
@@ -258,7 +260,7 @@ BUDGETS = {
     "refine": {"_read_row": 0, "_top_groups": 0, "_certify": 0, "phi_from_clopen": 0,
                "eval_phi": 0, "check_bits": 0, "validate": 0, "score": 0,
                "_shake streams": 0, "contains_rect": 0, "complement": 0,
-               "_canonical": 2, "cylinder_mass": 490, "row entries": 0,
+               "_canonical": 2, "_antichain": 410, "cylinder_mass": 490, "row entries": 0,
                "materialized keys": 0, "grown tops": 0,
                "census classes": 0, "check builds": 0},
 }

@@ -209,8 +209,8 @@ def name_verdict(coords):
 def broken_coordinates(draw):
     """A coordinate as (label, generator list) pairs: the leaves of a random
     tree of depth <= 6 dealt to 1-6 labels, so cells hold siblings that
-    merge, then left intact or broken in one of the ways make_name falls
-    back on or refuses."""
+    merge, then left intact, given in a form that is not yet canonical, or
+    broken in one of the ways make_name refuses."""
     leaves, stack = [], [""]
     while stack:
         s = stack.pop()
@@ -300,7 +300,7 @@ def test_make_name_matches_the_per_cell_reference(coords, form):
     # the measures sum to 1, but two cells overlap and [1] is uncovered
     ([[(0, ["0"]), (1, ["00", "01"])]], "coordinate 0: cells 0 and 1 overlap"),
 ], ids=["chain", "short", "late-bad-bit", "float-label", "overlap-over-a-gap"])
-def test_make_name_fallback_reasons(coords, message):
+def test_make_name_refusals_match_the_reference(coords, message):
     want = reference_name(coords)
     assert want[1] == message
     assert name_verdict(coords) == want
@@ -322,13 +322,18 @@ def test_make_name_refuses_a_bare_string_cell():
         make_name([[(0, "01"), (1, ["1", "00"])]])
 
 
-def test_make_name_canonicalizes_cells_in_one_pass():
-    # siblings merge, cascading; an absorbed extension and a repeat fall
-    # back to the per-cell path and give the same canonical cells
+def test_make_name_canonicalizes_given_generators_and_keeps_clopen_sets():
+    # siblings merge, cascading; an extension is absorbed and a repeat
+    # dropped; a ClopenSet cell, canonical already, is kept as the same value
+    right = ClopenSet(["1"])
+    assert right.mass == (1, 2)
     g = make_name([[(0, ["000", "001", "01"]), (1, ["10"]), (2, ["11"])],
-                   [(0, ["000", "001", "01", "011"]), (1, ["10", "10"]), (2, ["11"])]])
+                   [(0, ["000", "001", "01", "011"]), (1, ["10", "10"]), (2, ("11",))],
+                   [(0, iter(["01", "00"])), (1, right)]])
     assert g.coordinate(0) == g.coordinate(1) == (
         (0, ClopenSet(["0"])), (1, ClopenSet(["10"])), (2, ClopenSet(["11"])))
+    assert g.coordinate(2) == ((0, ClopenSet(["0"])), (1, right))
+    assert g.coordinate(2)[1][1] is right
 
 
 def test_slalom_extract_matches_a_fraction_threshold_reference():
