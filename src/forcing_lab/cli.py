@@ -184,7 +184,8 @@ def _cmd_extend(args, scenario):
         "stats": {
             "pinned_depth": stats.pinned_m_prime,
             "depth": stats.m_prime,
-            "retries": [[s, n] for s, n in sorted(stats.retries.items())],
+            # written as arrays of pairs, as lists would be, with no list per top
+            "retries": sorted(stats.retries.items()),
             "exhaustive_stems": sorted(stats.exhaustive_stems),
         },
     }

@@ -139,7 +139,7 @@ def write(tree, sink, dumps=json.dumps) -> None:
 
 
 def condition_from_json(data: Mapping) -> Condition:
-    h = {s: v for s, v in data["h"]}
+    h = dict(data["h"])
     _refuse_repeats(h, data["h"], itemgetter(0), "stem key")
     u = tuple(
         TaggedWeight(rational_from_json(entry["eps"]), weight_from_json(entry["phi"]))

@@ -21,10 +21,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from functools import cache, cached_property
-from operator import itemgetter
+from functools import cache, cached_property, partial
+from itertools import chain, compress, islice, repeat, tee
+from operator import add, itemgetter
 
 from .cantor import ClopenPlaneSet, check_bits, _all_bits, _extensions
 from .errors import ForcingLabError, FrozenValue
@@ -254,7 +255,7 @@ class Condition(FrozenValue):
 
 def _stem_map(p: Condition) -> dict:
     """The full map of an extended condition, read from its wire text: with
-    the brackets around and between its pairs (_PAIR) cut, it splits at '","'
+    the brackets around and between its pairs (_SEP) cut, it splits at '","'
     into keys and values in turn.  json.loads, or a split at every quote,
     would also make an object per pair, and building and then reading the
     map (C04) would be slower."""
@@ -509,6 +510,15 @@ def _stem_searches(phi_list, m: int, m2: int, delta: Fraction):
     return search
 
 
+def _class_keys(phi_list, tops: Sequence[tuple[str, str]]) -> Iterator[tuple]:
+    """The class key (see _stem_searches) of each (top, value) pair of tops, in order."""
+    cut_x = max(phi.resolution[0] for phi in phi_list)
+    cut_y = max(phi.resolution[1] for phi in phi_list)
+    return zip(map(itemgetter(slice(None, cut_x)), map(itemgetter(0), tops)),
+               map(itemgetter(slice(None, cut_y)), map(itemgetter(1), tops)),
+               map(len, map(itemgetter(1), tops)))
+
+
 def _stem_checks(phi_list, s: str, value: str, m: int, m2: int, delta: Fraction) -> tuple:
     """The check of each weight for the class of a top s valued value (see
     _stem_searches): (target, block, base, gains, D)."""
@@ -582,64 +592,137 @@ def _grown_tops(m2: int, tops: Sequence[tuple[str, str]], chosen: Mapping) -> li
 
 # Levels of a grown top written per filled _chunk template: 511 keys.
 _CHUNK = 8
-# A stem's (key, value) pair on the wire; binary strings need no escape.
-_PAIR = '["%s","%s"]'
+# Between the cores 'key","value' of two pairs on the wire; binary strings need no escape.
+_SEP = '"],["'
+# Pairs of growth joined into one piece for the sink at most (one grown top's, if more).
+_PIECE = 2 ** 9
 
 
 def _inner(s: str, v: str, k: int) -> Iterator[tuple[str, str]]:
     """(text, w) for each w = s + u, u of length k, in key order: text is the
-    pairs valued v of the keys s + u[:j], 0 < j < k, between w and the one before."""
+    pairs valued v of the keys s + u[:j], 0 < j < k, between w and the one before,
+    each core led by _SEP."""
     for r in range(2 ** k):
         u = format(r, f"0{k}b")
         new = (r & -r).bit_length() if r else k  # the prefixes w does not share with r - 1
-        yield "".join("," + _PAIR % (s + u[:j], v) for j in range(k - new + 1, k)), s + u
+        yield "".join(f'{_SEP}{s}{u[:j]}","{v}' for j in range(k - new + 1, k)), s + u
 
 
 @cache
 def _chunk(c: int) -> str:
-    """The pairs of the c levels under a top, each led by a comma: K stands for the
-    top, V for its value, and the value of a key of length c ends in %s, its bit."""
-    return "".join(text + "," + _PAIR % (w, "V%s") for text, w in _inner("K", "V", c))
+    """The pairs of the c levels under a top, each core led by _SEP: K stands for
+    the top, V for its value, and the value of a key of length c ends in %s, its bit."""
+    return "".join(f'{text}{_SEP}{w}","V%s' for text, w in _inner("K", "V", c))
+
+
+@cache
+def _parts(k: int) -> tuple[str, ...]:
+    """The pairs of the k levels under a top cut before each new top's core: K
+    stands for the top and V for its value.  The first part goes on the top's
+    piece, after a _SEP; each other starts a piece."""
+    parts = [text + _SEP for text, _ in _inner("K", "V", k)]
+    return (parts[0], *(text[len(_SEP):] for text in parts[1:]))
+
+
+def _fill(k: int, e: int) -> str:
+    """_chunk(k) with the bits of e, bit i at the i-th new top in key order."""
+    return _chunk(k) % tuple(format(e, f"0{2 ** k}b")[::-1])
+
+
+def _upper(tops: Iterable[tuple[str, str]], k: int) -> Iterator[tuple[str, str]]:
+    """The (key, value) pairs k levels below tops, in key order, each valued as its top."""
+    return ((s + format(r, f"0{k}b"), v) for s, v in tops for r in range(2 ** k))
+
+
+def _below(pieces: Iterator[str], deepest: Iterator[int], tops: Iterable[tuple[str, str]],
+           grown: Iterable[tuple[str, str]], k: int) -> Iterator[str]:
+    """pieces with the k levels below each of tops put after the piece it ends
+    (deepest), one piece per new top, in key order, each ending in its core:
+    grown holds the new tops' (key, value) pairs in key order."""
+    parts = _parts(k)
+    tops, grown = iter(tops), map('","'.join, grown)
+    for piece, top in zip(pieces, deepest):
+        if not top:
+            yield piece
+            continue
+        s, v = next(tops)
+        texts = map(add, map(str.replace, map(str.replace, parts, repeat("K"), repeat(s)),
+                             repeat("V"), repeat(v)), grown)
+        yield piece + next(texts)
+        yield from islice(texts, len(parts) - 1)
 
 
 def stem_text(p: Condition, sink: Callable[[str], object]) -> None:
     """Pass the JSON text of p's stem, an array of (key, value) pairs, to sink in
-    pieces, in one pass over the base and layers (see Condition): each pair of
-    the base and, after each of its tops, the pairs grown under it.  A top of an
-    earlier layer writes its new keys (_inner), each new top as the next layer
-    holds it and then what that layer grows under it; one of the last layer
-    fills _chunk's template of its last min(k, _CHUNK) levels with its
-    pattern's bits, once per string of the levels above them, so a piece costs
-    a few C-level calls."""
+    bounded pieces, in one pass over the base and layers (see Condition).
+
+    A pair is written as its core 'key","value', and the cores are joined by
+    _SEP.  The pieces start as the cores of the sorted base, and a stream of
+    flags marks the pieces that end in a top of the deepest level reached so
+    far, starting from the base's tops; each reader of the flags makes the
+    stream again.  A layer before the last puts, after each marked piece,
+    the levels it grew under that top (_below): one new piece per new top,
+    each marked.  The last layer adds its growth under each top to the top's
+    marked piece: the template of the top's pattern (_fill, made once per
+    distinct pattern when k <= 3) with K and V replaced by the top and its
+    value.  A last layer of k > _CHUNK levels first puts its upper
+    k - _CHUNK levels, whose new tops keep the top's value, and then fills a
+    _CHUNK template per 2^_CHUNK bits of the pattern.  The cores, the fills
+    and the adding are C-level maps, and the pieces are joined a bounded run
+    at a time: at most _PIECE pairs of fills, with the cores between them."""
     (m, pairs), layers = p._base, p._layers
-    grown = [zip(tops, chosen.values()) for _, tops, chosen in layers]
-    codes: dict[int, str] = {}
+    pieces = map('","'.join, pairs)
+    size = _PIECE
 
-    def grow(s: str, v: str, e: int, j: int) -> None:
-        k = layers[j][0] - len(s)
+    # the base's flags: a layered base is complete, and its keys in key order are
+    # the tree's preorder (the root, then the left and the right subtree), whose
+    # mask is the upper levels' mask with each of their tops standing for the
+    # mask of its subtree: two masks of about 2^(m/2 + 1) bytes
+    upper, lower = b"\1", b"\1"
+    for _ in range(m // 2):
+        lower = b"\0" + lower + lower
+    for _ in range(m - m // 2):
+        upper = b"\0" + upper + upper
+
+    def deepest() -> Iterator[int]:
+        return chain.from_iterable(map((b"\0", lower).__getitem__, upper))
+
+    def under(flags: Callable[[], Iterator[int]], k: int) -> Callable[[], Iterator[int]]:
+        # _below's pieces: those not marked, then 2^k marked ones per marked piece
+        return lambda: chain.from_iterable(map(((0,), (1,) * 2 ** k).__getitem__, flags()))
+
+    for j, (depth, tops, chosen) in enumerate(layers):
+        k, patterns = depth - len(tops[0][0]), chosen.values()
         if j + 1 < len(layers):
-            for text, w in _inner(s, v, k):
-                (_, value), e_new = next(grown[j + 1])  # the top w, valued as grown
-                sink(text + "," + _PAIR % (w, value))
-                grow(w, value, e_new, j + 1)
-        elif k <= _CHUNK:
-            code = codes.get(e) or _chunk(k) % tuple(format(e, f"0{2 ** k}b")[::-1])
-            if k <= 3:  # at most 256 patterns: kept for the other tops
-                codes[e] = code
-            sink(code.replace("K", s).replace("V", v))
-        else:
-            bits, size = e.to_bytes(2 ** k // 8, "little"), 2 ** _CHUNK // 8  # bytes per block
-            for r, (text, w) in enumerate(_inner(s, v, k - _CHUNK)):
-                block = int.from_bytes(bits[r * size:(r + 1) * size], "little")
-                code = _chunk(_CHUNK) % tuple(format(block, f"0{2 ** _CHUNK}b")[::-1])
-                sink(text + "," + _PAIR % (w, v) + code.replace("K", w).replace("V", v))
-
+            pieces = _below(pieces, deepest(), tops, layers[j + 1][1], k)
+            deepest = under(deepest, k)
+            continue
+        left = right = tops  # the tops filled, read for their keys and their values
+        if k > _CHUNK:  # put the levels above the last _CHUNK; their new tops keep the value
+            cut = k - _CHUNK
+            grown, left, right = tee(_upper(tops, cut), 3)
+            pieces = _below(pieces, deepest(), tops, grown, cut)
+            deepest = under(deepest, cut)
+            whole, block = 2 ** k // 8, 2 ** _CHUNK // 8  # bytes of a pattern, of a block
+            patterns = (int.from_bytes(bits[i:i + block], "little") for e in patterns
+                        for bits in [e.to_bytes(whole, "little")] for i in range(0, whole, block))
+            k = _CHUNK
+        keys, values = map(itemgetter(0), left), map(itemgetter(1), right)
+        fill = partial(_fill, k)
+        if k <= 3:  # at most 256 patterns
+            fill = {e: fill(e) for e in set(patterns)}.__getitem__
+        fills = map(str.replace, map(str.replace, map(fill, patterns), repeat("K"), keys),
+                    repeat("V"), values)
+        pieces = map(add, pieces, map(next, map((repeat(""), fills).__getitem__, deepest())))
+        size = max(1, _PIECE >> k + 1)  # at most _PIECE pairs of fills
     sink("[")
-    for i, (s, v) in enumerate(pairs):
-        sink(("," if i else "") + _PAIR % (s, v))
-        if layers and len(s) == m:
-            grow(s, v, next(grown[0])[1], 0)  # the top s, with its pattern
-    sink("]")
+    lead = '["'
+    while batch := list(islice(pieces, size)):
+        sink(lead)
+        sink(_SEP.join(batch))
+        del batch  # not held while the next is joined
+        lead = _SEP
+    sink('"]]' if pairs else "]")
 
 
 def extend_detailed(
@@ -661,6 +744,17 @@ def extend_detailed(
     where the pinned depth formula compounds past any materializable size;
     a depth past _MAX_DEPTH is refused either way.
 
+    The search runs in bulk.  Every top's candidate 0 is read from the
+    stream at once (one bytes.translate when count <= 8).  The tops are
+    grouped in one C-level pass by their stem class (_class_keys), each told
+    by the class's first top in key order, and by candidate 0: one verdict
+    is looked up per group, the class's checks built from that first top,
+    and a passing group of n tops adds n times its sums.  Only the tops of
+    the failing groups run the retry loop and the fallback, in key order,
+    each from its own stream; with _RETRY_CAP = 0 no candidate is drawn and
+    every top falls back.  So every top gets the pattern the per-top loop
+    gives it.
+
     The result's scores are read off the accepted candidates' integer sums,
     score = sum over tops s of 2^(|h(s)|+1)·sum_s/D_s, and each must exceed
     its tag.  The result is p's base and layers (see Condition) plus one
@@ -680,31 +774,59 @@ def extend_detailed(
     retries: dict[str, int] = {}
     exhaustive: list[str] = []
     scores: tuple[Fraction, ...] = ()
-    chosen = dict.fromkeys([s for s, _ in tops], 0)
-    if p.u:
+    if not p.u:
+        chosen = dict.fromkeys(map(itemgetter(0), tops), 0)
+    else:
         slack = min(sc - tw.eps for sc, tw in zip(rep.scores, p.u))
-        delta = slack / (2 * sum(2 ** (1 + len(v)) for _, v in tops))
+        lengths = Counter(map(len, map(itemgetter(1), tops)))
+        delta = slack / (2 * sum(n << 1 + length for length, n in lengths.items()))
         threshold = delta * delta / (2 * len(p.u))
         # the least m2 > m with 2^m2 > 1/threshold, that is 2^-m2 < threshold
         m2 = pinned = max(m + 1, (threshold.denominator // threshold.numerator).bit_length())
         if max_new_levels is not None:
             m2 = min(m2, m + max_new_levels)
         _refuse_past_limit(m, m2)
-        search = _stem_searches([tw.phi for tw in p.u], m, m2, delta)
+        phi_list = [tw.phi for tw in p.u]
+        search = _stem_searches(phi_list, m, m2, delta)
+        class_keys = partial(_class_keys, phi_list)
         count = 2 ** (m2 - m)
         # the exhaustive fallback tries every pattern, tagged as attempt _RETRY_CAP
         space = 2 ** count if count < 64 and 2 ** count <= _EXHAUSTIVE_CAP else 0
         size, mask = -(-count // 8), (1 << count) - 1
         stream = _shake(f"{seed}|{m}|{m2}", len(tops) * size)
-        totals: list[dict] = [{} for _ in p.u]  # per weight: D -> sum of 2^(|h(s)|+1)·sum_s
-        for t, (s, value) in enumerate(tops):
+        if size == 1:  # every top's candidate 0 is its byte of the stream, masked
+            firsts = stream.translate(bytes(map(mask.__and__, range(256))))
+        else:
+            firsts = [int.from_bytes(stream[i:i + size], "little") & mask
+                      for i in range(0, len(stream), size)]
+        # per weight: D -> sum of 2^(|h(s)|+1)·sum_s; the tops of one class that
+        # draw one candidate 0 share its verdict, so a passing one is added n times
+        totals: list[dict] = [{} for _ in p.u]
+        # each top is told by its class's first top in key order, which
+        # dict.setdefault keeps, and counted with its candidate 0
+        first: dict = {}
+        failing = set()
+        for (top, e), n in Counter(zip(map(first.setdefault, class_keys(tops), tops),
+                                       firsts)).items():
+            # with no sampled attempt, no candidate is drawn and every top falls back
+            last_fail, sums = search(*top)[e] if _RETRY_CAP else (0, None)
+            if last_fail >= 0:
+                failing.add((top, e))
+                continue
+            for total, (d, acc) in zip(totals, sums):
+                total[d] = total.get(d, 0) + (n * acc << len(top[1]) + 1)
+        # built once the count is freed, so the two are never held at once
+        chosen = dict(zip(map(itemgetter(0), tops), firsts))
+        retries = dict.fromkeys(chosen, 0)
+        # the tops that failed, in key order, retry from their own streams
+        for t in compress(range(len(tops)), map(failing.__contains__, zip(
+                map(first.__getitem__, class_keys(tops)), firsts))) if failing else ():
+            s, value = tops[t]
             verdicts = search(s, value)
-            candidate = stream[t * size:(t + 1) * size]
             last_fail = 0
             for attempt in range(_RETRY_CAP):
-                if attempt:
-                    candidate = _shake(f"{seed}|{m2}|{s}|{attempt}", size)
-                e = int.from_bytes(candidate, "little") & mask
+                e = (firsts[t] if not attempt else
+                     int.from_bytes(_shake(f"{seed}|{m2}|{s}|{attempt}", size), "little") & mask)
                 last_fail, sums = verdicts[e]
                 if last_fail < 0:
                     break
@@ -719,9 +841,8 @@ def extend_detailed(
                 exhaustive.append(s)
             retries[s] = attempt
             chosen[s] = e
-            shift = len(value) + 1
             for total, (d, acc) in zip(totals, sums):
-                total[d] = total.get(d, 0) + (acc << shift)
+                total[d] = total.get(d, 0) + (acc << len(value) + 1)
         scores = tuple(
             sum((Fraction(acc, d) for d, acc in total.items()), Fraction(0)) for total in totals)
         for i, (sc, tw) in enumerate(zip(scores, p.u)):

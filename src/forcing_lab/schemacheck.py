@@ -26,16 +26,22 @@ schemas, but with a bounded `reprlib` repr of every value it shows.
 An array whose `items` (or, with no `items`, each `prefixItems` entry) is
 a string schema with a `pattern` and nothing else, directly or through
 `$ref`s, is matched in one C-level pass over its items, as the bit-string
-arrays of the scenario schema are; only an array that fails it goes
-through the per-item checks, which word the error.
+arrays of the scenario schema are.  So is an array whose `items` is a row
+of exactly n such strings (`prefixItems` with `minItems` and `maxItems`
+both n), as the stem pairs and rectangles are: one `type` pass, one length
+pass and one pattern pass per position.  A pattern that is an anchored
+character-class star, such as `^[01]*$`, is matched once over the joined
+strings.  Only an array that fails a short cut goes through the per-item
+checks, which word the error.
 """
 
 from __future__ import annotations
 
 import numbers
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from functools import partial
+from operator import itemgetter
 from reprlib import repr as _repr
 
 Error = tuple[tuple, str | None, str]  # (path, keyword, message)
@@ -134,15 +140,58 @@ def _object(schema: dict, sub: Callable[[object], Check], defs: dict) -> Check |
     return check
 
 
+def _resolved(schema, defs: dict):
+    """`schema` with any `$ref` that is all it says followed."""
+    while isinstance(schema, dict) and "$ref" in schema and schema.keys() - ANNOTATIONS == {"$ref"}:
+        schema = defs[schema["$ref"].rpartition("/")[2]]  # already compiled, so it resolves
+    return schema
+
+
 def _pattern(schema, defs: dict) -> re.Pattern | None:
     """The compiled pattern when `schema`, through `$ref`s alone, says only
     that an instance is a string matching it; else None."""
-    while isinstance(schema, dict) and schema.keys() - ANNOTATIONS == {"$ref"}:
-        schema = defs[schema["$ref"].rpartition("/")[2]]  # already compiled, so it resolves
+    schema = _resolved(schema, defs)
     if (isinstance(schema, dict) and schema.keys() - ANNOTATIONS == {"type", "pattern"}
             and schema["type"] == "string"):
         return re.compile(schema["pattern"])
     return None
+
+
+def _row(schema, defs: dict) -> list[re.Pattern] | None:
+    """The patterns, one per position, when `schema`, through `$ref`s alone,
+    says only that an instance is an array of exactly n pattern-only strings;
+    else None."""
+    schema = _resolved(schema, defs)
+    if not (isinstance(schema, dict) and schema.get("type") == "array"
+            and schema.keys() - ANNOTATIONS == {"type", "prefixItems", "minItems", "maxItems"}):
+        return None
+    patterns = [_pattern(s, defs) for s in schema["prefixItems"]]
+    if all(patterns) and schema["minItems"] == schema["maxItems"] == len(patterns):
+        return patterns
+    return None
+
+
+def _all_match(pattern: re.Pattern) -> Callable[[Iterable], bool]:
+    """A test that every one of some strings matches `pattern`, in one
+    C-level pass; it raises TypeError on a non-string.  For an anchored
+    character-class star, such as `^[01]*$`, it searches the joined strings
+    once: as `$` also matches before a final newline, a newline ending any
+    string but the last fails the join, and the caller's per-item loop then
+    decides."""
+    text = pattern.pattern
+    if (text[:2] == "^[" and text[-3:] == "]*$"
+            and not any(map(text[2:-3].__contains__, "[]\\"))):
+        return lambda strings: pattern.search("".join(strings)) is not None
+    return lambda strings: all(map(pattern.search, strings))
+
+
+def _all_rows_match(tests: list[Callable[[Iterable], bool]], x: list) -> bool:
+    """Whether every item of `x` is a list of len(tests) strings that pass
+    the test of their position (_all_match): one `type` pass, one length
+    pass, then one pass per position."""
+    if {*map(type, x)} != {list} or {*map(len, x)} != {len(tests)}:
+        return False
+    return all(test(map(itemgetter(i), x)) for i, test in enumerate(tests))
 
 
 def _array(schema: dict, sub: Callable[[object], Check], defs: dict) -> Check | None:
@@ -152,16 +201,18 @@ def _array(schema: dict, sub: Callable[[object], Check], defs: dict) -> Check | 
     rest = sub(schema.get("items", True))
     lo, hi = schema.get("minItems", 0), schema.get("maxItems", float("inf"))
     skip = len(prefix)
-    # An array of pattern-only strings is matched in one C-level pass that
-    # maps each item to its pattern's match.  A non-string raises TypeError
-    # and a miss gives None; either way the loops below find and word the
-    # first error, so only a valid array takes the short cut.
+    # An array of pattern-only strings, or of rows of them, is matched in
+    # C-level passes (see the module docstring).  A non-string raises
+    # TypeError and a miss gives False; either way the loops below find and
+    # word the first error, so only a valid array takes the short cut.
     bulk = None
     if not prefix and (pattern := _pattern(schema.get("items"), defs)):
-        bulk = partial(map, pattern.search)
+        bulk = _all_match(pattern)
+    elif not prefix and (patterns := _row(schema.get("items"), defs)):
+        bulk = partial(_all_rows_match, list(map(_all_match, patterns)))
     elif prefix and "items" not in schema and all(
             patterns := [_pattern(s, defs) for s in schema["prefixItems"]]):
-        bulk = partial(map, re.Pattern.search, patterns)
+        bulk = lambda x: all(map(re.Pattern.search, patterns, x))
 
     def check(x):
         if not lo <= len(x) <= hi:
@@ -169,7 +220,7 @@ def _array(schema: dict, sub: Callable[[object], Check], defs: dict) -> Check | 
             return (), keyword, f"{_repr(x)} is too {size}"
         if bulk is not None:
             try:
-                if all(bulk(x)):
+                if bulk(x):
                     return None
             except TypeError:
                 pass

@@ -34,7 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import forcing_lab
-from forcing_lab import cli, poset
+from forcing_lab import cli, poset, schemacheck
 from forcing_lab.diagram import NODES
 from forcing_lab.schemacheck import compile_schema
 
@@ -286,6 +286,34 @@ def test_deep_extend_report_is_pinned(tmp_path, seed, run_seed, weights, levels,
     assert code == 0, env.get("error")
     assert env["report"]["condition"]["m"] == 10 + int(levels)
     assert any(n for _, n in env["report"]["stats"]["retries"])
+    assert report_digest(env) == digest
+
+
+def one_class_condition(depth):
+    """A complete stem of the given depth whose inner keys are valued "" and
+    whose tops are valued the parity of their ones, with one full weight
+    tagged at 255/256 of its score (1): every top is in one search class."""
+    keys = [""]
+    for level in range(depth):
+        keys += [k + b for k in keys if len(k) == level for b in "01"]
+    h = {s: str(s.count("1") % 2) if len(s) == depth else "" for s in keys}
+    return {"m": depth, "h": [[s, v] for s, v in sorted(h.items())], "u": [
+        {"eps": "255/256", "phi": {"resolution": [0, 0], "table": [["", "", "1/1"]]}}]}
+
+
+@pytest.mark.installed
+@pytest.mark.parametrize("levels, digest", [
+    ("1", "a3b61482e1cbaf194ca9702ef2542b19533c7b0fe8bff7317b8ecfc419bc6713"),
+    ("2", "cbe03428a88b735c0c0302266749f53c1ed0e30ec90636fa6506444674857212"),
+], ids=["l1", "l2"])
+def test_one_class_given_stem_extension_is_pinned(tmp_path, levels, digest):
+    # 4,096 given tops in one class: the bulk search, its verdict per distinct
+    # candidate 0 and the writer's pieces must give the per-top report byte
+    # for byte
+    code, env = run(tmp_path, ["extend", "--seed", "3", "--max-new-levels", levels],
+                    {"condition": one_class_condition(12)})
+    assert code == 0, env.get("error")
+    assert env["report"]["condition"]["m"] == 12 + int(levels)
     assert report_digest(env) == digest
 
 
@@ -1661,6 +1689,44 @@ def test_bulk_bit_pairs_give_jsonschemas_verdict(section, index, slot, bad):
     x = build(replaced(pairs, (index, slot), bad))
     path = ("condition", "h") if section == "h" else ("covers", 0, "cover", "rects")
     assert_same_first_error(x, (*path, index, slot))
+
+
+# near misses of an array of pairs: (the pairs, where the one error is, or None)
+PAIR_NEAR_MISSES = {
+    "newline-last": ([["0", "1"], ["", "01"], ["10", "01\n"]], None),
+    "newline-first": ([["0\n", "1"], ["", "01"], ["10", ""]], None),
+    "three-items": ([["0", "1"], ["", "01", "1"], ["10", ""]], (1,)),
+    "one-item": ([["0", "1"], ["", "01"], ["10"]], (2,)),
+    "object": ([["0", "1"], {"": "01"}, ["10", ""]], (1,)),
+    "number": ([["0", "1"], ["", "01"], 7], (2,)),
+    "nested": ([["0", "1"], [[""], "01"], ["10", ""]], (1, 0)),
+    "empty": ([], None),
+}
+
+
+def per_item_check(monkeypatch):
+    """The compiled scenario check with no bulk short cut: every array goes
+    through its per-item loop."""
+    monkeypatch.setattr(schemacheck, "_pattern", lambda schema, defs: None)
+    monkeypatch.setattr(schemacheck, "_row", lambda schema, defs: None)
+    return compile_schema(packaged_schema("scenario.schema.json"))
+
+
+@pytest.mark.installed
+@pytest.mark.parametrize("miss", PAIR_NEAR_MISSES)
+@pytest.mark.parametrize("section", PAIR_ARRAYS)
+def test_bulk_bit_pairs_give_the_per_item_verdict_on_near_misses(section, miss, monkeypatch):
+    # the bulk pass over an array of pairs must give the per-item loop's and
+    # jsonschema's verdict and message; a string ending in a newline passes
+    # both, since re.search's $ matches before a final newline
+    pairs, at = PAIR_NEAR_MISSES[miss]
+    x = PAIR_ARRAYS[section](pairs)
+    assert COMPILED_SCENARIO(x) == per_item_check(monkeypatch)(x)
+    if at is None:
+        assert COMPILED_SCENARIO(x) is None and REFERENCE_SCENARIO.is_valid(x)
+    else:
+        path = ("condition", "h") if section == "h" else ("covers", 0, "cover", "rects")
+        assert_same_first_error(x, (*path, *at))
 
 
 def test_bits_with_trailing_newline_pass_schema_and_fail_decoding(tmp_path):

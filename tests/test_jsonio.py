@@ -14,6 +14,7 @@ from forcing_lab import (
     Certificate,
     ClopenPlaneSet,
     ClopenSet,
+    Condition,
     IntervalSpec,
     Slalom,
     TraceEntry,
@@ -202,6 +203,33 @@ def test_writing_a_deeper_stem_holds_no_more():
     assert deep < 100 * 1024, f"{deep / 1024:.0f} KB"
     assert deep - shallow < 2 * 2 ** 18 // 8 + 8 * 1024, (
         f"{deep / 1024:.0f} KB against {shallow / 1024:.0f} KB")
+
+
+def test_writing_a_given_stem_holds_a_bounded_piece():
+    # a given complete depth-14 stem grown one level: 65,535 pairs, 1.5 MB of
+    # text, written in pieces of a bounded run of tops.  The writer before
+    # bulk pieces peaked at 2.6 KB with pieces of at most 70 bytes; a piece
+    # here holds at most _PIECE (512) pairs of growth and the pairs between,
+    # about 6 KB, and the peak may hold three of them.  Joining the whole
+    # stem holds 1.5 MB at once
+    grown = pinned(14)
+    given = Condition(14, dict(grown.pairs()), grown.u)
+    q = extend_detailed(given, 3, max_new_levels=1)[0]
+    tree, largest = condition_to_json(q), [0]
+
+    def sink(piece):
+        largest[0] = max(largest[0], len(piece))
+
+    jsonio.write(tree, sink)  # fills the templates once
+    tracemalloc.start()
+    try:
+        jsonio.write(tree, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    piece = 16 * 1024
+    assert largest[0] <= piece, largest
+    assert peak < 3 * 1024 + 3 * piece, f"{peak / 1024:.0f} KB"
 
 
 def test_certificate_and_trace_shapes():

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import chain, product, repeat
 from pathlib import Path
@@ -917,19 +918,25 @@ def test_class_search_matches_per_stem_reference(monkeypatch):
     # exactly alike
     rng = random.Random(2401)
     seen = set()
-    for _ in range(150):
+    for i in range(160):
         retry_cap, exhaustive_cap = rng.choice([(64, 2 ** 20), (2, 2 ** 20), (1, 2 ** 20), (2, 0)])
         monkeypatch.setattr(poset, "_RETRY_CAP", retry_cap)
         monkeypatch.setattr(poset, "_EXHAUSTIVE_CAP", exhaustive_cap)
-        m = rng.randint(0, 5)
-        h = sparse_stem(rng, m, rng.choice([0.15, 0.6]))
-        u, n = [], rng.randint(1, 3)
-        while len(u) < n:
-            phi = random_weight(rng)
-            if sc := score(h, phi):
-                u.append(TaggedWeight(sc * rng.choice([Fraction(1, 2), Fraction(15, 16)]), phi))
+        if i < 150:
+            m = rng.randint(0, 5)
+            h = sparse_stem(rng, m, rng.choice([0.15, 0.6]))
+            u, n = [], rng.randint(1, 3)
+            while len(u) < n:
+                phi = random_weight(rng)
+                if sc := score(h, phi):
+                    u.append(TaggedWeight(sc * rng.choice([Fraction(1, 2), Fraction(15, 16)]), phi))
+        else:
+            # one class of 32 tops against the value half [0]: a candidate with
+            # both new bits 1 fails, so several tops draw it and retry
+            m, h = 5, dict.fromkeys(complete_keys(5), "")
+            u = [TaggedWeight(Fraction(15, 32), ZERO_HALF)]
         p = Condition(m, h, tuple(u))
-        seed, levels = rng.getrandbits(32), rng.randint(1, 3)
+        seed, levels = rng.getrandbits(32), rng.randint(1, 3) if i < 150 else 1
         try:
             want = reference_search(p, seed, levels)
         except SearchExhausted as exc:
@@ -952,10 +959,28 @@ def test_class_search_matches_per_stem_reference(monkeypatch):
                         for s in p.tops())
         seen.update(["retried"] * any(stats.retries.values()) + ["exhaustive"] * bool(
             stats.exhaustive_stems))
+        if shares_a_failing_first_candidate(p, seed, stats):
+            seen.add("shared failing first candidate")
     assert seen == {("weights", 1), ("weights", 2), ("weights", 3), ("levels", 1), ("levels", 2),
                     ("levels", 3), ("stems", "above"), ("stems", "at or below"),
                     ("values", "shorter"), ("values", "not shorter"), "retried", "exhaustive",
-                    "exhausted"}
+                    "exhausted", "shared failing first candidate"}
+
+
+# the weight of the value half [0]: a new top valued h(s) + "1" scores 0
+ZERO_HALF = phi_from_clopen(ClopenPlaneSet.from_rects([("", "0")]))
+
+
+def shares_a_failing_first_candidate(p, seed, stats):
+    """Whether two or more tops of one stem class drew the same candidate 0
+    and it failed (with a sampled attempt, a retried top's candidate 0 failed)."""
+    cut_x = max(tw.phi.resolution[0] for tw in p.u)
+    cut_y = max(tw.phi.resolution[1] for tw in p.u)
+    failed = Counter(
+        ((s[:cut_x], p.h[s][:cut_y], len(p.h[s])),
+         stream_candidate(seed, p.m, stats.m_prime, t, s, 0))
+        for t, s in enumerate(p.tops()) if stats.retries[s] and poset._RETRY_CAP)
+    return any(n > 1 for n in failed.values())
 
 
 SHAKE_PROBE = """
