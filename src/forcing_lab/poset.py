@@ -25,7 +25,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import cache, cached_property, partial
 from itertools import chain, compress, islice, repeat, tee
-from operator import add, itemgetter
+from operator import add, getitem, itemgetter
 
 from .cantor import ClopenPlaneSet, check_bits, _all_bits, _extensions
 from .errors import ForcingLabError, FrozenValue
@@ -430,6 +430,9 @@ _MAX_DEPTH = 20
 # 2^(2^k) patterns of k new levels it enumerates: in effect 2^16 (k <= 4).
 _RETRY_CAP = 64
 _EXHAUSTIVE_CAP = 2 ** 20
+# Tops counted at once by the bulk search: the count, its keys and the key
+# tuples the interpreter keeps for reuse once it is freed stay at a few tens of KB.
+_GROUPED = 2 ** 9
 
 
 def _refuse_past_limit(m: int, m2: int) -> None:
@@ -495,13 +498,15 @@ def _stem_searches(phi_list, m: int, m2: int, delta: Fraction):
     (_stem_checks), from its first stem, and keeps its verdicts: a
     candidate drawn again by any stem of the class is looked up, not
     checked again, and an accepted one is summed once.
+
+    search(s, h(s), key) takes the stem's class key (_class_keys) as read
+    in bulk, and computes it when not given.
     """
-    cut_x = max(phi.resolution[0] for phi in phi_list)
-    cut_y = max(phi.resolution[1] for phi in phi_list)
     classes: dict = {}
 
-    def search(s: str, value: str) -> _Verdicts:
-        key = (s[:cut_x], value[:cut_y], len(value))
+    def search(s: str, value: str, key: tuple | None = None) -> _Verdicts:
+        if key is None:
+            key = next(_class_keys(phi_list, ((s, value),)))
         verdicts = classes.get(key)
         if verdicts is None:
             verdicts = classes[key] = _Verdicts(_stem_checks(phi_list, s, value, m, m2, delta))
@@ -510,13 +515,14 @@ def _stem_searches(phi_list, m: int, m2: int, delta: Fraction):
     return search
 
 
-def _class_keys(phi_list, tops: Sequence[tuple[str, str]]) -> Iterator[tuple]:
-    """The class key (see _stem_searches) of each (top, value) pair of tops, in order."""
+def _class_keys(phi_list, pairs: Sequence[tuple[str, str]]) -> Iterator[tuple]:
+    """The class key (see _stem_searches) of each (s, h(s)) pair of pairs, in
+    order, in C-level passes: (s[:max m1], h(s)[:max r2], |h(s)|)."""
     cut_x = max(phi.resolution[0] for phi in phi_list)
     cut_y = max(phi.resolution[1] for phi in phi_list)
-    return zip(map(itemgetter(slice(None, cut_x)), map(itemgetter(0), tops)),
-               map(itemgetter(slice(None, cut_y)), map(itemgetter(1), tops)),
-               map(len, map(itemgetter(1), tops)))
+    return zip(map(itemgetter(slice(None, cut_x)), map(itemgetter(0), pairs)),
+               map(itemgetter(slice(None, cut_y)), map(itemgetter(1), pairs)),
+               map(len, map(itemgetter(1), pairs)))
 
 
 def _stem_checks(phi_list, s: str, value: str, m: int, m2: int, delta: Fraction) -> tuple:
@@ -746,14 +752,16 @@ def extend_detailed(
 
     The search runs in bulk.  Every top's candidate 0 is read from the
     stream at once (one bytes.translate when count <= 8).  The tops are
-    grouped in one C-level pass by their stem class (_class_keys), each told
-    by the class's first top in key order, and by candidate 0: one verdict
-    is looked up per group, the class's checks built from that first top,
-    and a passing group of n tops adds n times its sums.  Only the tops of
-    the failing groups run the retry loop and the fallback, in key order,
-    each from its own stream; with _RETRY_CAP = 0 no candidate is drawn and
-    every top falls back.  So every top gets the pattern the per-top loop
-    gives it.
+    grouped in C-level passes of _GROUPED tops by their stem class
+    (_class_keys), each told by the class's first top in key order, and by
+    candidate 0: each class's checks are built from that first top, one
+    verdict is looked up per group, and a passing group of n tops adds n
+    times its sums.  If a group
+    failed, a second pass of class keys reads each top's candidate 0 in its
+    class's verdicts, already looked up, and only the tops it fails run the
+    retry loop and the fallback, in key order, each from its own stream;
+    with _RETRY_CAP = 0 no candidate is drawn and every top falls back.  So
+    every top gets the pattern the per-top loop gives it.
 
     The result's scores are read off the accepted candidates' integer sums,
     score = sum over tops s of 2^(|h(s)|+1)·sum_s/D_s, and each must exceed
@@ -788,7 +796,6 @@ def extend_detailed(
         _refuse_past_limit(m, m2)
         phi_list = [tw.phi for tw in p.u]
         search = _stem_searches(phi_list, m, m2, delta)
-        class_keys = partial(_class_keys, phi_list)
         count = 2 ** (m2 - m)
         # the exhaustive fallback tries every pattern, tagged as attempt _RETRY_CAP
         space = 2 ** count if count < 64 and 2 ** count <= _EXHAUSTIVE_CAP else 0
@@ -803,26 +810,35 @@ def extend_detailed(
         # draw one candidate 0 share its verdict, so a passing one is added n times
         totals: list[dict] = [{} for _ in p.u]
         # each top is told by its class's first top in key order, which
-        # dict.setdefault keeps, and counted with its candidate 0
+        # dict.setdefault keeps, and counted with its candidate 0, _GROUPED
+        # tops at a time; a class's checks are built from its first top in
+        # the run that meets it
         first: dict = {}
-        failing = set()
-        for (top, e), n in Counter(zip(map(first.setdefault, class_keys(tops), tops),
-                                       firsts)).items():
-            # with no sampled attempt, no candidate is drawn and every top falls back
-            last_fail, sums = search(*top)[e] if _RETRY_CAP else (0, None)
-            if last_fail >= 0:
-                failing.add((top, e))
-                continue
-            for total, (d, acc) in zip(totals, sums):
-                total[d] = total.get(d, 0) + (n * acc << len(top[1]) + 1)
-        # built once the count is freed, so the two are never held at once
+        classes: dict = {}  # each class's verdicts, by its first top
+        failed = not _RETRY_CAP  # with no sampled attempt, no candidate is drawn
+        drawn = zip(map(first.setdefault, _class_keys(phi_list, tops), tops), firsts)
+        while groups := Counter(islice(drawn, _GROUPED)):
+            classes.update((top, search(*top, key))
+                           for key, top in islice(first.items(), len(classes), None))
+            for (top, e), n in groups.items() if _RETRY_CAP else ():
+                last_fail, sums = classes[top][e]
+                if last_fail >= 0:
+                    failed = True
+                    continue
+                for total, (d, acc) in zip(totals, sums):
+                    total[d] = total.get(d, 0) + (n * acc << len(top[1]) + 1)
         chosen = dict(zip(map(itemgetter(0), tops), firsts))
         retries = dict.fromkeys(chosen, 0)
-        # the tops that failed, in key order, retry from their own streams
-        for t in compress(range(len(tops)), map(failing.__contains__, zip(
-                map(first.__getitem__, class_keys(tops)), firsts))) if failing else ():
+        # the tops whose candidate 0 failed (every top with no sampled attempt),
+        # in key order, each with its class's verdicts: one more pass of class keys
+        redo = enumerate(map(classes.__getitem__,
+                             map(first.__getitem__, _class_keys(phi_list, tops))))
+        if _RETRY_CAP:
+            redo, drawn = tee(redo)
+            redo = compress(redo, map((0).__le__, map(itemgetter(0), map(
+                getitem, map(itemgetter(1), drawn), firsts))))
+        for t, verdicts in redo if failed else ():
             s, value = tops[t]
-            verdicts = search(s, value)
             last_fail = 0
             for attempt in range(_RETRY_CAP):
                 e = (firsts[t] if not attempt else
