@@ -301,16 +301,18 @@ def _score_groups(groups: Counter, m: int, phi: WeightFunction) -> Fraction:
     """score from _top_groups cut at the weight's x-resolution or deeper.
     A row is at most m1 long, so a term count·2^|value|·phi(row, value) is
     count·n·2^min(|value|, m2) over D, and the sum is scaled by 2^-(m - m1)
-    when the tops lie below the x-resolution."""
+    when the tops lie below the x-resolution.  A term reads the group only
+    through the cell (row[:m1], value[:m2]), min(|value|, m2) being the cut
+    value's length, so the counts are added up per cell first and the
+    weight is read once per cell."""
     m1, m2 = phi.resolution
-    rows: Counter = Counter()
+    cells: Counter = Counter()
     for (row, value), count in groups.items():
-        rows[row[:m1], value] += count
-    d = phi._integer_form[0]
+        cells[row[:m1], value[:m2]] += count
     acc = 0
-    for (row, value), count in rows.items():
-        acc += count * _mass(phi, row, value)[1] << min(len(value), m2)
-    return Fraction(acc, d << max(0, m - m1))
+    for (row, value), count in cells.items():
+        acc += count * _mass(phi, row, value)[1] << len(value)
+    return Fraction(acc, phi._integer_form[0] << max(0, m - m1))
 
 
 class ClauseViolation(FrozenValue):
