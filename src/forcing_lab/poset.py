@@ -758,12 +758,12 @@ def extend_detailed(
     (_class_keys), each told by the class's first top in key order, and by
     candidate 0: each class's checks are built from that first top, one
     verdict is looked up per group, and a passing group of n tops adds n
-    times its sums.  If a group
-    failed, a second pass of class keys reads each top's candidate 0 in its
-    class's verdicts, already looked up, and only the tops it fails run the
-    retry loop and the fallback, in key order, each from its own stream;
-    with _RETRY_CAP = 0 no candidate is drawn and every top falls back.  So
-    every top gets the pattern the per-top loop gives it.
+    times its sums.  If a group failed, a second pass of class keys reads
+    each top's candidate 0 in its class's verdicts, already looked up, and
+    only the tops it fails run the retry loop and the fallback, in key
+    order, each from its own stream; with _RETRY_CAP = 0 no candidate is
+    drawn and every top falls back.  So every top gets the pattern the
+    per-top loop gives it.
 
     The result's scores are read off the accepted candidates' integer sums,
     score = sum over tops s of 2^(|h(s)|+1)·sum_s/D_s, and each must exceed
@@ -836,9 +836,9 @@ def extend_detailed(
         redo = enumerate(map(classes.__getitem__,
                              map(first.__getitem__, _class_keys(phi_list, tops))))
         if _RETRY_CAP:
-            redo, drawn = tee(redo)
+            redo, read = tee(redo)
             redo = compress(redo, map((0).__le__, map(itemgetter(0), map(
-                getitem, map(itemgetter(1), drawn), firsts))))
+                getitem, map(itemgetter(1), read), firsts))))
         for t, verdicts in redo if failed else ():
             s, value = tops[t]
             last_fail = 0
