@@ -47,7 +47,7 @@ from types import SimpleNamespace
 
 from . import jsonio
 from .diagram import check_assignment, check_extension_pair
-from .errors import ForcingLabError
+from .errors import ForcingLabError, UsageError
 from .names import refine_condition, slalom_extract
 from .poset import ScheduledCover, extend_detailed, generic_run
 from .schemacheck import compile_schema
@@ -79,10 +79,6 @@ def __getattr__(name: str):
         import jsonschema
         return jsonschema
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-class UsageError(Exception):
-    """The scenario cannot drive this command (exit code 2)."""
 
 
 @functools.cache
@@ -130,7 +126,7 @@ def _read_scenario(path: str) -> dict:
         data = json.loads(text, object_pairs_hook=_unique_keys, parse_float=jsonio.read_number)
     except json.JSONDecodeError as err:
         raise UsageError(f"scenario is not JSON: {err}") from err
-    except ValueError as err:  # the only other one: an int past the int-text digit limit
+    except ValueError as err:  # the only other one: an int or exponent past the digit limit
         raise UsageError(f"scenario has an integer of more than "
                          f"{sys.get_int_max_str_digits()} digits, the limit") from err
     except RecursionError:

@@ -1,9 +1,13 @@
-"""Shared bases of every layer: the exception base the CLI maps to exit
-codes, and the immutable value base of the package's data types."""
+"""Shared bases of every layer: the exceptions the CLI maps to exit codes,
+and the immutable value base of the package's data types."""
 
 
 class ForcingLabError(Exception):
     """Base class for all structured errors raised by this package."""
+
+
+class UsageError(Exception):
+    """The scenario cannot drive this command (exit code 2)."""
 
 
 class FrozenValue:

@@ -3,13 +3,15 @@
 Conventions: rationals travel as "p/q" strings, binary strings as 0/1
 text, and every collection is emitted in sorted order so that serialized
 documents are byte-stable across runs.  Scenario numbers are parsed by
-`read_number`: an integral one such as 8.0 or 8e0 is the int 8, as the schema
-counts it, so every integer and rational field takes it and no decoder converts.
+`read_number`: an integral one such as 8.0 or 8e0 is the int 8, read exactly
+from its digits, as the schema counts it, so every integer and rational field
+takes it and no decoder converts.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
@@ -17,6 +19,7 @@ from operator import itemgetter
 
 from .cantor import ClopenPlaneSet, ClopenSet
 from .diagram import CardinalLabel, DiagramAssignment
+from .errors import UsageError
 from .names import FiniteName, Slalom, make_name
 from .poset import (
     Certificate,
@@ -37,10 +40,37 @@ def _refuse_repeats(built: Mapping, entries: Sequence, key, what: str) -> None:
         raise ValueError(f"repeated {what} {repeated!r}")
 
 
+# the most digits of an integral number, as of a rational part
+_MAX_DIGITS = 4300
+
+
 def read_number(text: str) -> int | float:
-    """`parse_float` for json.loads: an integral number as an int."""
-    x = float(text)
-    return int(x) if x.is_integer() else x
+    """`parse_float` for json.loads, which hands it each number literal with a
+    fraction or an exponent.  An integral value is read exactly from the
+    literal's digits and exponent, as an int.  Any other value is the float
+    it reads as, which no field takes, so the schema refuses it in its own
+    words; but a literal that reads as an integral or infinite float
+    (1e-400 as 0.0) raises UsageError naming it.  So does a value whose
+    integer part has more than 4,300 digits, counted before any power of
+    ten is built, whatever the exponent's sign."""
+    mantissa, _, power = text.lower().partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    digits = (whole + fraction).lstrip("-0")
+    significant = digits.rstrip("0")
+    if not significant:
+        return 0
+    # the value is +-significant * 10^shift, and significant ends in no 0
+    shift = int(power or 0) - len(fraction) + len(digits) - len(significant)
+    if len(significant) + shift > _MAX_DIGITS:
+        raise UsageError(f"scenario has an integer of more than {_MAX_DIGITS} digits, the limit")
+    if shift < 0:
+        x = float(text)
+        if x.is_integer() or math.isinf(x):  # a long literal is named by its ends
+            shown = text if len(text) <= 40 else f"{text[:20]}...{text[-12:]}"
+            raise UsageError(f"scenario number {shown} is not an integer")
+        return x
+    value = int(significant) * 10 ** shift
+    return -value if text.startswith("-") else value
 
 
 def rational_to_json(x: Fraction) -> str:

@@ -13,21 +13,11 @@ from forcing_lab import (
     ClopenPlaneSet,
     ClopenSet,
 )
-from forcing_lab import cantor
+from forcing_lab import cantor, oracle
 from forcing_lab.cantor import check_bits
 
 bit_strings = st.text(alphabet="01", min_size=0, max_size=6)
 gen_lists = st.lists(st.text(alphabet="01", min_size=1, max_size=6), max_size=5)
-
-
-def leaves(a: ClopenSet, depth: int) -> set[str]:
-    # flat oracle: which depth-level cylinders lie inside a
-    out = set()
-    for s in a.generators:
-        assert len(s) <= depth
-        for i in range(2 ** (depth - len(s))):
-            out.add(s + format(i, f"0{depth - len(s)}b") if len(s) < depth else s)
-    return out
 
 
 def test_check_bits_rejects_junk():
@@ -116,13 +106,12 @@ def test_long_generators_stay_iterative():
 def test_algebra_matches_leaf_oracle(xs, ys):
     a = ClopenSet.from_strings(xs)
     b = ClopenSet.from_strings(ys)
-    la, lb = leaves(a, 6), leaves(b, 6)
-    space = {format(i, "06b") for i in range(64)}
-    assert leaves(a.union(b), 6) == la | lb
-    assert leaves(a.intersect(b), 6) == la & lb
-    assert leaves(a.difference(b), 6) == la - lb
-    assert leaves(a.complement(), 6) == space - la
-    assert a.measure() == Fraction(len(la), 64)
+    la, lb = oracle.bitmap(xs, 6), oracle.bitmap(ys, 6)
+    assert oracle.bitmap(a.union(b).generators, 6) == la | lb
+    assert oracle.bitmap(a.intersect(b).generators, 6) == la & lb
+    assert oracle.bitmap(a.difference(b).generators, 6) == la & ~lb
+    assert oracle.bitmap(a.complement().generators, 6) == ((1 << 64) - 1) ^ la
+    assert a.measure() == oracle.measure(xs) == Fraction(la.bit_count(), 64)
 
 
 @settings(max_examples=80, derandomize=True)
@@ -246,15 +235,6 @@ def test_plane_refuses_oversized_resolution(monkeypatch):
         ClopenPlaneSet((4, 1), ClopenPlaneSet.from_rects([("0", "1")]).rects)
 
 
-def flat_reference(resolution, rects):
-    # every cell at the resolution, kept when it extends a given rectangle
-    r1, r2 = resolution
-    return {(a, b)
-            for a in (format(i, f"0{r1}b") if r1 else "" for i in range(2 ** r1))
-            for b in (format(j, f"0{r2}b") if r2 else "" for j in range(2 ** r2))
-            if any(a.startswith(s) and b.startswith(t) for s, t in rects)}
-
-
 plane_resolutions = st.tuples(st.integers(0, 4), st.integers(0, 4))
 
 
@@ -272,7 +252,7 @@ def test_plane_constructor_flattens_like_the_reference(case):
     resolution, rects = case
     f = ClopenPlaneSet(resolution, rects)
     assert f.resolution == resolution
-    assert f.rects == flat_reference(resolution, rects)
+    assert f.rects == oracle.plane_cells(resolution, rects)
     assert f == ClopenPlaneSet.from_rects(rects, resolution)
 
 
@@ -297,18 +277,12 @@ def test_plane_refuses_bad_input_at_construction():
         ClopenPlaneSet((40, 40), frozenset())
 
 
-def contains_rect_reference(f, s, t):
-    # every cell of [s] x [t], cut or extended to the resolution, lies in f
-    r1, r2 = f.resolution
-    return all(
-        (a[:r1], b[:r2]) in f.rects
-        for a in cantor._extensions(s, max(len(s), r1))
-        for b in cantor._extensions(t, max(len(t), r2)))
-
-
 @settings(max_examples=150, derandomize=True)
 @given(plane_inputs(), st.text("01", max_size=6), st.text("01", max_size=6))
 def test_contains_rect_matches_the_enumeration(case, s, t):
-    f = ClopenPlaneSet(*case)
-    for g in (f, f.complement()):
-        assert g.contains_rect(s, t) == contains_rect_reference(g, s, t)
+    resolution, rects = case
+    f = ClopenPlaneSet(resolution, rects)
+    cells = oracle.plane_cells(resolution, rects)
+    everything = oracle.plane_cells(resolution, [("", "")])
+    for g, inside in ((f, cells), (f.complement(), everything - cells)):
+        assert g.contains_rect(s, t) == oracle.plane_contains(resolution, inside, s, t)

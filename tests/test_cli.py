@@ -850,11 +850,33 @@ def test_integral_floats_read_as_their_integers(tmp_path, argv, scenario, path):
 
 @pytest.mark.parametrize("text, message", [
     ("2.5", "scenario fails schema at horizon: 2.5 is not of type 'integer'"),
-    ("1e400", "scenario fails schema at horizon: inf is not of type 'integer'"),
+    # its double is 0.0, which the schema would count as an integer
+    pytest.param("1e-400", "scenario number 1e-400 is not an integer", id="1e-400"),
+    pytest.param("2.0000000000000001", "scenario number 2.0000000000000001 is not an integer",
+                 id="2.0000000000000001"),
 ])
 def test_non_integral_numbers_are_refused(tmp_path, text, message):
-    code, env = run(tmp_path, ["smz"], raw=f'{{"eps": [], "horizon": {text}}}')
+    code, env = run(tmp_path, ["smz"], raw=f'{{"eps": ["1/2"], "horizon": {text}}}')
     assert (code, env["error"]) == (2, {"type": "UsageError", "message": message})
+
+
+def test_integral_numbers_past_a_double_are_read_exactly(tmp_path):
+    # 1e23 is 10^23, as its integer literal is, not the double 99999999999999991611392
+    for r3 in ("1e23", "100000000000000000000000"):
+        raw = f'{{"rapid": [0, 1, 4, {r3}], "set": [], "blocks": 1, "selection": [3], '
+        code, env = run(tmp_path, ["rapid"], raw=raw + '"checkpoints": [1]}')
+        assert (code, env["error"]["message"]) == (
+            2, "r(3) = 100000000000000000000000 outside block [9, 16)")
+    code, env = run(tmp_path, ["smz"], raw='{"eps": ["1/2"], "horizon": 1e400}')
+    assert (code, env["error"]["type"]) == (1, "HorizonTooShort")  # read, then run
+
+
+@pytest.mark.parametrize("text", ["1e5000", "1e1000000000", "1e-1000000000"])
+def test_numbers_with_huge_exponents_are_refused_at_once(tmp_path, text):
+    started = time.perf_counter()
+    code, env = run(tmp_path, ["smz"], raw=f'{{"eps": ["1/2"], "horizon": {text}}}')
+    assert time.perf_counter() - started < 0.1
+    assert (code, env["error"]["type"]) == (2, "UsageError")
 
 
 def test_refine_writes_an_exact_answer_past_the_digit_limit(tmp_path):
@@ -1408,10 +1430,12 @@ def imported_modules(done) -> set:
             for line in done.stderr.splitlines() if line.startswith("import time:")}
 
 
-# what the CLI never needs, least of all to open its packaged schemas
+# what the CLI never needs, least of all to open its packaged schemas; the
+# oracle and the acceptance suite are for selftest alone
 UNUSED = ("dataclasses", "inspect", "logging", "hashlib", "jsonschema",
           "importlib.resources", "pathlib", "zipfile", "tempfile", "typing",
-          "argparse", "gettext", "locale", "shutil")
+          "argparse", "gettext", "locale", "shutil", "forcing_lab.oracle",
+          "forcing_lab.acceptance")
 
 
 @pytest.mark.installed

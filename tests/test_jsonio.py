@@ -2,7 +2,6 @@
 JSON codecs."""
 
 import json
-import math
 import tracemalloc
 from fractions import Fraction as Rational
 
@@ -27,6 +26,7 @@ from forcing_lab import (
 )
 from forcing_lab import jsonio
 from forcing_lab.diagram import NODES, CardinalLabel, DiagramAssignment
+from forcing_lab.errors import UsageError
 from forcing_lab.jsonio import (
     assignment_from_json,
     certificate_to_json,
@@ -84,13 +84,33 @@ def test_rational_wire_form():
 
 
 @pytest.mark.parametrize("text, want", [
-    ("8.0", 8), ("8e0", 8), ("-0.0", 0), ("1e22", 10 ** 22), ("9007199254740993.0", 2 ** 53),
-    ("2.5", 2.5), ("1e400", math.inf),
+    ("8.0", 8), ("8e0", 8), ("-0.0", 0), ("1e22", 10 ** 22),
+    ("9007199254740993.0", 2 ** 53 + 1), ("2.5", 2.5),
+    pytest.param("1e400", 10 ** 400, id="1e400-10**400"),
+    ("-2.50e1", -25), ("0.0125e4", 125), ("1E+2", 100), ("-0e-5", 0),
+    pytest.param("0." + "0" * 5000 + "1e5001", 1, id="a-long-one"),
 ])
 def test_read_number_reads_integral_numbers_as_ints(text, want):
-    # the value int(float(text)) has always had, now read once at parse time
+    # read exactly from the digits and the exponent, never through a double
     got = json.loads(f"[{text}]", parse_float=jsonio.read_number)[0]
     assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1e-400", "scenario number 1e-400 is not an integer"),
+    ("2.0000000000000001", "scenario number 2.0000000000000001 is not an integer"),
+    ("1" * 400 + ".5", f"scenario number {'1' * 20}...{'1' * 10}.5 is not an integer"),
+    ("1e4300", "scenario has an integer of more than 4300 digits, the limit"),
+    ("1e5000", "scenario has an integer of more than 4300 digits, the limit"),
+    ("1e1000000000", "scenario has an integer of more than 4300 digits, the limit"),
+    ("1e-1000000000", "scenario number 1e-1000000000 is not an integer"),
+], ids=["tiny", "near-two", "infinite", "4301-digits", "1e5000", "huge", "tinier"])
+def test_read_number_refuses_what_no_field_takes(text, message):
+    # a literal whose double is integral or infinite but whose value is not
+    # an integer, and an integer past 4,300 digits, whichever the exponent's sign
+    with pytest.raises(UsageError) as info:
+        json.loads(f"[{text}]", parse_float=jsonio.read_number)
+    assert str(info.value) == message
 
 
 def test_rationals_list():

@@ -20,7 +20,8 @@ from forcing_lab import (
     refine_condition,
     slalom_extract,
 )
-from forcing_lab.names import FiniteName, NotAPartition, tail_cutoff
+from forcing_lab import oracle
+from forcing_lab.names import NotAPartition, tail_cutoff
 
 
 def halves(lo=0, hi=1):
@@ -44,25 +45,10 @@ def test_make_name_validates_partitions():
                     (0, ClopenSet.from_strings(["1"]))]])
 
 
-def overlap(a, b):
-    return any(s.startswith(t) or t.startswith(s) for s in a.generators for t in b.generators)
-
-
-def pairwise_verdict(cells, where):
-    # reference: the pairwise check the sorted scan replaced; the message
-    # make_name should raise, or None for a partition
-    labels = [lab for lab, _ in cells]
-    if len(labels) != len(set(labels)):
-        return f"coordinate {where}: duplicate labels"
-    total = Fraction(0)
-    for i, (_, a) in enumerate(cells):
-        total += sum(Fraction(1, 2 ** len(g)) for g in a.generators)
-        for j in range(i + 1, len(cells)):
-            if overlap(a, cells[j][1]):
-                return f"coordinate {where}: cells {labels[i]!r} and {labels[j]!r} overlap"
-    if total != 1:
-        return f"coordinate {where}: cell measures sum to {total}, expected 1"
-    return None
+def partition_verdict(cells):
+    """The message the oracle says make_name raises for a coordinate of
+    these (label, ClopenSet) cells, or None for a partition."""
+    return oracle.partition_problem([(lab, cell.generators) for lab, cell in cells], 0)
 
 
 def random_partition(rng, max_depth=8):
@@ -108,7 +94,7 @@ def test_partition_check_matches_pairwise_reference():
     seen = {}
     for _ in range(400):
         for kind, cells in perturbations(rng, random_partition(rng)):
-            want = pairwise_verdict(cells, 0)
+            want = partition_verdict(cells)
             if want is None:
                 assert make_name([cells]).horizon == 1
             else:
@@ -141,9 +127,9 @@ def test_chained_overlaps_match_pairwise_reference():
     rng = random.Random(20261019)
     # sorted order meets "" and "0" first; cell order meets "00" and "" first
     fixed = [(7, ClopenSet(["00"])), (3, ClopenSet(["1"])), (5, FULL), (9, ClopenSet(["0"]))]
-    assert pairwise_verdict(fixed, 0) == "coordinate 0: cells 7 and 5 overlap"
+    assert partition_verdict(fixed) == "coordinate 0: cells 7 and 5 overlap"
     for cells in [fixed, *(chained_cells(rng) for _ in range(300))]:
-        want = pairwise_verdict(cells, 0)
+        want = partition_verdict(cells)
         assert want is not None and "overlap" in want
         with pytest.raises(NotAPartition) as info:
             make_name([cells])
@@ -159,50 +145,14 @@ def test_gap_of_two_to_the_minus_twenty_is_refused():
     assert make_name([cells + [(20, ClopenSet(["0" * 20]))]]).horizon == 1
 
 
-def reference_canonical(gens):
-    """Test-local canonical form: drop each generator that extends another,
-    then merge sibling pairs until none is left."""
-    out = {g for g in gens if not any(g != h and g.startswith(h) for h in gens)}
-    while pair := next((g for g in out if g.endswith("0") and g[:-1] + "1" in out), None):
-        out -= {pair, pair[:-1] + "1"}
-        out.add(pair[:-1])
-    return frozenset(out)
-
-
-def reference_name(coords):
-    """The FiniteName make_name should build from coords, given as
-    (label, generator list) pairs, or the (type, message) of the error it
-    should raise: a bare string cell anywhere, then a bad bit anywhere, in
-    input order, then per coordinate a label that is not an int and the
-    pairwise partition check on the canonical cells."""
-    for coord in coords:
-        for _, gens in coord:
-            if isinstance(gens, str):
-                return ValueError, ("generators must be an iterable of bit strings, "
-                                    f"not the string {gens!r}")
-    for coord in coords:
-        for _, gens in coord:
-            for g in gens:
-                if not isinstance(g, str) or set(g) - {"0", "1"}:
-                    return ValueError, f"not a binary string: {g!r}"
-    built = []
-    for n, coord in enumerate(coords):
-        for lab, _ in coord:
-            if not isinstance(lab, int):
-                return ValueError, f"coordinate {n}: label {lab!r} is not an int"
-        cells = [(lab, ClopenSet._built(reference_canonical(gens))) for lab, gens in coord]
-        want = pairwise_verdict(cells, n)
-        if want is not None:
-            return NotAPartition, want
-        built.append(tuple(cells))
-    return FiniteName(len(built), tuple(built))
-
-
 def name_verdict(coords):
+    """make_name's result in the oracle's plain form: per coordinate a tuple
+    of (label, generators) cells, or the (error type name, message)."""
     try:
-        return make_name(coords)
+        g = make_name(coords)
     except (ValueError, NotAPartition) as exc:
-        return type(exc), str(exc)
+        return type(exc).__name__, str(exc)
+    return tuple(tuple((lab, cell.generators) for lab, cell in coord) for coord in g.cells)
 
 
 @st.composite
@@ -282,7 +232,7 @@ def as_given(coords, form):
 @given(st.lists(broken_coordinates(), max_size=4),
        st.sampled_from(["list", "tuple", "iterator", "ClopenSet"]))
 def test_make_name_matches_the_per_cell_reference(coords, form):
-    assert name_verdict(as_given(coords, form)) == reference_name(coords)
+    assert name_verdict(as_given(coords, form)) == oracle.name(coords)
 
 
 @pytest.mark.parametrize("coords, message", [
@@ -301,7 +251,7 @@ def test_make_name_matches_the_per_cell_reference(coords, form):
     ([[(0, ["0"]), (1, ["00", "01"])]], "coordinate 0: cells 0 and 1 overlap"),
 ], ids=["chain", "short", "late-bad-bit", "float-label", "overlap-over-a-gap"])
 def test_make_name_refusals_match_the_reference(coords, message):
-    want = reference_name(coords)
+    want = oracle.name(coords)
     assert want[1] == message
     assert name_verdict(coords) == want
 

@@ -3,7 +3,6 @@
 import hashlib
 import importlib.util
 import json
-import math
 import os
 import random
 import re
@@ -21,7 +20,6 @@ from forcing_lab import (
     CenteredIndex,
     Certificate,
     ClopenPlaneSet,
-    ClopenSet,
     Condition,
     NullSet,
     ScheduledCover,
@@ -42,7 +40,7 @@ from forcing_lab import (
     trivial_condition,
     validate,
 )
-from forcing_lab import jsonio, poset
+from forcing_lab import jsonio, oracle, poset
 from forcing_lab.cantor import _extensions, check_bits
 from forcing_lab.jsonio import condition_to_json, weight_to_json
 from forcing_lab.poset import ClauseViolation, _stem_searches
@@ -137,24 +135,12 @@ def test_eval_phi_scaled_uniform():
 def test_phi_from_clopen_matches_overlap():
     f = ClopenPlaneSet.from_rects([("0", "00")]).complement()
     phi = phi_from_clopen(f)
+    cells = oracle.plane_cells((1, 2), [("", "")]) - oracle.plane_cells((1, 2), [("0", "00")])
+    overlap = oracle.cell_weight((1, 2), cells)
     for s, t in [("", ""), ("0", "0"), ("0", "00"), ("1", ""), ("00", "000")]:
-        assert eval_phi(phi, s, t) == f.rect_overlap_measure(s, t)
+        assert eval_phi(phi, s, t) == oracle.weight_at(overlap, s, t)
     with pytest.raises(NullSet):
         phi_from_clopen(ClopenPlaneSet.from_rects([], (1, 1)))
-
-
-def scanning_eval_phi(phi, s, t):
-    """Reference: the weight at (s, t) from a Fraction scan of the whole
-    table on every call."""
-    check_bits(s)
-    check_bits(t)
-    m1, m2 = phi.resolution
-    acc = Fraction(0)
-    for (a, b), v in phi.table.items():
-        if (a.startswith(s) or s.startswith(a)) and (b.startswith(t) or t.startswith(b)):
-            acc += v
-    shift = max(0, len(s) - m1) + max(0, len(t) - m2)
-    return acc / 2 ** shift if shift else acc
 
 
 def lookup_weights(rng):
@@ -184,12 +170,13 @@ def test_eval_phi_lookups_match_the_scanning_reference():
     seen = set()
     for phi in lookup_weights(rng):
         m1, m2 = phi.resolution
+        weight = weight_to_json(phi)
         for ls in {0, m1 // 2, m1, m1 + 1, m1 + 3}:
             for lt in {0, m2 // 2, m2, m2 + 1, m2 + 3}:
                 for _ in range(3):
                     s = format(rng.getrandbits(ls), f"0{ls}b") if ls else ""
                     t = format(rng.getrandbits(lt), f"0{lt}b") if lt else ""
-                    want = scanning_eval_phi(phi, s, t)
+                    want = oracle.weight_at(weight, s, t)
                     assert eval_phi(phi, s, t) == want, (phi.resolution, s, t)
                     assert eval_phi(phi, s, t) == want  # again, from the memo
                     seen.add(((ls > m1) - (ls < m1), (lt > m2) - (lt < m2)))
@@ -206,11 +193,12 @@ def test_eval_phi_on_deep_rows_matches_the_scanning_reference(m1):
     rows = sorted({base, *flipped, format(rng.getrandbits(m1), f"0{m1}b")})
     table = {(a, b): Fraction(rng.randint(1, 4), 4 << (m1 + 1)) for a in rows for b in "01"}
     phi = WeightFunction((m1, 1), table)
+    weight = weight_to_json(phi)
     stray = base[:2] + "10"[int(base[2])] + base[3:m1 // 2]  # under no row
     for s in [stray] + [(a + "01")[:ls] for a in rows
                         for ls in (0, 1, 2, m1 // 2, m1 // 2 + 1, m1 - 1, m1, m1 + 2)]:
         for t in ("", "1", "10"):
-            want = scanning_eval_phi(phi, s, t)
+            want = oracle.weight_at(weight, s, t)
             assert eval_phi(phi, s, t) == want, (len(s), t)
     assert eval_phi(phi, stray, "") == 0
 
@@ -249,9 +237,8 @@ def test_score_grouped_matches_direct():
         for s in [k for k in list(h) if len(k) == level]:
             for b in "01":
                 h[s + b] = h[s] + (b if rng.random() < 0.5 else "")
-    tops = [s for s in h if len(s) == 4]
-    direct = sum((2 ** len(h[s]) * eval_phi(phi, s, h[s]) for s in tops), Fraction(0))
-    assert score(h, phi) == direct
+    tops = {s: v for s, v in h.items() if len(s) == 4}
+    assert score(h, phi) == oracle.stem_score(tops, weight_to_json(phi))
 
 
 # ------------------------------------------------------------- validation
@@ -491,21 +478,19 @@ def random_stem(rng, depth):
 
 
 def test_certificate_matches_overlap_oracle():
-    # reference: per-top rectangle overlaps, and the canonical measure of
-    # the inside tops as a clopen set
+    # reference: the stem's score against the weight of the cover's cells,
+    # and the measure of the tops whose rectangles lie inside them
     rng = random.Random(11)
     for _ in range(60):
         p = random_stem(rng, rng.randint(0, 5))
-        r1, r2 = rng.randint(0, 3), rng.randint(0, 3)
-        cells = sorted(ClopenPlaneSet.from_rects([("", "")], (r1, r2)).rects)
-        f = ClopenPlaneSet.from_rects(
-            rng.sample(cells, rng.randint(0, len(cells))), (r1, r2))
-        tops = p.tops()
-        overlap = sum(
-            (2 ** len(p.h[s]) * f.rect_overlap_measure(s, p.h[s]) for s in tops),
-            Fraction(0))
-        inside = ClopenSet.from_strings(
-            [s for s in tops if f.contains_rect(s, p.h[s])]).measure()
+        resolution = rng.randint(0, 3), rng.randint(0, 3)
+        cells = sorted(oracle.plane_cells(resolution, [("", "")]))
+        picked = set(rng.sample(cells, rng.randint(0, len(cells))))
+        f = ClopenPlaneSet.from_rects(picked, resolution)
+        tops = {s: v for s, v in p.h.items() if len(s) == p.m}
+        overlap = oracle.stem_score(tops, oracle.cell_weight(resolution, picked))
+        inside = oracle.measure(
+            [s for s, v in tops.items() if oracle.plane_contains(resolution, picked, s, v)])
         assert certificate(p, f) == Certificate(inside, overlap)
     empty = ClopenPlaneSet.from_rects([], (1, 1))
     assert certificate(trivial_condition(), empty) == Certificate(0, 0)
@@ -528,8 +513,14 @@ def test_certificate_counts_like_per_top_calls():
     assert seen == {True, False}
 
 
+def oracle_scores(p):
+    """The score of p's stem against each of its weights, by the oracle."""
+    tops = {s: v for s, v in p.h.items() if len(s) == p.m}
+    return tuple(oracle.stem_score(tops, weight_to_json(tw.phi)) for tw in p.u)
+
+
 def reference_validate(p):
-    # reference: validate with one score() call per weight over the whole stem
+    # reference: validate with the oracle's score of each weight
     bad = []
     by_level = {}
     domain_ok = True
@@ -557,17 +548,18 @@ def reference_validate(p):
                 bad.append(ClauseViolation(
                     "monotone",
                     f"h({s!r}) = {p.h[s]!r} does not extend h({s[:-1]!r}) = {p.h[s[:-1]]!r}"))
+    scores = oracle_scores(p) if domain_ok else ()
     for i, tw in enumerate(p.u):
         if not 0 < tw.eps < 1:
             bad.append(ClauseViolation(
                 "epsilon", f"weight #{i} tag {tw.eps} outside (0,1)"))
             continue
         if domain_ok:
-            sc = score(p.h, tw.phi)
+            sc = scores[i]
             if sc <= tw.eps:
                 bad.append(ClauseViolation(
                     "score", f"weight #{i} scores {sc}, needs > {tw.eps}"))
-    return not bad, tuple(bad), domain_ok
+    return not bad, tuple(bad), scores
 
 
 def random_weight(rng):
@@ -639,11 +631,9 @@ def test_validate_matches_reference():
             phi = random_weight(rng)
             u.append(TaggedWeight(score(stem.h, phi) * rng.randint(1, 7) / 8, phi))
         for p in perturbed(rng, Condition(stem.m, stem.h, tuple(u))):
-            ok, violations, domain_ok = reference_validate(p)
+            ok, violations, scores = reference_validate(p)
             rep = validate(p)
-            assert (rep.ok, rep.violations) == (ok, violations)
-            expected = tuple(score(p.h, tw.phi) for tw in p.u) if domain_ok else ()
-            assert rep.scores == expected
+            assert (rep.ok, rep.violations, rep.scores) == (ok, violations, scores)
             kinds.update(v.clause for v in violations)
     assert kinds == {"domain", "monotone", "epsilon", "score"}
 
@@ -703,22 +693,22 @@ def sparse_stem(rng, depth, rate=0.15):
 
 
 class FractionStemSearch:
-    """Reference: one stem's search with every check built from scratch and
-    summed in Fraction arithmetic."""
+    """Reference: one stem's search with every check built from scratch by
+    the oracle's weight_at and summed in Fraction arithmetic."""
 
-    def __init__(self, phi_list, s, value, m, m2, delta):
+    def __init__(self, weights, s, value, m, m2, delta):
         self.count = 2 ** (m2 - m)
         self.checks = []
-        for phi in phi_list:
-            target = eval_phi(phi, s, value) / 2 - delta
-            m1 = phi.resolution[0]
+        for weight in weights:
+            target = oracle.weight_at(weight, s, value) / 2 - delta
+            m1 = weight["resolution"][0]
             k = min(max(m1 - m, 0), m2 - m)
             scale = Fraction(1, 2 ** max(0, m2 - m1))
             pairs = []
             for r in range(2 ** k):
                 row = s + format(r, f"0{k}b") if k else s[:m1]
-                pairs.append((eval_phi(phi, row, value + "0") * scale,
-                              eval_phi(phi, row, value + "1") * scale))
+                pairs.append((oracle.weight_at(weight, row, value + "0") * scale,
+                              oracle.weight_at(weight, row, value + "1") * scale))
             self.checks.append((target, self.count >> k, pairs))
 
     def first_failing(self, e):
@@ -733,10 +723,10 @@ class FractionStemSearch:
         return -1
 
 
-def new_top_sum(phi, s, value, m2, e):
-    """sum over the new tops t of s of phi(t, value + bit(t)) under candidate e."""
+def new_top_sum(weight, s, value, m2, e):
+    """sum over the new tops t of s of weight(t, value + bit(t)) under candidate e."""
     grow = m2 - len(s)
-    return sum((eval_phi(phi, s + format(i, f"0{grow}b"), value + str(e >> i & 1))
+    return sum((oracle.weight_at(weight, s + format(i, f"0{grow}b"), value + str(e >> i & 1))
                 for i in range(2 ** grow)), Fraction(0))
 
 
@@ -745,10 +735,11 @@ def compare_searches(phis, h, m, grow, deltas, seen):
     reference.  One builder serves all tops of a delta, so checks shared
     across stems are compared too."""
     tops = sorted(s for s in h if len(s) == m)
+    weights = [weight_to_json(phi) for phi in phis]
     for delta in deltas:
         search = _stem_searches(phis, m, m + grow, delta)
         for s in tops:
-            ref = FractionStemSearch(phis, s, h[s], m, m + grow, delta)
+            ref = FractionStemSearch(weights, s, h[s], m, m + grow, delta)
             got = search(s, h[s])
             space = range(2 ** ref.count)
             verdicts = [ref.first_failing(e) for e in space]
@@ -772,7 +763,7 @@ def test_integer_checks_match_fraction_reference():
             halves = [eval_phi(phi, s, h[s]) / 2 for phi in phis for s in tops]
             s0, phi0 = rng.choice(tops), rng.choice(phis)
             on_target = eval_phi(phi0, s0, h[s0]) / 2 - new_top_sum(
-                phi0, s0, h[s0], m + grow, rng.getrandbits(2 ** grow))
+                weight_to_json(phi0), s0, h[s0], m + grow, rng.getrandbits(2 ** grow))
             deltas = [Fraction(1, 2 ** 30), min(halves) / 2,
                       max(halves) + Fraction(1, 2 ** 30), on_target]
             compare_searches(phis, h, m, grow, deltas, seen)
@@ -838,44 +829,14 @@ def test_retries_do_not_rest_on_one_stream_draw(monkeypatch):
     assert len(failing) == 2 and expected >= 20
 
 
-def reference_check(phi, s, value, m, m2, delta):
-    """One weight's check (target, block, base, gains, D) for one stem, as
-    the earlier per-stem search built it from (s, h(s)) alone."""
-    d_phi, n = poset._mass(phi, s, value)
-    target = Fraction(n, d_phi << (poset._depth_shift(phi, s, value) + 1)) - delta
-    m1 = phi.resolution[0]
-    rows, block = poset._rows(s, m, m2, m1)
-    zeros = [poset._mass(phi, row, value + "0")[1] for row in rows]
-    ones = [poset._mass(phi, row, value + "1")[1] for row in rows]
-    row_d = d_phi << (max(0, m2 - m1) + max(0, len(value) + 1 - phi.resolution[1]))
-    d = math.lcm(target.denominator, row_d)
-    scale = d // row_d
-    return (target.numerator * (d // target.denominator), block, block * sum(zeros) * scale,
-            [(n1 - n0) * scale for n0, n1 in zip(zeros, ones)], d)
-
-
-def stream_candidate(seed, m, m2, t, s, attempt):
-    """Candidate `attempt` of the top s, with key-order index t, in an
-    extension from depth m to m2, hashed here from the stated rule: 2^(m2-m)
-    bits read little-endian from B bytes of SHAKE-256, at offset t·B of the
-    stream "seed|m|m2" for attempt 0, and first in "seed|m2|s|attempt"
-    after it."""
-    bits = 2 ** (m2 - m)
-    size = (bits + 7) // 8
-    if attempt:
-        block = hashlib.shake_256(f"{seed}|{m2}|{s}|{attempt}".encode()).digest(size)
-    else:
-        block = hashlib.shake_256(f"{seed}|{m}|{m2}".encode()).digest((t + 1) * size)[t * size:]
-    return int.from_bytes(block, "little") % 2 ** bits
-
-
 def reference_search(p, seed, max_new_levels):
-    """The per-stem search loop of the earlier extend_detailed: checks built
-    per stem, candidates hashed per stem (stream_candidate), first_failing
-    then sums.  (m', retries, exhaustive stems, chosen, scores), or the
-    SearchExhausted it raises."""
+    """The per-stem search loop of the earlier extend_detailed on the oracle:
+    checks built per stem (FractionStemSearch), candidates hashed per stem,
+    then the grown tops' scores.  (m', retries, exhaustive stems, chosen,
+    scores), or the SearchExhausted it raises."""
     m, tops = p.m, p.tops()
-    slack = min(sc - tw.eps for sc, tw in zip(validate(p).scores, p.u))
+    weights = [weight_to_json(tw.phi) for tw in p.u]
+    slack = min(sc - tw.eps for sc, tw in zip(oracle_scores(p), p.u))
     delta = slack / (2 * sum(2 ** (1 + len(p.h[s])) for s in tops))
     threshold = delta * delta / (2 * len(p.u))
     m2 = max(m + 1, (threshold.denominator // threshold.numerator).bit_length())
@@ -884,21 +845,11 @@ def reference_search(p, seed, max_new_levels):
     space = 2 ** count if count < 64 and 2 ** count <= poset._EXHAUSTIVE_CAP else 0
     retries, exhaustive, chosen, scores = {}, [], {}, [Fraction(0)] * len(p.u)
     for t, s in enumerate(tops):
-        checks = [reference_check(tw.phi, s, p.h[s], m, m2, delta) for tw in p.u]
-
-        def first_failing(e):
-            for idx, check in enumerate(checks):
-                if poset._check_sum(check, e) <= check[0]:
-                    return idx
-            return -1
-
-        def sums(e):
-            return [(check[4], poset._check_sum(check, e)) for check in checks]
-
-        draws = (stream_candidate(seed, m, m2, t, s, a) for a in range(poset._RETRY_CAP))
+        search = FractionStemSearch(weights, s, p.h[s], m, m2, delta)
+        draws = (oracle.candidate(seed, m, m2, t, s, a) for a in range(poset._RETRY_CAP))
         last_fail = 0
         for attempt, e in chain(enumerate(draws), zip(repeat(poset._RETRY_CAP), range(space))):
-            last_fail = first_failing(e)
+            last_fail = search.first_failing(e)
             if last_fail < 0:
                 break
         else:
@@ -907,8 +858,8 @@ def reference_search(p, seed, max_new_levels):
         if attempt == poset._RETRY_CAP:
             exhaustive.append(s)
         chosen[s] = e
-        for i, (d, acc) in enumerate(sums(e)):
-            scores[i] += Fraction(acc << (len(p.h[s]) + 1), d)
+        for i, weight in enumerate(weights):
+            scores[i] += 2 ** (len(p.h[s]) + 1) * new_top_sum(weight, s, p.h[s], m2, e)
     return m2, retries, exhaustive, chosen, tuple(scores)
 
 
@@ -983,7 +934,7 @@ def shares_a_failing_first_candidate(p, seed, stats):
     pairs = p._top_pairs()
     keys = poset._class_keys([tw.phi for tw in p.u], pairs)
     failed = Counter(
-        (key, stream_candidate(seed, p.m, stats.m_prime, t, s, 0))
+        (key, oracle.candidate(seed, p.m, stats.m_prime, t, s, 0))
         for t, ((s, _), key) in enumerate(zip(pairs, keys))
         if stats.retries[s] and poset._RETRY_CAP)
     return any(n > 1 for n in failed.values())
@@ -1018,7 +969,7 @@ def test_shake_hashes_alike_with_and_without_the_builtin_module(blocked):
 
 # (top, attempt, e) of the depth-7 stem pinned above, extended with seed 7 by
 # 1, 2 and 4 levels (candidates of 2, 4 and 16 bits, read from 1, 1 and 2
-# bytes); e is checked against stream_candidate, so against hashlib
+# bytes); e is checked against the oracle's candidate, so against hashlib
 PINNED_CANDIDATES = {
     1: [("0000000", 0, 2), ("0000001", 0, 3), ("0101010", 2, 2), ("1010011", 3, 2)],
     2: [("0000001", 0, 9), ("0000010", 0, 15), ("1001100", 4, 5), ("1010100", 5, 12)],
@@ -1035,7 +986,7 @@ def test_extension_draws_the_pinned_stream(levels):
     _, stats = extend_detailed(p, 7, max_new_levels=levels)
     tops = p.tops()
     for s, attempt, e in PINNED_CANDIDATES[levels]:
-        assert stream_candidate(7, 7, 7 + levels, tops.index(s), s, attempt) == e
+        assert oracle.candidate(7, 7, 7 + levels, tops.index(s), s, attempt) == e
         assert (stats.retries[s], stats.chosen[s]) == (attempt, e)
 
 
