@@ -17,7 +17,8 @@ skip the constructor's bit check, re-sort and merge pass.  A value's
 measure is computed once, on first use, as an integer pair in C-level
 passes over the generator lengths.  `names.make_name` checks the bits of
 a whole name once and then canonicalizes each cell with the unchecked
-pass (`_antichain`), not with one constructor call per cell.
+pass (`_antichain`), not with one constructor call per cell, and builds
+each cell with its measure already computed.
 
 Plane sets live on the product of two copies of the space.  They are kept
 flattened at a uniform resolution (r1, r2): a set of rectangles [s] x [t]
@@ -142,11 +143,14 @@ class ClopenSet(FrozenValue):
         return cls(gens)
 
     @classmethod
-    def _built(cls, antichain: Iterable[str]) -> "ClopenSet":
+    def _built(cls, antichain: Iterable[str], mass: tuple[int, int] | None = None) -> "ClopenSet":
         """The value of generators already in canonical form, unchecked: its
-        one field is stored directly, as FrozenValue.__init__ would."""
+        one field is stored directly, as FrozenValue.__init__ would, and so
+        is its mass when the caller has it (cylinder_mass of the antichain)."""
         value = object.__new__(cls)
         value.__dict__["generators"] = frozenset(antichain)
+        if mass is not None:
+            value.__dict__["mass"] = mass
         return value
 
     def is_empty(self) -> bool:

@@ -25,6 +25,11 @@ stderr, one flushed line at a time, dropped if stderr is closed or fails.
 main(argv) is the in-process entry and returns the exit code; the process
 entry, program, runs main on sys.argv and ends the process with os._exit,
 skipping the interpreter's teardown (freeing every object, exit handlers).
+program also switches the cyclic garbage collector off before main: no
+run makes a reference cycle, so its collections (16 on a names-mix slalom,
+triggered by the decoded lists and built values) free nothing, and the
+process frees nothing at its end either.  main itself, which tests and
+acceptance call in their own process, leaves the collector as it is.
 
 Both schema checks run on a check compiled once per process
 (`schemacheck`), which also words a rejection with its path; a scenario it
@@ -38,6 +43,7 @@ Set FORCING_LAB_LOG=debug (or info, warning, ...) for stderr logging;
 from __future__ import annotations
 
 import functools
+import gc
 import json
 import os
 import sys
@@ -475,8 +481,10 @@ def _emit(envelope: dict | str, out, code: int) -> int:
 
 def program():
     """The entry of `python -m forcing_lab.cli` and of the forcing-lab script:
-    main on sys.argv, logging shut down if loaded, then os._exit with main's
-    code (see the module docstring).  An error out of main ends as usual."""
+    main on sys.argv with the cyclic collector off, logging shut down if
+    loaded, then os._exit with main's code (see the module docstring).  An
+    error out of main ends as usual."""
+    gc.disable()
     code = main()
     if "logging" in sys.modules:  # _log imports it when FORCING_LAB_LOG is set
         sys.modules["logging"].shutdown()

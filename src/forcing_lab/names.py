@@ -8,9 +8,11 @@ a slalom whose n-th slot has fewer than (n+1)^2 entries, by pigeonhole.
 
 Building a name checks the bits of all its given generators once, then
 canonicalizes each given cell in one unchecked sorted pass, with no
-ClopenSet construction per cell, and checks each coordinate's partition
-with one sort of its generators.  A cell given as a ClopenSet is taken
-as it is.
+ClopenSet construction per cell, and measures it once, keeping the
+measure in the cell.  Each coordinate's partition is checked with one
+sort of its cells' sorted generator lists, concatenated (Timsort merges
+the runs), and one sum of the cells' measures.  A cell given as a
+ClopenSet is taken as it is, and measured on first use.
 """
 
 from __future__ import annotations
@@ -46,11 +48,14 @@ class SlalomViolation(ForcingLabError):
             f"f({coordinate}) = {label} lands in the extracted slalom slot")
 
 
-def _validate_partition(cells: Sequence[tuple[Hashable, ClopenSet]], where) -> None:
+def _validate_partition(cells: Sequence[tuple[Hashable, ClopenSet]],
+                        runs: Sequence[Iterable[str]], where) -> None:
+    """Raise NotAPartition unless the cells, whose generators are `runs` in
+    cell order, have distinct labels and partition the space."""
     labels = [lab for lab, _ in cells]
     if len(labels) != len(set(labels)):
         raise NotAPartition(where, "duplicate labels")
-    gens = sorted(chain.from_iterable(cell.generators for _, cell in cells))
+    gens = sorted(chain.from_iterable(runs))
     # in sorted order everything between a generator and an extension of it
     # extends it too, so any overlap shows up as an adjacent prefix pair
     if any(map(str.startswith, gens[1:], gens)):
@@ -69,8 +74,10 @@ def _validate_partition(cells: Sequence[tuple[Hashable, ClopenSet]], where) -> N
         i, j = min(pairs)
         raise NotAPartition(where, f"cells {labels[i]!r} and {labels[j]!r} overlap")
     # the generators are disjoint now, so the cells cover the space exactly
-    # when their cylinders' measures sum to 1
-    count, whole = cylinder_mass(gens)
+    # when their measures sum to 1, counted at the finest cell's 2^d
+    masses = [cell.mass for _, cell in cells]
+    whole = max((w for _, w in masses), default=1)
+    count = sum([c * (whole // w) for c, w in masses])
     if count != whole:
         raise NotAPartition(where, f"cell measures sum to {Fraction(count, whole)}, expected 1")
 
@@ -102,10 +109,13 @@ def make_name(cells: Iterable[Iterable[tuple[int, ClopenSet | Iterable[str]]]]) 
         for lab, _ in coord:
             if not isinstance(lab, int):
                 raise ValueError(f"coordinate {n}: label {lab!r} is not an int")
+        runs = [cell.generators if isinstance(cell, ClopenSet) else _antichain(cell)
+                for _, cell in coord]
         coord = tuple((int(lab),  # a bool label reads as 0 or 1
-                       cell if isinstance(cell, ClopenSet) else ClopenSet._built(_antichain(cell)))
-                      for lab, cell in coord)
-        _validate_partition(coord, n)
+                       cell if isinstance(cell, ClopenSet)
+                       else ClopenSet._built(run, cylinder_mass(run)))
+                      for (lab, cell), run in zip(coord, runs))
+        _validate_partition(coord, runs, n)
         frozen.append(coord)
     return FiniteName(len(frozen), tuple(frozen))
 
@@ -136,7 +146,8 @@ class Slalom(FrozenValue):
 
 def slalom_extract(g: FiniteName) -> Slalom:
     """Collect, per coordinate n, the labels whose cell measure exceeds
-    1/(n+1)^2.  Disjointness forces strictly fewer than (n+1)^2 of them."""
+    1/(n+1)^2.  Disjointness forces strictly fewer than (n+1)^2 of them.
+    A cell make_name built carries its measure; it is not computed again."""
     slots = []
     for n in range(g.horizon):
         # count / whole > 1 / (n+1)^2, in integers

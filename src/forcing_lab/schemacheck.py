@@ -1,11 +1,16 @@
-"""JSON Schema checks compiled once into nested closures.
+"""JSON Schema checks compiled into nested closures, per property on first use.
 
-`compile_schema(schema)` walks a schema once and returns a check that
-accepts exactly the instances `jsonschema`'s Draft 2020-12 validator
-accepts.  Checking an instance then does no keyword dispatch, reference
-resolution or meta-schema check.  The approach is that of fastjsonschema
+`compile_schema(schema)` returns a check that accepts exactly the
+instances `jsonschema`'s Draft 2020-12 validator accepts.  Checking an
+instance does no keyword dispatch, reference resolution or meta-schema
+check.  The approach is that of fastjsonschema
 (https://github.com/horejsek/python-fastjsonschema), which generates
-Python source; nested closures do the same job here in less code.
+Python source; nested closures do the same job here in less code.  An
+object's property check is compiled the first time an instance has that
+property, so a process that checks one command's scenario compiles only
+the sections that scenario has.  What cannot be compiled is still refused
+by `compile_schema` itself, in one walk over the whole schema that
+compiles nothing.
 
 Only the keywords the packaged schemas use are compiled: `type`,
 `properties`, `required`, `additionalProperties`, `items`, `prefixItems`,
@@ -13,8 +18,10 @@ Only the keywords the packaged schemas use are compiled: `type`,
 `$ref` must name an entry of the root's `$defs` as `#/$defs/<name>`; that
 entry is compiled in its place, beside any sibling keywords.  `$defs` and
 the annotations `$schema`, `title` and `description` are skipped.  Any
-other keyword or reference raises `NotImplementedError`, so a schema that
-needs more is never half checked.
+other keyword, type name or reference, anywhere in the schema, `$defs`
+entries included, raises `NotImplementedError`, so a schema that needs
+more is never half checked.  A `pattern` is compiled with its check, so a
+bad one raises `re.error` on first use.
 
 As in Draft 2020-12, a keyword passes every instance of a type it does not
 apply to, an "integer" is an int or an integral float but never a bool, a
@@ -98,9 +105,6 @@ def _type(names) -> tuple[type | None, Callable[[object], bool], Check]:
     """The class `names` allows when it is exactly one class, the test for
     an allowed instance, and the error of any other."""
     names = [names] if isinstance(names, str) else names
-    unknown = set(names) - TYPES.keys()
-    if unknown:
-        raise NotImplementedError(f"cannot compile schema type(s) {sorted(unknown)}")
     wording = f" is not of type {', '.join(map(repr, names))}"
     wrong = lambda x: ((), "type", _repr(x) + wording)
     classes = tuple(TYPES[n] for n in names if isinstance(TYPES[n], type))
@@ -115,7 +119,8 @@ def _type(names) -> tuple[type | None, Callable[[object], bool], Check]:
 def _object(schema: dict, sub: Callable[[object], Check], defs: dict) -> Check | None:
     if not schema.keys() & {"properties", "required", "additionalProperties"}:
         return None
-    properties = {k: sub(v) for k, v in schema.get("properties", {}).items()}
+    raw = schema.get("properties", {})
+    properties = dict.fromkeys(raw)  # name -> its check, None until first used
     required = tuple(schema.get("required", ()))
     closed = schema.get("additionalProperties", True) is False
     extra = sub(schema.get("additionalProperties", True))
@@ -125,13 +130,15 @@ def _object(schema: dict, sub: Callable[[object], Check], defs: dict) -> Check |
             if k not in x:
                 return (), "required", f"{k!r} is a required property"
         for k, v in x.items():
-            if (error := properties.get(k, extra)(v)) is not None:
+            if (each := properties.get(k, extra)) is None:
+                each = properties[k] = sub(raw[k])
+            if (error := each(v)) is not None:
                 break
         else:
             return None
         # as in jsonschema, unexpected keys are named at the object's own
         # path, before any error inside a value
-        extras = sorted((k for k in x if k not in properties), key=str) if closed else ()
+        extras = sorted((k for k in x if k not in raw), key=str) if closed else ()
         if not extras:
             return _under(k, error)
         verb = "was" if len(extras) == 1 else "were"
@@ -143,7 +150,7 @@ def _object(schema: dict, sub: Callable[[object], Check], defs: dict) -> Check |
 def _resolved(schema, defs: dict):
     """`schema` with any `$ref` that is all it says followed."""
     while isinstance(schema, dict) and "$ref" in schema and schema.keys() - ANNOTATIONS == {"$ref"}:
-        schema = defs[schema["$ref"].rpartition("/")[2]]  # already compiled, so it resolves
+        schema = defs[schema["$ref"].rpartition("/")[2]]  # checked up front, so it resolves
     return schema
 
 
@@ -278,21 +285,49 @@ def compile_schema(schema) -> Check:
     """A check that returns None exactly on the instances `schema` accepts,
     and the first error on every other.
 
-    Raises NotImplementedError for a keyword outside KEYWORDS, for a `$ref`
-    that names no entry of the root's `$defs`, and for a schema that is
-    neither an object nor a boolean.
+    Raises NotImplementedError, anywhere in the schema, for a keyword
+    outside KEYWORDS, a type name outside TYPES, a `$ref` that names no
+    entry of the root's `$defs`, and a subschema that is neither an object
+    nor a boolean.
     """
-    return _compile(schema, schema.get("$defs", {}) if isinstance(schema, dict) else {})
+    defs = schema.get("$defs", {}) if isinstance(schema, dict) else {}
+    _refuse_unsupported(schema, defs)
+    return _compile(schema, defs)
+
+
+def _refuse_unsupported(schema, defs: dict) -> None:
+    """Raise what compile_schema refuses, for the first subschema, depth
+    first, that needs it; each subschema is visited once, `$ref`s are
+    checked but not followed, and nothing is compiled."""
+    todo = [schema]
+    while todo:
+        schema = todo.pop()
+        if isinstance(schema, bool):
+            continue
+        if not isinstance(schema, dict):
+            raise NotImplementedError(f"cannot compile schema {schema!r}")
+        unknown = schema.keys() - KEYWORDS
+        if unknown:
+            raise NotImplementedError(f"cannot compile schema keyword(s) {sorted(unknown)}")
+        if "type" in schema:
+            names = schema["type"]
+            unknown = {*([names] if isinstance(names, str) else names)} - TYPES.keys()
+            if unknown:
+                raise NotImplementedError(f"cannot compile schema type(s) {sorted(unknown)}")
+        if "$ref" in schema:  # only #/$defs/<name>, a name with no escapes
+            pointer, _, name = (ref := schema["$ref"]).rpartition("/")
+            if pointer != "#/$defs" or name not in defs or "~" in name or "%" in name:
+                raise NotImplementedError(f"cannot compile schema reference {ref!r}")
+        todo += reversed([*schema.get("properties", {}).values(),
+                          *[schema[k] for k in ("additionalProperties", "items") if k in schema],
+                          *schema.get("prefixItems", ()), *schema.get("oneOf", ()),
+                          *schema.get("$defs", {}).values()])
 
 
 def _compile(schema, defs: dict) -> Check:
+    """The check of `schema`, which _refuse_unsupported has passed."""
     if isinstance(schema, bool):
         return _accept if schema else _reject
-    if not isinstance(schema, dict):
-        raise NotImplementedError(f"cannot compile schema {schema!r}")
-    unknown = schema.keys() - KEYWORDS
-    if unknown:
-        raise NotImplementedError(f"cannot compile schema keyword(s) {sorted(unknown)}")
     sub = lambda s: _compile(s, defs)
     kinds = [(cls, check) for cls, build in KINDS if (check := build(schema, sub, defs))]
     checks = []
@@ -308,9 +343,6 @@ def _compile(schema, defs: dict) -> Check:
                for cls, check in kinds]
     if "oneOf" in schema:
         checks.append(_one_of(schema["oneOf"], sub))
-    if "$ref" in schema:  # only #/$defs/<name>, a name with no escapes
-        pointer, _, name = (ref := schema["$ref"]).rpartition("/")
-        if pointer != "#/$defs" or name not in defs or "~" in name or "%" in name:
-            raise NotImplementedError(f"cannot compile schema reference {ref!r}")
-        checks.append(sub(defs[name]))
+    if "$ref" in schema:
+        checks.append(sub(defs[schema["$ref"].rpartition("/")[2]]))
     return _all(checks)

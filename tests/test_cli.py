@@ -9,6 +9,7 @@ schemas.
 
 import ast
 import contextlib
+import gc
 import hashlib
 import importlib.util
 import io
@@ -1558,17 +1559,86 @@ def test_the_console_script_is_the_program_entry():
     assert scripts == ["forcing_lab.cli:program"]
 
 
+@pytest.mark.parametrize("argv, scenario, code", [
+    (["slalom"], pinned_names_scenario("slalom", 3901), 0),
+    (["refine"], pinned_names_scenario("refine", 3902), 0),
+    (["extend", "--seed", "7"], {"condition": SIMPLE_CONDITION}, 0),
+    (["extend", "--seed", "3", "--max-new-levels", "1"], {"condition": one_class_condition(8)}, 0),
+    (["generic-run", "--seed", "2026"], ONE_COVER_RUN, 0),
+    (["smz"], {"eps": ["1/2"] * 9, "horizon": 2, "heavy": [[], [["0/1", "1/4"]]]}, 0),
+    (["rapid"], RAPID_SCENARIO, 0),
+    (["diagram"], {"assignment": labels()}, 0),
+    (["diagram"], {"assignment": labels(add_null="aleph2")}, 1),
+    (["smz"], {"bogus_key": 1}, 2),
+], ids=["slalom", "refine", "extend-fresh", "extend-given", "generic-run", "smz", "rapid",
+        "diagram", "failed-check", "refused"])
+def test_a_run_leaves_no_reference_cycle(tmp_path, argv, scenario, code):
+    # program runs main with the cyclic collector off, which frees nothing
+    # only while no run leaves a cycle for it to find
+    gc.collect()
+    gc.disable()
+    try:
+        assert run(tmp_path, argv, scenario)[0] == code
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+# cli.main replaced by one that tells whether the collector is on, then the
+# process entry run as the forcing-lab script runs it
+COLLECTOR_PROBE = """
+import gc, sys
+from forcing_lab import cli
+def main():
+    print("collector on in main:", gc.isenabled(), file=sys.stderr, flush=True)
+    return 0
+print("collector on before:", gc.isenabled(), file=sys.stderr, flush=True)
+cli.main = main
+cli.program()
+"""
+
+
 @pytest.mark.installed
-@pytest.mark.parametrize("keyword", [
-    {"enum": [1]}, {"format": "date"}, {"$ref": "#/$defs/x"},
-    {"$ref": "https://example.com/a.json"}, {"$ref": "#/$defs/a/items"},
-], ids=["enum", "format", "$ref", "$ref-remote", "$ref-pointer"])
-def test_compile_refuses_unknown_keywords(keyword):
-    # a reference is compiled only when it names an entry of the root's $defs
-    named = keyword.get("$ref", sorted(keyword))
+def test_the_program_entry_runs_main_without_the_cycle_collector():
+    done = run_module([], None, "-c", COLLECTOR_PROBE)
+    assert (done.returncode, done.stderr.splitlines()) == (
+        0, ["collector on before: True", "collector on in main: False"])
+
+
+def test_the_cli_module_loads_every_layer():
+    # perfbench/launcher.py wraps each layer it finds in sys.modules after
+    # importing forcing_lab.cli alone, and fails on a layer not loaded yet.
+    # This goes once the launcher imports the layers it wraps itself
+    # (ROADMAP, "Untie the benchmark from the CLI's internals").
+    layers = [f"forcing_lab.{name}" for name in ("cantor", "names", "poset", "smz", "diagram")]
+    done = run_module([], None, "-c", "import sys, forcing_lab.cli\n"
+                      f"print([m for m in {layers!r} if m not in sys.modules])")
+    assert (done.returncode, done.stdout) == (0, "[]\n")
+
+
+def in_property(keyword):
+    """A schema whose one property, "a", is `keyword`."""
+    return {"type": "object", "properties": {"a": keyword}, "$defs": {"a": {"items": {}}}}
+
+
+@pytest.mark.installed
+@pytest.mark.parametrize("schema, named", [
+    (in_property({"enum": [1]}), ["enum"]),
+    (in_property({"format": "date"}), ["format"]),
+    (in_property({"$ref": "#/$defs/x"}), "#/$defs/x"),
+    (in_property({"$ref": "https://example.com/a.json"}), "https://example.com/a.json"),
+    (in_property({"$ref": "#/$defs/a/items"}), "#/$defs/a/items"),
+    ({"type": "object", "properties": {"a": {"type": "string"}, "b": {"$ref": "#/$defs/b"}},
+      "$defs": {"b": {"type": "array", "items": {"uniqueItems": True}}}}, ["uniqueItems"]),
+    ({"type": "object", "properties": {"a": {"type": "object", "properties": {
+        "b": {"type": "object", "properties": {"c": {"const": 1}}}}}}}, ["const"]),
+], ids=["enum", "format", "$ref", "$ref-remote", "$ref-pointer", "$defs-unused", "nested"])
+def test_compile_refuses_unknown_keywords(schema, named):
+    # a reference is compiled only when it names an entry of the root's
+    # $defs; a property's check is compiled when an instance first has the
+    # property, but the whole schema is checked when it is compiled
     with pytest.raises(NotImplementedError, match=re.escape(repr(named))):
-        compile_schema({"type": "object", "properties": {"a": keyword},
-                        "$defs": {"a": {"items": {}}}})
+        compile_schema(schema)
 
 
 REFERRING_SCHEMA = {

@@ -12,11 +12,11 @@ calls of plane sets, the clopen sets canonicalized from given
 generators whose bits they check (`_canonical`), the unchecked
 canonicalizing passes, one inside each `_canonical` and one for each
 cell `names.make_name` is given as generators (`_antichain`), and
-the measures computed, of clopen sets and of name coordinates
-(`cylinder_mass`).  They also count the
-keys of every full stem map built from a layered condition's layers
-(`materialized keys`, counted in `_stem_map`, the one function that
-builds one; extension and runs hand back layered conditions and build
+the measures computed, of clopen sets and of the cells `make_name`
+builds (`cylinder_mass`; a name's coordinate sums its cells' measures).
+They also count the keys of every full stem map built from a layered
+condition's layers (`materialized keys`, counted in `_stem_map`, the one
+function that builds one; extension and runs hand back layered conditions and build
 none, so only a reader of `h` pays for the map), the (top, value) pairs
 grown from a layer (`grown tops`, counted in `_grown_tops`: extending an
 extended condition grows its deepest level once from its last layer, and
@@ -247,12 +247,12 @@ BUDGETS = {
     # names-mix: 468 cells in 96 coordinates and 2 condition sets, each
     # canonicalized once; only the condition sets go through _canonical,
     # since make_name checks a name's bits once and canonicalizes its cells
-    # unchecked; one measure per cell, per coordinate and per condition set,
-    # though each name's slalom is extracted once or twice
+    # unchecked; one measure per cell and per condition set, none per
+    # coordinate, though each name's slalom is extracted once or twice
     "names-mix": {"_read_row": 0, "_top_groups": 0, "_certify": 0, "phi_from_clopen": 0,
                   "eval_phi": 0, "check_bits": 0, "validate": 0, "score": 0,
                   "_shake streams": 0, "contains_rect": 0, "complement": 0,
-                  "_canonical": 2, "_antichain": 470, "cylinder_mass": 566, "row entries": 0,
+                  "_canonical": 2, "_antichain": 470, "cylinder_mass": 470, "row entries": 0,
                   "materialized keys": 0, "grown tops": 0,
                   "census classes": 0, "check builds": 0},
     # refine: 408 cells in 80 coordinates and 2 condition sets, as above;
@@ -260,7 +260,7 @@ BUDGETS = {
     "refine": {"_read_row": 0, "_top_groups": 0, "_certify": 0, "phi_from_clopen": 0,
                "eval_phi": 0, "check_bits": 0, "validate": 0, "score": 0,
                "_shake streams": 0, "contains_rect": 0, "complement": 0,
-               "_canonical": 2, "_antichain": 410, "cylinder_mass": 490, "row entries": 0,
+               "_canonical": 2, "_antichain": 410, "cylinder_mass": 410, "row entries": 0,
                "materialized keys": 0, "grown tops": 0,
                "census classes": 0, "check builds": 0},
 }
