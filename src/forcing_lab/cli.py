@@ -114,7 +114,9 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
-def _read_scenario(path: str) -> dict:
+def _scenario_text(path: str) -> str:
+    """The scenario's bytes, from the file path or stdin ("-"), decoded as
+    strict UTF-8; the bytes go when this returns, before the text is parsed."""
     try:
         if path != "-":
             with open(path, "rb") as fh:
@@ -123,13 +125,17 @@ def _read_scenario(path: str) -> dict:
             raise OSError("stdin is closed")
         else:
             raw = sys.stdin.buffer.read()
-        text = raw.decode("utf-8")
+        return raw.decode("utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read scenario: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise UsageError(f"scenario is not UTF-8: {exc}") from exc
-    try:
-        data = json.loads(text, object_pairs_hook=_unique_keys, parse_float=jsonio.read_number)
+
+
+def _read_scenario(path: str) -> dict:
+    try:  # the text goes once parsed
+        data = json.loads(_scenario_text(path), object_pairs_hook=_unique_keys,
+                          parse_float=jsonio.read_number)
     except json.JSONDecodeError as err:
         raise UsageError(f"scenario is not JSON: {err}") from err
     except ValueError as err:  # the only other one: an int or exponent past the digit limit
@@ -186,8 +192,8 @@ def _cmd_extend(args, scenario):
         "stats": {
             "pinned_depth": stats.pinned_m_prime,
             "depth": stats.m_prime,
-            # written as arrays of pairs, as lists would be, with no list per top
-            "retries": sorted(stats.retries.items()),
+            # sorted pairs, written in slices, with no tuple per top
+            "retries": lambda sink: jsonio.write_items(stats.retries, sink, json.dumps),
             "exhaustive_stems": sorted(stats.exhaustive_stems),
         },
     }
@@ -444,10 +450,13 @@ def _run(argv) -> int:
 
 def _emit(envelope: dict | str, out, code: int) -> int:
     """Write envelope, or the -h text given as a str, then a newline, to out
-    (closed after unless it is stdout); return code, or 2 if the write fails.
-    A failed --out write sends a UsageError envelope to stdout instead, a
-    failed or closed stdout one line to stderr; a reader that leaves keeps
-    the run's code.  A write-through out (python -u) is buffered meanwhile."""
+    (closed after unless it is stdout), in the pieces jsonio.write passes;
+    return code, or 2 if the write fails.  A failed --out write sends a
+    UsageError envelope to stdout instead, a failed or closed stdout one line
+    to stderr; a reader that leaves keeps the run's code.  A write that fails
+    with anything but an OSError (a MemoryError) is this program's fault:
+    exit 3, with one line on stderr, or an InternalError envelope on stdout
+    for --out.  A write-through out (python -u) is buffered meanwhile."""
     what = "help" if isinstance(envelope, str) else "report"
     through = getattr(out, "write_through", False)
     try:
@@ -471,6 +480,14 @@ def _emit(envelope: dict | str, out, code: int) -> int:
             code, error = _failure(UsageError(f"cannot write report: {exc}"))
             return _emit({"command": envelope["command"], "ok": False, "error": error},
                          sys.stdout, code)
+    except Exception as exc:  # the writer's own failure: what it wrote stays cut short
+        _log("debug", "writing the %s failed unexpectedly", what, exc_info=exc)
+        message = f"{type(exc).__name__}: {exc}"
+        if out is sys.stdout:
+            _say(f"forcing-lab: cannot write {what}: {message}")
+            return 3
+        return _emit({"command": envelope["command"], "ok": False,
+                      "error": {"type": "InternalError", "message": message}}, sys.stdout, 3)
     finally:
         if through:
             out.reconfigure(write_through=True)

@@ -151,10 +151,20 @@ def condition_to_json(p: Condition) -> dict:
         {"eps": rational_to_json(tw.eps), "phi": weight_to_json(tw.phi)} for tw in p.u]}
 
 
+# The most items of an array written by one dumps call: json's C encoder holds
+# its pieces of an array's text, about 8 times the text, until it joins them.
+_SLICE = 2 ** 9
+
+
+def _dumps(tree, dumps) -> str:
+    return dumps(tree, sort_keys=True, separators=(",", ":"), check_circular=False)
+
+
 def write(tree, sink, dumps=json.dumps) -> None:
     """Pass the JSON text of a report tree to sink in pieces, as dumps(tree, sort_keys=True,
     separators=(",", ":")) writes it with each callable value writing its own text to sink
-    in its place: a dict (of str keys) key by key, any other value in one dumps call,
+    in its place: a dict (of str keys) key by key, a list or tuple of more than _SLICE items
+    one dumps call per _SLICE items (_write_array), any other value in one dumps call,
     unchecked for cycles."""
     if isinstance(tree, dict):
         sink("{")
@@ -164,18 +174,38 @@ def write(tree, sink, dumps=json.dumps) -> None:
         sink("}")
     elif callable(tree):
         tree(sink)
+    elif isinstance(tree, (list, tuple)) and len(tree) > _SLICE:
+        _write_array(len(tree), tree.__getitem__, sink, dumps)
     else:
-        sink(dumps(tree, sort_keys=True, separators=(",", ":"), check_circular=False))
+        sink(_dumps(tree, dumps))
+
+
+def write_items(d: Mapping, sink, dumps=json.dumps) -> None:
+    """Pass to sink the text write writes of sorted(d.items()), d's keys being
+    str: the sorted keys and one _SLICE of (key, value) pairs are held, not a
+    tuple per item."""
+    keys = sorted(d)
+    _write_array(len(keys), lambda cut: [(key, d[key]) for key in keys[cut]], sink, dumps)
+
+
+def _write_array(n: int, items, sink, dumps) -> None:
+    """Pass to sink the JSON text of an array of n items, one dumps call per
+    _SLICE of them: items(slice(i, j)) lists items i to j - 1."""
+    for i in range(0, n, _SLICE):
+        sink(("," if i else "[") + _dumps(items(slice(i, i + _SLICE)), dumps)[1:-1])
+    sink("]" if n else "[]")
 
 
 def condition_from_json(data: Mapping) -> Condition:
+    # the decoded [key, value] lists are the condition's pairs (see Condition), so
+    # its base and tops make no tuple per key; the document is read, never changed
     h = dict(data["h"])
     _refuse_repeats(h, data["h"], itemgetter(0), "stem key")
     u = tuple(
         TaggedWeight(rational_from_json(entry["eps"]), weight_from_json(entry["phi"]))
         for entry in data["u"]
     )
-    return Condition(data["m"], h, u)
+    return Condition._of({"m": data["m"], "h": h, "u": u, "_given": data["h"]})
 
 
 def certificate_to_json(index: int, cert: Certificate) -> dict:

@@ -198,7 +198,10 @@ class Condition(FrozenValue):
 
     Every condition is a base plus layers.  The base is the depth and the
     sorted (key, value) pairs of a given stem: one built from h is its own
-    base, sorted on first use (_base), with no layers.  Each extension
+    base, sorted on first use (_base), with no layers.  A condition decoded
+    from JSON (jsonio.condition_from_json) keeps the decoded [key, value]
+    lists as its pairs (_given), so its base and tops are those lists, with
+    no tuple per key; pairs() gives tuples either way.  Each extension
     appends a layer (depth, tops, chosen): the (top, value) pairs of the
     level it grew from, in key order, and the pattern e accepted for each
     (ExtendStats.chosen).  Between a top and its new tops the new keys keep
@@ -229,7 +232,8 @@ class Condition(FrozenValue):
 
     @cached_property
     def _base(self) -> tuple[int, list]:
-        return self.m, sorted(self.h.items())
+        # the keys are distinct, so the pairs sort by key alone
+        return self.m, sorted(self.__dict__.get("_given") or self.h.items(), key=itemgetter(0))
 
     def _values(self) -> tuple:
         return self.m, self.h, self.u
@@ -249,7 +253,7 @@ class Condition(FrozenValue):
         """The stem's (key, value) pairs in key order: a given stem's base, or
         an extended one's h, parsed from its text (_stem_map) if not built."""
         if not self._layers:
-            return list(self._base[1])
+            return list(map(tuple, self._base[1]))
         return list((self.__dict__.get("h") or _stem_map(self)).items())
 
 
@@ -755,15 +759,15 @@ def extend_detailed(
     The search runs in bulk.  Every top's candidate 0 is read from the
     stream at once (one bytes.translate when count <= 8).  The tops are
     grouped in C-level passes of _GROUPED tops by their stem class
-    (_class_keys), each told by the class's first top in key order, and by
-    candidate 0: each class's checks are built from that first top, one
-    verdict is looked up per group, and a passing group of n tops adds n
-    times its sums.  If a group failed, a second pass of class keys reads
-    each top's candidate 0 in its class's verdicts, already looked up, and
-    only the tops it fails run the retry loop and the fallback, in key
-    order, each from its own stream; with _RETRY_CAP = 0 no candidate is
-    drawn and every top falls back.  So every top gets the pattern the
-    per-top loop gives it.
+    (_class_keys), each told by the index of the class's first top in key
+    order, and by candidate 0: each class's checks are built from that
+    first top, one verdict is looked up per group, and a passing group of n
+    tops adds n times its sums.  If a group failed, a second pass of class
+    keys reads each top's candidate 0 in its class's verdicts, already
+    looked up, and only the tops it fails run the retry loop and the
+    fallback, in key order, each from its own stream; with _RETRY_CAP = 0
+    no candidate is drawn and every top falls back.  So every top gets the
+    pattern the per-top loop gives it.
 
     The result's scores are read off the accepted candidates' integer sums,
     score = sum over tops s of 2^(|h(s)|+1)·sum_s/D_s, and each must exceed
@@ -811,24 +815,24 @@ def extend_detailed(
         # per weight: D -> sum of 2^(|h(s)|+1)·sum_s; the tops of one class that
         # draw one candidate 0 share its verdict, so a passing one is added n times
         totals: list[dict] = [{} for _ in p.u]
-        # each top is told by its class's first top in key order, which
-        # dict.setdefault keeps, and counted with its candidate 0, _GROUPED
-        # tops at a time; a class's checks are built from its first top in
-        # the run that meets it
+        # each top is told by the key-order index of its class's first top,
+        # which dict.setdefault keeps (a decoded top is a list, not hashable),
+        # and counted with its candidate 0, _GROUPED tops at a time; a class's
+        # checks are built from its first top in the run that meets it
         first: dict = {}
-        classes: dict = {}  # each class's verdicts, by its first top
+        classes: dict = {}  # each class's verdicts, by its first top's index
         failed = not _RETRY_CAP  # with no sampled attempt, no candidate is drawn
-        drawn = zip(map(first.setdefault, _class_keys(phi_list, tops), tops), firsts)
+        drawn = zip(map(first.setdefault, _class_keys(phi_list, tops), range(len(tops))), firsts)
         while groups := Counter(islice(drawn, _GROUPED)):
-            classes.update((top, search(*top, key))
-                           for key, top in islice(first.items(), len(classes), None))
-            for (top, e), n in groups.items() if _RETRY_CAP else ():
-                last_fail, sums = classes[top][e]
+            classes.update((t, search(*tops[t], key))
+                           for key, t in islice(first.items(), len(classes), None))
+            for (t, e), n in groups.items() if _RETRY_CAP else ():
+                last_fail, sums = classes[t][e]
                 if last_fail >= 0:
                     failed = True
                     continue
                 for total, (d, acc) in zip(totals, sums):
-                    total[d] = total.get(d, 0) + (n * acc << len(top[1]) + 1)
+                    total[d] = total.get(d, 0) + (n * acc << len(tops[t][1]) + 1)
         chosen = dict(zip(map(itemgetter(0), tops), firsts))
         retries = dict.fromkeys(chosen, 0)
         # the tops whose candidate 0 failed (every top with no sampled attempt),
@@ -1057,10 +1061,20 @@ def sigma_centered_index(p: Condition) -> CenteredIndex:
     return CenteredIndex(len(p.u), k, stem, tuple(tw.eps for tw in p.u))
 
 
+def _same_pairs(a: Sequence, b: Sequence) -> bool:
+    """Whether two lists of (key, value) pairs hold the same strings in the same
+    order, whether a pair is a tuple or a decoded [key, value] list."""
+    return len(a) == len(b) and all(map(str.__eq__, chain.from_iterable(a), chain.from_iterable(b)))
+
+
 def merge_same_stem(p: Condition, q: Condition) -> Condition:
     """Compatibility witness for two conditions with identical stems; p's stem and census
-    are shared.  Two extended conditions with equal bases and layers never build h here."""
-    same = p._layers and q._layers and (p._base, p._layers) == (q._base, q._layers)
+    are shared.  Two extended conditions with equal bases and layers never build h here,
+    whatever the type of their pairs (see Condition)."""
+    same = (p._layers and len(p._layers) == len(q._layers) and p._base[0] == q._base[0]
+            and _same_pairs(p._base[1], q._base[1])
+            and all(d1 == d2 and c1 == c2 and _same_pairs(t1, t2)
+                    for (d1, t1, c1), (d2, t2, c2) in zip(p._layers, q._layers)))
     if p.m != q.m or not (same or p.h == q.h):
         raise ValueError("conditions do not share a stem")
     return Condition._of({**vars(p), "u": p.u + q.u})

@@ -19,6 +19,7 @@ import os
 import random
 import re
 import shlex
+import struct
 import subprocess
 import sys
 import time
@@ -1416,6 +1417,111 @@ def test_a_depth_20_extend_writes_58_megabytes_in_little_memory():
     assert head.startswith('{"command":"extend","meta":{"wall_time_ms":') and '"ok":true' in head
     assert int(size) > 57 * 10 ** 6
     assert int(rss_kb) < 64 * 1024, f"{int(rss_kb) / 1024:.1f} MB"
+
+
+def given_stem(tmp_path, depth):
+    """An extend scenario whose condition is a complete given stem of depth:
+    the condition of the report that extends pinned_by("255/256") to it."""
+    code, env = run(tmp_path, ["extend", "--seed", "0", "--max-new-levels", str(depth)],
+                    pinned_by("255/256"))
+    assert code == 0 and env["report"]["condition"]["m"] == depth
+    return {"condition": env["report"]["condition"]}
+
+
+def test_a_given_depth_16_stem_extends_in_little_memory(tmp_path):
+    # 131,071 given keys (3.3 MB in, 11 MB out) grown one level: on Python
+    # 3.11 the process peaked at 47 MB with each key held once, and at 63 MB
+    # with the raw bytes kept, a tuple per key in the base, the inputs echo
+    # in one dumps call and a tuple per top in stats.retries
+    argv = ["extend", "--seed", "0", "--max-new-levels", "1"]
+    done = run_module(argv, given_stem(tmp_path, 16), "-c", RSS_PROBE, sys.executable)
+    code, rss_kb, size, head = done.stdout.split(" ", 3)
+    assert (code, done.stderr) == ("0", "")
+    assert head.startswith('{"command":"extend","meta":') and int(size) > 10 ** 7
+    assert int(rss_kb) < 55 * 1024, f"{int(rss_kb) / 1024:.1f} MB"
+
+
+def test_a_given_stem_is_held_once_from_read_to_write(tmp_path):
+    # a given complete depth-14 stem (32,767 keys) grown one level through
+    # cli.main holds each key once: its decoded [key, value] list and key
+    # string, its entry in h, an entry in the extension's chosen and retries
+    # maps per top (half the keys are tops), and a pointer in the scenario's
+    # list, the base and the tops.  On Python 3.11 that read 227 B per key,
+    # and keeping the raw bytes, a tuple per key in the base, the inputs echo
+    # in one dumps call and a tuple per top in stats.retries read 371 B
+    path, out = tmp_path / "given.json", tmp_path / "out.json"
+    scenario = given_stem(tmp_path, 14)
+    path.write_text(json.dumps(scenario))
+    pairs = scenario["condition"]["h"]
+    pair = sys.getsizeof(json.loads(json.dumps(pairs[-1])))  # as the decoder sizes a pair
+    entry = sys.getsizeof(dict(pairs)) / len(pairs)
+    per_key = pair + sys.getsizeof(pairs[-1][0]) + 2 * entry + 3 * struct.calcsize("P")
+    argv = ["extend", "--seed", "0", "--max-new-levels", "1", "-i", str(path), "-o", str(out)]
+    assert cli.main(argv) == 0  # compiles the schemas and fills the stem templates, kept
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * per_key * len(pairs), (
+        f"{peak / len(pairs):.1f} B per key against {per_key:.1f}")
+
+
+class WriteFailsOnce:
+    """A text stream whose fifth write raises MemoryError, once; every other
+    write and attribute is stream's."""
+
+    def __init__(self, stream):
+        self.stream, self.writes = stream, 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == 5:
+            raise MemoryError
+        return self.stream.write(text)
+
+    def __getattr__(self, name):
+        return getattr(self.stream, name)
+
+
+def test_a_write_failing_with_memory_error_exits_three_in_one_line(tmp_path, monkeypatch, capsys):
+    # a MemoryError in the writer (seen in the inputs echo's dumps call under an
+    # address-space limit) is this program's fault, not the reader's: exit 3
+    # and one line on stderr, with the envelope cut short and no traceback
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"condition": SIMPLE_CONDITION}))
+    stdout = WriteFailsOnce(io.StringIO())
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert cli.main(["extend", "--seed", "7", "-i", str(path)]) == 3
+    assert stdout.writes == 5 and stdout.getvalue().startswith('{"command":"extend"')
+    assert capsys.readouterr().err == "forcing-lab: cannot write report: MemoryError: \n"
+
+
+def test_an_out_write_failing_with_memory_error_exits_three_on_stdout(tmp_path, monkeypatch,
+                                                                       capsys):
+    # as a failed --out write sends its UsageError, the failure goes to stdout
+    # as an InternalError envelope; the --out file is closed
+    path, out = tmp_path / "scenario.json", tmp_path / "out.json"
+    path.write_text(json.dumps({"condition": SIMPLE_CONDITION}))
+    opened = []
+
+    def opening(file, mode="r", **kwargs):
+        fh = open(file, mode, **kwargs)
+        if mode == "w":
+            opened.append(fh)
+            return WriteFailsOnce(fh)
+        return fh
+
+    monkeypatch.setattr(cli, "open", opening, raising=False)
+    assert cli.main(["extend", "--seed", "7", "-i", str(path), "-o", str(out)]) == 3
+    captured = capsys.readouterr()
+    env = json.loads(captured.out)
+    assert env == {"command": "extend", "ok": False,
+                   "error": {"type": "InternalError", "message": "MemoryError: "}}
+    jsonschema.validate(env, REPORT_SCHEMA)
+    assert captured.err == "" and opened[0].closed
+    assert out.read_text().startswith('{"command":"extend"')
 
 
 # candidate streams come from the interpreter's built-in SHAKE-256 where it

@@ -62,7 +62,13 @@ from forcing_lab import (
     slalom_extract,
 )
 from forcing_lab import cantor, names, poset
-from forcing_lab.jsonio import clopen_from_json, name_from_json
+from forcing_lab.jsonio import (
+    clopen_from_json,
+    condition_from_json,
+    name_from_json,
+    rational_to_json,
+    weight_to_json,
+)
 
 # counter -> the namespaces that bind the counted function, by attribute name
 COUNTED = {
@@ -344,3 +350,23 @@ def test_effort_stays_within_budget(monkeypatch, scenario):
     print(f"effort {scenario} _shake draws: {draws} (drawn after a top's first: {retried})")
     assert {n: c for n, c in counts.items() if c > BUDGETS[scenario][n]} == {}
     assert draws == retried
+
+
+def test_merging_a_decoded_and_a_built_extension_builds_no_map(monkeypatch):
+    # a decoded condition's pairs are the decoded [key, value] lists and its
+    # twin built from h has tuples; extended with one seed they have one stem,
+    # and merging them compares bases and layers, whatever the pair type, so
+    # no key is materialized
+    rng = random.Random(4401)
+    h = _stem(rng, 6, 4, lambda room: min(room, rng.choice([0, 0, 1])))
+    u = _weights(rng, h, 2)
+    wire = {"m": 6, "h": [[s, v] for s, v in h.items()],
+            "u": [{"eps": rational_to_json(tw.eps), "phi": weight_to_json(tw.phi)} for tw in u]}
+    q1, stats1 = extend_detailed(condition_from_json(wire), 9, max_new_levels=2)
+    q2, stats2 = extend_detailed(Condition(6, h, u), 9, max_new_levels=2)
+    assert stats1 == stats2
+    assert (type(q1._base[1][0]), type(q2._base[1][0])) == (list, tuple)
+    counts, _ = count_calls(monkeypatch)
+    merged = poset.merge_same_stem(q1, q2)
+    assert merged.u == q1.u + q2.u and merged._layers is q1._layers
+    assert counts["materialized keys"] == 0

@@ -2,6 +2,7 @@
 JSON codecs."""
 
 import json
+import random
 import tracemalloc
 from fractions import Fraction as Rational
 
@@ -67,8 +68,54 @@ JSON_TREES = st.recursive(
 
 @given(JSON_TREES)
 def test_write_writes_what_json_dumps_writes(tree):
-    # dicts are walked key by key, everything else is one dumps call
+    # dicts are walked key by key, anything else (no array here passes 512 items) in one dumps call
     assert written(tree) == json.dumps(tree, sort_keys=True, separators=(",", ":"))
+
+
+def counted(dumps_calls):
+    """json.dumps, counting its calls in dumps_calls[0]."""
+    def dumps(*args, **kwargs):
+        dumps_calls[0] += 1
+        return json.dumps(*args, **kwargs)
+    return dumps
+
+
+@pytest.mark.parametrize("n", [0, 1, 512, 513, 3 * 512 + 7])
+def test_long_arrays_are_written_in_slices_byte_for_byte(n):
+    # an array of more than 512 items takes one dumps call per 512 of them
+    pairs = [[format(i, "b"), str(i % 3)] for i in range(n)]
+    tree = {"pairs": pairs, "tuples": [tuple(pair) for pair in pairs],
+            "dicts": [{"pair": pair, "at": {"i": i, "z": None}} for i, pair in enumerate(pairs)],
+            "outer": tuple(pairs)}
+    assert written(tree) == json.dumps(tree, sort_keys=True, separators=(",", ":"))
+    for array in tree.values():
+        calls, pieces = [0], []
+        jsonio.write(array, pieces.append, counted(calls))
+        assert "".join(pieces) == json.dumps(array, sort_keys=True, separators=(",", ":"))
+        assert calls[0] == (1 if n <= 512 else -(-n // 512))
+
+
+@pytest.mark.parametrize("n", [0, 1, 513])
+def test_items_are_written_sorted_in_slices_byte_for_byte(n):
+    rng = random.Random(n)
+    d = {format(i, "b"): rng.randrange(64) for i in rng.sample(range(4 * n), n)}
+    calls, pieces = [0], []
+    jsonio.write_items(d, pieces.append, counted(calls))
+    assert "".join(pieces) == json.dumps(sorted(d.items()), separators=(",", ":"))
+    assert calls[0] == -(-n // 512)
+
+
+def test_a_decoded_condition_keeps_the_decoded_pairs():
+    # its base is the decoded [key, value] lists, sorted apart from the wire
+    # list, which the inputs echo writes as it came; pairs() gives tuples
+    wire = {"m": 1, "h": [["1", "1"], ["", ""], ["0", "0"]],
+            "u": [{"eps": "1/2", "phi": {"resolution": [0, 0], "table": [["", "", "1/1"]]}}]}
+    given = [list(pair) for pair in wire["h"]]
+    p = condition_from_json(wire)
+    assert [id(pair) for pair in p._base[1]] == [id(wire["h"][i]) for i in (1, 2, 0)]
+    assert wire["h"] == given
+    assert p.pairs() == [("", ""), ("0", "0"), ("1", "1")]
+    assert p.tops() == ["0", "1"] and p == Condition(1, dict(given), p.u)
 
 
 def test_rational_wire_form():
