@@ -6,7 +6,7 @@ wraps them with timing.  C01 and C02 check against the bitmap model of
 extension against its growth check, and C11 the diagram checker against its
 edge rule over every two-level assignment.  The rest use direct arithmetic
 or exhaustive enumeration, but C04-C06 still reach the library for part of
-their verdict: `validate`, `_stem_searches` and `_certify`.
+their verdict: `validate`, `_stem_checks` and `_certify`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from .poset import (
     ScheduledCover,
     TaggedWeight,
     WeightFunction,
-    _stem_searches,
+    _Verdicts,
+    _stem_checks,
     eval_phi,
     extend_detailed,
     generic_run,
@@ -285,7 +286,7 @@ def criterion_tail_oracle() -> tuple[bool, str]:
             for delta in deltas:
                 if delta <= 0:
                     continue
-                verdicts = _stem_searches([phi], 0, m2, delta)("", "")
+                verdicts = _Verdicts(_stem_checks([phi], "", "", 0, m2, delta))
                 space = 2 ** (2 ** m2)
                 violating = sum(verdicts[e][0] >= 0 for e in range(space))
                 bound = min(Fraction(1), Fraction(1, 2 ** m2) / (delta * delta))

@@ -379,8 +379,11 @@ def _parse(argv: list) -> SimpleNamespace:
             _refuse(f"argument {name}: expected one argument")
         try:
             setattr(args, field, int(value) if field in SEEDED_OPTIONS else value)
-        except ValueError:
-            _refuse(f"argument {name}: invalid int value: {value!r}")
+        except ValueError:  # a well-formed int past the digit limit is worded as such
+            digits = value.strip().lstrip("+-").replace("_", "")
+            if digits.isdecimal() and len(digits) > (limit := sys.get_int_max_str_digits()):
+                _refuse(f"argument {name}: more than {limit} digits, the limit")
+            _refuse(f"argument {name}: invalid int value: {jsonio.ends(value)!r}")
     if unknown:
         _refuse(f"unrecognized arguments: {' '.join(unknown)}")
     if command in SEEDED and args.seed is None:

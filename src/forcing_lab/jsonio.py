@@ -65,12 +65,16 @@ def read_number(text: str) -> int | float:
         raise UsageError(f"scenario has an integer of more than {_MAX_DIGITS} digits, the limit")
     if shift < 0:
         x = float(text)
-        if x.is_integer() or math.isinf(x):  # a long literal is named by its ends
-            shown = text if len(text) <= 40 else f"{text[:20]}...{text[-12:]}"
-            raise UsageError(f"scenario number {shown} is not an integer")
+        if x.is_integer() or math.isinf(x):
+            raise UsageError(f"scenario number {ends(text)} is not an integer")
         return x
     value = int(significant) * 10 ** shift
     return -value if text.startswith("-") else value
+
+
+def ends(text: str) -> str:
+    """text, or its ends when it is longer than 40 characters."""
+    return text if len(text) <= 40 else f"{text[:20]}...{text[-12:]}"
 
 
 def rational_to_json(x: Fraction) -> str:

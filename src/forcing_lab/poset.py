@@ -24,8 +24,8 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import cache, cached_property, partial
-from itertools import chain, compress, islice, repeat, tee
-from operator import add, getitem, itemgetter
+from itertools import chain, islice, repeat, tee
+from operator import add, itemgetter
 
 from .cantor import ClopenPlaneSet, check_bits, _all_bits, _extensions
 from .errors import ForcingLabError, FrozenValue
@@ -458,11 +458,21 @@ def _rows(s: str, m: int, m2: int, cut: int) -> tuple[list[str], int]:
     return _extensions(s[:cut], depth), 2 ** (m2 - max(m, depth))
 
 
-def _stem_searches(phi_list, m: int, m2: int, delta: Fraction):
-    """The searches of one extension from depth m to m2, as a function
-    (s, h(s)) -> verdicts, the _Verdicts of the stem's class: verdicts[e]
-    is (i, None) when the candidate e fails the check of weight #i first,
-    and (-1, sums) when it passes every check.
+def _class_keys(phi_list, pairs: Sequence[tuple[str, str]]) -> Iterator[tuple]:
+    """The class key (see _stem_checks) of each (s, h(s)) pair of pairs, in
+    order, in C-level passes: (s[:max m1], h(s)[:max r2], |h(s)|)."""
+    cut_x = max(phi.resolution[0] for phi in phi_list)
+    cut_y = max(phi.resolution[1] for phi in phi_list)
+    return zip(map(itemgetter(slice(None, cut_x)), map(itemgetter(0), pairs)),
+               map(itemgetter(slice(None, cut_y)), map(itemgetter(1), pairs)),
+               map(len, map(itemgetter(1), pairs)))
+
+
+def _stem_checks(phi_list, s: str, value: str, m: int, m2: int, delta: Fraction) -> tuple:
+    """The check of each weight, (target, block, base, gains, D), for the
+    class of a top s valued value in one extension from depth m to m2, which
+    _Verdicts reads: a candidate e fails the check of weight #i first, or
+    passes every check.
 
     Bit i of a candidate integer e is the appended value bit of the i-th
     suffix (suffixes enumerated MSB-first as format(i, "0Lb")).  The
@@ -488,52 +498,21 @@ def _stem_searches(phi_list, m: int, m2: int, delta: Fraction):
 
     the verdict of the Fraction sum, reached in int arithmetic.  The sum
     on the left is D times the new tops' sum of phi(t, h(s) + bit(t)), so
-    sums holds each weight's (D, sum) for the extension to score the grown
-    stem with.
+    a passing candidate's verdict holds each weight's (D, sum) for the
+    extension to score the grown stem with.
 
     For a weight at resolution (m1, r2) the check reads the stem only
     through (s[:m1], h(s)[:r2], |h(s)|): the target reads the weight at
     (s[:m1], h(s)[:r2]), halved once per bit of s past m1 and of h(s)
     past r2, and the rows are s[:m1] and its extensions, read at
     ((h(s) + bit)[:r2]), which is h(s)[:r2] + bit while |h(s)| < r2 and
-    h(s)[:r2] after.  So the stems that share the class key
+    h(s)[:r2] after.  So the stems that share the class key (_class_keys)
 
         (s[:max m1], h(s)[:max r2], |h(s)|)
 
-    share the checks of every weight.  Each class builds them once
-    (_stem_checks), from its first stem, and keeps its verdicts: a
-    candidate drawn again by any stem of the class is looked up, not
-    checked again, and an accepted one is summed once.
-
-    search(s, h(s), key) takes the stem's class key (_class_keys) as read
-    in bulk, and computes it when not given.
+    share the checks of every weight, and an extension builds them once
+    per class, from its first stem.
     """
-    classes: dict = {}
-
-    def search(s: str, value: str, key: tuple | None = None) -> _Verdicts:
-        if key is None:
-            key = next(_class_keys(phi_list, ((s, value),)))
-        verdicts = classes.get(key)
-        if verdicts is None:
-            verdicts = classes[key] = _Verdicts(_stem_checks(phi_list, s, value, m, m2, delta))
-        return verdicts
-
-    return search
-
-
-def _class_keys(phi_list, pairs: Sequence[tuple[str, str]]) -> Iterator[tuple]:
-    """The class key (see _stem_searches) of each (s, h(s)) pair of pairs, in
-    order, in C-level passes: (s[:max m1], h(s)[:max r2], |h(s)|)."""
-    cut_x = max(phi.resolution[0] for phi in phi_list)
-    cut_y = max(phi.resolution[1] for phi in phi_list)
-    return zip(map(itemgetter(slice(None, cut_x)), map(itemgetter(0), pairs)),
-               map(itemgetter(slice(None, cut_y)), map(itemgetter(1), pairs)),
-               map(len, map(itemgetter(1), pairs)))
-
-
-def _stem_checks(phi_list, s: str, value: str, m: int, m2: int, delta: Fraction) -> tuple:
-    """The check of each weight for the class of a top s valued value (see
-    _stem_searches): (target, block, base, gains, D)."""
     checks = []
     for phi in phi_list:
         # each weight read here is an integer from phi's memo over D << shift
@@ -558,10 +537,11 @@ class _Verdicts(dict):
     """The verdicts of one stem class, keyed by candidate and computed on
     first lookup: (i, None) when the candidate fails the check of weight #i
     first, (-1, sums) when it passes them all, sums holding each weight's
-    (D, _check_sum).  It keeps one verdict per candidate asked for: at
-    most _RETRY_CAP per stem, and the exhaustive fallback's whole space
-    (at most 2^16 candidates, as count is a power of two) once a stem of
-    the class reaches it."""
+    (D, _check_sum).  It keeps one verdict per candidate asked for, so a
+    candidate drawn again by any stem of the class is looked up, not
+    checked again: at most _RETRY_CAP per stem, and the exhaustive
+    fallback's whole space (at most 2^16 candidates, as count is a power
+    of two) once a stem of the class reaches it."""
 
     __slots__ = ("checks",)
 
@@ -756,18 +736,17 @@ def extend_detailed(
     where the pinned depth formula compounds past any materializable size;
     a depth past _MAX_DEPTH is refused either way.
 
-    The search runs in bulk.  Every top's candidate 0 is read from the
-    stream at once (one bytes.translate when count <= 8).  The tops are
-    grouped in C-level passes of _GROUPED tops by their stem class
-    (_class_keys), each told by the index of the class's first top in key
-    order, and by candidate 0: each class's checks are built from that
-    first top, one verdict is looked up per group, and a passing group of n
-    tops adds n times its sums.  If a group failed, a second pass of class
-    keys reads each top's candidate 0 in its class's verdicts, already
-    looked up, and only the tops it fails run the retry loop and the
-    fallback, in key order, each from its own stream; with _RETRY_CAP = 0
-    no candidate is drawn and every top falls back.  So every top gets the
-    pattern the per-top loop gives it.
+    The search runs in bulk, one run of _GROUPED tops after another.
+    Every top's candidate 0 is read from the stream at once (one
+    bytes.translate when count <= 8).  A run's tops are grouped in C-level
+    passes by their stem class (_class_keys), each told by the index of the
+    class's first top in key order, and by candidate 0: each class's checks
+    (_stem_checks) are built from that first top, one verdict (_Verdicts)
+    is looked up per group, and a passing group of n tops adds n times its
+    sums.  If a group failed, the run's class keys are read again, and
+    only the tops whose candidate 0 fails run the retries and the
+    fallback, in key order, each from its own stream.  So every top gets
+    the pattern the per-top loop gives it.
 
     The result's scores are read off the accepted candidates' integer sums,
     score = sum over tops s of 2^(|h(s)|+1)·sum_s/D_s, and each must exceed
@@ -801,7 +780,6 @@ def extend_detailed(
             m2 = min(m2, m + max_new_levels)
         _refuse_past_limit(m, m2)
         phi_list = [tw.phi for tw in p.u]
-        search = _stem_searches(phi_list, m, m2, delta)
         count = 2 ** (m2 - m)
         # the exhaustive fallback tries every pattern, tagged as attempt _RETRY_CAP
         space = 2 ** count if count < 64 and 2 ** count <= _EXHAUSTIVE_CAP else 0
@@ -812,59 +790,55 @@ def extend_detailed(
         else:
             firsts = [int.from_bytes(stream[i:i + size], "little") & mask
                       for i in range(0, len(stream), size)]
+        del stream  # not held through the search
+        chosen = dict(zip(map(itemgetter(0), tops), firsts))
+        retries = dict.fromkeys(chosen, 0)
         # per weight: D -> sum of 2^(|h(s)|+1)·sum_s; the tops of one class that
         # draw one candidate 0 share its verdict, so a passing one is added n times
         totals: list[dict] = [{} for _ in p.u]
         # each top is told by the key-order index of its class's first top,
         # which dict.setdefault keeps (a decoded top is a list, not hashable),
         # and counted with its candidate 0, _GROUPED tops at a time; a class's
-        # checks are built from its first top in the run that meets it
+        # verdicts are built from its first top in the run that meets it
         first: dict = {}
         classes: dict = {}  # each class's verdicts, by its first top's index
-        failed = not _RETRY_CAP  # with no sampled attempt, no candidate is drawn
         drawn = zip(map(first.setdefault, _class_keys(phi_list, tops), range(len(tops))), firsts)
-        while groups := Counter(islice(drawn, _GROUPED)):
-            classes.update((t, search(*tops[t], key))
-                           for key, t in islice(first.items(), len(classes), None))
-            for (t, e), n in groups.items() if _RETRY_CAP else ():
+        for start in range(0, len(tops), _GROUPED):
+            groups = Counter(islice(drawn, _GROUPED))
+            classes.update((t, _Verdicts(_stem_checks(phi_list, *tops[t], m, m2, delta)))
+                           for t in islice(first.values(), len(classes), None))
+            failed = False
+            for (t, e), n in groups.items():
                 last_fail, sums = classes[t][e]
                 if last_fail >= 0:
                     failed = True
                     continue
                 for total, (d, acc) in zip(totals, sums):
                     total[d] = total.get(d, 0) + (n * acc << len(tops[t][1]) + 1)
-        chosen = dict(zip(map(itemgetter(0), tops), firsts))
-        retries = dict.fromkeys(chosen, 0)
-        # the tops whose candidate 0 failed (every top with no sampled attempt),
-        # in key order, each with its class's verdicts: one more pass of class keys
-        redo = enumerate(map(classes.__getitem__,
-                             map(first.__getitem__, _class_keys(phi_list, tops))))
-        if _RETRY_CAP:
-            redo, read = tee(redo)
-            redo = compress(redo, map((0).__le__, map(itemgetter(0), map(
-                getitem, map(itemgetter(1), read), firsts))))
-        for t, verdicts in redo if failed else ():
-            s, value = tops[t]
-            last_fail = 0
-            for attempt in range(_RETRY_CAP):
-                e = (firsts[t] if not attempt else
-                     int.from_bytes(_shake(f"{seed}|{m2}|{s}|{attempt}", size), "little") & mask)
-                last_fail, sums = verdicts[e]
+            if not failed:
+                continue
+            # the run's tops whose candidate 0 failed retry in key order, each
+            # from its own stream, then fall back: the run's class keys read again
+            run = map(first.__getitem__, _class_keys(phi_list, tops[start:start + _GROUPED]))
+            for t, verdicts in enumerate(map(classes.__getitem__, run), start):
+                last_fail, sums = verdicts[firsts[t]]
                 if last_fail < 0:
-                    break
-            else:
-                attempt = _RETRY_CAP
-                for e in range(space):
+                    continue
+                s, value = tops[t]
+                draws = (int.from_bytes(_shake(f"{seed}|{m2}|{s}|{a}", size), "little") & mask
+                         for a in range(1, _RETRY_CAP))
+                for attempt, e in chain(enumerate(draws, 1), zip(repeat(_RETRY_CAP), range(space))):
                     last_fail, sums = verdicts[e]
                     if last_fail < 0:
                         break
                 else:
                     raise SearchExhausted(s, last_fail, _RETRY_CAP)
-                exhaustive.append(s)
-            retries[s] = attempt
-            chosen[s] = e
-            for total, (d, acc) in zip(totals, sums):
-                total[d] = total.get(d, 0) + (acc << len(value) + 1)
+                if attempt == _RETRY_CAP:
+                    exhaustive.append(s)
+                retries[s] = attempt
+                chosen[s] = e
+                for total, (d, acc) in zip(totals, sums):
+                    total[d] = total.get(d, 0) + (acc << len(value) + 1)
         scores = tuple(
             sum((Fraction(acc, d) for d, acc in total.items()), Fraction(0)) for total in totals)
         for i, (sc, tw) in enumerate(zip(scores, p.u)):

@@ -971,6 +971,11 @@ def test_rapid_refuses_an_ignored_section(tmp_path, scenario, section):
     (["extend", "--seed", "--out", "x"], "argument --seed: expected one argument"),
     (["generic-run", "--seed", "1", "--max-new-levels", "1.5"],
      "argument --max-new-levels: invalid int value: '1.5'"),
+    (["extend", "--seed", "1" * 4301], "argument --seed: more than 4300 digits, the limit"),
+    (["generic-run", "--seed", "1", "--max-new-levels", "-" + "1" * 4301],
+     "argument --max-new-levels: more than 4300 digits, the limit"),
+    (["extend", "--seed", "1" * 4300 + "x"],
+     "argument --seed: invalid int value: '11111111111111111111...11111111111x'"),
     (["refine", "--out"], "argument --out/-o: expected one argument"),
     (["diagram", "-i", "a.json", "stray", "--inp", "b.json"],
      "unrecognized arguments: stray --inp b.json"),
@@ -979,8 +984,8 @@ def test_rapid_refuses_an_ignored_section(tmp_path, scenario, section):
                 "'extend', 'generic-run', 'smz', 'rapid', 'diagram', 'selftest')"),
     ([], None),
 ], ids=["seed-on-slalom", "bad-seed", "unknown-flag", "no-seed-value", "option-as-value",
-        "bad-levels", "no-out-value", "stray-words", "equals-form", "unknown-command",
-        "no-command"])
+        "bad-levels", "long-seed", "long-levels", "long-bad-seed", "no-out-value",
+        "stray-words", "equals-form", "unknown-command", "no-command"])
 def test_bad_arguments_exit_two_with_envelope(capsys, argv, message):
     # one envelope on stdout (no --out is open yet), the usage line on stderr
     code = cli.main(argv)
@@ -1002,6 +1007,18 @@ def test_seed_reads_as_int_reads_it(tmp_path, text, seed):
     assert code == 0, env.get("error")
     code, twin = run(tmp_path, ["extend", "--seed", str(seed)], {"condition": SIMPLE_CONDITION})
     assert env["report"]["seed"] == seed and env["report"] == twin["report"]
+
+
+def test_options_of_as_many_digits_as_the_limit_are_read(tmp_path):
+    # 4,300 digits, the limit on int-text conversion, is read; 4,301 is refused above
+    many = "1" * 4300
+    code, env = run(tmp_path, ["extend", "--seed", many], {"condition": SIMPLE_CONDITION})
+    assert code == 0, env.get("error")
+    assert env["report"]["seed"] == int(many)
+    argv = ["extend", "--seed", "3"]
+    code, env = run(tmp_path, [*argv, "--max-new-levels", many], {"condition": SIMPLE_CONDITION})
+    assert code == 0, env.get("error")
+    assert env["report"] == run(tmp_path, argv, {"condition": SIMPLE_CONDITION})[1]["report"]
 
 
 def test_options_repeat_and_come_in_any_order(tmp_path):
@@ -1248,7 +1265,8 @@ def test_a_closed_stdout_ends_the_run_quietly(argv, scenario, read):
     if read:
         assert os.read(r, read).startswith(b'{"command"')
         os.close(r)
-    stderr = proc.stderr.read()
+    with proc.stderr:
+        stderr = proc.stderr.read()
     assert (proc.wait(timeout=60), stderr) == (0, b"")
 
 

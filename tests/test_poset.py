@@ -43,7 +43,7 @@ from forcing_lab import (
 from forcing_lab import jsonio, oracle, poset
 from forcing_lab.cantor import _extensions, check_bits
 from forcing_lab.jsonio import condition_to_json, weight_to_json
-from forcing_lab.poset import ClauseViolation, _stem_searches
+from forcing_lab.poset import ClauseViolation, _Verdicts, _stem_checks
 
 FULL_W = WeightFunction.full()
 
@@ -378,22 +378,26 @@ def test_extend_respects_level_cap():
     assert validate(q).ok
 
 
+def first_candidate_fails():
+    """The weight of the value half [0] tagged at 7/16: with seed 9 and two
+    new levels, the one top's candidate 0 fails its check."""
+    return avoid_null(trivial_condition(), ClopenPlaneSet.from_rects([("", "1")]), Fraction(9, 16))
+
+
 def test_extend_exhaustive_fallback(monkeypatch):
-    monkeypatch.setattr(poset, "_RETRY_CAP", 0)
-    p = simple_condition()
-    q, stats = extend_detailed(p, seed=5, max_new_levels=2)
-    assert stats.exhaustive_stems == [""]
+    monkeypatch.setattr(poset, "_RETRY_CAP", 1)
+    q, stats = extend_detailed(first_candidate_fails(), seed=9, max_new_levels=2)
+    assert stats.exhaustive_stems == [""] and stats.retries == {"": 1}
     assert validate(q).ok
 
 
 def test_extend_search_exhausted_without_fallback(monkeypatch):
-    monkeypatch.setattr(poset, "_RETRY_CAP", 0)
+    monkeypatch.setattr(poset, "_RETRY_CAP", 1)
     monkeypatch.setattr(poset, "_EXHAUSTIVE_CAP", 0)
-    p = simple_condition()
     with pytest.raises(SearchExhausted) as info:
-        extend_detailed(p, seed=5, max_new_levels=2)
-    # no candidate was tried, so no weight failed and weight #0 is reported
-    assert (info.value.stem, info.value.weight_index, info.value.attempts) == ("", 0, 0)
+        extend_detailed(first_candidate_fails(), seed=9, max_new_levels=2)
+    # candidate 0 was the one try, and it failed weight #0
+    assert (info.value.stem, info.value.weight_index, info.value.attempts) == ("", 0, 1)
 
 
 def test_extend_refuses_unmaterializable_depth():
@@ -732,15 +736,19 @@ def new_top_sum(weight, s, value, m2, e):
 
 def compare_searches(phis, h, m, grow, deltas, seen):
     """Hold the verdict on every candidate of every top of h to the
-    reference.  One builder serves all tops of a delta, so checks shared
-    across stems are compared too."""
+    reference.  As in the extension, each class's verdicts are built from
+    its first top and serve all its tops, so checks shared across stems are
+    compared too."""
     tops = sorted(s for s in h if len(s) == m)
     weights = [weight_to_json(phi) for phi in phis]
+    keys = list(poset._class_keys(phis, [(s, h[s]) for s in tops]))
     for delta in deltas:
-        search = _stem_searches(phis, m, m + grow, delta)
-        for s in tops:
+        classes = {}
+        for s, key in zip(tops, keys):
             ref = FractionStemSearch(weights, s, h[s], m, m + grow, delta)
-            got = search(s, h[s])
+            if key not in classes:
+                classes[key] = _Verdicts(_stem_checks(phis, s, h[s], m, m + grow, delta))
+            got = classes[key]
             space = range(2 ** ref.count)
             verdicts = [ref.first_failing(e) for e in space]
             assert [got[e][0] for e in space] == verdicts, (m, grow, s, delta)
@@ -810,22 +818,22 @@ def test_retries_do_not_rest_on_one_stream_draw(monkeypatch):
     phi = phi_from_clopen(ClopenPlaneSet.from_rects([("", "1"), ("", "01")]).complement())
     p = Condition(6, h, (TaggedWeight(score(h, phi) * Fraction(15, 16), phi),))
     built = []
-    real = poset._stem_searches
-    monkeypatch.setattr(poset, "_stem_searches", lambda *args: built.append(args) or real(*args))
+    real = poset._stem_checks
+    monkeypatch.setattr(poset, "_stem_checks", lambda *args: built.append(args) or real(*args))
     for run_seed in range(10):
         q, stats = extend_detailed(p, run_seed, max_new_levels=3)
         assert sum(stats.retries.values()) > 0 and stats.exhaustive_stems == []
-    phi_list, m, m2, delta = built[0]
+    phi_list, _, _, m, m2, delta = built[0]
     assert (m, m2) == (6, 9)
-    search = real(phi_list, m, m2, delta)
     space = range(2 ** 2 ** (m2 - m))
     failing = {}  # per stem class: the share of its candidates that fail
     expected = Fraction(0)
-    for s, value in p._top_pairs():
-        verdicts = search(s, value)
-        if id(verdicts) not in failing:
-            failing[id(verdicts)] = Fraction(sum(verdicts[e][0] >= 0 for e in space), len(space))
-        expected += failing[id(verdicts)]
+    pairs = p._top_pairs()
+    for (s, value), key in zip(pairs, poset._class_keys(phi_list, pairs)):
+        if key not in failing:
+            verdicts = _Verdicts(real(phi_list, s, value, m, m2, delta))
+            failing[key] = Fraction(sum(verdicts[e][0] >= 0 for e in space), len(space))
+        expected += failing[key]
     assert len(failing) == 2 and expected >= 20
 
 
@@ -870,7 +878,8 @@ def test_class_search_matches_per_stem_reference(monkeypatch):
     rng = random.Random(2401)
     seen = set()
     for i in range(160):
-        retry_cap, exhaustive_cap = rng.choice([(64, 2 ** 20), (2, 2 ** 20), (1, 2 ** 20), (2, 0)])
+        retry_cap, exhaustive_cap = rng.choice(
+            [(64, 2 ** 20), (2, 2 ** 20), (1, 2 ** 20), (2, 0), (1, 0)])
         monkeypatch.setattr(poset, "_RETRY_CAP", retry_cap)
         monkeypatch.setattr(poset, "_EXHAUSTIVE_CAP", exhaustive_cap)
         # the search counts its tops in runs of _GROUPED: runs of one and of
@@ -898,7 +907,7 @@ def test_class_search_matches_per_stem_reference(monkeypatch):
                 extend_detailed(p, seed, max_new_levels=levels)
             got = (info.value.stem, info.value.weight_index, info.value.attempts)
             assert got == (exc.stem, exc.weight_index, exc.attempts)
-            seen.add("exhausted")
+            seen.add(("exhausted", retry_cap, exhaustive_cap))
             continue
         q, stats = extend_detailed(p, seed, max_new_levels=levels)
         assert (stats.m_prime, stats.retries, stats.exhaustive_stems, stats.chosen,
@@ -913,6 +922,8 @@ def test_class_search_matches_per_stem_reference(monkeypatch):
                         for s in p.tops())
         seen.update(["retried"] * any(stats.retries.values()) + ["exhaustive"] * bool(
             stats.exhaustive_stems))
+        if any(stats.retries[s] for s in p.tops()[poset._GROUPED:]):
+            seen.add(("retried in a later run of", poset._GROUPED))
         if shares_a_failing_first_candidate(p, seed, stats):
             seen.add("shared failing first candidate")
             if len(p.tops()) > poset._GROUPED:
@@ -920,7 +931,8 @@ def test_class_search_matches_per_stem_reference(monkeypatch):
     assert seen == {("weights", 1), ("weights", 2), ("weights", 3), ("levels", 1), ("levels", 2),
                     ("levels", 3), ("stems", "above"), ("stems", "at or below"),
                     ("values", "shorter"), ("values", "not shorter"), "retried", "exhaustive",
-                    "exhausted", "shared failing first candidate",
+                    ("exhausted", 1, 0), ("exhausted", 2, 0), ("retried in a later run of", 1),
+                    ("retried in a later run of", 3), "shared failing first candidate",
                     "shared failing first candidate, counted in runs"}
 
 
@@ -930,13 +942,13 @@ ZERO_HALF = phi_from_clopen(ClopenPlaneSet.from_rects([("", "0")]))
 
 def shares_a_failing_first_candidate(p, seed, stats):
     """Whether two or more tops of one stem class drew the same candidate 0
-    and it failed (with a sampled attempt, a retried top's candidate 0 failed)."""
+    and it failed (a retried top's candidate 0 failed)."""
     pairs = p._top_pairs()
     keys = poset._class_keys([tw.phi for tw in p.u], pairs)
     failed = Counter(
         (key, oracle.candidate(seed, p.m, stats.m_prime, t, s, 0))
         for t, ((s, _), key) in enumerate(zip(pairs, keys))
-        if stats.retries[s] and poset._RETRY_CAP)
+        if stats.retries[s])
     return any(n > 1 for n in failed.values())
 
 
@@ -1181,21 +1193,15 @@ def test_extension_post_check_refuses_a_failing_candidate(monkeypatch):
     p = avoid_null(trivial_condition(), g, Fraction(9, 16))  # score 1/2, tag 7/16
     q, stats = extend_detailed(p, seed=3, max_new_levels=2)
     assert stats.scores == validate(q).scores and stats.scores[0] > Fraction(7, 16)
-    real = poset._stem_searches
+    real = poset._Verdicts
+    ones = 2 ** 2 ** (q.m - p.m) - 1
 
-    def all_ones_accepted(phi_list, m, m2, delta):
-        search = real(phi_list, m, m2, delta)
-        ones = 2 ** 2 ** (m2 - m) - 1
+    def all_ones_accepted(checks):
+        assert real(checks)[ones][0] == 0  # the real verdict refuses it
+        sums = tuple((check[4], poset._check_sum(check, ones)) for check in checks)
+        return {e: (-1, sums) if e == ones else (0, None) for e in range(ones + 1)}
 
-        def stem(s, value, key=None):
-            verdicts = search(s, value, key)
-            assert verdicts[ones][0] == 0  # the real verdict refuses it
-            sums = tuple((check[4], poset._check_sum(check, ones)) for check in verdicts.checks)
-            return {e: (-1, sums) if e == ones else (0, None) for e in range(ones + 1)}
-
-        return stem
-
-    monkeypatch.setattr(poset, "_stem_searches", all_ones_accepted)
+    monkeypatch.setattr(poset, "_Verdicts", all_ones_accepted)
     with pytest.raises(RuntimeError, match="weight #0 scores 0, needs > 7/16"):
         extend_detailed(p, seed=3, max_new_levels=2)
 
