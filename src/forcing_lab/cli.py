@@ -17,8 +17,10 @@ layer) and for a closed or unwritable stdout, 3 for any other failure, a
 KeyError or TypeError included, reported as an "InternalError" envelope.
 --out is opened once the scenario has been read (or failed to read), before
 the run; if that, its write or the command line fails, the envelope (a
-UsageError for --out) goes to stdout.  Results are exact and written in
-full, so the run lifts the interpreter's int-text digit limit; main restores it.
+UsageError for --out) goes to stdout.  argv and the scenario are read under
+a 4,300-digit limit on int-text conversion, whatever PYTHONINTMAXSTRDIGITS
+says.  Results are exact and written in full, so the run then lifts the
+limit; main restores the caller's.
 
 _emit alone writes stdout (the envelope or the -h text), and _say alone
 stderr, one flushed line at a time, dropped if stderr is closed or fails.
@@ -406,7 +408,8 @@ def _failure(exc: Exception) -> tuple[int, dict]:
 
 def main(argv=None) -> int:
     digits = sys.get_int_max_str_digits()
-    try:
+    try:  # argv and the scenario are read under the schema's limit, whatever the caller's
+        sys.set_int_max_str_digits(jsonio._MAX_DIGITS)
         return _run(argv)
     finally:  # _run lifts the limit; a caller in this process keeps its own
         sys.set_int_max_str_digits(digits)

@@ -825,17 +825,19 @@ def extend_detailed(
                 if last_fail < 0:
                     continue
                 s, value = tops[t]
-                draws = (int.from_bytes(_shake(f"{seed}|{m2}|{s}|{a}", size), "little") & mask
-                         for a in range(1, _RETRY_CAP))
-                for attempt, e in chain(enumerate(draws, 1), zip(repeat(_RETRY_CAP), range(space))):
+                # attempt a < _RETRY_CAP draws from its own stream; from there on the
+                # fallback tries candidate a - _RETRY_CAP, recorded as attempt _RETRY_CAP
+                for a in range(1, _RETRY_CAP + space):
+                    e = (int.from_bytes(_shake(f"{seed}|{m2}|{s}|{a}", size), "little") & mask
+                         if a < _RETRY_CAP else a - _RETRY_CAP)
                     last_fail, sums = verdicts[e]
                     if last_fail < 0:
                         break
                 else:
                     raise SearchExhausted(s, last_fail, _RETRY_CAP)
-                if attempt == _RETRY_CAP:
+                if a >= _RETRY_CAP:
                     exhaustive.append(s)
-                retries[s] = attempt
+                retries[s] = min(a, _RETRY_CAP)
                 chosen[s] = e
                 for total, (d, acc) in zip(totals, sums):
                     total[d] = total.get(d, 0) + (acc << len(value) + 1)

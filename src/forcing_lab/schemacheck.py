@@ -30,24 +30,27 @@ returns None for an instance the schema accepts, else its first error as
 (path, keyword, message), worded as jsonschema words it for the packaged
 schemas, but with a bounded `reprlib` repr of every value it shows.
 
-An array whose `items` (or, with no `items`, each `prefixItems` entry) is
-a string schema with a `pattern` and nothing else, directly or through
-`$ref`s, is matched in one C-level pass over its items, as the bit-string
-arrays of the scenario schema are.  So is an array whose `items` is a row
-of exactly n such strings (`prefixItems` with `minItems` and `maxItems`
-both n), as the stem pairs and rectangles are: one `type` pass, one length
-pass and one pattern pass per position.  A pattern that is an anchored
-character-class star, such as `^[01]*$`, is matched once over the joined
-strings.  Only an array that fails a short cut goes through the per-item
-checks, which word the error.
+An array with no `prefixItems` has a short cut before its per-item checks
+when its `items`, directly or through `$ref`s, takes one of two shapes.
+One is a class-star string: a string schema whose only other keyword is a
+`pattern` that is an anchored character-class star, such as `^[01]*$`, as
+the bit-string arrays of the scenario schema are; the array is joined and
+searched once.  The other is a row of exactly n class-star strings
+(`prefixItems` with `minItems` and `maxItems` both n), as the stem pairs
+and rectangles are: one `type` pass, one length pass, then one join and
+one search per column.  Strings all match a class star exactly when their
+join does, but for a newline ending any string but the last: as `$` also
+matches before a final newline, that string passes alone and fails the
+join.  So the short cut only ever answers "valid"; an array that misses
+it, or raises TypeError in it, goes through the per-item checks, which
+decide and word the first error.
 """
 
 from __future__ import annotations
 
 import numbers
 import re
-from collections.abc import Callable, Iterable
-from functools import partial
+from collections.abc import Callable
 from operator import itemgetter
 from reprlib import repr as _repr
 
@@ -154,51 +157,36 @@ def _resolved(schema, defs: dict):
     return schema
 
 
-def _pattern(schema, defs: dict) -> re.Pattern | None:
-    """The compiled pattern when `schema`, through `$ref`s alone, says only
-    that an instance is a string matching it; else None."""
-    schema = _resolved(schema, defs)
-    if (isinstance(schema, dict) and schema.keys() - ANNOTATIONS == {"type", "pattern"}
-            and schema["type"] == "string"):
-        return re.compile(schema["pattern"])
-    return None
-
-
-def _row(schema, defs: dict) -> list[re.Pattern] | None:
-    """The patterns, one per position, when `schema`, through `$ref`s alone,
-    says only that an instance is an array of exactly n pattern-only strings;
-    else None."""
-    schema = _resolved(schema, defs)
-    if not (isinstance(schema, dict) and schema.get("type") == "array"
-            and schema.keys() - ANNOTATIONS == {"type", "prefixItems", "minItems", "maxItems"}):
+def _bulk(items, defs: dict) -> Callable[[list], bool] | None:
+    """A test that every item of an array passes `items`, in C-level passes,
+    when `items`, through `$ref`s alone, is a class-star string or a row of
+    exactly n of them (see the module docstring); else None.  It answers
+    True only for a valid array, and may raise TypeError on an invalid one."""
+    def search(schema):  # the class star's search, or None
+        schema = _resolved(schema, defs)
+        if not (isinstance(schema, dict) and schema.keys() - ANNOTATIONS == {"type", "pattern"}
+                and schema["type"] == "string"):
+            return None
+        text = schema["pattern"]
+        if (text[:2] == "^[" and text[-3:] == "]*$"
+                and not any(map(text[2:-3].__contains__, "[]\\"))):
+            return re.compile(text).search
         return None
-    patterns = [_pattern(s, defs) for s in schema["prefixItems"]]
-    if all(patterns) and schema["minItems"] == schema["maxItems"] == len(patterns):
-        return patterns
-    return None
 
-
-def _all_match(pattern: re.Pattern) -> Callable[[Iterable], bool]:
-    """A test that every one of some strings matches `pattern`, in one
-    C-level pass; it raises TypeError on a non-string.  For an anchored
-    character-class star, such as `^[01]*$`, it searches the joined strings
-    once: as `$` also matches before a final newline, a newline ending any
-    string but the last fails the join, and the caller's per-item loop then
-    decides."""
-    text = pattern.pattern
-    if (text[:2] == "^[" and text[-3:] == "]*$"
-            and not any(map(text[2:-3].__contains__, "[]\\"))):
-        return lambda strings: pattern.search("".join(strings)) is not None
-    return lambda strings: all(map(pattern.search, strings))
-
-
-def _all_rows_match(tests: list[Callable[[Iterable], bool]], x: list) -> bool:
-    """Whether every item of `x` is a list of len(tests) strings that pass
-    the test of their position (_all_match): one `type` pass, one length
-    pass, then one pass per position."""
-    if {*map(type, x)} != {list} or {*map(len, x)} != {len(tests)}:
-        return False
-    return all(test(map(itemgetter(i), x)) for i, test in enumerate(tests))
+    if one := search(items):
+        return lambda x: one("".join(x)) is not None
+    row = _resolved(items, defs)
+    if not (isinstance(row, dict) and row.get("type") == "array"
+            and row.keys() - ANNOTATIONS == {"type", "prefixItems", "minItems", "maxItems"}
+            and row["minItems"] == row["maxItems"] == len(row["prefixItems"])):
+        return None
+    searches = [search(s) for s in row["prefixItems"]]
+    if not all(searches):
+        return None
+    n = len(searches)
+    # one type pass, one length pass, then one join and one search per column
+    return lambda x: ({*map(type, x)} == {list} and {*map(len, x)} == {n} and all(
+        each("".join(map(itemgetter(i), x))) for i, each in enumerate(searches)))
 
 
 def _array(schema: dict, sub: Callable[[object], Check], defs: dict) -> Check | None:
@@ -208,18 +196,9 @@ def _array(schema: dict, sub: Callable[[object], Check], defs: dict) -> Check | 
     rest = sub(schema.get("items", True))
     lo, hi = schema.get("minItems", 0), schema.get("maxItems", float("inf"))
     skip = len(prefix)
-    # An array of pattern-only strings, or of rows of them, is matched in
-    # C-level passes (see the module docstring).  A non-string raises
-    # TypeError and a miss gives False; either way the loops below find and
-    # word the first error, so only a valid array takes the short cut.
-    bulk = None
-    if not prefix and (pattern := _pattern(schema.get("items"), defs)):
-        bulk = _all_match(pattern)
-    elif not prefix and (patterns := _row(schema.get("items"), defs)):
-        bulk = partial(_all_rows_match, list(map(_all_match, patterns)))
-    elif prefix and "items" not in schema and all(
-            patterns := [_pattern(s, defs) for s in schema["prefixItems"]]):
-        bulk = lambda x: all(map(re.Pattern.search, patterns, x))
+    # only a valid array passes the short cut (see the module docstring); a
+    # miss or a TypeError leaves it to the loop, which words the first error
+    bulk = None if prefix else _bulk(schema.get("items"), defs)
 
     def check(x):
         if not lo <= len(x) <= hi:
@@ -231,13 +210,7 @@ def _array(schema: dict, sub: Callable[[object], Check], defs: dict) -> Check | 
                     return None
             except TypeError:
                 pass
-        for each, v in zip(prefix, x):
-            if each(v) is not None:
-                break
-        else:
-            if not any(map(rest, x[skip:] if skip else x)):
-                return None
-        for i, v in enumerate(x):  # an item fails: find the first, for its index
+        for i, v in enumerate(x):
             if (error := (prefix[i] if i < skip else rest)(v)) is not None:
                 return _under(i, error)
     return check

@@ -933,6 +933,29 @@ def test_main_gives_back_the_callers_digit_limit(tmp_path, scenario, want):
     assert code == want
 
 
+@pytest.mark.parametrize("argv, scenario, message", [
+    (["extend", "--seed", "1" * 4301], {"condition": SIMPLE_CONDITION},
+     "argument --seed: more than 4300 digits, the limit"),
+    (["smz"], {"eps": [], "horizon": 10 ** 4300},
+     "scenario has an integer of more than 4300 digits, the limit"),
+], ids=["seed", "literal"])
+def test_the_digit_limit_is_4300_with_no_limit_set(argv, scenario, message):
+    # PYTHONINTMAXSTRDIGITS sets the interpreter's limit; the CLI reads its
+    # argv and scenario under the schema's 4,300 digits all the same
+    with digit_limit(0):  # the 4,301-digit literal is written here
+        done = run_module(argv, scenario, PYTHONINTMAXSTRDIGITS="0")
+    assert done.returncode == 2
+    assert json.loads(done.stdout)["error"] == {"type": "UsageError", "message": message}
+
+
+def test_a_seed_past_a_lower_set_limit_is_read():
+    seed = "7" * 700
+    done = run_module(["extend", "--seed", seed], {"condition": SIMPLE_CONDITION},
+                      PYTHONINTMAXSTRDIGITS="640")
+    assert done.returncode == 0, done.stdout
+    assert json.loads(done.stdout)["report"]["seed"] == int(seed)
+
+
 def test_rapid_needs_some_section(tmp_path):
     code, env = run(tmp_path, ["rapid"], {})
     assert code == 2
@@ -1925,8 +1948,7 @@ PAIR_NEAR_MISSES = {
 def per_item_check(monkeypatch):
     """The compiled scenario check with no bulk short cut: every array goes
     through its per-item loop."""
-    monkeypatch.setattr(schemacheck, "_pattern", lambda schema, defs: None)
-    monkeypatch.setattr(schemacheck, "_row", lambda schema, defs: None)
+    monkeypatch.setattr(schemacheck, "_bulk", lambda items, defs: None)
     return compile_schema(packaged_schema("scenario.schema.json"))
 
 
@@ -1945,6 +1967,38 @@ def test_bulk_bit_pairs_give_the_per_item_verdict_on_near_misses(section, miss, 
     else:
         path = ("condition", "h") if section == "h" else ("covers", 0, "cover", "rects")
         assert_same_first_error(x, (*path, *at))
+
+
+@pytest.mark.installed
+def test_no_bit_string_of_a_valid_scenario_is_checked_alone(monkeypatch):
+    # every bit string of a name's cells, a condition set, a given stem and
+    # a cover's rects is matched by its array's short cut, so an edit that
+    # switches the short cut off fails here; a weight table's rows hold a
+    # rational, so they are checked item by item, and the stem has no weights
+    alone = Counter()
+    string = schemacheck._string
+
+    def counted(schema, sub, defs):
+        if (check := string(schema, sub, defs)) is None:
+            return None
+
+        def counting(x):
+            alone[schema["pattern"]] += 1
+            return check(x)
+        return counting
+    monkeypatch.setattr(schemacheck, "KINDS", tuple(
+        (cls, counted if build is string else build) for cls, build in schemacheck.KINDS))
+    check = compile_schema(packaged_schema("scenario.schema.json"))
+    scenario = {
+        "name": HALVES_NAME,
+        "condition_set": ["0", "10", ""],
+        "condition": {"m": 1, "h": [["", ""], ["0", "1"], ["1", "10"]], "u": []},
+        "covers": [{"cover": {"resolution": [1, 1], "rects": [["0", "1"], ["1", ""]]},
+                    "eps": "1/2"}],
+    }
+    assert check(scenario) is None
+    # the cover's eps, a rational, is checked alone: the count sees strings
+    assert alone["^[01]*$"] == 0 and sum(alone.values()) == 1
 
 
 def test_bits_with_trailing_newline_pass_schema_and_fail_decoding(tmp_path):

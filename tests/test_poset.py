@@ -391,6 +391,24 @@ def test_extend_exhaustive_fallback(monkeypatch):
     assert validate(q).ok
 
 
+def only_all_ones_passes():
+    """The trivial stem with the weights of x-halves [0] and [1] at value bit
+    1, each tagged 1/8: of one new level's candidates 0-3, only 3, both new
+    tops valued 1, passes both checks (0 and 2 fail weight #0, 1 weight #1)."""
+    p = trivial_condition()
+    for x in "01":
+        p = attach_weight(p, Fraction(1, 8), WeightFunction((1, 1), {(x, "1"): Fraction(1, 4)}))
+    return p
+
+
+def test_extend_fallback_tries_its_last_pattern(monkeypatch):
+    monkeypatch.setattr(poset, "_RETRY_CAP", 1)
+    q, stats = extend_detailed(only_all_ones_passes(), seed=0, max_new_levels=1)
+    assert stats.exhaustive_stems == [""] and stats.retries == {"": 1}
+    assert stats.chosen == {"": 3} and stats.scores == (Fraction(1, 2), Fraction(1, 2))
+    assert q.h == {"": "", "0": "1", "1": "1"} and validate(q).ok
+
+
 def test_extend_search_exhausted_without_fallback(monkeypatch):
     monkeypatch.setattr(poset, "_RETRY_CAP", 1)
     monkeypatch.setattr(poset, "_EXHAUSTIVE_CAP", 0)
