@@ -156,15 +156,10 @@ class ClopenSet(FrozenValue):
     def is_empty(self) -> bool:
         return not self.generators
 
-    def __getattr__(self, name: str):
-        # called only for what __dict__ lacks: mass, not read yet.  mass is
-        # the measure as (count, 2^d), d the longest generator's length: the
-        # measure is count / 2^d.  Computed once per value and kept in the
-        # instance dict, with no lock (functools.cached_property takes one)
-        if name != "mass":
-            raise AttributeError(name)
-        mass = self.__dict__["mass"] = cylinder_mass(self.generators)
-        return mass
+    @cached_property
+    def mass(self) -> tuple[int, int]:
+        """The measure as (count, 2^d), d the longest generator's length."""
+        return cylinder_mass(self.generators)
 
     def measure(self) -> Fraction:
         return Fraction(*self.mass)

@@ -201,15 +201,16 @@ def _write_array(n: int, items, sink, dumps) -> None:
 
 
 def condition_from_json(data: Mapping) -> Condition:
-    # the decoded [key, value] lists are the condition's pairs (see Condition), so
-    # its base and tops make no tuple per key; the document is read, never changed
+    # the decoded [key, value] lists, sorted, are the condition's base (see
+    # Condition), so it makes no tuple per key; the document is read, never changed
     h = dict(data["h"])
     _refuse_repeats(h, data["h"], itemgetter(0), "stem key")
     u = tuple(
         TaggedWeight(rational_from_json(entry["eps"]), weight_from_json(entry["phi"]))
         for entry in data["u"]
     )
-    return Condition._of({"m": data["m"], "h": h, "u": u, "_given": data["h"]})
+    return Condition._of({"m": data["m"], "h": h, "u": u,
+                          "_base": (data["m"], sorted(data["h"], key=itemgetter(0)))})
 
 
 def certificate_to_json(index: int, cert: Certificate) -> dict:

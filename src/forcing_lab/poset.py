@@ -199,18 +199,17 @@ class Condition(FrozenValue):
     Every condition is a base plus layers.  The base is the depth and the
     sorted (key, value) pairs of a given stem: one built from h is its own
     base, sorted on first use (_base), with no layers.  A condition decoded
-    from JSON (jsonio.condition_from_json) keeps the decoded [key, value]
-    lists as its pairs (_given), so its base and tops are those lists, with
-    no tuple per key; pairs() gives tuples either way.  Each extension
-    appends a layer (depth, tops, chosen): the (top, value) pairs of the
-    level it grew from, in key order, and the pattern e accepted for each
-    (ExtendStats.chosen).  Between a top and its new tops the new keys keep
-    the top's value, and its i-th new top in key order appends bit i of e,
-    so the layered levels are complete and monotone by construction.  h of
-    an extended condition is parsed from its text when first read
-    (_stem_map) and kept; equality and repr read h, so an extended
-    condition equals its materialized one.  A condition keeps its finest
-    census (_census); an extension starts with none."""
+    from JSON (jsonio.condition_from_json) is given its base at decode: the
+    decoded [key, value] lists, sorted, so its base and tops make no tuple
+    per key.  Each extension appends a layer (depth, tops, chosen): the
+    (top, value) pairs of the level it grew from, in key order, and the
+    pattern e accepted for each (ExtendStats.chosen).  Between a top and its
+    new tops the new keys keep the top's value, and its i-th new top in key
+    order appends bit i of e, so the layered levels are complete and
+    monotone by construction.  h of an extended condition is parsed from its
+    text when first read (_stem_map) and kept; equality and repr read h, so
+    an extended condition equals its materialized one.  A condition keeps
+    its finest census (_census); an extension starts with none."""
 
     m: int
     h: dict
@@ -233,7 +232,7 @@ class Condition(FrozenValue):
     @cached_property
     def _base(self) -> tuple[int, list]:
         # the keys are distinct, so the pairs sort by key alone
-        return self.m, sorted(self.__dict__.get("_given") or self.h.items(), key=itemgetter(0))
+        return self.m, sorted(self.h.items(), key=itemgetter(0))
 
     def _values(self) -> tuple:
         return self.m, self.h, self.u
@@ -250,11 +249,8 @@ class Condition(FrozenValue):
         return [s for s, _ in self._top_pairs()]
 
     def pairs(self) -> list[tuple[str, str]]:
-        """The stem's (key, value) pairs in key order: a given stem's base, or
-        an extended one's h, parsed from its text (_stem_map) if not built."""
-        if not self._layers:
-            return list(map(tuple, self._base[1]))
-        return list((self.__dict__.get("h") or _stem_map(self)).items())
+        """The stem's (key, value) pairs of h in key order."""
+        return sorted(self.h.items())
 
 
 def _stem_map(p: Condition) -> dict:
@@ -1037,20 +1033,10 @@ def sigma_centered_index(p: Condition) -> CenteredIndex:
     return CenteredIndex(len(p.u), k, stem, tuple(tw.eps for tw in p.u))
 
 
-def _same_pairs(a: Sequence, b: Sequence) -> bool:
-    """Whether two lists of (key, value) pairs hold the same strings in the same
-    order, whether a pair is a tuple or a decoded [key, value] list."""
-    return len(a) == len(b) and all(map(str.__eq__, chain.from_iterable(a), chain.from_iterable(b)))
-
-
 def merge_same_stem(p: Condition, q: Condition) -> Condition:
-    """Compatibility witness for two conditions with identical stems; p's stem and census
-    are shared.  Two extended conditions with equal bases and layers never build h here,
-    whatever the type of their pairs (see Condition)."""
-    same = (p._layers and len(p._layers) == len(q._layers) and p._base[0] == q._base[0]
-            and _same_pairs(p._base[1], q._base[1])
-            and all(d1 == d2 and c1 == c2 and _same_pairs(t1, t2)
-                    for (d1, t1, c1), (d2, t2, c2) in zip(p._layers, q._layers)))
-    if p.m != q.m or not (same or p.h == q.h):
+    """Compatibility witness for two conditions with identical stems, compared by
+    m and h (built for an extended condition, see Condition); p's stem and census
+    are shared."""
+    if p.m != q.m or p.h != q.h:
         raise ValueError("conditions do not share a stem")
     return Condition._of({**vars(p), "u": p.u + q.u})

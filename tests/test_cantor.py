@@ -170,6 +170,33 @@ def test_intersect_and_difference_match_the_pairwise_reference():
     assert proper > 200  # most pairs overlap only in part
 
 
+def test_every_clopen_set_of_depth_at_most_3_matches_the_oracle():
+    # small scope: the set whose depth-3 bitmap is i, for each of the 256 i,
+    # every ordered pair of them, and every list of 0-3 generators drawn from
+    # the 7 strings of length at most 2
+    cylinders = [format(j, "03b") for j in range(8)]
+    cells = [[c for j, c in enumerate(cylinders) if i >> j & 1] for i in range(256)]
+    sets = list(map(ClopenSet, cells))
+    for i, a in enumerate(sets):
+        assert oracle.bitmap(a.generators, 3) == i
+        assert oracle.bitmap(a.complement().generators, 3) == 255 ^ i
+        assert a.measure() == oracle.measure(cells[i])
+    pairs = 0
+    for i, a in enumerate(sets):
+        for j, b in enumerate(sets):
+            assert oracle.bitmap(a.union(b).generators, 3) == i | j
+            assert oracle.bitmap(a.intersect(b).generators, 3) == i & j
+            assert oracle.bitmap(a.difference(b).generators, 3) == i & ~j
+            pairs += 1
+    short = ["", "0", "1", "00", "01", "10", "11"]
+    lists = [[]] + [[g] for g in short]
+    lists += [[g, h] for g in short for h in short]
+    lists += [[g, h, k] for g in short for h in short for k in short]
+    for gens in lists:
+        assert ClopenSet(gens).generators == oracle.canonical(gens), gens
+    assert (len(sets), pairs, len(lists)) == (256, 65_536, 400)
+
+
 def test_plane_from_rects_expands_to_common_resolution():
     h = ClopenPlaneSet.from_rects([("0", ""), ("1", "1")])
     assert h.resolution == (1, 1)

@@ -352,11 +352,10 @@ def test_effort_stays_within_budget(monkeypatch, scenario):
     assert draws == retried
 
 
-def test_merging_a_decoded_and_a_built_extension_builds_no_map(monkeypatch):
+def test_a_decoded_and_a_built_extension_merge_as_their_twins():
     # a decoded condition's pairs are the decoded [key, value] lists and its
     # twin built from h has tuples; extended with one seed they have one stem,
-    # and merging them compares bases and layers, whatever the pair type, so
-    # no key is materialized
+    # and merging them equals merging their materialized twins
     rng = random.Random(4401)
     h = _stem(rng, 6, 4, lambda room: min(room, rng.choice([0, 0, 1])))
     u = _weights(rng, h, 2)
@@ -366,7 +365,6 @@ def test_merging_a_decoded_and_a_built_extension_builds_no_map(monkeypatch):
     q2, stats2 = extend_detailed(Condition(6, h, u), 9, max_new_levels=2)
     assert stats1 == stats2
     assert (type(q1._base[1][0]), type(q2._base[1][0])) == (list, tuple)
-    counts, _ = count_calls(monkeypatch)
     merged = poset.merge_same_stem(q1, q2)
     assert merged.u == q1.u + q2.u and merged._layers is q1._layers
-    assert counts["materialized keys"] == 0
+    assert merged == poset.merge_same_stem(Condition(q1.m, q1.h, q1.u), Condition(q2.m, q2.h, q2.u))

@@ -409,6 +409,27 @@ def test_extend_fallback_tries_its_last_pattern(monkeypatch):
     assert q.h == {"": "", "0": "1", "1": "1"} and validate(q).ok
 
 
+def test_a_class_checks_each_candidate_once(monkeypatch):
+    # the 256 tops of a complete depth-8 stem valued "" are one stem class,
+    # and about half of them retry: the class's verdicts are kept, a failing
+    # one too, so each of the 4 candidates is checked at most once per weight
+    keys = complete_keys(8)
+    u = tuple(TaggedWeight(Fraction(1, 4), WeightFunction((0, 1), {("", a): Fraction(1, 16),
+                                                                  ("", b): Fraction(7, 16)}))
+              for a, b in ("01", "10"))
+    p = Condition(8, dict.fromkeys(keys, ""), u)
+    checks = [0]
+    real = poset._check_sum
+
+    def counting(check, e):
+        checks[0] += 1
+        return real(check, e)
+    monkeypatch.setattr(poset, "_check_sum", counting)
+    _, stats = extend_detailed(p, seed=5, max_new_levels=1)
+    assert any(stats.retries.values())
+    assert checks[0] <= 4 * 2
+
+
 def test_extend_search_exhausted_without_fallback(monkeypatch):
     monkeypatch.setattr(poset, "_RETRY_CAP", 1)
     monkeypatch.setattr(poset, "_EXHAUSTIVE_CAP", 0)
@@ -1502,13 +1523,13 @@ def test_merging_extended_conditions_matches_merging_their_twins():
         assert twin.h is q1.h  # a given stem's map is shared, not copied
 
 
-def test_merging_equal_extensions_builds_no_map():
+def test_equal_extensions_merge_as_their_twins_and_unequal_ones_are_refused():
     p = simple_condition()  # one full weight tagged 1/2 pins depth 8
     q1, q2, other = (extend_detailed(p, seed)[0] for seed in (7, 7, 8))
     assert q1.m == other.m == 8
     merged = merge_same_stem(q1, q2)
     assert merged.u == q1.u + q2.u
-    assert not {"h"} & (vars(q1).keys() | vars(q2).keys() | vars(merged).keys())
+    assert merged == merge_same_stem(Condition(8, q1.h, q1.u), Condition(8, q2.h, q2.u))
     assert q1.pairs() != other.pairs()
     with pytest.raises(ValueError, match="do not share a stem"):
         merge_same_stem(q1, other)
