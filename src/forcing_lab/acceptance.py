@@ -254,7 +254,7 @@ def criterion_extension() -> tuple[bool, str]:
             return False, f"instance {i}: {problems[0]}"
         if stats.exhaustive_stems:
             return False, f"instance {i}: sampling fell back to exhaustive search"
-        total_retries += sum(stats.retries.values())
+        total_retries += sum(stats.retries)
         total_stems += len(stats.retries)
     mean = total_retries / total_stems if total_stems else 0.0
     if mean > 4:

@@ -194,9 +194,9 @@ def _cmd_extend(args, scenario):
         "stats": {
             "pinned_depth": stats.pinned_m_prime,
             "depth": stats.m_prime,
-            # sorted pairs, written in slices, with no tuple per top
-            "retries": lambda sink: jsonio.write_items(stats.retries, sink, json.dumps),
-            "exhaustive_stems": sorted(stats.exhaustive_stems),
+            # (top, retries) pairs in key order, written in slices, no tuple per top
+            "retries": lambda sink: jsonio.write_pairs(p.tops(), stats.retries, sink, json.dumps),
+            "exhaustive_stems": stats.exhaustive_stems,
         },
     }
     return True, report

@@ -184,12 +184,11 @@ def write(tree, sink, dumps=json.dumps) -> None:
         sink(_dumps(tree, dumps))
 
 
-def write_items(d: Mapping, sink, dumps=json.dumps) -> None:
-    """Pass to sink the text write writes of sorted(d.items()), d's keys being
-    str: the sorted keys and one _SLICE of (key, value) pairs are held, not a
-    tuple per item."""
-    keys = sorted(d)
-    _write_array(len(keys), lambda cut: [(key, d[key]) for key in keys[cut]], sink, dumps)
+def write_pairs(keys: Sequence, values: Sequence, sink, dumps=json.dumps) -> None:
+    """Pass to sink the text write writes of list(zip(keys, values)), one
+    _SLICE of (key, value) pairs held at a time, not a tuple per item."""
+    n = min(len(keys), len(values))
+    _write_array(n, lambda cut: list(zip(keys[cut], values[cut])), sink, dumps)
 
 
 def _write_array(n: int, items, sink, dumps) -> None:

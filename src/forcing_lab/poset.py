@@ -201,15 +201,15 @@ class Condition(FrozenValue):
     base, sorted on first use (_base), with no layers.  A condition decoded
     from JSON (jsonio.condition_from_json) is given its base at decode: the
     decoded [key, value] lists, sorted, so its base and tops make no tuple
-    per key.  Each extension appends a layer (depth, tops, chosen): the
-    (top, value) pairs of the level it grew from, in key order, and the
-    pattern e accepted for each (ExtendStats.chosen).  Between a top and its
-    new tops the new keys keep the top's value, and its i-th new top in key
-    order appends bit i of e, so the layered levels are complete and
-    monotone by construction.  h of an extended condition is parsed from its
-    text when first read (_stem_map) and kept; equality and repr read h, so
-    an extended condition equals its materialized one.  A condition keeps
-    its finest census (_census); an extension starts with none."""
+    per key.  Each extension appends a layer (depth, tops, patterns): the
+    (top, value) pairs of the level it grew from in key order, and the pattern
+    e accepted for each at its index (ExtendStats.chosen).  Between a top and
+    its new tops the new keys keep the top's value, and its i-th new top in key
+    order appends bit i of e, so the layered levels are complete and monotone
+    by construction.  h of an extended condition is parsed from its text on
+    first read (_stem_map) and kept; equality and repr read h, so an extended
+    condition equals its materialized one.  A condition keeps its finest census
+    (_census); an extension starts with none."""
 
     m: int
     h: dict
@@ -395,21 +395,21 @@ def validate(p: Condition) -> ValidationReport:
 
 class ExtendStats(FrozenValue):
     """Bookkeeping from one extension: the depth formula's answer before any
-    cap, the depth used, per-stem sampling effort, the result's exact score
-    against each weight (empty when there are none), and the accepted bit
-    pattern per old top (bit i is the value bit appended at its i-th new
-    top, all zero when there are no weights), from which the grown stem's
-    census is counted without walking it (see _grown_census); that dict is
-    also in the result's last layer (see Condition), so it is read, never
-    changed.  Built once the extension is done; its dict and list fields
-    make it unhashable."""
+    cap, the depth used, per-stem sampling effort and the result's exact
+    score against each weight (both empty when there are no weights), and
+    the accepted bit pattern per old top (bit i is the value bit appended at
+    its i-th new top, all zero with no weights), from which the grown stem's
+    census is counted without walking it (see _grown_census).  retries and
+    chosen are lists aligned with the old tops in key order; chosen is also
+    the patterns of the result's last layer (see Condition), so it is read,
+    never changed.  Built once the extension is done; lists are unhashable."""
 
     pinned_m_prime: int
     m_prime: int
-    retries: dict
+    retries: list
     exhaustive_stems: list
     scores: tuple
-    chosen: dict
+    chosen: list
 
 
 def _shake(text: str, size: int) -> bytes:
@@ -566,13 +566,13 @@ def _check_sum(check: tuple, e: int) -> int:
     return acc
 
 
-def _grown_tops(m2: int, tops: Sequence[tuple[str, str]], chosen: Mapping) -> list[tuple[str, str]]:
+def _grown_tops(m2: int, tops: Sequence[tuple[str, str]], patterns: list) -> list[tuple[str, str]]:
     """The (top, value) pairs, in key order, of the level that a layer (see
     Condition) grew to depth m2 from the pairs tops."""
     leaves = _extensions("", m2 - len(tops[0][0]))
     width = f"0{len(leaves)}b"
     grown: list[tuple[str, str]] = []
-    for (s, v), e in zip(tops, chosen.values()):
+    for (s, v), e in zip(tops, patterns):
         pick = {"0": v + "0", "1": v + "1"}.__getitem__
         grown += zip([s + u for u in leaves], map(pick, format(e, width)[::-1]))
     return grown
@@ -679,8 +679,8 @@ def stem_text(p: Condition, sink: Callable[[str], object]) -> None:
         # _below's pieces: those not marked, then 2^k marked ones per marked piece
         return lambda: chain.from_iterable(map(((0,), (1,) * 2 ** k).__getitem__, flags()))
 
-    for j, (depth, tops, chosen) in enumerate(layers):
-        k, patterns = depth - len(tops[0][0]), chosen.values()
+    for j, (depth, tops, patterns) in enumerate(layers):
+        k = depth - len(tops[0][0])
         if j + 1 < len(layers):
             pieces = _below(pieces, deepest(), tops, layers[j + 1][1], k)
             deepest = under(deepest, k)
@@ -747,7 +747,7 @@ def extend_detailed(
     The result's scores are read off the accepted candidates' integer sums,
     score = sum over tops s of 2^(|h(s)|+1)·sum_s/D_s, and each must exceed
     its tag.  The result is p's base and layers (see Condition) plus one
-    layer holding p's top pairs and the accepted patterns
+    layer holding p's top pairs and the accepted patterns at their indices
     (ExtendStats.chosen), so no key of the grown stem is built here; it is
     complete and monotone by construction.
     """
@@ -760,11 +760,11 @@ def extend_detailed(
     m = p.m
     tops = p._top_pairs()
     m2 = pinned = m + 1
-    retries: dict[str, int] = {}
+    retries: list[int] = []
     exhaustive: list[str] = []
     scores: tuple[Fraction, ...] = ()
     if not p.u:
-        chosen = dict.fromkeys(map(itemgetter(0), tops), 0)
+        chosen = [0] * len(tops)
     else:
         slack = min(sc - tw.eps for sc, tw in zip(rep.scores, p.u))
         lengths = Counter(map(len, map(itemgetter(1), tops)))
@@ -787,8 +787,8 @@ def extend_detailed(
             firsts = [int.from_bytes(stream[i:i + size], "little") & mask
                       for i in range(0, len(stream), size)]
         del stream  # not held through the search
-        chosen = dict(zip(map(itemgetter(0), tops), firsts))
-        retries = dict.fromkeys(chosen, 0)
+        chosen = list(firsts)
+        retries = [0] * len(tops)
         # per weight: D -> sum of 2^(|h(s)|+1)·sum_s; the tops of one class that
         # draw one candidate 0 share its verdict, so a passing one is added n times
         totals: list[dict] = [{} for _ in p.u]
@@ -833,8 +833,8 @@ def extend_detailed(
                     raise SearchExhausted(s, last_fail, _RETRY_CAP)
                 if a >= _RETRY_CAP:
                     exhaustive.append(s)
-                retries[s] = min(a, _RETRY_CAP)
-                chosen[s] = e
+                retries[t] = min(a, _RETRY_CAP)
+                chosen[t] = e
                 for total, (d, acc) in zip(totals, sums):
                     total[d] = total.get(d, 0) + (acc << len(value) + 1)
         scores = tuple(
@@ -904,22 +904,22 @@ def _certify(census: Counter, m: int, f: ClopenPlaneSet, phi: WeightFunction | N
     return Certificate(inside, _score_groups(classes, m, phi) if phi is not None else Fraction(0))
 
 
-def _grown_census(m2: int, tops: Sequence[tuple[str, str]], chosen: Mapping[str, int],
+def _grown_census(m2: int, tops: Sequence[tuple[str, str]], patterns: list,
                   cut: int) -> Counter:
     """_top_groups(h2, m2, cut) of the stem grown to depth m2 from the
-    (top, value) pairs tops of depth m with the accepted patterns chosen
-    (ExtendStats.chosen), counted from the patterns alone.  A row of top s
-    (see _rows) holds the tops of one block of bits, the blocks _check_sum
-    reads, so popcount(block) of them are valued h(s) + "1" and the rest
-    h(s) + "0".  When cut <= m each top has one row, its own cut, so the
-    tops and ones are added up per (row, h(s)) before any value string is
-    built."""
+    (top, value) pairs tops of depth m with the accepted patterns, a list
+    aligned with tops (a layer, see Condition), counted from the patterns
+    alone.  A row of top s (see _rows) holds the tops of one block of bits,
+    the blocks _check_sum reads, so popcount(block) of them are valued
+    h(s) + "1" and the rest h(s) + "0".  When cut <= m each top has one
+    row, its own cut, so the tops and ones are added up per (row, h(s))
+    before any value string is built."""
     m = len(tops[0][0])
     census: Counter = Counter()
     if cut <= m:
         grown: Counter = Counter()  # per (row, h(s)): new tops, and those valued h(s) + "1"
         set_bits: Counter = Counter()
-        for (s, v), e in zip(tops, chosen.values()):
+        for (s, v), e in zip(tops, patterns):
             key = s[:cut], v
             grown[key] += 2 ** (m2 - m)
             set_bits[key] += e.bit_count()
@@ -929,7 +929,7 @@ def _grown_census(m2: int, tops: Sequence[tuple[str, str]], chosen: Mapping[str,
             if set_bits[row, v] < n:
                 census[row, v + "0"] = n - set_bits[row, v]
         return census
-    for (s, v), e in zip(tops, chosen.values()):
+    for (s, v), e in zip(tops, patterns):
         rows, block = _rows(s, m, m2, cut)
         mask = (1 << block) - 1
         for r, row in enumerate(rows):

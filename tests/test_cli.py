@@ -1471,7 +1471,8 @@ def given_stem(tmp_path, depth):
 
 def test_a_given_depth_16_stem_extends_in_little_memory(tmp_path):
     # 131,071 given keys (3.3 MB in, 11 MB out) grown one level: on Python
-    # 3.11 the process peaked at 47 MB with each key held once, and at 63 MB
+    # 3.11 the process peaked at 46 MB with each key held once, at 48 MB with
+    # the extension's chosen and retries as maps keyed by top, and at 63 MB
     # with the raw bytes kept, a tuple per key in the base, the inputs echo
     # in one dumps call and a tuple per top in stats.retries
     argv = ["extend", "--seed", "0", "--max-new-levels", "1"]
@@ -1485,18 +1486,20 @@ def test_a_given_depth_16_stem_extends_in_little_memory(tmp_path):
 def test_a_given_stem_is_held_once_from_read_to_write(tmp_path):
     # a given complete depth-14 stem (32,767 keys) grown one level through
     # cli.main holds each key once: its decoded [key, value] list and key
-    # string, its entry in h, an entry in the extension's chosen and retries
-    # maps per top (half the keys are tops), and a pointer in the scenario's
-    # list, the base and the tops.  On Python 3.11 that read 227 B per key,
-    # and keeping the raw bytes, a tuple per key in the base, the inputs echo
-    # in one dumps call and a tuple per top in stats.retries read 371 B
+    # string, its entry in h, a pointer per top in each of the extension's
+    # chosen and retries lists (half the keys are tops), and a pointer in the
+    # scenario's list, the base and the tops.  On Python 3.11 that read 217 B
+    # per key; with chosen and retries as maps keyed by top, 226 B; and
+    # keeping the raw bytes, a tuple per key in the base, the inputs echo in
+    # one dumps call and a tuple per top in stats.retries, 371 B
     path, out = tmp_path / "given.json", tmp_path / "out.json"
     scenario = given_stem(tmp_path, 14)
     path.write_text(json.dumps(scenario))
     pairs = scenario["condition"]["h"]
     pair = sys.getsizeof(json.loads(json.dumps(pairs[-1])))  # as the decoder sizes a pair
     entry = sys.getsizeof(dict(pairs)) / len(pairs)
-    per_key = pair + sys.getsizeof(pairs[-1][0]) + 2 * entry + 3 * struct.calcsize("P")
+    per_key = (pair + sys.getsizeof(pairs[-1][0]) + entry + struct.calcsize("P")
+               + 3 * struct.calcsize("P"))
     argv = ["extend", "--seed", "0", "--max-new-levels", "1", "-i", str(path), "-o", str(out)]
     assert cli.main(argv) == 0  # compiles the schemas and fills the stem templates, kept
     tracemalloc.start()

@@ -36,10 +36,10 @@ counts the texts f"{seed}|{m}|{m'}", one stream per extension with
 weights, whose count the scenario alone fixes, so it has a budget.
 `_shake draws` counts the texts f"{seed}|{m'}|{s}|{a}", one per candidate
 drawn after a top's first, whose count depends on what the seed draws:
-it has no budget, and must equal the sum over every extension's
-`ExtendStats.retries` of min(retries, _RETRY_CAP - 1), read from the
-results of `poset.extend_detailed`, so a run that retries by chance
-cannot fail the budgets.
+it has no budget, and must equal the sum of min(n, _RETRY_CAP - 1) over
+every top's retries n in every extension's `ExtendStats.retries`, a list
+aligned with the tops, read from the results of `poset.extend_detailed`,
+so a run that retries by chance cannot fail the budgets.
 """
 
 import random
@@ -344,7 +344,7 @@ def test_effort_stays_within_budget(monkeypatch, scenario):
         fn(*args, **kwargs)
     draws = counts.pop("_shake draws")
     retried = sum(min(n, poset._RETRY_CAP - 1)
-                  for stats in extensions for n in stats.retries.values())
+                  for stats in extensions for n in stats.retries)
     for name, count in counts.items():
         print(f"effort {scenario} {name}: {count} (budget {BUDGETS[scenario][name]})")
     print(f"effort {scenario} _shake draws: {draws} (drawn after a top's first: {retried})")

@@ -97,12 +97,18 @@ def test_long_arrays_are_written_in_slices_byte_for_byte(n):
 
 @pytest.mark.parametrize("n", [0, 1, 513])
 def test_items_are_written_sorted_in_slices_byte_for_byte(n):
+    # keys in key order and their values, as an extension's tops and
+    # retries; with no values (no weights) the array is empty
     rng = random.Random(n)
     d = {format(i, "b"): rng.randrange(64) for i in rng.sample(range(4 * n), n)}
+    keys = sorted(d)
     calls, pieces = [0], []
-    jsonio.write_items(d, pieces.append, counted(calls))
+    jsonio.write_pairs(keys, [d[key] for key in keys], pieces.append, counted(calls))
     assert "".join(pieces) == json.dumps(sorted(d.items()), separators=(",", ":"))
     assert calls[0] == -(-n // 512)
+    pieces = []
+    jsonio.write_pairs(keys, [], pieces.append)
+    assert "".join(pieces) == "[]"
 
 
 def test_a_decoded_condition_keeps_the_decoded_pairs():

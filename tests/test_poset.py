@@ -40,7 +40,7 @@ from forcing_lab import (
     trivial_condition,
     validate,
 )
-from forcing_lab import jsonio, oracle, poset
+from forcing_lab import cli, jsonio, oracle, poset
 from forcing_lab.cantor import _extensions, check_bits
 from forcing_lab.jsonio import condition_to_json, weight_to_json
 from forcing_lab.poset import ClauseViolation, _Verdicts, _stem_checks
@@ -343,7 +343,7 @@ def test_extend_without_weights_grows_one_level(p, levels, grown):
     assert q.m == p.m + 1
     assert stats.pinned_m_prime == stats.m_prime == p.m + 1
     assert q.h == {**p.h, **grown}  # every new top appends bit 0
-    assert stats.retries == {} and stats.exhaustive_stems == []
+    assert stats.retries == [] and stats.exhaustive_stems == []
 
 
 @pytest.mark.parametrize("levels", [0, -1])
@@ -387,7 +387,7 @@ def first_candidate_fails():
 def test_extend_exhaustive_fallback(monkeypatch):
     monkeypatch.setattr(poset, "_RETRY_CAP", 1)
     q, stats = extend_detailed(first_candidate_fails(), seed=9, max_new_levels=2)
-    assert stats.exhaustive_stems == [""] and stats.retries == {"": 1}
+    assert stats.exhaustive_stems == [""] and stats.retries == [1]
     assert validate(q).ok
 
 
@@ -404,8 +404,8 @@ def only_all_ones_passes():
 def test_extend_fallback_tries_its_last_pattern(monkeypatch):
     monkeypatch.setattr(poset, "_RETRY_CAP", 1)
     q, stats = extend_detailed(only_all_ones_passes(), seed=0, max_new_levels=1)
-    assert stats.exhaustive_stems == [""] and stats.retries == {"": 1}
-    assert stats.chosen == {"": 3} and stats.scores == (Fraction(1, 2), Fraction(1, 2))
+    assert stats.exhaustive_stems == [""] and stats.retries == [1]
+    assert stats.chosen == [3] and stats.scores == (Fraction(1, 2), Fraction(1, 2))
     assert q.h == {"": "", "0": "1", "1": "1"} and validate(q).ok
 
 
@@ -426,7 +426,7 @@ def test_a_class_checks_each_candidate_once(monkeypatch):
         return real(check, e)
     monkeypatch.setattr(poset, "_check_sum", counting)
     _, stats = extend_detailed(p, seed=5, max_new_levels=1)
-    assert any(stats.retries.values())
+    assert any(stats.retries)
     assert checks[0] <= 4 * 2
 
 
@@ -839,10 +839,11 @@ def test_deep_stem_extension_is_pinned(seed, depth, weights, levels, digest):
     # choices byte for byte
     h = sparse_stem(random.Random(seed), depth)
     u = tuple(TaggedWeight(score(h, phi) * Fraction(15, 16), phi) for phi in weights)
-    q, stats = extend_detailed(Condition(depth, h, u), seed, max_new_levels=levels)
-    assert sum(stats.retries.values()) > 0  # some first candidates failed
+    p = Condition(depth, h, u)
+    q, stats = extend_detailed(p, seed, max_new_levels=levels)
+    assert sum(stats.retries) > 0  # some first candidates failed
     text = json.dumps(parsed(condition_to_json(q)), sort_keys=True) + json.dumps(
-        [stats.pinned_m_prime, stats.m_prime, sorted(stats.retries.items()),
+        [stats.pinned_m_prime, stats.m_prime, list(zip(p.tops(), stats.retries)),
          stats.exhaustive_stems])
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
@@ -861,7 +862,7 @@ def test_retries_do_not_rest_on_one_stream_draw(monkeypatch):
     monkeypatch.setattr(poset, "_stem_checks", lambda *args: built.append(args) or real(*args))
     for run_seed in range(10):
         q, stats = extend_detailed(p, run_seed, max_new_levels=3)
-        assert sum(stats.retries.values()) > 0 and stats.exhaustive_stems == []
+        assert sum(stats.retries) > 0 and stats.exhaustive_stems == []
     phi_list, _, _, m, m2, delta = built[0]
     assert (m, m2) == (6, 9)
     space = range(2 ** 2 ** (m2 - m))
@@ -890,7 +891,7 @@ def reference_search(p, seed, max_new_levels):
     m2 = min(m2, m + max_new_levels)
     count = 2 ** (m2 - m)
     space = 2 ** count if count < 64 and 2 ** count <= poset._EXHAUSTIVE_CAP else 0
-    retries, exhaustive, chosen, scores = {}, [], {}, [Fraction(0)] * len(p.u)
+    retries, exhaustive, chosen, scores = [], [], [], [Fraction(0)] * len(p.u)
     for t, s in enumerate(tops):
         search = FractionStemSearch(weights, s, p.h[s], m, m2, delta)
         draws = (oracle.candidate(seed, m, m2, t, s, a) for a in range(poset._RETRY_CAP))
@@ -901,10 +902,10 @@ def reference_search(p, seed, max_new_levels):
                 break
         else:
             raise SearchExhausted(s, last_fail, poset._RETRY_CAP)
-        retries[s] = attempt
+        retries.append(attempt)
         if attempt == poset._RETRY_CAP:
             exhaustive.append(s)
-        chosen[s] = e
+        chosen.append(e)
         for i, weight in enumerate(weights):
             scores[i] += 2 ** (len(p.h[s]) + 1) * new_top_sum(weight, s, p.h[s], m2, e)
     return m2, retries, exhaustive, chosen, tuple(scores)
@@ -959,9 +960,11 @@ def test_class_search_matches_per_stem_reference(monkeypatch):
             seen.add(("stems", "above" if m < m1 else "at or below"))
             seen.update(("values", "shorter" if len(h[s]) < r2 else "not shorter")
                         for s in p.tops())
-        seen.update(["retried"] * any(stats.retries.values()) + ["exhaustive"] * bool(
+        seen.update(["retried"] * any(stats.retries) + ["exhaustive"] * bool(
             stats.exhaustive_stems))
-        if any(stats.retries[s] for s in p.tops()[poset._GROUPED:]):
+        if len(stats.exhaustive_stems) > 1:  # in key order, as the reference appends them
+            seen.add("exhaustive stems in key order")
+        if any(stats.retries[poset._GROUPED:]):
             seen.add(("retried in a later run of", poset._GROUPED))
         if shares_a_failing_first_candidate(p, seed, stats):
             seen.add("shared failing first candidate")
@@ -970,6 +973,7 @@ def test_class_search_matches_per_stem_reference(monkeypatch):
     assert seen == {("weights", 1), ("weights", 2), ("weights", 3), ("levels", 1), ("levels", 2),
                     ("levels", 3), ("stems", "above"), ("stems", "at or below"),
                     ("values", "shorter"), ("values", "not shorter"), "retried", "exhaustive",
+                    "exhaustive stems in key order",
                     ("exhausted", 1, 0), ("exhausted", 2, 0), ("retried in a later run of", 1),
                     ("retried in a later run of", 3), "shared failing first candidate",
                     "shared failing first candidate, counted in runs"}
@@ -987,8 +991,30 @@ def shares_a_failing_first_candidate(p, seed, stats):
     failed = Counter(
         (key, oracle.candidate(seed, p.m, stats.m_prime, t, s, 0))
         for t, ((s, _), key) in enumerate(zip(pairs, keys))
-        if stats.retries[s])
+        if stats.retries[t])
     return any(n > 1 for n in failed.values())
+
+
+def test_retries_are_reported_by_position_past_the_first_run(tmp_path):
+    # a complete depth-10 stem valued "" against the value half [0]: about a
+    # quarter of its 1,024 tops draw a failing candidate 0 and retry, in each
+    # run of _GROUPED tops, whatever the seed; the report pairs each top with
+    # its own retries, and the retries and patterns are the per-stem search's
+    u = (TaggedWeight(Fraction(15, 32), ZERO_HALF),)
+    p = Condition(10, dict.fromkeys(complete_keys(10), ""), u)
+    scenario, out = tmp_path / "scenario.json", tmp_path / "report.json"
+    scenario.write_text(written({"condition": condition_to_json(p)}))
+    for seed in range(3):
+        argv = ["extend", "--seed", str(seed), "--max-new-levels", "1", "-i", str(scenario)]
+        assert cli.main(argv + ["-o", str(out)]) == 0
+        report = json.loads(out.read_text())["report"]
+        q, stats = extend_detailed(p, seed, max_new_levels=1)
+        assert len(p.tops()) > poset._GROUPED and any(stats.retries[poset._GROUPED:])
+        assert report["stats"]["retries"] == [[s, n] for s, n in zip(p.tops(), stats.retries)]
+        m2, retries, _, chosen, _ = reference_search(p, seed, 1)
+        assert (m2, stats.retries, stats.chosen) == (q.m, retries, chosen)
+        ref = reference_growth(p, m2, chosen)[0]
+        assert report["condition"]["h"] == [list(pair) for pair in sorted(ref.items())]
 
 
 SHAKE_PROBE = """
@@ -1037,8 +1063,9 @@ def test_extension_draws_the_pinned_stream(levels):
     _, stats = extend_detailed(p, 7, max_new_levels=levels)
     tops = p.tops()
     for s, attempt, e in PINNED_CANDIDATES[levels]:
-        assert oracle.candidate(7, 7, 7 + levels, tops.index(s), s, attempt) == e
-        assert (stats.retries[s], stats.chosen[s]) == (attempt, e)
+        t = tops.index(s)
+        assert oracle.candidate(7, 7, 7 + levels, t, s, attempt) == e
+        assert (stats.retries[t], stats.chosen[t]) == (attempt, e)
 
 
 def test_unretried_layer_of_bytes_is_the_stream():
@@ -1053,10 +1080,10 @@ def test_unretried_layer_of_bytes_is_the_stream():
         seed = rng.getrandbits(32)
         q, stats = extend_detailed(p, seed, max_new_levels=rng.randint(3, 5))
         count = 2 ** (q.m - m)
-        if count < 8 or any(stats.retries.values()):
+        if count < 8 or any(stats.retries):
             continue
         stream = hashlib.shake_256(f"{seed}|{m}|{q.m}".encode()).digest(2 ** m * count // 8)
-        layer = sum(stats.chosen[s] << (t * count) for t, s in enumerate(p.tops()))
+        layer = sum(e << (t * count) for t, e in enumerate(stats.chosen))
         assert layer == int.from_bytes(stream, "little")
         checked += 1
     assert checked >= 10
@@ -1084,8 +1111,8 @@ def reference_growth(p, m2, chosen):
     """The growth loop of the earlier extend_detailed: one format per key,
     every key of a level at once, then the full validate of the result."""
     h2 = dict(p.h)
-    for s in p.tops():
-        e, base = chosen[s], p.h[s]
+    for s, e in zip(p.tops(), chosen):
+        base = p.h[s]
         for depth in range(p.m + 1, m2):
             h2.update(dict.fromkeys(_extensions(s, depth), base))
         for i, t in enumerate(_extensions(s, m2)):
@@ -1147,7 +1174,7 @@ def test_layered_conditions_match_their_materialized_stems():
             q, stats = extend_detailed(p, rng.getrandbits(32),
                                        max_new_levels=min(rng.randint(1, 4), 12 - p.m))
             ref, scores = reference_growth(Condition(p.m, ref, p.u), q.m, stats.chosen)
-            retries += sum(stats.retries.values())
+            retries += sum(stats.retries)
             chains.add(step)
             wire = parsed(condition_to_json(q))["h"]  # written from the layers: h is not built yet
             assert "h" not in vars(q)
@@ -1221,7 +1248,8 @@ def test_a_given_stem_in_scrambled_key_order_reads_as_its_sorted_twin():
         seed, levels = rng.getrandbits(32), rng.randint(1, 3)
         q1, stats1 = extend_detailed(scrambled, seed, max_new_levels=levels)
         q2, stats2 = extend_detailed(ordered, seed, max_new_levels=levels)
-        assert list(stats1.chosen.items()) == list(stats2.chosen.items())
+        assert (list(zip(scrambled.tops(), stats1.chosen))
+                == list(zip(ordered.tops(), stats2.chosen)))
         assert parsed(condition_to_json(q1))["h"] == parsed(condition_to_json(q2))["h"]
         assert q1.h == reference_growth(scrambled, q1.m, stats1.chosen)[0]
 
@@ -1255,9 +1283,9 @@ def test_grown_census_matches_materialized_groups():
         h = sparse_stem(rng, m)
         p = Condition(m, h, seeded_weights(rng, h) if rng.random() < 0.85 else ())
         q, stats = extend_detailed(p, rng.getrandbits(32), max_new_levels=rng.randint(1, 3))
-        assert sorted(stats.chosen) == p.tops()
+        assert len(stats.chosen) == len(p.tops())
         for cut in range(q.m + 2):
-            tops = [(s, p.h[s]) for s in stats.chosen]
+            tops = [(s, p.h[s]) for s in p.tops()]
             grown = poset._grown_census(q.m, tops, stats.chosen, cut)
             assert dict(grown) == dict(poset._top_groups(q.h, q.m, cut)), (m, q.m, cut)
             seen.add((cut > m) + (cut >= q.m))

@@ -44,8 +44,8 @@ from forcing_lab.poset import ClauseViolation
      "Certificate(inside=Fraction(1, 4), score_f=Fraction(0, 1))"),
     (ValidationReport(True, ()), "ValidationReport(ok=True, violations=(), scores=())"),
     (Slalom((frozenset({1}),)), "Slalom(slots=(frozenset({1}),))"),
-    (ExtendStats(1, 1, {}, [], (), {}), "ExtendStats(pinned_m_prime=1, m_prime=1, retries={}, "
-                                        "exhaustive_stems=[], scores=(), chosen={})"),
+    (ExtendStats(1, 1, [], [], (), []), "ExtendStats(pinned_m_prime=1, m_prime=1, retries=[], "
+                                          "exhaustive_stems=[], scores=(), chosen=[])"),
 ])
 def test_repr_names_every_field(value, text):
     assert repr(value) == text
