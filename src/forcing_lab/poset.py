@@ -208,8 +208,9 @@ class Condition(FrozenValue):
     order appends bit i of e, so the layered levels are complete and monotone
     by construction.  h of an extended condition is parsed from its text on
     first read (_stem_map) and kept; equality and repr read h, so an extended
-    condition equals its materialized one.  A condition keeps its finest census
-    (_census); an extension starts with none."""
+    condition equals its materialized one.  A condition finds its top pairs
+    once (_top_pairs) and keeps them, as it keeps its finest census (_census);
+    an extension starts with neither, and its layer holds p's top pairs."""
 
     m: int
     h: dict
@@ -237,6 +238,7 @@ class Condition(FrozenValue):
     def _values(self) -> tuple:
         return self.m, self.h, self.u
 
+    @cached_property
     def _top_pairs(self) -> list[tuple[str, str]]:
         """The (top, value) pairs of the deepest level in key order: the
         base's, or those the last layer grew (_grown_tops)."""
@@ -246,7 +248,7 @@ class Condition(FrozenValue):
         return [pair for pair in pairs if len(pair[0]) == m]
 
     def tops(self) -> list[str]:
-        return [s for s, _ in self._top_pairs()]
+        return [s for s, _ in self._top_pairs]
 
     def pairs(self) -> list[tuple[str, str]]:
         """The stem's (key, value) pairs of h in key order."""
@@ -732,17 +734,19 @@ def extend_detailed(
     where the pinned depth formula compounds past any materializable size;
     a depth past _MAX_DEPTH is refused either way.
 
-    The search runs in bulk, one run of _GROUPED tops after another.
-    Every top's candidate 0 is read from the stream at once (one
-    bytes.translate when count <= 8).  A run's tops are grouped in C-level
-    passes by their stem class (_class_keys), each told by the index of the
-    class's first top in key order, and by candidate 0: each class's checks
-    (_stem_checks) are built from that first top, one verdict (_Verdicts)
-    is looked up per group, and a passing group of n tops adds n times its
-    sums.  If a group failed, the run's class keys are read again, and
-    only the tops whose candidate 0 fails run the retries and the
-    fallback, in key order, each from its own stream.  So every top gets
-    the pattern the per-top loop gives it.
+    The search runs in bulk, one pass per run of _GROUPED tops.  Every
+    top's candidate 0 is read from the stream at once into the patterns
+    list (one bytes.translate when count <= 8).  A run's class indices are
+    read once: its tops are told in C-level passes by their stem class
+    (_class_keys), each by the index of the class's first top in key order,
+    and each class's checks (_stem_checks) are built from that first top.
+    The run's (class, pattern) groups are counted and one verdict
+    (_Verdicts) is looked up per group.  Only if a group fails do the tops
+    whose candidate 0 fails run the retries and the fallback, in key order,
+    each from its own stream, patching its pattern in the list, and the
+    run is counted again.  Then every group passes, and a group of n tops
+    adds n times its sums.  So every top gets the pattern the per-top loop
+    gives it.
 
     The result's scores are read off the accepted candidates' integer sums,
     score = sum over tops s of 2^(|h(s)|+1)·sum_s/D_s, and each must exceed
@@ -758,7 +762,7 @@ def extend_detailed(
     if not rep.ok:
         raise ValueError(f"cannot extend invalid condition: {rep.first.detail}")
     m = p.m
-    tops = p._top_pairs()
+    tops = p._top_pairs
     m2 = pinned = m + 1
     retries: list[int] = []
     exhaustive: list[str] = []
@@ -782,61 +786,53 @@ def extend_detailed(
         size, mask = -(-count // 8), (1 << count) - 1
         stream = _shake(f"{seed}|{m}|{m2}", len(tops) * size)
         if size == 1:  # every top's candidate 0 is its byte of the stream, masked
-            firsts = stream.translate(bytes(map(mask.__and__, range(256))))
+            chosen = list(stream.translate(bytes(map(mask.__and__, range(256)))))
         else:
-            firsts = [int.from_bytes(stream[i:i + size], "little") & mask
+            chosen = [int.from_bytes(stream[i:i + size], "little") & mask
                       for i in range(0, len(stream), size)]
         del stream  # not held through the search
-        chosen = list(firsts)
         retries = [0] * len(tops)
         # per weight: D -> sum of 2^(|h(s)|+1)·sum_s; the tops of one class that
-        # draw one candidate 0 share its verdict, so a passing one is added n times
+        # accept one candidate share its verdict, so its sums are added n times
         totals: list[dict] = [{} for _ in p.u]
         # each top is told by the key-order index of its class's first top,
         # which dict.setdefault keeps (a decoded top is a list, not hashable),
-        # and counted with its candidate 0, _GROUPED tops at a time; a class's
+        # and counted with its pattern, _GROUPED tops at a time; a class's
         # verdicts are built from its first top in the run that meets it
         first: dict = {}
         classes: dict = {}  # each class's verdicts, by its first top's index
-        drawn = zip(map(first.setdefault, _class_keys(phi_list, tops), range(len(tops))), firsts)
+        indices = map(first.setdefault, _class_keys(phi_list, tops), range(len(tops)))
         for start in range(0, len(tops), _GROUPED):
-            groups = Counter(islice(drawn, _GROUPED))
+            run = list(islice(indices, _GROUPED))
             classes.update((t, _Verdicts(_stem_checks(phi_list, *tops[t], m, m2, delta)))
                            for t in islice(first.values(), len(classes), None))
-            failed = False
-            for (t, e), n in groups.items():
-                last_fail, sums = classes[t][e]
-                if last_fail >= 0:
-                    failed = True
-                    continue
-                for total, (d, acc) in zip(totals, sums):
-                    total[d] = total.get(d, 0) + (n * acc << len(tops[t][1]) + 1)
-            if not failed:
-                continue
-            # the run's tops whose candidate 0 failed retry in key order, each
-            # from its own stream, then fall back: the run's class keys read again
-            run = map(first.__getitem__, _class_keys(phi_list, tops[start:start + _GROUPED]))
-            for t, verdicts in enumerate(map(classes.__getitem__, run), start):
-                last_fail, sums = verdicts[firsts[t]]
-                if last_fail < 0:
-                    continue
-                s, value = tops[t]
-                # attempt a < _RETRY_CAP draws from its own stream; from there on the
-                # fallback tries candidate a - _RETRY_CAP, recorded as attempt _RETRY_CAP
-                for a in range(1, _RETRY_CAP + space):
-                    e = (int.from_bytes(_shake(f"{seed}|{m2}|{s}|{a}", size), "little") & mask
-                         if a < _RETRY_CAP else a - _RETRY_CAP)
-                    last_fail, sums = verdicts[e]
+            groups = Counter(zip(run, chosen[start:start + _GROUPED]))
+            if any(classes[t][e][0] >= 0 for t, e in groups):
+                # the run's tops whose candidate 0 failed retry in key order, each
+                # from its own stream, then fall back; a retry patches chosen
+                for t, verdicts in enumerate(map(classes.__getitem__, run), start):
+                    last_fail = verdicts[chosen[t]][0]
                     if last_fail < 0:
-                        break
-                else:
-                    raise SearchExhausted(s, last_fail, _RETRY_CAP)
-                if a >= _RETRY_CAP:
-                    exhaustive.append(s)
-                retries[t] = min(a, _RETRY_CAP)
-                chosen[t] = e
-                for total, (d, acc) in zip(totals, sums):
-                    total[d] = total.get(d, 0) + (acc << len(value) + 1)
+                        continue
+                    s = tops[t][0]
+                    # attempt a < _RETRY_CAP draws from its own stream; from there on the
+                    # fallback tries candidate a - _RETRY_CAP, recorded as attempt _RETRY_CAP
+                    for a in range(1, _RETRY_CAP + space):
+                        e = (int.from_bytes(_shake(f"{seed}|{m2}|{s}|{a}", size), "little") & mask
+                             if a < _RETRY_CAP else a - _RETRY_CAP)
+                        last_fail = verdicts[e][0]
+                        if last_fail < 0:
+                            break
+                    else:
+                        raise SearchExhausted(s, last_fail, _RETRY_CAP)
+                    if a >= _RETRY_CAP:
+                        exhaustive.append(s)
+                    retries[t] = min(a, _RETRY_CAP)
+                    chosen[t] = e
+                groups = Counter(zip(run, chosen[start:start + _GROUPED]))
+            for (t, e), n in groups.items():  # every group passes by now
+                for total, (d, acc) in zip(totals, classes[t][e][1]):
+                    total[d] = total.get(d, 0) + (n * acc << len(tops[t][1]) + 1)
         scores = tuple(
             sum((Fraction(acc, d) for d, acc in total.items()), Fraction(0)) for total in totals)
         for i, (sc, tw) in enumerate(zip(scores, p.u)):

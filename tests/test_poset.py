@@ -409,10 +409,13 @@ def test_extend_fallback_tries_its_last_pattern(monkeypatch):
     assert q.h == {"": "", "0": "1", "1": "1"} and validate(q).ok
 
 
-def test_a_class_checks_each_candidate_once(monkeypatch):
+@pytest.mark.parametrize("retry_cap", [poset._RETRY_CAP, 1], ids=["sampled", "fallback"])
+def test_a_class_checks_each_candidate_once(monkeypatch, retry_cap):
     # the 256 tops of a complete depth-8 stem valued "" are one stem class,
     # and about half of them retry: the class's verdicts are kept, a failing
-    # one too, so each of the 4 candidates is checked at most once per weight
+    # one too, so each of the 4 candidates is checked at most once per weight,
+    # also when every retrying top walks the exhaustive fallback (cap 1)
+    monkeypatch.setattr(poset, "_RETRY_CAP", retry_cap)
     keys = complete_keys(8)
     u = tuple(TaggedWeight(Fraction(1, 4), WeightFunction((0, 1), {("", a): Fraction(1, 16),
                                                                   ("", b): Fraction(7, 16)}))
@@ -868,7 +871,7 @@ def test_retries_do_not_rest_on_one_stream_draw(monkeypatch):
     space = range(2 ** 2 ** (m2 - m))
     failing = {}  # per stem class: the share of its candidates that fail
     expected = Fraction(0)
-    pairs = p._top_pairs()
+    pairs = p._top_pairs
     for (s, value), key in zip(pairs, poset._class_keys(phi_list, pairs)):
         if key not in failing:
             verdicts = _Verdicts(real(phi_list, s, value, m, m2, delta))
@@ -986,7 +989,7 @@ ZERO_HALF = phi_from_clopen(ClopenPlaneSet.from_rects([("", "0")]))
 def shares_a_failing_first_candidate(p, seed, stats):
     """Whether two or more tops of one stem class drew the same candidate 0
     and it failed (a retried top's candidate 0 failed)."""
-    pairs = p._top_pairs()
+    pairs = p._top_pairs
     keys = poset._class_keys([tw.phi for tw in p.u], pairs)
     failed = Counter(
         (key, oracle.candidate(seed, p.m, stats.m_prime, t, s, 0))
@@ -1367,6 +1370,22 @@ def test_an_extension_counts_its_own_census():
         for cut in range(q.m + 2):
             assert poset._census(q, cut) == poset._top_groups(stem, q.m, cut), (m, q.m, cut)
     assert {0, 3} <= kept
+
+
+def test_a_conditions_top_pairs_are_found_once_and_shared():
+    # a decoded condition finds its (top, value) pairs once: the search,
+    # tops() and the new layer read the one list, a condition sharing the
+    # stem shares it, and an extension's own list is the next layer's
+    rng = random.Random(3504)
+    h = sparse_stem(rng, 4)
+    p = jsonio.condition_from_json(parsed(condition_to_json(Condition(4, h, seeded_weights(rng, h)))))
+    q, _ = extend_detailed(p, rng.getrandbits(32), max_new_levels=2)
+    pairs = q._layers[-1][1]
+    assert pairs is p._top_pairs
+    assert p.tops() == [s for s, _ in pairs] == sorted(s for s in h if len(s) == 4)
+    assert attach_weight(p, score(p, FULL_W) / 2, FULL_W)._top_pairs is pairs
+    r, _ = extend_detailed(q, rng.getrandbits(32), max_new_levels=1)
+    assert r._layers[-1][1] is q._top_pairs and len(q.tops()) == 2 ** q.m
 
 
 def record_conditions(monkeypatch):
