@@ -1,11 +1,15 @@
 """JSON wire formats of the values the command line reads and writes.
 
 Conventions: rationals travel as "p/q" strings, binary strings as 0/1
-text, and every collection is emitted in sorted order so that serialized
-documents are byte-stable across runs.  Scenario numbers are parsed by
-`read_number`: an integral one such as 8.0 or 8e0 is the int 8, read exactly
-from its digits, as the schema counts it, so every integer and rational field
-takes it and no decoder converts.
+text, and serialized documents are byte-stable across runs.  Object keys,
+set members (a clopen set's generators, a slalom slot's values) and map
+entries (a stem's pairs, a weight's table) are emitted in sorted order.  A
+sequence keeps its own order: a condition's weights and a trace entry's
+certificates come in the order their weights or covers were attached (by
+step, then by schedule position), not sorted by index.  Scenario numbers
+are parsed by `read_number`: an integral one such as 8.0 or 8e0 is the int
+8, read exactly from its digits, as the schema counts it, so every integer
+and rational field takes it and no decoder converts.
 """
 
 from __future__ import annotations

@@ -333,7 +333,7 @@ class ValidationReport(FrozenValue):
 
 
 def _domain_violations(h: Mapping, m: int) -> tuple[list[ClauseViolation], Counter]:
-    """Word the key and value violations of h per key, in key order, and
+    """Word the key and value violations of h per key, in h's own order, and
     count the keys that pass per level."""
     bad: list[ClauseViolation] = []
     by_level: Counter = Counter()
@@ -354,7 +354,8 @@ def validate(p: Condition) -> ValidationReport:
     """Check the full condition contract and report every violated clause:
     stem domain completeness, monotonicity, tag ranges, and score > eps.
     Each clause is checked in bulk over the whole stem; a clause that fails
-    is then worded per key, in key order.  When the domain is complete,
+    is then worded per key, in h's own order (a decoded stem's is its given
+    order, see jsonio.condition_from_json).  When the domain is complete,
     scores holds score(h, phi) for every weight in order (whatever its
     tag); otherwise it is empty.  A given stem is checked in full; the
     layered levels of an extended one (see Condition) hold by construction,
@@ -624,22 +625,28 @@ def _upper(tops: Iterable[tuple[str, str]], k: int) -> Iterator[tuple[str, str]]
     return ((s + format(r, f"0{k}b"), v) for s, v in tops for r in range(2 ** k))
 
 
-def _below(pieces: Iterator[str], deepest: Iterator[int], tops: Iterable[tuple[str, str]],
+def _below(pieces: Iterator[str], tops: Iterable[tuple[str, str]],
            grown: Iterable[tuple[str, str]], k: int) -> Iterator[str]:
-    """pieces with the k levels below each of tops put after the piece it ends
-    (deepest), one piece per new top, in key order, each ending in its core:
-    grown holds the new tops' (key, value) pairs in key order."""
+    """pieces, each ending in the core of its top of tops, with the k levels
+    below the top put after it: one piece per new top, in key order, each
+    ending in its core; grown holds the new tops' (key, value) pairs in key order."""
     parts = _parts(k)
-    tops, grown = iter(tops), map('","'.join, grown)
-    for piece, top in zip(pieces, deepest):
-        if not top:
-            yield piece
-            continue
-        s, v = next(tops)
+    grown = map('","'.join, grown)
+    for piece, (s, v) in zip(pieces, tops):
         texts = map(add, map(str.replace, map(str.replace, parts, repeat("K"), repeat(s)),
                              repeat("V"), repeat(v)), grown)
         yield piece + next(texts)
         yield from islice(texts, len(parts) - 1)
+
+
+@cache
+def _ruler(k: int) -> bytes:
+    """tz(j) + 2 for j = 1 .. 2^k - 1, tz(j) the trailing zeros of j: in a
+    complete base, the cores from the one after top 2j - 1 to top 2j."""
+    ruler = b""
+    for t in range(2, k + 2):
+        ruler += bytes((t,)) + ruler
+    return ruler
 
 
 def stem_text(p: Condition, sink: Callable[[str], object]) -> None:
@@ -647,52 +654,37 @@ def stem_text(p: Condition, sink: Callable[[str], object]) -> None:
     bounded pieces, in one pass over the base and layers (see Condition).
 
     A pair is written as its core 'key","value', and the cores are joined by
-    _SEP.  The pieces start as the cores of the sorted base, and a stream of
-    flags marks the pieces that end in a top of the deepest level reached so
-    far, starting from the base's tops; each reader of the flags makes the
-    stream again.  A layer before the last puts, after each marked piece,
-    the levels it grew under that top (_below): one new piece per new top,
-    each marked.  The last layer adds its growth under each top to the top's
-    marked piece: the template of the top's pattern (_fill, made once per
-    distinct pattern when k <= 3) with K and V replaced by the top and its
-    value.  A last layer of k > _CHUNK levels first puts its upper
-    k - _CHUNK levels, whose new tops keep the top's value, and then fills a
-    _CHUNK template per 2^_CHUNK bits of the pattern.  The cores, the fills
-    and the adding are C-level maps, and the pieces are joined a bounded run
-    at a time: at most _PIECE pairs of fills, with the cores between them."""
+    _SEP.  Every piece ends in the core of a top of the deepest level reached
+    so far: a layered base, complete and so in its tree's preorder, is cut
+    into one piece per top, top 0 after the m keys above it, an odd top alone
+    and top 2j after the tz(j) + 1 keys between it and top 2j - 1 (_ruler);
+    a base with no layer, which may be invalid, is written pair for pair.  A
+    layer before the last puts the levels it grew under each top after the
+    top's piece (_below), one piece per new top.  The last layer adds its
+    growth under each top to the top's piece: the template of the top's
+    pattern (_fill, made once per distinct pattern when k <= 3) with K and V
+    replaced by the top and its value.  A last layer of k > _CHUNK levels
+    first puts its upper k - _CHUNK levels, whose new tops keep the top's
+    value, and then fills a _CHUNK template per 2^_CHUNK bits of the
+    pattern.  The cut, the fills and the adding are C-level maps, and the
+    pieces are joined a bounded run at a time: at most _PIECE pairs of fills,
+    with their tops' base cores."""
     (m, pairs), layers = p._base, p._layers
-    pieces = map('","'.join, pairs)
+    pieces = cores = map('","'.join, pairs)
     size = _PIECE
-
-    # the base's flags: a layered base is complete, and its keys in key order are
-    # the tree's preorder (the root, then the left and the right subtree), whose
-    # mask is the upper levels' mask with each of their tops standing for the
-    # mask of its subtree: two masks of about 2^(m/2 + 1) bytes
-    upper, lower = b"\1", b"\1"
-    for _ in range(m // 2):
-        lower = b"\0" + lower + lower
-    for _ in range(m - m // 2):
-        upper = b"\0" + upper + upper
-
-    def deepest() -> Iterator[int]:
-        return chain.from_iterable(map((b"\0", lower).__getitem__, upper))
-
-    def under(flags: Callable[[], Iterator[int]], k: int) -> Callable[[], Iterator[int]]:
-        # _below's pieces: those not marked, then 2^k marked ones per marked piece
-        return lambda: chain.from_iterable(map(((0,), (1,) * 2 ** k).__getitem__, flags()))
-
+    if layers and m:
+        evens = map(_SEP.join, map(islice, repeat(cores), chain((m + 1,), _ruler(m - 1))))
+        pieces = chain.from_iterable(zip(evens, cores))
     for j, (depth, tops, patterns) in enumerate(layers):
         k = depth - len(tops[0][0])
         if j + 1 < len(layers):
-            pieces = _below(pieces, deepest(), tops, layers[j + 1][1], k)
-            deepest = under(deepest, k)
+            pieces = _below(pieces, tops, layers[j + 1][1], k)
             continue
         left = right = tops  # the tops filled, read for their keys and their values
         if k > _CHUNK:  # put the levels above the last _CHUNK; their new tops keep the value
             cut = k - _CHUNK
             grown, left, right = tee(_upper(tops, cut), 3)
-            pieces = _below(pieces, deepest(), tops, grown, cut)
-            deepest = under(deepest, cut)
+            pieces = _below(pieces, tops, grown, cut)
             whole, block = 2 ** k // 8, 2 ** _CHUNK // 8  # bytes of a pattern, of a block
             patterns = (int.from_bytes(bits[i:i + block], "little") for e in patterns
                         for bits in [e.to_bytes(whole, "little")] for i in range(0, whole, block))
@@ -703,8 +695,9 @@ def stem_text(p: Condition, sink: Callable[[str], object]) -> None:
             fill = {e: fill(e) for e in set(patterns)}.__getitem__
         fills = map(str.replace, map(str.replace, map(fill, patterns), repeat("K"), keys),
                     repeat("V"), values)
-        pieces = map(add, pieces, map(next, map((repeat(""), fills).__getitem__, deepest())))
-        size = max(1, _PIECE >> k + 1)  # at most _PIECE pairs of fills
+        pieces = map(add, pieces, fills)
+        # at most _PIECE pairs of fills; a piece also holds its top's base cores
+        size = max(1, _PIECE >> k + 2)
     sink("[")
     lead = '["'
     while batch := list(islice(pieces, size)):

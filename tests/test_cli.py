@@ -36,7 +36,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import forcing_lab
-from forcing_lab import cli, poset, schemacheck
+from forcing_lab import cli, jsonio, poset, schemacheck
 from forcing_lab.diagram import NODES
 from forcing_lab.schemacheck import compile_schema
 
@@ -475,6 +475,43 @@ def test_generic_run_trace_shape(tmp_path):
     assert last["inside"] == last["scoreF"]  # stem resolves the cover fully
     assert report_digest(env) == (
         "5798039f45f45039d3c6b45737f03cf28760a1d58e611e4c71f905d1d568b74c")
+
+
+def test_generic_run_lists_certificates_in_attachment_order(tmp_path):
+    # a trace entry's certificates follow the order the covers were attached:
+    # by step, then by position in the schedule; they are not sorted by index
+    rects = ([1, 2], [["0", "00"]]), ([2, 1], [["11", "1"]]), ([1, 3], [["1", "010"]])
+    covers = [{"cover": {"resolution": r, "rects": c}, "eps": "1/4", "at_step": step}
+              for (r, c), step in zip(rects, (1, 0, 0))]
+    code, env = run(tmp_path, ["generic-run", "--seed", "3"], {"steps": 2, "covers": covers})
+    assert code == 0
+    trace = env["report"]["trace"]
+    assert [(e["step"], e["action"]) for e in trace] == [
+        (0, "attach"), (0, "attach"), (0, "extend"), (1, "attach"), (1, "extend")]
+    assert [[c["index"] for c in e["certificates"]] for e in trace] == [
+        [1], [1, 2], [1, 2], [1, 2, 0], [1, 2, 0]]
+
+
+@pytest.mark.parametrize("h, details", [
+    ([["1", "0"], ["0", "0"], ["", "1"]],
+     ["h('1') = '0' does not extend h('') = '1'", "h('0') = '0' does not extend h('') = '1'"]),
+    ([["0", "0"], ["1", "0"], ["", "1"]],
+     ["h('0') = '0' does not extend h('') = '1'", "h('1') = '0' does not extend h('') = '1'"]),
+    ([["1", "2"], ["0", "x"], ["", ""]],
+     ["not a binary string: '2'", "not a binary string: 'x'", "level 1 holds 0 keys, needs 2"]),
+], ids=["one-first", "zero-first", "domain"])
+def test_a_decoded_stem_is_checked_in_its_given_order(tmp_path, h, details):
+    # validate words a clause's violations in h's own order, which for a
+    # decoded stem is the order given on the wire, not key order; extend
+    # refuses with the first of them
+    condition = {"m": 1, "h": h, "u": []}
+    rep = poset.validate(jsonio.condition_from_json(condition))
+    assert [v.detail for v in rep.violations] == details
+    if all(set(v) <= set("01") for _, v in h):  # the scenario schema refuses other bits first
+        code, env = run(tmp_path, ["extend", "--seed", "0"], {"condition": condition})
+        assert code == 2
+        assert env["error"] == {"type": "ValueError",
+                                "message": f"cannot extend invalid condition: {details[0]}"}
 
 
 @pytest.mark.parametrize("levels", ["0", "-1"])

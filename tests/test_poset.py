@@ -641,7 +641,7 @@ def perturbed(rng, p):
     # values that are not strings stop the bulk bits check at the join
     yield Condition(p.m, {**h, keys[-1]: None}, p.u)
     yield Condition(p.m, {**h, keys[0]: 3}, p.u)
-    # deeper keys on both sides of a bad value: violations stay in key order
+    # deeper keys on both sides of a bad value: violations stay in h's order
     deep0, deep1 = "0" * (p.m + 1), "1" * (p.m + 1)
     yield Condition(p.m, {deep0: h["0" * p.m], **h, keys[-1]: "0a", deep1: h["1" * p.m]}, p.u)
     if p.m:
@@ -1229,6 +1229,41 @@ def test_stem_text_is_what_json_writes_of_the_grown_pairs(shape):
         for _ in range(2):  # h not read yet, then read
             assert written(condition_to_json(cond)) == expected
             assert cond.pairs() == pairs and cond.h == dict(pairs)
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_a_decoded_complete_base_is_written_under_its_layers(case):
+    # a decoded complete base of depth 3-6, given in scrambled order, under
+    # 1-3 layers of 1-3 levels with a cover's weight attached between them:
+    # stem_text cuts the base at its tops, so the wire text is checked
+    # against json.dumps of the pairs grown key by key (reference_growth)
+    rng = random.Random(f"decoded-{case}")
+    m = rng.randint(3, 6)
+    ref = sparse_stem(rng, m)
+    given = [list(pair) for pair in ref.items()]
+    rng.shuffle(given)
+    u = (TaggedWeight(score(ref, FULL_W) * Fraction(255, 256), FULL_W),)
+    q = jsonio.condition_from_json({**condition_to_json(Condition(m, ref, u)), "h": given})
+    levels = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+    for i, k in enumerate(levels):
+        if i:
+            q = avoid_null(q, ClopenPlaneSet.from_rects([("1", "010")], (1, 3)), Fraction(1, 2))
+        p = q
+        q, stats = extend_detailed(p, rng.getrandbits(32), max_new_levels=k)
+        ref = reference_growth(Condition(p.m, ref, p.u), q.m, stats.chosen)[0]
+    assert len(q._layers) == len(levels) and "h" not in vars(q)
+    expected = json.dumps({**condition_to_json(q), "h": sorted(ref.items())}, sort_keys=True,
+                          separators=(",", ":"))
+    assert written(condition_to_json(q)) == expected
+
+
+def test_an_unlayered_stem_that_is_not_complete_is_written_pair_for_pair():
+    # only a layered base is complete and so cut at its tops; a condition
+    # with no layer may be invalid, and each of its pairs is written
+    p = Condition(1, {"": "", "0": "", "1": "", "00": ""})
+    assert not validate(p).ok
+    assert written(condition_to_json(p)) == (
+        '{"h":[["",""],["0",""],["00",""],["1",""]],"m":1,"u":[]}')
 
 
 def test_a_given_stem_in_scrambled_key_order_reads_as_its_sorted_twin():
