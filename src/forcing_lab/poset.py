@@ -24,8 +24,8 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import cache, cached_property, partial
-from itertools import chain, islice, repeat, tee
-from operator import add, itemgetter
+from itertools import accumulate, chain, islice, repeat, tee
+from operator import add, itemgetter, lshift, or_, rshift
 
 from .cantor import ClopenPlaneSet, check_bits, _all_bits, _extensions
 from .errors import ForcingLabError, FrozenValue
@@ -200,17 +200,20 @@ class Condition(FrozenValue):
     sorted (key, value) pairs of a given stem: one built from h is its own
     base, sorted on first use (_base), with no layers.  A condition decoded
     from JSON (jsonio.condition_from_json) is given its base at decode: the
-    decoded [key, value] lists, sorted, so its base and tops make no tuple
-    per key.  Each extension appends a layer (depth, tops, patterns): the
-    (top, value) pairs of the level it grew from in key order, and the pattern
-    e accepted for each at its index (ExtendStats.chosen).  Between a top and
-    its new tops the new keys keep the top's value, and its i-th new top in key
-    order appends bit i of e, so the layered levels are complete and monotone
-    by construction.  h of an extended condition is parsed from its text on
-    first read (_stem_map) and kept; equality and repr read h, so an extended
-    condition equals its materialized one.  A condition finds its top pairs
-    once (_top_pairs) and keeps them, as it keeps its finest census (_census);
-    an extension starts with neither, and its layer holds p's top pairs."""
+    decoded [key, value] lists, sorted, so its base makes no tuple per key.
+    Each extension from depth m appends a layer (m', E), two ints.  The keys
+    of a level are implied: its top t is _key(t, m).  Bit i of the block of
+    2^(m' - m) bits that old top t owns in E, bits t·2^(m' - m) onwards, is
+    the value bit of its i-th new top in key order, which keeps the top's
+    value and appends that bit; the new keys between them keep the top's
+    value.  So the layered levels are complete and monotone by construction,
+    and a level's values come from the base's tops and the layers above it
+    (_top_values), made in bounded runs by each reader that needs them: no
+    layer holds a string, tuple or list per top.  h of an extended condition
+    is parsed from its text on first read (_stem_map) and kept; equality and
+    repr read h, so an extended condition equals its materialized one.  A
+    condition keeps its finest census (_census); an extension starts with
+    none unless its search was asked to count one (extend_detailed)."""
 
     m: int
     h: dict
@@ -238,17 +241,13 @@ class Condition(FrozenValue):
     def _values(self) -> tuple:
         return self.m, self.h, self.u
 
-    @cached_property
-    def _top_pairs(self) -> list[tuple[str, str]]:
-        """The (top, value) pairs of the deepest level in key order: the
-        base's, or those the last layer grew (_grown_tops)."""
-        if self._layers:
-            return _grown_tops(*self._layers[-1])
-        m, pairs = self._base
-        return [pair for pair in pairs if len(pair[0]) == m]
-
     def tops(self) -> list[str]:
-        return [s for s, _ in self._top_pairs]
+        """The keys of length m in key order: the base's, or the strings of
+        length m when a layer grew them."""
+        if self._layers:
+            return list(_keys(self.m))
+        m, pairs = self._base
+        return [s for s, _ in pairs if len(s) == m]
 
     def pairs(self) -> list[tuple[str, str]]:
         """The stem's (key, value) pairs of h in key order."""
@@ -289,12 +288,12 @@ def _top_groups(h: Mapping[str, str], m: int, cut: int) -> Counter:
 def _census(p: Condition, cut: int) -> Counter:
     """_top_groups(p.h, p.m, cut) or a finer cut, which every reader cuts
     again (_score_groups, _certify).  Counted from a given stem's tops or an
-    extended one's last layer (_grown_census) only when p keeps no census at
-    least as fine, and the finest is kept on p, shared with the conditions
-    attach_weight and merge_same_stem make."""
+    extended one's last layer (_grown_census of _layer_runs) only when p
+    keeps no census at least as fine, and the finest is kept on p, shared
+    with the conditions attach_weight and merge_same_stem make."""
     kept = p.__dict__.get("_kept_census")
     if kept is None or kept[0] < cut:
-        census = _grown_census(*p._layers[-1], cut) if p._layers else _top_groups(p.h, p.m, cut)
+        census = _grown_census(*_layer_runs(p), cut) if p._layers else _top_groups(p.h, p.m, cut)
         kept = p.__dict__["_kept_census"] = cut, census
     return kept[1]
 
@@ -400,19 +399,18 @@ class ExtendStats(FrozenValue):
     """Bookkeeping from one extension: the depth formula's answer before any
     cap, the depth used, per-stem sampling effort and the result's exact
     score against each weight (both empty when there are no weights), and
-    the accepted bit pattern per old top (bit i is the value bit appended at
-    its i-th new top, all zero with no weights), from which the grown stem's
-    census is counted without walking it (see _grown_census).  retries and
-    chosen are lists aligned with the old tops in key order; chosen is also
-    the patterns of the result's last layer (see Condition), so it is read,
-    never changed.  Built once the extension is done; lists are unhashable."""
+    the accepted bit patterns, E of the result's last layer (m', E) (see
+    Condition): old top t's pattern is its block of 2^(m' - m) bits from bit
+    t·2^(m' - m) on, bit i the value bit appended at its i-th new top, all
+    zero with no weights.  retries is a list aligned with the old tops in
+    key order.  Built once the extension is done; lists are unhashable."""
 
     pinned_m_prime: int
     m_prime: int
     retries: list
     exhaustive_stems: list
     scores: tuple
-    chosen: list
+    chosen: int
 
 
 def _shake(text: str, size: int) -> bytes:
@@ -457,14 +455,15 @@ def _rows(s: str, m: int, m2: int, cut: int) -> tuple[list[str], int]:
     return _extensions(s[:cut], depth), 2 ** (m2 - max(m, depth))
 
 
-def _class_keys(phi_list, pairs: Sequence[tuple[str, str]]) -> Iterator[tuple]:
-    """The class key (see _stem_checks) of each (s, h(s)) pair of pairs, in
-    order, in C-level passes: (s[:max m1], h(s)[:max r2], |h(s)|)."""
+def _class_keys(phi_list, m: int, start: int, values: Sequence[str]) -> Iterator[tuple]:
+    """The class key (see _stem_checks) of each top of depth m from index
+    start on, valued values, in order, in C-level passes: (s[:max m1],
+    h(s)[:max r2], |h(s)|), s[:max m1] told by its index t >> (m - max m1)
+    among the strings of its length."""
     cut_x = max(phi.resolution[0] for phi in phi_list)
     cut_y = max(phi.resolution[1] for phi in phi_list)
-    return zip(map(itemgetter(slice(None, cut_x)), map(itemgetter(0), pairs)),
-               map(itemgetter(slice(None, cut_y)), map(itemgetter(1), pairs)),
-               map(len, map(itemgetter(1), pairs)))
+    return zip(map(rshift, range(start, start + len(values)), repeat(max(0, m - cut_x))),
+               map(itemgetter(slice(None, cut_y)), values), map(len, values))
 
 
 def _stem_checks(phi_list, s: str, value: str, m: int, m2: int, delta: Fraction) -> tuple:
@@ -536,11 +535,12 @@ class _Verdicts(dict):
     """The verdicts of one stem class, keyed by candidate and computed on
     first lookup: (i, None) when the candidate fails the check of weight #i
     first, (-1, sums) when it passes them all, sums holding each weight's
-    (D, _check_sum).  It keeps one verdict per candidate asked for, so a
-    candidate drawn again by any stem of the class is looked up, not
-    checked again: at most _RETRY_CAP per stem, and the exhaustive
-    fallback's whole space (at most 2^16 candidates, as count is a power
-    of two) once a stem of the class reaches it."""
+    _check_sum, over the D of its check (the check's last field).  It keeps
+    one verdict per candidate asked for, so a candidate drawn again by any
+    stem of the class is looked up, not checked again: at most _RETRY_CAP
+    per stem, and the exhaustive fallback's whole space (at most 2^16
+    candidates, as count is a power of two) once a stem of the class
+    reaches it."""
 
     __slots__ = ("checks",)
 
@@ -555,7 +555,7 @@ class _Verdicts(dict):
             if acc <= check[0]:
                 self[e] = verdict = (idx, None)
                 return verdict
-            sums.append((check[4], acc))
+            sums.append(acc)
         self[e] = verdict = (-1, tuple(sums))
         return verdict
 
@@ -569,16 +569,93 @@ def _check_sum(check: tuple, e: int) -> int:
     return acc
 
 
-def _grown_tops(m2: int, tops: Sequence[tuple[str, str]], patterns: list) -> list[tuple[str, str]]:
-    """The (top, value) pairs, in key order, of the level that a layer (see
-    Condition) grew to depth m2 from the pairs tops."""
-    leaves = _extensions("", m2 - len(tops[0][0]))
-    width = f"0{len(leaves)}b"
-    grown: list[tuple[str, str]] = []
-    for (s, v), e in zip(tops, patterns):
-        pick = {"0": v + "0", "1": v + "1"}.__getitem__
-        grown += zip([s + u for u in leaves], map(pick, format(e, width)[::-1]))
-    return grown
+def _key(t: int, m: int) -> str:
+    """The top with index t of a level of depth m: t in m binary digits."""
+    return bin(t | 1 << m)[3:]
+
+
+def _keys(m: int) -> Iterator[str]:
+    """The keys of the level of depth m in key order, made lazily."""
+    return map(itemgetter(slice(3, None)), map(bin, range(1 << m, 2 << m)))
+
+
+@cache
+def _byte_bits() -> tuple[str, ...]:
+    """Per byte: its bits as one-character strings, the lowest first."""
+    return tuple(format(b, "08b")[::-1] for b in range(256))
+
+
+@cache
+def _fields(width: int) -> tuple[tuple[int, ...], ...]:
+    """Per byte: its 8 // width fields of width bits, the lowest first."""
+    mask = (1 << width) - 1
+    return tuple(tuple((b >> i) & mask for i in range(0, 8, width)) for b in range(256))
+
+
+def _blocks(data: bytes, width: int) -> Iterator[int]:
+    """The blocks of width bits, a power of two, that data holds, read
+    little-endian, in order; past its last whole block a byte of narrower
+    blocks yields zero blocks."""
+    if width == 8:
+        return iter(data)
+    if width < 8:
+        return chain.from_iterable(map(_fields(width).__getitem__, data))
+    size = width // 8
+    return map(int.from_bytes, map(data.__getitem__, map(slice, range(0, len(data), size),
+                                                         range(size, len(data) + size, size))),
+               repeat("little"))
+
+
+# Per byte value x > 0: x - 1.
+_LESS_ONE = bytes([0, *range(255)])
+
+
+def _layer_bytes(m2: int, e: int) -> bytes:
+    """E of a layer to depth m2, its 2^m2 bits little-endian."""
+    return e.to_bytes(-(-(1 << m2) // 8), "little")
+
+
+def _base_tops(base: tuple) -> Iterator[Sequence[str]]:
+    """The (key, value) pairs of a complete base's tops in key order: the
+    base being in preorder, top 0 is its pair m and top t lies tz(t) + 1
+    pairs after top t - 1 (_ruler, less one)."""
+    m, pairs = base
+    return map(pairs.__getitem__, accumulate(_ruler(m).translate(_LESS_ONE), initial=m))
+
+
+def _grow(values: Iterable[str], m: int, layer: tuple[int, int]) -> Iterator[str]:
+    """The values of the level a layer (m', E) grew from depth m, in key
+    order, from its old tops' values: each repeated once per new top, with
+    the new top's bit of E appended."""
+    m2, e = layer
+    parents = chain.from_iterable(map(repeat, values, repeat(1 << (m2 - m))))
+    return map(add, parents, chain.from_iterable(map(_byte_bits().__getitem__,
+                                                     _layer_bytes(m2, e))))
+
+
+def _top_values(base: tuple, layers: Sequence[tuple[int, int]]) -> Iterator[str]:
+    """The values of the tops of the deepest level that base and layers (a
+    condition's, or the first of them) reach, in key order, made lazily by
+    C-level maps in step with their reader (_base_tops, then _grow per
+    layer)."""
+    values, m = map(itemgetter(1), _base_tops(base)), base[0]
+    for layer in layers:
+        values, m = _grow(values, m, layer), layer[0]
+    return values
+
+
+def _layer_runs(p: Condition) -> tuple[int, int, Iterator[tuple[int, list, list]]]:
+    """(m, m2, runs) of p's last layer, from depth m to m2: runs yields
+    (start, values, patterns) per _GROUPED old tops in key order, the index
+    of the run's first top, their values and their patterns read from E."""
+    *layers, (m2, e) = p._layers
+    m = layers[-1][0] if layers else p._base[0]
+    values, patterns = _top_values(p._base, layers), _blocks(_layer_bytes(m2, e), 1 << (m2 - m))
+
+    def runs() -> Iterator[tuple[int, list, list]]:
+        for start in range(0, 1 << m, _GROUPED):
+            yield start, list(islice(values, _GROUPED)), list(islice(patterns, _GROUPED))
+    return m, m2, runs()
 
 
 # Levels of a grown top written per filled _chunk template: 511 keys.
@@ -620,11 +697,6 @@ def _fill(k: int, e: int) -> str:
     return _chunk(k) % tuple(format(e, f"0{2 ** k}b")[::-1])
 
 
-def _upper(tops: Iterable[tuple[str, str]], k: int) -> Iterator[tuple[str, str]]:
-    """The (key, value) pairs k levels below tops, in key order, each valued as its top."""
-    return ((s + format(r, f"0{k}b"), v) for s, v in tops for r in range(2 ** k))
-
-
 def _below(pieces: Iterator[str], tops: Iterable[tuple[str, str]],
            grown: Iterable[tuple[str, str]], k: int) -> Iterator[str]:
     """pieces, each ending in the core of its top of tops, with the k levels
@@ -660,40 +732,47 @@ def stem_text(p: Condition, sink: Callable[[str], object]) -> None:
     and top 2j after the tz(j) + 1 keys between it and top 2j - 1 (_ruler);
     a base with no layer, which may be invalid, is written pair for pair.  A
     layer before the last puts the levels it grew under each top after the
-    top's piece (_below), one piece per new top.  The last layer adds its
-    growth under each top to the top's piece: the template of the top's
-    pattern (_fill, made once per distinct pattern when k <= 3) with K and V
-    replaced by the top and its value.  A last layer of k > _CHUNK levels
-    first puts its upper k - _CHUNK levels, whose new tops keep the top's
-    value, and then fills a _CHUNK template per 2^_CHUNK bits of the
-    pattern.  The cut, the fills and the adding are C-level maps, and the
-    pieces are joined a bounded run at a time: at most _PIECE pairs of fills,
-    with their tops' base cores."""
+    top's piece (_below), one piece per new top.  A level's keys and values
+    are made as they are written (_base_tops, _keys and _grow), once for
+    the layer that grew it and the one that grows from it.  The last layer
+    adds its growth under each top to the top's piece: the template of the
+    top's block of E (_fill, made once per distinct block when k <= 3) with K
+    and V replaced by the top and its value.  A last layer of k > _CHUNK
+    levels first puts its upper k - _CHUNK levels, whose new tops keep the
+    top's value, and then fills a _CHUNK template per 2^_CHUNK bits of E.
+    The cut, the keys, the values, the blocks, the fills and the adding are
+    C-level maps, and the pieces are joined a bounded run at a time: at most
+    _PIECE pairs of fills, with their tops' base cores."""
     (m, pairs), layers = p._base, p._layers
     pieces = cores = map('","'.join, pairs)
     size = _PIECE
     if layers and m:
         evens = map(_SEP.join, map(islice, repeat(cores), chain((m + 1,), _ruler(m - 1))))
         pieces = chain.from_iterable(zip(evens, cores))
-    for j, (depth, tops, patterns) in enumerate(layers):
-        k = depth - len(tops[0][0])
-        if j + 1 < len(layers):
-            pieces = _below(pieces, tops, layers[j + 1][1], k)
-            continue
-        left = right = tops  # the tops filled, read for their keys and their values
+    # the (key, value) pairs of the deepest level reached so far, each level's made once
+    # for its readers (read only under a layer)
+    level, top = _base_tops(p._base), m
+    for layer in layers[:-1]:
+        tops, parents = tee(level)
+        grown, level = tee(zip(_keys(layer[0]), _grow(map(itemgetter(1), parents), top, layer)))
+        pieces = _below(pieces, tops, grown, layer[0] - top)
+        top = layer[0]
+    for depth, e in layers[-1:]:
+        k = depth - top
         if k > _CHUNK:  # put the levels above the last _CHUNK; their new tops keep the value
             cut = k - _CHUNK
-            grown, left, right = tee(_upper(tops, cut), 3)
+            tops, parents = tee(level)
+            values = chain.from_iterable(map(repeat, map(itemgetter(1), parents), repeat(1 << cut)))
+            grown, level = tee(zip(_keys(top + cut), values))
             pieces = _below(pieces, tops, grown, cut)
-            whole, block = 2 ** k // 8, 2 ** _CHUNK // 8  # bytes of a pattern, of a block
-            patterns = (int.from_bytes(bits[i:i + block], "little") for e in patterns
-                        for bits in [e.to_bytes(whole, "little")] for i in range(0, whole, block))
-            k = _CHUNK
-        keys, values = map(itemgetter(0), left), map(itemgetter(1), right)
+            top, k = top + cut, _CHUNK
         fill = partial(_fill, k)
-        if k <= 3:  # at most 256 patterns
-            fill = {e: fill(e) for e in set(patterns)}.__getitem__
-        fills = map(str.replace, map(str.replace, map(fill, patterns), repeat("K"), keys),
+        if k <= 3:  # at most 256 blocks
+            fill = cache(fill)
+        left, right = tee(level)
+        keys, values = map(itemgetter(0), left), map(itemgetter(1), right)
+        blocks = _blocks(_layer_bytes(depth, e), 1 << k)
+        fills = map(str.replace, map(str.replace, map(fill, blocks), repeat("K"), keys),
                     repeat("V"), values)
         pieces = map(add, pieces, fills)
         # at most _PIECE pairs of fills; a piece also holds its top's base cores
@@ -710,6 +789,7 @@ def stem_text(p: Condition, sink: Callable[[str], object]) -> None:
 
 def extend_detailed(
     p: Condition, seed: int, *, max_new_levels: int | None = None,
+    census_cut: int | None = None,
 ) -> tuple[Condition, ExtendStats]:
     """Extend a valid condition, returning the result and search statistics.
 
@@ -725,28 +805,34 @@ def extend_detailed(
     a >= 1 of top s from the first B bytes of f"{seed}|{m'}|{s}|{a}".
     max_new_levels (at least 1) caps the depth growth for multi-step runs,
     where the pinned depth formula compounds past any materializable size;
-    a depth past _MAX_DEPTH is refused either way.
+    a depth past _MAX_DEPTH is refused either way.  delta reads the tops'
+    value lengths off the census validate keeps on p.
 
-    The search runs in bulk, one pass per run of _GROUPED tops.  Every
-    top's candidate 0 is read from the stream at once into the patterns
-    list (one bytes.translate when count <= 8).  A run's class indices are
-    read once: its tops are told in C-level passes by their stem class
-    (_class_keys), each by the index of the class's first top in key order,
-    and each class's checks (_stem_checks) are built from that first top.
-    The run's (class, pattern) groups are counted and one verdict
-    (_Verdicts) is looked up per group.  Only if a group fails do the tops
-    whose candidate 0 fails run the retries and the fallback, in key order,
-    each from its own stream, patching its pattern in the list, and the
-    run is counted again.  Then every group passes, and a group of n tops
-    adds n times its sums.  So every top gets the pattern the per-top loop
-    gives it.
+    The search runs in bulk, one pass per run of _GROUPED tops, reading the
+    run's values as it goes (_top_values) and its keys by index (_key).
+    The masked stream is read once (one bytes.translate when count <= 8)
+    and holds every top's pattern.  A run's tops are told in C-level passes
+    by their stem class (_class_keys), each by the index of the class's
+    first top in key order, and each class's checks (_stem_checks) are
+    built from that first top.  The run's groups are counted, one int per
+    top, the class index shifted past the count bits of its candidate, and
+    one verdict (_Verdicts) is looked up per group.  Only if a group fails
+    do the tops whose candidate 0 fails run the retries and the fallback,
+    in key order, each from its own stream, patching its pattern in the
+    stream, and the run is counted again.  Then every group passes, and a
+    group of n tops adds n times its sums.  So every top gets the pattern
+    the per-top loop gives it.  census_cut, with weights, asks the search
+    to count the result's census at that x-cut (_grown_census) from the
+    runs it reads, and keep it on the result (see _census), as generic_run
+    does; then no reader counts it again.
 
     The result's scores are read off the accepted candidates' integer sums,
     score = sum over tops s of 2^(|h(s)|+1)·sum_s/D_s, and each must exceed
     its tag.  The result is p's base and layers (see Condition) plus one
-    layer holding p's top pairs and the accepted patterns at their indices
-    (ExtendStats.chosen), so no key of the grown stem is built here; it is
-    complete and monotone by construction.
+    layer (m', E), E the accepted patterns packed count bits a top in key
+    order (ExtendStats.chosen): when count >= 8 and no top retries, the
+    stream read little-endian.  No key or value of the grown stem is built
+    here; it is complete and monotone by construction.
     """
     if max_new_levels is not None and max_new_levels < 1:
         raise ValueError(f"max_new_levels must be at least 1, got {max_new_levels}")
@@ -754,78 +840,94 @@ def extend_detailed(
     rep = validate(p)
     if not rep.ok:
         raise ValueError(f"cannot extend invalid condition: {rep.first.detail}")
-    m = p.m
-    tops = p._top_pairs
+    m, n = p.m, 1 << p.m
     m2 = pinned = m + 1
     retries: list[int] = []
     exhaustive: list[str] = []
     scores: tuple[Fraction, ...] = ()
-    if not p.u:
-        chosen = [0] * len(tops)
-    else:
+    layer, kept = 0, None
+    if p.u:
+        phi_list = [tw.phi for tw in p.u]
         slack = min(sc - tw.eps for sc, tw in zip(rep.scores, p.u))
-        lengths = Counter(map(len, map(itemgetter(1), tops)))
-        delta = slack / (2 * sum(n << 1 + length for length, n in lengths.items()))
+        census = _census(p, max(phi.resolution[0] for phi in phi_list))  # kept by validate
+        delta = slack / (2 * sum(c << 1 + len(v) for (_, v), c in census.items()))
         threshold = delta * delta / (2 * len(p.u))
         # the least m2 > m with 2^m2 > 1/threshold, that is 2^-m2 < threshold
         m2 = pinned = max(m + 1, (threshold.denominator // threshold.numerator).bit_length())
         if max_new_levels is not None:
             m2 = min(m2, m + max_new_levels)
         _refuse_past_limit(m, m2)
-        phi_list = [tw.phi for tw in p.u]
         count = 2 ** (m2 - m)
         # the exhaustive fallback tries every pattern, tagged as attempt _RETRY_CAP
         space = 2 ** count if count < 64 and 2 ** count <= _EXHAUSTIVE_CAP else 0
         size, mask = -(-count // 8), (1 << count) - 1
-        stream = _shake(f"{seed}|{m}|{m2}", len(tops) * size)
+        stream = bytearray(_shake(f"{seed}|{m}|{m2}", n * size))
         if size == 1:  # every top's candidate 0 is its byte of the stream, masked
-            chosen = list(stream.translate(bytes(map(mask.__and__, range(256)))))
-        else:
-            chosen = [int.from_bytes(stream[i:i + size], "little") & mask
-                      for i in range(0, len(stream), size)]
-        del stream  # not held through the search
-        retries = [0] * len(tops)
+            stream = stream.translate(bytes(map(mask.__and__, range(256))))
+        retries = [0] * n
         # per weight: D -> sum of 2^(|h(s)|+1)·sum_s; the tops of one class that
         # accept one candidate share its verdict, so its sums are added n times
         totals: list[dict] = [{} for _ in p.u]
         # each top is told by the key-order index of its class's first top,
-        # which dict.setdefault keeps (a decoded top is a list, not hashable),
-        # and counted with its pattern, _GROUPED tops at a time; a class's
-        # verdicts are built from its first top in the run that meets it
+        # which dict.setdefault keeps, and counted with its candidate,
+        # _GROUPED tops at a time; a class's verdicts are built from its
+        # first top in the run that meets it
         first: dict = {}
         classes: dict = {}  # each class's verdicts, by its first top's index
-        indices = map(first.setdefault, _class_keys(phi_list, tops), range(len(tops)))
-        for start in range(0, len(tops), _GROUPED):
-            run = list(islice(indices, _GROUPED))
-            classes.update((t, _Verdicts(_stem_checks(phi_list, *tops[t], m, m2, delta)))
-                           for t in islice(first.values(), len(classes), None))
-            groups = Counter(zip(run, chosen[start:start + _GROUPED]))
-            if any(classes[t][e][0] >= 0 for t, e in groups):
-                # the run's tops whose candidate 0 failed retry in key order, each
-                # from its own stream, then fall back; a retry patches chosen
-                for t, verdicts in enumerate(map(classes.__getitem__, run), start):
-                    last_fail = verdicts[chosen[t]][0]
-                    if last_fail < 0:
-                        continue
-                    s = tops[t][0]
-                    # attempt a < _RETRY_CAP draws from its own stream; from there on the
-                    # fallback tries candidate a - _RETRY_CAP, recorded as attempt _RETRY_CAP
-                    for a in range(1, _RETRY_CAP + space):
-                        e = (int.from_bytes(_shake(f"{seed}|{m2}|{s}|{a}", size), "little") & mask
-                             if a < _RETRY_CAP else a - _RETRY_CAP)
-                        last_fail = verdicts[e][0]
+        scales: dict = {}  # each class's |h(s)| + 1 and its checks' D, by its first top's index
+        values = _top_values(p._base, p._layers)
+
+        def candidates(start: int, stop: int) -> list[int]:
+            return list(_blocks(stream[start * size:stop * size], 8 * size))
+
+        def runs() -> Iterator[tuple[int, list, list]]:
+            for start in range(0, n, _GROUPED):
+                tops = range(start, min(n, start + _GROUPED))
+                run_values = list(islice(values, _GROUPED))
+                run = list(map(first.setdefault, _class_keys(phi_list, m, start, run_values), tops))
+                for t in islice(first.values(), len(classes), None):
+                    value = run_values[t - start]
+                    checks = _stem_checks(phi_list, _key(t, m), value, m, m2, delta)
+                    classes[t] = _Verdicts(checks)
+                    scales[t] = len(value) + 1, [check[4] for check in checks]
+                cands = candidates(start, tops.stop)
+                groups = Counter(map(or_, map(lshift, run, repeat(count)), cands))
+                if any(classes[g >> count][g & mask][0] >= 0 for g in groups):
+                    # the run's tops whose candidate 0 failed retry in key order, each
+                    # from its own stream, then fall back; a retry patches the stream
+                    for t, verdicts in enumerate(map(classes.__getitem__, run), start):
+                        last_fail = verdicts[cands[t - start]][0]
                         if last_fail < 0:
-                            break
-                    else:
-                        raise SearchExhausted(s, last_fail, _RETRY_CAP)
-                    if a >= _RETRY_CAP:
-                        exhaustive.append(s)
-                    retries[t] = min(a, _RETRY_CAP)
-                    chosen[t] = e
-                groups = Counter(zip(run, chosen[start:start + _GROUPED]))
-            for (t, e), n in groups.items():  # every group passes by now
-                for total, (d, acc) in zip(totals, classes[t][e][1]):
-                    total[d] = total.get(d, 0) + (n * acc << len(tops[t][1]) + 1)
+                            continue
+                        s = _key(t, m)
+                        # attempt a < _RETRY_CAP draws from its own stream; from there on the
+                        # fallback tries candidate a - _RETRY_CAP, recorded as attempt _RETRY_CAP
+                        for a in range(1, _RETRY_CAP + space):
+                            e = (int.from_bytes(_shake(f"{seed}|{m2}|{s}|{a}", size), "little")
+                                 & mask if a < _RETRY_CAP else a - _RETRY_CAP)
+                            last_fail = verdicts[e][0]
+                            if last_fail < 0:
+                                break
+                        else:
+                            raise SearchExhausted(s, last_fail, _RETRY_CAP)
+                        if a >= _RETRY_CAP:
+                            exhaustive.append(s)
+                        retries[t] = min(a, _RETRY_CAP)
+                        stream[t * size:(t + 1) * size] = e.to_bytes(size, "little")
+                    cands = candidates(start, tops.stop)
+                    groups = Counter(map(or_, map(lshift, run, repeat(count)), cands))
+                for g, k in groups.items():  # every group passes by now
+                    t = g >> count
+                    shift, ds = scales[t]
+                    for total, d, acc in zip(totals, ds, classes[t][g & mask][1]):
+                        total[d] = total.get(d, 0) + (k * acc << shift)
+                yield start, run_values, cands
+
+        if census_cut is None:
+            for _ in runs():
+                pass
+        else:
+            kept = census_cut, _grown_census(m, m2, runs(), census_cut)
         scores = tuple(
             sum((Fraction(acc, d) for d, acc in total.items()), Fraction(0)) for total in totals)
         for i, (sc, tw) in enumerate(zip(scores, p.u)):
@@ -833,9 +935,22 @@ def extend_detailed(
                 raise RuntimeError(
                     f"extension produced invalid condition: weight #{i} scores {sc}, "
                     f"needs > {tw.eps}")
-    q = Condition._of({"m": m2, "u": p.u, "_base": p._base,
-                       "_layers": p._layers + ((m2, tops, chosen),)})
-    return q, ExtendStats(pinned, m2, retries, exhaustive, scores, chosen)
+        layer = _layer_int(stream, count)
+    q = Condition._of({"m": m2, "u": p.u, "_base": p._base, "_layers": p._layers + ((m2, layer),)})
+    if kept is not None:
+        q.__dict__["_kept_census"] = kept
+    return q, ExtendStats(pinned, m2, retries, exhaustive, scores, layer)
+
+
+def _layer_int(stream: bytes, count: int) -> int:
+    """E from the patterns of count bits each, one byte a top when count < 8
+    and count // 8 bytes a top, little-endian, from 8 on: narrow fields are
+    merged pairwise into bytes, and the bytes read little-endian."""
+    while count < 8:
+        odd = stream[1::2] + bytes(len(stream) % 2)
+        stream = bytes(map(or_, stream[::2], map(lshift, odd, repeat(count))))
+        count *= 2
+    return int.from_bytes(stream, "little")
 
 
 def attach_weight(p: Condition, eps: Fraction, phi: WeightFunction) -> Condition:
@@ -893,40 +1008,42 @@ def _certify(census: Counter, m: int, f: ClopenPlaneSet, phi: WeightFunction | N
     return Certificate(inside, _score_groups(classes, m, phi) if phi is not None else Fraction(0))
 
 
-def _grown_census(m2: int, tops: Sequence[tuple[str, str]], patterns: list,
+def _grown_census(m: int, m2: int, runs: Iterable[tuple[int, list, Iterable[int]]],
                   cut: int) -> Counter:
-    """_top_groups(h2, m2, cut) of the stem grown to depth m2 from the
-    (top, value) pairs tops of depth m with the accepted patterns, a list
-    aligned with tops (a layer, see Condition), counted from the patterns
-    alone.  A row of top s (see _rows) holds the tops of one block of bits,
-    the blocks _check_sum reads, so popcount(block) of them are valued
-    h(s) + "1" and the rest h(s) + "0".  When cut <= m each top has one
-    row, its own cut, so the tops and ones are added up per (row, h(s))
-    before any value string is built."""
-    m = len(tops[0][0])
+    """_top_groups(h2, m2, cut) of the stem grown by a layer (see Condition)
+    from depth m to m2, counted from its old tops' values and patterns
+    alone, which runs yields a run at a time, (start, values, patterns): the
+    index of the run's first top, and their values and patterns in key
+    order (_layer_runs, or the search's own runs).  A row of top s (see
+    _rows) holds the tops of one block of bits, the blocks _check_sum reads,
+    so popcount(block) of them are valued h(s) + "1" and the rest h(s) +
+    "0".  When cut <= m each top has one row, its own cut, told by its index
+    t >> (m - cut), so the tops are counted per (row, h(s), popcount) in
+    C-level passes before any row or value string is built."""
     census: Counter = Counter()
     if cut <= m:
-        grown: Counter = Counter()  # per (row, h(s)): new tops, and those valued h(s) + "1"
-        set_bits: Counter = Counter()
-        for (s, v), e in zip(tops, patterns):
-            key = s[:cut], v
-            grown[key] += 2 ** (m2 - m)
-            set_bits[key] += e.bit_count()
-        for (row, v), n in grown.items():
-            if set_bits[row, v]:
-                census[row, v + "1"] = set_bits[row, v]
-            if set_bits[row, v] < n:
-                census[row, v + "0"] = n - set_bits[row, v]
-        return census
-    for (s, v), e in zip(tops, patterns):
-        rows, block = _rows(s, m, m2, cut)
-        mask = (1 << block) - 1
-        for r, row in enumerate(rows):
-            ones = ((e >> (r * block)) & mask).bit_count()
+        grown: Counter = Counter()  # old tops per ((row index, h(s)), popcount)
+        for start, values, patterns in runs:
+            rows = map(rshift, range(start, start + len(values)), repeat(m - cut))
+            grown.update(zip(zip(rows, values), map(int.bit_count, patterns)))
+        block = 1 << (m2 - m)
+        for ((r, v), ones), n in grown.items():
+            row = _key(r, cut)
             if ones:
-                census[row, v + "1"] += ones
+                census[row, v + "1"] += n * ones
             if ones < block:
-                census[row, v + "0"] += block - ones
+                census[row, v + "0"] += n * (block - ones)
+        return census
+    for start, values, patterns in runs:
+        for t, v, e in zip(range(start, start + len(values)), values, patterns):
+            rows, block = _rows(_key(t, m), m, m2, cut)
+            mask = (1 << block) - 1
+            for r, row in enumerate(rows):
+                ones = ((e >> (r * block)) & mask).bit_count()
+                if ones:
+                    census[row, v + "1"] += ones
+                if ones < block:
+                    census[row, v + "0"] += block - ones
     return census
 
 
@@ -955,8 +1072,9 @@ def generic_run(
     condition keeps (_census), cut at the finest x-resolution in the
     schedule or finer: the trivial stem's counts its one top at that cut
     before the first attachment scores it, and an extended one's is
-    counted from the accepted bit patterns of its last layer (see
-    Condition), so no step builds h: each one extends the layered
+    counted from the accepted bit patterns by the search that grew it
+    (extend_detailed's census_cut), in the same pass over the tops, so no
+    step builds h or reads a level twice: each one extends the layered
     condition the last one returned.  An attachment shares its
     condition's census and certifies only the new cover.  score_f is scored
     against the weight avoid_null attached, and the complement is the one
@@ -990,7 +1108,7 @@ def generic_run(
                     attached.append((i, f, phi))
                     certs.append((i, _certify(_census(p, cut), p.m, f, phi)))
                     trace.append(TraceEntry(step, "attach", p.m, tuple(certs)))
-            p, _ = extend_detailed(p, seed, max_new_levels=max_new_levels)
+            p, _ = extend_detailed(p, seed, max_new_levels=max_new_levels, census_cut=cut)
             certs = [(i, _certify(_census(p, cut), p.m, f, phi)) for i, f, phi in attached]
             trace.append(TraceEntry(step, "extend", p.m, tuple(certs)))
         except ForcingLabError as exc:

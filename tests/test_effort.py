@@ -17,10 +17,14 @@ builds (`cylinder_mass`; a name's coordinate sums its cells' measures).
 They also count the keys of every full stem map built from a layered
 condition's layers (`materialized keys`, counted in `_stem_map`, the one
 function that builds one; extension and runs hand back layered conditions and build
-none, so only a reader of `h` pays for the map), the (top, value) pairs
-grown from a layer (`grown tops`, counted in `_grown_tops`: extending an
-extended condition grows its deepest level once from its last layer, and
-census, `validate` and `score` read the last layer as it stands), the classes
+none, so only a reader of `h` pays for the map), the values of grown
+tops read (`grown tops`, counted as `_top_values` yields the values of a
+level that a layer grew: a layer is `(m', E)`, two ints, m' the depth and
+E the accepted patterns, so a reader of a grown level makes its values
+again from the base and the layers, in bounded runs; extending an
+extended condition reads its deepest level once, and in `generic_run`
+that search also counts the grown stem's census, which the certificates,
+`validate` and `score` then read as it is kept), the classes
 of every census of the tops, counted from `h` or from the accepted bit
 patterns (`census classes`; every condition, given or extended, keeps
 its finest census and the conditions attach_weight makes share it, so
@@ -299,13 +303,13 @@ def count_calls(monkeypatch) -> tuple[dict, list]:
         counts["materialized keys"] += len(h)
         return h
     monkeypatch.setattr(poset, "_stem_map", materializing)
-    grown_tops = poset._grown_tops
+    top_values = poset._top_values
 
-    def growing(*args):
-        tops = grown_tops(*args)
-        counts["grown tops"] += len(tops)
-        return tops
-    monkeypatch.setattr(poset, "_grown_tops", growing)
+    def growing(base, layers):
+        for value in top_values(base, layers):
+            counts["grown tops"] += bool(layers)  # a base's own tops are not grown
+            yield value
+    monkeypatch.setattr(poset, "_top_values", growing)
     for name in ("_top_groups", "_grown_census"):
         real_census = getattr(poset, name)
 

@@ -405,7 +405,7 @@ def test_extend_fallback_tries_its_last_pattern(monkeypatch):
     monkeypatch.setattr(poset, "_RETRY_CAP", 1)
     q, stats = extend_detailed(only_all_ones_passes(), seed=0, max_new_levels=1)
     assert stats.exhaustive_stems == [""] and stats.retries == [1]
-    assert stats.chosen == [3] and stats.scores == (Fraction(1, 2), Fraction(1, 2))
+    assert stats.chosen == 3 and stats.scores == (Fraction(1, 2), Fraction(1, 2))
     assert q.h == {"": "", "0": "1", "1": "1"} and validate(q).ok
 
 
@@ -783,7 +783,7 @@ def compare_searches(phis, h, m, grow, deltas, seen):
     compared too."""
     tops = sorted(s for s in h if len(s) == m)
     weights = [weight_to_json(phi) for phi in phis]
-    keys = list(poset._class_keys(phis, [(s, h[s]) for s in tops]))
+    keys = list(poset._class_keys(phis, m, 0, [h[s] for s in tops]))
     for delta in deltas:
         classes = {}
         for s, key in zip(tops, keys):
@@ -871,8 +871,8 @@ def test_retries_do_not_rest_on_one_stream_draw(monkeypatch):
     space = range(2 ** 2 ** (m2 - m))
     failing = {}  # per stem class: the share of its candidates that fail
     expected = Fraction(0)
-    pairs = p._top_pairs
-    for (s, value), key in zip(pairs, poset._class_keys(phi_list, pairs)):
+    values = [p.h[s] for s in p.tops()]
+    for s, value, key in zip(p.tops(), values, poset._class_keys(phi_list, m, 0, values)):
         if key not in failing:
             verdicts = _Verdicts(real(phi_list, s, value, m, m2, delta))
             failing[key] = Fraction(sum(verdicts[e][0] >= 0 for e in space), len(space))
@@ -953,9 +953,9 @@ def test_class_search_matches_per_stem_reference(monkeypatch):
             seen.add(("exhausted", retry_cap, exhaustive_cap))
             continue
         q, stats = extend_detailed(p, seed, max_new_levels=levels)
-        assert (stats.m_prime, stats.retries, stats.exhaustive_stems, stats.chosen,
+        assert (stats.m_prime, stats.retries, stats.exhaustive_stems, patterns(p, stats),
                 stats.scores) == want
-        assert q.h == reference_growth(p, stats.m_prime, stats.chosen)[0]
+        assert q.h == reference_growth(p, stats.m_prime, patterns(p, stats))[0]
         seen.add(("weights", len(u)))
         seen.add(("levels", stats.m_prime - m))
         for tw in u:
@@ -989,11 +989,11 @@ ZERO_HALF = phi_from_clopen(ClopenPlaneSet.from_rects([("", "0")]))
 def shares_a_failing_first_candidate(p, seed, stats):
     """Whether two or more tops of one stem class drew the same candidate 0
     and it failed (a retried top's candidate 0 failed)."""
-    pairs = p._top_pairs
-    keys = poset._class_keys([tw.phi for tw in p.u], pairs)
+    tops = p.tops()
+    keys = poset._class_keys([tw.phi for tw in p.u], p.m, 0, [p.h[s] for s in tops])
     failed = Counter(
         (key, oracle.candidate(seed, p.m, stats.m_prime, t, s, 0))
-        for t, ((s, _), key) in enumerate(zip(pairs, keys))
+        for t, (s, key) in enumerate(zip(tops, keys))
         if stats.retries[t])
     return any(n > 1 for n in failed.values())
 
@@ -1015,7 +1015,7 @@ def test_retries_are_reported_by_position_past_the_first_run(tmp_path):
         assert len(p.tops()) > poset._GROUPED and any(stats.retries[poset._GROUPED:])
         assert report["stats"]["retries"] == [[s, n] for s, n in zip(p.tops(), stats.retries)]
         m2, retries, _, chosen, _ = reference_search(p, seed, 1)
-        assert (m2, stats.retries, stats.chosen) == (q.m, retries, chosen)
+        assert (m2, stats.retries, patterns(p, stats)) == (q.m, retries, chosen)
         ref = reference_growth(p, m2, chosen)[0]
         assert report["condition"]["h"] == [list(pair) for pair in sorted(ref.items())]
 
@@ -1068,7 +1068,7 @@ def test_extension_draws_the_pinned_stream(levels):
     for s, attempt, e in PINNED_CANDIDATES[levels]:
         t = tops.index(s)
         assert oracle.candidate(7, 7, 7 + levels, t, s, attempt) == e
-        assert (stats.retries[t], stats.chosen[t]) == (attempt, e)
+        assert (stats.retries[t], patterns(p, stats)[t]) == (attempt, e)
 
 
 def test_unretried_layer_of_bytes_is_the_stream():
@@ -1086,8 +1086,8 @@ def test_unretried_layer_of_bytes_is_the_stream():
         if count < 8 or any(stats.retries):
             continue
         stream = hashlib.shake_256(f"{seed}|{m}|{q.m}".encode()).digest(2 ** m * count // 8)
-        layer = sum(e << (t * count) for t, e in enumerate(stats.chosen))
-        assert layer == int.from_bytes(stream, "little")
+        assert q._layers[-1] == (q.m, stats.chosen)
+        assert stats.chosen == int.from_bytes(stream, "little")
         checked += 1
     assert checked >= 10
 
@@ -1110,6 +1110,22 @@ def test_generic_run_steps_extend_with_the_run_seed():
     assert q == p
 
 
+def test_a_depth_18_generic_run_holds_no_pair_per_top():
+    # the README cover run to depth 18, 6 steps of 3 levels: every layer is
+    # (m', E), two ints, and each level's values are read in bounded runs,
+    # so the run peaks at about 1 MiB traced; layers that held their old
+    # tops' (top, value) pairs peaked at 6 MiB
+    g = ClopenPlaneSet.from_rects([("0", "00")])
+    tracemalloc.start()
+    try:
+        p, _ = generic_run([ScheduledCover(g, Fraction(1, 4), 0)], steps=6, seed=2026)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert p.m == 18 and len(p._layers) == 6
+    assert peak < 1.5 * 2 ** 20, peak
+
+
 def reference_growth(p, m2, chosen):
     """The growth loop of the earlier extend_detailed: one format per key,
     every key of a level at once, then the full validate of the result."""
@@ -1123,6 +1139,13 @@ def reference_growth(p, m2, chosen):
     rep = validate(Condition(m2, h2, p.u))
     assert rep.ok, rep.first
     return h2, rep.scores
+
+
+def patterns(p, stats):
+    """The pattern accepted for each of p's tops, in key order, read from
+    the layer E of p's extension (stats.chosen), 2^(m' - m) bits a top."""
+    count = 2 ** (stats.m_prime - p.m)
+    return [(stats.chosen >> (t * count)) & ((1 << count) - 1) for t in range(2 ** p.m)]
 
 
 def seeded_weights(rng, h):
@@ -1147,7 +1170,7 @@ def test_extension_matches_reference_growth():
         # fresh depths are capped at 12, deep ones grow 1-2 levels
         levels = 12 - m if fresh else rng.randint(1, 2)
         q, stats = extend_detailed(p, rng.getrandbits(32), max_new_levels=levels)
-        h2, scores = reference_growth(p, stats.m_prime, stats.chosen)
+        h2, scores = reference_growth(p, stats.m_prime, patterns(p, stats))
         assert q.h == h2
         assert list(q.h) == sorted(q.h)
         assert stats.scores == scores == validate(q).scores
@@ -1176,7 +1199,7 @@ def test_layered_conditions_match_their_materialized_stems():
             p = q
             q, stats = extend_detailed(p, rng.getrandbits(32),
                                        max_new_levels=min(rng.randint(1, 4), 12 - p.m))
-            ref, scores = reference_growth(Condition(p.m, ref, p.u), q.m, stats.chosen)
+            ref, scores = reference_growth(Condition(p.m, ref, p.u), q.m, patterns(p, stats))
             retries += sum(stats.retries)
             chains.add(step)
             wire = parsed(condition_to_json(q))["h"]  # written from the layers: h is not built yet
@@ -1219,7 +1242,7 @@ def test_stem_text_is_what_json_writes_of_the_grown_pairs(shape):
         p = q
         q, stats = extend_detailed(p, rng.getrandbits(32), max_new_levels=k)
         assert q.m == p.m + k
-        ref = reference_growth(Condition(p.m, ref, p.u), q.m, stats.chosen)[0]
+        ref = reference_growth(Condition(p.m, ref, p.u), q.m, patterns(p, stats))[0]
     assert len(q._layers) == len(levels)
     if len(levels) > 1:
         assert len(set(map(id, q.u[-1].phi.table.values()))) == 1 < len(q.u[-1].phi.table)
@@ -1250,7 +1273,7 @@ def test_a_decoded_complete_base_is_written_under_its_layers(case):
             q = avoid_null(q, ClopenPlaneSet.from_rects([("1", "010")], (1, 3)), Fraction(1, 2))
         p = q
         q, stats = extend_detailed(p, rng.getrandbits(32), max_new_levels=k)
-        ref = reference_growth(Condition(p.m, ref, p.u), q.m, stats.chosen)[0]
+        ref = reference_growth(Condition(p.m, ref, p.u), q.m, patterns(p, stats))[0]
     assert len(q._layers) == len(levels) and "h" not in vars(q)
     expected = json.dumps({**condition_to_json(q), "h": sorted(ref.items())}, sort_keys=True,
                           separators=(",", ":"))
@@ -1286,10 +1309,10 @@ def test_a_given_stem_in_scrambled_key_order_reads_as_its_sorted_twin():
         seed, levels = rng.getrandbits(32), rng.randint(1, 3)
         q1, stats1 = extend_detailed(scrambled, seed, max_new_levels=levels)
         q2, stats2 = extend_detailed(ordered, seed, max_new_levels=levels)
-        assert (list(zip(scrambled.tops(), stats1.chosen))
-                == list(zip(ordered.tops(), stats2.chosen)))
+        assert (list(zip(scrambled.tops(), patterns(scrambled, stats1)))
+                == list(zip(ordered.tops(), patterns(ordered, stats2))))
         assert parsed(condition_to_json(q1))["h"] == parsed(condition_to_json(q2))["h"]
-        assert q1.h == reference_growth(scrambled, q1.m, stats1.chosen)[0]
+        assert q1.h == reference_growth(scrambled, q1.m, patterns(scrambled, stats1))[0]
 
 
 def test_extension_post_check_refuses_a_failing_candidate(monkeypatch):
@@ -1303,7 +1326,7 @@ def test_extension_post_check_refuses_a_failing_candidate(monkeypatch):
 
     def all_ones_accepted(checks):
         assert real(checks)[ones][0] == 0  # the real verdict refuses it
-        sums = tuple((check[4], poset._check_sum(check, ones)) for check in checks)
+        sums = tuple(poset._check_sum(check, ones) for check in checks)
         return {e: (-1, sums) if e == ones else (0, None) for e in range(ones + 1)}
 
     monkeypatch.setattr(poset, "_Verdicts", all_ones_accepted)
@@ -1321,10 +1344,10 @@ def test_grown_census_matches_materialized_groups():
         h = sparse_stem(rng, m)
         p = Condition(m, h, seeded_weights(rng, h) if rng.random() < 0.85 else ())
         q, stats = extend_detailed(p, rng.getrandbits(32), max_new_levels=rng.randint(1, 3))
-        assert len(stats.chosen) == len(p.tops())
+        assert q._layers[-1] == (q.m, stats.chosen)
         for cut in range(q.m + 2):
-            tops = [(s, p.h[s]) for s in p.tops()]
-            grown = poset._grown_census(q.m, tops, stats.chosen, cut)
+            assert poset._layer_runs(q)[:2] == (m, q.m)
+            grown = poset._grown_census(*poset._layer_runs(q), cut)
             assert dict(grown) == dict(poset._top_groups(q.h, q.m, cut)), (m, q.m, cut)
             seen.add((cut > m) + (cut >= q.m))
         seen.add(("weights", bool(p.u)))
@@ -1389,38 +1412,47 @@ def test_a_finer_cut_recounts_the_kept_census():
         assert c._kept_census[0] == 3
 
 
-def test_an_extension_counts_its_own_census():
+def test_an_extension_counts_its_own_census(monkeypatch):
     # the parent keeps a census before it is extended; the extension's own
-    # census, at cuts below and above the parent's, is that of its stem
+    # census, at cuts below and above the parent's, is that of its stem,
+    # whether its readers count it from the layer or the search counts it
+    # from the runs of tops it reads (census_cut), in runs of 2 tops too
     rng = random.Random(3503)
     kept = set()
-    for _ in range(12):
+    for i in range(24):
+        monkeypatch.setattr(poset, "_GROUPED", (2, 2 ** 9)[i % 2])
         m = rng.randint(1, 4)
         h = sparse_stem(rng, m)
         p = Condition(m, h, seeded_weights(rng, h))
         assert validate(p).ok
         kept.add(p._kept_census[0])
-        q, _ = extend_detailed(p, rng.getrandbits(32), max_new_levels=rng.randint(1, 2))
+        seed, levels = rng.getrandbits(32), rng.randint(1, 2)
+        q, _ = extend_detailed(p, seed, max_new_levels=levels)
         stem = poset._stem_map(q)
         for cut in range(q.m + 2):
             assert poset._census(q, cut) == poset._top_groups(stem, q.m, cut), (m, q.m, cut)
+            counted, _ = extend_detailed(p, seed, max_new_levels=levels, census_cut=cut)
+            assert counted._kept_census == (cut, poset._top_groups(stem, q.m, cut))
     assert {0, 3} <= kept
 
 
-def test_a_conditions_top_pairs_are_found_once_and_shared():
-    # a decoded condition finds its (top, value) pairs once: the search,
-    # tops() and the new layer read the one list, a condition sharing the
-    # stem shares it, and an extension's own list is the next layer's
+def test_every_layer_of_an_extended_condition_is_two_ints():
+    # a layer is (m', E): no string, tuple or list per top; the tops are
+    # implied, and an extension's and a sharing condition's layers are its
+    # parent's plus one, the same objects
     rng = random.Random(3504)
     h = sparse_stem(rng, 4)
     p = jsonio.condition_from_json(parsed(condition_to_json(Condition(4, h, seeded_weights(rng, h)))))
-    q, _ = extend_detailed(p, rng.getrandbits(32), max_new_levels=2)
-    pairs = q._layers[-1][1]
-    assert pairs is p._top_pairs
-    assert p.tops() == [s for s, _ in pairs] == sorted(s for s in h if len(s) == 4)
-    assert attach_weight(p, score(p, FULL_W) / 2, FULL_W)._top_pairs is pairs
-    r, _ = extend_detailed(q, rng.getrandbits(32), max_new_levels=1)
-    assert r._layers[-1][1] is q._top_pairs and len(q.tops()) == 2 ** q.m
+    q, stats = extend_detailed(p, rng.getrandbits(32), max_new_levels=2)
+    assert p._layers == () and q._layers == ((q.m, stats.chosen),)
+    assert p.tops() == sorted(s for s in h if len(s) == 4)
+    attached = attach_weight(q, score(q, FULL_W) / 2, FULL_W)
+    assert attached._layers is q._layers
+    r, _ = extend_detailed(attached, rng.getrandbits(32), max_new_levels=1)
+    assert r._layers[:-1] == q._layers and r._layers[0][1] is stats.chosen
+    for c in (q, r):
+        assert all(len(layer) == 2 and {type(x) for x in layer} == {int} for layer in c._layers)
+        assert c.tops() == sorted(s for s in c.h if len(s) == c.m) and len(c.tops()) == 2 ** c.m
 
 
 def record_conditions(monkeypatch):
